@@ -107,12 +107,38 @@ pub fn vectorize_correct(scalar: &Function) -> Result<Function, UnsupportedKerne
     builder.build(scalar, &l)
 }
 
-/// A recognized reduction `acc op= expr`.
+/// A recognized reduction accumulator: every top-level update of it in the
+/// loop body is `acc += expr` or `acc -= expr`, and each update is lowered
+/// from its own operator and value.
 #[derive(Debug, Clone)]
 struct ReductionInfo {
     name: String,
-    op: BinOp,
-    expr: Expr,
+}
+
+fn find_reduction(l: &CanonicalLoop, name: &str) -> Result<ReductionInfo, UnsupportedKernel> {
+    let mut updates = 0;
+    for stmt in &l.body.stmts {
+        if let Stmt::Expr(Expr::Assign { op, target, .. }) = stmt {
+            if target.as_var() == Some(name) {
+                if !matches!(op, AssignOp::AddAssign | AssignOp::SubAssign) {
+                    return Err(UnsupportedKernel::new(format!(
+                        "unsupported reduction operator on `{}`",
+                        name
+                    )));
+                }
+                updates += 1;
+            }
+        }
+    }
+    if updates == 0 {
+        return Err(UnsupportedKernel::new(format!(
+            "reduction `{}` is not a top-level statement of the loop body",
+            name
+        )));
+    }
+    Ok(ReductionInfo {
+        name: name.to_string(),
+    })
 }
 
 /// A recognized linear scalar recurrence `s += constant` (s453).
@@ -120,33 +146,6 @@ struct ReductionInfo {
 struct RecurrenceInfo {
     name: String,
     increment: i64,
-}
-
-fn find_reduction(l: &CanonicalLoop, name: &str) -> Result<ReductionInfo, UnsupportedKernel> {
-    for stmt in &l.body.stmts {
-        if let Stmt::Expr(Expr::Assign { op, target, value }) = stmt {
-            if target.as_var() == Some(name) {
-                let binop = op
-                    .binop()
-                    .filter(|op| matches!(op, BinOp::Add | BinOp::Sub))
-                    .ok_or_else(|| {
-                        UnsupportedKernel::new(format!(
-                            "unsupported reduction operator on `{}`",
-                            name
-                        ))
-                    })?;
-                return Ok(ReductionInfo {
-                    name: name.to_string(),
-                    op: binop,
-                    expr: (**value).clone(),
-                });
-            }
-        }
-    }
-    Err(UnsupportedKernel::new(format!(
-        "reduction `{}` is not a top-level statement of the loop body",
-        name
-    )))
 }
 
 fn find_linear_recurrence(
@@ -307,7 +306,9 @@ impl VectorBuilder {
             false,
         ));
 
-        // Reduction: fold the vector accumulator back into the scalar.
+        // Reduction: fold the vector accumulator back into the scalar. The
+        // lanes hold signed partial sums (a `-=` update subtracted inside the
+        // loop), so the fold always adds.
         if let Some(red) = &self.reduction.clone() {
             let acc_vec = Expr::var(format!("{}_vec", red.name));
             for lane in 0..VECTOR_WIDTH {
@@ -315,12 +316,11 @@ impl VectorBuilder {
                     "_mm256_extract_epi32",
                     vec![acc_vec.clone(), Expr::lit(lane as i64)],
                 );
-                let op = if red.op == BinOp::Add {
-                    AssignOp::AddAssign
-                } else {
-                    AssignOp::SubAssign
-                };
-                out_body.push(b::compound_assign_stmt(op, Expr::var(&red.name), extract));
+                out_body.push(b::compound_assign_stmt(
+                    AssignOp::AddAssign,
+                    Expr::var(&red.name),
+                    extract,
+                ));
             }
         }
 
@@ -347,13 +347,13 @@ impl VectorBuilder {
                 // Reduction / recurrence updates are handled at loop level.
                 if let Some(name) = target.as_var() {
                     if self.reduction.as_ref().is_some_and(|r| r.name == name) {
-                        let red = self.reduction.clone().expect("checked");
-                        let expr_vec = self.lower_expr(&red.expr, out)?;
-                        let acc = Expr::var(format!("{}_vec", red.name));
-                        let callee = if red.op == BinOp::Add {
-                            "_mm256_add_epi32"
-                        } else {
+                        // `find_reduction` admitted only `+=` and `-=`.
+                        let expr_vec = self.lower_expr(value, out)?;
+                        let acc = Expr::var(format!("{}_vec", name));
+                        let callee = if *op == AssignOp::SubAssign {
                             "_mm256_sub_epi32"
+                        } else {
+                            "_mm256_add_epi32"
                         };
                         out.push(b::assign_stmt(
                             acc.clone(),
@@ -665,6 +665,14 @@ mod tests {
     fn reduction_kernel() {
         check_correct(
             "void vsumr(int n, int *a, int *out) { int s = 0; for (int i = 0; i < n; i++) { s += a[i]; } out[0] = s; }",
+        );
+        // Two updates of one accumulator, each lowered from its own value.
+        check_correct(
+            "void s319(int n, int *a, int *b, int *c, int *d, int *e, int *out) { int sum = 0; for (int i = 0; i < n; i++) { a[i] = c[i] + d[i]; sum += a[i]; b[i] = c[i] + e[i]; sum += b[i]; } out[0] = sum; }",
+        );
+        // A `-=` update leaves a negative partial sum in the lanes.
+        check_correct(
+            "void f(int n, int *a, int *b, int *out) { int s = 5; for (int i = 0; i < n; i++) { s -= a[i]; s += b[i]; } out[0] = s; }",
         );
     }
 

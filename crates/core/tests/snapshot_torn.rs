@@ -15,9 +15,18 @@ use lv_core::pipeline::{Equivalence, Stage};
 use lv_core::VerdictCache;
 use lv_interp::ChecksumClass;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
+/// A fresh directory per call: the tests run concurrently and several of
+/// them render snapshots, so a per-process name alone would be shared.
 fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("lv-snap-torn-{}-{}", tag, std::process::id()));
+    static SEQ: AtomicUsize = AtomicUsize::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "lv-snap-torn-{}-{}-{}",
+        tag,
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("temp dir");
     dir

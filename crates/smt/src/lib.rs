@@ -16,15 +16,17 @@
 //!   recorded clause streams for structurally repeated queries;
 //! * [`sat`] — the CDCL SAT solver ([`SatSolver`]) with a flat clause
 //!   arena, MiniSat-style assumption solving for the incremental push/pop
-//!   pathway, and opt-in inprocessing (LBD-driven learned-clause DB
-//!   reduction, on-the-fly self-subsumption);
+//!   pathway, budget stops that pause and resume ([`SatSolver::resume`]),
+//!   and opt-in inprocessing (LBD-driven learned-clause DB reduction,
+//!   on-the-fly self-subsumption);
 //! * [`preprocess`] — SatELite-style clause-database preprocessing
 //!   ([`preprocess::preprocess`], [`SimplifyConfig`]), run once per query
 //!   before search;
 //! * [`solver`] — the user-facing facade ([`Solver`], [`CheckResult`],
 //!   [`Validity`]), including the incremental per-scalar session
-//!   ([`Solver::begin_incremental`] / [`Solver::check_assuming`]) and the
-//!   reuse counters ([`ReuseStats`]).
+//!   ([`Solver::begin_incremental`] / [`Solver::check_assuming`]), the
+//!   resumption of a budget-stopped one-shot search by an identical
+//!   follow-up query, and the reuse counters ([`ReuseStats`]).
 //!
 //! # Preprocessing and inprocessing
 //!

@@ -15,6 +15,20 @@
 //! unconditional and preserves clause insertion order, so
 //! [`SatSolver::cnf_fingerprint`] is byte-stable across the representation.
 //!
+//! A budget stop is a *pause*, not an abort. The search state that one
+//! call used to keep in locals — the restart schedule and the conflict at
+//! which the budget ran out, found and counted but not yet analysed — lives
+//! on the solver, and [`SatSolver::resume`] continues from exactly that
+//! point under a larger budget. Conflicts already spent count against the
+//! new budget and [`SatSolver::stats`] keeps accumulating, so a resumed
+//! search returns what a fresh solve with the larger budget returns: the
+//! same result, model, and decision/conflict/propagation counts. Only
+//! assumption-free solves pause; a fresh solve, `add_clause`, `new_var` or
+//! `reset_to_root` discards the pause. [`SatSolver::encode_instance`] is
+//! the exact pre-search identity a caller compares before resuming a pause
+//! for a rebuilt instance (MiniSat-style reusable solver state, Eén &
+//! Sörensson, SAT'03).
+//!
 //! Opt-in *inprocessing* ([`SatSolver::set_inprocessing`]) adds two
 //! search-time simplifications on top: learned clauses are scored by LBD
 //! (literal block distance — the number of distinct decision levels in the
@@ -96,8 +110,8 @@ impl Default for SatBudget {
     }
 }
 
-/// Statistics from the last `solve` call.
-#[derive(Debug, Clone, Copy, Default)]
+/// Statistics of one search (see [`SatSolver::stats`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SatStats {
     /// Number of decisions made.
     pub decisions: u64,
@@ -192,7 +206,8 @@ pub struct SatSolver {
     phase: Vec<bool>,
     /// Set when an empty clause has been added; the instance is trivially UNSAT.
     unsat: bool,
-    /// Statistics from the most recent `solve` call.
+    /// Statistics of the most recent search: reset by every solve,
+    /// accumulated across [`SatSolver::resume`] calls.
     pub stats: SatStats,
     seen: Vec<bool>,
     // Reusable scratch buffers: the hot paths (clause intake, conflict
@@ -201,6 +216,12 @@ pub struct SatSolver {
     learned_buf: Vec<Lit>,
     minimize_buf: Vec<bool>,
     lbd_buf: Vec<u32>,
+    // Search state that outlives one call, so a budget stop is a pause:
+    // the geometric restart schedule, and the conflict at which the budget
+    // ran out (found and counted, not yet analysed). See [`SatSolver::resume`].
+    restart_limit: u64,
+    conflicts_since_restart: u64,
+    paused: Option<ClauseRef>,
     // Inprocessing state.
     inprocess: bool,
     last_lbd: u32,
@@ -300,8 +321,9 @@ impl SatSolver {
         &self.trail[..root]
     }
 
-    /// Allocates a fresh variable and returns it.
+    /// Allocates a fresh variable and returns it. Discards a paused search.
     pub fn new_var(&mut self) -> Var {
+        self.discard_pause();
         let var = self.assign.len() as Var;
         self.assign.push(None);
         self.level.push(0);
@@ -316,8 +338,9 @@ impl SatSolver {
     }
 
     /// Adds a clause. Returns `false` if the clause is trivially unsatisfiable
-    /// at level 0 (the instance becomes UNSAT).
+    /// at level 0 (the instance becomes UNSAT). Discards a paused search.
     pub fn add_clause(&mut self, lits: &[Lit]) -> bool {
+        self.discard_pause();
         let mut clause = std::mem::take(&mut self.add_buf);
         let ok = self.add_clause_inner(lits, &mut clause);
         self.add_buf = clause;
@@ -719,7 +742,10 @@ impl SatSolver {
     /// activation literal passed here, and "pop" is an unconditional unit
     /// clause asserting its negation.
     pub fn solve_with_assumptions(&mut self, budget: &SatBudget, assumptions: &[Lit]) -> SatResult {
+        self.discard_pause();
         self.stats = SatStats::default();
+        self.restart_limit = 100;
+        self.conflicts_since_restart = 0;
         if self.unsat {
             return SatResult::Unsat;
         }
@@ -727,29 +753,70 @@ impl SatSolver {
             self.unsat = true;
             return SatResult::Unsat;
         }
-        let mut restart_limit = 100u64;
-        let mut conflicts_since_restart = 0u64;
+        self.search(budget, assumptions, None)
+    }
 
+    /// Continues the search paused by the last budget stop under a larger
+    /// `budget`.
+    ///
+    /// The conflicts already spent count against `budget`, and
+    /// [`SatSolver::stats`] keeps accumulating, so `solve(b1)` → `Unknown`
+    /// → `resume(b2)` returns exactly what a fresh `solve(b2)` on the same
+    /// instance returns: the same result, the same model, and the same
+    /// decision, conflict and propagation counts. A budget at or below the
+    /// conflicts already spent stays `Unknown` (and stays paused).
+    ///
+    /// Only an assumption-free solve pauses; any solve, [`SatSolver::add_clause`],
+    /// [`SatSolver::new_var`] or [`SatSolver::reset_to_root`] discards the
+    /// pause. Without one, this is [`SatSolver::solve`].
+    pub fn resume(&mut self, budget: &SatBudget) -> SatResult {
+        match self.paused.take() {
+            Some(conflict) => self.search(budget, &[], Some(conflict)),
+            None => self.solve(budget),
+        }
+    }
+
+    /// Drops a paused search, returning to decision level 0.
+    fn discard_pause(&mut self) {
+        if self.paused.take().is_some() {
+            self.backtrack(0);
+        }
+    }
+
+    /// The CDCL loop. `pending` is a conflict already found and counted
+    /// before a budget stop; it is analysed first.
+    fn search(
+        &mut self,
+        budget: &SatBudget,
+        assumptions: &[Lit],
+        mut pending: Option<ClauseRef>,
+    ) -> SatResult {
         loop {
-            if let Some(conflict) = self.propagate() {
-                self.stats.conflicts += 1;
-                conflicts_since_restart += 1;
-                if self.inprocess {
-                    self.conflicts_since_reduce += 1;
-                }
-                if self.decision_level() == 0 {
-                    self.unsat = true;
-                    return SatResult::Unsat;
-                }
-                if self.decision_level() as usize <= assumptions.len() {
-                    // Every decision below this level is an assumption, so
-                    // the conflicting assignment is implied by the clause
-                    // set plus the assumption prefix: UNSAT under
-                    // assumptions (but not globally).
-                    self.backtrack(0);
-                    return SatResult::Unsat;
+            let resumed = pending.take();
+            if let Some(conflict) = resumed.or_else(|| self.propagate()) {
+                if resumed.is_none() {
+                    self.stats.conflicts += 1;
+                    self.conflicts_since_restart += 1;
+                    if self.inprocess {
+                        self.conflicts_since_reduce += 1;
+                    }
+                    if self.decision_level() == 0 {
+                        self.unsat = true;
+                        return SatResult::Unsat;
+                    }
+                    if self.decision_level() as usize <= assumptions.len() {
+                        // Every decision below this level is an assumption,
+                        // so the conflicting assignment is implied by the
+                        // clause set plus the assumption prefix: UNSAT under
+                        // assumptions (but not globally).
+                        self.backtrack(0);
+                        return SatResult::Unsat;
+                    }
                 }
                 if self.stats.conflicts >= budget.max_conflicts {
+                    if assumptions.is_empty() {
+                        self.paused = Some(conflict);
+                    }
                     return SatResult::Unknown;
                 }
                 let backtrack_level = self.analyze(conflict);
@@ -768,9 +835,9 @@ impl SatSolver {
                 self.learned_buf = learned;
                 self.decay_activities();
             } else {
-                if conflicts_since_restart >= restart_limit {
-                    conflicts_since_restart = 0;
-                    restart_limit = restart_limit + restart_limit / 2;
+                if self.conflicts_since_restart >= self.restart_limit {
+                    self.conflicts_since_restart = 0;
+                    self.restart_limit += self.restart_limit / 2;
                     self.stats.restarts += 1;
                     self.backtrack(0);
                     if self.inprocess && self.conflicts_since_reduce >= self.reduce_limit {
@@ -816,8 +883,10 @@ impl SatSolver {
 
     /// Undoes every decision (assumptions included), returning the solver to
     /// decision level 0 — the "pop" after an assumption-based query, after
-    /// which more clauses can be added and the solver re-solved.
+    /// which more clauses can be added and the solver re-solved. Discards a
+    /// paused search.
     pub fn reset_to_root(&mut self) {
+        self.paused = None;
         self.backtrack(0);
     }
 
@@ -852,6 +921,44 @@ impl SatSolver {
             }
         }
         hash
+    }
+
+    /// Writes the solver's pre-search state into `out`, replacing its
+    /// contents: the variable count, the root-level trail, every stored
+    /// clause in insertion order (literals in stored order), and every watch
+    /// list in order. Search from level 0 is a deterministic function of
+    /// exactly this state, so two solvers with equal images (compared with
+    /// `==`, never by hash) search identically under equal budgets. Must be
+    /// called at decision level 0 before any search.
+    pub fn encode_instance(&self, out: &mut Vec<u32>) {
+        debug_assert_eq!(self.decision_level(), 0);
+        out.clear();
+        out.reserve(
+            6 + self.trail.len()
+                + self.db.heads.len() * 3
+                + self.db.lits.len()
+                + self.watches.len(),
+        );
+        out.push(self.num_vars() as u32);
+        out.push(u32::from(self.unsat));
+        out.push(u32::from(self.inprocess));
+        out.push(self.qhead as u32);
+        out.push(self.trail.len() as u32);
+        out.extend(self.trail.iter().map(|lit| lit.0));
+        out.push(self.db.len() as u32);
+        for head in &self.db.heads {
+            out.push(head.len);
+            let start = head.start as usize;
+            out.extend(
+                self.db.lits[start..start + head.len as usize]
+                    .iter()
+                    .map(|lit| lit.0),
+            );
+        }
+        for watch in &self.watches {
+            out.push(watch.len() as u32);
+            out.extend(watch.iter().map(|&cref| cref as u32));
+        }
     }
 
     /// The value assigned to a variable by the last `Sat` result.
@@ -1225,6 +1332,152 @@ mod tests {
         }
         // With every group retired the instance is satisfiable.
         assert_eq!(s.solve(&SatBudget::default()), SatResult::Sat);
+    }
+
+    /// Everything a search leaves observable: result, model, statistics.
+    fn outcome(s: &SatSolver, result: SatResult) -> (SatResult, Vec<bool>, SatStats) {
+        let model = (0..s.num_vars() as Var).map(|v| s.model_value(v)).collect();
+        (result, model, s.stats)
+    }
+
+    fn solver_for(num_vars: usize, clauses: &[Vec<Lit>]) -> SatSolver {
+        let mut s = solver_with_vars(num_vars);
+        for c in clauses {
+            s.add_clause(c);
+        }
+        s
+    }
+
+    #[test]
+    fn resume_equals_a_fresh_solve_with_the_final_budget() {
+        let (b1, b2, b3) = (20, 90, 400);
+        let mut resumed_to_a_conclusion = 0;
+        for seed in 0..40u64 {
+            // Just above the 3-SAT phase transition: a mix of SAT and UNSAT
+            // instances needing tens to hundreds of conflicts.
+            let clauses = random_cnf(seed, 60, 258);
+            let mut fresh = solver_for(60, &clauses);
+            let want = fresh.solve(&SatBudget { max_conflicts: b3 });
+            let want = outcome(&fresh, want);
+
+            let mut stepped = solver_for(60, &clauses);
+            let mut got = stepped.solve(&SatBudget { max_conflicts: b1 });
+            let first = got;
+            for budget in [b2, b3] {
+                if got == SatResult::Unknown {
+                    assert!(stepped.paused.is_some(), "seed {}", seed);
+                    got = stepped.resume(&SatBudget {
+                        max_conflicts: budget,
+                    });
+                }
+            }
+            assert_eq!(outcome(&stepped, got), want, "seed {}", seed);
+            if first == SatResult::Unknown && got != SatResult::Unknown {
+                resumed_to_a_conclusion += 1;
+            }
+        }
+        assert!(
+            resumed_to_a_conclusion >= 5,
+            "too few instances exercise a resume: {}",
+            resumed_to_a_conclusion
+        );
+    }
+
+    #[test]
+    fn resume_within_the_spent_budget_stays_unknown() {
+        let clauses = random_cnf(3, 60, 258);
+        let mut s = solver_for(60, &clauses);
+        assert_eq!(
+            s.solve(&SatBudget { max_conflicts: 10 }),
+            SatResult::Unknown
+        );
+        let spent = s.stats;
+        for budget in [1, 9, 10] {
+            let result = s.resume(&SatBudget {
+                max_conflicts: budget,
+            });
+            assert_eq!(result, SatResult::Unknown);
+            assert!(s.paused.is_some());
+            assert_eq!(s.stats, spent, "a no-op resume spends nothing");
+        }
+        let mut fresh = solver_for(60, &clauses);
+        let want = fresh.solve(&SatBudget { max_conflicts: 300 });
+        let got = s.resume(&SatBudget { max_conflicts: 300 });
+        assert_eq!(outcome(&s, got), outcome(&fresh, want));
+    }
+
+    #[test]
+    fn instance_image_separates_every_small_difference() {
+        let base = random_cnf(11, 20, 60);
+        let image = |num_vars: usize, clauses: &[Vec<Lit>], unit: Option<Lit>| {
+            let mut s = solver_for(num_vars, clauses);
+            if let Some(unit) = unit {
+                s.add_clause(&[unit]);
+            }
+            let mut out = Vec::new();
+            s.encode_instance(&mut out);
+            out
+        };
+        let reference = image(20, &base, Some(lit(1)));
+        assert_eq!(reference, image(20, &base, Some(lit(1))));
+
+        let mut flipped = base.clone();
+        flipped[7][1] = flipped[7][1].negate();
+        let mut missing = base.clone();
+        missing.remove(30);
+        let mut extra = base.clone();
+        extra.push(vec![lit(2), lit(-3), lit(4)]);
+        let mut reordered = base.clone();
+        reordered[12].rotate_left(1);
+        assert_ne!(reordered[12], base[12]);
+        let variants = [
+            ("flipped literal", image(20, &flipped, Some(lit(1)))),
+            ("missing clause", image(20, &missing, Some(lit(1)))),
+            ("extra clause", image(20, &extra, Some(lit(1)))),
+            ("reordered literals", image(20, &reordered, Some(lit(1)))),
+            ("variable count", image(21, &base, Some(lit(1)))),
+            ("root unit", image(20, &base, Some(lit(-1)))),
+        ];
+        for (what, variant) in variants {
+            assert_ne!(variant, reference, "{}", what);
+        }
+    }
+
+    #[test]
+    fn add_clause_or_reset_after_a_pause_falls_back_to_a_fresh_solve() {
+        let clauses = random_cnf(5, 60, 258);
+        let extra = [lit(1), lit(2), lit(3)];
+        // After either call, `resume` must behave as `solve` on the same
+        // solver history: stats restart from zero, nothing is continued.
+        for add in [true, false] {
+            let mut a = solver_for(60, &clauses);
+            let mut b = solver_for(60, &clauses);
+            for s in [&mut a, &mut b] {
+                assert_eq!(
+                    s.solve(&SatBudget { max_conflicts: 15 }),
+                    SatResult::Unknown
+                );
+                if add {
+                    assert!(s.add_clause(&extra));
+                } else {
+                    s.reset_to_root();
+                }
+                assert!(s.paused.is_none());
+            }
+            let budget = SatBudget { max_conflicts: 400 };
+            let got = a.resume(&budget);
+            let want = b.solve(&budget);
+            assert_eq!(outcome(&a, got), outcome(&b, want), "add_clause: {}", add);
+        }
+    }
+
+    #[test]
+    fn assumption_solves_never_pause() {
+        let clauses = random_cnf(3, 60, 258);
+        let mut s = solver_for(60, &clauses);
+        let result = s.solve_with_assumptions(&SatBudget { max_conflicts: 5 }, &[lit(4)]);
+        assert_eq!(result, SatResult::Unknown);
+        assert!(s.paused.is_none());
     }
 
     #[test]

@@ -33,6 +33,32 @@
 //!   [`BitBlaster`] instance cache, so a subterm common to every candidate
 //!   (the scalar's symbolic execution, in the verifier) is blasted exactly
 //!   once per session.
+//!
+//! # Resuming a budget-stopped search
+//!
+//! The verification cascade escalates when a stage runs out of budget, and
+//! the next stage can build the *same* instance: with a one-chunk window,
+//! C-unroll symbolically executes to the terms the Alive2 stage asked
+//! about, under a larger conflict budget. Since CDCL search is
+//! deterministic, re-solving would replay every conflict already spent. So
+//! a one-shot [`Solver::check`] whose search stops at its conflict budget
+//! keeps the paused [`SatSolver`] (one per `Solver`; like the blast memo it
+//! survives [`Solver::recycle`]), and the next `check` resumes it when, and
+//! only when:
+//!
+//! - its pre-search instance is *exactly* equal to the paused one: the same
+//!   variable count, root units, clause stream in order, and watch lists
+//!   ([`SatSolver::encode_instance`], compared element by element — never
+//!   by hash), and
+//! - its conflict budget is at least the conflicts already spent (a fresh
+//!   solve under a smaller budget would stop earlier).
+//!
+//! Any other query drops the pause. A resumed search reports the search's
+//! *total* conflicts and decisions in [`Solver::last_stats`], and returns
+//! the result and model a fresh solve with the larger budget returns, so
+//! verdicts, stage traces, funnels, profiles and cache keys cannot tell the
+//! difference. Assumption solves on incremental sessions and checks with
+//! simplification on keep no pause and behave exactly as before.
 
 use crate::bitblast::{BitBlaster, BlastCache, BlastState};
 use crate::preprocess::{preprocess_solver, SimplifyConfig, SimplifyStats};
@@ -227,6 +253,16 @@ struct IncSession {
     base_clauses: usize,
 }
 
+/// A one-shot search stopped by its conflict budget, kept so that the next
+/// query, if it builds the identical instance under a larger budget, picks
+/// the search up where it stopped (see the module docs).
+#[derive(Debug)]
+struct PausedSearch {
+    sat: SatSolver,
+    /// [`SatSolver::encode_instance`] of the instance before the search.
+    instance: Vec<u32>,
+}
+
 /// How many keyed incremental sessions a solver keeps warm at once. The
 /// verifier's stage cascade builds one scalar-side context per symbolic
 /// strategy, so a handful covers a whole same-scalar job group; beyond the
@@ -253,6 +289,12 @@ pub struct Solver {
     simplify: SimplifyConfig,
     /// Cumulative simplification counters (all zero while `simplify` is off).
     simplify_stats: SimplifyStats,
+    /// The last one-shot search, if its budget stopped it; survives
+    /// [`Solver::recycle`], and any query that does not resume it drops it.
+    paused: Option<PausedSearch>,
+    /// Reused buffer for the current query's pre-search image, so encoding
+    /// it does not allocate once warm.
+    instance_buf: Vec<u32>,
 }
 
 impl Solver {
@@ -339,7 +381,9 @@ impl Solver {
         // Term ids are invalidated by the clear, so any warm incremental
         // session dies with them — but the blasted-CNF memo is keyed by
         // structural hash, not term id, and deliberately survives: reusing
-        // blasts across recycles is its whole purpose.
+        // blasts across recycles is its whole purpose. A paused search
+        // survives for the same reason: it is matched by the CNF it was
+        // built from, never by term ids.
         self.inc.clear();
     }
 
@@ -349,7 +393,16 @@ impl Solver {
     }
 
     /// Checks satisfiability of the conjunction of all assertions.
+    ///
+    /// When the previous one-shot search stopped at its conflict budget and
+    /// this query blasts to the identical instance with at least that many
+    /// conflicts to spend, the paused search is resumed instead of re-run;
+    /// the result, the model and [`Solver::last_stats`] are exactly those
+    /// of a fresh solve.
     pub fn check(&mut self, budget: &SolverBudget) -> CheckResult {
+        // Only an identical query may resume the paused search; every other
+        // path below drops it.
+        let paused = self.paused.take();
         // Fast path: constant assertions.
         if self
             .assertions
@@ -408,19 +461,48 @@ impl Solver {
         }
         let inp_before = sat.inprocess_stats();
 
-        let result = sat.solve(&SatBudget {
+        let sat_budget = SatBudget {
             max_conflicts: budget.max_conflicts,
-        });
+        };
+        // Simplified searches are not kept: with simplify on, every query
+        // runs from scratch exactly as before.
+        let pausable = !self.simplify.any();
+        let mut instance = std::mem::take(&mut self.instance_buf);
+        if pausable {
+            sat.encode_instance(&mut instance);
+        }
+        let result = match paused {
+            Some(p)
+                if pausable
+                    && p.sat.stats.conflicts <= budget.max_conflicts
+                    && p.instance == instance =>
+            {
+                sat = p.sat;
+                sat.resume(&sat_budget)
+            }
+            _ => sat.solve(&sat_budget),
+        };
         self.last_stats.conflicts = sat.stats.conflicts;
         self.last_stats.decisions = sat.stats.decisions;
         self.absorb_solve_effects(inp_before, &sat);
+        // The image moves into the pause on a budget stop; otherwise its
+        // buffer is kept for the next query's image.
+        let keep = pausable && result == SatResult::Unknown;
+        if !keep {
+            self.instance_buf = std::mem::take(&mut instance);
+        }
 
         match result {
             SatResult::Unsat => CheckResult::Unsat,
-            SatResult::Unknown => CheckResult::Unknown(format!(
-                "solver exhausted its budget of {} conflicts",
-                budget.max_conflicts
-            )),
+            SatResult::Unknown => {
+                if keep {
+                    self.paused = Some(PausedSearch { sat, instance });
+                }
+                CheckResult::Unknown(format!(
+                    "solver exhausted its budget of {} conflicts",
+                    budget.max_conflicts
+                ))
+            }
             SatResult::Sat => match pre {
                 None => CheckResult::Sat(Box::new(extract_model(&sat, &var_bits, &var_bools))),
                 Some(pre) => {
@@ -530,6 +612,9 @@ impl Solver {
             self.assertions.pop();
             return result;
         };
+        // Assumption solves never pause, and a one-shot pause never
+        // outlives a query that did not resume it.
+        self.paused = None;
         let (_, session) = self.inc.remove(pos);
         let IncSession {
             mut sat,
@@ -1154,6 +1239,118 @@ mod tests {
             stats
         );
         assert!(stats.arena_bytes > 0);
+    }
+
+    /// Checks the validity of `x * y == y * x` at bit width `width` (with
+    /// the operands of both products swapped when `swapped`). Valid, but
+    /// the SAT search needs hundreds (width 5) to thousands (width 6) of
+    /// conflicts to prove it.
+    fn commutativity(solver: &mut Solver, swapped: bool, width: u32, conflicts: u64) -> Validity {
+        let x = solver.ctx.bv_var("x", width);
+        let y = solver.ctx.bv_var("y", width);
+        let (a, b) = if swapped { (y, x) } else { (x, y) };
+        let ab = solver.ctx.bv_mul(a, b);
+        let ba = solver.ctx.bv_mul(b, a);
+        let formula = solver.ctx.eq(ab, ba);
+        let budget = SolverBudget {
+            max_conflicts: conflicts,
+            max_clauses: 4_000_000,
+        };
+        solver.check_validity(formula, &budget)
+    }
+
+    /// [`commutativity`] on a recycled `solver`: the verdict and the
+    /// reported (conflicts, decisions).
+    fn run_on(
+        solver: &mut Solver,
+        swapped: bool,
+        width: u32,
+        conflicts: u64,
+    ) -> (Validity, (u64, u64)) {
+        solver.recycle();
+        let verdict = commutativity(solver, swapped, width, conflicts);
+        let stats = solver.last_stats;
+        (verdict, (stats.conflicts, stats.decisions))
+    }
+
+    fn fresh_run(swapped: bool, width: u32, conflicts: u64) -> (Validity, (u64, u64)) {
+        run_on(&mut Solver::new(), swapped, width, conflicts)
+    }
+
+    #[test]
+    fn a_resumed_check_equals_a_fresh_check_with_the_larger_budget() {
+        for (memo, width) in [(false, 5), (true, 5), (true, 6)] {
+            let mut solver = Solver::new();
+            if memo {
+                solver.enable_blast_memo();
+            }
+            let (first, _) = run_on(&mut solver, false, width, 8);
+            assert!(matches!(first, Validity::Unknown(_)));
+            assert!(solver.paused.is_some());
+            // A second budget stop on the same query keeps the pause going.
+            assert_eq!(
+                run_on(&mut solver, false, width, 40),
+                fresh_run(false, width, 40)
+            );
+            assert!(solver.paused.is_some());
+            let want = fresh_run(false, width, 100_000);
+            assert_eq!(want.0, Validity::Valid);
+            assert_eq!(run_on(&mut solver, false, width, 100_000), want);
+            assert!(solver.paused.is_none(), "a conclusive search is not kept");
+        }
+    }
+
+    #[test]
+    fn a_smaller_budget_never_resumes() {
+        let mut solver = Solver::new();
+        let _ = run_on(&mut solver, false, 5, 50);
+        assert!(solver.paused.is_some());
+        // The paused search has spent 50 conflicts; a fresh solve under 20
+        // stops at 20, so the pause must not answer for it.
+        assert_eq!(run_on(&mut solver, false, 5, 20), fresh_run(false, 5, 20));
+    }
+
+    #[test]
+    fn a_different_query_drops_the_pause_and_solves_fresh() {
+        // Every query other than the paused one (here: swapped operands,
+        // another width) must get exactly the fresh answer.
+        for (swapped, width) in [(true, 5), (false, 6)] {
+            let mut solver = Solver::new();
+            let _ = run_on(&mut solver, false, 5, 8);
+            assert!(solver.paused.is_some());
+            let got = run_on(&mut solver, swapped, width, 100_000);
+            assert_eq!(got, fresh_run(swapped, width, 100_000));
+            assert!(solver.paused.is_none());
+        }
+    }
+
+    #[test]
+    fn incremental_and_simplified_checks_keep_no_pause() {
+        let mut solver = Solver::new();
+        let _ = run_on(&mut solver, false, 5, 8);
+        assert!(solver.paused.is_some());
+        // An assumption solve on a warm session, stopped by its own budget.
+        let x = solver.ctx.bv_var("x", 5);
+        let y = solver.ctx.bv_var("y", 5);
+        let xy = solver.ctx.bv_mul(x, y);
+        let yx = solver.ctx.bv_mul(y, x);
+        let same = solver.ctx.eq(xy, yx);
+        let differ = solver.ctx.not(same);
+        solver.reset_assertions();
+        solver.begin_incremental(3).unwrap();
+        let budget = SolverBudget {
+            max_conflicts: 8,
+            max_clauses: 4_000_000,
+        };
+        let result = solver.check_assuming(3, differ, &budget);
+        assert!(matches!(result, CheckResult::Unknown(_)));
+        assert!(solver.paused.is_none());
+
+        let mut simplified = Solver::new();
+        simplified.set_simplify(SimplifyConfig::full());
+        let verdict = commutativity(&mut simplified, false, 5, 8);
+        assert!(matches!(verdict, Validity::Unknown(_)));
+        assert!(simplified.paused.is_none());
     }
 
     #[test]

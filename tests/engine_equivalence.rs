@@ -4,12 +4,16 @@
 //! Algorithm 1 early-exit ordering pin.
 
 use llm_vectorizer_repro::agents::{sample_completion_batch, LlmConfig};
+use llm_vectorizer_repro::cir::ast::Function;
 use llm_vectorizer_repro::cir::parse_function;
 use llm_vectorizer_repro::core::{
-    check_equivalence, EngineConfig, Equivalence, Job, PipelineConfig, Stage, VerificationEngine,
+    check_equivalence, BatchReport, ChecksumStage, EngineConfig, EngineReuse, Equivalence, Job,
+    PipelineConfig, Stage, StrategyOutcome, SymbolicStage, VerificationEngine,
+    VerificationStrategy, WorkerState,
 };
 use llm_vectorizer_repro::interp::ChecksumConfig;
 use llm_vectorizer_repro::tsvc::KERNELS;
+use llm_vectorizer_repro::tv::{SymbolicStrategy, TvReuse, TvSession};
 use lv_bench::{sweep_tv_config, REPRESENTATIVE_KERNELS};
 
 /// A pipeline configuration fast enough for a full-suite sweep in a test,
@@ -144,4 +148,143 @@ fn checksum_refutation_short_circuits_before_any_symbolic_strategy() {
     assert!(!report.traces[0].conclusive);
     assert!(report.traces.len() >= 2);
     assert_ne!(report.stage, Stage::Checksum);
+}
+
+/// A stage run on a session of its own: every call starts from a fresh
+/// solver, so no search state carries over from an earlier stage or job.
+struct FreshSession {
+    inner: SymbolicStage,
+    reuse: TvReuse,
+}
+
+impl VerificationStrategy for FreshSession {
+    fn stage(&self) -> Stage {
+        self.inner.stage()
+    }
+
+    fn verify(
+        &self,
+        scalar: &Function,
+        candidate: &Function,
+        worker: &mut WorkerState,
+    ) -> StrategyOutcome {
+        // Keep the running totals the engine takes effort deltas from.
+        let stats = worker.session.stats;
+        worker.session = TvSession::with_reuse(self.reuse);
+        worker.session.stats = stats;
+        self.inner.verify(scalar, candidate, worker)
+    }
+}
+
+/// The rule-based candidate plus three synthetic completions for each of the
+/// conditional kernels whose Alive2 attempt runs out of budget before
+/// C-unroll concludes on the same instance.
+fn budget_stopped_jobs() -> Vec<Job> {
+    let names = ["vif", "s271", "s2711"];
+    let scalars: Vec<Function> = names
+        .iter()
+        .map(|name| {
+            llm_vectorizer_repro::tsvc::kernel(name)
+                .expect("known kernel")
+                .function()
+        })
+        .collect();
+    let batch = sample_completion_batch(&scalars, &LlmConfig::default(), 3);
+    let mut jobs = Vec::new();
+    for ((name, scalar), completions) in names.iter().zip(&scalars).zip(&batch.completions) {
+        let rule = llm_vectorizer_repro::agents::vectorize_correct(scalar).expect("supported");
+        jobs.push(Job::new(format!("{}#rule", name), scalar.clone(), rule));
+        for (j, completion) in completions.iter().enumerate() {
+            jobs.push(Job::new(
+                format!("{}#{}", name, j),
+                scalar.clone(),
+                completion.candidate.clone(),
+            ));
+        }
+    }
+    jobs
+}
+
+fn assert_same_verdicts(got: &BatchReport, want: &BatchReport, what: &str) {
+    for (g, w) in got.jobs.iter().zip(&want.jobs) {
+        assert_eq!(g.label, w.label);
+        assert_eq!(g.verdict, w.verdict, "{}: verdict for {}", what, g.label);
+        assert_eq!(g.stage, w.stage, "{}: stage for {}", what, g.label);
+        assert_eq!(g.detail, w.detail, "{}: detail for {}", what, g.label);
+        assert_eq!(g.checksum, w.checksum, "{}: checksum for {}", what, g.label);
+    }
+}
+
+#[test]
+fn resumed_searches_report_what_fresh_sessions_report() {
+    let pipeline = sweep_pipeline();
+    let jobs = budget_stopped_jobs();
+    let memo = EngineReuse {
+        memo: true,
+        ..EngineReuse::default()
+    };
+    // The shipped configuration: one warm session per worker, so a
+    // budget-stopped Alive2 search is resumed by an identical C-unroll query
+    // (verdicts are thread-count independent, so 2 workers keep it quick).
+    let warm = VerificationEngine::new(
+        EngineConfig::full(pipeline.clone())
+            .with_threads(2)
+            .with_reuse(memo),
+    )
+    .run_batch(&jobs);
+    let fresh_stage = |strategy| -> Box<dyn VerificationStrategy> {
+        Box::new(FreshSession {
+            inner: SymbolicStage::new(strategy, pipeline.tv.clone()),
+            reuse: memo.tv(),
+        })
+    };
+    let fresh = VerificationEngine::with_strategies(
+        2,
+        vec![
+            Box::new(ChecksumStage::new(pipeline.checksum.clone())),
+            fresh_stage(SymbolicStrategy::Alive2Unroll),
+            fresh_stage(SymbolicStrategy::CUnroll),
+            fresh_stage(SymbolicStrategy::SpatialSplitting),
+        ],
+    )
+    .run_batch(&jobs);
+
+    assert_same_verdicts(&warm, &fresh, "warm vs fresh sessions");
+    let mut resumable = 0;
+    for (w, f) in warm.jobs.iter().zip(&fresh.jobs) {
+        let shape = |r: &llm_vectorizer_repro::core::JobReport| -> Vec<(Stage, bool, u64, u64)> {
+            r.traces
+                .iter()
+                .map(|t| (t.stage, t.conclusive, t.conflicts, t.clauses))
+                .collect()
+        };
+        assert_eq!(shape(w), shape(f), "stage traces for {}", w.label);
+        // An Alive2 attempt stopped by its budget, followed by C-unroll.
+        if w.traces.windows(2).any(|pair| {
+            pair[0].stage == Stage::Alive2
+                && pair[0].conflicts == pipeline.tv.alive2_budget.max_conflicts
+                && pair[1].stage == Stage::CUnroll
+        }) {
+            resumable += 1;
+        }
+    }
+    assert!(
+        resumable >= 3,
+        "expected budget-stopped Alive2 attempts to escalate: {}",
+        resumable
+    );
+
+    // A portfolio escalation resumes its own tight attempt; verdicts must
+    // not move.
+    let portfolio = VerificationEngine::new(
+        EngineConfig::full(pipeline.clone())
+            .with_threads(2)
+            .with_reuse(EngineReuse {
+                portfolio: true,
+                ..memo
+            }),
+    )
+    .run_batch(&jobs);
+    assert_same_verdicts(&portfolio, &warm, "portfolio vs plain stages");
+    assert!(portfolio.reuse_totals().escalations > 0);
 }

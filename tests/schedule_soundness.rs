@@ -13,6 +13,7 @@
 
 use llm_vectorizer_repro::agents::vectorize_correct;
 use llm_vectorizer_repro::analysis::{categorize, KernelCategory};
+use llm_vectorizer_repro::cir::parse_function;
 use llm_vectorizer_repro::core::{
     AdaptiveBudgetPolicy, BatchReport, CrossRunProfile, EngineConfig, Equivalence, FsyncPolicy,
     Job, PipelineConfig, Stage, StageSchedule, VerificationEngine, SYMBOLIC_STAGES,
@@ -49,10 +50,10 @@ fn pipeline() -> PipelineConfig {
     }
 }
 
-/// A TSVC slice covering every kernel category (including a checksum-refuted
-/// candidate, s319) — small enough that 6 permutations stay test-friendly.
+/// A TSVC slice covering every kernel category, plus one checksum-refuted
+/// candidate — small enough that 6 permutations stay test-friendly.
 fn slice_jobs() -> Vec<Job> {
-    [
+    let mut jobs: Vec<Job> = [
         "s000", "s112", "vsumr", "s313", "s2711", "s441", "s212", "s453", "s319",
     ]
     .iter()
@@ -61,7 +62,14 @@ fn slice_jobs() -> Vec<Job> {
         let candidate = vectorize_correct(&scalar).ok()?;
         Some(Job::new(*name, scalar, candidate))
     })
-    .collect()
+    .collect();
+    let s000 = jobs[0].scalar.clone();
+    let off_by_one = parse_function(
+        "void s000(int n, int *a, int *b) { for (int i = 0; i < n; i++) { a[i] = b[i] + 2; } }",
+    )
+    .expect("parses");
+    jobs.push(Job::new("s000-wrong", s000, off_by_one));
+    jobs
 }
 
 fn all_symbolic_permutations() -> Vec<[Stage; 3]> {
