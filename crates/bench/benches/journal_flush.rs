@@ -49,7 +49,6 @@ fn sample_job(i: usize) -> (CacheKey, CachedVerdict, JobReport) {
                 conflicts: 0,
                 clauses: 0,
                 name_mismatch: false,
-                escalated: false,
             },
             StageTrace {
                 stage: Stage::CUnroll,
@@ -58,7 +57,6 @@ fn sample_job(i: usize) -> (CacheKey, CachedVerdict, JobReport) {
                 conflicts: 17,
                 clauses: 20_000,
                 name_mismatch: false,
-                escalated: false,
             },
         ],
         wall: Duration::from_micros(6600 + i as u64),

@@ -1,8 +1,8 @@
 //! SMT cross-job reuse on the Table 3 workload: run the same multi-candidate
-//! TSVC batch under four solver configurations — fresh (reuse off), blasted-CNF
-//! memoization, memo + incremental per-scalar sessions (with scalar-affinity
-//! scheduling), and the full stack including portfolio budget racing — and
-//! compare the symbolic-stage wall time each needs for the *same verdicts*.
+//! TSVC batch under three solver configurations — fresh (reuse off),
+//! blasted-CNF memoization, and memo + incremental per-scalar sessions (with
+//! scalar-affinity scheduling) — and compare the symbolic-stage wall time
+//! each needs for the *same verdicts*.
 //!
 //! The workload is the Table 3 shape with the candidate axis widened: every
 //! supported TSVC kernel gets its rule-based vectorization plus `k` synthetic
@@ -20,7 +20,7 @@ use lv_core::{
     BatchReport, EngineConfig, EngineReuse, Job, PipelineConfig, Stage, VerificationEngine,
 };
 use lv_interp::ChecksumConfig;
-use lv_tv::{SimplifyConfig, SolverBudget, TvConfig};
+use lv_tv::{SolverBudget, TvConfig};
 use std::time::Duration;
 
 /// Completions sampled per kernel on top of the rule-based candidate.
@@ -32,7 +32,7 @@ const QUICK_KERNELS: &[&str] = &[
 ];
 
 /// The Table 3 verification regime, with the reduced sweep budgets the other
-/// engine benches use so a four-arm run stays benchmark-friendly.
+/// engine benches use so a three-arm run stays benchmark-friendly.
 fn pipeline() -> PipelineConfig {
     PipelineConfig {
         checksum: ChecksumConfig {
@@ -101,13 +101,6 @@ fn symbolic_wall(report: &BatchReport) -> Duration {
         .sum()
 }
 
-/// `SimplifyConfig::default()` spelled as a literal, so the `const` arm
-/// table can reference it.
-const OFF: SimplifyConfig = SimplifyConfig {
-    preprocess: false,
-    inprocess: false,
-};
-
 struct Arm {
     name: &'static str,
     reuse: EngineReuse,
@@ -119,8 +112,7 @@ const ARMS: &[Arm] = &[
         reuse: EngineReuse {
             memo: false,
             incremental: false,
-            portfolio: false,
-            simplify: OFF,
+            preprocess: false,
         },
     },
     Arm {
@@ -128,8 +120,7 @@ const ARMS: &[Arm] = &[
         reuse: EngineReuse {
             memo: true,
             incremental: false,
-            portfolio: false,
-            simplify: OFF,
+            preprocess: false,
         },
     },
     Arm {
@@ -137,17 +128,7 @@ const ARMS: &[Arm] = &[
         reuse: EngineReuse {
             memo: true,
             incremental: true,
-            portfolio: false,
-            simplify: OFF,
-        },
-    },
-    Arm {
-        name: "full",
-        reuse: EngineReuse {
-            memo: true,
-            incremental: true,
-            portfolio: true,
-            simplify: OFF,
+            preprocess: false,
         },
     },
 ];
@@ -207,7 +188,7 @@ fn bench(c: &mut Criterion) {
         let symbolic = symbolic_wall(run);
         let totals = run.reuse_totals();
         println!(
-            "{:<18} symbolic {:>12?} total {:>12?} ({:.2}x) — {} blast hits / {} misses, {} assumption reuses, {} escalations",
+            "{:<18} symbolic {:>12?} total {:>12?} ({:.2}x) — {} blast hits / {} misses, {} assumption reuses",
             name,
             symbolic,
             run.wall,
@@ -215,18 +196,16 @@ fn bench(c: &mut Criterion) {
             totals.blast_hits,
             totals.blast_misses,
             totals.assumption_reuses,
-            totals.escalations,
         );
         arm_json.push(format!(
             "{{\"arm\":\"{}\",\"symbolic_wall_us\":{},\"total_wall_us\":{},\
-             \"blast_hits\":{},\"blast_misses\":{},\"assumption_reuses\":{},\"escalations\":{}}}",
+             \"blast_hits\":{},\"blast_misses\":{},\"assumption_reuses\":{}}}",
             name,
             symbolic.as_micros(),
             run.wall.as_micros(),
             totals.blast_hits,
             totals.blast_misses,
             totals.assumption_reuses,
-            totals.escalations,
         ));
     }
     let best_symbolic = runs[1..]
@@ -248,7 +227,7 @@ fn bench(c: &mut Criterion) {
     let json = format!(
         "{{\"bench\":\"smt_reuse\",\
          \"compares\":\"fresh solver per query vs blasted-CNF memoization vs incremental \
-         per-scalar sessions vs the full reuse stack, identical verdicts\",\
+         per-scalar sessions, identical verdicts\",\
          \"jobs\":{},\"arms\":[{}],\"symbolic_speedup_x\":{:.2}}}\n",
         jobs.len(),
         arm_json.join(","),
@@ -261,7 +240,7 @@ fn bench(c: &mut Criterion) {
     // benchmark-friendly.
     let loop_jobs = jobs_for(Some(QUICK_KERNELS));
     let fresh_engine = engine_for(ARMS[0].reuse);
-    let reuse_engine = engine_for(ARMS[3].reuse);
+    let reuse_engine = engine_for(ARMS[2].reuse);
     c.bench_function("smt_fresh_per_query", |b| {
         b.iter(|| fresh_engine.run_batch(&loop_jobs))
     });

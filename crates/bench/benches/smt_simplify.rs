@@ -1,15 +1,13 @@
-//! Formula simplification on the Table 3 workload: run the same
-//! multi-candidate TSVC batch with the blast-memo reuse layer `lv-sweep`
-//! now defaults on and layer the simplification subsystem on top —
-//! SatELite-style preprocessing (unit propagation, pure literals,
-//! subsumption, bounded variable elimination), LBD-driven inprocessing, and
-//! both together — and compare the symbolic-stage wall time each needs for
-//! the *same verdicts*. A final arm runs the whole reuse + simplify stack
-//! for context.
+//! CNF preprocessing on the Table 3 workload: run the same multi-candidate
+//! TSVC batch with the blast-memo reuse layer `lv-sweep` now defaults on and
+//! layer SatELite-style preprocessing (unit propagation, pure literals,
+//! subsumption, bounded variable elimination) on top, and compare the
+//! symbolic-stage wall time each needs for the *same verdicts*. A final arm
+//! runs the whole reuse + preprocessing stack for context.
 //!
 //! The workload mirrors `smt_reuse`: every supported TSVC kernel gets its
 //! rule-based vectorization plus `k` synthetic LLM completions. Verdict and
-//! checksum classes are asserted identical across every arm — simplification
+//! checksum classes are asserted identical across every arm — preprocessing
 //! must be invisible in the results, visible only in the clock. Results are
 //! printed and written to `BENCH_10.json` (override the path with
 //! `BENCH_OUT`); `LV_BENCH_QUICK=1` shrinks the workload to a
@@ -22,7 +20,7 @@ use lv_core::{
     BatchReport, EngineConfig, EngineReuse, Job, PipelineConfig, Stage, VerificationEngine,
 };
 use lv_interp::ChecksumConfig;
-use lv_tv::{SimplifyConfig, SolverBudget, TvConfig};
+use lv_tv::{SolverBudget, TvConfig};
 use std::time::Duration;
 
 /// Completions sampled per kernel on top of the rule-based candidate.
@@ -101,30 +99,10 @@ fn symbolic_wall(report: &BatchReport) -> Duration {
         .sum()
 }
 
-/// `SimplifyConfig` variants spelled as literals, so the `const` arm table
-/// can reference them.
-const SIMPLIFY_OFF: SimplifyConfig = SimplifyConfig {
-    preprocess: false,
-    inprocess: false,
-};
-const PREPROCESS: SimplifyConfig = SimplifyConfig {
-    preprocess: true,
-    inprocess: false,
-};
-const INPROCESS: SimplifyConfig = SimplifyConfig {
-    preprocess: false,
-    inprocess: true,
-};
-const FULL: SimplifyConfig = SimplifyConfig {
-    preprocess: true,
-    inprocess: true,
-};
-
 const MEMO: EngineReuse = EngineReuse {
     memo: true,
     incremental: false,
-    portfolio: false,
-    simplify: SIMPLIFY_OFF,
+    preprocess: false,
 };
 
 struct Arm {
@@ -132,21 +110,19 @@ struct Arm {
     reuse: EngineReuse,
 }
 
-/// `raw` is the no-reuse no-simplify reference; `memo` is the blast-memo
-/// reuse layer `lv-sweep` now defaults on, clause-identical to `raw` — the
-/// baseline the headline speedup is measured against. The simplify arms
-/// layer the two simplification passes on top of it, and `full_stack` shows
-/// the whole PR-6 + PR-10 stack for context (its incremental sessions
-/// freeze the blast variables, so preprocessing is deliberately tame
-/// there).
+/// `raw` is the no-reuse no-preprocessing reference; `memo` is the
+/// blast-memo reuse layer `lv-sweep` now defaults on, clause-identical to
+/// `raw` — the baseline the headline speedup is measured against.
+/// `memo_preprocess` layers preprocessing on top of it, and `full_stack`
+/// shows memo + incremental + preprocessing for context (its queries run on
+/// incremental sessions, which are never preprocessed).
 const ARMS: &[Arm] = &[
     Arm {
         name: "raw",
         reuse: EngineReuse {
             memo: false,
             incremental: false,
-            portfolio: false,
-            simplify: SIMPLIFY_OFF,
+            preprocess: false,
         },
     },
     Arm {
@@ -156,21 +132,7 @@ const ARMS: &[Arm] = &[
     Arm {
         name: "memo_preprocess",
         reuse: EngineReuse {
-            simplify: PREPROCESS,
-            ..MEMO
-        },
-    },
-    Arm {
-        name: "memo_inprocess",
-        reuse: EngineReuse {
-            simplify: INPROCESS,
-            ..MEMO
-        },
-    },
-    Arm {
-        name: "memo_simplify",
-        reuse: EngineReuse {
-            simplify: FULL,
+            preprocess: true,
             ..MEMO
         },
     },
@@ -179,8 +141,7 @@ const ARMS: &[Arm] = &[
         reuse: EngineReuse {
             memo: true,
             incremental: true,
-            portfolio: true,
-            simplify: FULL,
+            preprocess: true,
         },
     },
 ];
@@ -201,9 +162,9 @@ fn bench(c: &mut Criterion) {
         .iter()
         .map(|arm| (arm.name, engine_for(arm.reuse).run_batch(&jobs)))
         .collect();
-    // Hard identity pin: simplification must not change a single verdict or
+    // Hard identity pin: preprocessing must not change a single verdict or
     // checksum class relative to the raw arm — not on a benchmark run, not
-    // ever. (Stages may improve under reuse/simplify, as in `smt_reuse`.)
+    // ever. (Stages may improve under reuse/preprocessing, as in `smt_reuse`.)
     let raw = &runs[0].1;
     for (name, run) in &runs[1..] {
         for (f, r) in raw.jobs.iter().zip(&run.jobs) {
@@ -216,7 +177,7 @@ fn bench(c: &mut Criterion) {
             );
         }
     }
-    // The simplify arms actually simplified; the non-simplify arms report
+    // The preprocessing arms report their counters; the others report
     // exactly zero.
     assert!(runs[0].1.simplify_totals().is_zero());
     assert!(runs[1].1.simplify_totals().is_zero());
@@ -263,14 +224,9 @@ fn bench(c: &mut Criterion) {
             totals.preprocess_micros,
         ));
     }
-    let best_symbolic = runs[2..5]
-        .iter()
-        .map(|(_, run)| symbolic_wall(run))
-        .min()
-        .expect("simplify arms exist");
-    let speedup = memo_symbolic.as_secs_f64() / best_symbolic.as_secs_f64().max(1e-9);
+    let speedup = memo_symbolic.as_secs_f64() / symbolic_wall(&runs[2].1).as_secs_f64().max(1e-9);
     println!(
-        "best simplify arm: {:.2}x symbolic-stage speedup over the memo reuse baseline",
+        "memo_preprocess: {:.2}x symbolic-stage speedup over the memo reuse baseline",
         speedup
     );
 
@@ -282,8 +238,7 @@ fn bench(c: &mut Criterion) {
     let json = format!(
         "{{\"bench\":\"smt_simplify\",\
          \"compares\":\"blast-memo reuse (the lv-sweep default) vs memo + SatELite-style \
-         preprocessing vs memo + LBD inprocessing vs both vs the full stack, \
-         identical verdicts\",\
+         preprocessing vs the full stack, identical verdicts\",\
          \"jobs\":{},\"arms\":[{}],\"symbolic_speedup_x\":{:.2}}}\n",
         jobs.len(),
         arm_json.join(","),
@@ -296,7 +251,7 @@ fn bench(c: &mut Criterion) {
     // benchmark-friendly.
     let loop_jobs = jobs_for(Some(QUICK_KERNELS));
     let memo_engine = engine_for(ARMS[1].reuse);
-    let simplify_engine = engine_for(ARMS[4].reuse);
+    let simplify_engine = engine_for(ARMS[2].reuse);
     c.bench_function("smt_memo_baseline", |b| {
         b.iter(|| memo_engine.run_batch(&loop_jobs))
     });

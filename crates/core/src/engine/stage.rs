@@ -4,16 +4,14 @@
 //! about ordering, scheduling, or parallelism — those live in the
 //! [`schedule`](super::schedule) and [`pool`](super::pool) layers.
 //! Implementations exist for the checksum filter (wrapping
-//! [`lv_interp::ChecksumFilter`]), for each [`lv_tv::SymbolicStrategy`], and
-//! for the budget-racing [`PortfolioStage`] wrapper (tight attempt first,
-//! full-budget escalation on Unknown); the trait is public so alternative
-//! cascades (e.g. a future fuzzing stage) can plug in without touching the
-//! engine.
+//! [`lv_interp::ChecksumFilter`]) and for each [`lv_tv::SymbolicStrategy`];
+//! the trait is public so alternative cascades (e.g. a future fuzzing stage)
+//! can plug in without touching the engine.
 
 use crate::pipeline::{Equivalence, Stage};
 use lv_cir::ast::Function;
 use lv_interp::{ChecksumClass, ChecksumFilter, ChecksumOutcome};
-use lv_tv::{SolverBudget, SymbolicStrategy, TvConfig, TvReuse, TvSession};
+use lv_tv::{SymbolicStrategy, TvConfig, TvReuse, TvSession};
 
 /// Per-worker mutable state threaded through every strategy call.
 ///
@@ -33,10 +31,6 @@ pub struct WorkerState {
     /// [`lv_interp::array_param_names_mismatch`]). Telemetry only; the
     /// verdict is unchanged.
     pub name_mismatch: bool,
-    /// Set by a [`PortfolioStage`] when the tightened-budget attempt was
-    /// inconclusive and the stage re-ran under the full budget. Reset by the
-    /// engine before every stage; telemetry only.
-    pub escalated: bool,
 }
 
 impl WorkerState {
@@ -186,73 +180,6 @@ impl VerificationStrategy for SymbolicStage {
                 detail: counterexample,
             },
             lv_tv::TvVerdict::Inconclusive { reason } => StrategyOutcome::Continue { reason },
-        }
-    }
-}
-
-/// The default conflict-budget divisor for [`PortfolioStage`]'s first
-/// attempt: most conclusive queries need orders of magnitude fewer conflicts
-/// than the stage budget allows (the funnel histograms are heavily
-/// left-weighted), so racing a budget tightened by this factor wins on
-/// typical workloads while the escalation path keeps hard queries whole.
-pub const PORTFOLIO_TIGHT_DIVISOR: u64 = 8;
-
-/// A symbolic stage run as a two-step budget portfolio: first under a
-/// conflict budget tightened by [`PORTFOLIO_TIGHT_DIVISOR`], then — only if
-/// that attempt is inconclusive — under the full configured budget.
-///
-/// Verdicts are identical to a plain [`SymbolicStage`] under the full
-/// budget: CDCL search is deterministic, so an attempt that concludes within
-/// the tight budget took exactly the search path the full-budget run would
-/// have taken, and an attempt that exhausts it escalates to precisely the
-/// full-budget run (whose result, conclusive or not, is the stage's). The
-/// clause budget is *not* tightened — bit-blasting happens before any
-/// conflict is spent, so a tight clause cap would only force a pointless
-/// re-blast. Escalations are flagged on [`WorkerState::escalated`] for the
-/// job's [`StageTrace`](crate::StageTrace).
-#[derive(Debug, Clone)]
-pub struct PortfolioStage {
-    inner: SymbolicStage,
-    tight: SymbolicStage,
-}
-
-impl PortfolioStage {
-    /// A portfolio over `strategy` with the tight attempt derived from
-    /// `config` by [`PORTFOLIO_TIGHT_DIVISOR`].
-    pub fn new(strategy: SymbolicStrategy, config: TvConfig) -> PortfolioStage {
-        let mut tight_config = config.clone();
-        let tighten = |budget: &mut SolverBudget| {
-            budget.max_conflicts = (budget.max_conflicts / PORTFOLIO_TIGHT_DIVISOR).max(1);
-        };
-        match strategy {
-            SymbolicStrategy::Alive2Unroll => tighten(&mut tight_config.alive2_budget),
-            SymbolicStrategy::CUnroll => tighten(&mut tight_config.cunroll_budget),
-            SymbolicStrategy::SpatialSplitting => tighten(&mut tight_config.spatial_budget),
-        }
-        PortfolioStage {
-            inner: SymbolicStage::new(strategy, config),
-            tight: SymbolicStage::new(strategy, tight_config),
-        }
-    }
-}
-
-impl VerificationStrategy for PortfolioStage {
-    fn stage(&self) -> Stage {
-        self.inner.stage()
-    }
-
-    fn verify(
-        &self,
-        scalar: &Function,
-        candidate: &Function,
-        worker: &mut WorkerState,
-    ) -> StrategyOutcome {
-        match self.tight.verify(scalar, candidate, worker) {
-            StrategyOutcome::Continue { .. } => {
-                worker.escalated = true;
-                self.inner.verify(scalar, candidate, worker)
-            }
-            conclusive => conclusive,
         }
     }
 }

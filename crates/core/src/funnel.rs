@@ -67,11 +67,6 @@ pub struct StageFunnel {
     /// checksum stage this counts candidates the harness tested vacuously on
     /// disjoint arrays.
     pub name_mismatches: usize,
-    /// Portfolio runs whose tight-budget attempt was inconclusive and
-    /// escalated to the full budget
-    /// ([`StageTrace::escalated`](crate::StageTrace)). Always `0` without
-    /// [`EngineReuse::portfolio`](crate::EngineReuse).
-    pub escalations: usize,
 }
 
 impl StageFunnel {
@@ -91,7 +86,6 @@ impl StageFunnel {
             wall: Duration::ZERO,
             conflict_histogram: [0; HISTOGRAM_BUCKETS],
             name_mismatches: 0,
-            escalations: 0,
         }
     }
 
@@ -121,8 +115,8 @@ pub struct FunnelReport {
     /// Cross-job SMT reuse activity summed over all jobs (all zero when
     /// [`EngineReuse`](crate::EngineReuse) is off).
     pub reuse: crate::engine::ReuseCounters,
-    /// Clause-database simplification activity summed over all jobs (all
-    /// zero when [`EngineReuse::simplify`](crate::EngineReuse) is off).
+    /// Preprocessing activity summed over all jobs (all zero when
+    /// [`EngineReuse::preprocess`](crate::EngineReuse) is off).
     pub simplify: crate::engine::SimplifyCounters,
 }
 
@@ -157,9 +151,6 @@ impl FunnelReport {
                 stage.conflict_histogram[histogram_bucket(trace.conflicts)] += 1;
                 if trace.name_mismatch {
                     stage.name_mismatches += 1;
-                }
-                if trace.escalated {
-                    stage.escalations += 1;
                 }
                 if trace.conclusive {
                     stage.conclusive_max_conflicts =
@@ -225,12 +216,8 @@ impl FunnelReport {
         }
         if !self.reuse.is_zero() {
             out += &format!(
-                "reuse: {} blast-cache hits / {} misses, {} assumption reuses, \
-                 {} portfolio escalations\n",
-                self.reuse.blast_hits,
-                self.reuse.blast_misses,
-                self.reuse.assumption_reuses,
-                self.reuse.escalations
+                "reuse: {} blast-cache hits / {} misses, {} assumption reuses\n",
+                self.reuse.blast_hits, self.reuse.blast_misses, self.reuse.assumption_reuses
             );
         }
         if !self.simplify.is_zero() {
@@ -419,7 +406,6 @@ mod tests {
             conflicts,
             clauses,
             name_mismatch: false,
-            escalated: false,
         }
     }
 

@@ -18,11 +18,11 @@
 //!   win, and reordering sound symbolic stages only changes which one
 //!   answers first. [`EngineReuse`] layers cross-job SMT reuse on top
 //!   (blasted-CNF memoization, incremental per-scalar sessions under
-//!   scalar-affinity scheduling, portfolio budget racing via
-//!   [`PortfolioStage`]); verdict classes and checksums are pinned across
-//!   all layers, per-job activity is counted in [`ReuseCounters`], and only
-//!   the incremental layer (which can improve the concluding stage)
-//!   perturbs the cache fingerprint;
+//!   scalar-affinity scheduling, CNF preprocessing); verdict classes and
+//!   checksums are pinned across all layers, per-job activity is counted in
+//!   [`ReuseCounters`], and only the layers that can improve the concluding
+//!   stage (incremental sessions and preprocessing) perturb the cache
+//!   fingerprint;
 //! * [`observer`] — the [`BatchObserver`] trait: job-started /
 //!   stage-finished / job-finished callbacks fired from the worker pool as
 //!   a batch progresses, so sweeps render incrementally
@@ -146,10 +146,9 @@ pub use cache::{
 };
 pub use engine::{
     job_channel, parallel_map, AdaptiveBatchReport, BatchReport, ChecksumStage, EngineConfig,
-    EngineReuse, Job, JobProducer, JobReport, JobSource, PortfolioStage, ReuseCounters,
-    SimplifyCounters, StageSchedule, StageTrace, StrategyOutcome, SymbolicStage,
-    VerificationEngine, VerificationStrategy, WorkerState, PORTFOLIO_TIGHT_DIVISOR,
-    SYMBOLIC_STAGES,
+    EngineReuse, Job, JobProducer, JobReport, JobSource, ReuseCounters, SimplifyCounters,
+    StageSchedule, StageTrace, StrategyOutcome, SymbolicStage, VerificationEngine,
+    VerificationStrategy, WorkerState, SYMBOLIC_STAGES,
 };
 pub use experiments::{
     figure1, figure1_with, figure5, figure5_with, figure6, figure6_with, fsm_evaluation,

@@ -79,20 +79,14 @@ pub struct ProfileCell {
     pub conclusive_max_conflicts: u64,
     /// Largest clause count among conclusive executions.
     pub conclusive_max_clauses: u64,
-    /// Portfolio runs whose tight-budget attempt escalated to the full
-    /// budget ([`StageTrace::escalated`](crate::StageTrace)) — evidence of
-    /// how often the tightened first attempt fails for this cell. Older
-    /// journals without the field replay as `0`.
-    pub escalations: u64,
-    /// Variables removed by clause-database preprocessing
+    /// Variables removed by CNF preprocessing
     /// ([`JobReport::simplify`](crate::JobReport)), attributed to the job's
     /// concluding stage. Older journals without the field replay as `0`.
     pub vars_eliminated: u64,
-    /// Clauses deleted by subsumption / inprocessing DB reduction,
-    /// attributed like `vars_eliminated`.
+    /// Clauses deleted by subsumption, attributed like `vars_eliminated`.
     pub clauses_subsumed: u64,
-    /// Clauses shortened by self-subsuming resolution / clause
-    /// minimization, attributed like `vars_eliminated`.
+    /// Clauses shortened by self-subsuming resolution, attributed like
+    /// `vars_eliminated`.
     pub clauses_strengthened: u64,
 }
 
@@ -108,7 +102,6 @@ impl ProfileCell {
         self.conclusive_max_clauses = self
             .conclusive_max_clauses
             .max(other.conclusive_max_clauses);
-        self.escalations += other.escalations;
         self.vars_eliminated += other.vars_eliminated;
         self.clauses_subsumed += other.clauses_subsumed;
         self.clauses_strengthened += other.clauses_strengthened;
@@ -158,16 +151,13 @@ impl CrossRunProfile {
             cell.entered += 1;
             cell.wall_us += u64::try_from(trace.wall.as_micros()).unwrap_or(u64::MAX);
             cell.conflicts += trace.conflicts;
-            if trace.escalated {
-                cell.escalations += 1;
-            }
             if trace.conclusive {
                 cell.killed += 1;
                 cell.conclusive_max_conflicts = cell.conclusive_max_conflicts.max(trace.conflicts);
                 cell.conclusive_max_clauses = cell.conclusive_max_clauses.max(trace.clauses);
             }
         }
-        // Simplification activity is counted per job, not per trace;
+        // Preprocessing activity is counted per job, not per trace;
         // attribute it to the concluding stage's cell (the stage whose
         // queries it mostly shrank).
         if !report.traces.is_empty() {
@@ -321,7 +311,6 @@ fn emit_cell(
     e.field_hex("conflicts", cell.conflicts)?;
     e.field_hex("cmax_conflicts", cell.conclusive_max_conflicts)?;
     e.field_hex("cmax_clauses", cell.conclusive_max_clauses)?;
-    e.field_hex("escalations", cell.escalations)?;
     e.field_hex("vars_eliminated", cell.vars_eliminated)?;
     e.field_hex("clauses_subsumed", cell.clauses_subsumed)?;
     e.field_hex("clauses_strengthened", cell.clauses_strengthened)?;
@@ -344,14 +333,9 @@ fn parse_cell(record: &Value) -> Result<(KernelCategory, Stage, ProfileCell), St
         conflicts: parse_hex(record.get("conflicts"), "conflicts")?,
         conclusive_max_conflicts: parse_hex(record.get("cmax_conflicts"), "cmax_conflicts")?,
         conclusive_max_clauses: parse_hex(record.get("cmax_clauses"), "cmax_clauses")?,
-        // Added after format version 1 shipped; journals written before the
-        // portfolio existed simply lack the field, and absence means zero.
-        escalations: match record.get("escalations") {
-            None => 0,
-            some => parse_hex(some, "escalations")?,
-        },
-        // Same absence-means-zero contract for the simplification counters,
-        // which postdate the escalation field.
+        // Added after format version 1 shipped; journals written before them
+        // simply lack the fields, and absence means zero. Fields of deleted
+        // counters in older journals are ignored.
         vars_eliminated: match record.get("vars_eliminated") {
             None => 0,
             some => parse_hex(some, "vars_eliminated")?,
@@ -412,7 +396,6 @@ mod tests {
             conflicts,
             clauses: conflicts * 10,
             name_mismatch: false,
-            escalated: false,
         }
     }
 
@@ -495,6 +478,36 @@ mod tests {
             1 + doubled.len(),
             "header + one record per cell"
         );
+
+        // Journals from builds that still had the portfolio carry an
+        // `escalations` count in every record; it is ignored on load and
+        // every other count replays unchanged.
+        let _ = std::fs::remove_file(&path);
+        let mut writer =
+            JournalWriter::create(&path, FsyncPolicy::OnCompact, emit_profile_header).unwrap();
+        for (category, stage, cell) in delta.cells() {
+            writer
+                .append(|e| {
+                    e.begin_object()?;
+                    e.field_str("category", category.tag())?;
+                    e.field_str("stage", stage_tag(stage))?;
+                    e.field_hex("entered", cell.entered)?;
+                    e.field_hex("killed", cell.killed)?;
+                    e.field_hex("wall_us", cell.wall_us)?;
+                    e.field_hex("conflicts", cell.conflicts)?;
+                    e.field_hex("cmax_conflicts", cell.conclusive_max_conflicts)?;
+                    e.field_hex("cmax_clauses", cell.conclusive_max_clauses)?;
+                    e.field_hex("escalations", 3)?;
+                    e.field_hex("vars_eliminated", cell.vars_eliminated)?;
+                    e.field_hex("clauses_subsumed", cell.clauses_subsumed)?;
+                    e.field_hex("clauses_strengthened", cell.clauses_strengthened)?;
+                    e.end_object()
+                })
+                .unwrap();
+        }
+        writer.flush().unwrap();
+        drop(writer);
+        assert_eq!(CrossRunProfile::load(&path).unwrap(), delta);
         let _ = std::fs::remove_file(&path);
     }
 

@@ -144,14 +144,13 @@ pub struct ServiceStatus {
     pub generation_queued: u64,
     /// Completions sampled by the daemon's seeded generator since start.
     pub generated: u64,
-    /// Variables eliminated by clause-database preprocessing across all
-    /// admitted jobs (zero unless the daemon runs with
-    /// [`EngineReuse::simplify`](crate::EngineReuse) enabled).
+    /// Variables eliminated by CNF preprocessing across all admitted jobs
+    /// (zero unless the daemon runs with
+    /// [`EngineReuse::preprocess`](crate::EngineReuse) enabled).
     pub vars_eliminated: u64,
-    /// Clauses deleted by subsumption / inprocessing DB reduction.
+    /// Clauses deleted by subsumption during preprocessing.
     pub clauses_subsumed: u64,
-    /// Clauses shortened by self-subsuming resolution / clause
-    /// minimization.
+    /// Clauses shortened by self-subsuming resolution during preprocessing.
     pub clauses_strengthened: u64,
 }
 

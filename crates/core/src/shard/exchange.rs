@@ -69,9 +69,7 @@ fn bool_field(value: &Value, key: &str) -> Result<bool, String> {
     }
 }
 
-/// A boolean field that older documents may lack; absent means `false`
-/// (used for the simplify knobs, which predate no manifest but must keep
-/// pre-simplify documents readable).
+/// A boolean field that older documents may lack; absent means `false`.
 fn opt_bool_field(value: &Value, key: &str) -> Result<bool, String> {
     match value.get(key) {
         None => Ok(false),
@@ -88,6 +86,26 @@ fn usize_field(value: &Value, key: &str) -> Result<usize, String> {
 // ---------------------------------------------------------------------------
 // Engine-configuration serialization.
 // ---------------------------------------------------------------------------
+
+/// Layers that manifests from earlier builds may still switch. Off is what
+/// this build runs anyway; on cannot be honoured, so it is refused.
+const REMOVED_REUSE_LAYERS: [&str; 2] = ["portfolio", "simplify_inprocess"];
+
+fn parse_reuse(obj: &Value) -> Result<EngineReuse, String> {
+    for layer in REMOVED_REUSE_LAYERS {
+        if opt_bool_field(obj, layer)? {
+            return Err(format!(
+                "manifest enables the removed `{}` reuse layer",
+                layer
+            ));
+        }
+    }
+    Ok(EngineReuse {
+        memo: bool_field(obj, "memo")?,
+        incremental: bool_field(obj, "incremental")?,
+        preprocess: opt_bool_field(obj, "simplify_preprocess")?,
+    })
+}
 
 fn budget_value(budget: SolverBudget) -> Value {
     Value::Object(vec![
@@ -483,9 +501,7 @@ impl SweepManifest {
         e.begin_object()?;
         e.field_bool("memo", self.reuse.memo)?;
         e.field_bool("incremental", self.reuse.incremental)?;
-        e.field_bool("portfolio", self.reuse.portfolio)?;
-        e.field_bool("simplify_preprocess", self.reuse.simplify.preprocess)?;
-        e.field_bool("simplify_inprocess", self.reuse.simplify.inprocess)?;
+        e.field_bool("simplify_preprocess", self.reuse.preprocess)?;
         e.end_object()?;
         match &self.generation {
             // A generation manifest ships the kernels + (k, seed) instead
@@ -646,17 +662,7 @@ impl SweepManifest {
         // field; they mean every layer off.
         let reuse = match doc.get("reuse") {
             None => EngineReuse::default(),
-            Some(obj) => EngineReuse {
-                memo: bool_field(obj, "memo").map_err(ShardError::Format)?,
-                incremental: bool_field(obj, "incremental").map_err(ShardError::Format)?,
-                portfolio: bool_field(obj, "portfolio").map_err(ShardError::Format)?,
-                simplify: lv_tv::SimplifyConfig {
-                    preprocess: opt_bool_field(obj, "simplify_preprocess")
-                        .map_err(ShardError::Format)?,
-                    inprocess: opt_bool_field(obj, "simplify_inprocess")
-                        .map_err(ShardError::Format)?,
-                },
-            },
+            Some(obj) => parse_reuse(obj).map_err(ShardError::Format)?,
         };
         let manifest = SweepManifest {
             shards: usize_field(&doc, "shards").map_err(ShardError::Format)?,
@@ -1035,7 +1041,6 @@ fn emit_job_report<W: io::Write>(
     e.field_hex("blast_hits", report.reuse.blast_hits)?;
     e.field_hex("blast_misses", report.reuse.blast_misses)?;
     e.field_hex("assumption_reuses", report.reuse.assumption_reuses)?;
-    e.field_hex("escalations", report.reuse.escalations)?;
     e.end_object()?;
     e.key("simplify")?;
     e.begin_object()?;
@@ -1055,7 +1060,6 @@ fn emit_job_report<W: io::Write>(
         e.field_hex("conflicts", trace.conflicts)?;
         e.field_hex("clauses", trace.clauses)?;
         e.field_bool("name_mismatch", trace.name_mismatch)?;
-        e.field_bool("escalated", trace.escalated)?;
         e.end_object()?;
     }
     e.end_array()?;
@@ -1076,9 +1080,6 @@ fn parse_job_report(item: &Value) -> Result<(usize, JobReport), String> {
                 conflicts: parse_hex(trace.get("conflicts"), "conflicts")?,
                 clauses: parse_hex(trace.get("clauses"), "clauses")?,
                 name_mismatch: bool_field(trace, "name_mismatch")?,
-                // Reports written before the portfolio carry no field;
-                // nothing escalated then.
-                escalated: matches!(trace.get("escalated"), Some(Value::Bool(true))),
             })
         })
         .collect::<Result<Vec<_>, String>>()?;
@@ -1089,11 +1090,10 @@ fn parse_job_report(item: &Value) -> Result<(usize, JobReport), String> {
             blast_hits: parse_hex(obj.get("blast_hits"), "blast_hits")?,
             blast_misses: parse_hex(obj.get("blast_misses"), "blast_misses")?,
             assumption_reuses: parse_hex(obj.get("assumption_reuses"), "assumption_reuses")?,
-            escalations: parse_hex(obj.get("escalations"), "escalations")?,
         },
     };
-    // Likewise, reports written before the simplification subsystem carry
-    // no `simplify` object.
+    // Likewise, reports written before the preprocessing counters carry no
+    // `simplify` object.
     let simplify = match item.get("simplify") {
         None => SimplifyCounters::default(),
         Some(obj) => SimplifyCounters {
@@ -1273,6 +1273,46 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
+    /// Loads `sample_manifest()` with `"key":value` spliced into its reuse
+    /// object, as a manifest from an earlier build would carry it.
+    fn load_with_reuse_key(tag: &str, key: &str, value: bool) -> Result<SweepManifest, ShardError> {
+        let dir = std::env::temp_dir().join(format!("lv-shard-{}-{}", tag, std::process::id()));
+        let path = dir.join("manifest.json");
+        let rendered = sample_manifest().render();
+        let anchor = "\"incremental\":false";
+        assert!(rendered.contains(anchor), "splice point must exist");
+        let spliced = rendered.replace(anchor, &format!("{},\"{}\":{}", anchor, key, value));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(&path, spliced).unwrap();
+        let loaded = SweepManifest::load(&path);
+        std::fs::remove_file(&path).unwrap();
+        loaded
+    }
+
+    #[test]
+    fn manifest_enabling_portfolio_is_rejected() {
+        let off = load_with_reuse_key("portfolio-off", "portfolio", false).unwrap();
+        assert_eq!(off.fingerprint(), sample_manifest().fingerprint());
+        match load_with_reuse_key("portfolio-on", "portfolio", true) {
+            Err(ShardError::Format(reason)) => {
+                assert!(reason.contains("`portfolio`"), "{}", reason)
+            }
+            other => panic!("expected a format error, got {:?}", other),
+        }
+    }
+
+    #[test]
+    fn manifest_enabling_simplify_inprocess_is_rejected() {
+        let off = load_with_reuse_key("inproc-off", "simplify_inprocess", false).unwrap();
+        assert_eq!(off.fingerprint(), sample_manifest().fingerprint());
+        match load_with_reuse_key("inproc-on", "simplify_inprocess", true) {
+            Err(ShardError::Format(reason)) => {
+                assert!(reason.contains("`simplify_inprocess`"), "{}", reason)
+            }
+            other => panic!("expected a format error, got {:?}", other),
+        }
+    }
+
     #[test]
     fn tampered_fingerprint_is_rejected() {
         let dir = std::env::temp_dir().join(format!("lv-shard-tamper-{}", std::process::id()));
@@ -1312,7 +1352,6 @@ mod tests {
                         conflicts: 0,
                         clauses: 0,
                         name_mismatch: true,
-                        escalated: true,
                     }],
                     wall: Duration::from_micros(9999),
                     cache_hit: false,
@@ -1320,7 +1359,6 @@ mod tests {
                         blast_hits: 7,
                         blast_misses: 2,
                         assumption_reuses: 5,
-                        escalations: 1,
                     },
                     simplify: SimplifyCounters {
                         vars_eliminated: 210,
@@ -1346,12 +1384,10 @@ mod tests {
         assert_eq!(job.detail, "with \"quotes\"\nand newlines");
         assert_eq!(job.traces.len(), 1);
         assert!(job.traces[0].name_mismatch);
-        assert!(job.traces[0].escalated);
         assert_eq!(job.traces[0].wall, Duration::from_micros(1234));
         assert_eq!(job.reuse.blast_hits, 7);
         assert_eq!(job.reuse.blast_misses, 2);
         assert_eq!(job.reuse.assumption_reuses, 5);
-        assert_eq!(job.reuse.escalations, 1);
         assert_eq!(job.simplify.vars_eliminated, 210);
         assert_eq!(job.simplify.clauses_subsumed, 33);
         assert_eq!(job.simplify.clauses_strengthened, 12);

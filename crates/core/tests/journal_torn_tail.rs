@@ -162,7 +162,6 @@ fn sample_report(label: &str) -> JobReport {
             conflicts: 5,
             clauses: 99,
             name_mismatch: false,
-            escalated: false,
         }],
         wall: Duration::from_micros(9876),
         cache_hit: false,

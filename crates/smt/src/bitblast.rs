@@ -272,28 +272,6 @@ impl BlastState {
     pub fn var_bools(&self) -> &HashMap<String, Lit> {
         &self.var_bools
     }
-
-    /// Every SAT variable reachable from this state (the true literal, all
-    /// cached term encodings, and the free-variable bindings), sorted and
-    /// deduplicated. These are the variables later queries may still refer
-    /// to, so preprocessing an incremental session's base clauses must
-    /// freeze exactly this set.
-    pub fn cnf_vars(&self) -> Vec<crate::sat::Var> {
-        let mut vars: Vec<crate::sat::Var> = vec![self.true_lit.var()];
-        for bits in self.cache.values() {
-            match bits {
-                Bits::Bool(l) => vars.push(l.var()),
-                Bits::Bv(bv) => vars.extend(bv.iter().map(|l| l.var())),
-            }
-        }
-        for bv in self.var_bits.values() {
-            vars.extend(bv.iter().map(|l| l.var()));
-        }
-        vars.extend(self.var_bools.values().map(|l| l.var()));
-        vars.sort_unstable();
-        vars.dedup();
-        vars
-    }
 }
 
 /// Bit-blasts terms from a [`Context`] into a [`SatSolver`].

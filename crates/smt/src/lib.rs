@@ -16,37 +16,31 @@
 //!   recorded clause streams for structurally repeated queries;
 //! * [`sat`] — the CDCL SAT solver ([`SatSolver`]) with a flat clause
 //!   arena, MiniSat-style assumption solving for the incremental push/pop
-//!   pathway, budget stops that pause and resume ([`SatSolver::resume`]),
-//!   and opt-in inprocessing (LBD-driven learned-clause DB reduction,
-//!   on-the-fly self-subsumption);
+//!   pathway, and budget stops that pause and resume
+//!   ([`SatSolver::resume`]);
 //! * [`preprocess`] — SatELite-style clause-database preprocessing
-//!   ([`preprocess::preprocess`], [`SimplifyConfig`]), run once per query
-//!   before search;
+//!   ([`preprocess::preprocess`]), run once per query before search;
 //! * [`solver`] — the user-facing facade ([`Solver`], [`CheckResult`],
 //!   [`Validity`]), including the incremental per-scalar session
 //!   ([`Solver::begin_incremental`] / [`Solver::check_assuming`]), the
 //!   resumption of a budget-stopped one-shot search by an identical
 //!   follow-up query, and the reuse counters ([`ReuseStats`]).
 //!
-//! # Preprocessing and inprocessing
+//! # Preprocessing
 //!
-//! With [`SimplifyConfig::preprocess`] enabled (via
-//! [`Solver::set_simplify`]), every query's bit-blasted CNF is simplified
-//! once before CDCL search: unit propagation to fixpoint, pure-literal
-//! elimination, subsumption + self-subsuming resolution, and bounded
-//! variable elimination. The rules that only preserve satisfiability
-//! (pure literals, variable elimination) respect a **freeze set**; a
+//! With preprocessing on ([`Solver::set_preprocess`]), every one-shot
+//! query's bit-blasted CNF is simplified once before CDCL search: unit
+//! propagation to fixpoint, pure-literal elimination, subsumption +
+//! self-subsuming resolution, and bounded variable elimination. A
 //! **reconstruction stack** rebuilds values for eliminated variables when a
 //! `Sat` answer needs a counterexample, so models always satisfy the
-//! original formula. [`SimplifyConfig::inprocess`] additionally enables the
-//! search-time hooks inside [`SatSolver`].
+//! original formula.
 //!
-//! The subsystem composes with the reuse stack: preprocessing runs on the
-//! *post-replay* clause stream, so [`BlastCache`] records and replays the
-//! unsimplified blast and memo hits stay clause-identical; incremental
-//! sessions preprocess only their base clauses, with every variable
-//! reachable from the session's [`BlastState`] frozen so later
-//! per-candidate clauses and activation literals stay meaningful.
+//! Preprocessing runs on the *post-replay* clause stream, so
+//! [`BlastCache`] records and replays the unsimplified blast and memo hits
+//! stay clause-identical. Incremental sessions are never preprocessed:
+//! their later per-candidate clauses and activation literals may name any
+//! variable of the base instance.
 //!
 //! # Examples
 //!
@@ -74,7 +68,7 @@ pub mod solver;
 pub mod term;
 
 pub use bitblast::{BitBlaster, Bits, BlastCache, BlastError, BlastState};
-pub use preprocess::{PreprocessStats, Preprocessed, SimplifyConfig, SimplifyStats};
-pub use sat::{InprocessStats, Lit, SatBudget, SatResult, SatSolver, SatStats, Var};
+pub use preprocess::{PreprocessStats, Preprocessed, SimplifyStats};
+pub use sat::{Lit, SatBudget, SatResult, SatSolver, SatStats, Var};
 pub use solver::{CheckResult, CheckStats, Model, ReuseStats, Solver, SolverBudget, Validity};
 pub use term::{mask, sign_extend, structural_hash, Context, Op, Sort, TermData, TermId};

@@ -20,43 +20,15 @@
 //!
 //! Unit propagation, subsumption and strengthening are equivalence
 //! preserving. Pure-literal elimination and variable elimination only
-//! preserve *satisfiability*, so two guard rails apply: a **freeze set** of
-//! variables exempt from both (the incremental sessions freeze every
-//! variable reachable from their [`BlastState`](crate::bitblast::BlastState)
-//! so later per-candidate clauses and assumption literals stay meaningful),
-//! and a **reconstruction stack** replaying eliminations in reverse so a
-//! satisfying assignment of the simplified formula extends to one of the
-//! original ([`Preprocessed::complete_model`]).
+//! preserve *satisfiability*, so a **reconstruction stack** replays
+//! eliminations in reverse to extend a satisfying assignment of the
+//! simplified formula to one of the original
+//! ([`Preprocessed::complete_model`]). The simplified formula is only sound
+//! to solve as a whole: clauses or assumptions added later may name
+//! eliminated variables, which is why incremental sessions do not
+//! preprocess.
 
 use crate::sat::{Lit, SatSolver, Var};
-
-/// Which simplification layers run. Off by default: the solver behaves
-/// bit-identically to one without the subsystem, and engine fingerprints are
-/// unchanged.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub struct SimplifyConfig {
-    /// Run [`preprocess`] on the clause database before each search.
-    pub preprocess: bool,
-    /// Enable the in-search hooks (LBD-driven learned-clause DB reduction
-    /// and on-the-fly self-subsumption) via
-    /// [`SatSolver::set_inprocessing`].
-    pub inprocess: bool,
-}
-
-impl SimplifyConfig {
-    /// Both layers on.
-    pub fn full() -> SimplifyConfig {
-        SimplifyConfig {
-            preprocess: true,
-            inprocess: true,
-        }
-    }
-
-    /// `true` if any layer is enabled.
-    pub fn any(self) -> bool {
-        self.preprocess || self.inprocess
-    }
-}
 
 /// Counters from one [`preprocess`] run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -73,15 +45,15 @@ pub struct PreprocessStats {
     pub clauses_out: u64,
 }
 
-/// Cumulative simplification statistics for a [`crate::solver::Solver`],
-/// aggregating preprocessing and inprocessing effects across checks.
+/// Cumulative preprocessing statistics for a [`crate::solver::Solver`],
+/// aggregated across checks.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimplifyStats {
     /// Variables eliminated by preprocessing (pure literals + resolution).
     pub vars_eliminated: u64,
-    /// Clauses removed: subsumption plus inprocessing DB-reduction deletions.
+    /// Clauses removed by subsumption.
     pub clauses_subsumed: u64,
-    /// Literals removed: self-subsuming strengthenings (pre- and in-search).
+    /// Literals removed by self-subsuming strengthening.
     pub clauses_strengthened: u64,
     /// High-water mark of the flat clause arena, in bytes.
     pub arena_bytes: u64,
@@ -121,9 +93,9 @@ enum ReconstructStep {
 }
 
 /// The result of preprocessing: a simplified, equisatisfiable clause
-/// database over the *same* variable numbering (no renumbering — frozen
-/// variables and blast-state literals stay valid), plus everything needed
-/// to rebuild models and solvers.
+/// database over the *same* variable numbering (no renumbering — blast-state
+/// literals stay valid for reading models), plus everything needed to
+/// rebuild models and solvers.
 #[derive(Debug)]
 pub struct Preprocessed {
     num_vars: usize,
@@ -281,7 +253,6 @@ struct Preprocessor {
     clauses: Vec<PClause>,
     occ: Vec<Vec<usize>>,
     assign: Vec<Option<bool>>,
-    frozen: Vec<bool>,
     /// Variables removed by pure-literal elimination or resolution.
     gone: Vec<bool>,
     units: Vec<Lit>,
@@ -301,7 +272,6 @@ impl Preprocessor {
             clauses: Vec::new(),
             occ: vec![Vec::new(); 2 * num_vars],
             assign: vec![None; num_vars],
-            frozen: vec![false; num_vars],
             gone: vec![false; num_vars],
             units: Vec::new(),
             unit_head: 0,
@@ -489,7 +459,7 @@ impl Preprocessor {
         changed
     }
 
-    /// Pure-literal elimination over unfrozen variables.
+    /// Pure-literal elimination.
     fn pure_literals(&mut self) -> bool {
         let mut changed = false;
         for v in 0..self.num_vars as Var {
@@ -497,7 +467,7 @@ impl Preprocessor {
                 return changed;
             }
             let vi = v as usize;
-            if self.assign[vi].is_some() || self.frozen[vi] || self.gone[vi] {
+            if self.assign[vi].is_some() || self.gone[vi] {
                 continue;
             }
             let pos = self.live_occ(Lit::pos(v)).len();
@@ -528,7 +498,7 @@ impl Preprocessor {
                 return changed;
             }
             let vi = v as usize;
-            if self.assign[vi].is_some() || self.frozen[vi] || self.gone[vi] {
+            if self.assign[vi].is_some() || self.gone[vi] {
                 continue;
             }
             let pos_occ = self.live_occ(Lit::pos(v));
@@ -662,22 +632,12 @@ impl Preprocessor {
 }
 
 /// Preprocesses a CNF given as explicit clause slices plus already-known
-/// root units. `frozen` variables are exempt from pure-literal elimination
-/// and variable elimination (they may appear in clauses or assumptions added
-/// later), but still participate in the equivalence-preserving rules.
-pub fn preprocess<'a, I>(
-    num_vars: usize,
-    clauses: I,
-    root_units: &[Lit],
-    frozen: &[Var],
-) -> Preprocessed
+/// root units.
+pub fn preprocess<'a, I>(num_vars: usize, clauses: I, root_units: &[Lit]) -> Preprocessed
 where
     I: IntoIterator<Item = &'a [Lit]>,
 {
     let mut p = Preprocessor::new(num_vars);
-    for &v in frozen {
-        p.frozen[v as usize] = true;
-    }
     for &u in root_units {
         p.enqueue_unit(u);
     }
@@ -690,13 +650,13 @@ where
 /// Preprocesses the clause database of an existing solver (typically fresh
 /// from bit-blasting, at decision level 0): its stored clauses plus its
 /// root-implied trail.
-pub fn preprocess_solver(sat: &SatSolver, frozen: &[Var]) -> Preprocessed {
+pub fn preprocess_solver(sat: &SatSolver) -> Preprocessed {
     if sat.is_unsat() {
         let mut p = Preprocessor::new(sat.num_vars());
         p.unsat = true;
         return p.run();
     }
-    preprocess(sat.num_vars(), sat.clauses(), sat.root_units(), frozen)
+    preprocess(sat.num_vars(), sat.clauses(), sat.root_units())
 }
 
 #[cfg(test)]
@@ -741,7 +701,7 @@ mod tests {
         // 1, (¬1 ∨ 2), (¬2 ∨ 3) all collapse to units.
         let clauses = [vec![lit(1)], vec![lit(-1), lit(2)], vec![lit(-2), lit(3)]];
         let refs: Vec<&[Lit]> = clauses.iter().map(|c| c.as_slice()).collect();
-        let pre = preprocess(3, refs, &[], &[]);
+        let pre = preprocess(3, refs, &[]);
         assert!(!pre.is_unsat());
         assert!(pre.clauses().is_empty());
         assert_eq!(pre.units().len(), 3);
@@ -751,7 +711,7 @@ mod tests {
     fn contradictory_units_are_unsat() {
         let clauses = [vec![lit(1)], vec![lit(-1)]];
         let refs: Vec<&[Lit]> = clauses.iter().map(|c| c.as_slice()).collect();
-        let pre = preprocess(1, refs, &[], &[]);
+        let pre = preprocess(1, refs, &[]);
         assert!(pre.is_unsat());
     }
 
@@ -759,29 +719,31 @@ mod tests {
     fn subsumption_deletes_supersets() {
         let clauses = [vec![lit(1), lit(2)], vec![lit(1), lit(2), lit(3)]];
         let refs: Vec<&[Lit]> = clauses.iter().map(|c| c.as_slice()).collect();
-        let pre = preprocess(3, refs, &[], &[0, 1, 2]);
+        let pre = preprocess(3, refs, &[]);
         assert_eq!(pre.stats.clauses_subsumed, 1);
     }
 
     #[test]
     fn self_subsumption_strengthens() {
-        // (1 ∨ 2) and (¬1 ∨ 2 ∨ 3): resolving on 1 gives (2 ∨ 3)... the
-        // classic case is (1 ∨ 2) strengthening (¬1 ∨ 2) to (2). Use
-        // frozen vars so elimination doesn't get there first.
-        let clauses = [vec![lit(1), lit(2)], vec![lit(-1), lit(2), lit(3)]];
-        let refs: Vec<&[Lit]> = clauses.iter().map(|c| c.as_slice()).collect();
-        let pre = preprocess(3, refs, &[], &[0, 1, 2]);
-        assert_eq!(pre.stats.clauses_strengthened, 1);
-        assert!(pre.clauses().iter().any(|c| c == &vec![lit(2), lit(3)]));
+        // (1 ∨ 2) strengthens (¬1 ∨ 2 ∨ 3) to (2 ∨ 3). Run the subsumption
+        // pass alone: the pure-literal rule would delete both clauses next.
+        let mut p = Preprocessor::new(3);
+        p.intake(&[lit(1), lit(2)]);
+        p.intake(&[lit(-1), lit(2), lit(3)]);
+        p.queue_for_subsumption(0);
+        p.queue_for_subsumption(1);
+        assert!(p.subsume());
+        assert_eq!(p.stats.clauses_strengthened, 1);
+        assert_eq!(p.clauses[1].lits, vec![lit(2), lit(3)]);
     }
 
     #[test]
     fn pure_literal_elimination_records_reconstruction() {
-        // Variable 1 occurs only positively (2 and 3 are frozen so no other
-        // rule touches the instance first).
+        // Variable 1 occurs only positively, and the pure-literal rule
+        // visits it first.
         let clauses = [vec![lit(1), lit(2)], vec![lit(1), lit(-3)]];
         let refs: Vec<&[Lit]> = clauses.iter().map(|c| c.as_slice()).collect();
-        let pre = preprocess(3, refs, &[], &[1, 2]);
+        let pre = preprocess(3, refs, &[]);
         assert!(pre.stats.vars_eliminated >= 1);
         let (r, model) = solve_preprocessed(&pre);
         assert_eq!(r, SatResult::Sat);
@@ -800,7 +762,7 @@ mod tests {
         ];
         let (want, _) = solve_raw(3, &clauses);
         let refs: Vec<&[Lit]> = clauses.iter().map(|c| c.as_slice()).collect();
-        let pre = preprocess(3, refs, &[], &[]);
+        let pre = preprocess(3, refs, &[]);
         let (got, model) = solve_preprocessed(&pre);
         assert_eq!(got, want);
         assert_eq!(got, SatResult::Sat);
@@ -846,7 +808,7 @@ mod tests {
             let clauses = random_cnf(seed, num_vars as u64, num_clauses, width);
             let (want, _) = solve_raw(num_vars, &clauses);
             let refs: Vec<&[Lit]> = clauses.iter().map(|c| c.as_slice()).collect();
-            let pre = preprocess(num_vars, refs, &[], &[]);
+            let pre = preprocess(num_vars, refs, &[]);
             let (got, model) = solve_preprocessed(&pre);
             assert_eq!(got, want, "seed {}", seed);
             if got == SatResult::Sat {
@@ -864,47 +826,6 @@ mod tests {
     }
 
     #[test]
-    fn property_frozen_variables_survive_elimination() {
-        // Satellite (c): frozen vars are never eliminated, so solving the
-        // simplified formula under an assumption on a frozen var agrees with
-        // the raw formula under the same assumption.
-        for seed in 0..40u64 {
-            let num_vars = 9usize;
-            let clauses = random_cnf(seed.wrapping_add(1000), num_vars as u64, 24, 3);
-            let mut next = rng(seed);
-            let frozen: Vec<Var> = (0..3).map(|_| (next() % num_vars as u64) as Var).collect();
-            let assumption = Lit::new(frozen[0], next() % 2 == 1);
-
-            let refs: Vec<&[Lit]> = clauses.iter().map(|c| c.as_slice()).collect();
-            let pre = preprocess(num_vars, refs, &[], &frozen);
-            // No reconstruction step may name a frozen variable.
-            for step in &pre.reconstruct {
-                let v = match step {
-                    ReconstructStep::Pure(l) => l.var(),
-                    ReconstructStep::Eliminated { var, .. } => *var,
-                };
-                assert!(!frozen.contains(&v), "seed {}: frozen var eliminated", seed);
-            }
-
-            let mut raw = SatSolver::new();
-            for _ in 0..num_vars {
-                raw.new_var();
-            }
-            for c in &clauses {
-                raw.add_clause(c);
-            }
-            let want = raw.solve_with_assumptions(&SatBudget::default(), &[assumption]);
-
-            let mut simp = pre.build_solver();
-            let got = simp.solve_with_assumptions(&SatBudget::default(), &[assumption]);
-            // A frozen var fixed at the root by equivalence-preserving rules
-            // can make the assumption immediately false — both sides must
-            // still agree because UP only derives implied literals.
-            assert_eq!(got, want, "seed {}", seed);
-        }
-    }
-
-    #[test]
     fn preprocess_solver_lifts_the_clause_database() {
         let mut sat = SatSolver::new();
         for _ in 0..4 {
@@ -913,7 +834,7 @@ mod tests {
         sat.add_clause(&[lit(1)]);
         sat.add_clause(&[lit(-1), lit(2), lit(3)]);
         sat.add_clause(&[lit(2), lit(3), lit(4)]);
-        let pre = preprocess_solver(&sat, &[]);
+        let pre = preprocess_solver(&sat);
         assert!(!pre.is_unsat());
         // The root unit carries over; (2∨3) subsumes (2∨3∨4).
         assert!(pre.units().contains(&lit(1)));
@@ -935,7 +856,7 @@ mod tests {
         }
         clauses.push(vec![Lit::pos(0)]);
         let refs: Vec<&[Lit]> = clauses.iter().map(|c| c.as_slice()).collect();
-        let pre = preprocess(n + 1, refs, &[], &[]);
+        let pre = preprocess(n + 1, refs, &[]);
         assert!(pre.clauses().is_empty(), "chain should fully collapse");
         assert_eq!(pre.units().len(), n + 1);
         let (r, model) = solve_preprocessed(&pre);

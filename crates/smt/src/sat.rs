@@ -28,15 +28,6 @@
 //! the exact pre-search identity a caller compares before resuming a pause
 //! for a rebuilt instance (MiniSat-style reusable solver state, Eén &
 //! Sörensson, SAT'03).
-//!
-//! Opt-in *inprocessing* ([`SatSolver::set_inprocessing`]) adds two
-//! search-time simplifications on top: learned clauses are scored by LBD
-//! (literal block distance — the number of distinct decision levels in the
-//! clause) and the learned database is periodically reduced at restart
-//! points, and conflict analysis strengthens learned clauses on the fly by
-//! self-subsuming resolution with reason clauses. Both change the search
-//! trajectory, so they stay off by default — the default path is
-//! bit-identical to a solver without them.
 
 use std::collections::BinaryHeap;
 
@@ -123,32 +114,12 @@ pub struct SatStats {
     pub restarts: u64,
 }
 
-/// Cumulative inprocessing statistics (not reset by `solve`; all zero unless
-/// [`SatSolver::set_inprocessing`] enabled the hooks).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct InprocessStats {
-    /// Learned-clause database reductions performed.
-    pub reductions: u64,
-    /// Learned clauses deleted by DB reduction (LBD-ranked or root-satisfied).
-    pub learned_deleted: u64,
-    /// Literals removed from learned clauses by on-the-fly self-subsumption.
-    pub minimized_lits: u64,
-}
-
 type ClauseRef = usize;
-
-/// Learned clauses with LBD at or below this survive every DB reduction.
-const KEEP_LBD: u32 = 2;
-/// Conflicts between DB reductions before the first reduction fires.
-const REDUCE_INTERVAL_INIT: u64 = 2000;
 
 #[derive(Debug, Clone, Copy)]
 struct ClauseHead {
     start: u32,
     len: u32,
-    /// LBD at learn time; 0 for original clauses (and when inprocessing is off).
-    lbd: u32,
-    learned: bool,
 }
 
 /// Flat clause storage: every clause's literals live in one contiguous
@@ -166,13 +137,11 @@ impl ClauseArena {
         self.heads.len()
     }
 
-    fn push(&mut self, lits: &[Lit], learned: bool, lbd: u32) -> ClauseRef {
+    fn push(&mut self, lits: &[Lit]) -> ClauseRef {
         let cref = self.heads.len();
         self.heads.push(ClauseHead {
             start: self.lits.len() as u32,
             len: lits.len() as u32,
-            lbd,
-            learned,
         });
         self.lits.extend_from_slice(lits);
         cref
@@ -214,20 +183,12 @@ pub struct SatSolver {
     // analysis) stay allocation-free once their capacities are warm.
     add_buf: Vec<Lit>,
     learned_buf: Vec<Lit>,
-    minimize_buf: Vec<bool>,
-    lbd_buf: Vec<u32>,
     // Search state that outlives one call, so a budget stop is a pause:
     // the geometric restart schedule, and the conflict at which the budget
     // ran out (found and counted, not yet analysed). See [`SatSolver::resume`].
     restart_limit: u64,
     conflicts_since_restart: u64,
     paused: Option<ClauseRef>,
-    // Inprocessing state.
-    inprocess: bool,
-    last_lbd: u32,
-    conflicts_since_reduce: u64,
-    reduce_limit: u64,
-    inp: InprocessStats,
 }
 
 /// f64 wrapper with a total order for the activity heap.
@@ -270,23 +231,6 @@ impl SatSolver {
     /// `true` once the instance has been proven unsatisfiable at level 0.
     pub fn is_unsat(&self) -> bool {
         self.unsat
-    }
-
-    /// Enables or disables the inprocessing hooks (LBD-driven learned-clause
-    /// DB reduction at restart points and on-the-fly self-subsumption during
-    /// conflict analysis). Off by default; enabling changes the search
-    /// trajectory, so callers that pin bit-identical behavior must leave it
-    /// off.
-    pub fn set_inprocessing(&mut self, on: bool) {
-        self.inprocess = on;
-        if on && self.reduce_limit == 0 {
-            self.reduce_limit = REDUCE_INTERVAL_INIT;
-        }
-    }
-
-    /// Cumulative inprocessing statistics (across all `solve` calls).
-    pub fn inprocess_stats(&self) -> InprocessStats {
-        self.inp
     }
 
     /// Bytes currently held by the flat clause arena (literal buffer plus
@@ -385,16 +329,16 @@ impl SatSolver {
                 true
             }
             _ => {
-                self.attach_clause(clause, false, 0);
+                self.attach_clause(clause);
                 true
             }
         }
     }
 
-    fn attach_clause(&mut self, lits: &[Lit], learned: bool, lbd: u32) -> ClauseRef {
+    fn attach_clause(&mut self, lits: &[Lit]) -> ClauseRef {
         let w0 = lits[0].negate().code();
         let w1 = lits[1].negate().code();
-        let cref = self.db.push(lits, learned, lbd);
+        let cref = self.db.push(lits);
         self.watches[w0].push(cref);
         self.watches[w1].push(cref);
         cref
@@ -492,8 +436,7 @@ impl SatSolver {
     }
 
     /// First-UIP conflict analysis. Fills `self.learned_buf` with the learned
-    /// clause (asserting literal first) and returns the backjump level; the
-    /// clause's LBD is left in `self.last_lbd` when inprocessing is on.
+    /// clause (asserting literal first) and returns the backjump level.
     fn analyze(&mut self, mut conflict: ClauseRef) -> u32 {
         let mut learned = std::mem::take(&mut self.learned_buf);
         learned.clear();
@@ -538,25 +481,8 @@ impl SatSolver {
             conflict = self.reason[p.var() as usize].expect("non-decision has a reason");
         }
 
-        if self.inprocess && learned.len() > 1 {
-            self.minimize_learned(&mut learned);
-        } else {
-            for l in &learned[1..] {
-                self.seen[l.var() as usize] = false;
-            }
-        }
-
-        if self.inprocess {
-            // LBD: distinct decision levels across the learned clause.
-            let mut levels = std::mem::take(&mut self.lbd_buf);
-            levels.clear();
-            levels.extend(learned.iter().map(|l| self.level[l.var() as usize]));
-            levels.sort_unstable();
-            levels.dedup();
-            self.last_lbd = levels.len() as u32;
-            self.lbd_buf = levels;
-        } else {
-            self.last_lbd = 0;
+        for l in &learned[1..] {
+            self.seen[l.var() as usize] = false;
         }
 
         // Backjump level: highest level among the non-asserting literals.
@@ -576,121 +502,6 @@ impl SatSolver {
         }
         self.learned_buf = learned;
         backtrack_level
-    }
-
-    /// On-the-fly self-subsuming resolution: a learned literal whose reason
-    /// clause is entirely absorbed by the remaining learned literals (each
-    /// reason literal is level 0, already collected, or the literal's own
-    /// negation) is redundant — resolving the learned clause with that reason
-    /// yields a strict subset. Clears the `seen` marks of every collected
-    /// literal as a side effect.
-    fn minimize_learned(&mut self, learned: &mut Vec<Lit>) {
-        let mut removable = std::mem::take(&mut self.minimize_buf);
-        removable.clear();
-        removable.push(false); // the asserting literal is never removed
-        for &q in learned.iter().skip(1) {
-            let keepable = match self.reason[q.var() as usize] {
-                Some(cr) => {
-                    let head = self.db.heads[cr];
-                    let start = head.start as usize;
-                    (0..head.len as usize).all(|j| {
-                        let p = self.db.lits[start + j];
-                        p == q.negate()
-                            || self.level[p.var() as usize] == 0
-                            || self.seen[p.var() as usize]
-                    })
-                }
-                None => false,
-            };
-            removable.push(keepable);
-        }
-        for l in &learned[1..] {
-            self.seen[l.var() as usize] = false;
-        }
-        let mut kept = 1;
-        for i in 1..learned.len() {
-            if removable[i] {
-                self.inp.minimized_lits += 1;
-            } else {
-                learned[kept] = learned[i];
-                kept += 1;
-            }
-        }
-        learned.truncate(kept);
-        self.minimize_buf = removable;
-    }
-
-    /// Learned-clause database reduction, run at a restart point (decision
-    /// level 0, propagation at fixpoint). Learned clauses are ranked by
-    /// (LBD, length) and the worst half deleted; glue (LBD ≤ 2) and binary
-    /// clauses always survive. Survivors are root-simplified on the way into
-    /// a fresh arena: level-0-satisfied clauses (including retired
-    /// activation-literal groups) are collected and level-0-false literals
-    /// stripped. Watches are rebuilt and reasons cleared — sound at level 0
-    /// because conflict analysis only dereferences reasons of variables
-    /// assigned above level 0.
-    fn reduce_db(&mut self) {
-        debug_assert_eq!(self.decision_level(), 0);
-        self.inp.reductions += 1;
-        let mut victims: Vec<(u32, u32, ClauseRef)> = Vec::new();
-        for (cref, h) in self.db.heads.iter().enumerate() {
-            if h.learned && h.len > 2 && h.lbd > KEEP_LBD {
-                victims.push((h.lbd, h.len, cref));
-            }
-        }
-        victims.sort_unstable();
-        let drop_count = victims.len() / 2;
-        let mut dropped = vec![false; self.db.len()];
-        for &(_, _, cref) in &victims[victims.len() - drop_count..] {
-            dropped[cref] = true;
-        }
-        self.inp.learned_deleted += drop_count as u64;
-
-        let mut new_db = ClauseArena::default();
-        new_db.heads.reserve(self.db.len() - drop_count);
-        new_db.lits.reserve(self.db.lits.len());
-        let mut scratch: Vec<Lit> = Vec::new();
-        'clause: for (cref, &is_dropped) in dropped.iter().enumerate() {
-            if is_dropped {
-                continue;
-            }
-            let h = self.db.heads[cref];
-            let start = h.start as usize;
-            scratch.clear();
-            for j in 0..h.len as usize {
-                let l = self.db.lits[start + j];
-                match self.value(l) {
-                    Some(true) => {
-                        if h.learned {
-                            self.inp.learned_deleted += 1;
-                        }
-                        continue 'clause;
-                    }
-                    Some(false) => {}
-                    None => scratch.push(l),
-                }
-            }
-            debug_assert!(
-                scratch.len() >= 2,
-                "unit or empty clauses cannot survive a level-0 fixpoint"
-            );
-            new_db.push(&scratch, h.learned, h.lbd);
-        }
-        self.db = new_db;
-        for w in &mut self.watches {
-            w.clear();
-        }
-        for cref in 0..self.db.len() {
-            let h = self.db.heads[cref];
-            let start = h.start as usize;
-            let w0 = self.db.lits[start].negate().code();
-            let w1 = self.db.lits[start + 1].negate().code();
-            self.watches[w0].push(cref);
-            self.watches[w1].push(cref);
-        }
-        for r in &mut self.reason {
-            *r = None;
-        }
     }
 
     fn backtrack(&mut self, level: u32) {
@@ -797,9 +608,6 @@ impl SatSolver {
                 if resumed.is_none() {
                     self.stats.conflicts += 1;
                     self.conflicts_since_restart += 1;
-                    if self.inprocess {
-                        self.conflicts_since_reduce += 1;
-                    }
                     if self.decision_level() == 0 {
                         self.unsat = true;
                         return SatResult::Unsat;
@@ -829,7 +637,7 @@ impl SatSolver {
                         return SatResult::Unsat;
                     }
                 } else {
-                    let cref = self.attach_clause(&learned, true, self.last_lbd);
+                    let cref = self.attach_clause(&learned);
                     self.enqueue(learned[0], Some(cref));
                 }
                 self.learned_buf = learned;
@@ -840,11 +648,6 @@ impl SatSolver {
                     self.restart_limit += self.restart_limit / 2;
                     self.stats.restarts += 1;
                     self.backtrack(0);
-                    if self.inprocess && self.conflicts_since_reduce >= self.reduce_limit {
-                        self.reduce_db();
-                        self.conflicts_since_reduce = 0;
-                        self.reduce_limit += self.reduce_limit / 2;
-                    }
                     continue;
                 }
                 let level = self.decision_level() as usize;
@@ -934,14 +737,13 @@ impl SatSolver {
         debug_assert_eq!(self.decision_level(), 0);
         out.clear();
         out.reserve(
-            6 + self.trail.len()
+            5 + self.trail.len()
                 + self.db.heads.len() * 3
                 + self.db.lits.len()
                 + self.watches.len(),
         );
         out.push(self.num_vars() as u32);
         out.push(u32::from(self.unsat));
-        out.push(u32::from(self.inprocess));
         out.push(self.qhead as u32);
         out.push(self.trail.len() as u32);
         out.extend(self.trail.iter().map(|lit| lit.0));
@@ -1232,7 +1034,7 @@ mod tests {
         assert!(!s.is_unsat());
     }
 
-    /// Deterministic 3-CNF generator shared by the inprocessing tests.
+    /// Deterministic 3-CNF generator shared by the resume tests.
     fn random_cnf(seed: u64, num_vars: u64, num_clauses: usize) -> Vec<Vec<Lit>> {
         let mut state = seed
             .wrapping_mul(6364136223846793005)
@@ -1250,88 +1052,6 @@ mod tests {
                     .collect()
             })
             .collect()
-    }
-
-    #[test]
-    fn inprocessing_preserves_verdicts_on_random_cnfs() {
-        for seed in 0..30u64 {
-            // Clause/var ratio near the phase transition mixes SAT and UNSAT.
-            let clauses = random_cnf(seed, 12, 52);
-            let mut plain = solver_with_vars(12);
-            let mut inproc = solver_with_vars(12);
-            inproc.set_inprocessing(true);
-            for c in &clauses {
-                plain.add_clause(c);
-                inproc.add_clause(c);
-            }
-            let want = plain.solve(&SatBudget::default());
-            let got = inproc.solve(&SatBudget::default());
-            assert_eq!(got, want, "seed {}", seed);
-            if got == SatResult::Sat {
-                let eval = |l: Lit| inproc.model_value(l.var()) ^ l.is_neg();
-                for c in &clauses {
-                    assert!(c.iter().any(|&l| eval(l)), "seed {}", seed);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn db_reduction_fires_and_keeps_the_verdict_on_a_hard_instance() {
-        // A pigeonhole instance large enough to cross the reduction interval.
-        let pigeons = 9usize;
-        let holes = 8usize;
-        let build = |inprocess: bool| {
-            let mut s = solver_with_vars(pigeons * holes);
-            if inprocess {
-                s.set_inprocessing(true);
-            }
-            let p = |i: usize, j: usize| Lit::pos((i * holes + j) as Var);
-            for i in 0..pigeons {
-                let clause: Vec<Lit> = (0..holes).map(|j| p(i, j)).collect();
-                s.add_clause(&clause);
-            }
-            for j in 0..holes {
-                for i1 in 0..pigeons {
-                    for i2 in (i1 + 1)..pigeons {
-                        s.add_clause(&[p(i1, j).negate(), p(i2, j).negate()]);
-                    }
-                }
-            }
-            s
-        };
-        let mut plain = build(false);
-        let mut inproc = build(true);
-        let want = plain.solve(&SatBudget::default());
-        let got = inproc.solve(&SatBudget::default());
-        assert_eq!(got, want);
-        assert_eq!(got, SatResult::Unsat);
-        let stats = inproc.inprocess_stats();
-        assert!(stats.reductions > 0, "expected at least one DB reduction");
-        assert!(stats.learned_deleted > 0);
-        assert_eq!(plain.inprocess_stats(), InprocessStats::default());
-    }
-
-    #[test]
-    fn inprocessing_survives_assumption_cycles() {
-        // The incremental activation-literal protocol must stay sound when
-        // DB reduction collects retired groups between queries.
-        let mut s = solver_with_vars(6);
-        s.set_inprocessing(true);
-        for seed in 0..10u64 {
-            for c in random_cnf(seed + 100, 6, 6) {
-                let act = Lit::pos(s.new_var());
-                let mut guarded = vec![act.negate()];
-                guarded.extend(c.iter().copied());
-                s.add_clause(&guarded);
-                let under = s.solve_with_assumptions(&SatBudget::default(), &[act]);
-                s.reset_to_root();
-                assert_ne!(under, SatResult::Unknown);
-                s.add_clause(&[act.negate()]); // retire the group
-            }
-        }
-        // With every group retired the instance is satisfiable.
-        assert_eq!(s.solve(&SatBudget::default()), SatResult::Sat);
     }
 
     /// Everything a search leaves observable: result, model, statistics.

@@ -36,7 +36,7 @@
 //!
 //! # Resuming a budget-stopped search
 //!
-//! The verification cascade escalates when a stage runs out of budget, and
+//! The verification cascade moves on when a stage runs out of budget, and
 //! the next stage can build the *same* instance: with a one-chunk window,
 //! C-unroll symbolically executes to the terms the Alive2 stage asked
 //! about, under a larger conflict budget. Since CDCL search is
@@ -58,11 +58,11 @@
 //! the result and model a fresh solve with the larger budget returns, so
 //! verdicts, stage traces, funnels, profiles and cache keys cannot tell the
 //! difference. Assumption solves on incremental sessions and checks with
-//! simplification on keep no pause and behave exactly as before.
+//! preprocessing on keep no pause and behave exactly as before.
 
 use crate::bitblast::{BitBlaster, BlastCache, BlastState};
-use crate::preprocess::{preprocess_solver, SimplifyConfig, SimplifyStats};
-use crate::sat::{InprocessStats, Lit, SatBudget, SatResult, SatSolver, Var};
+use crate::preprocess::{preprocess_solver, SimplifyStats};
+use crate::sat::{Lit, SatBudget, SatResult, SatSolver, Var};
 use crate::term::{sign_extend, Context, Sort, TermId};
 use std::collections::HashMap;
 use std::fmt;
@@ -284,10 +284,10 @@ pub struct Solver {
     inc: Vec<(u64, IncSession)>,
     /// Cumulative count of `check_assuming` calls on warm sessions.
     assumption_reuses: u64,
-    /// Which simplification layers run; both off by default, keeping the
-    /// solve path bit-identical to a solver without the subsystem.
-    simplify: SimplifyConfig,
-    /// Cumulative simplification counters (all zero while `simplify` is off).
+    /// Whether one-shot checks preprocess their CNF; off by default, keeping
+    /// the solve path bit-identical to a solver without preprocessing.
+    preprocess: bool,
+    /// Cumulative preprocessing counters (all zero while `preprocess` is off).
     simplify_stats: SimplifyStats,
     /// The last one-shot search, if its budget stopped it; survives
     /// [`Solver::recycle`], and any query that does not resume it drops it.
@@ -311,38 +311,33 @@ impl Solver {
         }
     }
 
-    /// Selects which simplification layers run on subsequent checks: CNF
-    /// preprocessing before search ([`crate::preprocess`]) and/or the
-    /// in-search inprocessing hooks of [`SatSolver`]. Off by default.
+    /// Turns CNF preprocessing ([`crate::preprocess`]) before every
+    /// one-shot search on or off. Off by default.
     ///
-    /// Preprocessing composes with the reuse stack: it runs on the
-    /// *post-replay* clause stream (after any [`BlastCache`] record or
-    /// replay), so memo entries stay clause-identical; incremental sessions
-    /// preprocess only their base clauses, freezing every variable reachable
-    /// from the session's blast state.
-    pub fn set_simplify(&mut self, simplify: SimplifyConfig) {
-        self.simplify = simplify;
+    /// Preprocessing runs on the *post-replay* clause stream (after any
+    /// [`BlastCache`] record or replay), so memo entries stay
+    /// clause-identical. Incremental sessions never preprocess: their later
+    /// candidate clauses and activation literals may name any variable.
+    pub fn set_preprocess(&mut self, on: bool) {
+        self.preprocess = on;
     }
 
-    /// Cumulative simplification counters (all zero while simplify is off).
+    /// Cumulative preprocessing counters (all zero while preprocessing is
+    /// off).
     pub fn simplify_stats(&self) -> SimplifyStats {
         self.simplify_stats
     }
 
-    /// Folds one solve's inprocessing delta and arena high-water mark into
-    /// the cumulative simplify counters. No-op while simplify is off, so the
-    /// counters stay exactly zero on the default path.
-    fn absorb_solve_effects(&mut self, before: InprocessStats, sat: &SatSolver) {
-        if !self.simplify.any() {
-            return;
+    /// Folds one solve's arena high-water mark into the cumulative
+    /// counters. No-op while preprocessing is off, so the counters stay
+    /// exactly zero on the default path.
+    fn note_arena(&mut self, sat: &SatSolver) {
+        if self.preprocess {
+            self.simplify_stats.arena_bytes = self
+                .simplify_stats
+                .arena_bytes
+                .max(sat.arena_bytes() as u64);
         }
-        let after = sat.inprocess_stats();
-        self.simplify_stats.clauses_subsumed += after.learned_deleted - before.learned_deleted;
-        self.simplify_stats.clauses_strengthened += after.minimized_lits - before.minimized_lits;
-        self.simplify_stats.arena_bytes = self
-            .simplify_stats
-            .arena_bytes
-            .max(sat.arena_bytes() as u64);
     }
 
     /// Cumulative reuse counters (zeros when reuse is off).
@@ -444,9 +439,9 @@ impl Solver {
         // Preprocess the post-blast clause stream when enabled: the memo
         // above already recorded/replayed the raw blast, so cache entries
         // stay clause-identical regardless of this step.
-        let pre = if self.simplify.preprocess {
+        let pre = if self.preprocess {
             let t0 = std::time::Instant::now();
-            let pre = preprocess_solver(&sat, &[]);
+            let pre = preprocess_solver(&sat);
             self.simplify_stats.vars_eliminated += pre.stats.vars_eliminated;
             self.simplify_stats.clauses_subsumed += pre.stats.clauses_subsumed;
             self.simplify_stats.clauses_strengthened += pre.stats.clauses_strengthened;
@@ -456,17 +451,13 @@ impl Solver {
         } else {
             None
         };
-        if self.simplify.inprocess {
-            sat.set_inprocessing(true);
-        }
-        let inp_before = sat.inprocess_stats();
 
         let sat_budget = SatBudget {
             max_conflicts: budget.max_conflicts,
         };
-        // Simplified searches are not kept: with simplify on, every query
-        // runs from scratch exactly as before.
-        let pausable = !self.simplify.any();
+        // Preprocessed searches are not kept: with preprocessing on, every
+        // query runs from scratch exactly as before.
+        let pausable = !self.preprocess;
         let mut instance = std::mem::take(&mut self.instance_buf);
         if pausable {
             sat.encode_instance(&mut instance);
@@ -484,7 +475,7 @@ impl Solver {
         };
         self.last_stats.conflicts = sat.stats.conflicts;
         self.last_stats.decisions = sat.stats.decisions;
-        self.absorb_solve_effects(inp_before, &sat);
+        self.note_arena(&sat);
         // The image moves into the pause on a budget stop; otherwise its
         // buffer is kept for the next query's image.
         let keep = pausable && result == SatResult::Unknown;
@@ -544,24 +535,6 @@ impl Solver {
             }
         }
         let blast = blaster.into_state();
-        if self.simplify.preprocess {
-            // Preprocess the scalar-side base clauses only. Every variable
-            // reachable from the blast state is frozen: later candidate
-            // blasts re-use those encodings, and the activation literals of
-            // `check_assuming` are created after this point, so only dead
-            // Tseitin internals are eliminated.
-            let t0 = std::time::Instant::now();
-            let frozen = blast.cnf_vars();
-            let pre = preprocess_solver(&sat, &frozen);
-            self.simplify_stats.vars_eliminated += pre.stats.vars_eliminated;
-            self.simplify_stats.clauses_subsumed += pre.stats.clauses_subsumed;
-            self.simplify_stats.clauses_strengthened += pre.stats.clauses_strengthened;
-            self.simplify_stats.preprocess_micros += t0.elapsed().as_micros() as u64;
-            sat = pre.build_solver();
-        }
-        if self.simplify.inprocess {
-            sat.set_inprocessing(true);
-        }
         let base_clauses = sat.num_clauses();
         self.inc.push((
             key,
@@ -654,7 +627,6 @@ impl Solver {
                 effective_clauses, budget.max_clauses
             ))
         } else {
-            let inp_before = sat.inprocess_stats();
             let sat_result = sat.solve_with_assumptions(
                 &SatBudget {
                     max_conflicts: budget.max_conflicts,
@@ -663,7 +635,7 @@ impl Solver {
             );
             self.last_stats.conflicts = sat.stats.conflicts;
             self.last_stats.decisions = sat.stats.decisions;
-            self.absorb_solve_effects(inp_before, &sat);
+            self.note_arena(&sat);
             match sat_result {
                 SatResult::Unsat => CheckResult::Unsat,
                 SatResult::Unknown => CheckResult::Unknown(format!(
@@ -1121,11 +1093,10 @@ mod tests {
         assert!(memoized.reuse_stats().blast_hits > 0);
     }
 
-    /// Satellite property test: over random well-typed bitvector term
-    /// pairs, the fully simplified solve (preprocess + inprocess) agrees
-    /// with the plain solve on the verdict class, and `Sat` models really
-    /// satisfy the original formula (pinned by re-solving with the model
-    /// values asserted).
+    /// Property test: over random well-typed bitvector term pairs, the
+    /// preprocessed solve agrees with the plain solve on the verdict class,
+    /// and `Sat` models really satisfy the original formula (pinned by
+    /// re-solving with the model values asserted).
     #[test]
     fn simplified_check_matches_plain_check() {
         for seed in 0..25u64 {
@@ -1136,7 +1107,7 @@ mod tests {
             let want = plain.check(&SolverBudget::default());
 
             let mut simp = Solver::new();
-            simp.set_simplify(SimplifyConfig::full());
+            simp.set_preprocess(true);
             let mut state2 = seed.wrapping_mul(0x9e37_79b9).wrapping_add(17);
             let formula2 = random_formula(&mut simp.ctx, &mut state2);
             simp.assert(formula2);
@@ -1170,49 +1141,6 @@ mod tests {
         }
     }
 
-    /// The incremental pathway with simplification enabled (base-clause
-    /// preprocessing under a frozen blast state) keeps the fresh-solve
-    /// verdicts.
-    #[test]
-    fn incremental_with_simplify_matches_fresh_solve() {
-        for seed in 0..12u64 {
-            let base_seed = seed.wrapping_mul(0x51_7cc1).wrapping_add(3);
-            let mut inc = Solver::new();
-            inc.set_simplify(SimplifyConfig::full());
-            let mut state = base_seed;
-            let base = random_formula(&mut inc.ctx, &mut state);
-            inc.assert(base);
-            inc.begin_incremental(11).unwrap();
-            let cand_seed = state;
-            let mut cand_state = cand_seed;
-            for i in 0..5usize {
-                let cand = random_formula(&mut inc.ctx, &mut cand_state);
-                let warm = inc.check_assuming(11, cand, &SolverBudget::default());
-
-                let mut fresh = Solver::new();
-                let mut fresh_state = base_seed;
-                let fresh_base = random_formula(&mut fresh.ctx, &mut fresh_state);
-                fresh.assert(fresh_base);
-                let mut fresh_cand_state = cand_seed;
-                let mut fresh_cand = None;
-                for _ in 0..=i {
-                    fresh_cand = Some(random_formula(&mut fresh.ctx, &mut fresh_cand_state));
-                }
-                fresh.assert(fresh_cand.unwrap());
-                let cold = fresh.check(&SolverBudget::default());
-
-                match (&warm, &cold) {
-                    (CheckResult::Sat(_), CheckResult::Sat(_)) => {}
-                    (CheckResult::Unsat, CheckResult::Unsat) => {}
-                    other => panic!(
-                        "seed {} candidate {}: simplified warm/cold verdicts diverge: {:?}",
-                        seed, i, other
-                    ),
-                }
-            }
-        }
-    }
-
     #[test]
     fn simplify_counters_populate_and_stay_zero_when_off() {
         let build = |solver: &mut Solver| {
@@ -1229,7 +1157,7 @@ mod tests {
         assert!(plain.simplify_stats().is_zero());
 
         let mut simp = Solver::new();
-        simp.set_simplify(SimplifyConfig::full());
+        simp.set_preprocess(true);
         build(&mut simp);
         let _ = simp.check(&SolverBudget::default());
         let stats = simp.simplify_stats();
@@ -1347,7 +1275,7 @@ mod tests {
         assert!(solver.paused.is_none());
 
         let mut simplified = Solver::new();
-        simplified.set_simplify(SimplifyConfig::full());
+        simplified.set_preprocess(true);
         let verdict = commutativity(&mut simplified, false, 5, 8);
         assert!(matches!(verdict, Validity::Unknown(_)));
         assert!(simplified.paused.is_none());

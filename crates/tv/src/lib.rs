@@ -51,7 +51,7 @@ pub mod verify;
 
 pub use align::{align, Alignment, AlignmentError};
 pub use cunroll::{c_unroll, CUnrollError};
-pub use lv_smt::{SimplifyConfig, SimplifyStats, SolverBudget};
+pub use lv_smt::{SimplifyStats, SolverBudget};
 pub use symexec::{sym_exec, SymExecConfig, SymExecError, SymOutcome};
 pub use verify::{
     alignment_assumption, check_equivalence_symbolic, check_with_alive2_unroll,

@@ -24,9 +24,7 @@ use crate::cunroll::c_unroll;
 use crate::symexec::{sym_exec, SymExecConfig, SymOutcome};
 use lv_analysis::{analyze_function, collect_accesses, AccessKind};
 use lv_cir::ast::{BinOp, Expr, Function, UnOp};
-use lv_smt::{
-    CheckResult, ReuseStats, SimplifyConfig, SimplifyStats, Solver, SolverBudget, Validity,
-};
+use lv_smt::{CheckResult, ReuseStats, SimplifyStats, Solver, SolverBudget, Validity};
 use std::collections::HashMap;
 
 /// Cumulative solver-effort statistics over the lifetime of a [`TvSession`].
@@ -54,29 +52,23 @@ pub struct TvReuse {
     /// are blasted once per strategy into a persistent SAT instance, and
     /// per-candidate assertions enter under an activation literal.
     pub incremental: bool,
-    /// Clause-database simplification ([`Solver::set_simplify`]):
-    /// SatELite-style preprocessing before search and/or inprocessing
-    /// hooks inside the CDCL loop. Orthogonal to the reuse mechanisms —
-    /// it composes with both (preprocessing runs on the post-replay
-    /// clause stream, so memo hits stay clause-identical).
-    pub simplify: SimplifyConfig,
+    /// SatELite-style CNF preprocessing before every one-shot search
+    /// ([`Solver::set_preprocess`]). It runs on the post-replay clause
+    /// stream, so memo hits stay clause-identical; incremental sessions
+    /// solve unpreprocessed.
+    pub preprocess: bool,
 }
 
 impl TvReuse {
     /// Everything *reuse* on — the configuration the reuse benchmarks race
-    /// against fresh solving. Simplification stays off; enable it
-    /// separately via the `simplify` field.
+    /// against fresh solving. Preprocessing stays off; enable it separately
+    /// via the `preprocess` field.
     pub fn full() -> TvReuse {
         TvReuse {
             memo: true,
             incremental: true,
-            simplify: SimplifyConfig::default(),
+            preprocess: false,
         }
-    }
-
-    /// `true` if any mechanism is enabled.
-    pub fn any(self) -> bool {
-        self.memo || self.incremental || self.simplify.any()
     }
 }
 
@@ -123,7 +115,7 @@ impl TvSession {
         if reuse.memo {
             session.solver.enable_blast_memo();
         }
-        session.solver.set_simplify(reuse.simplify);
+        session.solver.set_preprocess(reuse.preprocess);
         session
     }
 
@@ -137,8 +129,8 @@ impl TvSession {
         self.solver.reuse_stats()
     }
 
-    /// Cumulative clause-database simplification counters (all zero when
-    /// [`TvReuse::simplify`] is off).
+    /// Cumulative preprocessing counters (all zero when
+    /// [`TvReuse::preprocess`] is off).
     pub fn simplify_stats(&self) -> SimplifyStats {
         self.solver.simplify_stats()
     }
@@ -991,7 +983,7 @@ mod tests {
         let mut memoized = TvSession::with_reuse(TvReuse {
             memo: true,
             incremental: false,
-            simplify: SimplifyConfig::default(),
+            preprocess: false,
         });
         for vector in [S000_VEC_WRONG, S000_VEC, S000_VEC_WRONG] {
             let with_memo = check_with_c_unroll_in(&f(S000), &f(vector), &config, &mut memoized);

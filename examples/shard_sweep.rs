@@ -27,10 +27,9 @@
 //!   most 2 buffered tail records, and recovery still merges the cache file
 //!   byte-identical to the single-process run;
 //! * a **solver-reuse** 2-shard sweep (blast memo + incremental per-scalar
-//!   sessions + portfolio racing, carried to the workers through the
-//!   manifest) produces verdicts identical to the reuse-off single-process
-//!   run, with the merged report's reuse counters proving the warm sessions
-//!   actually ran.
+//!   sessions, carried to the workers through the manifest) produces
+//!   verdicts identical to the reuse-off single-process run, with the
+//!   merged report's reuse counters proving the warm sessions actually ran.
 //!
 //! Exits non-zero (panics) on any violation.
 
@@ -460,8 +459,8 @@ fn main() {
     // revisited somewhere in the suite.
     let totals = reused.report.reuse_totals();
     println!(
-        "reuse counters: {} blast hits / {} misses, {} assumption reuses, {} escalations",
-        totals.blast_hits, totals.blast_misses, totals.assumption_reuses, totals.escalations
+        "reuse counters: {} blast hits / {} misses, {} assumption reuses",
+        totals.blast_hits, totals.blast_misses, totals.assumption_reuses
     );
     assert!(
         totals.assumption_reuses > 0,

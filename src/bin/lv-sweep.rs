@@ -69,21 +69,18 @@
 //! (`AdaptiveBudgetPolicy::derive_from_profile`) — no pilot slice needed;
 //! `fixed` (the default) keeps the configured budgets.
 //!
-//! `--reuse` turns on every solver-reuse layer (blasted-CNF memoization,
-//! incremental per-scalar sessions with scalar-affinity scheduling, and
-//! portfolio budget racing) in all shard workers. Verdicts are identical to
-//! a reuse-off sweep; the incremental layer perturbs the configuration
+//! `--reuse` turns on both solver-reuse layers (blasted-CNF memoization and
+//! incremental per-scalar sessions with scalar-affinity scheduling) in all
+//! shard workers. Verdicts are identical to a reuse-off sweep; the incremental layer perturbs the configuration
 //! fingerprint, so reuse-on and reuse-off sweeps keep separate cache
 //! entries. By default the blast-memo layer *alone* is on — its replays
 //! are clause-identical, so it changes no verdict, fingerprint, or cache
 //! byte; `--no-reuse` switches every layer off.
 //!
-//! `--simplify` (also accepted by `run` and `serve`) enables clause-database
-//! simplification in every worker's solver: SatELite-style preprocessing
-//! (unit propagation, pure literals, subsumption, self-subsuming
-//! resolution, bounded variable elimination) before each search, plus
-//! inprocessing hooks (LBD-driven learned-clause DB reduction, on-the-fly
-//! clause minimization) inside the CDCL loop. Simplified queries may
+//! `--simplify` (also accepted by `run` and `serve`) enables SatELite-style
+//! CNF preprocessing (unit propagation, pure literals, subsumption,
+//! self-subsuming resolution, bounded variable elimination) before each
+//! one-shot search in every worker's solver. Preprocessed queries may
 //! conclude where the raw budget ran out, so `--simplify` perturbs the
 //! configuration fingerprint; sweep summaries and `status` print the
 //! simplify counters (vars eliminated, clauses subsumed/strengthened).
@@ -138,7 +135,7 @@ use llm_vectorizer_repro::core::{
     WorkerSpec,
 };
 use llm_vectorizer_repro::interp::ChecksumConfig;
-use llm_vectorizer_repro::tv::{SimplifyConfig, SolverBudget, TvConfig};
+use llm_vectorizer_repro::tv::{SolverBudget, TvConfig};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -187,7 +184,8 @@ const DEFAULT_SERVICE_ADDR: &str = "127.0.0.1:7411";
 /// `--no-reuse` pair plus `--simplify`. With neither reuse flag given, the
 /// blast-memo layer alone is on: its replays are clause-identical, so it
 /// changes no verdict, no fingerprint, and no cache entry — a free default.
-/// `--reuse` turns on every layer, `--no-reuse` turns them all off.
+/// `--reuse` turns on memo and incremental sessions, `--no-reuse` turns
+/// every layer off, and `--simplify` adds preprocessing to either.
 fn resolve_reuse(reuse: Option<bool>, simplify: bool) -> EngineReuse {
     let mut resolved = match reuse {
         Some(true) => EngineReuse::full(),
@@ -197,9 +195,7 @@ fn resolve_reuse(reuse: Option<bool>, simplify: bool) -> EngineReuse {
             ..EngineReuse::default()
         },
     };
-    if simplify {
-        resolved.simplify = SimplifyConfig::full();
-    }
+    resolved.preprocess = simplify;
     resolved
 }
 
@@ -215,7 +211,7 @@ fn reuse_tag(reuse: EngineReuse) -> &'static str {
     }
 }
 
-/// Prints the batch's clause-database simplification totals, when any
+/// Prints the batch's preprocessing totals, when any
 /// (silent on a `--simplify`-less sweep, whose counters are exactly zero).
 fn print_simplify_totals(report: &BatchReport) {
     let totals = report.simplify_totals();
@@ -1136,7 +1132,7 @@ fn cmd_coordinator(args: &[String]) -> Result<(), CliError> {
             flush.tag(),
             config.schedule.spec(),
             reuse_tag(reuse),
-            if reuse.simplify.any() { ", simplify" } else { "" },
+            if reuse.preprocess { ", simplify" } else { "" },
             if opts.steal { ", stealing" } else { "" },
             opts.workdir.display()
         );
@@ -1209,8 +1205,8 @@ fn cmd_coordinator(args: &[String]) -> Result<(), CliError> {
     let totals = swept.report.reuse_totals();
     if !totals.is_zero() {
         println!(
-            "reuse: {} blast-cache hits / {} misses, {} assumption reuses, {} portfolio escalations",
-            totals.blast_hits, totals.blast_misses, totals.assumption_reuses, totals.escalations
+            "reuse: {} blast-cache hits / {} misses, {} assumption reuses",
+            totals.blast_hits, totals.blast_misses, totals.assumption_reuses
         );
     }
     print_simplify_totals(&swept.report);
@@ -1401,20 +1397,38 @@ mod tests {
         // No flag: blast memo alone — clause-identical, fingerprint-neutral.
         let default = resolve_reuse(None, false);
         assert!(default.memo);
-        assert!(!default.incremental && !default.portfolio);
-        assert!(!default.simplify.any());
+        assert!(!default.incremental && !default.preprocess);
         assert_eq!(reuse_tag(default), "memo");
 
-        // `--reuse` / `--no-reuse` are the full-on / all-off overrides.
-        assert_eq!(resolve_reuse(Some(true), false), EngineReuse::full());
+        // `--reuse` is memo + incremental; `--no-reuse` switches all off.
+        assert_eq!(
+            resolve_reuse(Some(true), false),
+            EngineReuse {
+                memo: true,
+                incremental: true,
+                preprocess: false,
+            }
+        );
         assert_eq!(reuse_tag(resolve_reuse(Some(true), false)), "full");
         assert_eq!(resolve_reuse(Some(false), false), EngineReuse::default());
         assert_eq!(reuse_tag(resolve_reuse(Some(false), false)), "off");
 
-        // `--simplify` composes with any reuse spelling.
-        let simplified = resolve_reuse(Some(false), true);
-        assert_eq!(simplified.simplify, SimplifyConfig::full());
-        assert!(!simplified.memo);
+        // `--simplify` is preprocessing only, and composes with any reuse
+        // spelling.
+        assert_eq!(
+            resolve_reuse(Some(false), true),
+            EngineReuse {
+                preprocess: true,
+                ..EngineReuse::default()
+            }
+        );
+        assert_eq!(
+            resolve_reuse(Some(true), true),
+            EngineReuse {
+                preprocess: true,
+                ..EngineReuse::full()
+            }
+        );
 
         // All three subcommands accept the flags.
         let coord = parse_coordinator(&strings(&["--reuse", "--simplify"])).unwrap();

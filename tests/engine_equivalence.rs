@@ -270,21 +270,7 @@ fn resumed_searches_report_what_fresh_sessions_report() {
     }
     assert!(
         resumable >= 3,
-        "expected budget-stopped Alive2 attempts to escalate: {}",
+        "expected budget-stopped Alive2 attempts followed by C-unroll: {}",
         resumable
     );
-
-    // A portfolio escalation resumes its own tight attempt; verdicts must
-    // not move.
-    let portfolio = VerificationEngine::new(
-        EngineConfig::full(pipeline.clone())
-            .with_threads(2)
-            .with_reuse(EngineReuse {
-                portfolio: true,
-                ..memo
-            }),
-    )
-    .run_batch(&jobs);
-    assert_same_verdicts(&portfolio, &warm, "portfolio vs plain stages");
-    assert!(portfolio.reuse_totals().escalations > 0);
 }
