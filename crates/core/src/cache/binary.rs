@@ -1,4 +1,4 @@
-//! The compact binary record codec and the binary cache-journal dialect.
+//! The compact binary record codec of the cache snapshot.
 //!
 //! One cache record is the fixed-width key prefix followed by the verdict
 //! payload (see the [module docs](super) for the full byte layout):
@@ -9,17 +9,16 @@
 //! [detail varint length][detail UTF-8 bytes]         -- the only variable field
 //! ```
 //!
-//! The same record bytes are used as binary-journal frame payloads and,
-//! key-stripped (the key lives in the snapshot's index), as snapshot payload
-//! entries — one codec, two containers. Decoding is strict: unknown tags,
-//! truncated fields, non-UTF-8 details, and trailing bytes are all errors,
-//! never guesses, so a corrupt record can never produce a wrong verdict.
+//! The snapshot stores the key prefixes in its sorted index and the verdict
+//! payloads in its payload region; the daemon's wire frames reuse the
+//! verdict payload. Decoding is strict: unknown tags, truncated fields and
+//! non-UTF-8 details are all errors, never guesses, so a corrupt record can
+//! never produce a wrong verdict.
 
-use super::{CacheKey, CachedVerdict, CACHE_FORMAT_VERSION, CACHE_JOURNAL_KIND};
+use super::{CacheKey, CachedVerdict};
 use crate::pipeline::{Equivalence, Stage};
 use lv_interp::ChecksumClass;
 use serde::bin::{self, Reader};
-use std::collections::HashMap;
 
 /// Size of the fixed-width key prefix: three `u64` hashes.
 pub(crate) const KEY_BYTES: usize = 24;
@@ -88,15 +87,6 @@ pub(crate) fn encode_key(buf: &mut Vec<u8>, key: &CacheKey) {
     bin::put_u64(buf, key.config);
 }
 
-/// Decodes a 24-byte key prefix.
-pub(crate) fn decode_key(r: &mut Reader<'_>) -> Result<CacheKey, String> {
-    Ok(CacheKey {
-        scalar: r.u64()?,
-        candidate: r.u64()?,
-        config: r.u64()?,
-    })
-}
-
 /// Appends the verdict payload (tags + varint-length detail).
 pub(crate) fn encode_verdict(buf: &mut Vec<u8>, verdict: &CachedVerdict) {
     bin::put_u8(buf, verdict_byte(verdict.verdict));
@@ -128,88 +118,6 @@ pub(crate) fn validate_verdict(r: &mut Reader<'_>) -> Result<(), String> {
     parse_checksum_byte(r.u8()?)?;
     r.str()?;
     Ok(())
-}
-
-/// Appends one full record: key prefix + verdict payload.
-pub(crate) fn encode_record(buf: &mut Vec<u8>, key: &CacheKey, verdict: &CachedVerdict) {
-    encode_key(buf, key);
-    encode_verdict(buf, verdict);
-}
-
-/// Decodes one full record, requiring every byte to be consumed.
-pub(crate) fn decode_record(bytes: &[u8]) -> Result<(CacheKey, CachedVerdict), String> {
-    let mut r = Reader::new(bytes);
-    let key = decode_key(&mut r)?;
-    let verdict = decode_verdict(&mut r)?;
-    if !r.is_empty() {
-        return Err(format!(
-            "binary record has {} trailing bytes after the detail field",
-            r.remaining()
-        ));
-    }
-    Ok((key, verdict))
-}
-
-/// Fills the binary cache journal's header frame payload: the kind string
-/// and the format version (mirroring the JSON journal's header record).
-pub(crate) fn emit_binary_cache_header(buf: &mut Vec<u8>) {
-    bin::put_str(buf, CACHE_JOURNAL_KIND);
-    bin::put_u32(buf, CACHE_FORMAT_VERSION as u32);
-}
-
-/// Validates a replayed binary journal header against the cache kind and
-/// version. `None` (a header torn at creation) passes with zero records,
-/// like the JSON path.
-pub(crate) fn check_binary_cache_header(header: Option<&[u8]>) -> Result<(), String> {
-    let Some(payload) = header else {
-        return Ok(());
-    };
-    let mut r = Reader::new(payload);
-    let kind = r
-        .str()
-        .map_err(|e| format!("binary journal header: {}", e))?;
-    if kind != CACHE_JOURNAL_KIND {
-        return Err(format!(
-            "binary journal is of kind `{}`, expected `{}`",
-            kind, CACHE_JOURNAL_KIND
-        ));
-    }
-    let version = r
-        .u32()
-        .map_err(|e| format!("binary journal header: {}", e))?;
-    if i64::from(version) != CACHE_FORMAT_VERSION {
-        return Err(format!(
-            "binary journal has format version {}, this build reads version {}",
-            version, CACHE_FORMAT_VERSION
-        ));
-    }
-    Ok(())
-}
-
-/// Builds the entry map from replayed binary journal records, with the same
-/// duplicate-key semantics as the JSON path: an identical duplicate is a
-/// no-op, a disagreeing one is corruption — never last-write-wins.
-pub(crate) fn entries_from_binary_records(
-    records: &[&[u8]],
-) -> Result<HashMap<CacheKey, CachedVerdict>, String> {
-    let mut entries = HashMap::with_capacity(records.len());
-    for record in records {
-        let (key, verdict) = decode_record(record)?;
-        match entries.get(&key) {
-            None => {
-                entries.insert(key, verdict);
-            }
-            Some(existing) if *existing == verdict => {}
-            Some(_) => {
-                return Err(format!(
-                    "binary journal records disagree on key (scalar {:016x}, candidate \
-                     {:016x}, config {:016x})",
-                    key.scalar, key.candidate, key.config
-                ))
-            }
-        }
-    }
-    Ok(entries)
 }
 
 #[cfg(test)]
@@ -263,72 +171,37 @@ mod tests {
     #[test]
     fn every_class_round_trips() {
         for (key, verdict) in all_class_entries() {
-            let mut buf = Vec::new();
-            encode_record(&mut buf, &key, &verdict);
-            let (k, v) = decode_record(&buf).unwrap();
-            assert_eq!(k, key);
-            assert_eq!(v, verdict);
             let mut prefix = Vec::new();
             encode_key(&mut prefix, &key);
-            assert_eq!(&buf[..KEY_BYTES], &prefix[..]);
+            assert_eq!(prefix.len(), KEY_BYTES);
+            let mut buf = Vec::new();
+            encode_verdict(&mut buf, &verdict);
+            let mut r = Reader::new(&buf);
+            validate_verdict(&mut r).unwrap();
+            assert!(r.is_empty(), "validation consumes the whole payload");
+            let mut r = Reader::new(&buf);
+            assert_eq!(decode_verdict(&mut r).unwrap(), verdict);
+            assert!(r.is_empty(), "decoding consumes the whole payload");
         }
     }
 
     #[test]
-    fn bad_tags_and_trailing_bytes_are_errors() {
-        let (key, verdict) = all_class_entries().remove(0);
+    fn bad_tags_and_truncated_details_are_errors() {
+        let (_, verdict) = all_class_entries().remove(0);
         let mut buf = Vec::new();
-        encode_record(&mut buf, &key, &verdict);
-        for (offset, limit) in [(KEY_BYTES, 3u8), (KEY_BYTES + 1, 4), (KEY_BYTES + 2, 5)] {
+        encode_verdict(&mut buf, &verdict);
+        let decodes = |bytes: &[u8]| {
+            let valid = validate_verdict(&mut Reader::new(bytes)).is_ok();
+            let decoded = decode_verdict(&mut Reader::new(bytes)).is_ok();
+            assert_eq!(valid, decoded, "validation and decoding agree");
+            decoded
+        };
+        assert!(decodes(&buf));
+        for (offset, limit) in [(0, 3u8), (1, 4), (2, 5)] {
             let mut bad = buf.clone();
             bad[offset] = limit;
-            assert!(
-                decode_record(&bad).is_err(),
-                "tag at {} out of range",
-                offset
-            );
+            assert!(!decodes(&bad), "tag at {} out of range", offset);
         }
-        let mut trailing = buf.clone();
-        trailing.push(0);
-        let err = decode_record(&trailing).unwrap_err();
-        assert!(err.contains("trailing"), "{}", err);
-        assert!(
-            decode_record(&buf[..buf.len() - 1]).is_err(),
-            "truncated detail"
-        );
-    }
-
-    #[test]
-    fn header_checks_kind_and_version() {
-        let mut buf = Vec::new();
-        emit_binary_cache_header(&mut buf);
-        check_binary_cache_header(Some(&buf)).unwrap();
-        check_binary_cache_header(None).unwrap();
-        let mut wrong_kind = Vec::new();
-        serde::bin::put_str(&mut wrong_kind, "shard-report");
-        serde::bin::put_u32(&mut wrong_kind, 1);
-        assert!(check_binary_cache_header(Some(&wrong_kind)).is_err());
-        let mut wrong_version = Vec::new();
-        serde::bin::put_str(&mut wrong_version, CACHE_JOURNAL_KIND);
-        serde::bin::put_u32(&mut wrong_version, 999);
-        let err = check_binary_cache_header(Some(&wrong_version)).unwrap_err();
-        assert!(err.contains("999"), "{}", err);
-    }
-
-    #[test]
-    fn duplicate_records_agree_or_error() {
-        let (key, verdict) = all_class_entries().remove(0);
-        let mut record = Vec::new();
-        encode_record(&mut record, &key, &verdict);
-        let entries =
-            entries_from_binary_records(&[&record, &record]).expect("identical duplicate is fine");
-        assert_eq!(entries.len(), 1);
-
-        let mut flipped = verdict.clone();
-        flipped.verdict = Equivalence::Inconclusive;
-        let mut other = Vec::new();
-        encode_record(&mut other, &key, &flipped);
-        let err = entries_from_binary_records(&[&record, &other]).unwrap_err();
-        assert!(err.contains("disagree"), "{}", err);
+        assert!(!decodes(&buf[..buf.len() - 1]), "truncated detail");
     }
 }

@@ -47,7 +47,7 @@
 //!
 //! # File formats
 //!
-//! Four interchangeable on-disk forms, sniffed by content (first bytes) —
+//! Three interchangeable on-disk forms, sniffed by content (first bytes) —
 //! [`VerdictCache::open`] accepts any of them:
 //!
 //! **JSON snapshot** — a single JSON document (via the `serde` shim's
@@ -71,21 +71,20 @@
 //! followed by one CRC-framed record per entry, so a torn tail is detected
 //! and truncated, never mis-parsed.
 //!
-//! **Binary journal** — the same append-only contract behind the binary
-//! framing (`LVBJ` magic, `[u32 len][payload][u32 crc32]` frames — see
-//! [`crate::journal::BinaryJournalWriter`]), carrying compact binary
-//! records instead of JSON lines:
+//! **Binary snapshot** — the sorted immutable tier file (`LVCS` magic):
+//! a fixed-stride key index, an optional bloom block, and a payload region
+//! of compact binary verdict records, each region CRC-covered:
 //!
 //! ```text
-//! [scalar u64 LE][candidate u64 LE][config u64 LE]  -- 24-byte key prefix
-//! [verdict u8][stage u8][checksum u8]               -- enum tags
+//! [scalar u64 LE][candidate u64 LE][config u64 LE]  -- 24-byte index key
+//! [verdict u8][stage u8][checksum u8]               -- payload enum tags
 //! [detail varint length][detail UTF-8 bytes]
 //! ```
 //!
-//! **Binary snapshot** — the sorted immutable tier file (`LVCS` magic):
-//! a fixed-stride key index, an optional bloom block, and a payload region
-//! of key-stripped binary records, each region CRC-covered. [`snapshot`]
-//! documents the exact layout.
+//! [`snapshot`] documents the exact layout. A file in the binary cache
+//! journal form of earlier builds (`LVBJ` magic) is refused with
+//! [`io::ErrorKind::InvalidData`] naming that removed form, never
+//! mis-parsed.
 //!
 //! A journal-mode cache appends through one long-lived buffered handle:
 //! every [`VerdictCache::insert`] flushes just that record — O(record)
@@ -102,16 +101,16 @@
 //! JSON stays the import/export format. [`VerdictCache::persist`] and
 //! [`VerdictCache::compact_journal`] always render the canonical sorted
 //! JSON snapshot — byte-identical for identical contents regardless of
-//! which tier or format each entry came from — so the byte-identity CI
-//! pins survive the binary engine as conversion round-trip tests, and
-//! `lv-sweep compact --format json` converts any binary file back to the
-//! legacy snapshot byte-for-byte.
+//! which tier or form each entry came from — so the byte-identity CI
+//! pins survive the binary snapshot as conversion round-trip tests, and
+//! `lv-sweep compact --format json` converts a binary snapshot back to the
+//! JSON snapshot byte-for-byte.
 //!
 //! # Invalidation rules
 //!
 //! There is no explicit invalidation: a key embeds everything a verdict
 //! depends on, so stale entries are simply never looked up again. The
-//! `version` field guards the *format and hash scheme* in all four forms:
+//! `version` field guards the *format and hash scheme* in all three forms:
 //! bump [`CACHE_FORMAT_VERSION`] when [`lv_cir::structural_hash`]'s
 //! protocol or any file layout changes, and readers reject files from
 //! other versions (a rejected file is reported as an error, not silently
@@ -122,7 +121,7 @@ pub mod snapshot;
 
 pub use snapshot::{BloomStats, CacheSnapshot, SnapshotError};
 
-use crate::journal::{self, fsync_dir, BinaryJournalWriter, FsyncPolicy, JournalWriter};
+use crate::journal::{self, fsync_dir, FsyncPolicy, JournalWriter};
 use crate::pipeline::{Equivalence, Stage};
 use lv_interp::ChecksumClass;
 use serde::json::{self, CountingWriter, Emitter, Value};
@@ -130,7 +129,6 @@ use std::collections::HashMap;
 use std::fs::File;
 use std::io::{self, BufWriter};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, RwLock};
 
 /// The on-disk format version; readers reject any other value.
@@ -165,26 +163,18 @@ pub struct CachedVerdict {
     pub checksum: Option<ChecksumClass>,
 }
 
-/// Which serialization a cache journal or compacted snapshot uses.
+/// Which snapshot form [`VerdictCache::compact_to`] writes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CacheFormat {
-    /// The legacy human-readable JSON forms — the import/export format.
+    /// The human-readable JSON snapshot — the import/export format.
     #[default]
     Json,
-    /// The compact binary forms (`LVBJ` journal / `LVCS` snapshot).
+    /// The compact binary `LVCS` snapshot.
     Binary,
 }
 
 impl CacheFormat {
-    /// Stable CLI tag (`json` / `binary`).
-    pub fn tag(&self) -> &'static str {
-        match self {
-            CacheFormat::Json => "json",
-            CacheFormat::Binary => "binary",
-        }
-    }
-
-    /// Parses [`CacheFormat::tag`] output.
+    /// Parses the `lv-sweep compact --format` value (`json` / `binary`).
     pub fn from_tag(tag: &str) -> Result<CacheFormat, String> {
         match tag {
             "json" => Ok(CacheFormat::Json),
@@ -295,54 +285,14 @@ impl CacheBounds {
     }
 }
 
-/// The cache's open journal handle, in either serialization.
-#[derive(Debug)]
-enum CacheJournal {
-    /// JSON-line journal (the legacy format).
-    Json(JournalWriter),
-    /// Binary-framed journal.
-    Binary(BinaryJournalWriter),
-}
-
-impl CacheJournal {
-    fn append_entry(&mut self, key: &CacheKey, verdict: &CachedVerdict) -> io::Result<()> {
-        match self {
-            CacheJournal::Json(w) => w.append(|e| emit_entry(e, key, verdict)),
-            CacheJournal::Binary(w) => w.append(|buf| binary::encode_record(buf, key, verdict)),
-        }
-    }
-
-    fn bytes_written(&self) -> u64 {
-        match self {
-            CacheJournal::Json(w) => w.bytes_written(),
-            CacheJournal::Binary(w) => w.bytes_written(),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            CacheJournal::Json(w) => w.flush(),
-            CacheJournal::Binary(w) => w.flush(),
-        }
-    }
-
-    fn set_flush_every(&mut self, n: usize) {
-        match self {
-            CacheJournal::Json(w) => w.set_flush_every(n),
-            CacheJournal::Binary(w) => w.set_flush_every(n),
-        }
-    }
-}
-
 /// A thread-safe tiered verdict store, optionally backed by a file.
 ///
 /// Workers on the engine's pool share one cache through an `Arc`; `get`
 /// takes a short mutex for the hot tier and a read lock for the snapshot
 /// tiers, never I/O. In the default snapshot mode, file I/O happens only in
 /// [`VerdictCache::open`] and [`VerdictCache::persist`]; in journal mode
-/// ([`VerdictCache::open_journal`] /
-/// [`VerdictCache::open_journal_with`]) each `insert` additionally appends
-/// one framed record through the cache's long-lived buffered journal handle
+/// ([`VerdictCache::open_journal`]) each `insert` additionally appends one
+/// framed record through the cache's long-lived buffered journal handle
 /// (see the [module docs](self)).
 #[derive(Debug, Default)]
 pub struct VerdictCache {
@@ -352,15 +302,11 @@ pub struct VerdictCache {
     entries: Mutex<HashMap<CacheKey, CachedVerdict>>,
     path: Option<PathBuf>,
     /// The open append handle when the cache is in journal mode.
-    journal: Mutex<Option<CacheJournal>>,
+    journal: Mutex<Option<JournalWriter>>,
     /// The warm snapshot (index 0, when the cache was opened from one)
     /// followed by attached cold snapshots, consulted in order after the
     /// hot tier misses.
     tiers: RwLock<Vec<CacheSnapshot>>,
-    /// Cumulative bytes this cache has written to its backing file
-    /// (snapshot rewrites + journal appends) — the flush-I/O metric the
-    /// `journal_flush` bench compares across persistence modes.
-    io_bytes: AtomicU64,
     /// Durability syscalls recorded by compactions, for the fsync-sequence
     /// test.
     sync_log: Mutex<Vec<SyncEvent>>,
@@ -374,11 +320,10 @@ impl VerdictCache {
 
     /// A cache backed by `path`, in snapshot mode. A missing file yields an
     /// empty cache; an unreadable or malformed file is an error (never
-    /// silently discarded). All four persisted formats are accepted: JSON
-    /// and binary journals are replayed into the hot tier (tolerating a
-    /// torn final record), a JSON snapshot is parsed into the hot tier, and
-    /// a **binary snapshot becomes the warm tier** — loaded zero-copy, not
-    /// parsed.
+    /// silently discarded). All three persisted forms are accepted: a JSON
+    /// journal is replayed into the hot tier (tolerating a torn final
+    /// record), a JSON snapshot is parsed into the hot tier, and a **binary
+    /// snapshot becomes the warm tier** — loaded zero-copy, not parsed.
     pub fn open(path: impl Into<PathBuf>) -> io::Result<VerdictCache> {
         let path = path.into();
         let invalid = |reason: String| io::Error::new(io::ErrorKind::InvalidData, reason);
@@ -408,30 +353,18 @@ impl VerdictCache {
         })
     }
 
-    /// A cache backed by `path` in **journal mode** with the legacy JSON
-    /// framing; see [`VerdictCache::open_journal_with`].
-    pub fn open_journal(path: impl Into<PathBuf>, fsync: FsyncPolicy) -> io::Result<VerdictCache> {
-        VerdictCache::open_journal_with(path, fsync, CacheFormat::Json)
-    }
-
     /// A cache backed by `path` in **journal mode**: one buffered append
     /// handle is opened now and kept for the cache's lifetime, and every
-    /// [`VerdictCache::insert`] appends (and flushes) one framed record —
-    /// O(record) flush I/O per new verdict. `format` picks the framing:
-    /// JSON lines or compact binary records.
+    /// [`VerdictCache::insert`] appends (and flushes) one framed JSON record
+    /// — O(record) flush I/O per new verdict.
     ///
-    /// A missing file starts a fresh journal; an existing journal of the
-    /// same format is replayed, its torn final record (if any) truncated,
-    /// and appends continue where it left off; any other existing form
-    /// (either snapshot, or a journal of the *other* format) is converted —
-    /// rewritten as a journal of `format` (atomically, via a temp file) so
+    /// A missing file starts a fresh journal; an existing journal is
+    /// replayed, its torn final record (if any) truncated, and appends
+    /// continue where it left off; an existing snapshot (either form) is
+    /// converted — rewritten as a journal (atomically, via a temp file) so
     /// appends can continue incrementally. `fsync` selects the durability
     /// policy.
-    pub fn open_journal_with(
-        path: impl Into<PathBuf>,
-        fsync: FsyncPolicy,
-        format: CacheFormat,
-    ) -> io::Result<VerdictCache> {
+    pub fn open_journal(path: impl Into<PathBuf>, fsync: FsyncPolicy) -> io::Result<VerdictCache> {
         let path = path.into();
         let invalid = |reason: String| io::Error::new(io::ErrorKind::InvalidData, reason);
         let existing = match std::fs::read(&path) {
@@ -439,9 +372,12 @@ impl VerdictCache {
             Err(e) => return Err(e),
             Ok(bytes) => Some(bytes),
         };
-        let (entries, writer) = match (existing, format) {
-            (None, format) => (HashMap::new(), create_journal(&path, fsync, format)?),
-            (Some(bytes), CacheFormat::Json) if is_text_journal(&bytes) => {
+        let (entries, writer) = match existing {
+            None => (
+                HashMap::new(),
+                JournalWriter::create(&path, fsync, emit_cache_header)?,
+            ),
+            Some(bytes) if is_text_journal(&bytes) => {
                 let text = std::str::from_utf8(&bytes)
                     .map_err(|e| invalid(format!("journal is not UTF-8: {}", e)))?;
                 let replayed = journal::replay(text).map_err(invalid)?;
@@ -450,33 +386,13 @@ impl VerdictCache {
                 let entries = entries_from_records(&replayed.records).map_err(invalid)?;
                 let writer = if replayed.valid_len == 0 {
                     // Torn header (crash at creation): start the journal over.
-                    create_journal(&path, fsync, CacheFormat::Json)?
+                    JournalWriter::create(&path, fsync, emit_cache_header)?
                 } else {
-                    CacheJournal::Json(JournalWriter::open_append(
-                        &path,
-                        fsync,
-                        replayed.valid_len,
-                    )?)
+                    JournalWriter::open_append(&path, fsync, replayed.valid_len)?
                 };
                 (entries, writer)
             }
-            (Some(bytes), CacheFormat::Binary) if journal::is_binary_journal(&bytes) => {
-                let replayed = journal::replay_binary(&bytes).map_err(invalid)?;
-                binary::check_binary_cache_header(replayed.header).map_err(invalid)?;
-                let entries =
-                    binary::entries_from_binary_records(&replayed.records).map_err(invalid)?;
-                let writer = if replayed.valid_len == 0 {
-                    create_journal(&path, fsync, CacheFormat::Binary)?
-                } else {
-                    CacheJournal::Binary(BinaryJournalWriter::open_append(
-                        &path,
-                        fsync,
-                        replayed.valid_len,
-                    )?)
-                };
-                (entries, writer)
-            }
-            (Some(bytes), format) => {
+            Some(bytes) => {
                 // Conversion, atomically: the existing file stays intact
                 // until the fully-written journal renames over it.
                 let entries = if snapshot::is_snapshot(&bytes) {
@@ -487,33 +403,17 @@ impl VerdictCache {
                     entries_from_bytes(&bytes).map_err(invalid)?
                 };
                 let tmp = path.with_extension("tmp");
-                let mut writer = create_journal(&tmp, fsync, format)?;
+                let mut writer = JournalWriter::create(&tmp, fsync, emit_cache_header)?;
                 let mut sorted: Vec<(&CacheKey, &CachedVerdict)> = entries.iter().collect();
                 sorted.sort_by_key(|(key, _)| **key);
                 for (key, verdict) in sorted {
-                    writer.append_entry(key, verdict)?;
+                    writer.append(|e| emit_entry(e, key, verdict))?;
                 }
-                let len = match &mut writer {
-                    CacheJournal::Json(w) => {
-                        w.sync()?;
-                        w.bytes_written()
-                    }
-                    CacheJournal::Binary(w) => {
-                        w.sync()?;
-                        w.bytes_written()
-                    }
-                };
+                writer.sync()?;
+                let len = writer.bytes_written();
                 drop(writer);
                 std::fs::rename(&tmp, &path)?;
-                let writer = match format {
-                    CacheFormat::Json => {
-                        CacheJournal::Json(JournalWriter::open_append(&path, fsync, len)?)
-                    }
-                    CacheFormat::Binary => {
-                        CacheJournal::Binary(BinaryJournalWriter::open_append(&path, fsync, len)?)
-                    }
-                };
-                (entries, writer)
+                (entries, JournalWriter::open_append(&path, fsync, len)?)
             }
         };
         Ok(VerdictCache {
@@ -534,14 +434,6 @@ impl VerdictCache {
         self.journal.lock().unwrap().is_some()
     }
 
-    /// The journal's serialization, when the cache is in journal mode.
-    pub fn journal_format(&self) -> Option<CacheFormat> {
-        self.journal.lock().unwrap().as_ref().map(|j| match j {
-            CacheJournal::Json(_) => CacheFormat::Json,
-            CacheJournal::Binary(_) => CacheFormat::Binary,
-        })
-    }
-
     /// Sets the journal's flush batching (see
     /// [`JournalWriter::set_flush_every`]): every `n`-th appended record
     /// flushes; a crash loses at most `n - 1` buffered tail entries. No-op
@@ -550,13 +442,6 @@ impl VerdictCache {
         if let Some(writer) = self.journal.lock().unwrap().as_mut() {
             writer.set_flush_every(n);
         }
-    }
-
-    /// Cumulative bytes written to the backing file over this cache's
-    /// lifetime — snapshot rewrites plus journal appends. The flush-cost
-    /// metric: rewrite-per-job grows it quadratically, a journal linearly.
-    pub fn io_bytes_written(&self) -> u64 {
-        self.io_bytes.load(Ordering::Relaxed)
     }
 
     /// The durability syscalls compactions have performed, in order (see
@@ -640,10 +525,7 @@ impl VerdictCache {
         if let Some(writer) = journal.as_mut() {
             let stale = self.get(&key).as_ref() == Some(&verdict);
             if !stale {
-                let before = writer.bytes_written();
-                let _ = writer.append_entry(&key, &verdict);
-                self.io_bytes
-                    .fetch_add(writer.bytes_written() - before, Ordering::Relaxed);
+                let _ = writer.append(|e| emit_entry(e, &key, &verdict));
             }
         }
         drop(journal);
@@ -818,10 +700,7 @@ impl VerdictCache {
         if self.entries.lock().unwrap().is_empty() && !self.tiers.read().unwrap().is_empty() {
             return Ok(());
         }
-        let entries = self.effective_entries();
-        let bytes = write_snapshot_atomic(path, &entries, false)?;
-        self.io_bytes.fetch_add(bytes, Ordering::Relaxed);
-        Ok(())
+        write_snapshot_atomic(path, &self.effective_entries(), false)
     }
 
     /// Compacts the cache file into the canonical **JSON snapshot** format;
@@ -852,14 +731,14 @@ impl VerdictCache {
         };
         let mut journal = self.journal.lock().unwrap();
         let entries = self.effective_entries();
-        let bytes = match format {
+        match format {
             CacheFormat::Json => write_snapshot_atomic(path, &entries, true)?,
             CacheFormat::Binary => {
                 let mut sorted: Vec<(CacheKey, CachedVerdict)> = entries.into_iter().collect();
                 sorted.sort_by_key(|(key, _)| *key);
-                CacheSnapshot::write_file(path, &sorted, true, true)?
+                CacheSnapshot::write_file(path, &sorted, true, true)?;
             }
-        };
+        }
         let mut log = self.sync_log.lock().unwrap();
         log.push(SyncEvent::File(path.clone()));
         let parent = match path.parent() {
@@ -870,17 +749,16 @@ impl VerdictCache {
         log.push(SyncEvent::Dir(parent));
         drop(log);
         *journal = None;
-        self.io_bytes.fetch_add(bytes, Ordering::Relaxed);
         Ok(())
     }
 }
 
-/// Per-file statistics for `lv-sweep cache stats`: which of the four forms
+/// Per-file statistics for `lv-sweep cache stats`: which of the three forms
 /// a cache file is, how big it is, and what it holds.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CacheFileStats {
-    /// The sniffed form: `json-snapshot`, `json-journal`, `binary-journal`,
-    /// or `binary-snapshot`.
+    /// The sniffed form: `json-snapshot`, `json-journal`, or
+    /// `binary-snapshot`.
     pub format: &'static str,
     /// File size in bytes.
     pub file_bytes: u64,
@@ -908,7 +786,7 @@ impl CacheFileStats {
     }
 }
 
-/// Computes [`CacheFileStats`] for any of the four persisted cache forms.
+/// Computes [`CacheFileStats`] for any of the three persisted cache forms.
 pub fn cache_file_stats(path: &Path) -> io::Result<CacheFileStats> {
     let invalid = |reason: String| io::Error::new(io::ErrorKind::InvalidData, reason);
     let bytes = std::fs::read(path)?;
@@ -917,20 +795,13 @@ pub fn cache_file_stats(path: &Path) -> io::Result<CacheFileStats> {
         let snap = CacheSnapshot::from_bytes(bytes).map_err(|e| invalid(e.to_string()))?;
         let bloom = snap.bloom_stats();
         ("binary-snapshot", snap.entries(), bloom)
-    } else if journal::is_binary_journal(&bytes) {
-        let replayed = journal::replay_binary(&bytes).map_err(invalid)?;
-        binary::check_binary_cache_header(replayed.header).map_err(invalid)?;
-        let entries = binary::entries_from_binary_records(&replayed.records).map_err(invalid)?;
-        ("binary-journal", entries.into_iter().collect(), None)
     } else {
-        let text = std::str::from_utf8(&bytes)
-            .map_err(|e| invalid(format!("cache file is not UTF-8: {}", e)))?;
-        let format = if journal::is_journal(text) {
+        let entries = entries_from_bytes(&bytes).map_err(invalid)?;
+        let format = if is_text_journal(&bytes) {
             "json-journal"
         } else {
             "json-snapshot"
         };
-        let entries = parse_text(text).map_err(invalid)?;
         (format, entries.into_iter().collect(), None)
     };
     let mut stats = CacheFileStats {
@@ -952,23 +823,6 @@ pub fn cache_file_stats(path: &Path) -> io::Result<CacheFileStats> {
     Ok(stats)
 }
 
-fn create_journal(
-    path: &Path,
-    fsync: FsyncPolicy,
-    format: CacheFormat,
-) -> io::Result<CacheJournal> {
-    Ok(match format {
-        CacheFormat::Json => {
-            CacheJournal::Json(JournalWriter::create(path, fsync, emit_cache_header)?)
-        }
-        CacheFormat::Binary => CacheJournal::Binary(BinaryJournalWriter::create(
-            path,
-            fsync,
-            binary::emit_binary_cache_header,
-        )?),
-    })
-}
-
 /// Does `bytes` look like a *text* (JSON) journal?
 fn is_text_journal(bytes: &[u8]) -> bool {
     std::str::from_utf8(bytes)
@@ -976,13 +830,21 @@ fn is_text_journal(bytes: &[u8]) -> bool {
         .unwrap_or(false)
 }
 
-/// Parses any non-`LVCS` persisted form into an entry map, sniffing the
-/// format from the first bytes.
+/// The magic of the binary cache journal earlier builds could write. The
+/// form is gone; its files are refused by name rather than failing as
+/// "not UTF-8".
+const REMOVED_BINARY_JOURNAL_MAGIC: &[u8; 4] = b"LVBJ";
+
+/// Parses either JSON form into an entry map; a file of the removed binary
+/// journal form is a named error.
 fn entries_from_bytes(bytes: &[u8]) -> Result<HashMap<CacheKey, CachedVerdict>, String> {
-    if journal::is_binary_journal(bytes) {
-        let replayed = journal::replay_binary(bytes)?;
-        binary::check_binary_cache_header(replayed.header)?;
-        return binary::entries_from_binary_records(&replayed.records);
+    if bytes.starts_with(REMOVED_BINARY_JOURNAL_MAGIC) {
+        return Err(
+            "cache file is a binary cache journal (`LVBJ`), a form this build no \
+                    longer reads; convert it to a snapshot with `lv-sweep compact` from an \
+                    earlier build, or delete it"
+                .to_string(),
+        );
     }
     let text = std::str::from_utf8(bytes).map_err(|e| format!("cache file is not UTF-8: {}", e))?;
     parse_text(text)
@@ -1070,7 +932,7 @@ pub(crate) fn parse_checksum(value: Option<&Value>) -> Result<Option<ChecksumCla
     }
 }
 
-/// The journal-header kind tag for cache journals (both framings).
+/// The journal-header kind tag for cache journals.
 const CACHE_JOURNAL_KIND: &str = "verdict-cache";
 
 /// Emits the JSON cache journal's header record payload.
@@ -1153,8 +1015,8 @@ fn write_snapshot_atomic(
     path: &Path,
     entries: &HashMap<CacheKey, CachedVerdict>,
     sync: bool,
-) -> io::Result<u64> {
-    write_atomic_stream(path, sync, |w| write_snapshot(w, entries))
+) -> io::Result<()> {
+    write_atomic_stream(path, sync, |w| write_snapshot(w, entries)).map(|_| ())
 }
 
 /// Serialized size of the snapshot document for `entries`, measured by
@@ -1311,6 +1173,10 @@ mod tests {
         ]
     }
 
+    /// The leading bytes of a binary cache journal written by an earlier
+    /// build: the `LVBJ` magic and the start of its header frame.
+    const REMOVED_LVBJ_SAMPLE: &[u8] = b"LVBJ\x11\x00\x00\x00verdict-cache";
+
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("lv-cache-{}-{}", tag, std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -1353,6 +1219,27 @@ mod tests {
             "{\"version\":1,\"entries\":[{\"scalar\":\"zz\",\"candidate\":\"0\",\"config\":\"0\",\
              \"verdict\":\"equivalent\",\"stage\":\"alive2\",\"detail\":\"\",\"checksum\":null}]}";
         assert!(parse_entries(bad_hash).is_err());
+
+        // A file of the removed binary journal form is refused by name on
+        // both open paths (`cache_file_stats_cover_all_four_forms` covers
+        // the stats path).
+        let dir = temp_dir("removed-lvbj");
+        let path = dir.join("old.bjournal");
+        std::fs::write(&path, REMOVED_LVBJ_SAMPLE).unwrap();
+        let refusals = [
+            VerdictCache::open(&path).map(|_| ()),
+            VerdictCache::open_journal(&path, FsyncPolicy::OnCompact).map(|_| ()),
+        ];
+        for err in refusals {
+            let err = err.expect_err("an LVBJ file must be refused");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("binary cache journal"), "{}", err);
+        }
+        assert!(
+            std::fs::read(&path).unwrap().starts_with(b"LVBJ"),
+            "a refused file is left untouched"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1589,65 +1476,12 @@ mod tests {
     }
 
     #[test]
-    fn binary_journal_mode_round_trips_and_converts() {
-        let dir = temp_dir("binary-journal");
-        let path = dir.join("journal.cache");
-        let _ = std::fs::remove_file(&path);
-
-        let cache =
-            VerdictCache::open_journal_with(&path, FsyncPolicy::OnCompact, CacheFormat::Binary)
-                .unwrap();
-        assert_eq!(cache.journal_format(), Some(CacheFormat::Binary));
-        for (key, verdict) in sample_entries() {
-            cache.insert(key, verdict);
-        }
-        cache.persist().unwrap();
-        drop(cache);
-        let bytes = std::fs::read(&path).unwrap();
-        assert!(journal::is_binary_journal(&bytes));
-
-        // Sniffing open replays the binary journal.
-        let replayed = VerdictCache::open(&path).unwrap();
-        assert_eq!(replayed.len(), 3);
-        for (key, verdict) in sample_entries() {
-            assert_eq!(replayed.get(&key), Some(verdict));
-        }
-
-        // Re-opening in binary journal mode continues the same journal.
-        let continued =
-            VerdictCache::open_journal_with(&path, FsyncPolicy::OnCompact, CacheFormat::Binary)
-                .unwrap();
-        assert_eq!(continued.len(), 3);
-        drop(continued);
-
-        // Opening in *JSON* journal mode converts the binary journal.
-        let converted = VerdictCache::open_journal(&path, FsyncPolicy::OnCompact).unwrap();
-        assert_eq!(converted.journal_format(), Some(CacheFormat::Json));
-        assert_eq!(converted.len(), 3);
-        drop(converted);
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(journal::is_journal(&text));
-
-        // And a JSON journal converts back to binary.
-        let back =
-            VerdictCache::open_journal_with(&path, FsyncPolicy::OnCompact, CacheFormat::Binary)
-                .unwrap();
-        assert_eq!(back.len(), 3);
-        for (key, verdict) in sample_entries() {
-            assert_eq!(back.get(&key), Some(verdict));
-        }
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
     fn compact_records_the_fsync_sequence() {
         let dir = temp_dir("fsync-seq");
         for format in [CacheFormat::Json, CacheFormat::Binary] {
-            let path = dir.join(format!("seq.{}.cache", format.tag()));
+            let path = dir.join(format!("seq.{:?}.cache", format));
             let _ = std::fs::remove_file(&path);
-            let cache =
-                VerdictCache::open_journal_with(&path, FsyncPolicy::OnCompact, CacheFormat::Json)
-                    .unwrap();
+            let cache = VerdictCache::open_journal(&path, FsyncPolicy::OnCompact).unwrap();
             let (key, verdict) = sample_entries().remove(0);
             cache.insert(key, verdict);
             assert!(cache.sync_events().is_empty(), "no compaction yet");
@@ -1656,8 +1490,8 @@ mod tests {
             assert_eq!(
                 events,
                 vec![SyncEvent::File(path.clone()), SyncEvent::Dir(dir.clone()),],
-                "{}: file must be synced before the directory",
-                format.tag()
+                "{:?}: file must be synced before the directory",
+                format
             );
             let _ = std::fs::remove_file(&path);
         }
@@ -1727,32 +1561,23 @@ mod tests {
             journaling.insert(*key, verdict.clone());
         }
         journaling.persist().unwrap();
-        assert_eq!(
-            cache_file_stats(&journal_path).unwrap().format,
-            "json-journal"
-        );
-
-        let bin_journal_path = dir.join("stats.bjournal");
-        let bin = VerdictCache::open_journal_with(
-            &bin_journal_path,
-            FsyncPolicy::OnCompact,
-            CacheFormat::Binary,
-        )
-        .unwrap();
-        for (key, verdict) in &entries {
-            bin.insert(*key, verdict.clone());
-        }
-        bin.persist().unwrap();
-        let stats = cache_file_stats(&bin_journal_path).unwrap();
-        assert_eq!(stats.format, "binary-journal");
+        let stats = cache_file_stats(&journal_path).unwrap();
+        assert_eq!(stats.format, "json-journal");
         assert_eq!(stats.entries, 3);
 
-        bin.compact_to(CacheFormat::Binary).unwrap();
-        let stats = cache_file_stats(&bin_journal_path).unwrap();
+        journaling.compact_to(CacheFormat::Binary).unwrap();
+        let stats = cache_file_stats(&journal_path).unwrap();
         assert_eq!(stats.format, "binary-snapshot");
         assert_eq!(stats.entries, 3);
         let bloom = stats.bloom.expect("binary compact writes a bloom block");
         assert!(bloom.fp_estimate < 0.05);
+
+        // The fourth form, the removed binary journal, is a named error.
+        let lvbj_path = dir.join("stats.bjournal");
+        std::fs::write(&lvbj_path, REMOVED_LVBJ_SAMPLE).unwrap();
+        let err = cache_file_stats(&lvbj_path).expect_err("an LVBJ file must be refused");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("binary cache journal"), "{}", err);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

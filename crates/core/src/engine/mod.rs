@@ -26,24 +26,20 @@
 //! purely a wall-clock optimization over `threads = 1`, which in turn equals
 //! the one-shot [`crate::check_equivalence`].
 //!
-//! On top of the worker pool the engine is *observable*, *cached*, and
-//! optionally *self-tuning*:
+//! On top of the worker pool the engine is *observable* and *cached*:
 //!
 //! * [`VerificationEngine::run_batch_observed`] streams job/stage/verdict
 //!   events to a [`BatchObserver`] as workers make progress;
 //! * a configured [`VerdictCache`] is consulted per job *before any stage
 //!   runs*, keyed by `(scalar, candidate, config)` content hashes; hits run
-//!   zero stages and are counted in [`BatchReport::cache_hits`];
-//! * [`VerificationEngine::run_batch_adaptive`] runs a pilot slice under the
-//!   configured budgets, derives tightened per-stage [`lv_tv::SolverBudget`]s
-//!   from the pilot's [`crate::FunnelReport`], and runs the remainder under
-//!   them (opt-in via [`EngineConfig::adaptive`]; off by default so verdicts
-//!   stay bit-identical to the sequential path). With a persisted
-//!   [`crate::profile::CrossRunProfile`] the pilot slice becomes
-//!   unnecessary: [`StageSchedule::from_profile`] and
-//!   [`AdaptiveBudgetPolicy::derive_from_profile`](crate::AdaptiveBudgetPolicy::derive_from_profile)
-//!   derive the stage order and budgets for the *next* run from every
-//!   previous run's telemetry.
+//!   zero stages and are counted in [`BatchReport::cache_hits`].
+//!
+//! Tuning happens *between* runs, not inside one: from a persisted
+//! [`crate::profile::CrossRunProfile`], [`StageSchedule::from_profile`] and
+//! [`crate::funnel::derive_from_profile`] derive the stage order and
+//! tightened per-stage [`lv_tv::SolverBudget`]s for the next run from every
+//! previous run's telemetry, and the caller builds the next
+//! [`EngineConfig`] from them.
 //!
 //! Orthogonal to all of the above, [`EngineReuse`] switches on the cross-job
 //! SMT reuse layers (all off by default):
@@ -82,14 +78,14 @@ pub use schedule::{StageSchedule, SYMBOLIC_STAGES};
 pub use stage::{ChecksumStage, StrategyOutcome, SymbolicStage, VerificationStrategy, WorkerState};
 
 use crate::cache::{CacheKey, CachedVerdict, VerdictCache};
-use crate::funnel::{AdaptiveBudgetPolicy, FunnelReport};
-use crate::observer::{BatchObserver, IndexMapObserver, NoopObserver, OffsetObserver};
+use crate::funnel::FunnelReport;
+use crate::observer::{BatchObserver, IndexMapObserver, NoopObserver};
 use crate::pipeline::{Equivalence, EquivalenceReport, PipelineConfig, Stage};
 use lv_analysis::KernelCategory;
 use lv_cir::ast::Function;
 use lv_cir::hash::{structural_hash, structural_hash_in_env, Fnv64};
 use lv_interp::ChecksumClass;
-use lv_tv::{SymbolicStrategy, TvConfig, TvReuse, TvSessionStats};
+use lv_tv::{SymbolicStrategy, TvReuse, TvSessionStats};
 use std::sync::Arc;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -222,10 +218,6 @@ pub struct EngineConfig {
     /// Verdict cache consulted per job before any stage runs. `None`
     /// disables caching.
     pub cache: Option<Arc<VerdictCache>>,
-    /// Opt-in adaptive budget tuning, applied by
-    /// [`VerificationEngine::run_batch_adaptive`]. `None` (the default)
-    /// keeps the configured budgets and bit-identical verdicts.
-    pub adaptive: Option<AdaptiveBudgetPolicy>,
     /// Opt-in cross-job SMT reuse (blast memo, incremental per-scalar
     /// solving with scalar-affinity scheduling, CNF preprocessing). Off by
     /// default.
@@ -245,7 +237,6 @@ impl Default for EngineConfig {
             schedule: StageSchedule::algorithm1(),
             pipeline: PipelineConfig::default(),
             cache: None,
-            adaptive: None,
             reuse: EngineReuse::default(),
         }
     }
@@ -284,12 +275,6 @@ impl EngineConfig {
         self
     }
 
-    /// Returns this configuration with adaptive budget tuning enabled.
-    pub fn with_adaptive(mut self, policy: AdaptiveBudgetPolicy) -> EngineConfig {
-        self.adaptive = Some(policy);
-        self
-    }
-
     /// Returns this configuration with the given stage schedule.
     pub fn with_schedule(mut self, schedule: StageSchedule) -> EngineConfig {
         self.schedule = schedule;
@@ -310,11 +295,11 @@ impl EngineConfig {
     /// engine), the checksum harness configuration, and the symbolic
     /// budgets.
     ///
-    /// This is the `config` component of every [`CacheKey`]. Thread count,
-    /// the cache itself, and the adaptive *policy* are deliberately
-    /// excluded: none of them changes the verdict a given budget
-    /// configuration produces (an adaptive run caches its tuned-phase
-    /// verdicts under the tuned configuration's own fingerprint).
+    /// This is the `config` component of every [`CacheKey`]. Thread count
+    /// and the cache itself are deliberately excluded: neither changes the
+    /// verdict a given budget configuration produces (a run under
+    /// profile-tuned budgets caches its verdicts under the tuned
+    /// configuration's own fingerprint).
     pub fn semantic_fingerprint(&self) -> u64 {
         let mut fnv = Fnv64::new();
         fnv.write_u64(self.cascade.len() as u64);
@@ -496,23 +481,6 @@ impl BatchReport {
     }
 }
 
-/// The result of [`VerificationEngine::run_batch_adaptive`]: the merged
-/// batch plus what the tuning did.
-#[derive(Debug, Clone)]
-pub struct AdaptiveBatchReport {
-    /// The merged report over all jobs, in job order.
-    pub report: BatchReport,
-    /// How many leading jobs formed the pilot (run under base budgets).
-    pub pilot_jobs: usize,
-    /// The configured budgets the pilot ran under.
-    pub base: TvConfig,
-    /// The derived budgets the remainder ran under. Equal to `base` when the
-    /// engine has no adaptive policy or the pilot produced no evidence.
-    pub tuned: TvConfig,
-    /// The pilot's funnel — the evidence the tuning was derived from.
-    pub funnel: FunnelReport,
-}
-
 /// The parallel batch verification engine.
 pub struct VerificationEngine {
     threads: usize,
@@ -530,9 +498,6 @@ pub struct VerificationEngine {
     /// [`EngineConfig::semantic_fingerprint`] of the source configuration,
     /// precomputed once — it is part of every cache key.
     config_fingerprint: u64,
-    /// The source configuration, kept so the adaptive path can rebuild a
-    /// tuned engine. `None` for caller-assembled cascades.
-    config: Option<EngineConfig>,
     /// Cross-job SMT reuse configuration: decides worker-session reuse and
     /// the scheduling mode (scalar affinity when incremental).
     reuse: EngineReuse,
@@ -589,14 +554,11 @@ impl VerificationEngine {
             cache: config.cache.clone(),
             config_fingerprint: config.semantic_fingerprint(),
             reuse: config.reuse,
-            config: Some(config),
         }
     }
 
     /// An engine with a caller-assembled cascade. Such an engine has no
-    /// configuration fingerprint, so it never caches, and
-    /// [`VerificationEngine::run_batch_adaptive`] degenerates to a plain
-    /// batch.
+    /// configuration fingerprint, so it never caches.
     pub fn with_strategies(
         threads: usize,
         strategies: Vec<Box<dyn VerificationStrategy>>,
@@ -608,7 +570,6 @@ impl VerificationEngine {
             category_orders: Vec::new(),
             cache: None,
             config_fingerprint: 0,
-            config: None,
             reuse: EngineReuse::default(),
         }
     }
@@ -765,82 +726,6 @@ impl VerificationEngine {
             threads,
             cache_hits,
             cache_misses,
-        }
-    }
-
-    /// Runs a batch with telemetry-driven budget tuning: a pilot slice runs
-    /// under the configured budgets, the [`AdaptiveBudgetPolicy`] derives
-    /// tightened budgets from the pilot's funnel, and the remaining jobs run
-    /// under them.
-    ///
-    /// Requires [`EngineConfig::adaptive`]; without it (or for a
-    /// caller-assembled cascade) this is exactly
-    /// [`Self::run_batch_observed`] with the whole batch as the pilot, so
-    /// drivers can call it unconditionally.
-    pub fn run_batch_adaptive(
-        &self,
-        jobs: &[Job],
-        observer: &dyn BatchObserver,
-    ) -> AdaptiveBatchReport {
-        let policy = self.config.as_ref().and_then(|c| c.adaptive.clone());
-        let (Some(config), Some(policy)) = (&self.config, policy) else {
-            let report = self.run_batch_observed(jobs, observer);
-            let funnel = report.funnel();
-            let base = self
-                .config
-                .as_ref()
-                .map_or_else(TvConfig::default, |c| c.pipeline.tv.clone());
-            return AdaptiveBatchReport {
-                report,
-                pilot_jobs: jobs.len(),
-                base: base.clone(),
-                tuned: base,
-                funnel,
-            };
-        };
-
-        let pilot_len = policy.pilot_len(jobs.len());
-        // The pilot must produce real stage evidence even when a warm cache
-        // could answer it: a trace-less funnel would silently fall back to
-        // base budgets, making a warm adaptive run diverge from the cold run
-        // that filled the cache. Running the pilot through a cache-less twin
-        // re-derives the identical tuned budgets, so the remainder hits the
-        // tuned-fingerprint entries the cold run stored.
-        let pilot = if config.cache.is_some() {
-            let uncached = VerificationEngine::new(EngineConfig {
-                cache: None,
-                ..config.clone()
-            });
-            uncached.run_batch_observed(&jobs[..pilot_len], observer)
-        } else {
-            self.run_batch_observed(&jobs[..pilot_len], observer)
-        };
-        let funnel = pilot.funnel();
-        let base = config.pipeline.tv.clone();
-        let tuned = policy.derive(&funnel, &base);
-
-        let mut merged = pilot;
-        if pilot_len < jobs.len() {
-            let mut tuned_config = config.clone();
-            tuned_config.adaptive = None; // the tuning is already applied
-            tuned_config.pipeline.tv = tuned.clone();
-            let tuned_engine = VerificationEngine::new(tuned_config);
-            let rest = tuned_engine.run_batch_observed(
-                &jobs[pilot_len..],
-                &OffsetObserver::new(observer, pilot_len),
-            );
-            merged.jobs.extend(rest.jobs);
-            merged.wall += rest.wall;
-            merged.threads = merged.threads.max(rest.threads);
-            merged.cache_hits += rest.cache_hits;
-            merged.cache_misses += rest.cache_misses;
-        }
-        AdaptiveBatchReport {
-            report: merged,
-            pilot_jobs: pilot_len,
-            base,
-            tuned,
-            funnel,
         }
     }
 
@@ -1264,49 +1149,6 @@ mod tests {
             "one callback per executed stage"
         );
         assert_eq!(counter.cache_hit_count(), 0);
-    }
-
-    #[test]
-    fn adaptive_run_tightens_budgets_and_keeps_verdicts() {
-        use crate::funnel::AdaptiveBudgetPolicy;
-        use crate::observer::NoopObserver;
-        let scalar = parse_function(S000).unwrap();
-        let good = vectorize_correct(&scalar).unwrap();
-        let jobs: Vec<Job> = (0..6)
-            .map(|i| Job::new(format!("job{}", i), scalar.clone(), good.clone()))
-            .collect();
-        let policy = AdaptiveBudgetPolicy {
-            min_pilot: 2,
-            pilot_fraction: 0.3,
-            ..AdaptiveBudgetPolicy::default()
-        };
-        let engine =
-            VerificationEngine::new(EngineConfig::full(quick_pipeline()).with_adaptive(policy));
-        let adaptive = engine.run_batch_adaptive(&jobs, &NoopObserver);
-        assert_eq!(adaptive.pilot_jobs, 2);
-        assert_eq!(adaptive.report.jobs.len(), 6);
-        // Tuning only tightens.
-        assert!(
-            adaptive.tuned.alive2_budget.max_conflicts <= adaptive.base.alive2_budget.max_conflicts
-        );
-        assert!(
-            adaptive.tuned.cunroll_budget.max_conflicts
-                <= adaptive.base.cunroll_budget.max_conflicts
-        );
-        // Identical jobs stay provable under the tuned budgets.
-        assert_eq!(adaptive.report.count(Equivalence::Equivalent), 6);
-        for (i, report) in adaptive.report.jobs.iter().enumerate() {
-            assert_eq!(report.label, format!("job{}", i), "job order is kept");
-        }
-        // Without a policy, the adaptive entry point degenerates to a plain
-        // batch with everything as the pilot.
-        let plain = VerificationEngine::new(EngineConfig::full(quick_pipeline()));
-        let report = plain.run_batch_adaptive(&jobs, &NoopObserver);
-        assert_eq!(report.pilot_jobs, 6);
-        assert_eq!(
-            report.tuned.alive2_budget.max_conflicts,
-            report.base.alive2_budget.max_conflicts
-        );
     }
 
     #[test]

@@ -18,15 +18,15 @@
 //! incrementally while the sweep is still running. The drivers themselves
 //! accumulate their rows through the same callbacks instead of
 //! post-processing the finished [`BatchReport`](crate::BatchReport), so the
-//! streamed view and the returned table can never disagree. A cache and an
-//! adaptive-budget policy configured on [`ExperimentConfig`] are honored by
-//! every engine run a driver performs.
+//! streamed view and the returned table can never disagree. A cache and a
+//! stage schedule configured on [`ExperimentConfig`] are honored by every
+//! engine run a driver performs.
 
 use crate::cache::VerdictCache;
 use crate::engine::{
     parallel_map, EngineConfig, Job, JobReport, StageSchedule, VerificationEngine,
 };
-use crate::funnel::{AdaptiveBudgetPolicy, FunnelReport};
+use crate::funnel::FunnelReport;
 use crate::observer::{BatchObserver, NoopObserver, TeeObserver};
 use crate::passk::pass_at_k_curve;
 use crate::pipeline::{Equivalence, PipelineConfig, Stage};
@@ -60,9 +60,6 @@ pub struct ExperimentConfig {
     /// Verdict cache shared by every engine a driver builds. `None` (the
     /// default) disables caching.
     pub cache: Option<Arc<VerdictCache>>,
-    /// Opt-in adaptive budget tuning for the Table 3 funnel. `None` (the
-    /// default) keeps the configured budgets and bit-identical verdicts.
-    pub adaptive: Option<AdaptiveBudgetPolicy>,
     /// Per-kernel-category stage schedule applied to every full-cascade
     /// engine a driver builds (usually
     /// [`StageSchedule::from_profile`](crate::engine::StageSchedule::from_profile)
@@ -83,7 +80,6 @@ impl Default for ExperimentConfig {
             performance_n: 32_000,
             threads: 0,
             cache: None,
-            adaptive: None,
             schedule: StageSchedule::algorithm1(),
         }
     }
@@ -120,7 +116,6 @@ impl ExperimentConfig {
             .with_threads(self.threads)
             .with_schedule(self.schedule.clone());
         engine.cache = self.cache.clone();
-        engine.adaptive = self.adaptive.clone();
         VerificationEngine::new(engine)
     }
 
@@ -395,9 +390,6 @@ pub struct Table3 {
     pub batch: crate::BatchReport,
     /// The telemetry funnel over the batch's stage traces.
     pub funnel: FunnelReport,
-    /// The derived budgets the post-pilot jobs ran under, when
-    /// [`ExperimentConfig::adaptive`] was set.
-    pub tuned_budgets: Option<lv_tv::TvConfig>,
 }
 
 /// The final verdict for one kernel.
@@ -458,9 +450,7 @@ pub fn table3(config: &ExperimentConfig) -> Table3 {
     table3_with(config, &NoopObserver)
 }
 
-/// [`table3`], streaming per-job engine events to `observer`. Honors
-/// [`ExperimentConfig::adaptive`]: with a policy set, the funnel batch runs
-/// through [`VerificationEngine::run_batch_adaptive`].
+/// [`table3`], streaming per-job engine events to `observer`.
 pub fn table3_with(config: &ExperimentConfig, observer: &dyn BatchObserver) -> Table3 {
     let kernels = config.kernels();
     let scalars: Vec<Function> = kernels.iter().map(|k| k.function()).collect();
@@ -501,13 +491,11 @@ pub fn table3_with(config: &ExperimentConfig, observer: &dyn BatchObserver) -> T
                 .collect(),
         ),
     };
-    let adaptive = config
+    let batch = config
         .engine()
-        .run_batch_adaptive(&jobs, &TeeObserver(&accumulator, observer));
+        .run_batch_observed(&jobs, &TeeObserver(&accumulator, observer));
     let verdicts = accumulator.verdicts.into_inner().unwrap();
-    let batch = adaptive.report;
     let funnel = batch.funnel();
-    let tuned_budgets = config.adaptive.as_ref().map(|_| adaptive.tuned);
 
     // Funnel accounting in the paper's style.
     let total = kernels.len();
@@ -563,7 +551,6 @@ pub fn table3_with(config: &ExperimentConfig, observer: &dyn BatchObserver) -> T
         suite: total,
         batch,
         funnel,
-        tuned_budgets,
     }
 }
 

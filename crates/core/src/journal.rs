@@ -445,291 +445,12 @@ pub fn check_header(replay: &Replay, kind: &str, version: i64) -> Result<(), Str
     }
 }
 
-/// The magic the binary journal format starts with (see
-/// [`BinaryJournalWriter`]). Distinct from both the text [`JOURNAL_MARKER`]
-/// and the binary snapshot magic, so dual-format readers can sniff all four
-/// persisted forms from the first bytes.
-pub const BINARY_JOURNAL_MAGIC: [u8; 4] = *b"LVBJ";
-
-/// Bytes of framing around each binary payload: a `u32` length prefix and a
-/// `u32` CRC-32 suffix, both little-endian.
-const BINARY_FRAME_BYTES: u64 = 8;
-
-/// Does `bytes` look like a binary journal? True for any non-empty prefix of
-/// [`BINARY_JOURNAL_MAGIC`] too — that is what a crash during creation
-/// leaves behind (replaying such a file yields zero records).
-pub fn is_binary_journal(bytes: &[u8]) -> bool {
-    bytes.starts_with(&BINARY_JOURNAL_MAGIC)
-        || (!bytes.is_empty() && BINARY_JOURNAL_MAGIC.starts_with(bytes))
-}
-
 /// `fsync` on a *directory*: makes a rename or file creation inside `dir`
 /// itself durable. An atomic-replace protocol that syncs only the file
 /// contents can still lose the rename on power loss — the directory entry
 /// lives in the directory's own metadata, which has its own sync point.
 pub fn fsync_dir(dir: &Path) -> io::Result<()> {
     File::open(dir)?.sync_all()
-}
-
-/// The binary counterpart of [`JournalWriter`]: an append-only journal of
-/// raw byte payloads instead of JSON lines.
-///
-/// # Format
-///
-/// ```text
-/// "LVBJ"                                    -- 4-byte magic
-/// [u32 len LE][payload bytes][u32 crc32 LE] -- frame 0: the header payload
-/// [u32 len LE][payload bytes][u32 crc32 LE] -- one frame per record
-/// …
-/// ```
-///
-/// The CRC-32 (same [`crc32`] as the text framing) covers the payload
-/// bytes. Frames are self-delimiting via the length prefix, so payloads can
-/// contain any bytes — no escaping, no terminator.
-///
-/// # Torn-tail semantics
-///
-/// [`replay_binary`] mirrors [`replay`]: a final frame that does not fit in
-/// the remaining bytes (a mid-append kill truncated it — including its
-/// length prefix claiming more bytes than exist) or whose checksum fails *at
-/// end of file* is a torn tail, reported and cut at
-/// [`BinaryReplay::valid_len`]; a checksum failure with bytes following it
-/// is interior corruption and a hard error. The poisoning, flush-batching,
-/// and durability contracts are identical to [`JournalWriter`]'s.
-#[derive(Debug)]
-pub struct BinaryJournalWriter {
-    file: BufWriter<File>,
-    path: PathBuf,
-    scratch: Vec<u8>,
-    fsync: FsyncPolicy,
-    bytes: u64,
-    poisoned: bool,
-    flush_every: usize,
-    pending: usize,
-}
-
-impl BinaryJournalWriter {
-    /// Creates a new binary journal at `path` (truncating any existing
-    /// file): writes the magic, then a header frame filled by `emit_header`.
-    pub fn create<F>(
-        path: &Path,
-        fsync: FsyncPolicy,
-        emit_header: F,
-    ) -> io::Result<BinaryJournalWriter>
-    where
-        F: FnOnce(&mut Vec<u8>),
-    {
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        let mut file = BufWriter::new(File::create(path)?);
-        file.write_all(&BINARY_JOURNAL_MAGIC)?;
-        let mut writer = BinaryJournalWriter {
-            file,
-            path: path.to_path_buf(),
-            scratch: Vec::with_capacity(256),
-            fsync,
-            bytes: BINARY_JOURNAL_MAGIC.len() as u64,
-            poisoned: false,
-            flush_every: 1,
-            pending: 0,
-        };
-        writer.append(emit_header)?;
-        Ok(writer)
-    }
-
-    /// Re-opens an existing binary journal for append after a
-    /// [`replay_binary`]: truncates to `valid_len` (discarding a torn final
-    /// frame) and continues from there.
-    pub fn open_append(
-        path: &Path,
-        fsync: FsyncPolicy,
-        valid_len: u64,
-    ) -> io::Result<BinaryJournalWriter> {
-        use std::io::Seek;
-        let mut file = OpenOptions::new().write(true).open(path)?;
-        file.set_len(valid_len)?;
-        file.seek(io::SeekFrom::Start(valid_len))?;
-        Ok(BinaryJournalWriter {
-            file: BufWriter::new(file),
-            path: path.to_path_buf(),
-            scratch: Vec::with_capacity(256),
-            fsync,
-            bytes: valid_len,
-            poisoned: false,
-            flush_every: 1,
-            pending: 0,
-        })
-    }
-
-    /// Flush batching; same contract as [`JournalWriter::set_flush_every`].
-    pub fn set_flush_every(&mut self, n: usize) {
-        self.flush_every = n.max(1);
-    }
-
-    /// The journal's file path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// The current file length written through this writer (magic + frames,
-    /// including any pre-existing valid prefix appended after).
-    pub fn bytes_written(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Whether an earlier append failed mid-frame, permanently closing this
-    /// writer to further appends (same contract as
-    /// [`JournalWriter::is_poisoned`]).
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned
-    }
-
-    /// Appends one record: `fill` writes the payload bytes into a reusable
-    /// scratch buffer (infallible — binary encoding into a `Vec` cannot
-    /// fail), then the length/CRC frame is written and flushed per the
-    /// batching policy. A file error poisons the writer, exactly like
-    /// [`JournalWriter::append`].
-    pub fn append<F>(&mut self, fill: F) -> io::Result<()>
-    where
-        F: FnOnce(&mut Vec<u8>),
-    {
-        if self.poisoned {
-            return Err(io::Error::other(
-                "binary journal writer is poisoned: an earlier append failed mid-frame, and \
-                 appending past a partial frame would corrupt the journal's interior",
-            ));
-        }
-        self.scratch.clear();
-        fill(&mut self.scratch);
-        let crc = crc32(&self.scratch);
-        match self.write_frame(crc) {
-            Ok(()) => {
-                self.bytes += self.scratch.len() as u64 + BINARY_FRAME_BYTES;
-                Ok(())
-            }
-            Err(e) => {
-                self.poisoned = true;
-                Err(e)
-            }
-        }
-    }
-
-    fn write_frame(&mut self, crc: u32) -> io::Result<()> {
-        self.file
-            .write_all(&(self.scratch.len() as u32).to_le_bytes())?;
-        self.file.write_all(&self.scratch)?;
-        self.file.write_all(&crc.to_le_bytes())?;
-        self.pending += 1;
-        if self.pending >= self.flush_every {
-            self.pending = 0;
-            self.file.flush()?;
-            if self.fsync == FsyncPolicy::EveryRecord {
-                self.file.get_ref().sync_all()?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Flushes buffered bytes to the kernel (the batched mode's commit
-    /// point).
-    pub fn flush(&mut self) -> io::Result<()> {
-        self.pending = 0;
-        self.file.flush()
-    }
-
-    /// Forces the journal to disk (`fsync`), regardless of policy.
-    pub fn sync(&mut self) -> io::Result<()> {
-        self.pending = 0;
-        self.file.flush()?;
-        self.file.get_ref().sync_all()
-    }
-}
-
-/// The result of [`replay_binary`]: borrowed payload slices of the valid
-/// prefix, plus where (and whether) a torn tail was cut.
-#[derive(Debug)]
-pub struct BinaryReplay<'a> {
-    /// The header frame's payload (`None` for a journal whose header itself
-    /// was torn — a crash at creation; zero records).
-    pub header: Option<&'a [u8]>,
-    /// Every complete record payload after the header, in append order.
-    pub records: Vec<&'a [u8]>,
-    /// Byte length of the valid prefix; bytes past this are the torn tail.
-    pub valid_len: u64,
-    /// Whether a torn final frame was discarded.
-    pub torn: bool,
-}
-
-/// Replays a binary journal: validates frames in order, tolerating (and
-/// reporting) a torn **final** frame. A checksum failure that is not at end
-/// of file is corruption and a hard error — see [`BinaryJournalWriter`].
-pub fn replay_binary(bytes: &[u8]) -> Result<BinaryReplay<'_>, String> {
-    if !is_binary_journal(bytes) {
-        return Err("file does not start with the binary journal magic".to_string());
-    }
-    let mut frames: Vec<&[u8]> = Vec::new();
-    let mut valid_len = 0u64;
-    let mut torn = bytes.len() < BINARY_JOURNAL_MAGIC.len();
-    let mut pos = BINARY_JOURNAL_MAGIC.len().min(bytes.len());
-    while pos < bytes.len() {
-        let remaining = bytes.len() - pos;
-        // A frame that does not fit in the remaining bytes is a torn tail:
-        // a mid-append kill can truncate the length prefix, the payload, or
-        // the trailing CRC, and all three look exactly like this.
-        if remaining < 4 {
-            torn = true;
-            break;
-        }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-        let Some(frame_end) = len.checked_add(8).and_then(|n| pos.checked_add(n)) else {
-            torn = true;
-            break;
-        };
-        if frame_end > bytes.len() {
-            torn = true;
-            break;
-        }
-        let payload = &bytes[pos + 4..pos + 4 + len];
-        let recorded = u32::from_le_bytes(bytes[frame_end - 4..frame_end].try_into().unwrap());
-        let computed = crc32(payload);
-        if recorded != computed {
-            if frame_end == bytes.len() {
-                // Garbage tail of a partial block write: torn, not corrupt.
-                torn = true;
-                break;
-            }
-            return Err(format!(
-                "binary journal frame at byte {} is corrupt (not a torn tail — {} bytes \
-                 follow it): checksum mismatch, recorded {:08x}, computed {:08x}",
-                pos,
-                bytes.len() - frame_end,
-                recorded,
-                computed
-            ));
-        }
-        frames.push(payload);
-        valid_len = frame_end as u64;
-        pos = frame_end;
-    }
-    let mut frames = frames.into_iter();
-    let header = frames.next();
-    if header.is_none() {
-        // Torn (or empty) header: a crash at creation. Zero records; the
-        // caller recreates the journal from scratch.
-        return Ok(BinaryReplay {
-            header: None,
-            records: Vec::new(),
-            valid_len: 0,
-            torn: true,
-        });
-    }
-    Ok(BinaryReplay {
-        header,
-        records: frames.collect(),
-        valid_len,
-        torn,
-    })
 }
 
 #[cfg(test)]
@@ -952,138 +673,6 @@ mod tests {
             replayed.records[1].get("i").and_then(Value::as_int),
             Some(9)
         );
-        let _ = std::fs::remove_file(&path);
-    }
-
-    fn write_binary_sample(path: &Path, records: usize) -> BinaryJournalWriter {
-        let mut journal = BinaryJournalWriter::create(path, FsyncPolicy::OnCompact, |buf| {
-            buf.extend_from_slice(b"test-header-v1");
-        })
-        .unwrap();
-        for i in 0..records {
-            journal
-                .append(|buf| {
-                    buf.push(i as u8);
-                    buf.extend_from_slice(b"payload with \x00 and \n raw bytes");
-                })
-                .unwrap();
-        }
-        journal
-    }
-
-    #[test]
-    fn binary_journal_round_trips() {
-        let path = temp_path("bin-roundtrip");
-        let journal = write_binary_sample(&path, 3);
-        let written = journal.bytes_written();
-        drop(journal);
-        let bytes = std::fs::read(&path).unwrap();
-        assert_eq!(bytes.len() as u64, written);
-        assert!(is_binary_journal(&bytes));
-        assert!(!is_journal(std::str::from_utf8(&bytes[..4]).unwrap()));
-        let replayed = replay_binary(&bytes).unwrap();
-        assert!(!replayed.torn);
-        assert_eq!(replayed.header, Some(&b"test-header-v1"[..]));
-        assert_eq!(replayed.valid_len, written);
-        assert_eq!(replayed.records.len(), 3);
-        for (i, record) in replayed.records.iter().enumerate() {
-            assert_eq!(record[0], i as u8);
-        }
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn binary_torn_tails_are_truncated_at_every_offset() {
-        let path = temp_path("bin-torn");
-        drop(write_binary_sample(&path, 2));
-        let full = std::fs::read(&path).unwrap();
-        let intact = replay_binary(&full).unwrap();
-        assert_eq!(intact.records.len(), 2);
-        // The second record's frame start: walk magic + header + record 0.
-        let frame_len = |pos: usize| {
-            4 + 8 + u32::from_le_bytes(full[pos..pos + 4].try_into().unwrap()) as usize
-        };
-        let mut second_start = 4;
-        second_start += frame_len(second_start); // header
-        second_start += frame_len(second_start); // record 0
-        for cut in second_start + 1..full.len() {
-            let replayed = replay_binary(&full[..cut])
-                .unwrap_or_else(|e| panic!("cut at {} must be a torn tail, got: {}", cut, e));
-            assert!(replayed.torn, "cut at {} must report a torn tail", cut);
-            assert_eq!(
-                replayed.records.len(),
-                1,
-                "cut at {} must keep exactly the first record",
-                cut
-            );
-            assert_eq!(replayed.valid_len as usize, second_start);
-        }
-        // Cuts inside the magic itself read as an empty torn journal.
-        for cut in 1..4 {
-            let replayed = replay_binary(&full[..cut]).unwrap();
-            assert!(replayed.torn);
-            assert_eq!(replayed.valid_len, 0);
-            assert!(replayed.header.is_none());
-        }
-        assert!(replay_binary(b"not a journal").is_err());
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn binary_interior_corruption_is_a_hard_error() {
-        let path = temp_path("bin-corrupt");
-        drop(write_binary_sample(&path, 2));
-        let mut bytes = std::fs::read(&path).unwrap();
-        // Flip one payload byte of the *header* frame (not the final one).
-        bytes[9] ^= 0xff;
-        let err = replay_binary(&bytes).expect_err("interior corruption must error");
-        assert!(err.contains("checksum mismatch"), "{}", err);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn binary_reopen_for_append_truncates_the_torn_tail() {
-        let path = temp_path("bin-reopen");
-        drop(write_binary_sample(&path, 2));
-        let full = std::fs::read(&path).unwrap();
-        let valid = replay_binary(&full[..full.len() - 3]).unwrap();
-        assert!(valid.torn);
-        std::fs::write(&path, &full[..full.len() - 3]).unwrap();
-
-        let mut journal =
-            BinaryJournalWriter::open_append(&path, FsyncPolicy::OnCompact, valid.valid_len)
-                .unwrap();
-        journal.append(|buf| buf.push(9)).unwrap();
-        drop(journal);
-        let on_disk = std::fs::read(&path).unwrap();
-        let replayed = replay_binary(&on_disk).unwrap();
-        assert!(!replayed.torn);
-        assert_eq!(replayed.records.len(), 2, "torn record replaced by new one");
-        assert_eq!(replayed.records[1], &[9]);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn binary_flush_batching_buffers_appends() {
-        let path = temp_path("bin-flush-every");
-        let mut journal = write_binary_sample(&path, 0);
-        journal.set_flush_every(3);
-        journal.append(|buf| buf.push(0)).unwrap();
-        journal.append(|buf| buf.push(1)).unwrap();
-        let on_disk = std::fs::read(&path).unwrap();
-        assert_eq!(
-            replay_binary(&on_disk).unwrap().records.len(),
-            0,
-            "buffered records must not have reached the file yet"
-        );
-        journal.append(|buf| buf.push(2)).unwrap();
-        let on_disk = std::fs::read(&path).unwrap();
-        assert_eq!(replay_binary(&on_disk).unwrap().records.len(), 3);
-        journal.append(|buf| buf.push(3)).unwrap();
-        journal.flush().unwrap();
-        let on_disk = std::fs::read(&path).unwrap();
-        assert_eq!(replay_binary(&on_disk).unwrap().records.len(), 4);
-        drop(journal);
         let _ = std::fs::remove_file(&path);
     }
 }

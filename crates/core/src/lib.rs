@@ -37,18 +37,14 @@
 //!   zero checksum/SMT executions and bit-identical verdicts. See the
 //!   module docs for the file format and invalidation rules;
 //! * [`funnel`] — the first consumer of the telemetry: [`FunnelReport`]
-//!   aggregates per-stage reach/kill/conflict distributions over a batch,
-//!   and [`AdaptiveBudgetPolicy`] derives tightened per-stage
-//!   [`lv_tv::SolverBudget`]s from it
-//!   ([`VerificationEngine::run_batch_adaptive`]; opt-in, default off so
-//!   verdicts stay bit-identical);
+//!   aggregates per-stage reach/kill/conflict distributions over a batch;
 //! * [`profile`] — the *cross-run* consumer of the telemetry: a
 //!   [`CrossRunProfile`] persists per-category per-stage reach/kill/time
 //!   as a CRC-framed journal next to the verdict cache, accumulating over
 //!   every sweep; [`StageSchedule::from_profile`] derives the next run's
-//!   per-category stage order from it and
-//!   [`AdaptiveBudgetPolicy::derive_from_profile`] its tightened budgets —
-//!   no pilot slice needed once a profile exists;
+//!   per-category stage order from it and [`derive_from_profile`] its
+//!   tightened per-stage [`lv_tv::SolverBudget`]s (opt-in, default off so
+//!   verdicts stay bit-identical);
 //! * [`service`] — the always-on form of the engine: a loopback-first TCP
 //!   daemon ([`VerificationService`]) plus client ([`ServiceClient`])
 //!   speaking a length-prefixed, CRC32-framed binary protocol whose verdict
@@ -145,10 +141,10 @@ pub use cache::{
     VerdictCache, CACHE_FORMAT_VERSION,
 };
 pub use engine::{
-    job_channel, parallel_map, AdaptiveBatchReport, BatchReport, ChecksumStage, EngineConfig,
-    EngineReuse, Job, JobProducer, JobReport, JobSource, ReuseCounters, SimplifyCounters,
-    StageSchedule, StageTrace, StrategyOutcome, SymbolicStage, VerificationEngine,
-    VerificationStrategy, WorkerState, SYMBOLIC_STAGES,
+    job_channel, parallel_map, BatchReport, ChecksumStage, EngineConfig, EngineReuse, Job,
+    JobProducer, JobReport, JobSource, ReuseCounters, SimplifyCounters, StageSchedule, StageTrace,
+    StrategyOutcome, SymbolicStage, VerificationEngine, VerificationStrategy, WorkerState,
+    SYMBOLIC_STAGES,
 };
 pub use experiments::{
     figure1, figure1_with, figure5, figure5_with, figure6, figure6_with, fsm_evaluation,
@@ -156,11 +152,11 @@ pub use experiments::{
     ExperimentConfig, Figure5, FsmEvaluation, KernelVerdict, SpeedupFigure, SpeedupRow, Table2,
     Table2Column, Table3, Table3Row,
 };
-pub use funnel::{AdaptiveBudgetPolicy, FunnelReport, StageFunnel, HISTOGRAM_BUCKETS};
+pub use funnel::{derive_from_profile, FunnelReport, StageFunnel, HISTOGRAM_BUCKETS};
 pub use journal::FsyncPolicy;
 pub use observer::{
     BatchObserver, CallbackObserver, CountingObserver, IndexMapObserver, NoopObserver,
-    OffsetObserver, StreamObserver, TeeObserver,
+    StreamObserver, TeeObserver,
 };
 pub use passk::{
     generate_then_verify_pass_at_k, overlapped_pass_at_k, overlapped_pass_at_k_observed, pass_at_k,
@@ -172,7 +168,7 @@ pub use service::{
     GenerationRequest, ServiceClient, ServiceError, ServiceStatus, VerificationService,
 };
 pub use shard::{
-    run_generated_sweep, run_sharded_sweep, run_worker_from_args, FlushMode, GenerationSpec,
-    ShardError, ShardOutcome, ShardPlan, ShardPolicy, ShardStatus, ShardedSweep, SweepConfig,
-    SweepManifest, WorkerSpec,
+    run_generated_sweep, run_sharded_sweep, run_worker_from_args, GenerationSpec, ShardError,
+    ShardOutcome, ShardPlan, ShardPolicy, ShardStatus, ShardedSweep, SweepConfig, SweepManifest,
+    WorkerSpec,
 };

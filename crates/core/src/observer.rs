@@ -206,40 +206,10 @@ impl BatchObserver for TeeObserver<'_> {
     }
 }
 
-/// Forwards events with job indices shifted by a fixed offset — used by the
-/// adaptive engine path, which runs a batch as two sub-batches but reports
-/// indices in the original job order.
-#[derive(Debug, Clone, Copy)]
-pub struct OffsetObserver<'a> {
-    inner: &'a dyn BatchObserver,
-    offset: usize,
-}
-
-impl<'a> OffsetObserver<'a> {
-    /// Wraps `inner`, adding `offset` to every job index.
-    pub fn new(inner: &'a dyn BatchObserver, offset: usize) -> OffsetObserver<'a> {
-        OffsetObserver { inner, offset }
-    }
-}
-
-impl BatchObserver for OffsetObserver<'_> {
-    fn job_started(&self, index: usize, job: &Job) {
-        self.inner.job_started(index + self.offset, job);
-    }
-
-    fn stage_finished(&self, index: usize, job: &Job, trace: &StageTrace) {
-        self.inner.stage_finished(index + self.offset, job, trace);
-    }
-
-    fn job_finished(&self, index: usize, report: &JobReport) {
-        self.inner.job_finished(index + self.offset, report);
-    }
-}
-
 /// Forwards events with each local batch index replaced by
-/// `indices[local]` — the generalization of [`OffsetObserver`] used by the
-/// engine's streaming fallback and the shard runner, which run a sub-batch
-/// whose positions in the original job order are arbitrary.
+/// `indices[local]` — used by the engine's streaming fallback and the shard
+/// runner, which run a sub-batch whose positions in the original job order
+/// are arbitrary.
 #[derive(Debug, Clone, Copy)]
 pub struct IndexMapObserver<'a> {
     inner: &'a dyn BatchObserver,

@@ -1,17 +1,16 @@
 //! The persisted cross-run telemetry profile.
 //!
 //! The [`FunnelReport`](crate::FunnelReport) aggregates one batch's stage
-//! telemetry and the [`AdaptiveBudgetPolicy`](crate::AdaptiveBudgetPolicy)
-//! tunes budgets from a *pilot slice* of the same batch — but everything
-//! either learns dies with the process. A [`CrossRunProfile`] is the
-//! cross-run memory: per kernel category ([`lv_analysis::KernelCategory`])
-//! and per cascade stage it accumulates how many jobs reached the stage, how
-//! many it killed, and how much wall time and SAT effort it spent, over
-//! *every* sweep that ever recorded into it. From a loaded profile,
+//! telemetry — but everything it learns dies with the process. A
+//! [`CrossRunProfile`] is the cross-run memory: per kernel category
+//! ([`lv_analysis::KernelCategory`]) and per cascade stage it accumulates
+//! how many jobs reached the stage, how many it killed, and how much wall
+//! time and SAT effort it spent, over *every* sweep that ever recorded into
+//! it. From a loaded profile,
 //! [`StageSchedule::from_profile`](crate::engine::StageSchedule::from_profile)
 //! derives the per-category stage order and
-//! [`AdaptiveBudgetPolicy::derive_from_profile`](crate::AdaptiveBudgetPolicy::derive_from_profile)
-//! derives tightened budgets for the next run — no pilot slice needed.
+//! [`derive_from_profile`](crate::funnel::derive_from_profile) derives
+//! tightened budgets for the next run.
 //!
 //! # File format
 //!

@@ -1,7 +1,7 @@
 //! The framed binary wire protocol of the verification service.
 //!
-//! Every message travels in one **CRC32 frame** — the binary journal's
-//! (`LVBJ`) framing idiom lifted onto a socket:
+//! Every message travels in one **CRC32 frame** — the [`crc32`] checksum of
+//! the journal framing in [`crate::journal`], length-prefixed for a socket:
 //!
 //! ```text
 //! [payload length u32 LE][payload bytes][crc32(payload) u32 LE]

@@ -13,14 +13,14 @@
 //! ([`VerdictCache::merge_from`]) and bounded by the configured
 //! [`CacheBounds`] before the merged cache is persisted.
 
-use crate::cache::{CacheBounds, CacheFormat, CachedVerdict, VerdictCache};
+use crate::cache::{CacheBounds, CachedVerdict, VerdictCache};
 use crate::engine::{job_cache_key, BatchReport, Job, JobReport, VerificationEngine};
 use crate::journal::FsyncPolicy;
 use crate::profile::CrossRunProfile;
 use crate::shard::exchange::{
     read_progress, GenerationSpec, ShardProgress, ShardReportFile, SweepManifest,
 };
-use crate::shard::runner::{cache_path, claims_path, profile_path, report_path, FlushMode};
+use crate::shard::runner::{cache_path, claims_path, profile_path, report_path};
 use crate::shard::{ShardError, ShardPolicy};
 use crate::EngineConfig;
 use std::collections::BTreeMap;
@@ -165,22 +165,14 @@ pub struct SweepConfig {
     pub worker: WorkerSpec,
     /// Bounds applied to the merged cache before it is persisted.
     pub bounds: CacheBounds,
-    /// How workers flush per-job output (passed as `--flush`/`--fsync`):
-    /// append-only journals by default, whole-file rewrite as the legacy
-    /// fallback. The merge path reads both formats regardless, so mixed
-    /// sweeps (e.g. during a rolling change of the default) still merge.
-    pub flush: FlushMode,
+    /// Whether workers `fsync` each journal record (passed as `--fsync`);
+    /// also the policy of the coordinator's profile append.
+    pub fsync: FsyncPolicy,
     /// Journal flush batching (passed as `--flush-every`): every `n`-th
     /// record append flushes; a killed worker loses at most `n - 1`
     /// buffered tail records (plus one torn record), all of which the
     /// coordinator's recovery re-runs anyway. Default 1 (flush per record).
     pub flush_every: usize,
-    /// Serialization of the per-shard cache journals (passed as
-    /// `--cache-format`): compact binary records or the legacy JSON lines.
-    /// Only meaningful in journal flush mode. The *merged* cache this
-    /// coordinator persists stays a JSON snapshot either way, so sweep
-    /// outputs are bit-identical across formats (the interop guarantee).
-    pub cache_format: CacheFormat,
     /// Cross-run profile journal ([`CrossRunProfile`]) to accumulate this
     /// sweep's telemetry into. Each worker appends its shard's delta to its
     /// own `shard-<i>.profile.json` in the workdir (passed as `--profile`;
@@ -194,9 +186,9 @@ pub struct SweepConfig {
     pub fail_shard_after: Option<(usize, usize)>,
     /// Live-shard work stealing (passed as `--steal`): workers that finish
     /// their own share claim pending jobs from slow siblings through
-    /// CRC-framed claim journals next to the shard reports. Requires
-    /// journal flush mode; see the [module docs](crate::shard) for the
-    /// claim protocol and its conflict rules.
+    /// CRC-framed claim journals next to the shard reports; see the
+    /// [module docs](crate::shard) for the claim protocol and its conflict
+    /// rules.
     pub steal: bool,
     /// Per-shard stall detection: a worker whose report journal shows no
     /// new heartbeat *and* no new report for this long is presumed hung and
@@ -224,9 +216,8 @@ impl Default for SweepConfig {
             timeout: Duration::from_secs(600),
             worker: WorkerSpec::new("lv-sweep"),
             bounds: CacheBounds::unbounded(),
-            flush: FlushMode::default(),
+            fsync: FsyncPolicy::default(),
             flush_every: 1,
-            cache_format: CacheFormat::default(),
             profile: None,
             fail_shard_after: None,
             steal: false,
@@ -315,10 +306,10 @@ struct StallWatch {
     moved: Instant,
 }
 
-/// Runs `jobs` as a multi-process sweep under `config` (whose `cache` and
-/// `adaptive` fields are ignored — see [`SweepManifest`]) and merges the
-/// results, spawning workers as local child processes. See the
-/// [module docs](crate::shard) for the full contract.
+/// Runs `jobs` as a multi-process sweep under `config` (whose `cache` field
+/// is ignored — see [`SweepManifest`]) and merges the results, spawning
+/// workers as local child processes. See the [module docs](crate::shard)
+/// for the full contract.
 pub fn run_sharded_sweep(
     jobs: &[Job],
     config: &EngineConfig,
@@ -410,21 +401,13 @@ fn run_manifest_sweep(
             args.push(manifest_path.display().to_string());
             args.push("--out".into());
             args.push(sweep.workdir.display().to_string());
-            args.push("--flush".into());
-            args.push(sweep.flush.tag().into());
             args.push("--schedule".into());
             args.push(manifest.schedule.spec());
-            if let FlushMode::Journal(fsync) = sweep.flush {
-                args.push("--fsync".into());
-                args.push(fsync.tag().into());
-            }
+            args.push("--fsync".into());
+            args.push(sweep.fsync.tag().into());
             if sweep.flush_every > 1 {
                 args.push("--flush-every".into());
                 args.push(sweep.flush_every.to_string());
-            }
-            if sweep.cache_format != CacheFormat::default() {
-                args.push("--cache-format".into());
-                args.push(sweep.cache_format.tag().into());
             }
             if sweep.profile.is_some() {
                 args.push("--profile".into());
@@ -629,14 +612,10 @@ fn run_manifest_sweep(
         None => None,
         Some(path) => {
             let delta = CrossRunProfile::from_batch(jobs, &report.jobs);
-            let fsync = match sweep.flush {
-                FlushMode::Journal(fsync) => fsync,
-                FlushMode::Rewrite => FsyncPolicy::default(),
-            };
             // The profile is advisory — it tunes future stage orders and
             // budgets, never verdicts — so an unwritable journal must not
             // fail a sweep whose verification and merge already succeeded.
-            if let Err(e) = delta.append_to(path, fsync) {
+            if let Err(e) = delta.append_to(path, sweep.fsync) {
                 eprintln!(
                     "warning: could not append run telemetry to {}: {}",
                     path.display(),

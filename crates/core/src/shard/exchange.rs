@@ -3,8 +3,8 @@
 //! See the [module docs](crate::shard) for the format overview. Everything
 //! here reuses the `serde` shim's [`json`] document model and the verdict
 //! cache's conventions: `u64` values travel as 16-digit lower-case hex
-//! strings, enum payloads as stable string tags, and every whole-file
-//! document is written atomically (temp file + rename) so a reader never
+//! strings, enum payloads as stable string tags, and the whole-file
+//! manifest is written atomically (temp file + rename) so a reader never
 //! observes a torn write. Serialization streams through the shim's
 //! [`Emitter`] — no intermediate document tree or `String` on the per-record
 //! paths. Functions travel as printed C source —
@@ -12,12 +12,12 @@
 //! yields a structurally equal AST, so content hashes (and therefore shard
 //! assignment, cache keys, and verdicts) are unaffected by the round trip.
 //!
-//! The shard report has two interchangeable on-disk forms, mirroring the
-//! verdict cache: the **snapshot** document below, and an **append-only
-//! journal** ([`ShardReportJournal`]) whose header carries the
-//! shard/fingerprint metadata and whose records are the individual job
-//! entries — the O(record)-flush form shard workers write.
-//! [`ShardReportFile::load`] sniffs and accepts both.
+//! The shard report has one on-disk form: an **append-only journal**
+//! ([`ShardReportJournal`]) whose header carries the shard/fingerprint
+//! metadata and whose records are the individual job entries — the
+//! O(record)-flush form shard workers write and [`ShardReportFile::load`]
+//! reads. The whole-file snapshot report document of earlier builds
+//! (`{"version":…,"jobs":[…]}`) is refused with [`ShardError::Format`].
 
 use crate::cache::{
     emit_checksum, hex, parse_checksum, parse_hex, parse_stage, parse_verdict, stage_tag,
@@ -324,10 +324,8 @@ impl GenerationSpec {
 }
 
 /// The coordinator → worker manifest: the full job list, the shard layout,
-/// and the engine configuration (minus cache and adaptive policy — every
-/// worker opens its own per-shard cache file, and adaptive tuning is a
-/// whole-batch decision that sharding deliberately leaves off so verdicts
-/// stay bit-identical to the single-process run).
+/// and the engine configuration (minus the cache — every worker opens its
+/// own per-shard cache file).
 #[derive(Debug, Clone)]
 pub struct SweepManifest {
     /// Number of shards the sweep is partitioned into.
@@ -368,8 +366,8 @@ pub struct SweepManifest {
 
 impl SweepManifest {
     /// Builds a manifest for `jobs` under `config`, partitioned into
-    /// `shards` shards by `policy`. `config.cache` and `config.adaptive`
-    /// are not part of the exchange (see the struct docs).
+    /// `shards` shards by `policy`. `config.cache` is not part of the
+    /// exchange (see the struct docs).
     pub fn new(
         config: &EngineConfig,
         jobs: &[Job],
@@ -447,7 +445,6 @@ impl SweepManifest {
             schedule: self.schedule.clone(),
             pipeline: self.pipeline.clone(),
             cache: None,
-            adaptive: None,
             reuse: self.reuse,
         }
     }
@@ -725,76 +722,22 @@ pub struct ShardReportFile {
 }
 
 impl ShardReportFile {
-    /// Streams the snapshot report document into `w`. Entries are emitted
-    /// in ascending job-index order, so re-rendering the same contents is
-    /// byte-identical.
-    fn write_to<W: io::Write>(&self, w: W) -> io::Result<()> {
-        let mut entries: Vec<&(usize, JobReport)> = self.entries.iter().collect();
-        entries.sort_by_key(|(index, _)| *index);
-        let mut e = Emitter::new(w);
-        e.begin_object()?;
-        e.field_int("version", SHARD_FORMAT_VERSION)?;
-        e.field_int("shard", self.shard as i64)?;
-        e.field_int("shards", self.shards as i64)?;
-        e.field_hex("fingerprint", self.fingerprint)?;
-        e.key("jobs")?;
-        e.begin_array()?;
-        for (index, report) in entries {
-            emit_job_report(&mut e, *index, report)?;
-        }
-        e.end_array()?;
-        e.end_object()?;
-        let mut w = e.into_inner();
-        w.write_all(b"\n")
-    }
-
-    /// Serializes the report to its snapshot JSON document.
-    pub fn render(&self) -> String {
-        let mut buf = Vec::new();
-        self.write_to(&mut buf)
-            .expect("rendering to memory cannot fail");
-        String::from_utf8(buf).expect("JSON output is UTF-8")
-    }
-
-    /// Writes the snapshot report atomically; returns its size in bytes
-    /// (the whole-file flush cost the `journal_flush` bench accounts).
-    pub fn write(&self, path: &Path) -> io::Result<u64> {
-        write_atomic_stream(path, false, |w| self.write_to(w))
-    }
-
-    /// Loads a shard report — snapshot or journal form, sniffed by content.
-    /// A journal's torn final record is truncated (the killed-mid-append
-    /// case); a journal torn at its *header* has no shard metadata and is
-    /// reported as malformed, which the coordinator treats like a missing
-    /// report.
+    /// Loads a shard report journal. A torn final record is truncated (the
+    /// killed-mid-append case); a journal torn at its *header* has no shard
+    /// metadata and is reported as malformed, which the coordinator treats
+    /// like a missing report. Heartbeat records are skipped. A file that is
+    /// not a journal — including the snapshot report document earlier
+    /// builds wrote — is a [`ShardError::Format`].
     pub fn load(path: impl Into<PathBuf>) -> Result<ShardReportFile, ShardError> {
-        let path = path.into();
-        let text = std::fs::read_to_string(&path)?;
-        if journal::is_journal(&text) {
-            return ShardReportFile::from_journal(&text);
+        let text = std::fs::read_to_string(path.into())?;
+        if !journal::is_journal(&text) {
+            return Err(ShardError::Format(
+                "shard report is not a report journal (the snapshot report document \
+                 was removed; re-run the shard)"
+                    .to_string(),
+            ));
         }
-        let doc = json::parse(&text).map_err(|e| ShardError::Format(e.to_string()))?;
-        check_version(&doc, "shard report")?;
-        let entries = doc
-            .get("jobs")
-            .and_then(Value::as_array)
-            .ok_or_else(|| ShardError::Format("missing `jobs` array".to_string()))?
-            .iter()
-            .map(parse_job_report)
-            .collect::<Result<Vec<_>, String>>()
-            .map_err(ShardError::Format)?;
-        Ok(ShardReportFile {
-            shard: usize_field(&doc, "shard").map_err(ShardError::Format)?,
-            shards: usize_field(&doc, "shards").map_err(ShardError::Format)?,
-            fingerprint: parse_hex(doc.get("fingerprint"), "fingerprint")
-                .map_err(ShardError::Format)?,
-            entries,
-        })
-    }
-
-    /// Replays a report journal into the in-memory report form.
-    fn from_journal(text: &str) -> Result<ShardReportFile, ShardError> {
-        let replayed = journal::replay(text).map_err(ShardError::Format)?;
+        let replayed = journal::replay(&text).map_err(ShardError::Format)?;
         journal::check_header(&replayed, REPORT_JOURNAL_KIND, SHARD_FORMAT_VERSION)
             .map_err(ShardError::Format)?;
         let header = &replayed.header;
@@ -814,13 +757,33 @@ impl ShardReportFile {
             entries,
         })
     }
+
+    /// Compacts the report journal at `path` to exactly this report's
+    /// entries, in ascending job-index order and without heartbeats,
+    /// atomically (temp file + rename, synced before the rename).
+    /// `lv-sweep compact` uses this; compacting a compacted journal leaves
+    /// it byte-identical.
+    pub fn rewrite(&self, path: impl AsRef<Path>, fsync: FsyncPolicy) -> io::Result<()> {
+        let path = path.as_ref();
+        let tmp = path.with_extension("tmp");
+        let mut journal =
+            ShardReportJournal::create(&tmp, self.shard, self.shards, self.fingerprint, fsync)?;
+        let mut entries: Vec<&(usize, JobReport)> = self.entries.iter().collect();
+        entries.sort_by_key(|(index, _)| *index);
+        for (index, report) in entries {
+            journal.append(*index, report)?;
+        }
+        journal.sync()?;
+        drop(journal);
+        std::fs::rename(&tmp, path)
+    }
 }
 
 /// The append-only form of the shard report: a journal whose header record
 /// carries the shard metadata and whose data records are job entries.
 /// Appending a finished job is O(record) — one framed line through the
-/// journal's long-lived buffered handle — instead of the snapshot's
-/// whole-file rewrite. [`ShardReportFile::load`] reads both forms.
+/// journal's long-lived buffered handle. [`ShardReportFile::load`] reads
+/// it back.
 #[derive(Debug)]
 pub struct ShardReportJournal {
     writer: JournalWriter,
@@ -1370,7 +1333,7 @@ mod tests {
                 },
             )],
         };
-        report.write(&path).unwrap();
+        report.rewrite(&path, FsyncPolicy::OnCompact).unwrap();
         let loaded = ShardReportFile::load(&path).unwrap();
         assert_eq!(loaded.shard, 0);
         assert_eq!(loaded.shards, 2);
@@ -1393,7 +1356,73 @@ mod tests {
         assert_eq!(job.simplify.clauses_strengthened, 12);
         assert_eq!(job.simplify.arena_bytes, 65_536);
         assert_eq!(job.simplify.preprocess_micros, 800);
-        assert_eq!(loaded.render(), report.render());
+
+        // The snapshot report document of earlier builds is refused.
+        std::fs::write(
+            &path,
+            "{\"version\":1,\"shard\":0,\"shards\":2,\"fingerprint\":\"000000000000abcd\",\"jobs\":[]}\n",
+        )
+        .unwrap();
+        match ShardReportFile::load(&path) {
+            Err(ShardError::Format(e)) => assert!(e.contains("snapshot"), "{}", e),
+            other => panic!("expected a format error, got {:?}", other),
+        }
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn report_journal_compaction_drops_heartbeats_and_the_torn_tail() {
+        let dir = std::env::temp_dir().join(format!("lv-shard-compact-{}", std::process::id()));
+        let path = dir.join("shard-1.report.json");
+        let job = |label: &str| JobReport {
+            label: label.to_string(),
+            verdict: Equivalence::NotEquivalent,
+            stage: Stage::Checksum,
+            detail: String::new(),
+            checksum: Some(lv_interp::ChecksumClass::NotEquivalent),
+            traces: Vec::new(),
+            wall: Duration::from_micros(10),
+            cache_hit: false,
+            reuse: ReuseCounters::default(),
+            simplify: SimplifyCounters::default(),
+        };
+        let mut journal =
+            ShardReportJournal::create(&path, 1, 2, 0xfeed, FsyncPolicy::OnCompact).unwrap();
+        journal.append(5, &job("s5")).unwrap();
+        journal.append_heartbeat(1, 1).unwrap();
+        journal.append(3, &job("s3")).unwrap();
+        journal.append(7, &job("s7")).unwrap();
+        drop(journal);
+        // Tear the final record, as a kill mid-append would.
+        let full = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &full[..full.len() - 4]).unwrap();
+
+        let loaded = ShardReportFile::load(&path).unwrap();
+        loaded.rewrite(&path, FsyncPolicy::OnCompact).unwrap();
+        let compacted = std::fs::read(&path).unwrap();
+        let text = std::str::from_utf8(&compacted).unwrap();
+        assert!(text.starts_with(journal::JOURNAL_MARKER), "still a journal");
+        assert!(!text.contains("heartbeat"), "heartbeats dropped");
+
+        let reloaded = ShardReportFile::load(&path).unwrap();
+        assert_eq!(
+            (reloaded.shard, reloaded.shards, reloaded.fingerprint),
+            (1, 2, 0xfeed)
+        );
+        let entries: Vec<(usize, &str)> = reloaded
+            .entries
+            .iter()
+            .map(|(index, report)| (*index, report.label.as_str()))
+            .collect();
+        assert_eq!(
+            entries,
+            vec![(3, "s3"), (5, "s5")],
+            "torn s7 dropped, sorted"
+        );
+
+        // Compacting a compacted journal changes nothing.
+        reloaded.rewrite(&path, FsyncPolicy::OnCompact).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), compacted);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

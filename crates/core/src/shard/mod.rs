@@ -37,18 +37,15 @@
 //! All exchange data is JSON in the `serde` shim's [`json`](serde::json)
 //! model, streamed through its `Emitter`. `u64` values (hashes, conflict
 //! counts, microsecond wall times) are 16-digit lower-case hex strings,
-//! exactly like the [verdict cache format](crate::cache). Whole-file
-//! *snapshot* documents are written atomically (temp file + rename) so
-//! readers never observe torn writes; the per-job outputs default to
-//! **append-only journals** ([`crate::journal`]) instead — one
-//! checksum-framed record per line, appended through a buffered handle held
-//! open for the shard's lifetime, so a flush costs O(record) rather than a
-//! whole-file rewrite and a kill can only tear the final record (which
-//! readers detect by checksum and truncate). The
-//! [`FlushMode`] selects between the two; every reader sniffs the leading
-//! `{"journal":` marker and accepts either, and each journal kind reuses
-//! its snapshot format's version constant in its header record, so a
-//! format bump invalidates both representations together.
+//! exactly like the [verdict cache format](crate::cache). The manifest is
+//! a whole-file document written atomically (temp file + rename) so
+//! readers never observe torn writes; the per-job outputs are
+//! **append-only journals** ([`crate::journal`]) — one checksum-framed
+//! record per line, appended through a buffered handle held open for the
+//! shard's lifetime, so a flush costs O(record) and a kill can only tear
+//! the final record (which readers detect by checksum and truncate). Each
+//! journal kind carries its format's version constant in its header
+//! record.
 //!
 //! **Manifest** (`manifest.json`, coordinator → workers, always a
 //! snapshot): the full job list (functions as printed C source —
@@ -64,7 +61,7 @@
 //! **Per-shard verdict cache** (`shard-<i>.cache.json`, workers →
 //! coordinator): a standard [`VerdictCache`](crate::VerdictCache) file — the
 //! natural exchange format for verdicts, since entries are content-addressed
-//! and therefore mergeable by key. In journal mode the worker's cache
+//! and therefore mergeable by key. The worker's cache is a journal that
 //! appends one record per fresh verdict at insert time
 //! ([`VerdictCache::open_journal`](crate::VerdictCache::open_journal)). The
 //! coordinator merges all shard caches (plus any recovery run's entries)
@@ -78,8 +75,8 @@
 //! everything a [`JobReport`](crate::JobReport) carries, so the merged
 //! [`BatchReport`](crate::BatchReport) has full telemetry and its
 //! [`funnel`](crate::BatchReport::funnel) works across process boundaries.
-//! In journal mode ([`ShardReportJournal`]) the shard metadata rides in the
-//! journal header and each finished job is one appended record.
+//! It is a [`ShardReportJournal`]: the shard metadata rides in the journal
+//! header and each finished job is one appended record.
 //!
 //! **Cross-run profile** (`shard-<i>.profile.json`, one per worker, plus
 //! the sweep-level journal named by
@@ -110,16 +107,18 @@
 //! rewrites a journal-mode cache into the deterministic sorted snapshot
 //! (and `fsync`s it, the durability point of the default
 //! [`FsyncPolicy::OnCompact`](crate::journal::FsyncPolicy) policy),
-//! byte-identical to a snapshot-mode persist of the same contents. The
-//! coordinator's merged cache is itself written as a snapshot, which is why
-//! a journal-mode sweep still produces a merged cache file byte-identical
-//! to the single-process run (CI pins this, kill-recovery included).
+//! byte-identical to a snapshot-mode persist of the same contents, and
+//! [`ShardReportFile::rewrite`] rewrites a report journal without its
+//! heartbeats. The coordinator's merged cache is itself written as a
+//! snapshot, which is why a sharded sweep still produces a merged cache
+//! file byte-identical to the single-process run (CI pins this,
+//! kill-recovery included).
 //!
 //! # Liveness heartbeats
 //!
 //! With a heartbeat period in effect (`--heartbeat-ms`,
 //! [`SweepConfig::heartbeat`], or implied by stealing / stall detection), a
-//! journal-mode worker appends a heartbeat record —
+//! worker appends a heartbeat record —
 //! `{"heartbeat": <seq>, "finished": <n>}` — to its *report journal* on a
 //! background ticker, each one flushed immediately. Heartbeats are liveness
 //! telemetry, not job results: report replay filters them out, so the
@@ -134,11 +133,11 @@
 //!
 //! # Work stealing
 //!
-//! With [`SweepConfig::steal`] (worker flag `--steal`, journal mode only),
-//! a worker that exhausts its own share turns thief: it scans the sibling
-//! report journals for the *stalest* victim (fewest committed reports,
-//! then fewest heartbeats) with pending jobs and claims a worker-pool-sized
-//! chunk of them. Claims go through per-shard, single-writer **claim
+//! With [`SweepConfig::steal`] (worker flag `--steal`), a worker that
+//! exhausts its own share turns thief: it scans the sibling report journals
+//! for the *stalest* victim (fewest committed reports, then fewest
+//! heartbeats) with pending jobs and claims a worker-pool-sized chunk of
+//! them. Claims go through per-shard, single-writer **claim
 //! journals** (`shard-<i>.claims.json`, [`ClaimsJournal`], header kind
 //! `shard-claims`): one CRC-framed `{"index": n}` record per claimed job,
 //! flushed per append, written *before* the job runs. Claims are
@@ -167,9 +166,8 @@
 //! # Recovery semantics
 //!
 //! Workers flush their cache file and report after every finished job —
-//! a whole-file rewrite in [`FlushMode::Rewrite`], a single appended record
-//! in [`FlushMode::Journal`] — so the failure unit is one *job*, not one
-//! shard, in either mode. The coordinator collects whatever entries each
+//! one appended record each — so the failure unit is one *job*, not one
+//! shard. The coordinator collects whatever entries each
 //! shard managed to write — a worker that was killed mid-sweep (possibly
 //! tearing its final journal record, which replay truncates), exited
 //! nonzero, timed out (the coordinator kills it), failed to spawn, or wrote
@@ -230,7 +228,7 @@ pub use exchange::{
 };
 pub use plan::{job_key, ShardPlan, ShardPolicy};
 pub use runner::{
-    run_shard, run_shard_with, run_worker_from_args, FlushMode, ShardRunOptions, ShardRunOutput,
+    run_shard, run_shard_with, run_worker_from_args, ShardRunOptions, ShardRunOutput,
     WorkerInvocation,
 };
 

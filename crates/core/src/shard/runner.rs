@@ -16,31 +16,23 @@
 //! coordinator only has to re-run the jobs that are actually missing (see
 //! the [module docs](crate::shard) for the recovery contract).
 //!
-//! How a flush hits the disk is the [`FlushMode`]:
-//!
-//! * [`FlushMode::Journal`] (the default) — both outputs are append-only
-//!   journals ([`crate::journal`]) behind buffered file handles opened once
-//!   for the shard's lifetime: a finished job appends one framed record to
-//!   the report journal, and the cache appends its record at insert time,
-//!   so per-job flush I/O is O(record) and a shard's total flush I/O is
-//!   O(jobs). A kill can only tear the final record, which loaders detect
-//!   by checksum and truncate. The [`FsyncPolicy`] decides whether each
-//!   record is also `fsync`ed ([`FsyncPolicy::EveryRecord`]) or only a
-//!   final compaction is ([`FsyncPolicy::OnCompact`], default).
-//! * [`FlushMode::Rewrite`] — the legacy protocol: every flush rewrites the
-//!   whole report and cache file atomically (temp file + rename). Total
-//!   flush I/O grows quadratically with the shard's job count; it survives
-//!   for comparison (the `journal_flush` bench quantifies the gap) and as
-//!   the most conservative fallback, since every intermediate state is a
-//!   complete snapshot document.
+//! Both outputs are append-only journals ([`crate::journal`]) behind
+//! buffered file handles opened once for the shard's lifetime: a finished
+//! job appends one framed record to the report journal, and the cache
+//! appends its record at insert time, so per-job flush I/O is O(record) and
+//! a shard's total flush I/O is O(jobs). A kill can only tear the final
+//! record, which loaders detect by checksum and truncate. The
+//! [`FsyncPolicy`] decides whether each record is also `fsync`ed
+//! ([`FsyncPolicy::EveryRecord`]) or only a final compaction is
+//! ([`FsyncPolicy::OnCompact`], default).
 
-use crate::cache::{CacheFormat, VerdictCache};
+use crate::cache::VerdictCache;
 use crate::engine::{Job, JobReport, StageSchedule, VerificationEngine};
 use crate::journal::FsyncPolicy;
 use crate::observer::BatchObserver;
 use crate::profile::CrossRunProfile;
 use crate::shard::exchange::{
-    read_claims, read_progress, ClaimsJournal, ShardReportFile, ShardReportJournal, SweepManifest,
+    read_claims, read_progress, ClaimsJournal, ShardReportJournal, SweepManifest,
 };
 use crate::shard::ShardError;
 use std::collections::BTreeSet;
@@ -48,42 +40,6 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
-
-/// How a shard worker flushes its per-job output (see the [module
-/// docs](self) for the trade-off).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlushMode {
-    /// Whole-file atomic rewrite after every job — O(file) per flush.
-    Rewrite,
-    /// Append-only journals with one framed record per flush — O(record)
-    /// per flush; the policy controls per-record `fsync`.
-    Journal(FsyncPolicy),
-}
-
-impl Default for FlushMode {
-    fn default() -> FlushMode {
-        FlushMode::Journal(FsyncPolicy::default())
-    }
-}
-
-impl FlushMode {
-    /// Stable CLI tag (`rewrite` / `journal`).
-    pub fn tag(&self) -> &'static str {
-        match self {
-            FlushMode::Rewrite => "rewrite",
-            FlushMode::Journal(_) => "journal",
-        }
-    }
-
-    /// Parses [`FlushMode::tag`] output; a journal mode carries `fsync`.
-    pub fn from_tag(tag: &str, fsync: FsyncPolicy) -> Result<FlushMode, String> {
-        match tag {
-            "rewrite" => Ok(FlushMode::Rewrite),
-            "journal" => Ok(FlushMode::Journal(fsync)),
-            other => Err(format!("unknown flush mode `{}`", other)),
-        }
-    }
-}
 
 /// Where a shard worker writes its outputs inside the sweep's working
 /// directory.
@@ -138,24 +94,15 @@ pub struct ShardRunOptions {
     /// (partial output already flushed) — how tests and the CI example
     /// simulate a worker killed mid-sweep.
     pub fail_after: Option<usize>,
-    /// How per-job output is flushed (journal by default).
-    pub flush: FlushMode,
+    /// Whether each journal record is also `fsync`ed (`--fsync`).
+    pub fsync: FsyncPolicy,
     /// Journal flush batching (`--flush-every`): every `n`-th record append
     /// flushes to the kernel; the appends in between stay buffered. `1` (the
     /// default) is the flush-per-record contract; `n > 1` trades a loss
     /// window of up to `n - 1` buffered tail records (plus at most one torn
     /// record) for `n`× fewer flush syscalls — recovery semantics are
     /// otherwise unchanged, since everything unflushed is a clean suffix.
-    /// Ignored in [`FlushMode::Rewrite`], whose unit of I/O is the whole
-    /// file regardless.
     pub flush_every: usize,
-    /// Serialization of the shard's cache journal (`--cache-format`):
-    /// compact binary records or the legacy JSON lines. Only meaningful in
-    /// [`FlushMode::Journal`] — the rewrite path's unit is the whole JSON
-    /// snapshot. The coordinator's *merged* cache stays a JSON snapshot
-    /// either way (the interop guarantee), so this knob changes per-shard
-    /// journal bytes, never sweep outputs.
-    pub cache_format: CacheFormat,
     /// Append this shard's observed per-category per-stage telemetry to the
     /// [`CrossRunProfile`] journal at this path after the shard finishes.
     /// The coordinator hands every worker its own per-shard path
@@ -166,20 +113,18 @@ pub struct ShardRunOptions {
     /// Append a liveness heartbeat record to the report journal at this
     /// period (`--heartbeat-ms`). `None` (the default) writes no
     /// heartbeats, keeping journal bytes identical to previous builds.
-    /// Only meaningful in [`FlushMode::Journal`] — heartbeats are journal
-    /// records — and note that each heartbeat flushes, which commits any
-    /// job records batched behind it ([`ShardRunOptions::flush_every`]'s
-    /// loss window shrinks to one heartbeat period).
+    /// Each heartbeat flushes, which commits any job records batched behind
+    /// it ([`ShardRunOptions::flush_every`]'s loss window shrinks to one
+    /// heartbeat period).
     pub heartbeat: Option<Duration>,
     /// Enable live-shard work stealing (`--steal`): claim own jobs through
     /// a [`ClaimsJournal`] chunk by chunk, then steal unclaimed pending
-    /// jobs from the stalest sibling shards. Requires
-    /// [`FlushMode::Journal`] and is refused (with a warning, falling back
-    /// to the plain path) when the manifest enables incremental SMT reuse,
-    /// whose concluding stage/detail depends on what else ran in the same
-    /// process — two shards racing a claim could then write *different*
-    /// (both individually correct) cache entries for one job, which the
-    /// coordinator's merge must reject. See the [module
+    /// jobs from the stalest sibling shards. Refused (with a warning,
+    /// falling back to the plain path) when the manifest enables incremental
+    /// SMT reuse, whose concluding stage/detail depends on what else ran in
+    /// the same process — two shards racing a claim could then write
+    /// *different* (both individually correct) cache entries for one job,
+    /// which the coordinator's merge must reject. See the [module
     /// docs](crate::shard) for the conflict rules.
     pub steal: bool,
     /// Fault injection for the stealing tests: sleep this long *once* at
@@ -192,28 +137,14 @@ impl Default for ShardRunOptions {
     fn default() -> ShardRunOptions {
         ShardRunOptions {
             fail_after: None,
-            flush: FlushMode::default(),
+            fsync: FsyncPolicy::default(),
             flush_every: 1,
-            cache_format: CacheFormat::default(),
             profile: None,
             heartbeat: None,
             steal: false,
             delay: None,
         }
     }
-}
-
-/// Where the shard's report output lands per [`FlushMode`]: the legacy
-/// accumulate-and-rewrite state, or the open report journal.
-enum ReportSink {
-    Rewrite {
-        shard: usize,
-        shards: usize,
-        fingerprint: u64,
-        report_file: PathBuf,
-        entries: Vec<(usize, JobReport)>,
-    },
-    Journal(ShardReportJournal),
 }
 
 /// Streams finished jobs into the shard's report + cache files, flushing
@@ -227,49 +158,21 @@ enum ReportSink {
 /// lives in the throwaway [`ChunkObserver`]s layered on top.
 struct ShardAppender {
     cache: Arc<VerdictCache>,
-    /// The sink lock is held across the file writes: `record` fires
-    /// concurrently from engine worker threads, and both sinks need their
-    /// writes serialized — the rewrite path's atomic write-then-rename uses
-    /// one fixed temp path per file, and the journal path's records must
-    /// not interleave mid-frame.
-    sink: Mutex<ReportSink>,
+    /// The report lock is held across the file writes: `record` fires
+    /// concurrently from engine worker threads, and records must not
+    /// interleave mid-frame.
+    report: Mutex<ShardReportJournal>,
     finished: AtomicUsize,
     fail_after: Option<usize>,
 }
 
 impl ShardAppender {
-    /// Commits one finished job under its *original* job index.
+    /// Commits one finished job under its *original* job index: one
+    /// O(record) append (flushed internally); the cache already appended
+    /// its record at insert time.
     fn record(&self, original: usize, report: &JobReport) {
-        {
-            let mut sink = self.sink.lock().unwrap();
-            match &mut *sink {
-                // Legacy flush: record the entry, rewrite the whole report
-                // file, rewrite the whole cache file — O(file) I/O.
-                ReportSink::Rewrite {
-                    shard,
-                    shards,
-                    fingerprint,
-                    report_file,
-                    entries,
-                } => {
-                    entries.push((original, report.clone()));
-                    let full = ShardReportFile {
-                        shard: *shard,
-                        shards: *shards,
-                        fingerprint: *fingerprint,
-                        entries: entries.clone(),
-                    };
-                    // Best-effort, like `flush`.
-                    let _ = full.write(report_file);
-                    let _ = self.cache.persist();
-                }
-                // Journal flush: one O(record) append (flushed internally);
-                // the cache already appended its record at insert time.
-                ReportSink::Journal(journal) => {
-                    let _ = journal.append(original, report);
-                }
-            }
-        }
+        // Best-effort, like `flush`.
+        let _ = self.report().append(original, report);
         let finished = self.finished.fetch_add(1, Ordering::SeqCst) + 1;
         if self.fail_after.is_some_and(|limit| finished >= limit) {
             // Simulated crash: die without unwinding, exactly like a kill
@@ -278,45 +181,24 @@ impl ShardAppender {
         }
     }
 
-    /// Appends (journal mode only) a liveness heartbeat; best-effort.
+    /// Appends a liveness heartbeat; best-effort.
     fn heartbeat(&self, seq: u64) {
         let finished = self.finished.load(Ordering::SeqCst);
-        let mut sink = self.sink.lock().unwrap();
-        if let ReportSink::Journal(journal) = &mut *sink {
-            let _ = journal.append_heartbeat(seq, finished);
-        }
+        let _ = self.report().append_heartbeat(seq, finished);
     }
 
-    /// Flushes the report sink (and, on the rewrite path, the cache — in
-    /// journal mode the cache appended and flushed its own record at insert
-    /// time, before this observer ran).
+    /// Flushes the report journal and the cache journal. Flushes are
+    /// best-effort: an unwritable report surfaces later as missing output,
+    /// which the coordinator recovers from anyway.
     fn flush(&self) {
-        let mut sink = self.sink.lock().unwrap();
-        match &mut *sink {
-            ReportSink::Rewrite {
-                shard,
-                shards,
-                fingerprint,
-                report_file,
-                entries,
-            } => {
-                let report = ShardReportFile {
-                    shard: *shard,
-                    shards: *shards,
-                    fingerprint: *fingerprint,
-                    entries: entries.clone(),
-                };
-                // Flushes are best-effort: an unwritable report surfaces
-                // later as missing output, which the coordinator recovers
-                // from anyway.
-                let _ = report.write(report_file);
-                let _ = self.cache.persist();
-            }
-            ReportSink::Journal(journal) => {
-                let _ = journal.flush();
-                let _ = self.cache.persist();
-            }
-        }
+        let _ = self.report().flush();
+        let _ = self.cache.persist();
+    }
+
+    fn report(&self) -> std::sync::MutexGuard<'_, ShardReportJournal> {
+        self.report
+            .lock()
+            .expect("a thread panicked while appending to the report journal")
     }
 }
 
@@ -352,10 +234,8 @@ impl BatchObserver for ShareStreamObserver<'_> {
 /// never races far ahead of verification (backpressure, not a job list).
 const SHARD_GENERATION_QUEUE_CAPACITY: usize = 32;
 
-/// Runs shard `shard` of `manifest`, writing `shard-<i>.cache.json` and
-/// `shard-<i>.report.json` into `out_dir` under the given [`FlushMode`]
-/// (both files are journals in journal mode, snapshots in rewrite mode —
-/// every reader sniffs and accepts either).
+/// Runs shard `shard` of `manifest`, writing the journals
+/// `shard-<i>.cache.json` and `shard-<i>.report.json` into `out_dir`.
 ///
 /// `fail_after` is the fault-injection hook: `Some(k)` makes the process
 /// exit with code 3 after `k` finished jobs (partial output already
@@ -366,7 +246,6 @@ pub fn run_shard(
     shard: usize,
     out_dir: &Path,
     fail_after: Option<usize>,
-    flush: FlushMode,
 ) -> Result<ShardRunOutput, ShardError> {
     run_shard_with(
         manifest,
@@ -374,7 +253,6 @@ pub fn run_shard(
         out_dir,
         &ShardRunOptions {
             fail_after,
-            flush,
             ..ShardRunOptions::default()
         },
     )
@@ -401,73 +279,37 @@ pub fn run_shard_with(
     let report_file = report_path(out_dir, shard);
     let fingerprint = manifest.fingerprint();
     let flush_every = options.flush_every.max(1);
-    let (cache, sink) = match options.flush {
-        FlushMode::Rewrite => (
-            Arc::new(VerdictCache::open(&cache_file)?),
-            ReportSink::Rewrite {
-                shard,
-                shards: manifest.shards,
-                fingerprint,
-                report_file: report_file.clone(),
-                entries: Vec::new(),
-            },
-        ),
-        FlushMode::Journal(fsync) => {
-            let cache = Arc::new(VerdictCache::open_journal_with(
-                &cache_file,
-                fsync,
-                options.cache_format,
-            )?);
-            cache.set_journal_flush_every(flush_every);
-            let mut journal = ShardReportJournal::create(
-                &report_file,
-                shard,
-                manifest.shards,
-                fingerprint,
-                fsync,
-            )?;
-            journal.set_flush_every(flush_every);
-            (cache, ReportSink::Journal(journal))
-        }
-    };
+    let cache = Arc::new(VerdictCache::open_journal(&cache_file, options.fsync)?);
+    cache.set_journal_flush_every(flush_every);
+    let mut report = ShardReportJournal::create(
+        &report_file,
+        shard,
+        manifest.shards,
+        fingerprint,
+        options.fsync,
+    )?;
+    report.set_flush_every(flush_every);
     let engine = VerificationEngine::new(manifest.engine_config().with_cache(cache.clone()));
 
     let appender = ShardAppender {
         cache: cache.clone(),
-        sink: Mutex::new(sink),
+        report: Mutex::new(report),
         finished: AtomicUsize::new(0),
         fail_after: options.fail_after,
     };
 
-    // Heartbeats are journal records; in rewrite mode the option is
-    // silently meaningless (every rewrite *is* a liveness signal anyway).
-    let heartbeat = match options.flush {
-        FlushMode::Journal(_) => options.heartbeat,
-        FlushMode::Rewrite => None,
-    };
-    let steal = if !options.steal {
-        false
-    } else if !matches!(options.flush, FlushMode::Journal(_)) {
-        eprintln!(
-            "lv-shard: --steal needs journal flush mode (claims are journal records); \
-             running shard {} without stealing",
-            shard
-        );
-        false
-    } else if manifest.reuse.incremental {
+    let steal = options.steal && !manifest.reuse.incremental;
+    if options.steal && !steal {
         eprintln!(
             "lv-shard: --steal is incompatible with incremental SMT reuse (a claim race \
              could produce conflicting cache entries); running shard {} without stealing",
             shard
         );
-        false
-    } else {
-        true
-    };
+    }
 
     let stop = AtomicBool::new(false);
     let (ran_jobs, ran_reports, stolen) = std::thread::scope(|scope| {
-        if let Some(period) = heartbeat {
+        if let Some(period) = options.heartbeat {
             let appender = &appender;
             let stop = &stop;
             scope.spawn(move || {
@@ -545,14 +387,11 @@ pub fn run_shard_with(
     appender.flush();
     cache.persist()?;
     if let Some(profile_path) = &options.profile {
-        // The shard's contribution to the cross-run profile. Fsync policy
-        // follows the flush mode; the profile is advisory, so a lost append
-        // only costs tuning evidence, never correctness.
-        let fsync = match options.flush {
-            FlushMode::Journal(fsync) => fsync,
-            FlushMode::Rewrite => FsyncPolicy::default(),
-        };
-        CrossRunProfile::from_batch(&ran_jobs, &ran_reports).append_to(profile_path, fsync)?;
+        // The shard's contribution to the cross-run profile. The profile is
+        // advisory, so a lost append only costs tuning evidence, never
+        // correctness.
+        CrossRunProfile::from_batch(&ran_jobs, &ran_reports)
+            .append_to(profile_path, options.fsync)?;
     }
     Ok(ShardRunOutput {
         shard,
@@ -595,10 +434,7 @@ fn run_shard_stealing(
         shard,
         manifest.shards,
         fingerprint,
-        match options.flush {
-            FlushMode::Journal(fsync) => fsync,
-            FlushMode::Rewrite => FsyncPolicy::default(),
-        },
+        options.fsync,
     )?;
     let mut claimed: BTreeSet<usize> = BTreeSet::new();
     let mut ran_jobs: Vec<Job> = Vec::new();
@@ -712,14 +548,12 @@ pub struct WorkerInvocation {
     pub out_dir: PathBuf,
     /// Fault injection: exit after this many finished jobs.
     pub fail_after: Option<usize>,
-    /// How per-job output is flushed (journal by default).
-    pub flush: FlushMode,
+    /// Journal `fsync` policy (`--fsync record|compact`); see
+    /// [`ShardRunOptions::fsync`].
+    pub fsync: FsyncPolicy,
     /// Journal flush batching (`--flush-every N`, default 1); see
     /// [`ShardRunOptions::flush_every`].
     pub flush_every: usize,
-    /// Cache-journal serialization (`--cache-format json|binary`); see
-    /// [`ShardRunOptions::cache_format`].
-    pub cache_format: CacheFormat,
     /// Cross-run profile journal to append this shard's telemetry to
     /// (`--profile <path>`).
     pub profile: Option<PathBuf>,
@@ -742,21 +576,19 @@ pub struct WorkerInvocation {
 
 impl WorkerInvocation {
     /// Parses `--shard i/N --manifest <path> --out <dir> [--fail-after k]
-    /// [--flush rewrite|journal] [--fsync record|compact] [--flush-every N]
-    /// [--cache-format json|binary] [--profile <path>] [--schedule <spec>]
-    /// [--heartbeat-ms N] [--steal] [--delay-ms N]` from `args`.
-    /// Returns `None` when `--shard` is absent (the process is not a
-    /// worker); `Some(Err(..))` when it is present but malformed.
+    /// [--fsync record|compact] [--flush-every N] [--profile <path>]
+    /// [--schedule <spec>] [--heartbeat-ms N] [--steal] [--delay-ms N]` from
+    /// `args`. Returns `None` when `--shard` is absent (the process is not a
+    /// worker); `Some(Err(..))` when it is present but malformed, or names
+    /// a removed flag (`--flush`, `--cache-format`).
     pub fn parse(args: &[String]) -> Option<Result<WorkerInvocation, ShardError>> {
         args.iter().any(|a| a == "--shard").then(|| {
             let mut shard = None;
             let mut manifest = None;
             let mut out_dir = None;
             let mut fail_after = None;
-            let mut flush_tag: Option<String> = None;
             let mut fsync = FsyncPolicy::default();
             let mut flush_every = 1usize;
-            let mut cache_format = CacheFormat::default();
             let mut profile = None;
             let mut schedule = None;
             let mut heartbeat_ms = None;
@@ -790,7 +622,12 @@ impl WorkerInvocation {
                     }
                     "--manifest" => manifest = Some(PathBuf::from(value("--manifest")?)),
                     "--out" => out_dir = Some(PathBuf::from(value("--out")?)),
-                    "--flush" => flush_tag = Some(value("--flush")?),
+                    "--flush" | "--cache-format" => {
+                        return Err(ShardError::BadInvocation(format!(
+                            "{} was removed: shard outputs are always JSON journals",
+                            arg
+                        )))
+                    }
                     "--fsync" => {
                         fsync = FsyncPolicy::from_tag(&value("--fsync")?)
                             .map_err(ShardError::BadInvocation)?
@@ -807,10 +644,6 @@ impl WorkerInvocation {
                                         spec
                                     ))
                                 })?;
-                    }
-                    "--cache-format" => {
-                        cache_format = CacheFormat::from_tag(&value("--cache-format")?)
-                            .map_err(ShardError::BadInvocation)?
                     }
                     "--profile" => profile = Some(PathBuf::from(value("--profile")?)),
                     "--schedule" => {
@@ -867,10 +700,6 @@ impl WorkerInvocation {
                     shard, shards
                 )));
             }
-            let flush = match flush_tag {
-                None => FlushMode::Journal(fsync),
-                Some(tag) => FlushMode::from_tag(&tag, fsync).map_err(ShardError::BadInvocation)?,
-            };
             Ok(WorkerInvocation {
                 shard,
                 shards,
@@ -881,9 +710,8 @@ impl WorkerInvocation {
                     ShardError::BadInvocation("worker mode needs --out <dir>".to_string())
                 })?,
                 fail_after,
-                flush,
+                fsync,
                 flush_every,
-                cache_format,
                 profile,
                 schedule,
                 heartbeat_ms,
@@ -938,9 +766,8 @@ pub fn run_worker(invocation: &WorkerInvocation) -> Result<ShardRunOutput, Shard
         &invocation.out_dir,
         &ShardRunOptions {
             fail_after: invocation.fail_after,
-            flush: invocation.flush,
+            fsync: invocation.fsync,
             flush_every: invocation.flush_every,
-            cache_format: invocation.cache_format,
             profile: invocation.profile.clone(),
             heartbeat: invocation.heartbeat_ms.map(Duration::from_millis),
             steal: invocation.steal,
@@ -978,12 +805,11 @@ mod tests {
         assert_eq!(parsed.out_dir, PathBuf::from("work"));
         assert_eq!(parsed.fail_after, Some(3));
         assert_eq!(
-            parsed.flush,
-            FlushMode::Journal(FsyncPolicy::OnCompact),
-            "journal is the default flush mode"
+            parsed.fsync,
+            FsyncPolicy::OnCompact,
+            "sync on compaction by default"
         );
         assert_eq!(parsed.flush_every, 1, "flush batching defaults off");
-        assert_eq!(parsed.cache_format, CacheFormat::Json, "JSON by default");
         assert_eq!(parsed.profile, None);
         assert_eq!(parsed.schedule, None);
         assert_eq!(parsed.heartbeat_ms, None, "heartbeats default off");
@@ -999,8 +825,6 @@ mod tests {
             "o",
             "--flush-every",
             "8",
-            "--cache-format",
-            "binary",
             "--profile",
             "prof.json",
             "--schedule",
@@ -1009,7 +833,6 @@ mod tests {
         .expect("worker mode")
         .expect("well-formed");
         assert_eq!(tuned.flush_every, 8);
-        assert_eq!(tuned.cache_format, CacheFormat::Binary);
         assert_eq!(tuned.profile, Some(PathBuf::from("prof.json")));
         let schedule = tuned.schedule.expect("schedule parsed");
         assert_eq!(schedule.spec(), "reduction=cunroll,alive2,splitting");
@@ -1033,19 +856,6 @@ mod tests {
         assert_eq!(stealing.heartbeat_ms, Some(250));
         assert_eq!(stealing.delay_ms, Some(4000));
 
-        let legacy = WorkerInvocation::parse(&args(&[
-            "--shard",
-            "0/2",
-            "--manifest",
-            "m",
-            "--out",
-            "o",
-            "--flush",
-            "rewrite",
-        ]))
-        .expect("worker mode")
-        .expect("well-formed");
-        assert_eq!(legacy.flush, FlushMode::Rewrite);
         let synced = WorkerInvocation::parse(&args(&[
             "--shard",
             "0/2",
@@ -1053,14 +863,12 @@ mod tests {
             "m",
             "--out",
             "o",
-            "--flush",
-            "journal",
             "--fsync",
             "record",
         ]))
         .expect("worker mode")
         .expect("well-formed");
-        assert_eq!(synced.flush, FlushMode::Journal(FsyncPolicy::EveryRecord));
+        assert_eq!(synced.fsync, FsyncPolicy::EveryRecord);
 
         for bad in [
             vec!["--shard", "2"],
@@ -1079,7 +887,17 @@ mod tests {
                 "--out",
                 "o",
                 "--flush",
-                "parchment",
+                "rewrite",
+            ],
+            vec![
+                "--shard",
+                "0/2",
+                "--manifest",
+                "m",
+                "--out",
+                "o",
+                "--flush",
+                "journal",
             ],
             vec![
                 "--shard",
@@ -1109,7 +927,17 @@ mod tests {
                 "--out",
                 "o",
                 "--cache-format",
-                "yaml",
+                "binary",
+            ],
+            vec![
+                "--shard",
+                "0/2",
+                "--manifest",
+                "m",
+                "--out",
+                "o",
+                "--cache-format",
+                "json",
             ],
             vec![
                 "--shard",

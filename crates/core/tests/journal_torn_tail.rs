@@ -141,7 +141,7 @@ fn compacted_journal_is_byte_identical_to_the_snapshot_persist() {
     assert_eq!(reloaded.len(), entries.len());
 
     // A snapshot converted back to journal mode keeps its contents and can
-    // keep appending (the upgrade path for a warm rewrite-mode cache).
+    // keep appending (the upgrade path for a warm snapshot-mode cache).
     let upgraded = VerdictCache::open_journal(&journal_path, FsyncPolicy::OnCompact).unwrap();
     assert_eq!(upgraded.len(), entries.len());
     assert!(upgraded.is_journaling());
@@ -201,14 +201,9 @@ fn report_journal_truncated_at_every_offset_of_its_final_record_loads_the_prefix
         assert_eq!(report.label, "s112");
         assert_eq!(report.traces.len(), 1);
     }
-    // The untruncated journal loads both entries, and re-rendering it as a
-    // snapshot produces the same document a snapshot-mode report would.
+    // The untruncated journal loads both entries.
     let loaded = ShardReportFile::load(&path).unwrap();
     assert_eq!(loaded.entries.len(), 2);
-    let as_snapshot = dir.join("as-snapshot.json");
-    loaded.write(&as_snapshot).unwrap();
-    let reloaded = ShardReportFile::load(&as_snapshot).unwrap();
-    assert_eq!(reloaded.render(), loaded.render());
     let _ = std::fs::remove_dir_all(&dir);
 }
 

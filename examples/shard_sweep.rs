@@ -5,15 +5,12 @@
 //! subsystem's contract end to end, self-executing as its own worker
 //! processes:
 //!
-//! * a 2-shard multi-process sweep on the **journal** flush path (the
-//!   default: per-shard cache + report are append-only journals, O(record)
-//!   flush I/O) produces per-job verdicts identical to a single-process
-//!   run, and compacts — the coordinator's merge writes the canonical
-//!   snapshot — to a merged verdict-cache file **byte** identical to the
-//!   single-process cache file;
-//! * the legacy **rewrite** flush path (whole-file rewrite per job) still
-//!   merges byte-identically too, so both exchange formats stay honest;
-//! * killing one shard worker mid-sweep on the journal path (fault
+//! * a 2-shard multi-process sweep (per-shard cache + report are
+//!   append-only journals, O(record) flush I/O) produces per-job verdicts
+//!   identical to a single-process run, and compacts — the coordinator's
+//!   merge writes the canonical snapshot — to a merged verdict-cache file
+//!   **byte** identical to the single-process cache file;
+//! * killing one shard worker mid-sweep (fault
 //!   injection: the worker exits after 2 jobs, records flushed) is
 //!   recovered by the coordinator re-running the missing jobs in-process —
 //!   and the merged outputs are *still* byte-identical to the
@@ -36,9 +33,8 @@
 use llm_vectorizer_repro::agents::{fsm_candidate_batch, FsmConfig, LlmConfig, SyntheticLlm};
 use llm_vectorizer_repro::core::shard::run_worker_from_args;
 use llm_vectorizer_repro::core::{
-    run_sharded_sweep, BatchReport, CrossRunProfile, EngineConfig, EngineReuse, FlushMode,
-    FsyncPolicy, Job, PipelineConfig, ShardPolicy, ShardStatus, StageSchedule, SweepConfig,
-    VerdictCache, WorkerSpec,
+    run_sharded_sweep, BatchReport, CrossRunProfile, EngineConfig, EngineReuse, FsyncPolicy, Job,
+    PipelineConfig, ShardPolicy, ShardStatus, StageSchedule, SweepConfig, VerdictCache, WorkerSpec,
 };
 use llm_vectorizer_repro::interp::ChecksumConfig;
 use llm_vectorizer_repro::tsvc::KERNELS;
@@ -140,18 +136,15 @@ fn sharded(
     config: &EngineConfig,
     workdir: PathBuf,
     fail: Option<(usize, usize)>,
-    flush: FlushMode,
 ) -> llm_vectorizer_repro::core::ShardedSweep {
-    sharded_with(jobs, config, workdir, fail, flush, 1, None)
+    sharded_with(jobs, config, workdir, fail, 1, None)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn sharded_with(
     jobs: &[Job],
     config: &EngineConfig,
     workdir: PathBuf,
     fail: Option<(usize, usize)>,
-    flush: FlushMode,
     flush_every: usize,
     profile: Option<PathBuf>,
 ) -> llm_vectorizer_repro::core::ShardedSweep {
@@ -161,7 +154,6 @@ fn sharded_with(
         workdir,
         worker: WorkerSpec::current_exe().expect("own executable"),
         fail_shard_after: fail,
-        flush,
         flush_every,
         profile,
         ..SweepConfig::default()
@@ -204,14 +196,8 @@ fn main() {
     single_cache.persist().expect("persist single cache");
     let single_bytes = read(&single_cache_path);
 
-    println!("== 2-shard multi-process sweep, journal flush (self-exec workers) ==");
-    let healthy = sharded(
-        &jobs,
-        &config,
-        dir.join("healthy"),
-        None,
-        FlushMode::default(),
-    );
+    println!("== 2-shard multi-process sweep (self-exec workers) ==");
+    let healthy = sharded(&jobs, &config, dir.join("healthy"), None);
     for outcome in &healthy.shards {
         println!(
             "shard {}: {:?}, {}/{} reported",
@@ -251,27 +237,8 @@ fn main() {
          single-process cache file"
     );
 
-    println!("== 2-shard sweep, legacy rewrite flush ==");
-    let legacy = sharded(&jobs, &config, dir.join("legacy"), None, FlushMode::Rewrite);
-    for outcome in &legacy.shards {
-        assert_eq!(outcome.status, ShardStatus::Completed);
-        assert_eq!(outcome.reported, outcome.planned);
-    }
-    assert_reports_match(&single, &legacy.report, "healthy 2-shard rewrite sweep");
-    assert_eq!(
-        single_bytes,
-        read(&legacy.cache_file),
-        "rewrite sweep: merged cache file must stay byte-identical too"
-    );
-
-    println!("== kill-recovery on the journal path: shard 0 dies after 2 jobs ==");
-    let wounded = sharded(
-        &jobs,
-        &config,
-        dir.join("wounded"),
-        Some((0, 2)),
-        FlushMode::default(),
-    );
+    println!("== kill-recovery: shard 0 dies after 2 jobs ==");
+    let wounded = sharded(&jobs, &config, dir.join("wounded"), Some((0, 2)));
     let shard0 = &wounded.shards[0];
     assert_eq!(
         shard0.status,
@@ -327,7 +294,6 @@ fn main() {
         &scheduled_config,
         dir.join("guided"),
         None,
-        FlushMode::default(),
         1,
         Some(profile_path.clone()),
     );
@@ -376,15 +342,7 @@ fn main() {
     );
 
     println!("== batched-flush kill-recovery: --flush-every 3, shard 0 dies after 2 jobs ==");
-    let batched = sharded_with(
-        &jobs,
-        &config,
-        dir.join("batched"),
-        Some((0, 2)),
-        FlushMode::default(),
-        3,
-        None,
-    );
+    let batched = sharded_with(&jobs, &config, dir.join("batched"), Some((0, 2)), 3, None);
     let shard0 = &batched.shards[0];
     assert_eq!(
         shard0.status,
@@ -426,13 +384,7 @@ fn main() {
         config.semantic_fingerprint(),
         "incremental reuse is a distinct cache configuration"
     );
-    let reused = sharded(
-        &jobs,
-        &reuse_config,
-        dir.join("reuse"),
-        None,
-        FlushMode::default(),
-    );
+    let reused = sharded(&jobs, &reuse_config, dir.join("reuse"), None);
     for outcome in &reused.shards {
         assert_eq!(outcome.status, ShardStatus::Completed);
         assert_eq!(outcome.reported, outcome.planned);

@@ -11,8 +11,7 @@
 //! lv-sweep [--shards N] [--policy hash|range] [--workdir DIR]
 //!          [--kernels s000,s112,...] [--threads T] [--quick]
 //!          [--max-cache-entries N] [--timeout-secs S]
-//!          [--flush journal|rewrite] [--fsync compact|record]
-//!          [--flush-every N] [--cache-format json|binary]
+//!          [--fsync compact|record] [--flush-every N]
 //!          [--profile PATH] [--schedule default|profile|SPEC]
 //!          [--budget fixed|profile] [--reuse|--no-reuse] [--simplify]
 //!          [--steal] [--heartbeat-ms MS] [--stall-timeout-secs S]
@@ -49,14 +48,15 @@
 //! protocol), `2` on a malformed command line. Every failure is a typed
 //! error printed to stderr — never a panic.
 //!
-//! `--flush` selects how workers flush per-job output: `journal` (default)
-//! appends one framed record per job to append-only cache/report journals —
-//! O(record) flush I/O; `rewrite` is the legacy whole-file atomic rewrite.
-//! `--fsync` applies to journal mode: `compact` (default) syncs only at
-//! compaction, `record` syncs after every appended record. `--flush-every N`
-//! buffers N record appends per syscall flush (default 1); a killed worker
-//! then loses at most N−1 buffered tail records, all of which the
-//! coordinator's recovery re-runs.
+//! Workers flush per-job output by appending one framed record per job to
+//! append-only JSON cache/report journals — O(record) flush I/O. `--fsync`
+//! picks when those journals reach the disk: `compact` (default) syncs only
+//! at compaction, `record` syncs after every appended record.
+//! `--flush-every N` buffers N record appends per syscall flush (default
+//! 1); a killed worker then loses at most N−1 buffered tail records, all of
+//! which the coordinator's recovery re-runs. The `--flush` and
+//! `--cache-format` flags of earlier builds (rewrite flushing, binary cache
+//! journals) are gone and refused as usage errors.
 //!
 //! `--profile` names a cross-run profile journal: the sweep's per-category
 //! per-stage telemetry is appended to it after the merge, and
@@ -65,8 +65,7 @@
 //! from what previous runs recorded there. `--schedule` also accepts an
 //! explicit spec (`reduction=cunroll,alive2,splitting;...`) or `default`.
 //! `--budget profile` additionally derives tightened per-stage solver
-//! budgets from the same profile journal
-//! (`AdaptiveBudgetPolicy::derive_from_profile`) — no pilot slice needed;
+//! budgets from the same profile journal (`lv_core::derive_from_profile`);
 //! `fixed` (the default) keeps the configured budgets.
 //!
 //! `--reuse` turns on both solver-reuse layers (blasted-CNF memoization and
@@ -85,19 +84,14 @@
 //! configuration fingerprint; sweep summaries and `status` print the
 //! simplify counters (vars eliminated, clauses subsumed/strengthened).
 //!
-//! `--steal` turns on live-shard work stealing (journal flush mode only):
-//! workers that finish their share claim pending jobs from slow siblings
-//! through per-shard claim journals, so one stalled shard no longer bounds
-//! the sweep. `--heartbeat-ms` sets the liveness heartbeat period workers
-//! append to their report journals (implied at 250ms by `--steal` or
+//! `--steal` turns on live-shard work stealing: workers that finish their
+//! share claim pending jobs from slow siblings through per-shard claim
+//! journals, so one stalled shard no longer bounds the sweep.
+//! `--heartbeat-ms` sets the liveness heartbeat period workers append to
+//! their report journals (implied at 250ms by `--steal` or
 //! `--stall-timeout-secs`); `--stall-timeout-secs` makes the coordinator
 //! kill — and recover — a worker whose report journal shows neither a new
 //! heartbeat nor a new report for that long.
-//!
-//! `--cache-format binary` makes shard workers write their per-shard cache
-//! journals as compact binary records (`LVBJ` framing) instead of JSON
-//! lines. The merged cache the coordinator persists stays a JSON snapshot
-//! either way, so sweep outputs are bit-identical across formats.
 //!
 //! `serve` runs the long-lived verification daemon
 //! ([`VerificationService`]): a loopback-first TCP listener speaking the
@@ -109,16 +103,19 @@
 //! `lv_core::service` for the protocol.
 //!
 //! `compact` rewrites journal files into their canonical compact form:
-//! verdict-cache files (any of the four persisted forms, sniffed by
+//! verdict-cache files (any of the three persisted forms, sniffed by
 //! content) become the sorted snapshot of `--format` — `json` (default,
 //! `VerdictCache::compact_journal`) or `binary` (the `LVCS` tier file with
-//! its bloom block); shard-report journals become the snapshot report
-//! document, and cross-run profile journals one summed record per cell
-//! (both JSON-only — `--format` applies to verdict caches).
+//! its bloom block); shard-report journals become a fresh report journal
+//! in job-index order without heartbeats or a torn tail, and cross-run
+//! profile journals one summed record per cell (`--format` applies to
+//! verdict caches only). A binary cache journal (`LVBJ`) written by an
+//! earlier build is refused with an error naming that removed form.
 //!
-//! `cache stats` prints, for each verdict-cache file: the sniffed form,
-//! size, entry count, bytes per entry, the per-verdict-class histogram, and
-//! the bloom block's shape and estimated false-positive rate when present.
+//! `cache stats` prints, for each verdict-cache file: the sniffed form
+//! (`json-snapshot`, `json-journal` or `binary-snapshot`), size, entry
+//! count, bytes per entry, the per-verdict-class histogram, and the bloom
+//! block's shape and estimated false-positive rate when present.
 //!
 //! Worker mode is selected by the presence of `--shard i/N` (plus
 //! `--manifest` and `--out`, which the coordinator passes automatically)
@@ -128,9 +125,9 @@ use llm_vectorizer_repro::agents::LlmConfig;
 use llm_vectorizer_repro::cir::ast::Function;
 use llm_vectorizer_repro::core::shard::{run_worker_from_args, ShardError, ShardReportFile};
 use llm_vectorizer_repro::core::{
-    cache_file_stats, generate_then_verify_pass_at_k, overlapped_pass_at_k, AdaptiveBudgetPolicy,
+    cache_file_stats, derive_from_profile, generate_then_verify_pass_at_k, overlapped_pass_at_k,
     BatchReport, CacheBounds, CacheFormat, CrossRunProfile, EngineConfig, EngineReuse, Equivalence,
-    FlushMode, FsyncPolicy, GenerationRequest, GenerationSpec, Job, PipelineConfig, ServiceClient,
+    FsyncPolicy, GenerationRequest, GenerationSpec, Job, PipelineConfig, ServiceClient,
     ShardPolicy, StageSchedule, SweepConfig, VerdictCache, VerificationEngine, VerificationService,
     WorkerSpec,
 };
@@ -272,8 +269,8 @@ fn compact_files(args: &[String]) -> Result<(), CliError> {
                 .map_err(|e| e.to_string())
                 .and_then(|report| {
                     report
-                        .write(path)
-                        .map(|_| "shard report -> snapshot")
+                        .rewrite(path, FsyncPolicy::OnCompact)
+                        .map(|()| "shard report -> compacted journal")
                         .map_err(|e| e.to_string())
                 })
         } else if bytes.starts_with(b"{\"journal\":\"cross-run-profile\"") {
@@ -847,10 +844,8 @@ struct CoordinatorArgs {
     quick: bool,
     max_entries: Option<usize>,
     timeout: Duration,
-    flush_tag: String,
     fsync: FsyncPolicy,
     flush_every: usize,
-    cache_format: CacheFormat,
     profile: Option<PathBuf>,
     schedule_arg: String,
     budget_arg: String,
@@ -873,10 +868,8 @@ fn parse_coordinator(args: &[String]) -> Result<CoordinatorArgs, CliError> {
         quick: false,
         max_entries: None,
         timeout: Duration::from_secs(600),
-        flush_tag: "journal".to_string(),
         fsync: FsyncPolicy::default(),
         flush_every: 1,
-        cache_format: CacheFormat::default(),
         profile: None,
         schedule_arg: "default".to_string(),
         budget_arg: "fixed".to_string(),
@@ -938,7 +931,6 @@ fn parse_coordinator(args: &[String]) -> Result<CoordinatorArgs, CliError> {
                         .map_err(|_| usage("--timeout-secs expects an integer"))?,
                 )
             }
-            "--flush" => opts.flush_tag = value("--flush")?,
             "--fsync" => opts.fsync = FsyncPolicy::from_tag(&value("--fsync")?).map_err(usage)?,
             "--flush-every" => {
                 opts.flush_every = value("--flush-every")?
@@ -947,9 +939,11 @@ fn parse_coordinator(args: &[String]) -> Result<CoordinatorArgs, CliError> {
                     .filter(|&n| n >= 1)
                     .ok_or_else(|| usage("--flush-every expects a positive integer"))?
             }
-            "--cache-format" => {
-                opts.cache_format =
-                    CacheFormat::from_tag(&value("--cache-format")?).map_err(usage)?
+            "--flush" | "--cache-format" => {
+                return Err(usage(format!(
+                    "{} was removed: shard outputs are always JSON journals",
+                    arg
+                )))
             }
             "--profile" => opts.profile = Some(value("--profile")?.into()),
             "--schedule" => opts.schedule_arg = value("--schedule")?,
@@ -1061,8 +1055,7 @@ fn cmd_coordinator(args: &[String]) -> Result<(), CliError> {
                     pipeline
                 }
                 Ok(loaded) => {
-                    let tuned =
-                        AdaptiveBudgetPolicy::default().derive_from_profile(&loaded, &pipeline.tv);
+                    let tuned = derive_from_profile(&loaded, &pipeline.tv);
                     println!(
                         "budgets derived from {}: alive2 {} conflicts, cunroll {}, spatial {}",
                         path.display(),
@@ -1100,7 +1093,6 @@ fn cmd_coordinator(args: &[String]) -> Result<(), CliError> {
 
     let worker = WorkerSpec::current_exe()
         .map_err(|e| runtime(format!("cannot locate own executable: {}", e)))?;
-    let flush = FlushMode::from_tag(&opts.flush_tag, opts.fsync).map_err(usage)?;
     let sweep = SweepConfig {
         shards: opts.shards,
         policy: opts.policy,
@@ -1111,9 +1103,8 @@ fn cmd_coordinator(args: &[String]) -> Result<(), CliError> {
             max_entries: opts.max_entries,
             max_bytes: None,
         },
-        flush,
+        fsync: opts.fsync,
         flush_every: opts.flush_every,
-        cache_format: opts.cache_format,
         profile: opts.profile.clone(),
         fail_shard_after: None,
         steal: opts.steal,
@@ -1124,12 +1115,12 @@ fn cmd_coordinator(args: &[String]) -> Result<(), CliError> {
 
     let describe = |count: usize, what: &str| {
         println!(
-            "sweeping {} {} over {} shard process(es) ({}, {} flush, schedule {}, reuse {}{}{}), workdir {}",
+            "sweeping {} {} over {} shard process(es) ({}, fsync {}, schedule {}, reuse {}{}{}), workdir {}",
             count,
             what,
             opts.shards,
             opts.policy.tag(),
-            flush.tag(),
+            opts.fsync.tag(),
             config.schedule.spec(),
             reuse_tag(reuse),
             if reuse.preprocess { ", simplify" } else { "" },
@@ -1494,6 +1485,10 @@ mod tests {
             strings(&["--shards"]),
             strings(&["--policy", "round-robin"]),
             strings(&["--flush-every", "0"]),
+            strings(&["--flush", "rewrite"]),
+            strings(&["--flush", "journal"]),
+            strings(&["--cache-format", "binary"]),
+            strings(&["--cache-format", "json"]),
             strings(&["--heartbeat-ms", "0"]),
             strings(&["--heartbeat-ms", "soon"]),
             strings(&["--stall-timeout-secs", "-1"]),

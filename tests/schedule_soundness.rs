@@ -15,8 +15,8 @@ use llm_vectorizer_repro::agents::vectorize_correct;
 use llm_vectorizer_repro::analysis::{categorize, KernelCategory};
 use llm_vectorizer_repro::cir::parse_function;
 use llm_vectorizer_repro::core::{
-    AdaptiveBudgetPolicy, BatchReport, CrossRunProfile, EngineConfig, Equivalence, FsyncPolicy,
-    Job, PipelineConfig, Stage, StageSchedule, VerificationEngine, SYMBOLIC_STAGES,
+    derive_from_profile, BatchReport, CrossRunProfile, EngineConfig, Equivalence, FsyncPolicy, Job,
+    PipelineConfig, Stage, StageSchedule, VerificationEngine, SYMBOLIC_STAGES,
 };
 use llm_vectorizer_repro::interp::ChecksumConfig;
 use llm_vectorizer_repro::tv::{SolverBudget, TvConfig};
@@ -200,10 +200,9 @@ fn profile_round_trip_derives_identical_schedule_and_budgets() {
         StageSchedule::from_profile(&profile)
     );
     // …and identical derived budgets.
-    let policy = AdaptiveBudgetPolicy::default();
     let base = pipeline().tv;
-    let from_memory = policy.derive_from_profile(&profile, &base);
-    let from_disk = policy.derive_from_profile(&reloaded, &base);
+    let from_memory = derive_from_profile(&profile, &base);
+    let from_disk = derive_from_profile(&reloaded, &base);
     assert_eq!(from_memory.alive2_budget, from_disk.alive2_budget);
     assert_eq!(from_memory.cunroll_budget, from_disk.cunroll_budget);
     assert_eq!(from_memory.spatial_budget, from_disk.spatial_budget);

@@ -105,16 +105,9 @@ fn run_all_shards_and_merge(
     let merged = VerdictCache::in_memory();
     let mut entries: BTreeMap<usize, JobReport> = BTreeMap::new();
     for shard in 0..loaded.shards {
-        // Journal-mode default: the report and cache land as journals,
-        // which the loaders below sniff and replay.
-        let output = run_shard(
-            &loaded,
-            shard,
-            dir,
-            None,
-            llm_vectorizer_repro::core::FlushMode::default(),
-        )
-        .expect("shard run");
+        // The report and cache land as journals, which the loaders below
+        // replay.
+        let output = run_shard(&loaded, shard, dir, None).expect("shard run");
         let report = ShardReportFile::load(&output.report_file).expect("shard report");
         assert_eq!(report.fingerprint, manifest.fingerprint());
         for (index, job_report) in report.entries {

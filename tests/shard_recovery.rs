@@ -11,11 +11,11 @@
 //! CI.
 
 use llm_vectorizer_repro::core::shard::{
-    run_shard, run_shard_with, ShardRunOptions, SweepManifest,
+    run_shard, run_shard_with, ShardReportFile, ShardReportJournal, ShardRunOptions, SweepManifest,
 };
 use llm_vectorizer_repro::core::{
-    run_sharded_sweep, EngineConfig, FlushMode, Job, PipelineConfig, ShardPolicy, ShardStatus,
-    SweepConfig, VerificationEngine, WorkerSpec,
+    run_sharded_sweep, EngineConfig, FsyncPolicy, Job, PipelineConfig, ShardPolicy, ShardStatus,
+    SweepConfig, VerdictCache, VerificationEngine, WorkerSpec,
 };
 use llm_vectorizer_repro::interp::ChecksumConfig;
 use std::path::PathBuf;
@@ -163,21 +163,31 @@ fn partial_shard_output_is_kept_and_only_missing_jobs_rerun() {
     // Contiguous split of 4 jobs over 2 shards: shard 0 owns jobs {0, 1}.
     // Stage, in a side directory, shard 0's output as it looks after dying
     // past job 0: run it over a manifest whose shard 0 is just job 0 (same
-    // shard count, so the fingerprint matches), then truncate the report to
-    // entry 0 — byte-for-byte what a killed worker leaves behind, since
-    // flushes happen after every job.
+    // shard count, so the fingerprint matches), then rebuild the report
+    // journal with entry 0 alone — what a killed worker leaves behind,
+    // since flushes happen after every job.
     let staging = temp_dir("partial-staging");
     let truncated: Vec<Job> = vec![jobs[0].clone(), jobs[2].clone(), jobs[3].clone()];
     let staged = SweepManifest::new(&config, &truncated, 2, ShardPolicy::Contiguous);
     assert_eq!(staged.plan().indices_of(0), vec![0, 1], "staging layout");
-    // Rewrite mode keeps the legacy whole-file flush protocol covered; the
-    // journal-mode version of this scenario is `torn_journal_tails_...`.
-    let output =
-        run_shard(&staged, 0, &staging, None, FlushMode::Rewrite).expect("staging shard run");
-    let mut report =
-        llm_vectorizer_repro::core::shard::ShardReportFile::load(&output.report_file).unwrap();
-    report.entries.retain(|(index, _)| *index == 0);
-    report.write(&output.report_file).unwrap();
+    // A record torn mid-append is covered by `torn_journal_tails_...`.
+    let output = run_shard(&staged, 0, &staging, None).expect("staging shard run");
+    let report = ShardReportFile::load(&output.report_file).unwrap();
+    let (index, first) = report
+        .entries
+        .iter()
+        .find(|(index, _)| *index == 0)
+        .expect("job 0 reported");
+    let mut journal = ShardReportJournal::create(
+        &output.report_file,
+        report.shard,
+        report.shards,
+        report.fingerprint,
+        FsyncPolicy::OnCompact,
+    )
+    .unwrap();
+    journal.append(*index, first).unwrap();
+    drop(journal);
     // Park the partial output under names the coordinator's pre-clean
     // leaves alone; the shard 0 "worker" installs it mid-sweep and dies.
     std::fs::copy(&output.report_file, dir.join("partial.report.json")).unwrap();
@@ -229,8 +239,8 @@ fn stale_outputs_in_a_reused_workdir_are_ignored() {
     // Sweep A: stage shard outputs for one job list via the real runner.
     let old_jobs = small_jobs();
     let old_manifest = SweepManifest::new(&config, &old_jobs, 2, ShardPolicy::Contiguous);
-    run_shard(&old_manifest, 0, &dir, None, FlushMode::default()).expect("staging shard run");
-    run_shard(&old_manifest, 1, &dir, None, FlushMode::default()).expect("staging shard run");
+    run_shard(&old_manifest, 0, &dir, None).expect("staging shard run");
+    run_shard(&old_manifest, 1, &dir, None).expect("staging shard run");
 
     // Sweep B: a *different* job list, same configuration (so the
     // config-only fingerprint in the stale reports matches), same workdir,
@@ -283,8 +293,7 @@ fn torn_journal_tails_are_truncated_and_only_missing_jobs_rerun() {
     let staging = temp_dir("torn-journal-staging");
     let manifest = SweepManifest::new(&config, &jobs, 2, ShardPolicy::Contiguous);
     assert_eq!(manifest.plan().indices_of(0), vec![0, 1], "staging layout");
-    let output =
-        run_shard(&manifest, 0, &staging, None, FlushMode::default()).expect("staging shard run");
+    let output = run_shard(&manifest, 0, &staging, None).expect("staging shard run");
     for file in [&output.report_file, &output.cache_file] {
         let bytes = std::fs::read(file).unwrap();
         let text = String::from_utf8(bytes.clone()).unwrap();
@@ -465,21 +474,24 @@ fn conflicting_shard_caches_abort_the_merge() {
     let config = quick_config();
     let dir = temp_dir("conflict");
 
-    // Produce a healthy shard cache in a staging directory, flip one
-    // verdict, and park the forgery under a name the coordinator's
-    // output pre-clean leaves alone. The "workers" then install the
-    // forgery as their own shard cache (positional parameters: $1 is
-    // `i/N`, $5 is the --out directory) without writing a report, so every
-    // job is re-run in-process — and the recovery verdicts disagree with
-    // the forged cache entry.
+    // Produce a healthy shard cache in a staging directory, persist its
+    // entries as a JSON snapshot, flip one verdict, and park the forgery
+    // under a name the coordinator's output pre-clean leaves alone. The
+    // "workers" then install the forgery as their own shard cache
+    // (positional parameters: $1 is `i/N`, $5 is the --out directory)
+    // without writing a report, so every job is re-run in-process — and
+    // the recovery verdicts disagree with the forged cache entry.
     let staging = temp_dir("conflict-staging");
     let manifest = SweepManifest::new(&config, &jobs, 2, ShardPolicy::Contiguous);
-    // Rewrite mode: the forgery below edits the snapshot text in place,
-    // which a journal's per-record checksums would (correctly) reject as
-    // corruption rather than surface as a merge conflict.
-    let output =
-        run_shard(&manifest, 0, &staging, None, FlushMode::Rewrite).expect("healthy shard run");
-    let text = std::fs::read_to_string(&output.cache_file).unwrap();
+    // The forgery edits snapshot text: a journal's per-record checksums
+    // would (correctly) reject an edited record as corruption rather than
+    // surface it as a merge conflict.
+    let output = run_shard(&manifest, 0, &staging, None).expect("healthy shard run");
+    let snapshot = staging.join("snapshot.json");
+    let copy = VerdictCache::open(&snapshot).unwrap();
+    copy.merge_file(&output.cache_file).unwrap();
+    copy.persist().unwrap();
+    let text = std::fs::read_to_string(&snapshot).unwrap();
     let flipped = text.replacen(
         "\"verdict\":\"equivalent\"",
         "\"verdict\":\"inconclusive\"",
