@@ -292,8 +292,8 @@ impl EngineConfig {
     /// first), the *effective* per-category schedule overrides (resolved
     /// against the cascade; the default schedule contributes nothing, so
     /// default-schedule fingerprints are bit-identical to the pre-schedule
-    /// engine), the checksum harness configuration, and the symbolic
-    /// budgets.
+    /// engine), the checksum harness configuration, the symbolic budgets,
+    /// and the SAT search revision ([`lv_tv::SEARCH_REVISION`]).
     ///
     /// This is the `config` component of every [`CacheKey`]. Thread count
     /// and the cache itself are deliberately excluded: neither changes the
@@ -309,6 +309,9 @@ impl EngineConfig {
         fnv.write_u64(self.pipeline.checksum.fingerprint());
         fnv.write_u64(self.pipeline.tv.fingerprint());
         self.schedule.fingerprint_into(&self.cascade, &mut fnv);
+        // A symbolic verdict is whatever the SAT search reaches within its
+        // budget, so it is keyed by the search revision that reached it.
+        fnv.write_u8(lv_tv::SEARCH_REVISION);
         // Memo replays are clause-identical, so the memo leaves the
         // fingerprint alone; a warm incremental instance is not formally
         // guaranteed to reach the same verdict as a fresh solve at the budget
@@ -1300,11 +1303,12 @@ mod tests {
     }
 
     /// Absolute fingerprints of configurations earlier builds also ran.
-    /// They must never change, or verdict caches those builds wrote would
-    /// silently miss.
-    const BASE_FINGERPRINT: u64 = 0xd49e_18e2_d523_b326;
-    const INCREMENTAL_FINGERPRINT: u64 = 0x6c57_bd70_2ba9_ee1c;
-    const PREPROCESS_FINGERPRINT: u64 = 0xc308_669a_31c2_7b0a;
+    /// They move only when [`lv_tv::SEARCH_REVISION`] does: any other
+    /// change to them would make verdict caches written by builds of the
+    /// same search revision silently miss.
+    const BASE_FINGERPRINT: u64 = 0x6c57_7070_2ba9_6b45;
+    const INCREMENTAL_FINGERPRINT: u64 = 0xc1ff_259a_30e0_f815;
+    const PREPROCESS_FINGERPRINT: u64 = 0x8581_9501_0e42_aa39;
 
     #[test]
     fn reuse_fingerprint_tracks_only_the_incremental_layer() {
@@ -1403,6 +1407,6 @@ mod tests {
         // Preprocessing is its own configuration, alone and on top of the
         // reuse stack.
         assert_eq!(preprocess.semantic_fingerprint(), PREPROCESS_FINGERPRINT);
-        assert_eq!(stacked.semantic_fingerprint(), 0x21c8_9e02_8925_35f4);
+        assert_eq!(stacked.semantic_fingerprint(), 0x2727_05cb_40b9_d6e9);
     }
 }

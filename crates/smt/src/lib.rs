@@ -15,9 +15,10 @@
 //!   ([`BitBlaster`]), with a blasted-CNF memo ([`BlastCache`]) replaying
 //!   recorded clause streams for structurally repeated queries;
 //! * [`sat`] — the CDCL SAT solver ([`SatSolver`]) with a flat clause
-//!   arena, MiniSat-style assumption solving for the incremental push/pop
-//!   pathway, and budget stops that pause and resume
-//!   ([`SatSolver::resume`]);
+//!   arena, an indexed VSIDS decision heap, MiniSat-style assumption
+//!   solving for the incremental push/pop pathway, and budget stops that
+//!   pause and resume ([`SatSolver::resume`]); [`SEARCH_REVISION`] names
+//!   its search trajectory;
 //! * [`preprocess`] — SatELite-style clause-database preprocessing
 //!   ([`preprocess::preprocess`]), run once per query before search;
 //! * [`solver`] — the user-facing facade ([`Solver`], [`CheckResult`],
@@ -69,6 +70,6 @@ pub mod term;
 
 pub use bitblast::{BitBlaster, Bits, BlastCache, BlastError, BlastState};
 pub use preprocess::{PreprocessStats, Preprocessed, SimplifyStats};
-pub use sat::{Lit, SatBudget, SatResult, SatSolver, SatStats, Var};
+pub use sat::{Lit, SatBudget, SatResult, SatSolver, SatStats, Var, SEARCH_REVISION};
 pub use solver::{CheckResult, CheckStats, Model, ReuseStats, Solver, SolverBudget, Validity};
 pub use term::{mask, sign_extend, structural_hash, Context, Op, Sort, TermData, TermId};

@@ -15,6 +15,21 @@
 //! unconditional and preserves clause insertion order, so
 //! [`SatSolver::cnf_fingerprint`] is byte-stable across the representation.
 //!
+//! The decision order is an indexed binary max-heap (`VarHeap`, MiniSat's
+//! order heap, Eén & Sörensson, SAT'03) keyed by activity, with ties going
+//! to the larger variable index. Each entry packs a variable's activity
+//! and index into one integer key, so the order is one integer comparison,
+//! and a pop walks its hole to a leaf with branch-free child picks
+//! (Floyd's heap pop). A bump sifts the variable up in place, a backtrack
+//! re-inserts the unassigned variables missing from the heap, and an
+//! activity rescale (an activity above `1e100`) re-keys it. Until a
+//! solver's first rescale, about 4,430 conflicts into its life at the
+//! earliest, it takes exactly the decisions of the lazy-deletion heap it
+//! replaced, which pushed a duplicate entry on every bump and backtrack.
+//! After a rescale that heap's stale pre-rescale entries outranked every
+//! live activity, while this one keeps the true VSIDS order; the changed
+//! trajectories are why [`SEARCH_REVISION`] is 1.
+//!
 //! A budget stop is a *pause*, not an abort. The search state that one
 //! call used to keep in locals — the restart schedule and the conflict at
 //! which the budget ran out, found and counted but not yet analysed — lives
@@ -29,7 +44,17 @@
 //! for a rebuilt instance (MiniSat-style reusable solver state, Eén &
 //! Sörensson, SAT'03).
 
-use std::collections::BinaryHeap;
+/// Revision of the CDCL search trajectory. Two builds with equal revisions
+/// take the same decisions on the same instance under the same budget, so
+/// they reach the same result at the same conflict count. A change that
+/// alters any search (a new restart policy, a different decision order,
+/// another activity rescale) bumps this value; it is folded into every
+/// engine configuration fingerprint, so verdicts cached by an earlier
+/// search never answer for a later one.
+///
+/// Revision 1 is the indexed decision heap, whose order after an activity
+/// rescale differs from the lazy heap it replaced.
+pub const SEARCH_REVISION: u8 = 1;
 
 /// A propositional variable index (0-based).
 pub type Var = u32;
@@ -171,7 +196,7 @@ pub struct SatSolver {
     qhead: usize,
     activity: Vec<f64>,
     var_inc: f64,
-    heap: BinaryHeap<(OrderedActivity, Var)>,
+    order: VarHeap,
     phase: Vec<bool>,
     /// Set when an empty clause has been added; the instance is trivially UNSAT.
     unsat: bool,
@@ -191,21 +216,118 @@ pub struct SatSolver {
     paused: Option<ClauseRef>,
 }
 
-/// f64 wrapper with a total order for the activity heap.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct OrderedActivity(f64);
+/// Marks a variable that has no slot in [`VarHeap::heap`].
+const ABSENT: u32 = u32::MAX;
 
-impl Eq for OrderedActivity {}
-impl PartialOrd for OrderedActivity {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
+/// The VSIDS decision order: an indexed binary max-heap over variables
+/// (MiniSat's `Heap`, Eén & Sörensson, SAT'03). `heap` holds each member
+/// variable once, as its [`VarHeap::key`]; `index` maps every variable to
+/// its slot or [`ABSENT`]. A bump re-keys a variable in place instead of
+/// pushing a second entry, so the heap never holds more entries than
+/// there are variables.
+#[derive(Debug, Default)]
+struct VarHeap {
+    heap: Vec<u128>,
+    index: Vec<u32>,
 }
-impl Ord for OrderedActivity {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0
-            .partial_cmp(&other.0)
-            .unwrap_or(std::cmp::Ordering::Equal)
+
+impl VarHeap {
+    /// `var`'s heap key: its activity's bits above the variable index. An
+    /// activity is never negative, and non-negative doubles order like
+    /// their bit patterns, so one integer comparison orders by activity
+    /// and breaks ties to the larger variable.
+    fn key(activity: &[f64], var: Var) -> u128 {
+        (u128::from(activity[var as usize].to_bits()) << 32) | u128::from(var)
+    }
+
+    /// The variable a key belongs to: its low 32 bits.
+    fn var(key: u128) -> Var {
+        key as Var
+    }
+
+    fn contains(&self, var: Var) -> bool {
+        self.index[var as usize] != ABSENT
+    }
+
+    /// Adds a slot for the next variable, `var`, and inserts it.
+    fn push_var(&mut self, var: Var, activity: &[f64]) {
+        debug_assert_eq!(var as usize, self.index.len());
+        self.index.push(ABSENT);
+        self.insert(var, activity);
+    }
+
+    fn insert(&mut self, var: Var, activity: &[f64]) {
+        debug_assert!(!self.contains(var));
+        self.heap.push(Self::key(activity, var));
+        self.sift_up(self.heap.len() - 1);
+    }
+
+    /// Restores the order after `var`'s activity grew.
+    fn increased(&mut self, var: Var, activity: &[f64]) {
+        let pos = self.index[var as usize];
+        if pos != ABSENT {
+            self.heap[pos as usize] = Self::key(activity, var);
+            self.sift_up(pos as usize);
+        }
+    }
+
+    fn pop_max(&mut self) -> Option<Var> {
+        let top = Self::var(*self.heap.first()?);
+        let last = self.heap.pop().expect("non-empty");
+        self.index[top as usize] = ABSENT;
+        let len = self.heap.len();
+        if len > 0 {
+            // Floyd's pop: walk the hole down to a leaf along the larger
+            // child (one branch-free comparison per level), then sift the
+            // last entry up from there; it rarely climbs far.
+            let (mut pos, mut child) = (0, 1);
+            while child + 1 < len {
+                child += usize::from(self.heap[child + 1] > self.heap[child]);
+                self.place(pos, self.heap[child]);
+                pos = child;
+                child = 2 * pos + 1;
+            }
+            if child < len {
+                self.place(pos, self.heap[child]);
+                pos = child;
+            }
+            self.heap[pos] = last;
+            self.sift_up(pos);
+        }
+        Some(top)
+    }
+
+    /// Re-keys every entry from `activity` after a rescale and restores
+    /// the order, which the rescale can change: it may round distinct
+    /// activities to equal ones, which the tie rule then orders by index.
+    /// Rescales are rare, so this simply sifts each entry up in turn.
+    fn rebuild(&mut self, activity: &[f64]) {
+        for key in &mut self.heap {
+            *key = Self::key(activity, Self::var(*key));
+        }
+        for pos in 0..self.heap.len() {
+            self.sift_up(pos);
+        }
+    }
+
+    /// Stores `key` at `pos` and records the slot in `index`.
+    fn place(&mut self, pos: usize, key: u128) {
+        self.heap[pos] = key;
+        self.index[Self::var(key) as usize] = pos as u32;
+    }
+
+    fn sift_up(&mut self, mut pos: usize) {
+        let key = self.heap[pos];
+        while pos > 0 {
+            let parent = (pos - 1) / 2;
+            let above = self.heap[parent];
+            if key < above {
+                break;
+            }
+            self.place(pos, above);
+            pos = parent;
+        }
+        self.place(pos, key);
     }
 }
 
@@ -277,7 +399,7 @@ impl SatSolver {
         self.seen.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
-        self.heap.push((OrderedActivity(0.0), var));
+        self.order.push_var(var, &self.activity);
         var
     }
 
@@ -426,9 +548,10 @@ impl SatSolver {
                 *a *= 1e-100;
             }
             self.var_inc *= 1e-100;
+            self.order.rebuild(&self.activity);
+        } else {
+            self.order.increased(var, &self.activity);
         }
-        self.heap
-            .push((OrderedActivity(self.activity[var as usize]), var));
     }
 
     fn decay_activities(&mut self) {
@@ -511,25 +634,25 @@ impl SatSolver {
                 let var = lit.var() as usize;
                 self.assign[var] = None;
                 self.reason[var] = None;
-                self.heap
-                    .push((OrderedActivity(self.activity[var]), lit.var()));
+                if !self.order.contains(lit.var()) {
+                    self.order.insert(lit.var(), &self.activity);
+                }
             }
             self.trail.truncate(start);
         }
         self.qhead = self.trail.len();
     }
 
+    /// The unassigned variable of highest activity (ties to the larger
+    /// index). Assigned variables popped on the way stay out of the heap
+    /// until [`SatSolver::backtrack`] unassigns them.
     fn pick_branch_var(&mut self) -> Option<Var> {
-        // Lazy-deletion max-heap: entries may carry stale (older, lower)
-        // activities. Picking a var through a stale entry is a slightly
-        // suboptimal but perfectly sound decision, so any unassigned pop wins.
-        while let Some((_, var)) = self.heap.pop() {
+        while let Some(var) = self.order.pop_max() {
             if self.assign[var as usize].is_none() {
                 return Some(var);
             }
         }
-        // Heap exhausted (all entries consumed): fall back to a linear scan.
-        (0..self.num_vars() as Var).find(|&v| self.assign[v as usize].is_none())
+        None
     }
 
     /// Solves the formula under the given budget.
@@ -1198,6 +1321,223 @@ mod tests {
         let result = s.solve_with_assumptions(&SatBudget { max_conflicts: 5 }, &[lit(4)]);
         assert_eq!(result, SatResult::Unknown);
         assert!(s.paused.is_none());
+    }
+
+    /// `(result, decisions, conflicts, propagations, restarts)` of a fresh
+    /// solve of `random_cnf(seed, 60, 258)` under a 400-conflict budget, for
+    /// seeds 0..40, as recorded with the lazy-deletion heap that preceded
+    /// [`VarHeap`]. No instance reaches an activity rescale, so the indexed
+    /// heap must reproduce every search exactly.
+    const SMALL_TRAJECTORIES: [(SatResult, u64, u64, u64, u64); 40] = [
+        (SatResult::Sat, 19, 7, 207, 0),
+        (SatResult::Sat, 30, 17, 406, 0),
+        (SatResult::Sat, 15, 1, 80, 0),
+        (SatResult::Sat, 80, 68, 1192, 0),
+        (SatResult::Unsat, 92, 78, 1355, 0),
+        (SatResult::Sat, 117, 89, 1473, 0),
+        (SatResult::Unsat, 42, 38, 626, 0),
+        (SatResult::Sat, 90, 75, 1176, 0),
+        (SatResult::Sat, 56, 46, 673, 0),
+        (SatResult::Unsat, 59, 53, 830, 0),
+        (SatResult::Unsat, 54, 48, 783, 0),
+        (SatResult::Sat, 108, 84, 1436, 0),
+        (SatResult::Unsat, 113, 91, 1416, 0),
+        (SatResult::Unsat, 52, 43, 687, 0),
+        (SatResult::Sat, 16, 4, 120, 0),
+        (SatResult::Sat, 25, 9, 223, 0),
+        (SatResult::Unsat, 89, 71, 1210, 0),
+        (SatResult::Sat, 28, 12, 312, 0),
+        (SatResult::Sat, 79, 40, 638, 0),
+        (SatResult::Sat, 21, 6, 129, 0),
+        (SatResult::Unsat, 48, 43, 689, 0),
+        (SatResult::Unsat, 80, 71, 1202, 0),
+        (SatResult::Unsat, 62, 56, 930, 0),
+        (SatResult::Unsat, 63, 55, 835, 0),
+        (SatResult::Sat, 59, 42, 618, 0),
+        (SatResult::Sat, 59, 38, 604, 0),
+        (SatResult::Sat, 37, 15, 304, 0),
+        (SatResult::Unsat, 71, 56, 948, 0),
+        (SatResult::Unsat, 88, 79, 1237, 0),
+        (SatResult::Unsat, 65, 49, 838, 0),
+        (SatResult::Unsat, 114, 94, 1688, 0),
+        (SatResult::Sat, 31, 13, 230, 0),
+        (SatResult::Unsat, 80, 70, 1135, 0),
+        (SatResult::Sat, 39, 24, 472, 0),
+        (SatResult::Sat, 25, 1, 73, 0),
+        (SatResult::Unsat, 105, 86, 1350, 0),
+        (SatResult::Unsat, 140, 119, 1787, 1),
+        (SatResult::Sat, 28, 9, 216, 0),
+        (SatResult::Unsat, 31, 25, 398, 0),
+        (SatResult::Sat, 63, 45, 875, 0),
+    ];
+
+    /// The same record for `random_cnf(seed, 150, 640)` under a
+    /// 3,000-conflict budget, seeds 0..8: longer searches with restarts,
+    /// still below the ~4,430 conflicts a rescale needs.
+    const LARGE_TRAJECTORIES: [(SatResult, u64, u64, u64, u64); 8] = [
+        (SatResult::Sat, 2393, 1938, 61846, 5),
+        (SatResult::Sat, 595, 475, 15397, 2),
+        (SatResult::Sat, 2375, 1920, 59754, 5),
+        (SatResult::Unsat, 2516, 2075, 64240, 5),
+        (SatResult::Unsat, 3209, 2706, 82127, 6),
+        (SatResult::Unsat, 2272, 1862, 54918, 5),
+        (SatResult::Sat, 75, 29, 914, 0),
+        (SatResult::Unsat, 734, 619, 17509, 3),
+    ];
+
+    fn trajectory(s: &SatSolver, result: SatResult) -> (SatResult, u64, u64, u64, u64) {
+        let st = s.stats;
+        (
+            result,
+            st.decisions,
+            st.conflicts,
+            st.propagations,
+            st.restarts,
+        )
+    }
+
+    #[test]
+    fn search_trajectories_match_the_recorded_pins() {
+        let families: [(u64, usize, u64, &[_]); 2] = [
+            (60, 258, 400, &SMALL_TRAJECTORIES),
+            (150, 640, 3_000, &LARGE_TRAJECTORIES),
+        ];
+        for (num_vars, num_clauses, budget, pins) in families {
+            for (seed, &want) in pins.iter().enumerate() {
+                let clauses = random_cnf(seed as u64, num_vars, num_clauses);
+                let mut s = solver_for(num_vars as usize, &clauses);
+                let got = s.solve(&SatBudget {
+                    max_conflicts: budget,
+                });
+                assert_eq!(
+                    trajectory(&s, got),
+                    want,
+                    "{} vars, seed {}",
+                    num_vars,
+                    seed
+                );
+                assert!(s.order.heap.len() <= s.num_vars());
+            }
+        }
+    }
+
+    /// Checks the heap's internal invariants: every key is its variable's
+    /// current [`VarHeap::key`], `index` is the inverse of `heap`, and
+    /// every parent orders before its children.
+    fn assert_heap_consistent(h: &VarHeap, activity: &[f64]) {
+        for (pos, &key) in h.heap.iter().enumerate() {
+            let var = VarHeap::var(key);
+            assert_eq!(key, VarHeap::key(activity, var));
+            assert_eq!(h.index[var as usize], pos as u32);
+            if pos > 0 {
+                assert!(h.heap[(pos - 1) / 2] > key);
+            }
+        }
+        let members = h.index.iter().filter(|&&i| i != ABSENT).count();
+        assert_eq!(members, h.heap.len());
+    }
+
+    #[test]
+    fn var_heap_pops_the_argmax_of_activity_then_index() {
+        const N: usize = 40;
+        for seed in 0..50u64 {
+            let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+            let mut next = move |bound: u64| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state % bound
+            };
+            let mut activity = [0.0f64; N];
+            let mut heap = VarHeap::default();
+            let mut members = [false; N];
+            for v in 0..N as Var {
+                heap.push_var(v, &activity);
+                members[v as usize] = true;
+            }
+            let mut pops = 0;
+            let mut post_rescale_pops = 0;
+            let mut rescaled = false;
+            for _ in 0..2_000 {
+                match next(10) {
+                    // Bumps by small integers make equal activities common,
+                    // so the tie rule is exercised constantly.
+                    0..=3 => {
+                        let v = next(N as u64) as Var;
+                        activity[v as usize] += next(3) as f64;
+                        heap.increased(v, &activity);
+                    }
+                    4..=6 => {
+                        let want =
+                            (0..N as Var)
+                                .filter(|&v| members[v as usize])
+                                .max_by(|&a, &b| {
+                                    activity[a as usize]
+                                        .partial_cmp(&activity[b as usize])
+                                        .unwrap()
+                                        .then(a.cmp(&b))
+                                });
+                        let got = heap.pop_max();
+                        assert_eq!(got, want, "seed {}", seed);
+                        if let Some(v) = got {
+                            members[v as usize] = false;
+                            pops += 1;
+                            if rescaled {
+                                post_rescale_pops += 1;
+                            }
+                        }
+                    }
+                    7 | 8 => {
+                        let v = next(N as u64) as Var;
+                        if !members[v as usize] {
+                            heap.insert(v, &activity);
+                            members[v as usize] = true;
+                        }
+                    }
+                    _ => {
+                        // A rescale as `bump_var` does it. Tiny activities
+                        // underflow to equal values, so the rebuilt order
+                        // must fall back to the tie rule.
+                        if next(2) == 0 {
+                            let v = next(N as u64) as usize;
+                            activity[v] = 1e-250 * (1 + next(4)) as f64;
+                        }
+                        for a in &mut activity {
+                            *a *= 1e-100;
+                        }
+                        heap.rebuild(&activity);
+                        rescaled = true;
+                    }
+                }
+                assert_heap_consistent(&heap, &activity);
+                assert!(heap.heap.len() <= N);
+            }
+            assert!(pops > 100 && post_rescale_pops > 0, "seed {}", seed);
+        }
+    }
+
+    #[test]
+    fn a_rescale_mid_search_keeps_results_and_models_sound() {
+        let budget = SatBudget::default();
+        for seed in 0..40u64 {
+            let clauses = random_cnf(seed, 60, 258);
+            let mut plain = solver_for(60, &clauses);
+            let want = plain.solve(&budget);
+            // Start above the rescale threshold so the first bump rescales.
+            let mut scaled = solver_for(60, &clauses);
+            scaled.var_inc = 2e100;
+            let got = scaled.solve(&budget);
+            assert_eq!(got, want, "seed {}", seed);
+            if scaled.stats.conflicts > 0 {
+                assert!(scaled.var_inc < 1e99, "seed {}: no rescale", seed);
+            }
+            if got == SatResult::Sat {
+                for c in &clauses {
+                    let sat = c.iter().any(|&l| scaled.model_value(l.var()) ^ l.is_neg());
+                    assert!(sat, "seed {}: model violates {:?}", seed, c);
+                }
+            }
+        }
     }
 
     #[test]
