@@ -1,14 +1,11 @@
 //! Ablation: the three verification strategies on the same kernel, showing
 //! why the domain-specific optimizations (C-level unrolling, spatial
-//! splitting) matter for solver effort — plus a solver-reuse arm running the
-//! same check on a warm incremental session, the cross-job regime the
-//! engine's scalar-affinity scheduling produces.
+//! splitting) matter for solver effort.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lv_agents::vectorize_correct;
 use lv_tv::{
-    check_with_alive2_unroll, check_with_c_unroll, check_with_c_unroll_in,
-    check_with_spatial_splitting, TvConfig, TvReuse, TvSession,
+    check_with_alive2_unroll, check_with_c_unroll, check_with_spatial_splitting, TvConfig,
 };
 
 fn bench(c: &mut Criterion) {
@@ -25,14 +22,6 @@ fn bench(c: &mut Criterion) {
     });
     group.bench_function("c_unroll_s212", |b| {
         b.iter(|| check_with_c_unroll(&scalar, &candidate, &config))
-    });
-    // The reuse arm amortizes blasting and the scalar-side solver state
-    // across repeat checks of the same scalar kernel — the steady state a
-    // multi-candidate batch reaches after its first candidate.
-    let mut session = TvSession::with_reuse(TvReuse::full());
-    check_with_c_unroll_in(&scalar, &candidate, &config, &mut session);
-    group.bench_function("c_unroll_s212_warm_reuse", |b| {
-        b.iter(|| check_with_c_unroll_in(&scalar, &candidate, &config, &mut session))
     });
     group.bench_function("spatial_splitting_s000", |b| {
         b.iter(|| check_with_spatial_splitting(&easy_scalar, &easy_candidate, &config))

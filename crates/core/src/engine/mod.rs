@@ -41,33 +41,17 @@
 //! previous run's telemetry, and the caller builds the next
 //! [`EngineConfig`] from them.
 //!
-//! Orthogonal to all of the above, [`EngineReuse`] switches on the cross-job
-//! SMT reuse layers (all off by default):
+//! Orthogonal to all of the above, [`EngineReuse`] switches on the blast
+//! memo (off by default): each worker's solver memoizes the blasted CNF of
+//! structurally repeated queries and replays the recorded clause stream
+//! instead of re-blasting. Replays are clause-identical by construction, so
+//! reports and the fingerprint stay bit-identical to the fresh path. Every
+//! query then takes one path: blast once, search once, and resume a paused
+//! search when the next stage asks the identical query.
 //!
-//! * **blast memo** — each worker's solver memoizes the blasted CNF of
-//!   structurally repeated queries and replays the recorded clause stream
-//!   instead of re-blasting. Clause-identical by construction, so reports
-//!   stay bit-identical to the fresh path;
-//! * **incremental per-scalar sessions** — the pool switches to
-//!   scalar-affinity scheduling: all candidates of one
-//!   scalar kernel run consecutively on one worker, whose session keeps the
-//!   scalar-side solver state warm under assumption-based queries. Learned
-//!   clauses can let a budget-capped query *conclude* where a fresh solver
-//!   ran out, so the concluding stage may improve — this layer therefore
-//!   perturbs [`EngineConfig::semantic_fingerprint`], while verdict classes
-//!   and checksums stay identical and reports remain bit-identical across
-//!   thread counts (the grouped pool pins each group's query sequence);
-//! * **CNF preprocessing** — each one-shot query's bit-blasted clauses are
-//!   simplified once before search (see [`lv_tv::TvReuse::preprocess`]).
-//!   It may conclude queries the raw budget would have exhausted, so it
-//!   also perturbs the fingerprint.
-//!
-//! Per-job reuse activity lands in [`JobReport::reuse`]
-//! ([`ReuseCounters`]), aggregates via [`BatchReport::reuse_totals`], and
-//! feeds the funnel report and the persisted cross-run profile.
-//! Preprocessing ([`EngineReuse::preprocess`]) reports through the
-//! parallel [`SimplifyCounters`] path ([`JobReport::simplify`],
-//! [`BatchReport::simplify_totals`]).
+//! Per-job memo activity lands in [`JobReport::reuse`] ([`ReuseCounters`]),
+//! aggregates via [`BatchReport::reuse_totals`], and feeds the funnel report
+//! and the persisted cross-run profile.
 
 pub mod pool;
 pub mod schedule;
@@ -79,7 +63,7 @@ pub use stage::{ChecksumStage, StrategyOutcome, SymbolicStage, VerificationStrat
 
 use crate::cache::{CacheKey, CachedVerdict, VerdictCache};
 use crate::funnel::FunnelReport;
-use crate::observer::{BatchObserver, IndexMapObserver, NoopObserver};
+use crate::observer::{BatchObserver, NoopObserver};
 use crate::pipeline::{Equivalence, EquivalenceReport, PipelineConfig, Stage};
 use lv_analysis::KernelCategory;
 use lv_cir::ast::Function;
@@ -90,9 +74,9 @@ use std::sync::Arc;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// Which cross-job SMT reuse mechanisms the engine runs with. All off by
-/// default — the engine then behaves (and fingerprints) exactly as before
-/// the reuse subsystem existed.
+/// Which cross-job SMT reuse the engine runs with. Off by default — the
+/// engine then behaves (and fingerprints) exactly as before the reuse
+/// subsystem existed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineReuse {
     /// Blasted-CNF memoization inside each worker's solver: structurally
@@ -100,42 +84,12 @@ pub struct EngineReuse {
     /// re-blasting. Clause-identical by construction, so verdicts (and the
     /// configuration fingerprint) are unchanged.
     pub memo: bool,
-    /// Incremental per-scalar solving: same-scalar jobs are grouped onto one
-    /// worker (scalar-affinity scheduling), whose session keeps the scalar's
-    /// SMT context and per-strategy SAT instances warm across the group's
-    /// candidates. Deterministic at any thread count (whole groups are
-    /// claimed atomically and run in job order), but warm-instance solves
-    /// are not formally clause-identical to fresh ones near budget limits,
-    /// so it perturbs [`EngineConfig::semantic_fingerprint`].
-    pub incremental: bool,
-    /// SatELite-style CNF preprocessing before every one-shot search in
-    /// each worker's solver ([`lv_tv::TvReuse::preprocess`]).
-    /// Preprocessing may conclude queries the raw budget would have
-    /// exhausted, so like `incremental` it perturbs
-    /// [`EngineConfig::semantic_fingerprint`] when enabled.
-    pub preprocess: bool,
 }
 
 impl EngineReuse {
-    /// Every *reuse* mechanism on — the configuration the reuse benchmarks
-    /// race against the fresh-solve baseline. Preprocessing stays off;
-    /// enable it separately via the `preprocess` field (`--simplify` on the
-    /// CLI).
-    pub fn full() -> EngineReuse {
-        EngineReuse {
-            memo: true,
-            incremental: true,
-            preprocess: false,
-        }
-    }
-
     /// The per-worker [`lv_tv::TvSession`] settings.
     pub fn tv(self) -> TvReuse {
-        TvReuse {
-            memo: self.memo,
-            incremental: self.incremental,
-            preprocess: self.preprocess,
-        }
+        TvReuse { memo: self.memo }
     }
 }
 
@@ -147,8 +101,6 @@ pub struct ReuseCounters {
     pub blast_hits: u64,
     /// Memo lookups that fell back to a fresh blast.
     pub blast_misses: u64,
-    /// Queries solved on a warm incremental instance under an assumption.
-    pub assumption_reuses: u64,
 }
 
 impl ReuseCounters {
@@ -156,47 +108,11 @@ impl ReuseCounters {
     pub fn absorb(&mut self, other: ReuseCounters) {
         self.blast_hits += other.blast_hits;
         self.blast_misses += other.blast_misses;
-        self.assumption_reuses += other.assumption_reuses;
     }
 
     /// `true` when every counter is zero.
     pub fn is_zero(&self) -> bool {
         *self == ReuseCounters::default()
-    }
-}
-
-/// CNF preprocessing counters, aggregated per job and per batch. All zero
-/// when [`EngineReuse::preprocess`] is off (or for cache hits, which run no
-/// solver).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SimplifyCounters {
-    /// Variables removed by pure-literal rule or bounded variable
-    /// elimination during preprocessing.
-    pub vars_eliminated: u64,
-    /// Clauses deleted by subsumption during preprocessing.
-    pub clauses_subsumed: u64,
-    /// Clauses shortened by self-subsuming resolution during preprocessing.
-    pub clauses_strengthened: u64,
-    /// High-water mark of the flat clause arena, in bytes.
-    pub arena_bytes: u64,
-    /// Wall time spent in preprocessing, in microseconds.
-    pub preprocess_micros: u64,
-}
-
-impl SimplifyCounters {
-    /// Adds `other` into this counter set. `arena_bytes` is a high-water
-    /// mark, so it takes the max rather than summing.
-    pub fn absorb(&mut self, other: SimplifyCounters) {
-        self.vars_eliminated += other.vars_eliminated;
-        self.clauses_subsumed += other.clauses_subsumed;
-        self.clauses_strengthened += other.clauses_strengthened;
-        self.arena_bytes = self.arena_bytes.max(other.arena_bytes);
-        self.preprocess_micros += other.preprocess_micros;
-    }
-
-    /// `true` when every counter is zero.
-    pub fn is_zero(&self) -> bool {
-        *self == SimplifyCounters::default()
     }
 }
 
@@ -218,9 +134,7 @@ pub struct EngineConfig {
     /// Verdict cache consulted per job before any stage runs. `None`
     /// disables caching.
     pub cache: Option<Arc<VerdictCache>>,
-    /// Opt-in cross-job SMT reuse (blast memo, incremental per-scalar
-    /// solving with scalar-affinity scheduling, CNF preprocessing). Off by
-    /// default.
+    /// Opt-in cross-job SMT reuse (the blast memo). Off by default.
     pub reuse: EngineReuse,
 }
 
@@ -281,7 +195,7 @@ impl EngineConfig {
         self
     }
 
-    /// Returns this configuration with the given reuse mechanisms enabled.
+    /// Returns this configuration with the given reuse enabled.
     pub fn with_reuse(mut self, reuse: EngineReuse) -> EngineConfig {
         self.reuse = reuse;
         self
@@ -313,23 +227,7 @@ impl EngineConfig {
         // budget, so it is keyed by the search revision that reached it.
         fnv.write_u8(lv_tv::SEARCH_REVISION);
         // Memo replays are clause-identical, so the memo leaves the
-        // fingerprint alone; a warm incremental instance is not formally
-        // guaranteed to reach the same verdict as a fresh solve at the budget
-        // boundary, so its verdicts must not share cache keys with
-        // fresh-solve runs.
-        // Writing nothing for the default keeps reuse-off fingerprints
-        // bit-identical to the pre-reuse engine.
-        if self.reuse.incremental {
-            fnv.write_u8(0x52); // 'R'
-        }
-        // Preprocessing may conclude queries the raw budget would have
-        // exhausted (fewer clauses to search), so it perturbs the
-        // fingerprint. The 0x01 after 'S' is the preprocess bit of an
-        // earlier two-layer encoding, kept so existing caches stay keyed.
-        if self.reuse.preprocess {
-            fnv.write_u8(0x53); // 'S'
-            fnv.write_u8(0x01);
-        }
+        // fingerprint alone.
         fnv.finish()
     }
 }
@@ -403,10 +301,6 @@ pub struct JobReport {
     /// worker session's counters around the job). All zero when reuse is
     /// off or the job was a cache hit.
     pub reuse: ReuseCounters,
-    /// Preprocessing activity attributed to this job (deltas of the worker
-    /// session's counters around the job). All zero when
-    /// [`EngineReuse::preprocess`] is off or the job was a cache hit.
-    pub simplify: SimplifyCounters,
 }
 
 impl JobReport {
@@ -468,16 +362,6 @@ impl BatchReport {
         totals
     }
 
-    /// Total clause-database simplification activity over the batch (all
-    /// zero when [`EngineReuse::preprocess`] is off).
-    pub fn simplify_totals(&self) -> SimplifyCounters {
-        let mut totals = SimplifyCounters::default();
-        for job in &self.jobs {
-            totals.absorb(job.simplify);
-        }
-        totals
-    }
-
     /// The telemetry funnel over this batch's stage traces.
     pub fn funnel(&self) -> FunnelReport {
         FunnelReport::from_jobs(&self.jobs)
@@ -501,8 +385,7 @@ pub struct VerificationEngine {
     /// [`EngineConfig::semantic_fingerprint`] of the source configuration,
     /// precomputed once — it is part of every cache key.
     config_fingerprint: u64,
-    /// Cross-job SMT reuse configuration: decides worker-session reuse and
-    /// the scheduling mode (scalar affinity when incremental).
+    /// Cross-job SMT reuse configuration of every worker session.
     reuse: EngineReuse,
 }
 
@@ -615,17 +498,7 @@ impl VerificationEngine {
         let run = |index: usize, job: &Job, worker: &mut WorkerState| {
             self.run_job(index, job, worker, observer)
         };
-        let reports = if self.reuse.incremental {
-            // Scalar affinity: same-scalar jobs run consecutively on one
-            // worker so its warm per-scalar session actually gets hit, and a
-            // whole group is claimed atomically so the query sequence each
-            // warm instance sees — hence every verdict — is identical at any
-            // thread count.
-            let groups = scalar_groups(jobs);
-            pool::parallel_map_grouped(threads, jobs, &groups, init, run)
-        } else {
-            pool::parallel_map_with(threads, jobs, init, run)
-        };
+        let reports = pool::parallel_map_with(threads, jobs, init, run);
         let cache_hits = reports.iter().filter(|r| r.cache_hit).count();
         let cache_misses = if self.cache.is_some() {
             reports.len() - cache_hits
@@ -663,31 +536,12 @@ impl VerificationEngine {
     /// worker counts 1/2/8 by the pipeline property tests). Indices need
     /// not be dense — the service streams sparse post-dedupe slots — but
     /// must be unique.
-    ///
-    /// One scheduling mode cannot stream: incremental per-scalar reuse
-    /// requires whole scalar groups claimed atomically, which needs the
-    /// full job list. With [`EngineReuse::incremental`] set, the source is
-    /// drained first and the batch path runs — correctness is preserved,
-    /// overlap is not.
     pub fn run_stream_observed(
         &self,
         source: &JobSource<Job>,
         observer: &dyn BatchObserver,
     ) -> BatchReport {
         let start = Instant::now();
-        if self.reuse.incremental {
-            // Scalar-affinity grouping needs every job up front: drain,
-            // order, and fall back to the grouped batch path (remapping
-            // observer indices back to the stream's).
-            let mut pairs: Vec<(usize, Job)> = std::iter::from_fn(|| source.next()).collect();
-            pairs.sort_by_key(|(index, _)| *index);
-            let indices: Vec<usize> = pairs.iter().map(|(index, _)| *index).collect();
-            let jobs: Vec<Job> = pairs.into_iter().map(|(_, job)| job).collect();
-            let remap = IndexMapObserver::new(observer, &indices);
-            let mut report = self.run_batch_observed(&jobs, &remap);
-            report.wall = start.elapsed();
-            return report;
-        }
         let threads = pool::resolve_threads(self.threads, usize::MAX);
         let init = || WorkerState::with_reuse(self.reuse.tv());
         let collected: Mutex<Vec<(usize, JobReport)>> = Mutex::new(Vec::new());
@@ -780,7 +634,6 @@ impl VerificationEngine {
                     wall: job_start.elapsed(),
                     cache_hit: true,
                     reuse: ReuseCounters::default(),
-                    simplify: SimplifyCounters::default(),
                 };
                 observer.job_finished(index, &report);
                 return report;
@@ -790,7 +643,6 @@ impl VerificationEngine {
         worker.checksum = None;
         worker.name_mismatch = false;
         let reuse_before = worker.session.reuse_stats();
-        let simplify_before = worker.session.simplify_stats();
         let order = self.stage_order(job);
         let mut traces = Vec::with_capacity(order.len());
         // If no stage concludes, report the last stage that ran (Alive2 with
@@ -835,25 +687,6 @@ impl VerificationEngine {
         let reuse = ReuseCounters {
             blast_hits: reuse_after.blast_hits - reuse_before.blast_hits,
             blast_misses: reuse_after.blast_misses - reuse_before.blast_misses,
-            assumption_reuses: reuse_after.assumption_reuses - reuse_before.assumption_reuses,
-        };
-        let simplify_after = worker.session.simplify_stats();
-        let simplify = SimplifyCounters {
-            vars_eliminated: simplify_after
-                .vars_eliminated
-                .saturating_sub(simplify_before.vars_eliminated),
-            clauses_subsumed: simplify_after
-                .clauses_subsumed
-                .saturating_sub(simplify_before.clauses_subsumed),
-            clauses_strengthened: simplify_after
-                .clauses_strengthened
-                .saturating_sub(simplify_before.clauses_strengthened),
-            // High-water mark, not a monotone sum: report the level reached
-            // by the time this job finished.
-            arena_bytes: simplify_after.arena_bytes,
-            preprocess_micros: simplify_after
-                .preprocess_micros
-                .saturating_sub(simplify_before.preprocess_micros),
         };
         let report = JobReport {
             label: job.label.clone(),
@@ -865,7 +698,6 @@ impl VerificationEngine {
             wall: job_start.elapsed(),
             cache_hit: false,
             reuse,
-            simplify,
         };
         if let (Some(cache), Some(key)) = (&self.cache, key) {
             cache.insert(
@@ -902,26 +734,6 @@ pub(crate) fn job_cache_key(job: &Job, config_fingerprint: u64) -> CacheKey {
         ),
         config: config_fingerprint,
     }
-}
-
-/// Partitions job indices into scalar-affinity groups: jobs sharing a scalar
-/// kernel (by [`structural_hash`]) form one group, groups ordered by first
-/// appearance and members in ascending job order. This is the work-unit
-/// shape [`pool::parallel_map_grouped`] schedules for incremental reuse.
-fn scalar_groups(jobs: &[Job]) -> Vec<Vec<usize>> {
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    let mut group_of: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
-    for (index, job) in jobs.iter().enumerate() {
-        let hash = structural_hash(&job.scalar);
-        match group_of.entry(hash) {
-            std::collections::hash_map::Entry::Occupied(e) => groups[*e.get()].push(index),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(groups.len());
-                groups.push(vec![index]);
-            }
-        }
-    }
-    groups
 }
 
 fn effort_delta(before: TvSessionStats, after: TvSessionStats) -> (u64, u64) {
@@ -1239,18 +1051,15 @@ mod tests {
     fn reuse_engine_matches_baseline_verdicts_at_any_thread_count() {
         let s000 = parse_function(S000).unwrap();
         let s001 = parse_function(S001).unwrap();
-        // Two scalar groups, interleaved in batch order so scalar-affinity
-        // grouping actually reorders work: per scalar a trivial candidate,
-        // a commuted one (real SAT work on the warm session), and a wrong
-        // one (killed at checksum).
+        // Two scalars, per scalar a trivial candidate, a commuted one (real
+        // SAT work), and a wrong one (killed at checksum). The commuted
+        // s000 candidate repeats, so a worker that runs both replays the
+        // second's blast from its memo.
+        let comm = parse_function(S000_COMMUTED).unwrap();
         let jobs = vec![
             Job::new("s000-good", s000.clone(), vectorize_correct(&s000).unwrap()),
             Job::new("s001-good", s001.clone(), vectorize_correct(&s001).unwrap()),
-            Job::new(
-                "s000-comm",
-                s000.clone(),
-                parse_function(S000_COMMUTED).unwrap(),
-            ),
+            Job::new("s000-comm", s000.clone(), comm.clone()),
             Job::new(
                 "s001-comm",
                 s001.clone(),
@@ -1261,152 +1070,55 @@ mod tests {
                 s000.clone(),
                 parse_function(S000_WRONG).unwrap(),
             ),
+            Job::new("s000-comm-again", s000.clone(), comm),
         ];
-        let baseline =
-            VerificationEngine::new(EngineConfig::full(quick_pipeline()).with_threads(1))
-                .run_batch(&jobs);
-        let reuse1 = VerificationEngine::new(
-            EngineConfig::full(quick_pipeline())
-                .with_reuse(EngineReuse::full())
-                .with_threads(1),
-        )
-        .run_batch(&jobs);
-        let reuse4 = VerificationEngine::new(
-            EngineConfig::full(quick_pipeline())
-                .with_reuse(EngineReuse::full())
-                .with_threads(4),
-        )
-        .run_batch(&jobs);
-        for (b, r) in baseline.jobs.iter().zip(&reuse1.jobs) {
-            assert_eq!(b.label, r.label);
-            assert_eq!(b.verdict, r.verdict, "{}", r.label);
-            assert_eq!(b.stage, r.stage, "{}", r.label);
-            assert_eq!(b.checksum, r.checksum, "{}", r.label);
+        let memo = EngineReuse { memo: true };
+        let run = |reuse: EngineReuse, threads: usize| {
+            VerificationEngine::new(
+                EngineConfig::full(quick_pipeline())
+                    .with_reuse(reuse)
+                    .with_threads(threads),
+            )
+            .run_batch(&jobs)
+        };
+        let baseline = run(EngineReuse::default(), 1);
+        let memo1 = run(memo, 1);
+        for threads in [1, 4] {
+            let arm = if threads == 1 {
+                memo1.clone()
+            } else {
+                run(memo, threads)
+            };
+            for (b, r) in baseline.jobs.iter().zip(&arm.jobs) {
+                assert_eq!(b.label, r.label);
+                assert_eq!(b.verdict, r.verdict, "{} @ {threads}", r.label);
+                assert_eq!(b.stage, r.stage, "{} @ {threads}", r.label);
+                assert_eq!(b.detail, r.detail, "{} @ {threads}", r.label);
+                assert_eq!(b.checksum, r.checksum, "{} @ {threads}", r.label);
+            }
         }
-        // Within the reuse engine, the grouped pool pins every group's
-        // query sequence, so reports are fully identical across thread
-        // counts — details and traces included.
-        for (one, four) in reuse1.jobs.iter().zip(&reuse4.jobs) {
-            assert_eq!(one.label, four.label);
-            assert_eq!(one.verdict, four.verdict);
-            assert_eq!(one.stage, four.stage);
-            assert_eq!(one.detail, four.detail);
-            assert_eq!(one.traces.len(), four.traces.len());
-        }
-        // The warm sessions were actually exercised.
+        // The memo was actually exercised, and stays silent when off.
         assert!(
-            reuse1.reuse_totals().assumption_reuses > 0,
-            "incremental sessions saw repeat queries: {:?}",
-            reuse1.reuse_totals()
+            memo1.reuse_totals().blast_hits > 0,
+            "the repeated query replays from the memo: {:?}",
+            memo1.reuse_totals()
         );
         assert!(baseline.reuse_totals().is_zero());
     }
 
-    /// Absolute fingerprints of configurations earlier builds also ran.
-    /// They move only when [`lv_tv::SEARCH_REVISION`] does: any other
-    /// change to them would make verdict caches written by builds of the
-    /// same search revision silently miss.
+    /// The absolute fingerprint of the default configuration, which earlier
+    /// builds also ran. It moves only when [`lv_tv::SEARCH_REVISION`] does:
+    /// any other change to it would make verdict caches written by builds of
+    /// the same search revision silently miss.
     const BASE_FINGERPRINT: u64 = 0x6c57_7070_2ba9_6b45;
-    const INCREMENTAL_FINGERPRINT: u64 = 0xc1ff_259a_30e0_f815;
-    const PREPROCESS_FINGERPRINT: u64 = 0x8581_9501_0e42_aa39;
 
     #[test]
-    fn reuse_fingerprint_tracks_only_the_incremental_layer() {
+    fn memo_shares_the_base_fingerprint() {
         let base = EngineConfig::full(quick_pipeline());
-        let memo = EngineConfig::full(quick_pipeline()).with_reuse(EngineReuse {
-            memo: true,
-            ..EngineReuse::default()
-        });
-        let incremental = EngineConfig::full(quick_pipeline()).with_reuse(EngineReuse {
-            incremental: true,
-            ..EngineReuse::default()
-        });
+        let memo = EngineConfig::full(quick_pipeline()).with_reuse(EngineReuse { memo: true });
         // Memoization is clause-identical: it does not change the
         // verification problem, so it may not invalidate cached verdicts.
         assert_eq!(base.semantic_fingerprint(), BASE_FINGERPRINT);
         assert_eq!(memo.semantic_fingerprint(), BASE_FINGERPRINT);
-        // Incremental solving reformulates the query, so it is a different
-        // configuration.
-        assert_eq!(incremental.semantic_fingerprint(), INCREMENTAL_FINGERPRINT);
-    }
-
-    #[test]
-    fn simplify_engine_matches_baseline_verdicts() {
-        let s000 = parse_function(S000).unwrap();
-        let s001 = parse_function(S001).unwrap();
-        // The same mixed workload the reuse identity test sweeps: trivial,
-        // commuted (real SAT work), and wrong candidates over two scalars.
-        let jobs = vec![
-            Job::new("s000-good", s000.clone(), vectorize_correct(&s000).unwrap()),
-            Job::new("s001-good", s001.clone(), vectorize_correct(&s001).unwrap()),
-            Job::new(
-                "s000-comm",
-                s000.clone(),
-                parse_function(S000_COMMUTED).unwrap(),
-            ),
-            Job::new(
-                "s001-comm",
-                s001.clone(),
-                parse_function(S001_COMMUTED).unwrap(),
-            ),
-            Job::new(
-                "s000-wrong",
-                s000.clone(),
-                parse_function(S000_WRONG).unwrap(),
-            ),
-        ];
-        let baseline =
-            VerificationEngine::new(EngineConfig::full(quick_pipeline())).run_batch(&jobs);
-        // Preprocessing on top of the default (no-reuse) engine, and on top
-        // of the full reuse stack — verdict classes and checksum classes must
-        // be identical to the plain run in both compositions.
-        let simplified = VerificationEngine::new(EngineConfig::full(quick_pipeline()).with_reuse(
-            EngineReuse {
-                preprocess: true,
-                ..EngineReuse::default()
-            },
-        ))
-        .run_batch(&jobs);
-        let reuse_simplified = VerificationEngine::new(
-            EngineConfig::full(quick_pipeline()).with_reuse(EngineReuse {
-                preprocess: true,
-                ..EngineReuse::full()
-            }),
-        )
-        .run_batch(&jobs);
-        for arm in [&simplified, &reuse_simplified] {
-            for (b, s) in baseline.jobs.iter().zip(&arm.jobs) {
-                assert_eq!(b.label, s.label);
-                assert_eq!(b.verdict, s.verdict, "{}", s.label);
-                assert_eq!(b.stage, s.stage, "{}", s.label);
-                assert_eq!(b.checksum, s.checksum, "{}", s.label);
-            }
-        }
-        // Preprocessing actually ran on the simplify arms and stayed
-        // entirely off (counters exactly zero) on the baseline.
-        assert!(
-            !simplified.simplify_totals().is_zero(),
-            "simplify must have done work: {:?}",
-            simplified.simplify_totals()
-        );
-        assert!(!reuse_simplified.simplify_totals().is_zero());
-        assert!(baseline.simplify_totals().is_zero());
-        assert!(simplified.simplify_totals().preprocess_micros > 0);
-    }
-
-    #[test]
-    fn simplify_fingerprint_tracks_only_enabled_layers() {
-        let preprocess = EngineConfig::full(quick_pipeline()).with_reuse(EngineReuse {
-            preprocess: true,
-            ..EngineReuse::default()
-        });
-        let stacked = EngineConfig::full(quick_pipeline()).with_reuse(EngineReuse {
-            preprocess: true,
-            ..EngineReuse::full()
-        });
-        // Preprocessing is its own configuration, alone and on top of the
-        // reuse stack.
-        assert_eq!(preprocess.semantic_fingerprint(), PREPROCESS_FINGERPRINT);
-        assert_eq!(stacked.semantic_fingerprint(), 0x2727_05cb_40b9_d6e9);
     }
 }

@@ -89,79 +89,6 @@ where
         .collect()
 }
 
-/// [`parallel_map_with`] with *scalar affinity*: `groups` partitions the
-/// item indices, workers claim whole groups from the atomic cursor, and a
-/// group's members run on one worker in ascending index order.
-///
-/// This is the scheduling contract the incremental-reuse engine needs: all
-/// jobs sharing a scalar kernel run consecutively on one session, so the
-/// warm per-scalar SMT state actually gets hit — and because the whole group
-/// is claimed atomically and its members run in a fixed order, the sequence
-/// of queries each warm session sees (hence every verdict) is identical at
-/// any thread count. Results are still returned in item order.
-///
-/// Every item index must appear in exactly one group; `threads` must already
-/// be resolved by the caller.
-pub(crate) fn parallel_map_grouped<T, R, S, I, F>(
-    threads: usize,
-    items: &[T],
-    groups: &[Vec<usize>],
-    init: I,
-    f: F,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(usize, &T, &mut S) -> R + Sync,
-{
-    debug_assert_eq!(
-        groups.iter().map(Vec::len).sum::<usize>(),
-        items.len(),
-        "groups must partition the items"
-    );
-    if threads <= 1 {
-        let mut state = init();
-        let mut results: Vec<Option<R>> = items.iter().map(|_| None).collect();
-        for group in groups {
-            for &index in group {
-                results[index] = Some(f(index, &items[index], &mut state));
-            }
-        }
-        return results
-            .into_iter()
-            .map(|slot| slot.expect("every item index appears in a group"))
-            .collect();
-    }
-    let results: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let mut state = init();
-                loop {
-                    let group_index = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(group) = groups.get(group_index) else {
-                        break;
-                    };
-                    for &index in group {
-                        let value = f(index, &items[index], &mut state);
-                        *results[index].lock().unwrap() = Some(value);
-                    }
-                }
-            });
-        }
-    });
-    results
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap()
-                .expect("every item index appears in a group")
-        })
-        .collect()
-}
-
 struct ChannelState<T> {
     queue: VecDeque<(usize, T)>,
     producers: usize,
@@ -363,47 +290,5 @@ mod tests {
         drop(second);
         assert_eq!(source.next(), Some((0, 1)));
         assert_eq!(source.next(), None);
-    }
-
-    #[test]
-    fn grouped_map_keeps_groups_on_one_worker_in_member_order() {
-        use std::sync::Mutex;
-
-        // Items tagged by group; groups interleave in the item order.
-        let items: Vec<(usize, usize)> = (0..24).map(|i| (i % 3, i)).collect();
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); 3];
-        for (index, (group, _)) in items.iter().enumerate() {
-            groups[*group].push(index);
-        }
-
-        // Each worker state records the sequence of items it ran; the
-        // per-group order must be ascending and contiguous per worker.
-        let logs: Mutex<Vec<Vec<usize>>> = Mutex::new(Vec::new());
-        for threads in [1, 4] {
-            logs.lock().unwrap().clear();
-            let results = parallel_map_grouped(
-                threads,
-                &items,
-                &groups,
-                Vec::new,
-                |index, &(_, payload), state: &mut Vec<usize>| {
-                    state.push(index);
-                    if state.len() == 8 {
-                        // A full group has run on this worker: log it.
-                        logs.lock().unwrap().push(std::mem::take(state));
-                    }
-                    payload * 10
-                },
-            );
-            // Results are in item order regardless of grouping.
-            assert_eq!(results, (0..24).map(|i| i * 10).collect::<Vec<_>>());
-            // Every logged run is one whole group, members ascending.
-            for run in logs.lock().unwrap().iter() {
-                let group = items[run[0]].0;
-                assert!(run.iter().all(|&i| items[i].0 == group));
-                assert!(run.windows(2).all(|w| w[0] < w[1]));
-                assert_eq!(run.len(), groups[group].len());
-            }
-        }
     }
 }

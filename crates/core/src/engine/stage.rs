@@ -34,7 +34,7 @@ pub struct WorkerState {
 }
 
 impl WorkerState {
-    /// A worker whose SMT session runs with the given reuse mechanisms.
+    /// A worker whose SMT session runs with the given reuse.
     pub fn with_reuse(reuse: TvReuse) -> WorkerState {
         WorkerState {
             session: TvSession::with_reuse(reuse),

@@ -680,7 +680,6 @@ pub fn figure6_with(
                 wall: row_start.elapsed(),
                 cache_hit: false,
                 reuse: Default::default(),
-                simplify: Default::default(),
             },
         );
         row

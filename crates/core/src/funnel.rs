@@ -115,9 +115,6 @@ pub struct FunnelReport {
     /// Cross-job SMT reuse activity summed over all jobs (all zero when
     /// [`EngineReuse`](crate::EngineReuse) is off).
     pub reuse: crate::engine::ReuseCounters,
-    /// Preprocessing activity summed over all jobs (all zero when
-    /// [`EngineReuse::preprocess`](crate::EngineReuse) is off).
-    pub simplify: crate::engine::SimplifyCounters,
 }
 
 impl FunnelReport {
@@ -129,11 +126,9 @@ impl FunnelReport {
             jobs: reports.len(),
             cached: reports.iter().filter(|r| r.cache_hit).count(),
             reuse: Default::default(),
-            simplify: Default::default(),
         };
         for report in reports {
             funnel.reuse.absorb(report.reuse);
-            funnel.simplify.absorb(report.simplify);
             let last = report.traces.len().saturating_sub(1);
             for (i, trace) in report.traces.iter().enumerate() {
                 let stage = match funnel.stages.iter_mut().find(|s| s.stage == trace.stage) {
@@ -216,19 +211,8 @@ impl FunnelReport {
         }
         if !self.reuse.is_zero() {
             out += &format!(
-                "reuse: {} blast-cache hits / {} misses, {} assumption reuses\n",
-                self.reuse.blast_hits, self.reuse.blast_misses, self.reuse.assumption_reuses
-            );
-        }
-        if !self.simplify.is_zero() {
-            out += &format!(
-                "simplify: {} vars eliminated, {} clauses subsumed, \
-                 {} strengthened, {} arena bytes peak, {}us preprocessing\n",
-                self.simplify.vars_eliminated,
-                self.simplify.clauses_subsumed,
-                self.simplify.clauses_strengthened,
-                self.simplify.arena_bytes,
-                self.simplify.preprocess_micros
+                "reuse: {} blast-cache hits / {} misses\n",
+                self.reuse.blast_hits, self.reuse.blast_misses
             );
         }
         out
@@ -340,7 +324,6 @@ mod tests {
             wall: Duration::ZERO,
             cache_hit: false,
             reuse: Default::default(),
-            simplify: Default::default(),
         }
     }
 

@@ -16,13 +16,10 @@
 //!   conflicts, CNF clauses, wall time). Verdicts are bit-identical for any
 //!   thread count *and* any schedule — parallelism is purely a wall-clock
 //!   win, and reordering sound symbolic stages only changes which one
-//!   answers first. [`EngineReuse`] layers cross-job SMT reuse on top
-//!   (blasted-CNF memoization, incremental per-scalar sessions under
-//!   scalar-affinity scheduling, CNF preprocessing); verdict classes and
-//!   checksums are pinned across all layers, per-job activity is counted in
-//!   [`ReuseCounters`], and only the layers that can improve the concluding
-//!   stage (incremental sessions and preprocessing) perturb the cache
-//!   fingerprint;
+//!   answers first. [`EngineReuse`] layers blasted-CNF memoization on
+//!   top; its replays are clause-identical, so reports and the cache
+//!   fingerprint are unchanged, and per-job activity is counted in
+//!   [`ReuseCounters`];
 //! * [`observer`] — the [`BatchObserver`] trait: job-started /
 //!   stage-finished / job-finished callbacks fired from the worker pool as
 //!   a batch progresses, so sweeps render incrementally
@@ -142,9 +139,8 @@ pub use cache::{
 };
 pub use engine::{
     job_channel, parallel_map, BatchReport, ChecksumStage, EngineConfig, EngineReuse, Job,
-    JobProducer, JobReport, JobSource, ReuseCounters, SimplifyCounters, StageSchedule, StageTrace,
-    StrategyOutcome, SymbolicStage, VerificationEngine, VerificationStrategy, WorkerState,
-    SYMBOLIC_STAGES,
+    JobProducer, JobReport, JobSource, ReuseCounters, StageSchedule, StageTrace, StrategyOutcome,
+    SymbolicStage, VerificationEngine, VerificationStrategy, WorkerState, SYMBOLIC_STAGES,
 };
 pub use experiments::{
     figure1, figure1_with, figure5, figure5_with, figure6, figure6_with, fsm_evaluation,
@@ -155,8 +151,7 @@ pub use experiments::{
 pub use funnel::{derive_from_profile, FunnelReport, StageFunnel, HISTOGRAM_BUCKETS};
 pub use journal::FsyncPolicy;
 pub use observer::{
-    BatchObserver, CallbackObserver, CountingObserver, IndexMapObserver, NoopObserver,
-    StreamObserver, TeeObserver,
+    BatchObserver, CallbackObserver, CountingObserver, NoopObserver, StreamObserver, TeeObserver,
 };
 pub use passk::{
     generate_then_verify_pass_at_k, overlapped_pass_at_k, overlapped_pass_at_k_observed, pass_at_k,

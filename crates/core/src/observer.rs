@@ -206,39 +206,6 @@ impl BatchObserver for TeeObserver<'_> {
     }
 }
 
-/// Forwards events with each local batch index replaced by
-/// `indices[local]` — used by the engine's streaming fallback and the shard
-/// runner, which run a sub-batch whose positions in the original job order
-/// are arbitrary.
-#[derive(Debug, Clone, Copy)]
-pub struct IndexMapObserver<'a> {
-    inner: &'a dyn BatchObserver,
-    indices: &'a [usize],
-}
-
-impl<'a> IndexMapObserver<'a> {
-    /// Wraps `inner`, mapping local index `i` to `indices[i]`. Events with
-    /// a local index outside `indices` panic — the mapping must cover the
-    /// sub-batch.
-    pub fn new(inner: &'a dyn BatchObserver, indices: &'a [usize]) -> IndexMapObserver<'a> {
-        IndexMapObserver { inner, indices }
-    }
-}
-
-impl BatchObserver for IndexMapObserver<'_> {
-    fn job_started(&self, index: usize, job: &Job) {
-        self.inner.job_started(self.indices[index], job);
-    }
-
-    fn stage_finished(&self, index: usize, job: &Job, trace: &StageTrace) {
-        self.inner.stage_finished(self.indices[index], job, trace);
-    }
-
-    fn job_finished(&self, index: usize, report: &JobReport) {
-        self.inner.job_finished(self.indices[index], report);
-    }
-}
-
 impl std::fmt::Debug for dyn BatchObserver + '_ {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str("dyn BatchObserver")

@@ -78,15 +78,6 @@ pub struct ProfileCell {
     pub conclusive_max_conflicts: u64,
     /// Largest clause count among conclusive executions.
     pub conclusive_max_clauses: u64,
-    /// Variables removed by CNF preprocessing
-    /// ([`JobReport::simplify`](crate::JobReport)), attributed to the job's
-    /// concluding stage. Older journals without the field replay as `0`.
-    pub vars_eliminated: u64,
-    /// Clauses deleted by subsumption, attributed like `vars_eliminated`.
-    pub clauses_subsumed: u64,
-    /// Clauses shortened by self-subsuming resolution, attributed like
-    /// `vars_eliminated`.
-    pub clauses_strengthened: u64,
 }
 
 impl ProfileCell {
@@ -101,9 +92,6 @@ impl ProfileCell {
         self.conclusive_max_clauses = self
             .conclusive_max_clauses
             .max(other.conclusive_max_clauses);
-        self.vars_eliminated += other.vars_eliminated;
-        self.clauses_subsumed += other.clauses_subsumed;
-        self.clauses_strengthened += other.clauses_strengthened;
     }
 }
 
@@ -154,20 +142,6 @@ impl CrossRunProfile {
                 cell.killed += 1;
                 cell.conclusive_max_conflicts = cell.conclusive_max_conflicts.max(trace.conflicts);
                 cell.conclusive_max_clauses = cell.conclusive_max_clauses.max(trace.clauses);
-            }
-        }
-        // Preprocessing activity is counted per job, not per trace;
-        // attribute it to the concluding stage's cell (the stage whose
-        // queries it mostly shrank).
-        if !report.traces.is_empty() {
-            let simplify = report.simplify;
-            if simplify.vars_eliminated | simplify.clauses_subsumed | simplify.clauses_strengthened
-                != 0
-            {
-                let cell = self.cells.entry((category, report.stage)).or_default();
-                cell.vars_eliminated += simplify.vars_eliminated;
-                cell.clauses_subsumed += simplify.clauses_subsumed;
-                cell.clauses_strengthened += simplify.clauses_strengthened;
             }
         }
     }
@@ -310,9 +284,6 @@ fn emit_cell(
     e.field_hex("conflicts", cell.conflicts)?;
     e.field_hex("cmax_conflicts", cell.conclusive_max_conflicts)?;
     e.field_hex("cmax_clauses", cell.conclusive_max_clauses)?;
-    e.field_hex("vars_eliminated", cell.vars_eliminated)?;
-    e.field_hex("clauses_subsumed", cell.clauses_subsumed)?;
-    e.field_hex("clauses_strengthened", cell.clauses_strengthened)?;
     e.end_object()
 }
 
@@ -332,21 +303,7 @@ fn parse_cell(record: &Value) -> Result<(KernelCategory, Stage, ProfileCell), St
         conflicts: parse_hex(record.get("conflicts"), "conflicts")?,
         conclusive_max_conflicts: parse_hex(record.get("cmax_conflicts"), "cmax_conflicts")?,
         conclusive_max_clauses: parse_hex(record.get("cmax_clauses"), "cmax_clauses")?,
-        // Added after format version 1 shipped; journals written before them
-        // simply lack the fields, and absence means zero. Fields of deleted
-        // counters in older journals are ignored.
-        vars_eliminated: match record.get("vars_eliminated") {
-            None => 0,
-            some => parse_hex(some, "vars_eliminated")?,
-        },
-        clauses_subsumed: match record.get("clauses_subsumed") {
-            None => 0,
-            some => parse_hex(some, "clauses_subsumed")?,
-        },
-        clauses_strengthened: match record.get("clauses_strengthened") {
-            None => 0,
-            some => parse_hex(some, "clauses_strengthened")?,
-        },
+        // Fields of deleted counters in older journals are ignored.
     };
     if cell.killed > cell.entered {
         return Err(format!(
@@ -383,7 +340,6 @@ mod tests {
             wall: Duration::ZERO,
             cache_hit: false,
             reuse: Default::default(),
-            simplify: Default::default(),
         }
     }
 
@@ -497,15 +453,53 @@ mod tests {
                     e.field_hex("cmax_conflicts", cell.conclusive_max_conflicts)?;
                     e.field_hex("cmax_clauses", cell.conclusive_max_clauses)?;
                     e.field_hex("escalations", 3)?;
-                    e.field_hex("vars_eliminated", cell.vars_eliminated)?;
-                    e.field_hex("clauses_subsumed", cell.clauses_subsumed)?;
-                    e.field_hex("clauses_strengthened", cell.clauses_strengthened)?;
                     e.end_object()
                 })
                 .unwrap();
         }
         writer.flush().unwrap();
         drop(writer);
+        assert_eq!(CrossRunProfile::load(&path).unwrap(), delta);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn journals_with_preprocessing_counters_still_load() {
+        // Builds that had CNF preprocessing wrote three more counters after
+        // `cmax_clauses` in every record; they are ignored on load and every
+        // other count replays unchanged.
+        let path = temp_path("preprocess");
+        let _ = std::fs::remove_file(&path);
+        let delta = sample_profile();
+        let mut writer =
+            JournalWriter::create(&path, FsyncPolicy::OnCompact, emit_profile_header).unwrap();
+        for (category, stage, cell) in delta.cells() {
+            writer
+                .append(|e| {
+                    e.begin_object()?;
+                    e.field_str("category", category.tag())?;
+                    e.field_str("stage", stage_tag(stage))?;
+                    e.field_hex("entered", cell.entered)?;
+                    e.field_hex("killed", cell.killed)?;
+                    e.field_hex("wall_us", cell.wall_us)?;
+                    e.field_hex("conflicts", cell.conflicts)?;
+                    e.field_hex("cmax_conflicts", cell.conclusive_max_conflicts)?;
+                    e.field_hex("cmax_clauses", cell.conclusive_max_clauses)?;
+                    e.field_hex("vars_eliminated", 210)?;
+                    e.field_hex("clauses_subsumed", 33)?;
+                    e.field_hex("clauses_strengthened", 12)?;
+                    e.end_object()
+                })
+                .unwrap();
+        }
+        writer.flush().unwrap();
+        drop(writer);
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(
+            text.contains("\"vars_eliminated\":\"00000000000000d2\""),
+            "{}",
+            text
+        );
         assert_eq!(CrossRunProfile::load(&path).unwrap(), delta);
         let _ = std::fs::remove_file(&path);
     }

@@ -38,9 +38,6 @@ pub struct VerificationService {
     stages: AtomicU64,
     generation_queued: AtomicU64,
     generated: AtomicU64,
-    vars_eliminated: AtomicU64,
-    clauses_subsumed: AtomicU64,
-    clauses_strengthened: AtomicU64,
 }
 
 /// How many generated-but-unverified candidates a connection's streaming
@@ -105,9 +102,6 @@ impl VerificationService {
             stages: AtomicU64::new(0),
             generation_queued: AtomicU64::new(0),
             generated: AtomicU64::new(0),
-            vars_eliminated: AtomicU64::new(0),
-            clauses_subsumed: AtomicU64::new(0),
-            clauses_strengthened: AtomicU64::new(0),
         })
     }
 
@@ -133,9 +127,6 @@ impl VerificationService {
             stages: self.stages.load(Ordering::Relaxed),
             generation_queued: self.generation_queued.load(Ordering::Relaxed),
             generated: self.generated.load(Ordering::Relaxed),
-            vars_eliminated: self.vars_eliminated.load(Ordering::Relaxed),
-            clauses_subsumed: self.clauses_subsumed.load(Ordering::Relaxed),
-            clauses_strengthened: self.clauses_strengthened.load(Ordering::Relaxed),
         }
     }
 
@@ -441,13 +432,6 @@ impl VerificationService {
             .fetch_add(batch.cache_hits as u64, Ordering::Relaxed);
         self.completed
             .fetch_add(batch.jobs.len() as u64, Ordering::Relaxed);
-        let simplify = batch.simplify_totals();
-        self.vars_eliminated
-            .fetch_add(simplify.vars_eliminated, Ordering::Relaxed);
-        self.clauses_subsumed
-            .fetch_add(simplify.clauses_subsumed, Ordering::Relaxed);
-        self.clauses_strengthened
-            .fetch_add(simplify.clauses_strengthened, Ordering::Relaxed);
         if let Some(e) = write_failure.into_inner().unwrap() {
             return Err(e.into());
         }
@@ -473,5 +457,42 @@ impl VerificationService {
             },
         )?;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::pipeline::PipelineConfig;
+
+    #[test]
+    fn a_version_2_hello_gets_the_typed_version_mismatch() {
+        let service = VerificationService::bind(
+            "127.0.0.1:0",
+            EngineConfig::full(PipelineConfig::default()).with_threads(1),
+            Arc::new(VerdictCache::in_memory()),
+        )
+        .unwrap();
+        // A client of the previous protocol, whose status reports still
+        // carried the preprocessing counters.
+        let mut client = TcpStream::connect(service.local_addr()).unwrap();
+        client.write_all(&WIRE_MAGIC).unwrap();
+        write_message(&mut client, &Message::Hello { version: 2 }).unwrap();
+        let (stream, _) = service.listener.accept().unwrap();
+        match service.handle_connection(stream) {
+            Err(ServiceError::Wire(WireError::VersionMismatch { theirs, ours })) => {
+                assert_eq!((theirs, ours), (2, WIRE_VERSION));
+                assert_eq!(WIRE_VERSION, 3);
+            }
+            other => panic!("expected a version mismatch, got {:?}", other),
+        }
+        // The client is told why, in an error frame instead of a hello.
+        let mut reader = BufReader::new(client);
+        match read_message(&mut reader).unwrap() {
+            Some(Message::Error { detail }) => {
+                assert!(detail.contains("peer speaks 2"), "{}", detail)
+            }
+            other => panic!("expected an error frame, got {:?}", other),
+        }
     }
 }

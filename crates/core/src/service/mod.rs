@@ -28,7 +28,7 @@
 //! jobs already answered (by an earlier connection, an offline sweep that
 //! produced the cache file, or a duplicate in the same batch) are answered
 //! immediately from the cache with `cache_hit = true` and are never
-//! admitted to the engine. Admitted jobs run on the existing scalar-affinity
+//! admitted to the engine. Admitted jobs run on the engine's
 //! worker pool with the configured [`StageSchedule`](crate::StageSchedule),
 //! and their verdicts stream back incrementally through the
 //! [`BatchObserver`](crate::BatchObserver) path as each job finishes —

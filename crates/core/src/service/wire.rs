@@ -33,8 +33,9 @@ pub const WIRE_MAGIC: [u8; 4] = *b"LVSV";
 
 /// The wire-protocol version, exchanged in [`Message::Hello`] /
 /// [`Message::ServerHello`]; both sides reject a mismatch. Version 2 added
-/// the simplification counters to [`Message::StatusReport`].
-pub const WIRE_VERSION: u32 = 2;
+/// CNF-preprocessing counters to [`Message::StatusReport`]; version 3
+/// removed them again with the preprocessing layer.
+pub const WIRE_VERSION: u32 = 3;
 
 /// Upper bound on a frame's payload length. A length prefix beyond this is
 /// rejected before any allocation — a corrupt or hostile length field must
@@ -144,14 +145,6 @@ pub struct ServiceStatus {
     pub generation_queued: u64,
     /// Completions sampled by the daemon's seeded generator since start.
     pub generated: u64,
-    /// Variables eliminated by CNF preprocessing across all admitted jobs
-    /// (zero unless the daemon runs with
-    /// [`EngineReuse::preprocess`](crate::EngineReuse) enabled).
-    pub vars_eliminated: u64,
-    /// Clauses deleted by subsumption during preprocessing.
-    pub clauses_subsumed: u64,
-    /// Clauses shortened by self-subsuming resolution during preprocessing.
-    pub clauses_strengthened: u64,
 }
 
 /// One streamed verdict: the submission index and label it answers, whether
@@ -325,9 +318,6 @@ impl Message {
                 bin::put_u64(buf, status.stages);
                 bin::put_u64(buf, status.generation_queued);
                 bin::put_u64(buf, status.generated);
-                bin::put_u64(buf, status.vars_eliminated);
-                bin::put_u64(buf, status.clauses_subsumed);
-                bin::put_u64(buf, status.clauses_strengthened);
             }
             Message::Error { detail } => {
                 bin::put_u8(buf, TAG_ERROR);
@@ -399,9 +389,6 @@ impl Message {
                 stages: r.u64().map_err(field)?,
                 generation_queued: r.u64().map_err(field)?,
                 generated: r.u64().map_err(field)?,
-                vars_eliminated: r.u64().map_err(field)?,
-                clauses_subsumed: r.u64().map_err(field)?,
-                clauses_strengthened: r.u64().map_err(field)?,
             }),
             TAG_ERROR => Message::Error {
                 detail: r.str().map_err(field)?.to_string(),

@@ -24,8 +24,7 @@ use crate::cache::{
     verdict_tag, write_atomic_stream,
 };
 use crate::engine::{
-    EngineConfig, EngineReuse, Job, JobReport, ReuseCounters, SimplifyCounters, StageSchedule,
-    StageTrace,
+    EngineConfig, EngineReuse, Job, JobReport, ReuseCounters, StageSchedule, StageTrace,
 };
 use crate::journal::{self, FsyncPolicy, JournalWriter};
 use crate::pipeline::PipelineConfig;
@@ -89,7 +88,12 @@ fn usize_field(value: &Value, key: &str) -> Result<usize, String> {
 
 /// Layers that manifests from earlier builds may still switch. Off is what
 /// this build runs anyway; on cannot be honoured, so it is refused.
-const REMOVED_REUSE_LAYERS: [&str; 2] = ["portfolio", "simplify_inprocess"];
+const REMOVED_REUSE_LAYERS: [&str; 4] = [
+    "portfolio",
+    "simplify_inprocess",
+    "incremental",
+    "simplify_preprocess",
+];
 
 fn parse_reuse(obj: &Value) -> Result<EngineReuse, String> {
     for layer in REMOVED_REUSE_LAYERS {
@@ -102,8 +106,6 @@ fn parse_reuse(obj: &Value) -> Result<EngineReuse, String> {
     }
     Ok(EngineReuse {
         memo: bool_field(obj, "memo")?,
-        incremental: bool_field(obj, "incremental")?,
-        preprocess: opt_bool_field(obj, "simplify_preprocess")?,
     })
 }
 
@@ -343,11 +345,9 @@ pub struct SweepManifest {
     pub schedule: StageSchedule,
     /// Stage configurations.
     pub pipeline: PipelineConfig,
-    /// The solver-reuse layers every shard runs with. Part of the exchange
-    /// because incremental reuse perturbs the configuration fingerprint —
-    /// a worker must run the same reuse layers to produce (and verify) the
-    /// recorded fingerprint. Manifests written before the reuse subsystem
-    /// carry no field and mean "all layers off".
+    /// The solver reuse every shard runs with, so that each worker runs the
+    /// sweep's configuration exactly. Manifests written before the reuse
+    /// subsystem carry no field and mean "memo off".
     pub reuse: EngineReuse,
     /// The sweep's jobs, in batch order. **Empty when [`generation`] is
     /// set** — a generation manifest ships no printed candidates; go
@@ -497,8 +497,6 @@ impl SweepManifest {
         e.key("reuse")?;
         e.begin_object()?;
         e.field_bool("memo", self.reuse.memo)?;
-        e.field_bool("incremental", self.reuse.incremental)?;
-        e.field_bool("simplify_preprocess", self.reuse.preprocess)?;
         e.end_object()?;
         match &self.generation {
             // A generation manifest ships the kernels + (k, seed) instead
@@ -656,7 +654,7 @@ impl SweepManifest {
             }
         };
         // Manifests written before the reuse subsystem carry no `reuse`
-        // field; they mean every layer off.
+        // field; they mean the memo off.
         let reuse = match doc.get("reuse") {
             None => EngineReuse::default(),
             Some(obj) => parse_reuse(obj).map_err(ShardError::Format)?,
@@ -1003,15 +1001,6 @@ fn emit_job_report<W: io::Write>(
     e.begin_object()?;
     e.field_hex("blast_hits", report.reuse.blast_hits)?;
     e.field_hex("blast_misses", report.reuse.blast_misses)?;
-    e.field_hex("assumption_reuses", report.reuse.assumption_reuses)?;
-    e.end_object()?;
-    e.key("simplify")?;
-    e.begin_object()?;
-    e.field_hex("vars_eliminated", report.simplify.vars_eliminated)?;
-    e.field_hex("clauses_subsumed", report.simplify.clauses_subsumed)?;
-    e.field_hex("clauses_strengthened", report.simplify.clauses_strengthened)?;
-    e.field_hex("arena_bytes", report.simplify.arena_bytes)?;
-    e.field_hex("preprocess_us", report.simplify.preprocess_micros)?;
     e.end_object()?;
     e.key("traces")?;
     e.begin_array()?;
@@ -1046,28 +1035,13 @@ fn parse_job_report(item: &Value) -> Result<(usize, JobReport), String> {
             })
         })
         .collect::<Result<Vec<_>, String>>()?;
-    // Reports written before the reuse subsystem carry no counters.
+    // Reports written before the reuse subsystem carry no counters. Keys
+    // and objects of deleted counters in older reports are ignored.
     let reuse = match item.get("reuse") {
         None => ReuseCounters::default(),
         Some(obj) => ReuseCounters {
             blast_hits: parse_hex(obj.get("blast_hits"), "blast_hits")?,
             blast_misses: parse_hex(obj.get("blast_misses"), "blast_misses")?,
-            assumption_reuses: parse_hex(obj.get("assumption_reuses"), "assumption_reuses")?,
-        },
-    };
-    // Likewise, reports written before the preprocessing counters carry no
-    // `simplify` object.
-    let simplify = match item.get("simplify") {
-        None => SimplifyCounters::default(),
-        Some(obj) => SimplifyCounters {
-            vars_eliminated: parse_hex(obj.get("vars_eliminated"), "vars_eliminated")?,
-            clauses_subsumed: parse_hex(obj.get("clauses_subsumed"), "clauses_subsumed")?,
-            clauses_strengthened: parse_hex(
-                obj.get("clauses_strengthened"),
-                "clauses_strengthened",
-            )?,
-            arena_bytes: parse_hex(obj.get("arena_bytes"), "arena_bytes")?,
-            preprocess_micros: parse_hex(obj.get("preprocess_us"), "preprocess_us")?,
         },
     };
     let report = JobReport {
@@ -1080,7 +1054,6 @@ fn parse_job_report(item: &Value) -> Result<(usize, JobReport), String> {
         wall: Duration::from_micros(parse_hex(item.get("wall_us"), "wall_us")?),
         cache_hit: bool_field(item, "cache_hit")?,
         reuse,
-        simplify,
     };
     Ok((usize_field(item, "index")?, report))
 }
@@ -1242,9 +1215,9 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("lv-shard-{}-{}", tag, std::process::id()));
         let path = dir.join("manifest.json");
         let rendered = sample_manifest().render();
-        let anchor = "\"incremental\":false";
+        let anchor = "\"reuse\":{";
         assert!(rendered.contains(anchor), "splice point must exist");
-        let spliced = rendered.replace(anchor, &format!("{},\"{}\":{}", anchor, key, value));
+        let spliced = rendered.replace(anchor, &format!("{}\"{}\":{},", anchor, key, value));
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(&path, spliced).unwrap();
         let loaded = SweepManifest::load(&path);
@@ -1271,6 +1244,30 @@ mod tests {
         match load_with_reuse_key("inproc-on", "simplify_inprocess", true) {
             Err(ShardError::Format(reason)) => {
                 assert!(reason.contains("`simplify_inprocess`"), "{}", reason)
+            }
+            other => panic!("expected a format error, got {:?}", other),
+        }
+    }
+
+    #[test]
+    fn manifest_enabling_incremental_is_rejected() {
+        let off = load_with_reuse_key("incremental-off", "incremental", false).unwrap();
+        assert_eq!(off.fingerprint(), sample_manifest().fingerprint());
+        match load_with_reuse_key("incremental-on", "incremental", true) {
+            Err(ShardError::Format(reason)) => {
+                assert!(reason.contains("`incremental`"), "{}", reason)
+            }
+            other => panic!("expected a format error, got {:?}", other),
+        }
+    }
+
+    #[test]
+    fn manifest_enabling_simplify_preprocess_is_rejected() {
+        let off = load_with_reuse_key("preprocess-off", "simplify_preprocess", false).unwrap();
+        assert_eq!(off.fingerprint(), sample_manifest().fingerprint());
+        match load_with_reuse_key("preprocess-on", "simplify_preprocess", true) {
+            Err(ShardError::Format(reason)) => {
+                assert!(reason.contains("`simplify_preprocess`"), "{}", reason)
             }
             other => panic!("expected a format error, got {:?}", other),
         }
@@ -1321,14 +1318,6 @@ mod tests {
                     reuse: ReuseCounters {
                         blast_hits: 7,
                         blast_misses: 2,
-                        assumption_reuses: 5,
-                    },
-                    simplify: SimplifyCounters {
-                        vars_eliminated: 210,
-                        clauses_subsumed: 33,
-                        clauses_strengthened: 12,
-                        arena_bytes: 65_536,
-                        preprocess_micros: 800,
                     },
                 },
             )],
@@ -1350,12 +1339,6 @@ mod tests {
         assert_eq!(job.traces[0].wall, Duration::from_micros(1234));
         assert_eq!(job.reuse.blast_hits, 7);
         assert_eq!(job.reuse.blast_misses, 2);
-        assert_eq!(job.reuse.assumption_reuses, 5);
-        assert_eq!(job.simplify.vars_eliminated, 210);
-        assert_eq!(job.simplify.clauses_subsumed, 33);
-        assert_eq!(job.simplify.clauses_strengthened, 12);
-        assert_eq!(job.simplify.arena_bytes, 65_536);
-        assert_eq!(job.simplify.preprocess_micros, 800);
 
         // The snapshot report document of earlier builds is refused.
         std::fs::write(
@@ -1368,6 +1351,54 @@ mod tests {
             other => panic!("expected a format error, got {:?}", other),
         }
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn reports_with_removed_counters_still_load() {
+        // A report journal as builds with CNF preprocessing and incremental
+        // sessions wrote it: an `assumption_reuses` key in `reuse` and a
+        // `simplify` object in every job record.
+        let dir = std::env::temp_dir().join(format!("lv-shard-old-report-{}", std::process::id()));
+        let path = dir.join("shard-0.report.json");
+        let text = concat!(
+            "{\"journal\":\"shard-report\",\"version\":1,\"shard\":0,\"shards\":2,",
+            "\"fingerprint\":\"000000000000abcd\"} e02d3d4a\n",
+            "{\"index\":4,\"label\":\"s112\",\"verdict\":\"equivalent\",\"stage\":\"cunroll\",",
+            "\"detail\":\"d\",\"checksum\":\"plausible\",\"cache_hit\":false,",
+            "\"wall_us\":\"000000000000270f\",\"reuse\":{\"blast_hits\":\"0000000000000007\",",
+            "\"blast_misses\":\"0000000000000002\",\"assumption_reuses\":\"0000000000000005\"},",
+            "\"simplify\":{\"vars_eliminated\":\"00000000000000d2\",",
+            "\"clauses_subsumed\":\"0000000000000021\",\"clauses_strengthened\":\"000000000000000c\",",
+            "\"arena_bytes\":\"0000000000010000\",\"preprocess_us\":\"0000000000000320\"},",
+            "\"traces\":[{\"stage\":\"cunroll\",\"conclusive\":true,\"wall_us\":\"00000000000004d2\",",
+            "\"conflicts\":\"0000000000000010\",\"clauses\":\"0000000000000384\",",
+            "\"name_mismatch\":false}]} acdd54f2\n",
+        );
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(&path, text).unwrap();
+        let loaded = ShardReportFile::load(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(
+            (loaded.shard, loaded.shards, loaded.fingerprint),
+            (0, 2, 0xabcd)
+        );
+        let (index, job) = &loaded.entries[0];
+        assert_eq!(*index, 4);
+        assert_eq!(
+            (job.verdict, job.stage),
+            (Equivalence::Equivalent, Stage::CUnroll)
+        );
+        assert_eq!(job.checksum, Some(lv_interp::ChecksumClass::Plausible));
+        assert_eq!(job.wall, Duration::from_micros(9999));
+        assert_eq!(
+            job.reuse,
+            ReuseCounters {
+                blast_hits: 7,
+                blast_misses: 2
+            }
+        );
+        assert_eq!(job.traces.len(), 1);
+        assert_eq!((job.traces[0].conflicts, job.traces[0].clauses), (16, 900));
     }
 
     #[test]
@@ -1384,7 +1415,6 @@ mod tests {
             wall: Duration::from_micros(10),
             cache_hit: false,
             reuse: ReuseCounters::default(),
-            simplify: SimplifyCounters::default(),
         };
         let mut journal =
             ShardReportJournal::create(&path, 1, 2, 0xfeed, FsyncPolicy::OnCompact).unwrap();

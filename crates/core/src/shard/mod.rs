@@ -154,11 +154,6 @@
 //!   responsibility: the coordinator's recovery re-runs every unreported
 //!   index regardless of claims, so claims can only deduplicate work,
 //!   never lose it.
-//! * Stealing refuses to combine with incremental SMT reuse
-//!   ([`EngineReuse::incremental`](crate::EngineReuse)): a reused
-//!   conclusion's stage/detail depend on same-process query history, so a
-//!   claim race could produce *differing* cache entries for one key — the
-//!   exact conflict the merge must keep treating as corruption.
 //!
 //! Stolen reports are appended to the thief's own report journal under the
 //! jobs' original indices; [`ShardOutcome::stolen`] counts them.

@@ -119,12 +119,7 @@ pub struct ShardRunOptions {
     pub heartbeat: Option<Duration>,
     /// Enable live-shard work stealing (`--steal`): claim own jobs through
     /// a [`ClaimsJournal`] chunk by chunk, then steal unclaimed pending
-    /// jobs from the stalest sibling shards. Refused (with a warning,
-    /// falling back to the plain path) when the manifest enables incremental
-    /// SMT reuse, whose concluding stage/detail depends on what else ran in
-    /// the same process — two shards racing a claim could then write
-    /// *different* (both individually correct) cache entries for one job,
-    /// which the coordinator's merge must reject. See the [module
+    /// jobs from the stalest sibling shards. See the [module
     /// docs](crate::shard) for the conflict rules.
     pub steal: bool,
     /// Fault injection for the stealing tests: sleep this long *once* at
@@ -298,15 +293,6 @@ pub fn run_shard_with(
         fail_after: options.fail_after,
     };
 
-    let steal = options.steal && !manifest.reuse.incremental;
-    if options.steal && !steal {
-        eprintln!(
-            "lv-shard: --steal is incompatible with incremental SMT reuse (a claim race \
-             could produce conflicting cache entries); running shard {} without stealing",
-            shard
-        );
-    }
-
     let stop = AtomicBool::new(false);
     let (ran_jobs, ran_reports, stolen) = std::thread::scope(|scope| {
         if let Some(period) = options.heartbeat {
@@ -334,7 +320,7 @@ pub fn run_shard_with(
                 }
             });
         }
-        let result = if steal {
+        let result = if options.steal {
             run_shard_stealing(
                 manifest, shard, out_dir, options, &engine, &appender, &indices,
             )

@@ -166,7 +166,6 @@ fn sample_report(label: &str) -> JobReport {
         wall: Duration::from_micros(9876),
         cache_hit: false,
         reuse: Default::default(),
-        simplify: Default::default(),
     }
 }
 

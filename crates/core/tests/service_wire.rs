@@ -53,9 +53,6 @@ fn sample_messages() -> Vec<Message> {
             stages: 41,
             generation_queued: 5,
             generated: 12,
-            vars_eliminated: 310,
-            clauses_subsumed: 44,
-            clauses_strengthened: 9,
         }),
         Message::Error {
             detail: "job 's1': unparsable scalar".to_string(),

@@ -250,30 +250,6 @@ impl Recorder {
     }
 }
 
-/// The persistent half of a [`BitBlaster`], detached from the `Context` and
-/// `SatSolver` borrows so the incremental solver can keep term encodings,
-/// variable bindings and the true literal alive across queries. Produced by
-/// [`BitBlaster::into_state`] and revived by [`BitBlaster::resume`].
-#[derive(Debug)]
-pub struct BlastState {
-    cache: HashMap<TermId, Bits>,
-    true_lit: Lit,
-    var_bits: HashMap<String, Vec<Lit>>,
-    var_bools: HashMap<String, Lit>,
-}
-
-impl BlastState {
-    /// The literals of each free bitvector variable bound so far.
-    pub fn var_bits(&self) -> &HashMap<String, Vec<Lit>> {
-        &self.var_bits
-    }
-
-    /// The literal of each free boolean variable bound so far.
-    pub fn var_bools(&self) -> &HashMap<String, Lit> {
-        &self.var_bools
-    }
-}
-
 /// Bit-blasts terms from a [`Context`] into a [`SatSolver`].
 pub struct BitBlaster<'a> {
     ctx: &'a Context,
@@ -302,32 +278,6 @@ impl<'a> BitBlaster<'a> {
             var_bits: HashMap::new(),
             var_bools: HashMap::new(),
             recorder: None,
-        }
-    }
-
-    /// Revives a blaster from persistent state, continuing to feed `sat`.
-    /// `ctx` must still contain every term id recorded in `state` (the
-    /// incremental solver guarantees this by never recycling the context
-    /// while a persistent instance is alive).
-    pub fn resume(ctx: &'a Context, sat: &'a mut SatSolver, state: BlastState) -> Self {
-        BitBlaster {
-            ctx,
-            sat,
-            cache: state.cache,
-            true_lit: state.true_lit,
-            var_bits: state.var_bits,
-            var_bools: state.var_bools,
-            recorder: None,
-        }
-    }
-
-    /// Detaches the persistent half for a later [`BitBlaster::resume`].
-    pub fn into_state(self) -> BlastState {
-        BlastState {
-            cache: self.cache,
-            true_lit: self.true_lit,
-            var_bits: self.var_bits,
-            var_bools: self.var_bools,
         }
     }
 
@@ -1284,31 +1234,6 @@ mod tests {
         bl.assert_with_cache(c2, &mut memo).unwrap();
         assert_eq!(memo.len(), 1, "context-dependent blast must not record");
         assert_eq!(sat.solve(&SatBudget::default()), SatResult::Sat);
-    }
-
-    #[test]
-    fn memo_survives_solver_state_roundtrip() {
-        // Record, detach with into_state, resume against a fresh SAT
-        // solver: the memo (held outside) still replays and the resumed
-        // blaster keeps its variable bindings.
-        let mut memo = BlastCache::new();
-        let mut ctx = Context::new();
-        let q1 = distributivity_query(&mut ctx, "x", "y");
-
-        let mut sat1 = SatSolver::new();
-        let bl = {
-            let mut bl = BitBlaster::new(&ctx, &mut sat1);
-            bl.assert_with_cache(q1, &mut memo).unwrap();
-            bl.into_state()
-        };
-        assert!(bl.var_bits().contains_key("x"));
-
-        let q2 = distributivity_query(&mut ctx, "p", "q");
-        let mut bl2 = BitBlaster::resume(&ctx, &mut sat1, bl);
-        bl2.assert_with_cache(q2, &mut memo).unwrap();
-        assert_eq!(memo.hits(), 1);
-        assert!(bl2.var_bits().contains_key("p"));
-        assert_eq!(sat1.solve(&SatBudget::default()), SatResult::Unsat);
     }
 
     #[test]

@@ -15,33 +15,16 @@
 //!   ([`BitBlaster`]), with a blasted-CNF memo ([`BlastCache`]) replaying
 //!   recorded clause streams for structurally repeated queries;
 //! * [`sat`] — the CDCL SAT solver ([`SatSolver`]) with a flat clause
-//!   arena, an indexed VSIDS decision heap, MiniSat-style assumption
-//!   solving for the incremental push/pop pathway, and budget stops that
-//!   pause and resume ([`SatSolver::resume`]); [`SEARCH_REVISION`] names
-//!   its search trajectory;
-//! * [`preprocess`] — SatELite-style clause-database preprocessing
-//!   ([`preprocess::preprocess`]), run once per query before search;
+//!   arena, an indexed VSIDS decision heap, and budget stops that pause and
+//!   resume ([`SatSolver::resume`]); [`SEARCH_REVISION`] names its search
+//!   trajectory;
 //! * [`solver`] — the user-facing facade ([`Solver`], [`CheckResult`],
-//!   [`Validity`]), including the incremental per-scalar session
-//!   ([`Solver::begin_incremental`] / [`Solver::check_assuming`]), the
-//!   resumption of a budget-stopped one-shot search by an identical
-//!   follow-up query, and the reuse counters ([`ReuseStats`]).
+//!   [`Validity`]), including the resumption of a budget-stopped search by
+//!   an identical follow-up query and the reuse counters ([`ReuseStats`]).
 //!
-//! # Preprocessing
-//!
-//! With preprocessing on ([`Solver::set_preprocess`]), every one-shot
-//! query's bit-blasted CNF is simplified once before CDCL search: unit
-//! propagation to fixpoint, pure-literal elimination, subsumption +
-//! self-subsuming resolution, and bounded variable elimination. A
-//! **reconstruction stack** rebuilds values for eliminated variables when a
-//! `Sat` answer needs a counterexample, so models always satisfy the
-//! original formula.
-//!
-//! Preprocessing runs on the *post-replay* clause stream, so
-//! [`BlastCache`] records and replays the unsimplified blast and memo hits
-//! stay clause-identical. Incremental sessions are never preprocessed:
-//! their later per-candidate clauses and activation literals may name any
-//! variable of the base instance.
+//! Every query takes one path: blast once (replaying from the memo when it
+//! is on), search once, and resume a paused search when the next query is
+//! the identical instance.
 //!
 //! # Examples
 //!
@@ -63,13 +46,11 @@
 #![warn(missing_docs)]
 
 pub mod bitblast;
-pub mod preprocess;
 pub mod sat;
 pub mod solver;
 pub mod term;
 
-pub use bitblast::{BitBlaster, Bits, BlastCache, BlastError, BlastState};
-pub use preprocess::{PreprocessStats, Preprocessed, SimplifyStats};
+pub use bitblast::{BitBlaster, Bits, BlastCache, BlastError};
 pub use sat::{Lit, SatBudget, SatResult, SatSolver, SatStats, Var, SEARCH_REVISION};
 pub use solver::{CheckResult, CheckStats, Model, ReuseStats, Solver, SolverBudget, Validity};
 pub use term::{mask, sign_extend, structural_hash, Context, Op, Sort, TermData, TermId};

@@ -37,9 +37,9 @@
 //! point under a larger budget. Conflicts already spent count against the
 //! new budget and [`SatSolver::stats`] keeps accumulating, so a resumed
 //! search returns what a fresh solve with the larger budget returns: the
-//! same result, model, and decision/conflict/propagation counts. Only
-//! assumption-free solves pause; a fresh solve, `add_clause`, `new_var` or
-//! `reset_to_root` discards the pause. [`SatSolver::encode_instance`] is
+//! same result, model, and decision/conflict/propagation counts. A fresh
+//! solve, `add_clause`, `new_var` or `reset_to_root` discards the pause.
+//! [`SatSolver::encode_instance`] is
 //! the exact pre-search identity a caller compares before resuming a pause
 //! for a rebuilt instance (MiniSat-style reusable solver state, Eén &
 //! Sörensson, SAT'03).
@@ -369,8 +369,8 @@ impl SatSolver {
     }
 
     /// Pre-sizes the watch list of `lit` — used when the clause set is known
-    /// up front (e.g. a preprocessed rebuild) so the propagation loop starts
-    /// with watch lists at their final occupancy.
+    /// up front, so the propagation loop starts with watch lists at their
+    /// final occupancy.
     pub fn reserve_watch(&mut self, lit: Lit, additional: usize) {
         self.watches[lit.negate().code()].reserve(additional);
     }
@@ -657,25 +657,6 @@ impl SatSolver {
 
     /// Solves the formula under the given budget.
     pub fn solve(&mut self, budget: &SatBudget) -> SatResult {
-        self.solve_with_assumptions(budget, &[])
-    }
-
-    /// Solves the formula under the given budget with a prefix of *assumption*
-    /// literals decided before any free decision (MiniSat's
-    /// `solve(assumptions)`).
-    ///
-    /// `Unsat` means the clause set is unsatisfiable *together with the
-    /// assumptions*; only a conflict at decision level 0 marks the instance
-    /// permanently unsatisfiable. Learned clauses never mention assumption
-    /// literals as facts (assumptions are decisions, not units), so the
-    /// solver stays reusable afterwards: call [`SatSolver::reset_to_root`]
-    /// to drop the assumption decisions, add more clauses, and solve again
-    /// under a different assumption set. This is the retraction mechanism
-    /// behind the incremental per-scalar pathway in
-    /// [`crate::solver::Solver`]: per-candidate assertions are guarded by an
-    /// activation literal passed here, and "pop" is an unconditional unit
-    /// clause asserting its negation.
-    pub fn solve_with_assumptions(&mut self, budget: &SatBudget, assumptions: &[Lit]) -> SatResult {
         self.discard_pause();
         self.stats = SatStats::default();
         self.restart_limit = 100;
@@ -687,7 +668,7 @@ impl SatSolver {
             self.unsat = true;
             return SatResult::Unsat;
         }
-        self.search(budget, assumptions, None)
+        self.search(budget, None)
     }
 
     /// Continues the search paused by the last budget stop under a larger
@@ -700,12 +681,12 @@ impl SatSolver {
     /// decision, conflict and propagation counts. A budget at or below the
     /// conflicts already spent stays `Unknown` (and stays paused).
     ///
-    /// Only an assumption-free solve pauses; any solve, [`SatSolver::add_clause`],
-    /// [`SatSolver::new_var`] or [`SatSolver::reset_to_root`] discards the
-    /// pause. Without one, this is [`SatSolver::solve`].
+    /// Any solve, [`SatSolver::add_clause`], [`SatSolver::new_var`] or
+    /// [`SatSolver::reset_to_root`] discards the pause. Without one, this is
+    /// [`SatSolver::solve`].
     pub fn resume(&mut self, budget: &SatBudget) -> SatResult {
         match self.paused.take() {
-            Some(conflict) => self.search(budget, &[], Some(conflict)),
+            Some(conflict) => self.search(budget, Some(conflict)),
             None => self.solve(budget),
         }
     }
@@ -719,12 +700,7 @@ impl SatSolver {
 
     /// The CDCL loop. `pending` is a conflict already found and counted
     /// before a budget stop; it is analysed first.
-    fn search(
-        &mut self,
-        budget: &SatBudget,
-        assumptions: &[Lit],
-        mut pending: Option<ClauseRef>,
-    ) -> SatResult {
+    fn search(&mut self, budget: &SatBudget, mut pending: Option<ClauseRef>) -> SatResult {
         loop {
             let resumed = pending.take();
             if let Some(conflict) = resumed.or_else(|| self.propagate()) {
@@ -735,19 +711,9 @@ impl SatSolver {
                         self.unsat = true;
                         return SatResult::Unsat;
                     }
-                    if self.decision_level() as usize <= assumptions.len() {
-                        // Every decision below this level is an assumption,
-                        // so the conflicting assignment is implied by the
-                        // clause set plus the assumption prefix: UNSAT under
-                        // assumptions (but not globally).
-                        self.backtrack(0);
-                        return SatResult::Unsat;
-                    }
                 }
                 if self.stats.conflicts >= budget.max_conflicts {
-                    if assumptions.is_empty() {
-                        self.paused = Some(conflict);
-                    }
+                    self.paused = Some(conflict);
                     return SatResult::Unknown;
                 }
                 let backtrack_level = self.analyze(conflict);
@@ -773,27 +739,6 @@ impl SatSolver {
                     self.backtrack(0);
                     continue;
                 }
-                let level = self.decision_level() as usize;
-                if level < assumptions.len() {
-                    // Install the next assumption as this level's decision.
-                    // An already-true assumption still opens an (empty)
-                    // decision level so level k always means "assumptions
-                    // 0..k are in force".
-                    let p = assumptions[level];
-                    match self.value(p) {
-                        Some(true) => self.trail_lim.push(self.trail.len()),
-                        Some(false) => {
-                            self.backtrack(0);
-                            return SatResult::Unsat;
-                        }
-                        None => {
-                            self.stats.decisions += 1;
-                            self.trail_lim.push(self.trail.len());
-                            self.enqueue(p, None);
-                        }
-                    }
-                    continue;
-                }
                 match self.pick_branch_var() {
                     None => return SatResult::Sat,
                     Some(var) => {
@@ -807,8 +752,7 @@ impl SatSolver {
         }
     }
 
-    /// Undoes every decision (assumptions included), returning the solver to
-    /// decision level 0 — the "pop" after an assumption-based query, after
+    /// Undoes every decision, returning the solver to decision level 0, after
     /// which more clauses can be added and the solver re-solved. Discards a
     /// paused search.
     pub fn reset_to_root(&mut self) {
@@ -1026,102 +970,6 @@ mod tests {
     }
 
     #[test]
-    fn assumptions_restrict_without_committing() {
-        // (1 ∨ 2) with assumption ¬1 forces 2; with assumption ¬2 forces 1;
-        // the instance itself stays satisfiable throughout.
-        let mut s = solver_with_vars(2);
-        s.add_clause(&[lit(1), lit(2)]);
-        assert_eq!(
-            s.solve_with_assumptions(&SatBudget::default(), &[lit(-1)]),
-            SatResult::Sat
-        );
-        assert!(!s.model_value(0));
-        assert!(s.model_value(1));
-        s.reset_to_root();
-        assert_eq!(
-            s.solve_with_assumptions(&SatBudget::default(), &[lit(-2)]),
-            SatResult::Sat
-        );
-        assert!(s.model_value(0));
-        s.reset_to_root();
-        // Contradictory assumptions: UNSAT under assumptions only.
-        assert_eq!(
-            s.solve_with_assumptions(&SatBudget::default(), &[lit(-1), lit(-2)]),
-            SatResult::Unsat
-        );
-        s.reset_to_root();
-        // The instance is still satisfiable afterwards.
-        assert_eq!(s.solve(&SatBudget::default()), SatResult::Sat);
-    }
-
-    #[test]
-    fn activation_literal_retracts_a_clause_group() {
-        // The activation-literal protocol of the incremental solver: guard
-        // clause (¬act ∨ c), solve under [act], retire with unit ¬act.
-        let mut s = solver_with_vars(2);
-        let act = Lit::pos(s.new_var());
-        let c = lit(1);
-        s.add_clause(&[act.negate(), c]);
-        s.add_clause(&[act.negate(), lit(-1)]); // guarded contradiction
-        assert_eq!(
-            s.solve_with_assumptions(&SatBudget::default(), &[act]),
-            SatResult::Unsat
-        );
-        s.reset_to_root();
-        s.add_clause(&[act.negate()]); // pop: the guarded group goes inert
-        let act2 = Lit::pos(s.new_var());
-        s.add_clause(&[act2.negate(), lit(2)]);
-        assert_eq!(
-            s.solve_with_assumptions(&SatBudget::default(), &[act2]),
-            SatResult::Sat
-        );
-        assert!(s.model_value(1));
-        s.reset_to_root();
-    }
-
-    #[test]
-    fn assumption_solve_matches_fresh_solve_on_units() {
-        // Solving with assumption `a` must agree with a fresh solver where
-        // `a` is a unit clause, over a small family of instances.
-        for seed in 0..20u64 {
-            let mut state = seed
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let mut next = move || {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                state >> 33
-            };
-            let n = 6;
-            let mut clauses: Vec<Vec<Lit>> = Vec::new();
-            for _ in 0..12 {
-                let mut clause = Vec::new();
-                for _ in 0..3 {
-                    let v = (next() % n) as Var;
-                    clause.push(Lit::new(v, next() % 2 == 1));
-                }
-                clauses.push(clause);
-            }
-            let assumption = Lit::new((next() % n) as Var, next() % 2 == 1);
-
-            let mut fresh = solver_with_vars(n as usize);
-            for c in &clauses {
-                fresh.add_clause(c);
-            }
-            fresh.add_clause(&[assumption]);
-            let want = fresh.solve(&SatBudget::default());
-
-            let mut inc = solver_with_vars(n as usize);
-            for c in &clauses {
-                inc.add_clause(c);
-            }
-            let got = inc.solve_with_assumptions(&SatBudget::default(), &[assumption]);
-            assert_eq!(got, want, "seed {}", seed);
-        }
-    }
-
-    #[test]
     fn cnf_fingerprint_tracks_instance_content() {
         let mut a = solver_with_vars(3);
         a.add_clause(&[lit(1), lit(2)]);
@@ -1312,15 +1160,6 @@ mod tests {
             let want = b.solve(&budget);
             assert_eq!(outcome(&a, got), outcome(&b, want), "add_clause: {}", add);
         }
-    }
-
-    #[test]
-    fn assumption_solves_never_pause() {
-        let clauses = random_cnf(3, 60, 258);
-        let mut s = solver_for(60, &clauses);
-        let result = s.solve_with_assumptions(&SatBudget { max_conflicts: 5 }, &[lit(4)]);
-        assert_eq!(result, SatResult::Unknown);
-        assert!(s.paused.is_none());
     }
 
     /// `(result, decisions, conflicts, propagations, restarts)` of a fresh

@@ -7,32 +7,17 @@
 //!
 //! # Cross-query reuse
 //!
-//! Two optional mechanisms cut repeated work across the queries of a batch
-//! sweep; both default off, and the plain [`Solver::check`] path is
-//! byte-for-byte unchanged when they stay off.
-//!
-//! - **Blasted-CNF memo** ([`Solver::enable_blast_memo`]): a
-//!   [`BlastCache`] keyed by the structural hash of each asserted root,
-//!   replaying the recorded CNF stream for structurally identical
-//!   assertions (see [`crate::bitblast`] for the keying and the
-//!   bit-identity guarantee). The memo lives on the `Solver` *beside* the
-//!   recycled term [`Context`] — [`Solver::recycle`] clears terms and
-//!   assertions but keeps the memo, which is the point: one worker verifies
-//!   many candidates of the same scalar, and their verification conditions
-//!   re-blast identically across recycles.
-//!
-//! - **Incremental push/pop** ([`Solver::begin_incremental`] /
-//!   [`Solver::check_assuming`]): the assertions at `begin_incremental`
-//!   time (the scalar-side context) are blasted once into a persistent SAT
-//!   instance. Each `check_assuming(f)` then blasts only `f`, guards it
-//!   behind a fresh *activation literal* `act` (one clause `¬act ∨ f`),
-//!   and solves under the assumption `[act]`; the "pop" is an
-//!   unconditional unit clause `¬act` that permanently satisfies the
-//!   guard, so retired candidate constraints can never influence later
-//!   queries. Term encodings are shared through the persistent
-//!   [`BitBlaster`] instance cache, so a subterm common to every candidate
-//!   (the scalar's symbolic execution, in the verifier) is blasted exactly
-//!   once per session.
+//! The blasted-CNF memo ([`Solver::enable_blast_memo`]) cuts repeated
+//! blasting across the queries of a batch sweep. It defaults off, and the
+//! plain [`Solver::check`] path is byte-for-byte unchanged when it stays off.
+//! The memo is a [`BlastCache`] keyed by the structural hash of each
+//! asserted root, replaying the recorded CNF stream for structurally
+//! identical assertions (see [`crate::bitblast`] for the keying and the
+//! bit-identity guarantee). It lives on the `Solver` *beside* the recycled
+//! term [`Context`] — [`Solver::recycle`] clears terms and assertions but
+//! keeps the memo, which is the point: one worker verifies many candidates
+//! of the same scalar, and their verification conditions re-blast
+//! identically across recycles.
 //!
 //! # Resuming a budget-stopped search
 //!
@@ -41,7 +26,7 @@
 //! C-unroll symbolically executes to the terms the Alive2 stage asked
 //! about, under a larger conflict budget. Since CDCL search is
 //! deterministic, re-solving would replay every conflict already spent. So
-//! a one-shot [`Solver::check`] whose search stops at its conflict budget
+//! a [`Solver::check`] whose search stops at its conflict budget
 //! keeps the paused [`SatSolver`] (one per `Solver`; like the blast memo it
 //! survives [`Solver::recycle`]), and the next `check` resumes it when, and
 //! only when:
@@ -57,12 +42,10 @@
 //! *total* conflicts and decisions in [`Solver::last_stats`], and returns
 //! the result and model a fresh solve with the larger budget returns, so
 //! verdicts, stage traces, funnels, profiles and cache keys cannot tell the
-//! difference. Assumption solves on incremental sessions and checks with
-//! preprocessing on keep no pause and behave exactly as before.
+//! difference.
 
-use crate::bitblast::{BitBlaster, BlastCache, BlastState};
-use crate::preprocess::{preprocess_solver, SimplifyStats};
-use crate::sat::{Lit, SatBudget, SatResult, SatSolver, Var};
+use crate::bitblast::{BitBlaster, BlastCache};
+use crate::sat::{Lit, SatBudget, SatResult, SatSolver};
 use crate::term::{sign_extend, Context, Sort, TermId};
 use std::collections::HashMap;
 use std::fmt;
@@ -229,9 +212,6 @@ pub struct ReuseStats {
     pub blast_hits: u64,
     /// Assertion roots blasted fresh while the memo was enabled.
     pub blast_misses: u64,
-    /// Queries answered by an assumption solve on a warm incremental
-    /// session instead of a from-scratch blast.
-    pub assumption_reuses: u64,
 }
 
 impl ReuseStats {
@@ -239,21 +219,10 @@ impl ReuseStats {
     pub fn absorb(&mut self, other: ReuseStats) {
         self.blast_hits += other.blast_hits;
         self.blast_misses += other.blast_misses;
-        self.assumption_reuses += other.assumption_reuses;
     }
 }
 
-/// The persistent half of an incremental session: the warm SAT instance,
-/// the blaster state binding term encodings and variables into it, and the
-/// clause count of the scalar-side base (for budget accounting).
-#[derive(Debug)]
-struct IncSession {
-    sat: SatSolver,
-    blast: BlastState,
-    base_clauses: usize,
-}
-
-/// A one-shot search stopped by its conflict budget, kept so that the next
+/// A search stopped by its conflict budget, kept so that the next
 /// query, if it builds the identical instance under a larger budget, picks
 /// the search up where it stopped (see the module docs).
 #[derive(Debug)]
@@ -263,13 +232,7 @@ struct PausedSearch {
     instance: Vec<u32>,
 }
 
-/// How many keyed incremental sessions a solver keeps warm at once. The
-/// verifier's stage cascade builds one scalar-side context per symbolic
-/// strategy, so a handful covers a whole same-scalar job group; beyond the
-/// cap the oldest session is dropped (each holds a full SAT instance).
-const MAX_INC_SESSIONS: usize = 4;
-
-/// An incremental-style solver facade over the term [`Context`].
+/// A solver facade over the term [`Context`].
 #[derive(Debug, Default)]
 pub struct Solver {
     /// The term context; build terms through this.
@@ -279,17 +242,7 @@ pub struct Solver {
     pub last_stats: CheckStats,
     /// Blasted-CNF memo; survives [`Solver::recycle`] when enabled.
     blast_memo: Option<BlastCache>,
-    /// Warm incremental sessions, keyed by caller-chosen scalar-context
-    /// keys; all dropped by [`Solver::recycle`].
-    inc: Vec<(u64, IncSession)>,
-    /// Cumulative count of `check_assuming` calls on warm sessions.
-    assumption_reuses: u64,
-    /// Whether one-shot checks preprocess their CNF; off by default, keeping
-    /// the solve path bit-identical to a solver without preprocessing.
-    preprocess: bool,
-    /// Cumulative preprocessing counters (all zero while `preprocess` is off).
-    simplify_stats: SimplifyStats,
-    /// The last one-shot search, if its budget stopped it; survives
+    /// The last search, if its budget stopped it; survives
     /// [`Solver::recycle`], and any query that does not resume it drops it.
     paused: Option<PausedSearch>,
     /// Reused buffer for the current query's pre-search image, so encoding
@@ -311,41 +264,11 @@ impl Solver {
         }
     }
 
-    /// Turns CNF preprocessing ([`crate::preprocess`]) before every
-    /// one-shot search on or off. Off by default.
-    ///
-    /// Preprocessing runs on the *post-replay* clause stream (after any
-    /// [`BlastCache`] record or replay), so memo entries stay
-    /// clause-identical. Incremental sessions never preprocess: their later
-    /// candidate clauses and activation literals may name any variable.
-    pub fn set_preprocess(&mut self, on: bool) {
-        self.preprocess = on;
-    }
-
-    /// Cumulative preprocessing counters (all zero while preprocessing is
-    /// off).
-    pub fn simplify_stats(&self) -> SimplifyStats {
-        self.simplify_stats
-    }
-
-    /// Folds one solve's arena high-water mark into the cumulative
-    /// counters. No-op while preprocessing is off, so the counters stay
-    /// exactly zero on the default path.
-    fn note_arena(&mut self, sat: &SatSolver) {
-        if self.preprocess {
-            self.simplify_stats.arena_bytes = self
-                .simplify_stats
-                .arena_bytes
-                .max(sat.arena_bytes() as u64);
-        }
-    }
-
     /// Cumulative reuse counters (zeros when reuse is off).
     pub fn reuse_stats(&self) -> ReuseStats {
         ReuseStats {
             blast_hits: self.blast_memo.as_ref().map_or(0, BlastCache::hits),
             blast_misses: self.blast_memo.as_ref().map_or(0, BlastCache::misses),
-            assumption_reuses: self.assumption_reuses,
         }
     }
 
@@ -353,11 +276,6 @@ impl Solver {
     pub fn assert(&mut self, term: TermId) {
         debug_assert_eq!(self.ctx.sort(term), Sort::Bool);
         self.assertions.push(term);
-    }
-
-    /// Removes all assertions, keeping the term context.
-    pub fn reset_assertions(&mut self) {
-        self.assertions.clear();
     }
 
     /// Resets the solver to its just-constructed state while keeping the
@@ -373,13 +291,11 @@ impl Solver {
         self.ctx.clear();
         self.assertions.clear();
         self.last_stats = CheckStats::default();
-        // Term ids are invalidated by the clear, so any warm incremental
-        // session dies with them — but the blasted-CNF memo is keyed by
-        // structural hash, not term id, and deliberately survives: reusing
-        // blasts across recycles is its whole purpose. A paused search
-        // survives for the same reason: it is matched by the CNF it was
-        // built from, never by term ids.
-        self.inc.clear();
+        // Term ids are invalidated by the clear, but the blasted-CNF memo is
+        // keyed by structural hash, not term id, and deliberately survives:
+        // reusing blasts across recycles is its whole purpose. A paused
+        // search survives for the same reason: it is matched by the CNF it
+        // was built from, never by term ids.
     }
 
     /// The current assertions.
@@ -389,7 +305,7 @@ impl Solver {
 
     /// Checks satisfiability of the conjunction of all assertions.
     ///
-    /// When the previous one-shot search stopped at its conflict budget and
+    /// When the previous search stopped at its conflict budget and
     /// this query blasts to the identical instance with at least that many
     /// conflicts to spend, the paused search is resumed instead of re-run;
     /// the result, the model and [`Solver::last_stats`] are exactly those
@@ -436,38 +352,13 @@ impl Solver {
             ));
         }
 
-        // Preprocess the post-blast clause stream when enabled: the memo
-        // above already recorded/replayed the raw blast, so cache entries
-        // stay clause-identical regardless of this step.
-        let pre = if self.preprocess {
-            let t0 = std::time::Instant::now();
-            let pre = preprocess_solver(&sat);
-            self.simplify_stats.vars_eliminated += pre.stats.vars_eliminated;
-            self.simplify_stats.clauses_subsumed += pre.stats.clauses_subsumed;
-            self.simplify_stats.clauses_strengthened += pre.stats.clauses_strengthened;
-            self.simplify_stats.preprocess_micros += t0.elapsed().as_micros() as u64;
-            sat = pre.build_solver();
-            Some(pre)
-        } else {
-            None
-        };
-
         let sat_budget = SatBudget {
             max_conflicts: budget.max_conflicts,
         };
-        // Preprocessed searches are not kept: with preprocessing on, every
-        // query runs from scratch exactly as before.
-        let pausable = !self.preprocess;
         let mut instance = std::mem::take(&mut self.instance_buf);
-        if pausable {
-            sat.encode_instance(&mut instance);
-        }
+        sat.encode_instance(&mut instance);
         let result = match paused {
-            Some(p)
-                if pausable
-                    && p.sat.stats.conflicts <= budget.max_conflicts
-                    && p.instance == instance =>
-            {
+            Some(p) if p.sat.stats.conflicts <= budget.max_conflicts && p.instance == instance => {
                 sat = p.sat;
                 sat.resume(&sat_budget)
             }
@@ -475,209 +366,25 @@ impl Solver {
         };
         self.last_stats.conflicts = sat.stats.conflicts;
         self.last_stats.decisions = sat.stats.decisions;
-        self.note_arena(&sat);
-        // The image moves into the pause on a budget stop; otherwise its
-        // buffer is kept for the next query's image.
-        let keep = pausable && result == SatResult::Unknown;
-        if !keep {
-            self.instance_buf = std::mem::take(&mut instance);
-        }
 
         match result {
-            SatResult::Unsat => CheckResult::Unsat,
+            SatResult::Unsat => {
+                self.instance_buf = instance;
+                CheckResult::Unsat
+            }
             SatResult::Unknown => {
-                if keep {
-                    self.paused = Some(PausedSearch { sat, instance });
-                }
+                // The image moves into the pause; the next query encodes
+                // its own into a fresh buffer.
+                self.paused = Some(PausedSearch { sat, instance });
                 CheckResult::Unknown(format!(
                     "solver exhausted its budget of {} conflicts",
                     budget.max_conflicts
                 ))
             }
-            SatResult::Sat => match pre {
-                None => CheckResult::Sat(Box::new(extract_model(&sat, &var_bits, &var_bools))),
-                Some(pre) => {
-                    // Rebuild values for eliminated variables before reading
-                    // the model, so counterexamples satisfy the original
-                    // (unsimplified) formula.
-                    let mut model: Vec<bool> = (0..pre.num_vars())
-                        .map(|v| sat.model_value(v as Var))
-                        .collect();
-                    pre.complete_model(&mut model);
-                    CheckResult::Sat(Box::new(extract_model_with(
-                        |v| model[v as usize],
-                        &var_bits,
-                        &var_bools,
-                    )))
-                }
-            },
-        }
-    }
-
-    /// Begins an incremental session under `key`: blasts the current
-    /// assertions (the scalar-side context, in the verifier) into a
-    /// persistent SAT instance that later [`Solver::check_assuming`] calls
-    /// with the same key extend. An existing session under the key is
-    /// replaced; the oldest session is evicted beyond a small cap.
-    /// Ill-sorted assertions surface as an error and leave the solver
-    /// without a session under the key.
-    pub fn begin_incremental(&mut self, key: u64) -> Result<(), String> {
-        self.inc.retain(|(k, _)| *k != key);
-        let mut sat = SatSolver::new();
-        let mut blaster = BitBlaster::new(&self.ctx, &mut sat);
-        for &assertion in &self.assertions {
-            let blasted = match &mut self.blast_memo {
-                Some(memo) => blaster.assert_with_cache(assertion, memo),
-                None => blaster.assert(assertion),
-            };
-            if let Err(err) = blasted {
-                return Err(err.to_string());
+            SatResult::Sat => {
+                self.instance_buf = instance;
+                CheckResult::Sat(Box::new(extract_model(&sat, &var_bits, &var_bools)))
             }
-        }
-        let blast = blaster.into_state();
-        let base_clauses = sat.num_clauses();
-        self.inc.push((
-            key,
-            IncSession {
-                sat,
-                blast,
-                base_clauses,
-            },
-        ));
-        if self.inc.len() > MAX_INC_SESSIONS {
-            self.inc.remove(0);
-        }
-        Ok(())
-    }
-
-    /// `true` while a warm incremental session is loaded under `key`.
-    pub fn has_incremental_session(&self, key: u64) -> bool {
-        self.inc.iter().any(|(k, _)| *k == key)
-    }
-
-    /// Drops every incremental session, keeping context and memo.
-    pub fn end_incremental(&mut self) {
-        self.inc.clear();
-    }
-
-    /// Checks satisfiability of the keyed session's assertions ∧ `formula`
-    /// on the warm incremental instance, then retracts `formula`.
-    ///
-    /// `formula` is blasted into the persistent instance (sharing every
-    /// already-encoded subterm), guarded behind a fresh activation literal,
-    /// and solved under that single assumption; afterwards a unit clause
-    /// retires the activation literal for good. Without a session under
-    /// `key` this falls back to a one-shot [`Solver::check`] of the
-    /// solver's current assertions ∧ `formula`.
-    ///
-    /// The clause budget is applied to `base + delta` — the scalar-side
-    /// clauses plus the clauses this query added — so accumulation from
-    /// earlier (retired) candidates does not eat later candidates' budgets.
-    pub fn check_assuming(
-        &mut self,
-        key: u64,
-        formula: TermId,
-        budget: &SolverBudget,
-    ) -> CheckResult {
-        let Some(pos) = self.inc.iter().position(|(k, _)| *k == key) else {
-            self.assertions.push(formula);
-            let result = self.check(budget);
-            self.assertions.pop();
-            return result;
-        };
-        // Assumption solves never pause, and a one-shot pause never
-        // outlives a query that did not resume it.
-        self.paused = None;
-        let (_, session) = self.inc.remove(pos);
-        let IncSession {
-            mut sat,
-            blast,
-            base_clauses,
-        } = session;
-        let clauses_before = sat.num_clauses();
-        let mut blaster = BitBlaster::resume(&self.ctx, &mut sat, blast);
-        let blasted = blaster.blast(formula).and_then(|bits| bits.try_bool());
-        let blast = blaster.into_state();
-        let lit = match blasted {
-            Ok(lit) => lit,
-            Err(err) => {
-                self.inc.push((
-                    key,
-                    IncSession {
-                        sat,
-                        blast,
-                        base_clauses,
-                    },
-                ));
-                return CheckResult::Unknown(err.to_string());
-            }
-        };
-        let act = Lit::pos(sat.new_var());
-        sat.add_clause(&[act.negate(), lit]);
-
-        let effective_clauses = base_clauses + (sat.num_clauses() - clauses_before);
-        self.last_stats = CheckStats {
-            cnf_vars: sat.num_vars(),
-            cnf_clauses: effective_clauses,
-            ..CheckStats::default()
-        };
-        let result = if effective_clauses > budget.max_clauses {
-            CheckResult::Unknown(format!(
-                "bit-blasting produced {} clauses, exceeding the budget of {}",
-                effective_clauses, budget.max_clauses
-            ))
-        } else {
-            let sat_result = sat.solve_with_assumptions(
-                &SatBudget {
-                    max_conflicts: budget.max_conflicts,
-                },
-                &[act],
-            );
-            self.last_stats.conflicts = sat.stats.conflicts;
-            self.last_stats.decisions = sat.stats.decisions;
-            self.note_arena(&sat);
-            match sat_result {
-                SatResult::Unsat => CheckResult::Unsat,
-                SatResult::Unknown => CheckResult::Unknown(format!(
-                    "solver exhausted its budget of {} conflicts",
-                    budget.max_conflicts
-                )),
-                SatResult::Sat => CheckResult::Sat(Box::new(extract_model(
-                    &sat,
-                    blast.var_bits(),
-                    blast.var_bools(),
-                ))),
-            }
-        };
-        // Pop: drop the assumption decisions and permanently satisfy the
-        // guard, so this candidate's constraints can never fire again.
-        sat.reset_to_root();
-        sat.add_clause(&[act.negate()]);
-        self.assumption_reuses += 1;
-        self.inc.push((
-            key,
-            IncSession {
-                sat,
-                blast,
-                base_clauses,
-            },
-        ));
-        result
-    }
-
-    /// [`Solver::check_validity`] on the warm incremental session: asks
-    /// [`Solver::check_assuming`] for a model of `¬formula`.
-    pub fn check_validity_assuming(
-        &mut self,
-        key: u64,
-        formula: TermId,
-        budget: &SolverBudget,
-    ) -> Validity {
-        let negated = self.ctx.not(formula);
-        match self.check_assuming(key, negated, budget) {
-            CheckResult::Unsat => Validity::Valid,
-            CheckResult::Sat(model) => Validity::Invalid(model),
-            CheckResult::Unknown(reason) => Validity::Unknown(reason),
         }
     }
 
@@ -705,21 +412,11 @@ fn extract_model(
     var_bits: &HashMap<String, Vec<Lit>>,
     var_bools: &HashMap<String, Lit>,
 ) -> Model {
-    extract_model_with(|v| sat.model_value(v), var_bits, var_bools)
-}
-
-/// [`extract_model`] over an arbitrary variable valuation — the preprocessed
-/// path reads from a reconstructed assignment instead of the solver.
-fn extract_model_with(
-    value_of: impl Fn(Var) -> bool,
-    var_bits: &HashMap<String, Vec<Lit>>,
-    var_bools: &HashMap<String, Lit>,
-) -> Model {
     let mut model = Model::default();
     for (name, bits) in var_bits {
         let mut value: u64 = 0;
         for (i, lit) in bits.iter().enumerate() {
-            if value_of(lit.var()) ^ lit.is_neg() {
+            if sat.model_value(lit.var()) ^ lit.is_neg() {
                 value |= 1 << i;
             }
         }
@@ -729,7 +426,7 @@ fn extract_model_with(
     for (name, lit) in var_bools {
         model
             .bools
-            .insert(name.clone(), value_of(lit.var()) ^ lit.is_neg());
+            .insert(name.clone(), sat.model_value(lit.var()) ^ lit.is_neg());
     }
     model
 }
@@ -919,127 +616,6 @@ mod tests {
         assert_eq!(first, second);
     }
 
-    /// Builds a small deterministic formula over `x`, `y` from an LCG
-    /// state: a comparison between affine combinations, occasionally
-    /// conjoined or negated. Cheap to solve (no multipliers on symbolic
-    /// operands) yet varied enough to hit Sat, Unsat and shared structure.
-    fn random_formula(ctx: &mut Context, state: &mut u64) -> TermId {
-        let mut next = |m: u64| {
-            *state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (*state >> 33) % m
-        };
-        let x = ctx.bv_var("x", 32);
-        let y = ctx.bv_var("y", 32);
-        let c1 = ctx.bv_const(next(64), 32);
-        let c2 = ctx.bv_const(next(64), 32);
-        let lhs = ctx.bv_add(x, c1);
-        let rhs = match next(3) {
-            0 => ctx.bv_add(y, c2),
-            1 => ctx.bv_sub(y, c2),
-            _ => c2,
-        };
-        let cmp = match next(3) {
-            0 => ctx.eq(lhs, rhs),
-            1 => ctx.bv_ult(lhs, rhs),
-            _ => ctx.bv_slt(lhs, rhs),
-        };
-        match next(4) {
-            0 => ctx.not(cmp),
-            1 => {
-                let ten = ctx.bv32(10);
-                let bound = ctx.bv_ult(y, ten);
-                ctx.and(cmp, bound)
-            }
-            _ => cmp,
-        }
-    }
-
-    /// Satellite property test: the incremental (assumption-based) verdict
-    /// equals a fresh solve of base ∧ candidate over random term sets.
-    #[test]
-    fn incremental_verdict_equals_fresh_solve() {
-        for seed in 0..12u64 {
-            let base_seed = seed.wrapping_mul(0x9e37_79b9) + 1;
-            let mut inc = Solver::new();
-            let mut state = base_seed;
-            let base = random_formula(&mut inc.ctx, &mut state);
-            inc.assert(base);
-            inc.begin_incremental(7).unwrap();
-            let cand_seed = state;
-            let mut cand_state = cand_seed;
-            for i in 0..6usize {
-                let cand = random_formula(&mut inc.ctx, &mut cand_state);
-                let warm = inc.check_assuming(7, cand, &SolverBudget::default());
-
-                // A fresh solver replaying the same construction order and
-                // solving base ∧ candidate from scratch.
-                let mut fresh = Solver::new();
-                let mut fresh_state = base_seed;
-                let fresh_base = random_formula(&mut fresh.ctx, &mut fresh_state);
-                fresh.assert(fresh_base);
-                let mut fresh_cand_state = cand_seed;
-                let mut fresh_cand = None;
-                for _ in 0..=i {
-                    fresh_cand = Some(random_formula(&mut fresh.ctx, &mut fresh_cand_state));
-                }
-                fresh.assert(fresh_cand.unwrap());
-                let cold = fresh.check(&SolverBudget::default());
-
-                match (&warm, &cold) {
-                    (CheckResult::Sat(_), CheckResult::Sat(_)) => {}
-                    (CheckResult::Unsat, CheckResult::Unsat) => {}
-                    other => panic!(
-                        "seed {} candidate {}: warm/cold verdicts diverge: {:?}",
-                        seed, i, other
-                    ),
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn check_assuming_pops_candidate_constraints() {
-        let mut solver = Solver::new();
-        let x = solver.ctx.bv_var("x", 32);
-        let five = solver.ctx.bv32(5);
-        let six = solver.ctx.bv32(6);
-        let base = solver.ctx.eq(x, five);
-        solver.assert(base);
-        solver.begin_incremental(7).unwrap();
-
-        let contradiction = solver.ctx.eq(x, six);
-        assert!(solver
-            .check_assuming(7, contradiction, &SolverBudget::default())
-            .is_unsat());
-        // The contradictory candidate is retracted: the next query sees
-        // only the base again.
-        let consistent = solver.ctx.eq(x, five);
-        match solver.check_assuming(7, consistent, &SolverBudget::default()) {
-            CheckResult::Sat(model) => assert_eq!(model.value("x"), Some(5)),
-            other => panic!("expected sat after pop, got {:?}", other),
-        }
-        assert_eq!(solver.reuse_stats().assumption_reuses, 2);
-    }
-
-    #[test]
-    fn check_assuming_without_session_falls_back_to_one_shot() {
-        let mut solver = Solver::new();
-        let x = solver.ctx.bv_var("x", 32);
-        let five = solver.ctx.bv32(5);
-        let base = solver.ctx.eq(x, five);
-        solver.assert(base);
-        let six = solver.ctx.bv32(6);
-        let cand = solver.ctx.eq(x, six);
-        assert!(solver
-            .check_assuming(7, cand, &SolverBudget::default())
-            .is_unsat());
-        // The fallback must not leave the pushed candidate behind.
-        assert_eq!(solver.assertions().len(), 1);
-        assert!(solver.check(&SolverBudget::default()).is_sat());
-    }
-
     #[test]
     fn blast_memo_survives_recycle_and_replays() {
         let mut solver = Solver::new();
@@ -1091,82 +667,6 @@ mod tests {
         assert_eq!(plain_result, warmup);
         assert_eq!(plain_result, replayed);
         assert!(memoized.reuse_stats().blast_hits > 0);
-    }
-
-    /// Property test: over random well-typed bitvector term pairs, the
-    /// preprocessed solve agrees with the plain solve on the verdict class,
-    /// and `Sat` models really satisfy the original formula (pinned by
-    /// re-solving with the model values asserted).
-    #[test]
-    fn simplified_check_matches_plain_check() {
-        for seed in 0..25u64 {
-            let mut state = seed.wrapping_mul(0x9e37_79b9).wrapping_add(17);
-            let mut plain = Solver::new();
-            let formula = random_formula(&mut plain.ctx, &mut state);
-            plain.assert(formula);
-            let want = plain.check(&SolverBudget::default());
-
-            let mut simp = Solver::new();
-            simp.set_preprocess(true);
-            let mut state2 = seed.wrapping_mul(0x9e37_79b9).wrapping_add(17);
-            let formula2 = random_formula(&mut simp.ctx, &mut state2);
-            simp.assert(formula2);
-            let got = simp.check(&SolverBudget::default());
-
-            match (&want, &got) {
-                (CheckResult::Sat(_), CheckResult::Sat(model)) => {
-                    // The reconstructed model must satisfy the original
-                    // formula: pin x and y to the model values and re-check.
-                    let mut check = Solver::new();
-                    let mut state3 = seed.wrapping_mul(0x9e37_79b9).wrapping_add(17);
-                    let f = random_formula(&mut check.ctx, &mut state3);
-                    check.assert(f);
-                    for name in ["x", "y"] {
-                        if let Some(v) = model.value(name) {
-                            let var = check.ctx.bv_var(name, 32);
-                            let val = check.ctx.bv_const(v, 32);
-                            let pin = check.ctx.eq(var, val);
-                            check.assert(pin);
-                        }
-                    }
-                    assert!(
-                        check.check(&SolverBudget::default()).is_sat(),
-                        "seed {}: simplified model does not satisfy the original formula",
-                        seed
-                    );
-                }
-                (CheckResult::Unsat, CheckResult::Unsat) => {}
-                other => panic!("seed {}: simplify changed the verdict: {:?}", seed, other),
-            }
-        }
-    }
-
-    #[test]
-    fn simplify_counters_populate_and_stay_zero_when_off() {
-        let build = |solver: &mut Solver| {
-            let x = solver.ctx.bv_var("x", 32);
-            let y = solver.ctx.bv_var("y", 32);
-            let prod = solver.ctx.bv_mul(x, y);
-            let ten = solver.ctx.bv32(10);
-            let eq = solver.ctx.eq(prod, ten);
-            solver.assert(eq);
-        };
-        let mut plain = Solver::new();
-        build(&mut plain);
-        let _ = plain.check(&SolverBudget::default());
-        assert!(plain.simplify_stats().is_zero());
-
-        let mut simp = Solver::new();
-        simp.set_preprocess(true);
-        build(&mut simp);
-        let _ = simp.check(&SolverBudget::default());
-        let stats = simp.simplify_stats();
-        assert!(
-            stats.vars_eliminated > 0,
-            "a Tseitin blast must yield eliminable variables: {:?}",
-            stats
-        );
-        assert!(stats.arena_bytes > 0);
     }
 
     /// Checks the validity of `x * y == y * x` at bit width `width` (with
@@ -1250,35 +750,6 @@ mod tests {
             assert_eq!(got, fresh_run(swapped, width, 100_000));
             assert!(solver.paused.is_none());
         }
-    }
-
-    #[test]
-    fn incremental_and_simplified_checks_keep_no_pause() {
-        let mut solver = Solver::new();
-        let _ = run_on(&mut solver, false, 5, 8);
-        assert!(solver.paused.is_some());
-        // An assumption solve on a warm session, stopped by its own budget.
-        let x = solver.ctx.bv_var("x", 5);
-        let y = solver.ctx.bv_var("y", 5);
-        let xy = solver.ctx.bv_mul(x, y);
-        let yx = solver.ctx.bv_mul(y, x);
-        let same = solver.ctx.eq(xy, yx);
-        let differ = solver.ctx.not(same);
-        solver.reset_assertions();
-        solver.begin_incremental(3).unwrap();
-        let budget = SolverBudget {
-            max_conflicts: 8,
-            max_clauses: 4_000_000,
-        };
-        let result = solver.check_assuming(3, differ, &budget);
-        assert!(matches!(result, CheckResult::Unknown(_)));
-        assert!(solver.paused.is_none());
-
-        let mut simplified = Solver::new();
-        simplified.set_preprocess(true);
-        let verdict = commutativity(&mut simplified, false, 5, 8);
-        assert!(matches!(verdict, Validity::Unknown(_)));
-        assert!(simplified.paused.is_none());
     }
 
     #[test]

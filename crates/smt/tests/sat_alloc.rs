@@ -2,8 +2,8 @@
 //! arena, watch lists, and search structures have been sized by
 //! [`SatSolver::reserve_clauses`] / [`SatSolver::reserve_watch`] and warmed
 //! by a few solve/reset cycles, further conflict-free solves must not touch
-//! the heap at all. This is the steady state of the incremental per-scalar
-//! pathway, where one solver answers hundreds of assumption queries.
+//! the heap at all. This is the decide/propagate loop every query's search
+//! spends its time in.
 //!
 //! The test installs a counting global allocator; it must stay the only
 //! test in this binary so no concurrent test pollutes the counter.

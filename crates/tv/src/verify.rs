@@ -24,7 +24,7 @@ use crate::cunroll::c_unroll;
 use crate::symexec::{sym_exec, SymExecConfig, SymOutcome};
 use lv_analysis::{analyze_function, collect_accesses, AccessKind};
 use lv_cir::ast::{BinOp, Expr, Function, UnOp};
-use lv_smt::{CheckResult, ReuseStats, SimplifyStats, Solver, SolverBudget, Validity};
+use lv_smt::{ReuseStats, Solver, SolverBudget, Validity};
 use std::collections::HashMap;
 
 /// Cumulative solver-effort statistics over the lifetime of a [`TvSession`].
@@ -40,36 +40,12 @@ pub struct TvSessionStats {
     pub clauses: u64,
 }
 
-/// Which cross-query solver-reuse mechanisms a [`TvSession`] runs with.
-/// Default off: the session then behaves exactly as before the reuse
-/// subsystem existed (recycle per query, one-shot solves).
+/// Which cross-query solver reuse a [`TvSession`] runs with. Default off:
+/// the session then behaves exactly as before the reuse subsystem existed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TvReuse {
     /// Blasted-CNF memoization across recycles ([`Solver::enable_blast_memo`]).
     pub memo: bool,
-    /// Incremental per-scalar solving: the term context stays warm across
-    /// the queries of one scalar's candidate set, scalar-side assertions
-    /// are blasted once per strategy into a persistent SAT instance, and
-    /// per-candidate assertions enter under an activation literal.
-    pub incremental: bool,
-    /// SatELite-style CNF preprocessing before every one-shot search
-    /// ([`Solver::set_preprocess`]). It runs on the post-replay clause
-    /// stream, so memo hits stay clause-identical; incremental sessions
-    /// solve unpreprocessed.
-    pub preprocess: bool,
-}
-
-impl TvReuse {
-    /// Everything *reuse* on — the configuration the reuse benchmarks race
-    /// against fresh solving. Preprocessing stays off; enable it separately
-    /// via the `preprocess` field.
-    pub fn full() -> TvReuse {
-        TvReuse {
-            memo: true,
-            incremental: true,
-            preprocess: false,
-        }
-    }
 }
 
 /// A reusable verification session: one SMT solver whose allocations are
@@ -80,24 +56,12 @@ impl TvReuse {
 /// query through it. Because [`Solver::recycle`] restores the solver to its
 /// just-constructed state, a session produces bit-identical verdicts to
 /// constructing a fresh solver per query — it only avoids the reallocation.
-///
-/// With [`TvReuse::incremental`] enabled, the recycle is instead deferred
-/// to *scalar-group boundaries*: consecutive queries against the same
-/// scalar kernel keep the term context warm (hash-consing makes re-executed
-/// scalar code resolve to already-interned terms) and solve through warm
-/// per-strategy SAT instances ([`Solver::check_assuming`]). The engine's
-/// scalar-affinity scheduling makes same-scalar jobs consecutive per
-/// worker, so the warm context actually gets hit.
 #[derive(Debug, Default)]
 pub struct TvSession {
     solver: Solver,
     /// Effort accumulated so far; the engine reads deltas of this around
     /// each strategy call to attribute conflicts to pipeline stages.
     pub stats: TvSessionStats,
-    reuse: TvReuse,
-    /// Structural hash of the scalar whose group currently keeps the
-    /// context warm (incremental mode only).
-    group: Option<u64>,
 }
 
 impl TvSession {
@@ -106,22 +70,13 @@ impl TvSession {
         TvSession::default()
     }
 
-    /// Creates a session with the given reuse mechanisms enabled.
+    /// Creates a session with the given reuse enabled.
     pub fn with_reuse(reuse: TvReuse) -> TvSession {
-        let mut session = TvSession {
-            reuse,
-            ..TvSession::default()
-        };
+        let mut session = TvSession::default();
         if reuse.memo {
             session.solver.enable_blast_memo();
         }
-        session.solver.set_preprocess(reuse.preprocess);
         session
-    }
-
-    /// The reuse configuration this session runs with.
-    pub fn reuse(&self) -> TvReuse {
-        self.reuse
     }
 
     /// Cumulative solver-reuse counters (all zero when reuse is off).
@@ -129,35 +84,9 @@ impl TvSession {
         self.solver.reuse_stats()
     }
 
-    /// Cumulative preprocessing counters (all zero when
-    /// [`TvReuse::preprocess`] is off).
-    pub fn simplify_stats(&self) -> SimplifyStats {
-        self.solver.simplify_stats()
-    }
-
-    /// Marks the scalar kernel the next queries verify against. In
-    /// incremental mode a change of scalar is a group boundary: the warm
-    /// context and its sessions belong to the previous scalar and are
-    /// recycled. Without incremental reuse this is a no-op (every query
-    /// recycles anyway).
-    fn enter_scalar(&mut self, scalar: &Function) {
-        if !self.reuse.incremental {
-            return;
-        }
-        let hash = lv_cir::structural_hash(scalar);
-        if self.group != Some(hash) {
-            self.solver.recycle();
-            self.group = Some(hash);
-        }
-    }
-
-    /// Hands out the solver for the next query: recycled per query in
-    /// one-shot mode, warm in incremental mode (recycled only at group
-    /// boundaries by [`TvSession::enter_scalar`]).
+    /// Hands out the solver for the next query, recycled.
     fn query_solver(&mut self) -> &mut Solver {
-        if !self.reuse.incremental {
-            self.solver.recycle();
-        }
+        self.solver.recycle();
         &mut self.solver
     }
 
@@ -365,7 +294,6 @@ pub fn check_with_alive2_unroll_in(
     config: &TvConfig,
     session: &mut TvSession,
 ) -> TvVerdict {
-    session.enter_scalar(scalar);
     let alignment = match align(scalar, vector) {
         Ok(a) => a,
         Err(e) => {
@@ -401,7 +329,6 @@ pub fn check_with_c_unroll_in(
     config: &TvConfig,
     session: &mut TvSession,
 ) -> TvVerdict {
-    session.enter_scalar(scalar);
     let alignment = match align(scalar, vector) {
         Ok(a) => a,
         Err(e) => {
@@ -448,7 +375,6 @@ pub fn check_with_spatial_splitting_in(
     config: &TvConfig,
     session: &mut TvSession,
 ) -> TvVerdict {
-    session.enter_scalar(scalar);
     let alignment = match align(scalar, vector) {
         Ok(a) => a,
         Err(e) => {
@@ -563,7 +489,6 @@ fn refinement_check(
     };
     let array_len = start + trip * step + config.array_slack;
 
-    let reuse = session.reuse;
     let solver = session.query_solver();
     let outcome_scalar = exec_side(solver, scalar, n_value, array_len, config);
     let outcome_vector = exec_side(solver, vector, n_value, array_len, config);
@@ -600,45 +525,13 @@ fn refinement_check(
     let post = solver.ctx.and(no_tgt_ub, agree);
     let no_src_ub = solver.ctx.not(src.ub);
 
-    let verdict = if reuse.incremental {
-        // Incremental path: the validity of `no_src_ub -> post` is decided
-        // as the unsatisfiability of `no_src_ub && !post`. The scalar-side
-        // premise is asserted once into a warm per-(scalar, trip-shape) SAT
-        // instance keyed below; each candidate's `!post` then enters under
-        // an activation literal and is retracted after the solve, so the
-        // next candidate against the same scalar only pays for its own
-        // vector-side clauses.
-        let key = {
-            let mut h = lv_cir::Fnv64::new();
-            h.write_u64(lv_cir::structural_hash(scalar));
-            h.write_i64(i64::from(n_value));
-            h.write_u64(array_len as u64);
-            h.finish()
-        };
-        if !solver.has_incremental_session(key) {
-            solver.reset_assertions();
-            solver.assert(no_src_ub);
-            if let Err(reason) = solver.begin_incremental(key) {
-                return TvVerdict::Inconclusive { reason };
-            }
-        }
-        let not_post = solver.ctx.not(post);
-        match solver.check_assuming(key, not_post, budget) {
-            CheckResult::Unsat => TvVerdict::Equivalent,
-            CheckResult::Sat(model) => TvVerdict::NotEquivalent {
-                counterexample: render_counterexample(&model.assignments()),
-            },
-            CheckResult::Unknown(reason) => TvVerdict::Inconclusive { reason },
-        }
-    } else {
-        let vc = solver.ctx.implies(no_src_ub, post);
-        match solver.check_validity(vc, budget) {
-            Validity::Valid => TvVerdict::Equivalent,
-            Validity::Invalid(model) => TvVerdict::NotEquivalent {
-                counterexample: render_counterexample(&model.assignments()),
-            },
-            Validity::Unknown(reason) => TvVerdict::Inconclusive { reason },
-        }
+    let vc = solver.ctx.implies(no_src_ub, post);
+    let verdict = match solver.check_validity(vc, budget) {
+        Validity::Valid => TvVerdict::Equivalent,
+        Validity::Invalid(model) => TvVerdict::NotEquivalent {
+            counterexample: render_counterexample(&model.assignments()),
+        },
+        Validity::Unknown(reason) => TvVerdict::Inconclusive { reason },
     };
     session.absorb_last_query();
     verdict
@@ -911,67 +804,6 @@ mod tests {
             .contains("% 8 == 0"));
     }
 
-    /// Verdict class, ignoring counterexample/reason text: an incremental
-    /// SAT run may find a different model than a fresh run, but the
-    /// Equivalent/NotEquivalent/Inconclusive outcome must agree.
-    fn class(v: &TvVerdict) -> &'static str {
-        match v {
-            TvVerdict::Equivalent => "equivalent",
-            TvVerdict::NotEquivalent { .. } => "not-equivalent",
-            TvVerdict::Inconclusive { .. } => "inconclusive",
-        }
-    }
-
-    #[test]
-    fn reuse_session_matches_fresh_verdicts_across_candidate_group() {
-        // One scalar, a group of candidates (correct, wrong, correct again),
-        // every strategy: the warm incremental session must report the same
-        // verdict class as a fresh session per query.
-        let scalar = f(S000);
-        let candidates = [f(S000_VEC), f(S000_VEC_WRONG), f(S000_VEC)];
-        let config = quick_config();
-        let mut warm = TvSession::with_reuse(TvReuse::full());
-        for candidate in &candidates {
-            for strategy in SymbolicStrategy::ALL {
-                let reused = strategy.run(&scalar, candidate, &config, &mut warm);
-                let fresh = strategy.run(&scalar, candidate, &config, &mut TvSession::new());
-                assert_eq!(
-                    class(&reused),
-                    class(&fresh),
-                    "{} diverged under reuse",
-                    strategy.label()
-                );
-            }
-        }
-        // Candidates beyond the first solve through warm instances.
-        assert!(warm.reuse_stats().assumption_reuses > 0);
-    }
-
-    #[test]
-    fn reuse_session_recycles_at_scalar_group_boundaries() {
-        // Alternating scalars force group boundaries; returning to an
-        // already-seen scalar re-blasts its premise, which the CNF memo
-        // replays instead of re-encoding.
-        let pairs = [
-            (f(S000), f(S000_VEC)),
-            (f(S212), f(S212_VEC)),
-            (f(S000), f(S000_VEC_WRONG)),
-        ];
-        let config = quick_config();
-        let mut warm = TvSession::with_reuse(TvReuse::full());
-        for (scalar, vector) in &pairs {
-            let reused = check_with_c_unroll_in(scalar, vector, &config, &mut warm);
-            let fresh = check_with_c_unroll(scalar, vector, &config);
-            assert_eq!(class(&reused), class(&fresh));
-        }
-        let stats = warm.reuse_stats();
-        assert!(
-            stats.blast_hits > 0,
-            "revisiting a scalar should replay its memoized premise, stats: {:?}",
-            stats
-        );
-    }
-
     #[test]
     fn memo_only_session_produces_identical_verdicts() {
         // Blast memoization alone must be invisible: same verdicts, with
@@ -980,27 +812,12 @@ mod tests {
         // reaches the SAT solver — the correct S000 one simplifies to a
         // constant at the term level and never blasts.
         let config = quick_config();
-        let mut memoized = TvSession::with_reuse(TvReuse {
-            memo: true,
-            incremental: false,
-            preprocess: false,
-        });
+        let mut memoized = TvSession::with_reuse(TvReuse { memo: true });
         for vector in [S000_VEC_WRONG, S000_VEC, S000_VEC_WRONG] {
             let with_memo = check_with_c_unroll_in(&f(S000), &f(vector), &config, &mut memoized);
             let plain = check_with_c_unroll(&f(S000), &f(vector), &config);
             assert_eq!(with_memo, plain);
         }
         assert!(memoized.reuse_stats().blast_hits > 0);
-    }
-
-    #[test]
-    fn spatial_splitting_shares_one_warm_session_across_lanes() {
-        let config = quick_config();
-        let mut warm = TvSession::with_reuse(TvReuse::full());
-        let verdict = check_with_spatial_splitting_in(&f(S000), &f(S000_VEC), &config, &mut warm);
-        assert_eq!(verdict, TvVerdict::Equivalent);
-        // All 8 lanes query the same per-scalar instance; lanes after the
-        // first reuse it under an assumption.
-        assert!(warm.reuse_stats().assumption_reuses >= 8);
     }
 }

@@ -23,10 +23,11 @@
 //! * a worker killed between batched flushes (`--flush-every 3`) loses at
 //!   most 2 buffered tail records, and recovery still merges the cache file
 //!   byte-identical to the single-process run;
-//! * a **solver-reuse** 2-shard sweep (blast memo + incremental per-scalar
-//!   sessions, carried to the workers through the manifest) produces
-//!   verdicts identical to the reuse-off single-process run, with the
-//!   merged report's reuse counters proving the warm sessions actually ran.
+//! * a **blast-memo** 2-shard sweep (the memo carried to the workers
+//!   through the manifest) shares the memo-off configuration fingerprint
+//!   and produces reports identical to the memo-off single-process run and
+//!   a byte-identical merged cache file, with the merged report's reuse
+//!   counters proving the memo actually replayed blasts.
 //!
 //! Exits non-zero (panics) on any violation.
 
@@ -373,55 +374,42 @@ fn main() {
         "batched-flush recovery must still yield a byte-identical merged cache file"
     );
 
-    println!("== solver-reuse 2-shard sweep: verdicts pinned to the reuse-off run ==");
-    // The reuse layers travel to the workers through the manifest; the
-    // incremental layer is a distinct cache configuration (warm sessions can
-    // conclude budget-capped queries a fresh solver cannot), so the merged
-    // cache keys never mix with the reuse-off ones.
-    let reuse_config = config.clone().with_reuse(EngineReuse::full());
-    assert_ne!(
-        reuse_config.semantic_fingerprint(),
+    println!("== blast-memo 2-shard sweep: reports pinned to the memo-off run ==");
+    // The memo travels to the workers through the manifest. Its replays are
+    // clause-identical, so it shares the memo-off fingerprint and cache
+    // keys, and every verdict, stage, detail and trace stays the same.
+    let memo_config = config.clone().with_reuse(EngineReuse { memo: true });
+    assert_eq!(
+        memo_config.semantic_fingerprint(),
         config.semantic_fingerprint(),
-        "incremental reuse is a distinct cache configuration"
+        "the memo shares the default configuration fingerprint"
     );
-    let reused = sharded(&jobs, &reuse_config, dir.join("reuse"), None);
-    for outcome in &reused.shards {
+    let memoized = sharded(&jobs, &memo_config, dir.join("memo"), None);
+    for outcome in &memoized.shards {
         assert_eq!(outcome.status, ShardStatus::Completed);
         assert_eq!(outcome.reported, outcome.planned);
     }
-    // Verdict identity to the reuse-off single-process run. The concluding
-    // stage may only improve (learned clauses on a warm session can settle a
-    // budget-capped query), so stages and traces are not compared.
-    assert_eq!(single.jobs.len(), reused.report.jobs.len());
-    for (s, r) in single.jobs.iter().zip(&reused.report.jobs) {
-        assert_eq!(s.label, r.label, "reuse sweep: job order");
-        assert_eq!(
-            s.verdict, r.verdict,
-            "reuse sweep: verdict drifted for {}",
-            s.label
-        );
-        assert_eq!(
-            s.checksum, r.checksum,
-            "reuse sweep: checksum class drifted for {}",
-            s.label
-        );
-    }
+    assert_reports_match(&single, &memoized.report, "blast-memo sweep");
+    assert_eq!(
+        single_bytes,
+        read(&memoized.cache_file),
+        "the blast-memo sweep must merge a byte-identical cache file"
+    );
     // The counters round-tripped through the shard report exchange and show
-    // the workers really ran warm: at least one incremental session was
-    // revisited somewhere in the suite.
-    let totals = reused.report.reuse_totals();
+    // the workers really replayed blasts from their memos.
+    let totals = memoized.report.reuse_totals();
     println!(
-        "reuse counters: {} blast hits / {} misses, {} assumption reuses",
-        totals.blast_hits, totals.blast_misses, totals.assumption_reuses
+        "reuse counters: {} blast hits / {} misses",
+        totals.blast_hits, totals.blast_misses
     );
     assert!(
-        totals.assumption_reuses > 0,
-        "the reuse-enabled workers must report warm-session activity"
+        totals.blast_hits > 0,
+        "the memo-enabled workers must report blast replays"
     );
 
     println!(
         "shard sweep OK: {} jobs, merged cache {} bytes, recovery re-ran {} + {} job(s), \
-         profile-guided schedule and solver-reuse sweep verified",
+         profile-guided schedule and blast-memo sweep verified",
         jobs.len(),
         merged_bytes.len(),
         wounded.recovered.len(),

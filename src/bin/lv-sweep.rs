@@ -13,13 +13,13 @@
 //!          [--max-cache-entries N] [--timeout-secs S]
 //!          [--fsync compact|record] [--flush-every N]
 //!          [--profile PATH] [--schedule default|profile|SPEC]
-//!          [--budget fixed|profile] [--reuse|--no-reuse] [--simplify]
+//!          [--budget fixed|profile] [--no-reuse]
 //!          [--steal] [--heartbeat-ms MS] [--stall-timeout-secs S]
 //! lv-sweep run --generate K [--gen-seed S] [--gen-threads T]
 //!          [--kernels s000,...] [--threads N] [--quick] [--no-overlap]
-//!          [--reuse|--no-reuse] [--simplify]
+//!          [--no-reuse]
 //! lv-sweep serve [--addr HOST:PORT] [--cache FILE] [--threads T] [--quick]
-//!          [--reuse|--no-reuse] [--simplify]
+//!          [--no-reuse]
 //! lv-sweep submit [--addr HOST:PORT] [--kernels s000,...]
 //!          [--generate K] [--gen-seed S] [--shutdown]
 //! lv-sweep status [--addr HOST:PORT]
@@ -68,21 +68,12 @@
 //! budgets from the same profile journal (`lv_core::derive_from_profile`);
 //! `fixed` (the default) keeps the configured budgets.
 //!
-//! `--reuse` turns on both solver-reuse layers (blasted-CNF memoization and
-//! incremental per-scalar sessions with scalar-affinity scheduling) in all
-//! shard workers. Verdicts are identical to a reuse-off sweep; the incremental layer perturbs the configuration
-//! fingerprint, so reuse-on and reuse-off sweeps keep separate cache
-//! entries. By default the blast-memo layer *alone* is on — its replays
-//! are clause-identical, so it changes no verdict, fingerprint, or cache
-//! byte; `--no-reuse` switches every layer off.
-//!
-//! `--simplify` (also accepted by `run` and `serve`) enables SatELite-style
-//! CNF preprocessing (unit propagation, pure literals, subsumption,
-//! self-subsuming resolution, bounded variable elimination) before each
-//! one-shot search in every worker's solver. Preprocessed queries may
-//! conclude where the raw budget ran out, so `--simplify` perturbs the
-//! configuration fingerprint; sweep summaries and `status` print the
-//! simplify counters (vars eliminated, clauses subsumed/strengthened).
+//! Every worker's solver runs with the blasted-CNF memo on: its replays are
+//! clause-identical, so it changes no verdict, fingerprint, or cache byte.
+//! `--no-reuse` (accepted by the coordinator, `run` and `serve`) switches
+//! it off. The `--reuse` (incremental per-scalar sessions) and `--simplify`
+//! (CNF preprocessing) flags of earlier builds are gone with their layers
+//! and refused as usage errors.
 //!
 //! `--steal` turns on live-shard work stealing: workers that finish their
 //! share claim pending jobs from slow siblings through per-shard claim
@@ -126,10 +117,9 @@ use llm_vectorizer_repro::cir::ast::Function;
 use llm_vectorizer_repro::core::shard::{run_worker_from_args, ShardError, ShardReportFile};
 use llm_vectorizer_repro::core::{
     cache_file_stats, derive_from_profile, generate_then_verify_pass_at_k, overlapped_pass_at_k,
-    BatchReport, CacheBounds, CacheFormat, CrossRunProfile, EngineConfig, EngineReuse, Equivalence,
-    FsyncPolicy, GenerationRequest, GenerationSpec, Job, PipelineConfig, ServiceClient,
-    ShardPolicy, StageSchedule, SweepConfig, VerdictCache, VerificationEngine, VerificationService,
-    WorkerSpec,
+    CacheBounds, CacheFormat, CrossRunProfile, EngineConfig, EngineReuse, Equivalence, FsyncPolicy,
+    GenerationRequest, GenerationSpec, Job, PipelineConfig, ServiceClient, ShardPolicy,
+    StageSchedule, SweepConfig, VerdictCache, VerificationEngine, VerificationService, WorkerSpec,
 };
 use llm_vectorizer_repro::interp::ChecksumConfig;
 use llm_vectorizer_repro::tv::{SolverBudget, TvConfig};
@@ -177,52 +167,32 @@ fn runtime(message: impl Into<String>) -> CliError {
 
 const DEFAULT_SERVICE_ADDR: &str = "127.0.0.1:7411";
 
-/// Resolves the engine reuse layers from the tri-state `--reuse` /
-/// `--no-reuse` pair plus `--simplify`. With neither reuse flag given, the
-/// blast-memo layer alone is on: its replays are clause-identical, so it
-/// changes no verdict, no fingerprint, and no cache entry — a free default.
-/// `--reuse` turns on memo and incremental sessions, `--no-reuse` turns
-/// every layer off, and `--simplify` adds preprocessing to either.
-fn resolve_reuse(reuse: Option<bool>, simplify: bool) -> EngineReuse {
-    let mut resolved = match reuse {
-        Some(true) => EngineReuse::full(),
-        Some(false) => EngineReuse::default(),
-        None => EngineReuse {
-            memo: true,
-            ..EngineReuse::default()
-        },
-    };
-    resolved.preprocess = simplify;
-    resolved
+/// The engine reuse for a `--no-reuse` setting: the blast memo unless
+/// switched off.
+fn resolve_reuse(memo: bool) -> EngineReuse {
+    EngineReuse { memo }
 }
 
 /// One-word description of a resolved reuse configuration, for sweep
 /// banners.
 fn reuse_tag(reuse: EngineReuse) -> &'static str {
-    if reuse.incremental {
-        "full"
-    } else if reuse.memo {
+    if reuse.memo {
         "memo"
     } else {
         "off"
     }
 }
 
-/// Prints the batch's preprocessing totals, when any
-/// (silent on a `--simplify`-less sweep, whose counters are exactly zero).
-fn print_simplify_totals(report: &BatchReport) {
-    let totals = report.simplify_totals();
-    if !totals.is_zero() {
-        println!(
-            "simplify: {} vars eliminated, {} clauses subsumed, {} strengthened, \
-             {} arena bytes peak, {}us preprocessing",
-            totals.vars_eliminated,
-            totals.clauses_subsumed,
-            totals.clauses_strengthened,
-            totals.arena_bytes,
-            totals.preprocess_micros
-        );
-    }
+/// The usage error for a flag whose solver layer was deleted.
+fn removed_layer_flag(flag: &str) -> CliError {
+    let layer = match flag {
+        "--reuse" => "incremental per-scalar sessions",
+        _ => "CNF preprocessing",
+    };
+    usage(format!(
+        "{} was removed with its solver layer ({}); the blast memo is on unless --no-reuse",
+        flag, layer
+    ))
 }
 
 /// `lv-sweep compact [--format json|binary] FILE...`: rewrites each file
@@ -427,8 +397,7 @@ struct RunArgs {
     threads: usize,
     quick: bool,
     overlap: bool,
-    reuse: Option<bool>,
-    simplify: bool,
+    memo: bool,
 }
 
 fn parse_run(args: &[String]) -> Result<RunArgs, CliError> {
@@ -440,8 +409,7 @@ fn parse_run(args: &[String]) -> Result<RunArgs, CliError> {
         threads: 0,
         quick: false,
         overlap: true,
-        reuse: None,
-        simplify: false,
+        memo: true,
     };
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
@@ -484,9 +452,8 @@ fn parse_run(args: &[String]) -> Result<RunArgs, CliError> {
             }
             "--quick" => opts.quick = true,
             "--no-overlap" => opts.overlap = false,
-            "--reuse" => opts.reuse = Some(true),
-            "--no-reuse" => opts.reuse = Some(false),
-            "--simplify" => opts.simplify = true,
+            "--no-reuse" => opts.memo = false,
+            "--reuse" | "--simplify" => return Err(removed_layer_flag(arg)),
             other => return Err(usage(format!("run: unknown argument `{}`", other))),
         }
     }
@@ -510,7 +477,7 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
     let engine = VerificationEngine::new(
         EngineConfig::full(build_pipeline(opts.quick))
             .with_threads(opts.threads)
-            .with_reuse(resolve_reuse(opts.reuse, opts.simplify)),
+            .with_reuse(resolve_reuse(opts.memo)),
     );
     let llm_config = LlmConfig {
         seed: opts.gen_seed,
@@ -561,7 +528,6 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
         run.report.threads,
         run.report.wall
     );
-    print_simplify_totals(&run.report);
     Ok(())
 }
 
@@ -572,8 +538,7 @@ struct ServeArgs {
     cache: Option<PathBuf>,
     threads: usize,
     quick: bool,
-    reuse: Option<bool>,
-    simplify: bool,
+    memo: bool,
 }
 
 fn parse_serve(args: &[String]) -> Result<ServeArgs, CliError> {
@@ -582,8 +547,7 @@ fn parse_serve(args: &[String]) -> Result<ServeArgs, CliError> {
         cache: None,
         threads: 0,
         quick: false,
-        reuse: None,
-        simplify: false,
+        memo: true,
     };
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
@@ -601,9 +565,8 @@ fn parse_serve(args: &[String]) -> Result<ServeArgs, CliError> {
                     .map_err(|_| usage("--threads expects an integer"))?
             }
             "--quick" => opts.quick = true,
-            "--reuse" => opts.reuse = Some(true),
-            "--no-reuse" => opts.reuse = Some(false),
-            "--simplify" => opts.simplify = true,
+            "--no-reuse" => opts.memo = false,
+            "--reuse" | "--simplify" => return Err(removed_layer_flag(arg)),
             other => return Err(usage(format!("serve: unknown argument `{}`", other))),
         }
     }
@@ -623,7 +586,7 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     };
     let config = EngineConfig::full(build_pipeline(opts.quick))
         .with_threads(opts.threads)
-        .with_reuse(resolve_reuse(opts.reuse, opts.simplify));
+        .with_reuse(resolve_reuse(opts.memo));
     let service = VerificationService::bind(opts.addr.as_str(), config, cache.clone())
         .map_err(|e| runtime(format!("cannot serve on {}: {}", opts.addr, e)))?;
     println!(
@@ -650,12 +613,6 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
         status.stages,
         status.generated
     );
-    if status.vars_eliminated | status.clauses_subsumed | status.clauses_strengthened != 0 {
-        println!(
-            "simplify: {} vars eliminated, {} clauses subsumed, {} strengthened",
-            status.vars_eliminated, status.clauses_subsumed, status.clauses_strengthened
-        );
-    }
     Ok(())
 }
 
@@ -824,12 +781,6 @@ fn cmd_status(args: &[String]) -> Result<(), CliError> {
     println!("  stage runs:   {}", status.stages);
     println!("  gen queued:   {}", status.generation_queued);
     println!("  generated:    {}", status.generated);
-    if status.vars_eliminated | status.clauses_subsumed | status.clauses_strengthened != 0 {
-        println!(
-            "  simplify:     {} vars eliminated, {} clauses subsumed, {} strengthened",
-            status.vars_eliminated, status.clauses_subsumed, status.clauses_strengthened
-        );
-    }
     Ok(())
 }
 
@@ -849,8 +800,7 @@ struct CoordinatorArgs {
     profile: Option<PathBuf>,
     schedule_arg: String,
     budget_arg: String,
-    reuse: Option<bool>,
-    simplify: bool,
+    memo: bool,
     steal: bool,
     heartbeat_ms: Option<u64>,
     stall_timeout_secs: Option<u64>,
@@ -873,8 +823,7 @@ fn parse_coordinator(args: &[String]) -> Result<CoordinatorArgs, CliError> {
         profile: None,
         schedule_arg: "default".to_string(),
         budget_arg: "fixed".to_string(),
-        reuse: None,
-        simplify: false,
+        memo: true,
         steal: false,
         heartbeat_ms: None,
         stall_timeout_secs: None,
@@ -948,9 +897,8 @@ fn parse_coordinator(args: &[String]) -> Result<CoordinatorArgs, CliError> {
             "--profile" => opts.profile = Some(value("--profile")?.into()),
             "--schedule" => opts.schedule_arg = value("--schedule")?,
             "--budget" => opts.budget_arg = value("--budget")?,
-            "--reuse" => opts.reuse = Some(true),
-            "--no-reuse" => opts.reuse = Some(false),
-            "--simplify" => opts.simplify = true,
+            "--no-reuse" => opts.memo = false,
+            "--reuse" | "--simplify" => return Err(removed_layer_flag(arg)),
             "--steal" => opts.steal = true,
             "--heartbeat-ms" => {
                 opts.heartbeat_ms = Some(
@@ -1085,7 +1033,7 @@ fn cmd_coordinator(args: &[String]) -> Result<(), CliError> {
         }
     };
 
-    let reuse = resolve_reuse(opts.reuse, opts.simplify);
+    let reuse = resolve_reuse(opts.memo);
     let config = EngineConfig::full(pipeline)
         .with_threads(opts.threads)
         .with_schedule(schedule)
@@ -1115,7 +1063,7 @@ fn cmd_coordinator(args: &[String]) -> Result<(), CliError> {
 
     let describe = |count: usize, what: &str| {
         println!(
-            "sweeping {} {} over {} shard process(es) ({}, fsync {}, schedule {}, reuse {}{}{}), workdir {}",
+            "sweeping {} {} over {} shard process(es) ({}, fsync {}, schedule {}, reuse {}{}), workdir {}",
             count,
             what,
             opts.shards,
@@ -1123,7 +1071,6 @@ fn cmd_coordinator(args: &[String]) -> Result<(), CliError> {
             opts.fsync.tag(),
             config.schedule.spec(),
             reuse_tag(reuse),
-            if reuse.preprocess { ", simplify" } else { "" },
             if opts.steal { ", stealing" } else { "" },
             opts.workdir.display()
         );
@@ -1196,11 +1143,10 @@ fn cmd_coordinator(args: &[String]) -> Result<(), CliError> {
     let totals = swept.report.reuse_totals();
     if !totals.is_zero() {
         println!(
-            "reuse: {} blast-cache hits / {} misses, {} assumption reuses",
-            totals.blast_hits, totals.blast_misses, totals.assumption_reuses
+            "reuse: {} blast-cache hits / {} misses",
+            totals.blast_hits, totals.blast_misses
         );
     }
-    print_simplify_totals(&swept.report);
     if let (Some(path), Some(delta)) = (&opts.profile, &swept.profile_delta) {
         println!(
             "profile: appended {} cell delta(s) to {}",
@@ -1293,6 +1239,8 @@ mod tests {
             strings(&["--addr"]),
             strings(&["--threads", "many"]),
             strings(&["--port", "80"]),
+            strings(&["--reuse"]),
+            strings(&["--simplify"]),
         ] {
             assert!(
                 matches!(parse_serve(&bad), Err(CliError::Usage(_))),
@@ -1374,6 +1322,8 @@ mod tests {
             strings(&["--gen-threads", "2"]),
             strings(&["--generate", "4", "--gen-seed", "latte"]),
             strings(&["--generate", "4", "--overlap"]),
+            strings(&["--generate", "4", "--reuse"]),
+            strings(&["--generate", "4", "--simplify"]),
         ] {
             assert!(
                 matches!(parse_run(&bad), Err(CliError::Usage(_))),
@@ -1385,54 +1335,42 @@ mod tests {
 
     #[test]
     fn reuse_flags_resolve_layers() {
-        // No flag: blast memo alone — clause-identical, fingerprint-neutral.
-        let default = resolve_reuse(None, false);
-        assert!(default.memo);
-        assert!(!default.incremental && !default.preprocess);
+        // No flag: the blast memo — clause-identical, fingerprint-neutral.
+        let default = resolve_reuse(true);
+        assert_eq!(default, EngineReuse { memo: true });
         assert_eq!(reuse_tag(default), "memo");
+        assert_eq!(resolve_reuse(false), EngineReuse::default());
+        assert_eq!(reuse_tag(resolve_reuse(false)), "off");
 
-        // `--reuse` is memo + incremental; `--no-reuse` switches all off.
-        assert_eq!(
-            resolve_reuse(Some(true), false),
-            EngineReuse {
-                memo: true,
-                incremental: true,
-                preprocess: false,
-            }
+        // All three subcommands take `--no-reuse`.
+        assert!(!parse_coordinator(&strings(&["--no-reuse"])).unwrap().memo);
+        assert!(
+            !parse_run(&strings(&["--generate", "2", "--no-reuse"]))
+                .unwrap()
+                .memo
         );
-        assert_eq!(reuse_tag(resolve_reuse(Some(true), false)), "full");
-        assert_eq!(resolve_reuse(Some(false), false), EngineReuse::default());
-        assert_eq!(reuse_tag(resolve_reuse(Some(false), false)), "off");
+        assert!(!parse_serve(&strings(&["--no-reuse"])).unwrap().memo);
+        assert!(parse_serve(&[]).unwrap().memo);
 
-        // `--simplify` is preprocessing only, and composes with any reuse
-        // spelling.
-        assert_eq!(
-            resolve_reuse(Some(false), true),
-            EngineReuse {
-                preprocess: true,
-                ..EngineReuse::default()
+        // The flags of the deleted layers are usage errors naming the layer.
+        for (flag, layer) in [
+            ("--reuse", "incremental per-scalar sessions"),
+            ("--simplify", "CNF preprocessing"),
+        ] {
+            for parsed in [
+                parse_coordinator(&strings(&[flag])).err(),
+                parse_run(&strings(&["--generate", "2", flag])).err(),
+                parse_serve(&strings(&[flag])).err(),
+            ] {
+                match parsed {
+                    Some(CliError::Usage(message)) => {
+                        assert!(message.contains(flag), "{}", message);
+                        assert!(message.contains(layer), "{}", message);
+                    }
+                    other => panic!("{} must be refused, got {:?}", flag, other),
+                }
             }
-        );
-        assert_eq!(
-            resolve_reuse(Some(true), true),
-            EngineReuse {
-                preprocess: true,
-                ..EngineReuse::full()
-            }
-        );
-
-        // All three subcommands accept the flags.
-        let coord = parse_coordinator(&strings(&["--reuse", "--simplify"])).unwrap();
-        assert_eq!(coord.reuse, Some(true));
-        assert!(coord.simplify);
-        let coord = parse_coordinator(&strings(&["--no-reuse"])).unwrap();
-        assert_eq!(coord.reuse, Some(false));
-        let run = parse_run(&strings(&["--generate", "2", "--simplify", "--no-reuse"])).unwrap();
-        assert_eq!(run.reuse, Some(false));
-        assert!(run.simplify);
-        let serve = parse_serve(&strings(&["--simplify", "--reuse"])).unwrap();
-        assert_eq!(serve.reuse, Some(true));
-        assert!(serve.simplify);
+        }
     }
 
     #[test]
@@ -1476,8 +1414,7 @@ mod tests {
         assert!(parsed.steal);
         assert_eq!(parsed.heartbeat_ms, Some(100));
         assert_eq!(parsed.stall_timeout_secs, Some(30));
-        assert_eq!(parsed.reuse, None, "memo-only default");
-        assert!(!parsed.simplify);
+        assert!(parsed.memo, "memo-on default");
 
         // Every malformed spelling is a typed usage error, never a panic.
         for bad in [
@@ -1493,6 +1430,8 @@ mod tests {
             strings(&["--heartbeat-ms", "soon"]),
             strings(&["--stall-timeout-secs", "-1"]),
             strings(&["--serve"]),
+            strings(&["--reuse"]),
+            strings(&["--simplify"]),
         ] {
             assert!(
                 matches!(parse_coordinator(&bad), Err(CliError::Usage(_))),

@@ -219,10 +219,7 @@ fn assert_same_verdicts(got: &BatchReport, want: &BatchReport, what: &str) {
 fn resumed_searches_report_what_fresh_sessions_report() {
     let pipeline = sweep_pipeline();
     let jobs = budget_stopped_jobs();
-    let memo = EngineReuse {
-        memo: true,
-        ..EngineReuse::default()
-    };
+    let memo = EngineReuse { memo: true };
     // The shipped configuration: one warm session per worker, so a
     // budget-stopped Alive2 search is resumed by an identical C-unroll query
     // (verdicts are thread-count independent, so 2 workers keep it quick).
