@@ -713,8 +713,8 @@ pub mod bin {
     //!
     //! * the `put_*` functions append fixed-width little-endian integers,
     //!   LEB128 varints, and varint-length-prefixed byte strings to a
-    //!   `Vec<u8>` (infallible — the scratch-buffer append path the binary
-    //!   journal and snapshot writers stream through);
+    //!   `Vec<u8>` (infallible — the scratch-buffer append path the
+    //!   service's wire codec streams through);
     //! * [`Reader`] is a bounds-checked cursor over a byte slice decoding
     //!   the same primitives, returning `Err(String)` — never panicking,
     //!   never reading past the slice — so corrupt input surfaces as a

@@ -1,27 +1,19 @@
-//! The compact binary record codec of the cache snapshot.
-//!
-//! One cache record is the fixed-width key prefix followed by the verdict
-//! payload (see the [module docs](super) for the full byte layout):
+//! The compact binary verdict-record codec the daemon's wire frames carry
+//! verdicts in:
 //!
 //! ```text
-//! [scalar u64 LE][candidate u64 LE][config u64 LE]   -- 24-byte key prefix
 //! [verdict u8][stage u8][checksum u8]                -- enum tags
 //! [detail varint length][detail UTF-8 bytes]         -- the only variable field
 //! ```
 //!
-//! The snapshot stores the key prefixes in its sorted index and the verdict
-//! payloads in its payload region; the daemon's wire frames reuse the
-//! verdict payload. Decoding is strict: unknown tags, truncated fields and
-//! non-UTF-8 details are all errors, never guesses, so a corrupt record can
-//! never produce a wrong verdict.
+//! Decoding is strict: unknown tags, truncated fields and non-UTF-8 details
+//! are all errors, never guesses, so a corrupt record can never produce a
+//! wrong verdict.
 
-use super::{CacheKey, CachedVerdict};
+use super::CachedVerdict;
 use crate::pipeline::{Equivalence, Stage};
 use lv_interp::ChecksumClass;
 use serde::bin::{self, Reader};
-
-/// Size of the fixed-width key prefix: three `u64` hashes.
-pub(crate) const KEY_BYTES: usize = 24;
 
 fn verdict_byte(verdict: Equivalence) -> u8 {
     match verdict {
@@ -80,13 +72,6 @@ fn parse_checksum_byte(tag: u8) -> Result<Option<ChecksumClass>, String> {
     }
 }
 
-/// Appends the 24-byte key prefix.
-pub(crate) fn encode_key(buf: &mut Vec<u8>, key: &CacheKey) {
-    bin::put_u64(buf, key.scalar);
-    bin::put_u64(buf, key.candidate);
-    bin::put_u64(buf, key.config);
-}
-
 /// Appends the verdict payload (tags + varint-length detail).
 pub(crate) fn encode_verdict(buf: &mut Vec<u8>, verdict: &CachedVerdict) {
     bin::put_u8(buf, verdict_byte(verdict.verdict));
@@ -109,23 +94,12 @@ pub(crate) fn decode_verdict(r: &mut Reader<'_>) -> Result<CachedVerdict, String
     })
 }
 
-/// Structurally validates a verdict payload without allocating: tags in
-/// range, length prefix in bounds, detail valid UTF-8. What makes the
-/// snapshot's lazy [`decode_verdict`] on the hit path infallible.
-pub(crate) fn validate_verdict(r: &mut Reader<'_>) -> Result<(), String> {
-    parse_verdict_byte(r.u8()?)?;
-    parse_stage_byte(r.u8()?)?;
-    parse_checksum_byte(r.u8()?)?;
-    r.str()?;
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn all_class_entries() -> Vec<(CacheKey, CachedVerdict)> {
-        let mut entries = Vec::new();
+    fn all_class_verdicts() -> Vec<CachedVerdict> {
+        let mut out = Vec::new();
         let verdicts = [
             Equivalence::Equivalent,
             Equivalence::NotEquivalent,
@@ -149,36 +123,23 @@ mod tests {
             for stage in stages {
                 for checksum in checksums {
                     i += 1;
-                    entries.push((
-                        CacheKey {
-                            scalar: i,
-                            candidate: i.wrapping_mul(0x9e37),
-                            config: u64::MAX - i,
-                        },
-                        CachedVerdict {
-                            verdict,
-                            stage,
-                            detail: format!("detail {} with \"quotes\"\nand unicode é", i),
-                            checksum,
-                        },
-                    ));
+                    out.push(CachedVerdict {
+                        verdict,
+                        stage,
+                        detail: format!("detail {} with \"quotes\"\nand unicode é", i),
+                        checksum,
+                    });
                 }
             }
         }
-        entries
+        out
     }
 
     #[test]
     fn every_class_round_trips() {
-        for (key, verdict) in all_class_entries() {
-            let mut prefix = Vec::new();
-            encode_key(&mut prefix, &key);
-            assert_eq!(prefix.len(), KEY_BYTES);
+        for verdict in all_class_verdicts() {
             let mut buf = Vec::new();
             encode_verdict(&mut buf, &verdict);
-            let mut r = Reader::new(&buf);
-            validate_verdict(&mut r).unwrap();
-            assert!(r.is_empty(), "validation consumes the whole payload");
             let mut r = Reader::new(&buf);
             assert_eq!(decode_verdict(&mut r).unwrap(), verdict);
             assert!(r.is_empty(), "decoding consumes the whole payload");
@@ -187,15 +148,10 @@ mod tests {
 
     #[test]
     fn bad_tags_and_truncated_details_are_errors() {
-        let (_, verdict) = all_class_entries().remove(0);
+        let verdict = all_class_verdicts().remove(0);
         let mut buf = Vec::new();
         encode_verdict(&mut buf, &verdict);
-        let decodes = |bytes: &[u8]| {
-            let valid = validate_verdict(&mut Reader::new(bytes)).is_ok();
-            let decoded = decode_verdict(&mut Reader::new(bytes)).is_ok();
-            assert_eq!(valid, decoded, "validation and decoding agree");
-            decoded
-        };
+        let decodes = |bytes: &[u8]| decode_verdict(&mut Reader::new(bytes)).is_ok();
         assert!(decodes(&buf));
         for (offset, limit) in [(0, 3u8), (1, 4), (2, 5)] {
             let mut bad = buf.clone();

@@ -1,4 +1,4 @@
-//! The persistent, content-addressed, **tiered** verdict cache.
+//! The persistent, content-addressed verdict cache.
 //!
 //! Verification is a pure function of `(scalar, candidate, configuration)`:
 //! the checksum harness is seeded, the SMT solver is deterministic, and
@@ -20,35 +20,11 @@
 //!   and every solver budget. Anything that could change a verdict — or an
 //!   `Inconclusive` outcome — invalidates the entry by changing its key.
 //!
-//! # Tiers
-//!
-//! A [`VerdictCache`] is a three-tier store; lookups fall through in order
-//! and the first tier holding the key answers:
-//!
-//! 1. **hot** — the in-memory delta `HashMap`. Every [`VerdictCache::insert`]
-//!    lands here (and, in journal mode, appends to the backing journal).
-//!    The hot tier *shadows* the others: if a key exists in several tiers,
-//!    the hot entry wins.
-//! 2. **warm** — the local immutable binary snapshot the cache was opened
-//!    from ([`CacheSnapshot`]): loaded zero-copy as one owned buffer,
-//!    binary-searched in place, payloads decoded lazily on hit, negative
-//!    lookups short-circuited by its bloom block.
-//! 3. **cold** — optional shared-directory snapshots attached with
-//!    [`VerdictCache::attach_cold_dir`], consulted in attach order. An
-//!    attach re-checks the typed-conflict contract: a cold snapshot that
-//!    *disagrees* with the currently-visible entries is rejected with the
-//!    rendered [`CacheMergeError`] — never silently shadowed.
-//!
-//! There is no promotion on lookup (a warm/cold hit stays where it is —
-//! promotion would re-journal bytes that are already durable). Promotion
-//! happens at **compaction**: [`VerdictCache::compact_to`] folds every tier
-//! into one sorted snapshot file, after which a reopen serves the whole
-//! cache from the warm tier again.
-//!
 //! # File formats
 //!
-//! Three interchangeable on-disk forms, sniffed by content (first bytes) —
-//! [`VerdictCache::open`] accepts any of them:
+//! A [`VerdictCache`] is one in-memory `HashMap`, optionally backed by a
+//! file in one of two JSON forms that share one entry codec, sniffed by
+//! content — [`VerdictCache::open`] accepts either:
 //!
 //! **JSON snapshot** — a single JSON document (via the `serde` shim's
 //! [`json`] module):
@@ -71,55 +47,37 @@
 //! followed by one CRC-framed record per entry, so a torn tail is detected
 //! and truncated, never mis-parsed.
 //!
-//! **Binary snapshot** — the sorted immutable tier file (`LVCS` magic):
-//! a fixed-stride key index, an optional bloom block, and a payload region
-//! of compact binary verdict records, each region CRC-covered:
-//!
-//! ```text
-//! [scalar u64 LE][candidate u64 LE][config u64 LE]  -- 24-byte index key
-//! [verdict u8][stage u8][checksum u8]               -- payload enum tags
-//! [detail varint length][detail UTF-8 bytes]
-//! ```
-//!
-//! [`snapshot`] documents the exact layout. A file in the binary cache
-//! journal form of earlier builds (`LVBJ` magic) is refused with
-//! [`io::ErrorKind::InvalidData`] naming that removed form, never
-//! mis-parsed.
+//! Files of the two binary forms earlier builds could write — the binary
+//! cache journal (`LVBJ` magic) and the binary snapshot (`LVCS` magic) —
+//! are refused with [`io::ErrorKind::InvalidData`] naming the removed
+//! form, never mis-parsed, and left untouched.
 //!
 //! A journal-mode cache appends through one long-lived buffered handle:
 //! every [`VerdictCache::insert`] flushes just that record — O(record)
 //! flush I/O instead of the snapshot's O(file) rewrite — which is what lets
 //! shard workers flush after every job without quadratic total I/O.
 //! [`crate::journal::FsyncPolicy`] picks per-record durability;
-//! compaction ([`VerdictCache::compact_journal`] /
-//! [`VerdictCache::compact_to`]) always `fsync`s the snapshot *and its
-//! parent directory* (the rename itself is durable — recorded in
-//! [`VerdictCache::sync_events`] so tests can assert the sequence).
+//! compaction ([`VerdictCache::compact_journal`]) always `fsync`s the
+//! snapshot *and its parent directory* (the rename itself is durable —
+//! recorded in [`VerdictCache::sync_events`] so tests can assert the
+//! sequence).
 //!
-//! # JSON interop guarantee
-//!
-//! JSON stays the import/export format. [`VerdictCache::persist`] and
-//! [`VerdictCache::compact_journal`] always render the canonical sorted
-//! JSON snapshot — byte-identical for identical contents regardless of
-//! which tier or form each entry came from — so the byte-identity CI
-//! pins survive the binary snapshot as conversion round-trip tests, and
-//! `lv-sweep compact --format json` converts a binary snapshot back to the
-//! JSON snapshot byte-for-byte.
+//! JSON is the one cache form: [`VerdictCache::persist`] and
+//! [`VerdictCache::compact_journal`] both render the canonical sorted JSON
+//! snapshot, byte-identical for identical contents whichever form the
+//! entries were loaded from.
 //!
 //! # Invalidation rules
 //!
 //! There is no explicit invalidation: a key embeds everything a verdict
 //! depends on, so stale entries are simply never looked up again. The
-//! `version` field guards the *format and hash scheme* in all three forms:
+//! `version` field guards the *format and hash scheme* in both forms:
 //! bump [`CACHE_FORMAT_VERSION`] when [`lv_cir::structural_hash`]'s
 //! protocol or any file layout changes, and readers reject files from
 //! other versions (a rejected file is reported as an error, not silently
 //! discarded, so an operator can delete it deliberately).
 
 pub(crate) mod binary;
-pub mod snapshot;
-
-pub use snapshot::{BloomStats, CacheSnapshot, SnapshotError};
 
 use crate::journal::{self, fsync_dir, FsyncPolicy, JournalWriter};
 use crate::pipeline::{Equivalence, Stage};
@@ -129,7 +87,7 @@ use std::collections::HashMap;
 use std::fs::File;
 use std::io::{self, BufWriter};
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, RwLock};
+use std::sync::{Mutex, MutexGuard};
 
 /// The on-disk format version; readers reject any other value.
 pub const CACHE_FORMAT_VERSION: i64 = 1;
@@ -161,27 +119,6 @@ pub struct CachedVerdict {
     pub detail: String,
     /// Checksum classification, when the cascade included the checksum stage.
     pub checksum: Option<ChecksumClass>,
-}
-
-/// Which snapshot form [`VerdictCache::compact_to`] writes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CacheFormat {
-    /// The human-readable JSON snapshot — the import/export format.
-    #[default]
-    Json,
-    /// The compact binary `LVCS` snapshot.
-    Binary,
-}
-
-impl CacheFormat {
-    /// Parses the `lv-sweep compact --format` value (`json` / `binary`).
-    pub fn from_tag(tag: &str) -> Result<CacheFormat, String> {
-        match tag {
-            "json" => Ok(CacheFormat::Json),
-            "binary" | "bin" => Ok(CacheFormat::Binary),
-            other => Err(format!("unknown cache format `{}`", other)),
-        }
-    }
 }
 
 /// One durability syscall recorded by a compaction, in order — what the
@@ -285,28 +222,23 @@ impl CacheBounds {
     }
 }
 
-/// A thread-safe tiered verdict store, optionally backed by a file.
+/// A thread-safe verdict store, optionally backed by a file.
 ///
 /// Workers on the engine's pool share one cache through an `Arc`; `get`
-/// takes a short mutex for the hot tier and a read lock for the snapshot
-/// tiers, never I/O. In the default snapshot mode, file I/O happens only in
-/// [`VerdictCache::open`] and [`VerdictCache::persist`]; in journal mode
+/// takes a short mutex, never I/O. In the default snapshot mode, file I/O
+/// happens only in [`VerdictCache::open`] and [`VerdictCache::persist`]
+/// (and [`VerdictCache::compact_journal`]); in journal mode
 /// ([`VerdictCache::open_journal`]) each `insert` additionally appends one
 /// framed record through the cache's long-lived buffered journal handle
 /// (see the [module docs](self)).
 #[derive(Debug, Default)]
 pub struct VerdictCache {
-    /// The hot tier. Lock order where multiple are nested: `journal`, then
-    /// `tiers`, then `entries` (lookups acquire sequentially, never
-    /// nested).
+    /// Every verdict. Lock order where both are held: `journal`, then
+    /// `entries`.
     entries: Mutex<HashMap<CacheKey, CachedVerdict>>,
     path: Option<PathBuf>,
     /// The open append handle when the cache is in journal mode.
     journal: Mutex<Option<JournalWriter>>,
-    /// The warm snapshot (index 0, when the cache was opened from one)
-    /// followed by attached cold snapshots, consulted in order after the
-    /// hot tier misses.
-    tiers: RwLock<Vec<CacheSnapshot>>,
     /// Durability syscalls recorded by compactions, for the fsync-sequence
     /// test.
     sync_log: Mutex<Vec<SyncEvent>>,
@@ -320,10 +252,8 @@ impl VerdictCache {
 
     /// A cache backed by `path`, in snapshot mode. A missing file yields an
     /// empty cache; an unreadable or malformed file is an error (never
-    /// silently discarded). All three persisted forms are accepted: a JSON
-    /// journal is replayed into the hot tier (tolerating a torn final
-    /// record), a JSON snapshot is parsed into the hot tier, and a **binary
-    /// snapshot becomes the warm tier** — loaded zero-copy, not parsed.
+    /// silently discarded). Both persisted forms are accepted: a journal is
+    /// replayed (tolerating a torn final record) and a snapshot is parsed.
     pub fn open(path: impl Into<PathBuf>) -> io::Result<VerdictCache> {
         let path = path.into();
         let invalid = |reason: String| io::Error::new(io::ErrorKind::InvalidData, reason);
@@ -337,14 +267,6 @@ impl VerdictCache {
             Err(e) => return Err(e),
             Ok(bytes) => bytes,
         };
-        if snapshot::is_snapshot(&bytes) {
-            let snap = CacheSnapshot::from_bytes(bytes).map_err(|e| invalid(e.to_string()))?;
-            return Ok(VerdictCache {
-                path: Some(path),
-                tiers: RwLock::new(vec![snap]),
-                ..VerdictCache::default()
-            });
-        }
         let entries = entries_from_bytes(&bytes).map_err(invalid)?;
         Ok(VerdictCache {
             entries: Mutex::new(entries),
@@ -360,10 +282,9 @@ impl VerdictCache {
     ///
     /// A missing file starts a fresh journal; an existing journal is
     /// replayed, its torn final record (if any) truncated, and appends
-    /// continue where it left off; an existing snapshot (either form) is
-    /// converted — rewritten as a journal (atomically, via a temp file) so
-    /// appends can continue incrementally. `fsync` selects the durability
-    /// policy.
+    /// continue where it left off; an existing snapshot is converted —
+    /// rewritten as a journal (atomically, via a temp file) so appends can
+    /// continue incrementally. `fsync` selects the durability policy.
     pub fn open_journal(path: impl Into<PathBuf>, fsync: FsyncPolicy) -> io::Result<VerdictCache> {
         let path = path.into();
         let invalid = |reason: String| io::Error::new(io::ErrorKind::InvalidData, reason);
@@ -395,13 +316,7 @@ impl VerdictCache {
             Some(bytes) => {
                 // Conversion, atomically: the existing file stays intact
                 // until the fully-written journal renames over it.
-                let entries = if snapshot::is_snapshot(&bytes) {
-                    let snap =
-                        CacheSnapshot::from_bytes(bytes).map_err(|e| invalid(e.to_string()))?;
-                    snap.entries().into_iter().collect()
-                } else {
-                    entries_from_bytes(&bytes).map_err(invalid)?
-                };
+                let entries = entries_from_bytes(&bytes).map_err(invalid)?;
                 let tmp = path.with_extension("tmp");
                 let mut writer = JournalWriter::create(&tmp, fsync, emit_cache_header)?;
                 let mut sorted: Vec<(&CacheKey, &CachedVerdict)> = entries.iter().collect();
@@ -450,76 +365,24 @@ impl VerdictCache {
         self.sync_log.lock().unwrap().clone()
     }
 
-    /// Attaches every binary snapshot found directly in `dir` as a cold
-    /// tier, in file-name order (deterministic). Files that are not binary
-    /// snapshots are skipped; a snapshot that fails validation is an error;
-    /// a snapshot that *disagrees* with the currently-visible entries on
-    /// any key is rejected with the rendered [`CacheMergeError`] (the
-    /// typed-conflict contract — see the module docs). Returns how many
-    /// snapshots were attached.
-    pub fn attach_cold_dir(&self, dir: impl AsRef<Path>) -> io::Result<usize> {
-        let mut paths: Vec<PathBuf> = std::fs::read_dir(dir.as_ref())?
-            .collect::<io::Result<Vec<_>>>()?
-            .into_iter()
-            .map(|entry| entry.path())
-            .filter(|p| p.is_file() && Some(p.as_path()) != self.path.as_deref())
-            .collect();
-        paths.sort();
-        let mut attached = 0;
-        for path in paths {
-            let mut magic = [0u8; 4];
-            let readable = File::open(&path).and_then(|mut f| {
-                use std::io::Read;
-                f.read_exact(&mut magic)
-            });
-            if readable.is_err() || magic != snapshot::SNAPSHOT_MAGIC {
-                continue;
-            }
-            self.attach_snapshot(&path)?;
-            attached += 1;
-        }
-        Ok(attached)
+    /// The entry map. The lock is poisoned only when a thread panicked
+    /// while holding it, a bug in this program.
+    fn map(&self) -> MutexGuard<'_, HashMap<CacheKey, CachedVerdict>> {
+        self.entries
+            .lock()
+            .expect("verdict cache lock poisoned by a panicked thread")
     }
 
-    /// Attaches one binary snapshot file as a cold tier, after checking the
-    /// typed-conflict contract against the currently-visible entries.
-    pub fn attach_snapshot(&self, path: &Path) -> io::Result<()> {
-        let snap = CacheSnapshot::open(path)?;
-        for (key, verdict) in snap.entries() {
-            if let Some(existing) = self.get(&key) {
-                if existing != verdict {
-                    let conflict = CacheMergeError::Conflict {
-                        key,
-                        existing: Box::new(existing),
-                        incoming: Box::new(verdict),
-                    };
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("cold snapshot {}: {}", path.display(), conflict),
-                    ));
-                }
-            }
-        }
-        self.tiers.write().unwrap().push(snap);
-        Ok(())
-    }
-
-    /// Looks up a verdict: hot tier first, then each snapshot tier in
-    /// order.
+    /// Looks up a verdict.
     pub fn get(&self, key: &CacheKey) -> Option<CachedVerdict> {
-        if let Some(found) = self.entries.lock().unwrap().get(key) {
-            return Some(found.clone());
-        }
-        let tiers = self.tiers.read().unwrap();
-        tiers.iter().find_map(|snap| snap.get(key))
+        self.map().get(key).cloned()
     }
 
-    /// Stores a verdict in the hot tier. In journal mode the record is also
-    /// appended to the backing file and flushed (best-effort, like the
-    /// shard flush protocol: an unwritable journal surfaces later as
-    /// missing persisted output, and the in-memory entry is stored
-    /// regardless). An insert whose verdict is already visible in *any*
-    /// tier appends nothing.
+    /// Stores a verdict. In journal mode the record is also appended to the
+    /// backing file and flushed (best-effort, like the shard flush
+    /// protocol: an unwritable journal surfaces later as missing persisted
+    /// output, and the in-memory entry is stored regardless). An insert
+    /// whose verdict is already stored appends nothing.
     pub fn insert(&self, key: CacheKey, verdict: CachedVerdict) {
         let mut journal = self.journal.lock().unwrap();
         if let Some(writer) = journal.as_mut() {
@@ -529,64 +392,20 @@ impl VerdictCache {
             }
         }
         drop(journal);
-        self.entries.lock().unwrap().insert(key, verdict);
+        self.map().insert(key, verdict);
     }
 
-    /// Number of distinct visible verdicts across every tier (hot entries
-    /// shadow snapshot entries with the same key).
+    /// Number of stored verdicts.
     pub fn len(&self) -> usize {
-        let hot = self.entries.lock().unwrap().clone();
-        let tiers = self.tiers.read().unwrap();
-        if tiers.is_empty() {
-            return hot.len();
-        }
-        let mut seen = hot;
-        for snap in tiers.iter() {
-            for (key, verdict) in snap.entries() {
-                seen.entry(key).or_insert(verdict);
-            }
-        }
-        seen.len()
+        self.map().len()
     }
 
-    /// Returns `true` if the cache holds no verdicts in any tier.
+    /// Returns `true` if the cache holds no verdicts.
     pub fn is_empty(&self) -> bool {
-        if !self.entries.lock().unwrap().is_empty() {
-            return false;
-        }
-        self.tiers.read().unwrap().iter().all(|s| s.is_empty())
+        self.map().is_empty()
     }
 
-    /// Every visible entry, tier-merged (hot shadows warm shadows cold).
-    fn effective_entries(&self) -> HashMap<CacheKey, CachedVerdict> {
-        let mut map = self.entries.lock().unwrap().clone();
-        let tiers = self.tiers.read().unwrap();
-        for snap in tiers.iter() {
-            for (key, verdict) in snap.entries() {
-                map.entry(key).or_insert(verdict);
-            }
-        }
-        map
-    }
-
-    /// Folds every snapshot tier into the hot map (shadowed keys keep their
-    /// hot value) and drops the tiers — the mutable view compaction and
-    /// eviction work on.
-    fn materialize(&self) {
-        let mut tiers = self.tiers.write().unwrap();
-        if tiers.is_empty() {
-            return;
-        }
-        let mut entries = self.entries.lock().unwrap();
-        for snap in tiers.iter() {
-            for (key, verdict) in snap.entries() {
-                entries.entry(key).or_insert(verdict);
-            }
-        }
-        tiers.clear();
-    }
-
-    /// Merges every visible entry of `other` into this cache's hot tier.
+    /// Merges every entry of `other` into this cache.
     ///
     /// A key present in both caches with the *same* verdict is a no-op; a
     /// key present with *different* verdicts aborts the merge with
@@ -596,25 +415,20 @@ impl VerdictCache {
     /// `other` by construction, the destination is still internally
     /// consistent.
     pub fn merge_from(&self, other: &VerdictCache) -> Result<MergeStats, CacheMergeError> {
-        let incoming = other.effective_entries();
-        let tiers = self.tiers.read().unwrap();
-        let mut entries = self.entries.lock().unwrap();
+        let incoming = other.map().clone();
+        let mut entries = self.map();
         let mut stats = MergeStats::default();
         for (key, verdict) in incoming {
-            let existing = entries
-                .get(&key)
-                .cloned()
-                .or_else(|| tiers.iter().find_map(|snap| snap.get(&key)));
-            match existing {
+            match entries.get(&key) {
                 None => {
                     entries.insert(key, verdict);
                     stats.added += 1;
                 }
-                Some(existing) if existing == verdict => stats.agreed += 1,
+                Some(existing) if *existing == verdict => stats.agreed += 1,
                 Some(existing) => {
                     return Err(CacheMergeError::Conflict {
                         key,
-                        existing: Box::new(existing),
+                        existing: Box::new(existing.clone()),
                         incoming: Box::new(verdict),
                     })
                 }
@@ -636,15 +450,12 @@ impl VerdictCache {
 
     /// Evicts entries until the cache fits `bounds`; returns how many were
     /// dropped. Eviction order is the tail of the sorted key order, so it is
-    /// deterministic (see [`CacheBounds`]). Snapshot tiers are materialized
-    /// into the hot tier first — eviction needs a mutable view of every
-    /// entry.
+    /// deterministic (see [`CacheBounds`]).
     pub fn compact(&self, bounds: &CacheBounds) -> usize {
         if bounds.is_unbounded() {
             return 0;
         }
-        self.materialize();
-        let mut entries = self.entries.lock().unwrap();
+        let mut entries = self.map();
         let before = entries.len();
         if let Some(max) = bounds.max_entries {
             if entries.len() > max {
@@ -675,18 +486,14 @@ impl VerdictCache {
         before - entries.len()
     }
 
-    /// Writes the cache to its backing file. No-op for an in-memory cache,
-    /// and for an unmodified snapshot-tier view (an empty hot tier over
-    /// loaded snapshots — the file already holds the canonical contents,
-    /// and a read-only open must not rewrite it).
+    /// Writes the cache to its backing file. No-op for an in-memory cache.
     ///
     /// In snapshot mode this rewrites the whole file (atomically: temp
-    /// file, then rename) as the canonical **JSON** snapshot — the export
-    /// format (see the module docs) — streaming the tier-merged entries in
-    /// sorted key order so persisting the same contents always produces
-    /// byte-identical files. In journal mode every insert already appended
-    /// and flushed its own record, so this only flushes the buffered
-    /// writer.
+    /// file, then rename) as the canonical JSON snapshot, streaming the
+    /// entries in sorted key order so persisting the same contents always
+    /// produces byte-identical files. In journal mode every insert already
+    /// appended and flushed its own record, so this only flushes the
+    /// buffered writer.
     pub fn persist(&self) -> io::Result<()> {
         let Some(path) = &self.path else {
             return Ok(());
@@ -697,48 +504,30 @@ impl VerdictCache {
                 return writer.flush();
             }
         }
-        if self.entries.lock().unwrap().is_empty() && !self.tiers.read().unwrap().is_empty() {
-            return Ok(());
-        }
-        write_snapshot_atomic(path, &self.effective_entries(), false)
+        let entries = self.map().clone();
+        write_snapshot_atomic(path, &entries, false)
     }
 
-    /// Compacts the cache file into the canonical **JSON snapshot** format;
-    /// equivalent to [`VerdictCache::compact_to`] with
-    /// [`CacheFormat::Json`].
-    pub fn compact_journal(&self) -> io::Result<()> {
-        self.compact_to(CacheFormat::Json)
-    }
-
-    /// Compacts the cache file into the snapshot form of `format`: the
+    /// Compacts the cache file into the canonical JSON snapshot: the
     /// journal (if the cache is in journal mode) is closed and atomically
-    /// replaced by the deterministic sorted snapshot of every visible entry
-    /// — for [`CacheFormat::Json`], byte-identical to what a snapshot-mode
-    /// [`VerdictCache::persist`] of the same contents writes; for
-    /// [`CacheFormat::Binary`], the `LVCS` tier file (bloom block
-    /// included).
+    /// replaced by the deterministic sorted snapshot of every entry —
+    /// byte-identical to what a snapshot-mode [`VerdictCache::persist`] of
+    /// the same contents writes.
     ///
-    /// This is the durability point of [`FsyncPolicy::OnCompact`], honored
-    /// uniformly for both formats: the snapshot is `fsync`ed *before* the
-    /// rename, and the parent directory is `fsync`ed *after* it, so the
-    /// rename itself survives power loss. Both syscalls are recorded in
-    /// [`VerdictCache::sync_events`]. Afterwards the cache is in snapshot
-    /// mode; further inserts no longer append. Idempotent, and callable on
-    /// a snapshot-mode cache (where it is a synced persist).
-    pub fn compact_to(&self, format: CacheFormat) -> io::Result<()> {
+    /// This is the durability point of [`FsyncPolicy::OnCompact`]: the
+    /// snapshot is `fsync`ed *before* the rename, and the parent directory
+    /// is `fsync`ed *after* it, so the rename itself survives power loss.
+    /// Both syscalls are recorded in [`VerdictCache::sync_events`].
+    /// Afterwards the cache is in snapshot mode; further inserts no longer
+    /// append. Idempotent, and callable on a snapshot-mode cache (where it
+    /// is a synced persist).
+    pub fn compact_journal(&self) -> io::Result<()> {
         let Some(path) = &self.path else {
             return Ok(());
         };
         let mut journal = self.journal.lock().unwrap();
-        let entries = self.effective_entries();
-        match format {
-            CacheFormat::Json => write_snapshot_atomic(path, &entries, true)?,
-            CacheFormat::Binary => {
-                let mut sorted: Vec<(CacheKey, CachedVerdict)> = entries.into_iter().collect();
-                sorted.sort_by_key(|(key, _)| *key);
-                CacheSnapshot::write_file(path, &sorted, true, true)?;
-            }
-        }
+        let entries = self.map().clone();
+        write_snapshot_atomic(path, &entries, true)?;
         let mut log = self.sync_log.lock().unwrap();
         log.push(SyncEvent::File(path.clone()));
         let parent = match path.parent() {
@@ -753,12 +542,11 @@ impl VerdictCache {
     }
 }
 
-/// Per-file statistics for `lv-sweep cache stats`: which of the three forms
+/// Per-file statistics for `lv-sweep cache stats`: which of the two forms
 /// a cache file is, how big it is, and what it holds.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CacheFileStats {
-    /// The sniffed form: `json-snapshot`, `json-journal`, or
-    /// `binary-snapshot`.
+    /// The sniffed form: `json-snapshot` or `json-journal`.
     pub format: &'static str,
     /// File size in bytes.
     pub file_bytes: u64,
@@ -770,9 +558,6 @@ pub struct CacheFileStats {
     pub not_equivalent: usize,
     /// Entries whose verdict is `inconclusive`.
     pub inconclusive: usize,
-    /// Bloom-block shape and estimated false-positive rate, for binary
-    /// snapshots that carry one.
-    pub bloom: Option<BloomStats>,
 }
 
 impl CacheFileStats {
@@ -786,23 +571,16 @@ impl CacheFileStats {
     }
 }
 
-/// Computes [`CacheFileStats`] for any of the three persisted cache forms.
+/// Computes [`CacheFileStats`] for either persisted cache form.
 pub fn cache_file_stats(path: &Path) -> io::Result<CacheFileStats> {
     let invalid = |reason: String| io::Error::new(io::ErrorKind::InvalidData, reason);
     let bytes = std::fs::read(path)?;
     let file_bytes = bytes.len() as u64;
-    let (format, entries, bloom) = if snapshot::is_snapshot(&bytes) {
-        let snap = CacheSnapshot::from_bytes(bytes).map_err(|e| invalid(e.to_string()))?;
-        let bloom = snap.bloom_stats();
-        ("binary-snapshot", snap.entries(), bloom)
+    let entries = entries_from_bytes(&bytes).map_err(invalid)?;
+    let format = if is_text_journal(&bytes) {
+        "json-journal"
     } else {
-        let entries = entries_from_bytes(&bytes).map_err(invalid)?;
-        let format = if is_text_journal(&bytes) {
-            "json-journal"
-        } else {
-            "json-snapshot"
-        };
-        (format, entries.into_iter().collect(), None)
+        "json-snapshot"
     };
     let mut stats = CacheFileStats {
         format,
@@ -811,9 +589,8 @@ pub fn cache_file_stats(path: &Path) -> io::Result<CacheFileStats> {
         equivalent: 0,
         not_equivalent: 0,
         inconclusive: 0,
-        bloom,
     };
-    for (_, verdict) in &entries {
+    for verdict in entries.values() {
         match verdict.verdict {
             Equivalence::Equivalent => stats.equivalent += 1,
             Equivalence::NotEquivalent => stats.not_equivalent += 1,
@@ -830,21 +607,28 @@ fn is_text_journal(bytes: &[u8]) -> bool {
         .unwrap_or(false)
 }
 
-/// The magic of the binary cache journal earlier builds could write. The
-/// form is gone; its files are refused by name rather than failing as
-/// "not UTF-8".
-const REMOVED_BINARY_JOURNAL_MAGIC: &[u8; 4] = b"LVBJ";
+/// The magics of the binary forms earlier builds could write, with the
+/// name each is refused by. The forms are gone; their files are refused by
+/// name rather than failing as "not UTF-8".
+const REMOVED_BINARY_FORMS: [(&[u8; 4], &str); 2] = [
+    (b"LVBJ", "binary cache journal"),
+    (b"LVCS", "binary snapshot"),
+];
 
-/// Parses either JSON form into an entry map; a file of the removed binary
-/// journal form is a named error.
+/// Parses either JSON form into an entry map; a file of a removed binary
+/// form is a named error.
 fn entries_from_bytes(bytes: &[u8]) -> Result<HashMap<CacheKey, CachedVerdict>, String> {
-    if bytes.starts_with(REMOVED_BINARY_JOURNAL_MAGIC) {
-        return Err(
-            "cache file is a binary cache journal (`LVBJ`), a form this build no \
-                    longer reads; convert it to a snapshot with `lv-sweep compact` from an \
-                    earlier build, or delete it"
-                .to_string(),
-        );
+    if let Some((magic, name)) = REMOVED_BINARY_FORMS
+        .iter()
+        .find(|(magic, _)| bytes.starts_with(*magic))
+    {
+        return Err(format!(
+            "cache file is a {} (`{}`), a form this build no longer reads; convert \
+             it to a JSON snapshot with `lv-sweep compact` from an earlier build, \
+             or delete it",
+            name,
+            String::from_utf8_lossy(*magic)
+        ));
     }
     let text = std::str::from_utf8(bytes).map_err(|e| format!("cache file is not UTF-8: {}", e))?;
     parse_text(text)
@@ -1177,6 +961,18 @@ mod tests {
     /// build: the `LVBJ` magic and the start of its header frame.
     const REMOVED_LVBJ_SAMPLE: &[u8] = b"LVBJ\x11\x00\x00\x00verdict-cache";
 
+    /// The leading bytes of a binary snapshot written by an earlier build:
+    /// the `LVCS` magic, format version 1, one entry, index offset 56.
+    const REMOVED_LVCS_SAMPLE: &[u8] =
+        b"LVCS\x01\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x38\x00\x00\x00\x00\x00\x00\x00";
+
+    /// Every removed binary form: its leading bytes and the name it is
+    /// refused by.
+    const REMOVED_SAMPLES: [(&[u8], &str); 2] = [
+        (REMOVED_LVBJ_SAMPLE, "binary cache journal"),
+        (REMOVED_LVCS_SAMPLE, "binary snapshot"),
+    ];
+
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("lv-cache-{}-{}", tag, std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -1220,25 +1016,30 @@ mod tests {
              \"verdict\":\"equivalent\",\"stage\":\"alive2\",\"detail\":\"\",\"checksum\":null}]}";
         assert!(parse_entries(bad_hash).is_err());
 
-        // A file of the removed binary journal form is refused by name on
-        // both open paths (`cache_file_stats_cover_all_four_forms` covers
-        // the stats path).
-        let dir = temp_dir("removed-lvbj");
-        let path = dir.join("old.bjournal");
-        std::fs::write(&path, REMOVED_LVBJ_SAMPLE).unwrap();
-        let refusals = [
-            VerdictCache::open(&path).map(|_| ()),
-            VerdictCache::open_journal(&path, FsyncPolicy::OnCompact).map(|_| ()),
-        ];
-        for err in refusals {
-            let err = err.expect_err("an LVBJ file must be refused");
-            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-            assert!(err.to_string().contains("binary cache journal"), "{}", err);
+        // A file of either removed binary form is refused by name on both
+        // open paths and the merge path, and left byte-for-byte untouched
+        // (`cache_file_stats_cover_all_four_forms` covers the stats path).
+        let dir = temp_dir("removed-forms");
+        for (sample, name) in REMOVED_SAMPLES {
+            let path = dir.join("old.cache");
+            std::fs::write(&path, sample).unwrap();
+            let refusals = [
+                VerdictCache::open(&path).map(|_| ()),
+                VerdictCache::open_journal(&path, FsyncPolicy::OnCompact).map(|_| ()),
+                VerdictCache::in_memory().merge_file(&path).map(|_| ()),
+            ];
+            for err in refusals {
+                let err = err.expect_err("a removed-form file must be refused");
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+                assert!(err.to_string().contains(name), "{}", err);
+                assert!(err.to_string().contains("lv-sweep compact"), "{}", err);
+            }
+            assert_eq!(
+                std::fs::read(&path).unwrap(),
+                sample,
+                "a refused file is left untouched"
+            );
         }
-        assert!(
-            std::fs::read(&path).unwrap().starts_with(b"LVBJ"),
-            "a refused file is left untouched"
-        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1406,128 +1207,21 @@ mod tests {
     }
 
     #[test]
-    fn binary_compact_round_trips_through_the_warm_tier() {
-        let dir = temp_dir("binary-compact");
-        let path = dir.join("tiered.cache");
-        let _ = std::fs::remove_file(&path);
-
-        let cache = VerdictCache::open(&path).unwrap();
-        for (key, verdict) in sample_entries() {
-            cache.insert(key, verdict);
-        }
-        cache.compact_to(CacheFormat::Binary).unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        assert!(snapshot::is_snapshot(&bytes), "binary compact writes LVCS");
-
-        // Reopen: the file becomes the warm tier, served without parsing.
-        let reopened = VerdictCache::open(&path).unwrap();
-        assert!(!reopened.is_journaling());
-        assert_eq!(reopened.len(), 3);
-        for (key, verdict) in sample_entries() {
-            assert_eq!(reopened.get(&key), Some(verdict));
-        }
-        // A read-only tiered view never rewrites its file.
-        reopened.persist().unwrap();
-        assert!(
-            snapshot::is_snapshot(&std::fs::read(&path).unwrap()),
-            "persist of an unmodified tier view must not rewrite the file"
-        );
-
-        // Compacting the warm tier back to JSON is byte-identical to a
-        // JSON-native persist of the same contents (the interop guarantee).
-        reopened.compact_journal().unwrap();
-        let json_path = dir.join("native.json");
-        let native = VerdictCache::open(&json_path).unwrap();
-        for (key, verdict) in sample_entries() {
-            native.insert(key, verdict);
-        }
-        native.persist().unwrap();
-        assert_eq!(
-            std::fs::read_to_string(&path).unwrap(),
-            std::fs::read_to_string(&json_path).unwrap(),
-            "binary → JSON conversion must be byte-identical to the legacy snapshot"
-        );
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(&json_path);
-    }
-
-    #[test]
-    fn hot_tier_shadows_warm_tier() {
-        let dir = temp_dir("shadow");
-        let path = dir.join("warm.cache");
-        let _ = std::fs::remove_file(&path);
-
-        let cache = VerdictCache::open(&path).unwrap();
-        for (key, verdict) in sample_entries() {
-            cache.insert(key, verdict);
-        }
-        cache.compact_to(CacheFormat::Binary).unwrap();
-
-        let tiered = VerdictCache::open(&path).unwrap();
-        let (key, verdict) = sample_entries().remove(0);
-        let shadowing = CachedVerdict {
-            detail: "hot shadows warm".to_string(),
-            ..verdict
-        };
-        tiered.insert(key, shadowing.clone());
-        assert_eq!(tiered.get(&key), Some(shadowing), "hot wins");
-        assert_eq!(tiered.len(), 3, "shadowed key counted once");
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
     fn compact_records_the_fsync_sequence() {
         let dir = temp_dir("fsync-seq");
-        for format in [CacheFormat::Json, CacheFormat::Binary] {
-            let path = dir.join(format!("seq.{:?}.cache", format));
-            let _ = std::fs::remove_file(&path);
-            let cache = VerdictCache::open_journal(&path, FsyncPolicy::OnCompact).unwrap();
-            let (key, verdict) = sample_entries().remove(0);
-            cache.insert(key, verdict);
-            assert!(cache.sync_events().is_empty(), "no compaction yet");
-            cache.compact_to(format).unwrap();
-            let events = cache.sync_events();
-            assert_eq!(
-                events,
-                vec![SyncEvent::File(path.clone()), SyncEvent::Dir(dir.clone()),],
-                "{:?}: file must be synced before the directory",
-                format
-            );
-            let _ = std::fs::remove_file(&path);
-        }
-    }
-
-    #[test]
-    fn cold_snapshots_attach_and_honor_conflicts() {
-        let dir = temp_dir("cold");
-        let shared = dir.join("shared");
-        std::fs::create_dir_all(&shared).unwrap();
-        let entries = sample_entries();
-
-        // Two cold snapshots with one overlapping (agreeing) entry.
-        CacheSnapshot::write_file(&shared.join("a.lvcs"), &entries[0..2], true, false).unwrap();
-        CacheSnapshot::write_file(&shared.join("b.lvcs"), &entries[1..3], true, false).unwrap();
-        // A non-snapshot file in the directory is skipped.
-        std::fs::write(shared.join("notes.txt"), "not a snapshot").unwrap();
-
-        let cache = VerdictCache::in_memory();
-        let attached = cache.attach_cold_dir(&shared).unwrap();
-        assert_eq!(attached, 2);
-        assert_eq!(cache.len(), 3);
-        for (key, verdict) in &entries {
-            assert_eq!(cache.get(key).as_ref(), Some(verdict));
-        }
-
-        // A disagreeing cold snapshot is rejected with the typed conflict.
-        let mut flipped = entries[0].clone();
-        flipped.1.verdict = Equivalence::Inconclusive;
-        CacheSnapshot::write_file(&shared.join("c.lvcs"), &[flipped], true, false).unwrap();
-        let err = cache
-            .attach_snapshot(&shared.join("c.lvcs"))
-            .expect_err("conflicting cold snapshot must be rejected");
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("merge conflict"), "{}", err);
-        let _ = std::fs::remove_dir_all(&shared);
+        let path = dir.join("seq.cache");
+        let _ = std::fs::remove_file(&path);
+        let cache = VerdictCache::open_journal(&path, FsyncPolicy::OnCompact).unwrap();
+        let (key, verdict) = sample_entries().remove(0);
+        cache.insert(key, verdict);
+        assert!(cache.sync_events().is_empty(), "no compaction yet");
+        cache.compact_journal().unwrap();
+        assert_eq!(
+            cache.sync_events(),
+            vec![SyncEvent::File(path.clone()), SyncEvent::Dir(dir.clone())],
+            "file must be synced before the directory"
+        );
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -1552,7 +1246,6 @@ mod tests {
             ),
             (3, 1, 1, 1)
         );
-        assert!(stats.bloom.is_none());
         assert!(stats.bytes_per_entry() > 0.0);
 
         let journal_path = dir.join("stats.journal");
@@ -1565,19 +1258,16 @@ mod tests {
         assert_eq!(stats.format, "json-journal");
         assert_eq!(stats.entries, 3);
 
-        journaling.compact_to(CacheFormat::Binary).unwrap();
-        let stats = cache_file_stats(&journal_path).unwrap();
-        assert_eq!(stats.format, "binary-snapshot");
-        assert_eq!(stats.entries, 3);
-        let bloom = stats.bloom.expect("binary compact writes a bloom block");
-        assert!(bloom.fp_estimate < 0.05);
-
-        // The fourth form, the removed binary journal, is a named error.
-        let lvbj_path = dir.join("stats.bjournal");
-        std::fs::write(&lvbj_path, REMOVED_LVBJ_SAMPLE).unwrap();
-        let err = cache_file_stats(&lvbj_path).expect_err("an LVBJ file must be refused");
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("binary cache journal"), "{}", err);
+        // The third and fourth forms, the removed binary journal and
+        // binary snapshot, are named errors.
+        for (sample, name) in REMOVED_SAMPLES {
+            let removed_path = dir.join("stats.removed");
+            std::fs::write(&removed_path, sample).unwrap();
+            let err = cache_file_stats(&removed_path).expect_err("a removed form must be refused");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains(name), "{}", err);
+            assert_eq!(std::fs::read(&removed_path).unwrap(), sample);
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

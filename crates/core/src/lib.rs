@@ -133,9 +133,8 @@ pub mod service;
 pub mod shard;
 
 pub use cache::{
-    cache_file_stats, BloomStats, CacheBounds, CacheFileStats, CacheFormat, CacheKey,
-    CacheMergeError, CacheSnapshot, CachedVerdict, MergeStats, SnapshotError, SyncEvent,
-    VerdictCache, CACHE_FORMAT_VERSION,
+    cache_file_stats, CacheBounds, CacheFileStats, CacheKey, CacheMergeError, CachedVerdict,
+    MergeStats, SyncEvent, VerdictCache, CACHE_FORMAT_VERSION,
 };
 pub use engine::{
     job_channel, parallel_map, BatchReport, ChecksumStage, EngineConfig, EngineReuse, Job,

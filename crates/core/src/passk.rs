@@ -169,7 +169,7 @@ pub fn overlapped_pass_at_k_observed(
 /// list first, then one [`VerificationEngine::run_batch`] — same jobs,
 /// same labels, same verdicts as [`overlapped_pass_at_k`], but generation
 /// is a serial prefix on the wall clock. This is the baseline arm of the
-/// `pipeline_overlap` bench and of the pipeline identity pins.
+/// pipeline identity pins.
 pub fn generate_then_verify_pass_at_k(
     engine: &VerificationEngine,
     kernels: &[(String, Function)],

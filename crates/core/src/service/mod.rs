@@ -8,13 +8,12 @@
 //!
 //! # Wire framing
 //!
-//! The protocol is binary and CRC-framed, reusing the journal/snapshot
-//! idioms (see [`wire`]): each side opens with the 4-byte [`WIRE_MAGIC`]
+//! The protocol is binary and CRC-framed, reusing the journal's framing
+//! idiom (see [`wire`]): each side opens with the 4-byte [`WIRE_MAGIC`]
 //! preamble, then exchanges frames of
 //! `[payload length u32 LE][payload][crc32(payload) u32 LE]`. Frame
-//! payloads are tagged [`Message`]s; verdicts travel as the verdict
-//! cache's own binary record payload, so the byte the cache stores is the
-//! byte the wire carries. Corruption anywhere — truncation, a flipped bit,
+//! payloads are tagged [`Message`]s; verdicts travel as compact binary
+//! verdict records. Corruption anywhere — truncation, a flipped bit,
 //! an unknown tag, trailing bytes — decodes to a typed [`WireError`],
 //! never to a wrong or silently dropped verdict.
 //!
@@ -22,7 +21,7 @@
 //!
 //! A connection submits `(label, scalar, candidate)` jobs and then asks for
 //! them to run. Before *any* stage runs, the daemon dedupes every submitted
-//! job through the tiered content-addressed
+//! job through the content-addressed
 //! [`VerdictCache`](crate::VerdictCache) under the serving engine's
 //! [`semantic_fingerprint`](crate::EngineConfig::semantic_fingerprint):
 //! jobs already answered (by an earlier connection, an offline sweep that

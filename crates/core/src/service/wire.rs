@@ -11,11 +11,10 @@
 //! 4-byte [`WIRE_MAGIC`] before its first frame, so a stray client that
 //! dials the port with a different protocol is rejected on byte one. Frame
 //! payloads are tagged messages (byte 0 is the [`Message`] variant tag,
-//! client tags in `0x01..`, server tags in `0x81..`); verdict payloads
-//! reuse the verdict cache's binary record codec, so a verdict travels in
-//! exactly the bytes it is cached in.
+//! client tags in `0x01..`, server tags in `0x81..`); verdict payloads use
+//! the compact binary verdict-record codec of the verdict cache module.
 //!
-//! Decoding is strict, mirroring the cache snapshot and journal loaders: a
+//! Decoding is strict, mirroring the cache journal loader: a
 //! truncated frame, a CRC mismatch, an unknown tag, an out-of-range enum
 //! byte, or trailing payload bytes are all typed [`WireError`]s — never a
 //! guessed or silently dropped message. `crates/core/tests/service_wire.rs`
@@ -42,9 +41,8 @@ pub const WIRE_VERSION: u32 = 3;
 /// not make the daemon try to buffer gigabytes.
 pub const MAX_FRAME_BYTES: usize = 16 * 1024 * 1024;
 
-/// Everything that can be wrong with wire bytes, typed. Mirrors
-/// [`SnapshotError`](crate::cache::SnapshotError) for the cache forms: a
-/// corrupt frame is always one of these, never a wrong message.
+/// Everything that can be wrong with wire bytes, typed: a corrupt frame is
+/// always one of these, never a wrong message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireError {
     /// The connection preamble was not [`WIRE_MAGIC`].

@@ -1,5 +1,5 @@
 //! Wire-protocol codec torture tests (the service-side mirror of
-//! `snapshot_torn.rs`): truncating a frame at every byte offset and
+//! `journal_torn_tail.rs`): truncating a frame at every byte offset and
 //! flipping a bit at every byte offset must each yield a *typed*
 //! [`WireError`] — never a wrong message, a dropped verdict, or a panic.
 

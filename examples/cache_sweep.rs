@@ -6,16 +6,12 @@
 //! * the first run misses on every engine job and persists its verdicts;
 //! * the second run — through a *fresh* cache loaded from the file —
 //!   reports 100% cache hits, executes **zero** checksum/SMT stages, and
-//!   produces bit-identical verdicts;
-//! * the cache compacted to the **binary `LVCS` tier** replays the same
-//!   sweep bit-identically — again 100% hits and zero stages, now answered
-//!   from the zero-copy warm tier — and converting the binary file back to
-//!   JSON reproduces the legacy snapshot byte-for-byte.
+//!   produces bit-identical verdicts.
 //!
 //! Exits non-zero (panics) on any violation.
 
 use llm_vectorizer_repro::core::{
-    table3_with, CacheFormat, CountingObserver, ExperimentConfig, Table3, VerdictCache,
+    table3_with, CountingObserver, ExperimentConfig, Table3, VerdictCache,
 };
 use llm_vectorizer_repro::interp::ChecksumConfig;
 use std::path::Path;
@@ -86,62 +82,11 @@ fn main() {
         assert_eq!(c.stage, w.stage, "stage drifted for {}", c.name);
     }
 
-    println!("== binary-tier run (cache compacted to the LVCS snapshot) ==");
-    let json_snapshot = std::fs::read(&path).expect("JSON snapshot must be readable");
-    let reopened = VerdictCache::open(&path).expect("cache file must load");
-    reopened
-        .compact_to(CacheFormat::Binary)
-        .expect("binary compaction must succeed");
-    drop(reopened);
-    let on_disk = std::fs::read(&path).expect("binary snapshot must be readable");
-    assert_eq!(
-        &on_disk[..4],
-        b"LVCS",
-        "compacted file must be a binary snapshot"
-    );
-    let (binary, binary_counter) = sweep(&path);
-    assert_eq!(
-        binary.batch.cache_hits, jobs,
-        "the binary tier must answer the whole sweep"
-    );
-    assert_eq!(binary.batch.cache_misses, 0);
-    assert_eq!(
-        binary_counter.stage_count(),
-        0,
-        "a warm binary tier must execute zero checksum/SMT stages"
-    );
-    assert_eq!(
-        cold.render(),
-        binary.render(),
-        "binary-tier replay must render the identical table"
-    );
-    for (c, b) in cold.verdicts.iter().zip(&binary.verdicts) {
-        assert_eq!(c.name, b.name);
-        assert_eq!(
-            c.verdict, b.verdict,
-            "verdict drifted for {} (binary)",
-            c.name
-        );
-        assert_eq!(c.stage, b.stage, "stage drifted for {} (binary)", c.name);
-    }
-
-    println!("== binary -> JSON conversion (byte-identity) ==");
-    let back = VerdictCache::open(&path).expect("binary snapshot must load");
-    back.compact_to(CacheFormat::Json)
-        .expect("JSON compaction must succeed");
-    drop(back);
-    let converted = std::fs::read(&path).expect("converted snapshot must be readable");
-    assert_eq!(
-        converted, json_snapshot,
-        "binary -> JSON conversion must reproduce the legacy snapshot byte-for-byte"
-    );
-
     println!("== funnel (cold run) ==");
     println!("{}", cold.funnel.render());
     println!(
-        "cache sweep OK: {} jobs, cold wall {:?}, warm wall {:?}, binary wall {:?} \
-         ({} entries on disk)",
-        jobs, cold.batch.wall, warm.batch.wall, binary.batch.wall, jobs
+        "cache sweep OK: {} jobs, cold wall {:?}, warm wall {:?} ({} entries on disk)",
+        jobs, cold.batch.wall, warm.batch.wall, jobs
     );
     let _ = std::fs::remove_file(&path);
 }

@@ -23,7 +23,7 @@
 //! lv-sweep submit [--addr HOST:PORT] [--kernels s000,...]
 //!          [--generate K] [--gen-seed S] [--shutdown]
 //! lv-sweep status [--addr HOST:PORT]
-//! lv-sweep compact [--format json|binary] FILE...
+//! lv-sweep compact FILE...
 //! lv-sweep cache stats FILE...
 //! ```
 //!
@@ -94,19 +94,18 @@
 //! `lv_core::service` for the protocol.
 //!
 //! `compact` rewrites journal files into their canonical compact form:
-//! verdict-cache files (any of the three persisted forms, sniffed by
-//! content) become the sorted snapshot of `--format` — `json` (default,
-//! `VerdictCache::compact_journal`) or `binary` (the `LVCS` tier file with
-//! its bloom block); shard-report journals become a fresh report journal
-//! in job-index order without heartbeats or a torn tail, and cross-run
-//! profile journals one summed record per cell (`--format` applies to
-//! verdict caches only). A binary cache journal (`LVBJ`) written by an
-//! earlier build is refused with an error naming that removed form.
+//! verdict-cache journals become the sorted JSON snapshot
+//! (`VerdictCache::compact_journal`), shard-report journals a fresh report
+//! journal in job-index order without heartbeats or a torn tail, and
+//! cross-run profile journals one summed record per cell; a JSON snapshot
+//! is left unchanged. The binary cache journal (`LVBJ`) and binary snapshot
+//! (`LVCS`) of earlier builds are refused with an error naming the removed
+//! form, and the `--format` flag that could write the binary snapshot is
+//! a usage error.
 //!
 //! `cache stats` prints, for each verdict-cache file: the sniffed form
-//! (`json-snapshot`, `json-journal` or `binary-snapshot`), size, entry
-//! count, bytes per entry, the per-verdict-class histogram, and the bloom
-//! block's shape and estimated false-positive rate when present.
+//! (`json-snapshot` or `json-journal`), size, entry count, bytes per
+//! entry, and the per-verdict-class histogram.
 //!
 //! Worker mode is selected by the presence of `--shard i/N` (plus
 //! `--manifest` and `--out`, which the coordinator passes automatically)
@@ -117,7 +116,7 @@ use llm_vectorizer_repro::cir::ast::Function;
 use llm_vectorizer_repro::core::shard::{run_worker_from_args, ShardError, ShardReportFile};
 use llm_vectorizer_repro::core::{
     cache_file_stats, derive_from_profile, generate_then_verify_pass_at_k, overlapped_pass_at_k,
-    CacheBounds, CacheFormat, CrossRunProfile, EngineConfig, EngineReuse, Equivalence, FsyncPolicy,
+    CacheBounds, CrossRunProfile, EngineConfig, EngineReuse, Equivalence, FsyncPolicy,
     GenerationRequest, GenerationSpec, Job, PipelineConfig, ServiceClient, ShardPolicy,
     StageSchedule, SweepConfig, VerdictCache, VerificationEngine, VerificationService, WorkerSpec,
 };
@@ -195,44 +194,35 @@ fn removed_layer_flag(flag: &str) -> CliError {
     ))
 }
 
-/// `lv-sweep compact [--format json|binary] FILE...`: rewrites each file
-/// into its canonical compact form, dispatching on content (magic bytes for
-/// the binary cache forms, the journal kind header for the text forms).
-/// `--format` picks the target snapshot form for verdict-cache files; the
-/// other journal kinds are JSON-only.
-fn compact_files(args: &[String]) -> Result<(), CliError> {
-    let mut format = CacheFormat::Json;
-    let mut paths: Vec<&String> = Vec::new();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        if arg == "--format" {
-            let Some(tag) = iter.next() else {
-                return Err(usage("--format needs a value"));
-            };
-            format = CacheFormat::from_tag(tag).map_err(usage)?;
+/// Parses `lv-sweep compact FILE...`: every argument is a file; flags are
+/// usage errors (`--format` of earlier builds, which could write the
+/// removed binary snapshot, by name).
+fn parse_compact(args: &[String]) -> Result<Vec<PathBuf>, CliError> {
+    if let Some(flag) = args.iter().find(|arg| arg.starts_with("--")) {
+        return Err(usage(if flag == "--format" {
+            "--format was removed: verdict caches compact to the JSON snapshot".to_string()
         } else {
-            paths.push(arg);
-        }
+            format!("compact takes no option `{}`", flag)
+        }));
     }
-    if paths.is_empty() {
+    if args.is_empty() {
         return Err(usage("compact needs at least one journal file"));
     }
-    for path in paths {
-        let path = Path::new(path);
+    Ok(args.iter().map(PathBuf::from).collect())
+}
+
+/// `lv-sweep compact FILE...`: rewrites each file into its canonical
+/// compact form, dispatching on the journal kind header.
+fn compact_files(args: &[String]) -> Result<(), CliError> {
+    for path in parse_compact(args)? {
+        let path = path.as_path();
         let bytes = std::fs::read(path)
             .map_err(|e| runtime(format!("cannot read {}: {}", path.display(), e)))?;
         let before = bytes.len();
-        let is_cache = bytes.starts_with(b"LVCS")
-            || bytes.starts_with(b"LVBJ")
-            || bytes.starts_with(b"{\"journal\":\"verdict-cache\"")
-            || (format == CacheFormat::Binary && bytes.starts_with(b"{\"version\":"));
-        let result: Result<&str, String> = if is_cache {
+        let result: Result<&str, String> = if bytes.starts_with(b"{\"journal\":\"verdict-cache\"") {
             VerdictCache::open(path)
-                .and_then(|cache| cache.compact_to(format))
-                .map(|()| match format {
-                    CacheFormat::Json => "verdict cache -> JSON snapshot",
-                    CacheFormat::Binary => "verdict cache -> binary snapshot",
-                })
+                .and_then(|cache| cache.compact_journal())
+                .map(|()| "verdict cache -> JSON snapshot")
                 .map_err(|e| e.to_string())
         } else if bytes.starts_with(b"{\"journal\":\"shard-report\"") {
             ShardReportFile::load(path)
@@ -253,7 +243,12 @@ fn compact_files(args: &[String]) -> Result<(), CliError> {
             // an error, so `compact` is idempotent over a workdir.
             Ok("already a snapshot (unchanged)")
         } else {
-            Err("not a recognized journal or snapshot file".to_string())
+            // The cache reader's error names the removed binary cache forms.
+            let reason = "not a recognized journal or snapshot file";
+            Err(match VerdictCache::open(path) {
+                Err(e) => format!("{}: {}", reason, e),
+                Ok(_) => reason.to_string(),
+            })
         };
         match result {
             Ok(what) => {
@@ -292,15 +287,6 @@ fn cache_stats(paths: &[String]) -> Result<(), CliError> {
             "  verdicts:        {} equivalent, {} not-equivalent, {} inconclusive",
             stats.equivalent, stats.not_equivalent, stats.inconclusive
         );
-        match stats.bloom {
-            Some(bloom) => println!(
-                "  bloom:           {} bits, {} hashes, ~{:.3}% false positives",
-                bloom.bits,
-                bloom.hashes,
-                bloom.fp_estimate * 100.0
-            ),
-            None => println!("  bloom:           none"),
-        }
     }
     Ok(())
 }
@@ -1396,6 +1382,27 @@ mod tests {
             parse_status(&strings(&["extra"])),
             Err(CliError::Usage(_))
         ));
+    }
+
+    #[test]
+    fn compact_args_parse_and_reject() {
+        assert_eq!(
+            parse_compact(&strings(&["a.json", "b.journal"])).unwrap(),
+            vec![PathBuf::from("a.json"), PathBuf::from("b.journal")]
+        );
+        for bad in [
+            strings(&[]),
+            strings(&["--format", "binary", "a.json"]),
+            strings(&["--format", "json", "a.json"]),
+            strings(&["a.json", "--format"]),
+            strings(&["--fsync", "a.json"]),
+        ] {
+            assert!(
+                matches!(parse_compact(&bad), Err(CliError::Usage(_))),
+                "compact should reject {:?}",
+                bad
+            );
+        }
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! Property-based tests over the core data structures and invariants.
 
 use llm_vectorizer_repro::cir::{parse_expr, parse_function, print_expr, print_function};
-use llm_vectorizer_repro::core::cache::{
-    CacheFormat, CacheKey, CacheSnapshot, CachedVerdict, VerdictCache,
-};
+use llm_vectorizer_repro::core::cache::{CacheKey, CachedVerdict, VerdictCache};
 use llm_vectorizer_repro::core::pipeline::{Equivalence, Stage};
+use llm_vectorizer_repro::core::FsyncPolicy;
 use llm_vectorizer_repro::interp::{run_function, ArgBindings, ChecksumClass, ExecConfig};
 use llm_vectorizer_repro::simd::{eval_intrinsic, I32x8};
 use llm_vectorizer_repro::smt::{Solver, SolverBudget, Validity};
@@ -140,11 +139,12 @@ proptest! {
         prop_assert_eq!(parsed, reparsed);
     }
 
-    /// Converting a verdict cache JSON → binary → JSON is the identity on
-    /// both the entries (every verdict class, stage, checksum tag, and
-    /// detail edge case) and the JSON snapshot bytes themselves.
+    /// Converting a verdict cache JSON snapshot → journal → JSON snapshot
+    /// is the identity on both the entries (every verdict class, stage,
+    /// checksum tag, and detail edge case) and the snapshot bytes
+    /// themselves.
     #[test]
-    fn cache_json_binary_conversion_roundtrip(seeds in proptest::collection::vec(any::<u64>(), 16)) {
+    fn cache_json_journal_conversion_roundtrip(seeds in proptest::collection::vec(any::<u64>(), 16)) {
         let dir = scratch_dir();
         let path = dir.join("cache.json");
         let entries = cache_entries(&seeds);
@@ -157,72 +157,22 @@ proptest! {
         drop(cache);
         let json_before = std::fs::read(&path).unwrap();
 
-        // JSON → binary: same entries through the warm tier.
-        let cache = VerdictCache::open(&path).unwrap();
-        cache.compact_to(CacheFormat::Binary).unwrap();
+        // JSON snapshot → journal: opening in journal mode converts the file.
+        let cache = VerdictCache::open_journal(&path, FsyncPolicy::OnCompact).unwrap();
+        prop_assert!(cache.is_journaling());
         drop(cache);
-        let binary = VerdictCache::open(&path).unwrap();
-        prop_assert_eq!(binary.len(), entries.len());
+        prop_assert!(std::fs::read(&path).unwrap() != json_before, "file is now a journal");
+        let journal = VerdictCache::open_journal(&path, FsyncPolicy::OnCompact).unwrap();
+        prop_assert_eq!(journal.len(), entries.len());
         for (key, verdict) in &entries {
-            prop_assert_eq!(binary.get(key).as_ref(), Some(verdict));
+            prop_assert_eq!(journal.get(key).as_ref(), Some(verdict));
         }
 
-        // Binary → JSON: byte-identical to the original snapshot.
-        binary.compact_to(CacheFormat::Json).unwrap();
-        drop(binary);
+        // Journal → JSON snapshot: byte-identical to the original persist.
+        journal.compact_journal().unwrap();
+        drop(journal);
         let json_after = std::fs::read(&path).unwrap();
         prop_assert_eq!(json_before, json_after);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// The bloom block never reports a stored key as absent, and every
-    /// stored key decodes back to exactly the verdict that went in.
-    #[test]
-    fn bloom_filter_has_zero_false_negatives(seeds in proptest::collection::vec(any::<u64>(), 32)) {
-        let dir = scratch_dir();
-        let path = dir.join("snap.lvcs");
-        let entries = cache_entries(&seeds);
-        let mut sorted: Vec<(CacheKey, CachedVerdict)> =
-            entries.iter().map(|(k, v)| (*k, v.clone())).collect();
-        sorted.sort_by_key(|(key, _)| *key);
-        CacheSnapshot::write_file(&path, &sorted, true, false).unwrap();
-
-        let snapshot = CacheSnapshot::open(&path).unwrap();
-        prop_assert!(snapshot.bloom_stats().is_some());
-        for (key, verdict) in &entries {
-            prop_assert!(snapshot.maybe_contains(key), "bloom false negative");
-            prop_assert_eq!(snapshot.get(key).as_ref(), Some(verdict));
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// On a random workload of present and absent probes the zero-copy
-    /// binary snapshot answers exactly like the in-memory `HashMap` tier.
-    #[test]
-    fn snapshot_lookup_agrees_with_hashmap_tier(
-        seeds in proptest::collection::vec(any::<u64>(), 24),
-        probes in proptest::collection::vec(any::<u64>(), 48),
-    ) {
-        let dir = scratch_dir();
-        let path = dir.join("snap.lvcs");
-        let entries = cache_entries(&seeds);
-        let mut sorted: Vec<(CacheKey, CachedVerdict)> =
-            entries.iter().map(|(k, v)| (*k, v.clone())).collect();
-        sorted.sort_by_key(|(key, _)| *key);
-        CacheSnapshot::write_file(&path, &sorted, true, false).unwrap();
-        let snapshot = CacheSnapshot::open(&path).unwrap();
-
-        // Half the probes reuse stored seeds (hits), half are fresh (mostly
-        // misses — and when one accidentally collides, both sides must agree
-        // on that too).
-        for (i, &probe) in probes.iter().enumerate() {
-            let key = if i % 2 == 0 {
-                cache_entry(seeds[i % seeds.len()]).0
-            } else {
-                cache_entry(probe).0
-            };
-            prop_assert_eq!(snapshot.get(&key), entries.get(&key).cloned());
-        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -71,7 +71,8 @@ fn assert_frames_match_engine(frames: &[VerdictFrame], jobs: &[Job]) {
 fn loopback_service_matches_engine_dedupes_warm_and_survives_killed_clients() {
     let jobs = small_jobs();
     let cache = Arc::new(VerdictCache::in_memory());
-    let service = VerificationService::bind("127.0.0.1:0", quick_config(), cache).expect("bind");
+    let service =
+        VerificationService::bind("127.0.0.1:0", quick_config(), cache.clone()).expect("bind");
     let addr = service.local_addr();
     let daemon = std::thread::spawn(move || {
         service.serve_forever().expect("serve");
@@ -142,6 +143,14 @@ fn loopback_service_matches_engine_dedupes_warm_and_survives_killed_clients() {
     );
     assert_eq!(after_warm.dedupe_hits, jobs.len() as u64);
     assert_eq!(after_warm.completed, 2 * jobs.len() as u64);
+
+    // The in-process engine over the daemon's cache answers the same batch
+    // entirely from it, with the same verdicts.
+    let inproc = VerificationEngine::new(quick_config().with_cache(cache.clone())).run_batch(&jobs);
+    assert!(inproc.jobs.iter().all(|report| report.cache_hit));
+    for (frame, report) in warm.iter().zip(&inproc.jobs) {
+        assert_eq!(frame.verdict.verdict, report.verdict);
+    }
 
     // Clean shutdown stops serve_forever and the daemon thread.
     warm_client.shutdown().expect("shutdown");
