@@ -7,7 +7,9 @@
 //! concludes.
 //!
 //! The budgets are the shard-sweep example's (Alive2 capped at 1k
-//! conflicts): under them the conditional kernels exhaust Alive2 and fall
+//! conflicts). The rule-based conditional candidates fold before SAT, so
+//! the workload replaces them with the bitwise-select candidates of
+//! `lv_bench::with_unfoldable_conditionals`: those exhaust Alive2 and fall
 //! through, so the derived schedule demotes it for that category — which is
 //! exactly the ROADMAP's "reorder cascade stages per kernel category"
 //! telemetry item. Results are printed and written to `BENCH_5.json`
@@ -24,7 +26,8 @@ use lv_tv::{SolverBudget, TvConfig};
 use std::time::{Duration, Instant};
 
 /// The shard-sweep example's reduced budgets: small enough that conditional
-/// kernels exhaust Alive2, which is the regime where reordering pays.
+/// candidates the term rewrites cannot fold exhaust Alive2, which is the
+/// regime where reordering pays.
 fn scheduled_pipeline() -> PipelineConfig {
     PipelineConfig {
         checksum: ChecksumConfig {
@@ -52,7 +55,7 @@ fn scheduled_pipeline() -> PipelineConfig {
 }
 
 fn jobs_for(names: Option<&[&str]>) -> Vec<Job> {
-    lv_tsvc::KERNELS
+    let jobs = lv_tsvc::KERNELS
         .iter()
         .filter(|kernel| names.is_none_or(|names| names.contains(&kernel.name)))
         .filter_map(|kernel| {
@@ -60,7 +63,8 @@ fn jobs_for(names: Option<&[&str]>) -> Vec<Job> {
             let candidate = lv_agents::vectorize_correct(&scalar).ok()?;
             Some(Job::new(kernel.name, scalar, candidate))
         })
-        .collect()
+        .collect();
+    lv_bench::with_unfoldable_conditionals(jobs)
 }
 
 /// A category-covering slice for quick (CI smoke) runs.

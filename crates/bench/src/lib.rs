@@ -5,8 +5,8 @@
 //! [`VerificationEngine`](lv_core::VerificationEngine), every bench
 //! exercises the same batched code path as the tables. This small library
 //! holds the shared configuration so all benches run on the same kernel
-//! subset and random seed, plus the job-list builder for the engine sweep
-//! bench.
+//! subset and random seed, plus the job-list builders for the engine sweep
+//! benches, the sweep examples and the integration tests.
 
 #![warn(missing_docs)]
 
@@ -74,4 +74,76 @@ pub fn sweep_jobs() -> Vec<Job> {
             Some(Job::new(kernel.name, scalar, candidate))
         })
         .collect()
+}
+
+/// Correct conditional candidates that select with bitwise operations
+/// instead of a blend: `vif` as `or(and(b, m), andnot(m, a))` or as
+/// `xor(a, and(xor(a, b), m))`, and `s271` as the first form over
+/// `a + b * c`. No term rewrite turns these into the scalar kernel's `ite`,
+/// so under 1,000/10,000-conflict Alive2/C-unroll budgets their Alive2
+/// attempt stops at its budget and C-unroll resumes the identical instance
+/// to conclude (at 1,024, 1,511 and 1,985 conflicts).
+pub fn bitwise_select_jobs() -> Vec<Job> {
+    let vector = |name: &str, params: &str, body: &str| {
+        lv_cir::parse_function(&format!(
+            "void {name}({params}) {{ int i; for (i = 0; i + 8 <= n; i += 8) {{ \
+             __m256i av = _mm256_loadu_si256((__m256i *)&a[i]); \
+             __m256i bv = _mm256_loadu_si256((__m256i *)&b[i]); \
+             __m256i m = _mm256_cmpgt_epi32(bv, _mm256_setzero_si256()); {body} }} }}"
+        ))
+        .expect("candidate parses")
+    };
+    let kernel = |name: &str| lv_tsvc::kernel(name).expect("known kernel").function();
+    let store_or = "_mm256_storeu_si256((__m256i *)&a[i], \
+                    _mm256_or_si256(_mm256_and_si256(s, m), _mm256_andnot_si256(m, av)));";
+    vec![
+        Job::new(
+            "vif#or",
+            kernel("vif"),
+            vector(
+                "vif",
+                "int n, int *a, int *b",
+                &format!("__m256i s = bv; {store_or}"),
+            ),
+        ),
+        Job::new(
+            "vif#xor",
+            kernel("vif"),
+            vector(
+                "vif",
+                "int n, int *a, int *b",
+                "_mm256_storeu_si256((__m256i *)&a[i], \
+                 _mm256_xor_si256(av, _mm256_and_si256(_mm256_xor_si256(av, bv), m)));",
+            ),
+        ),
+        Job::new(
+            "s271#or",
+            kernel("s271"),
+            vector(
+                "s271",
+                "int n, int *a, int *b, int *c",
+                &format!(
+                    "__m256i cv = _mm256_loadu_si256((__m256i *)&c[i]); \
+                     __m256i s = _mm256_add_epi32(av, _mm256_mullo_epi32(bv, cv)); {store_or}"
+                ),
+            ),
+        ),
+    ]
+}
+
+/// `jobs` with every conditional kernel's job replaced by the
+/// [`bitwise_select_jobs`]. The term rewrites fold the verification
+/// condition of the rule-based and synthetic TSVC conditional candidates
+/// before SAT, so Alive2 is the cheapest stage for them; this job set keeps
+/// a category whose Alive2 attempts exhaust a 1,000-conflict budget, which
+/// is what a profile-derived schedule reorders.
+pub fn with_unfoldable_conditionals(jobs: Vec<Job>) -> Vec<Job> {
+    let mut jobs: Vec<Job> = jobs
+        .into_iter()
+        .filter(|job| {
+            lv_analysis::categorize(&job.scalar) != lv_analysis::KernelCategory::Conditional
+        })
+        .collect();
+    jobs.extend(bitwise_select_jobs());
+    jobs
 }

@@ -762,20 +762,6 @@ pub mod bin {
         put_bytes(buf, s.as_bytes());
     }
 
-    /// Reads a `u32` from 4 little-endian bytes at `offset`, if in bounds.
-    pub fn read_u32_at(bytes: &[u8], offset: usize) -> Option<u32> {
-        let end = offset.checked_add(4)?;
-        let slice = bytes.get(offset..end)?;
-        Some(u32::from_le_bytes(slice.try_into().unwrap()))
-    }
-
-    /// Reads a `u64` from 8 little-endian bytes at `offset`, if in bounds.
-    pub fn read_u64_at(bytes: &[u8], offset: usize) -> Option<u64> {
-        let end = offset.checked_add(8)?;
-        let slice = bytes.get(offset..end)?;
-        Some(u64::from_le_bytes(slice.try_into().unwrap()))
-    }
-
     /// A bounds-checked decoding cursor over a byte slice.
     #[derive(Debug, Clone)]
     pub struct Reader<'a> {
@@ -929,17 +915,6 @@ pub mod bin {
             let mut buf = Vec::new();
             put_bytes(&mut buf, &[0xff, 0xfe]);
             assert!(Reader::new(&buf).str().is_err());
-        }
-
-        #[test]
-        fn random_access_reads_are_bounds_checked() {
-            let mut buf = Vec::new();
-            put_u32(&mut buf, 7);
-            put_u64(&mut buf, 9);
-            assert_eq!(read_u32_at(&buf, 0), Some(7));
-            assert_eq!(read_u64_at(&buf, 4), Some(9));
-            assert_eq!(read_u64_at(&buf, 5), None);
-            assert_eq!(read_u32_at(&buf, usize::MAX), None, "offset overflow");
         }
     }
 }

@@ -1037,40 +1037,40 @@ mod tests {
         assert_eq!(d.traces[1].stage, Stage::Alive2);
     }
 
-    /// A candidate that is semantically equal to [`S000`] but structurally
-    /// different (commuted addition), so the equivalence proof actually
-    /// reaches the SAT core instead of simplifying to a constant.
-    const S000_COMMUTED: &str =
-        "void s000(int n, int *a, int *b) { for (int i = 0; i < n; i++) { a[i] = 1 + b[i]; } }";
+    /// A candidate that is semantically equal to [`S000`] but adds 1 by
+    /// subtracting -1, which no term rewrite folds, so the equivalence proof
+    /// actually reaches the SAT core instead of simplifying to a constant.
+    const S000_SUBTRACTS: &str =
+        "void s000(int n, int *a, int *b) { for (int i = 0; i < n; i++) { a[i] = b[i] - -1; } }";
     const S001: &str =
         "void s001(int n, int *a, int *b) { for (int i = 0; i < n; i++) { a[i] = b[i] + 3; } }";
-    const S001_COMMUTED: &str =
-        "void s001(int n, int *a, int *b) { for (int i = 0; i < n; i++) { a[i] = 3 + b[i]; } }";
+    const S001_SUBTRACTS: &str =
+        "void s001(int n, int *a, int *b) { for (int i = 0; i < n; i++) { a[i] = b[i] - -3; } }";
 
     #[test]
     fn reuse_engine_matches_baseline_verdicts_at_any_thread_count() {
         let s000 = parse_function(S000).unwrap();
         let s001 = parse_function(S001).unwrap();
-        // Two scalars, per scalar a trivial candidate, a commuted one (real
-        // SAT work), and a wrong one (killed at checksum). The commuted
-        // s000 candidate repeats, so a worker that runs both replays the
-        // second's blast from its memo.
-        let comm = parse_function(S000_COMMUTED).unwrap();
+        // Two scalars, per scalar a trivial candidate, a subtracting one
+        // (real SAT work), and a wrong one (killed at checksum). The
+        // subtracting s000 candidate repeats, so a worker that runs both
+        // replays the second's blast from its memo.
+        let subtracts = parse_function(S000_SUBTRACTS).unwrap();
         let jobs = vec![
             Job::new("s000-good", s000.clone(), vectorize_correct(&s000).unwrap()),
             Job::new("s001-good", s001.clone(), vectorize_correct(&s001).unwrap()),
-            Job::new("s000-comm", s000.clone(), comm.clone()),
+            Job::new("s000-sub", s000.clone(), subtracts.clone()),
             Job::new(
-                "s001-comm",
+                "s001-sub",
                 s001.clone(),
-                parse_function(S001_COMMUTED).unwrap(),
+                parse_function(S001_SUBTRACTS).unwrap(),
             ),
             Job::new(
                 "s000-wrong",
                 s000.clone(),
                 parse_function(S000_WRONG).unwrap(),
             ),
-            Job::new("s000-comm-again", s000.clone(), comm),
+            Job::new("s000-sub-again", s000.clone(), subtracts),
         ];
         let memo = EngineReuse { memo: true };
         let run = |reuse: EngineReuse, threads: usize| {
@@ -1110,7 +1110,7 @@ mod tests {
     /// builds also ran. It moves only when [`lv_tv::SEARCH_REVISION`] does:
     /// any other change to it would make verdict caches written by builds of
     /// the same search revision silently miss.
-    const BASE_FINGERPRINT: u64 = 0x6c57_7070_2ba9_6b45;
+    const BASE_FINGERPRINT: u64 = 0x6c57_6d70_2ba9_662c;
 
     #[test]
     fn memo_shares_the_base_fingerprint() {

@@ -891,13 +891,6 @@ impl<'a> BitBlaster<'a> {
                 let b = self.blast(arg(1))?.try_bv()?.to_vec();
                 Bits::Bool(self.slt(&a, &b))
             }
-            Op::BvSle => {
-                let a = self.blast(arg(0))?.try_bv()?.to_vec();
-                let b = self.blast(arg(1))?.try_bv()?.to_vec();
-                let lt = self.slt(&a, &b);
-                let eq = self.eq_bv(&a, &b);
-                Bits::Bool(self.or_gate(lt, eq))
-            }
         };
         self.cache.insert(term, result.clone());
         Ok(result)

@@ -9,8 +9,13 @@
 //! results, reproducing the timeout behaviour that motivates the paper's
 //! domain-specific optimizations (Sections 3.2 and 3.3).
 //!
-//! * [`term`] — hash-consed terms with constructor-time simplification
-//!   ([`Context`]) and an alpha-insensitive [`structural_hash`];
+//! * [`term`] — hash-consed terms ([`Context`]) whose constructors
+//!   normalize as they build (sorted commutative arguments, flattened
+//!   `bvadd` chains, constant-branch `ite` lifting, `ite` shape rules and a
+//!   conditional substitution), so that equivalent source and target terms
+//!   share an id and most verification conditions fold to a constant before
+//!   any clause is built; [`Context::eval`] evaluates a term under an
+//!   assignment, and [`structural_hash`] is alpha-insensitive;
 //! * [`bitblast`] — Tseitin encoding of the bitvector operations
 //!   ([`BitBlaster`]), with a blasted-CNF memo ([`BlastCache`]) replaying
 //!   recorded clause streams for structurally repeated queries;

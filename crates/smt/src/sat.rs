@@ -53,8 +53,12 @@
 /// search never answer for a later one.
 ///
 /// Revision 1 is the indexed decision heap, whose order after an activity
-/// rescale differs from the lazy heap it replaced.
-pub const SEARCH_REVISION: u8 = 1;
+/// rescale differs from the lazy heap it replaced. Revision 2 is the term
+/// rewriting that folds most verification conditions before they reach the
+/// search at all (see [`crate::term`]): the instances that do reach it
+/// differ, and a cached verdict could otherwise name a stage this build no
+/// longer takes.
+pub const SEARCH_REVISION: u8 = 2;
 
 /// A propositional variable index (0-based).
 pub type Var = u32;

@@ -669,17 +669,28 @@ mod tests {
         assert!(memoized.reuse_stats().blast_hits > 0);
     }
 
-    /// Checks the validity of `x * y == y * x` at bit width `width` (with
-    /// the operands of both products swapped when `swapped`). Valid, but
-    /// the SAT search needs hundreds (width 5) to thousands (width 6) of
-    /// conflicts to prove it.
-    fn commutativity(solver: &mut Solver, swapped: bool, width: u32, conflicts: u64) -> Validity {
+    /// Checks the validity of `(x - y) * (x - y) == x * x + y * y - 2 * x * y`
+    /// at bit width `width` (with `x` and `y` swapped when `swapped`). Valid,
+    /// and no rewrite folds it, so the SAT search needs hundreds (width 5)
+    /// to thousands (width 6) of conflicts to prove it.
+    fn square_of_difference(
+        solver: &mut Solver,
+        swapped: bool,
+        width: u32,
+        conflicts: u64,
+    ) -> Validity {
         let x = solver.ctx.bv_var("x", width);
         let y = solver.ctx.bv_var("y", width);
         let (a, b) = if swapped { (y, x) } else { (x, y) };
+        let diff = solver.ctx.bv_sub(a, b);
+        let lhs = solver.ctx.bv_mul(diff, diff);
+        let aa = solver.ctx.bv_mul(a, a);
+        let bb = solver.ctx.bv_mul(b, b);
         let ab = solver.ctx.bv_mul(a, b);
-        let ba = solver.ctx.bv_mul(b, a);
-        let formula = solver.ctx.eq(ab, ba);
+        let two_ab = solver.ctx.bv_add(ab, ab);
+        let squares = solver.ctx.bv_add(aa, bb);
+        let rhs = solver.ctx.bv_sub(squares, two_ab);
+        let formula = solver.ctx.eq(lhs, rhs);
         let budget = SolverBudget {
             max_conflicts: conflicts,
             max_clauses: 4_000_000,
@@ -687,7 +698,7 @@ mod tests {
         solver.check_validity(formula, &budget)
     }
 
-    /// [`commutativity`] on a recycled `solver`: the verdict and the
+    /// [`square_of_difference`] on a recycled `solver`: the verdict and the
     /// reported (conflicts, decisions).
     fn run_on(
         solver: &mut Solver,
@@ -696,7 +707,7 @@ mod tests {
         conflicts: u64,
     ) -> (Validity, (u64, u64)) {
         solver.recycle();
-        let verdict = commutativity(solver, swapped, width, conflicts);
+        let verdict = square_of_difference(solver, swapped, width, conflicts);
         let stats = solver.last_stats;
         (verdict, (stats.conflicts, stats.decisions))
     }

@@ -2,9 +2,40 @@
 //! validator.
 //!
 //! A [`Context`] interns terms so that structurally equal terms share an id,
-//! and applies light rewriting (constant folding, neutral elements, trivial
-//! if-then-else) at construction time — the same role Z3's simplifier plays
-//! before bit-blasting.
+//! and rewrites every term at construction time — the same role Z3's
+//! simplifier plays before bit-blasting. Besides constant folding and
+//! neutral or absorbing elements (`x + 0`, `x * 1`, `x & 0`, `x & -1`,
+//! `x | 0`, `x | -1`, `x ^ 0`), three rule groups make structurally
+//! different but equivalent terms intern to the same id, so that a
+//! verification condition comparing a scalar kernel with its vectorization
+//! folds to `true` before any clause is built:
+//!
+//! * **Ordering.** The arguments of the commutative operators (`bv_add`,
+//!   `bv_mul`, `bv_and`, `bv_or`, `bv_xor`, `eq`, `and`, `or`) are sorted by
+//!   term id, and `bv_add` chains are flattened into one sorted, left-leaning
+//!   chain whose constants are folded into one trailing constant. A chain
+//!   of more than `MAX_ADD_LEAVES` (128) leaves is left as a sorted binary
+//!   node, so shared `t + t` DAGs cannot grow exponentially.
+//! * **Constant-branch `ite`.** `op(ite(c, k1, k2), k)`, with `k1`, `k2`
+//!   and `k` constants on either side, becomes `ite(c, op(k1, k), op(k2, k))`
+//!   for the bitvector binary operators, the comparisons and `eq`, and a
+//!   Boolean `ite` with constant branches becomes `c` or `¬c`. A vector
+//!   comparison mask `ite(p, -1, 0)` tested byte by byte therefore folds
+//!   back to `p`.
+//! * **`ite` shape.** `ite(¬c, x, y)` becomes `ite(c, y, x)`,
+//!   `ite(c, ite(c, x, y), z)` becomes `ite(c, x, z)` (and the mirror case
+//!   likewise), `sle(a, b)` becomes `¬slt(b, a)`, and `ite(x = k, y, z)` with
+//!   `k` constant becomes `z` when `z[x := k]` interns to `y` (the
+//!   substitution rebuilds at most `SUBST_BUDGET` (64) nodes).
+//!
+//! Every rule is an identity of the operators' wrapping bitvector
+//! semantics, which is all a term means. Reassociating `bv_add` is sound
+//! even though C's signed `+` may overflow and AVX2's lane add may not:
+//! undefined behaviour is not part of a term's value. The translation
+//! validator models it as a separate predicate built from the original
+//! operands, so no rewrite of a value can weaken it. [`Context::eval`]
+//! evaluates a term under a variable assignment; the tests use it as the
+//! rewrites' soundness oracle.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -117,10 +148,9 @@ pub enum Op {
     BvSrem,
     /// Unsigned less-than.
     BvUlt,
-    /// Signed less-than.
+    /// Signed less-than. Signed less-or-equal `sle(a, b)` is built as
+    /// `¬slt(b, a)` ([`Context::bv_sle`]).
     BvSlt,
-    /// Signed less-or-equal.
-    BvSle,
 }
 
 /// A term node: operator plus argument ids.
@@ -141,11 +171,31 @@ pub struct TermData {
 /// comparison against the arena. Because the lookup never builds an owned
 /// key, *interning an already-known term allocates nothing* — the hot path
 /// of symbolic execution, which rebuilds mostly-shared terms per iteration.
+///
+/// The rewrites keep that guarantee: their scratch space (the leaves of a
+/// `bv_add` chain, the substitution memo) lives in buffers on the context
+/// that are reused across calls.
 #[derive(Debug, Default)]
 pub struct Context {
     terms: Vec<TermData>,
     table: HashMap<u64, Vec<TermId>>,
+    /// Leaves of the `bv_add` chain being flattened.
+    add_leaves: Vec<TermId>,
+    /// Work stack of the flattening walk.
+    add_stack: Vec<TermId>,
+    /// Memo of the conditional substitution in [`Context::ite`].
+    subst_memo: HashMap<TermId, TermId>,
+    /// Set while a substitution rebuilds a term, so the `ite`s it builds
+    /// start no substitution of their own.
+    substituting: bool,
 }
+
+/// The most leaves a flattened `bv_add` chain may have.
+const MAX_ADD_LEAVES: usize = 128;
+
+/// The most nodes the conditional substitution in [`Context::ite`] rebuilds
+/// before it gives up.
+const SUBST_BUDGET: usize = 64;
 
 pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x100_0000_01b3;
@@ -211,7 +261,6 @@ fn hash_key(op: &Op, args: &[TermId]) -> u64 {
         Op::BvSrem => fnv_bytes(FNV_OFFSET, &[25]),
         Op::BvUlt => fnv_bytes(FNV_OFFSET, &[26]),
         Op::BvSlt => fnv_bytes(FNV_OFFSET, &[27]),
-        Op::BvSle => fnv_bytes(FNV_OFFSET, &[28]),
     };
     for arg in args {
         hash = fnv_u64(hash, u64::from(arg.0));
@@ -250,7 +299,6 @@ fn op_code(op: &Op) -> u8 {
         Op::BvSrem => 25,
         Op::BvUlt => 26,
         Op::BvSlt => 27,
-        Op::BvSle => 28,
     }
 }
 
@@ -494,6 +542,162 @@ impl Context {
         self.intern_var(name.as_ref(), Sort::Bool)
     }
 
+    // ---- rewriting helpers ----------------------------------------------------
+
+    fn is_const(&self, id: TermId) -> bool {
+        matches!(self.term(id).op, Op::BvConst { .. } | Op::BoolConst(_))
+    }
+
+    /// `(c, k1, k2)` when `id` is an `ite` with constant branches.
+    fn const_ite(&self, id: TermId) -> Option<(TermId, TermId, TermId)> {
+        let term = self.term(id);
+        (term.op == Op::Ite && self.is_const(term.args[1]) && self.is_const(term.args[2]))
+            .then(|| (term.args[0], term.args[1], term.args[2]))
+    }
+
+    /// Lifts `op(ite(c, k1, k2), k)` (the `ite` on either side, `k*`
+    /// constant) into `ite(c, op(k1, k), op(k2, k))`, whose branches fold.
+    fn lift_const_ite(
+        &mut self,
+        a: TermId,
+        b: TermId,
+        op: fn(&mut Context, TermId, TermId) -> TermId,
+    ) -> Option<TermId> {
+        if self.is_const(b) {
+            if let Some((c, k1, k2)) = self.const_ite(a) {
+                let t = op(self, k1, b);
+                let e = op(self, k2, b);
+                return Some(self.ite(c, t, e));
+            }
+        }
+        if self.is_const(a) {
+            if let Some((c, k1, k2)) = self.const_ite(b) {
+                let t = op(self, a, k1);
+                let e = op(self, a, k2);
+                return Some(self.ite(c, t, e));
+            }
+        }
+        None
+    }
+
+    /// The then-side (`take_then`) or else-side of `branch` when it is an
+    /// `ite` on `cond` itself, else `branch`: inside the `take_then` branch
+    /// of an `ite` on `cond`, an inner `ite` on `cond` always takes that
+    /// same side.
+    fn same_cond_branch(&self, cond: TermId, branch: TermId, take_then: bool) -> TermId {
+        let term = self.term(branch);
+        if term.op == Op::Ite && term.args[0] == cond {
+            term.args[if take_then { 1 } else { 2 }]
+        } else {
+            branch
+        }
+    }
+
+    /// For `ite(x = k, then_t, else_t)` with `k` constant: `else_t` when
+    /// `else_t[x := k]` interns to `then_t`, since both branches then agree
+    /// wherever `x = k`.
+    fn substitute_branch(
+        &mut self,
+        cond: TermId,
+        then_t: TermId,
+        else_t: TermId,
+    ) -> Option<TermId> {
+        if self.substituting || self.term(cond).op != Op::Eq {
+            return None;
+        }
+        let (lhs, rhs) = (self.term(cond).args[0], self.term(cond).args[1]);
+        let (x, k) = match (self.is_const(lhs), self.is_const(rhs)) {
+            (false, true) => (lhs, rhs),
+            (true, false) => (rhs, lhs),
+            _ => return None,
+        };
+        self.substituting = true;
+        let mut memo = std::mem::take(&mut self.subst_memo);
+        memo.clear();
+        let mut budget = SUBST_BUDGET;
+        let rebuilt = self.substitute(else_t, x, k, &mut memo, &mut budget);
+        self.subst_memo = memo;
+        self.substituting = false;
+        (rebuilt == Some(then_t)).then_some(else_t)
+    }
+
+    /// `t[x := k]`, rebuilt through the smart constructors; `None` past the
+    /// node budget.
+    fn substitute(
+        &mut self,
+        t: TermId,
+        x: TermId,
+        k: TermId,
+        memo: &mut HashMap<TermId, TermId>,
+        budget: &mut usize,
+    ) -> Option<TermId> {
+        if t == x {
+            return Some(k);
+        }
+        if let Some(&done) = memo.get(&t) {
+            return Some(done);
+        }
+        let arity = self.term(t).args.len();
+        if arity == 0 {
+            return Some(t);
+        }
+        if *budget == 0 {
+            return None;
+        }
+        *budget -= 1;
+        let mut args = [TermId(0); 3];
+        args[..arity].copy_from_slice(&self.term(t).args);
+        let mut changed = false;
+        for arg in &mut args[..arity] {
+            let new = self.substitute(*arg, x, k, memo, budget)?;
+            changed |= new != *arg;
+            *arg = new;
+        }
+        let rebuilt = if changed {
+            self.rebuild(t, &args[..arity])
+        } else {
+            t
+        };
+        memo.insert(t, rebuilt);
+        Some(rebuilt)
+    }
+
+    /// Builds the operator of `like` over new arguments through the smart
+    /// constructors.
+    fn rebuild(&mut self, like: TermId, args: &[TermId]) -> TermId {
+        let a = args[0];
+        let b = args.get(1).copied().unwrap_or(a);
+        match self.term(like).op {
+            Op::Not => self.not(a),
+            Op::And => self.and(a, b),
+            Op::Or => self.or(a, b),
+            Op::Xor => self.xor(a, b),
+            Op::Implies => self.implies(a, b),
+            Op::Ite => self.ite(a, b, args[2]),
+            Op::Eq => self.eq(a, b),
+            Op::BvAdd => self.bv_add(a, b),
+            Op::BvSub => self.bv_sub(a, b),
+            Op::BvMul => self.bv_mul(a, b),
+            Op::BvNeg => self.bv_neg(a),
+            Op::BvAnd => self.bv_and(a, b),
+            Op::BvOr => self.bv_or(a, b),
+            Op::BvXor => self.bv_xor(a, b),
+            Op::BvNot => self.bv_not(a),
+            Op::BvShl => self.bv_shl(a, b),
+            Op::BvLshr => self.bv_lshr(a, b),
+            Op::BvAshr => self.bv_ashr(a, b),
+            Op::BvUdiv => self.bv_udiv(a, b),
+            Op::BvUrem => self.bv_urem(a, b),
+            Op::BvSdiv => self.bv_sdiv(a, b),
+            Op::BvSrem => self.bv_srem(a, b),
+            Op::BvUlt => self.bv_ult(a, b),
+            Op::BvSlt => self.bv_slt(a, b),
+            Op::BoolConst(_) | Op::BvConst { .. } | Op::Var { .. } => {
+                unreachable!("leaves have no arguments to substitute")
+            }
+        }
+    }
+
     // ---- boolean connectives ------------------------------------------------
 
     /// Boolean negation with double-negation and constant folding.
@@ -518,7 +722,7 @@ impl Context {
         if a == b {
             return a;
         }
-        self.intern(Op::And, &[a, b], Sort::Bool)
+        self.intern(Op::And, &ordered(a, b), Sort::Bool)
     }
 
     /// Conjunction of many terms.
@@ -541,7 +745,7 @@ impl Context {
         if a == b {
             return a;
         }
-        self.intern(Op::Or, &[a, b], Sort::Bool)
+        self.intern(Op::Or, &ordered(a, b), Sort::Bool)
     }
 
     /// Boolean exclusive or.
@@ -575,6 +779,23 @@ impl Context {
         if then_t == else_t {
             return then_t;
         }
+        if self.term(cond).op == Op::Not {
+            let inner = self.term(cond).args[0];
+            return self.ite(inner, else_t, then_t);
+        }
+        let then_t = self.same_cond_branch(cond, then_t, true);
+        let else_t = self.same_cond_branch(cond, else_t, false);
+        if then_t == else_t {
+            return then_t;
+        }
+        match (self.as_bool_const(then_t), self.as_bool_const(else_t)) {
+            (Some(true), Some(false)) => return cond,
+            (Some(false), Some(true)) => return self.not(cond),
+            _ => {}
+        }
+        if let Some(folded) = self.substitute_branch(cond, then_t, else_t) {
+            return folded;
+        }
         let sort = self.sort(then_t);
         self.intern(Op::Ite, &[cond, then_t, else_t], sort)
     }
@@ -590,7 +811,10 @@ impl Context {
         if let (Some(x), Some(y)) = (self.as_bool_const(a), self.as_bool_const(b)) {
             return self.bool_const(x == y);
         }
-        self.intern(Op::Eq, &[a, b], Sort::Bool)
+        if let Some(lifted) = self.lift_const_ite(a, b, Context::eq) {
+            return lifted;
+        }
+        self.intern(Op::Eq, &ordered(a, b), Sort::Bool)
     }
 
     /// Disequality.
@@ -601,12 +825,16 @@ impl Context {
 
     // ---- bitvector operations -------------------------------------------------
 
+    /// Folds two constants, lifts a constant-branch `ite` against a
+    /// constant, and interns the rest (arguments sorted when `op`
+    /// commutes).
     fn bv_binop(
         &mut self,
         op: Op,
         a: TermId,
         b: TermId,
         fold: impl Fn(u64, u64, u32) -> u64,
+        build: fn(&mut Context, TermId, TermId) -> TermId,
     ) -> TermId {
         let width = self.sort(a).width();
         debug_assert_eq!(width, self.sort(b).width());
@@ -614,18 +842,71 @@ impl Context {
             let v = fold(x, y, width);
             return self.bv_const(v, width);
         }
-        self.intern(op, &[a, b], Sort::BitVec(width))
+        if let Some(lifted) = self.lift_const_ite(a, b, build) {
+            return lifted;
+        }
+        let args = match op {
+            Op::BvAdd | Op::BvMul | Op::BvAnd | Op::BvOr | Op::BvXor => ordered(a, b),
+            _ => [a, b],
+        };
+        self.intern(op, &args, Sort::BitVec(width))
     }
 
-    /// Wrapping addition.
+    /// Wrapping addition, flattened into a sorted chain (see the module
+    /// documentation).
     pub fn bv_add(&mut self, a: TermId, b: TermId) -> TermId {
-        if self.as_bv_const(a) == Some(0) {
-            return b;
+        let width = self.sort(a).width();
+        match (self.as_bv_const(a), self.as_bv_const(b)) {
+            (Some(x), Some(y)) => return self.bv_const(x.wrapping_add(y), width),
+            (Some(0), _) => return b,
+            (_, Some(0)) => return a,
+            _ => {}
         }
-        if self.as_bv_const(b) == Some(0) {
-            return a;
+        if let Some(lifted) = self.lift_const_ite(a, b, Context::bv_add) {
+            return lifted;
         }
-        self.bv_binop(Op::BvAdd, a, b, |x, y, w| mask(x.wrapping_add(y), w))
+        let mut leaves = std::mem::take(&mut self.add_leaves);
+        let mut stack = std::mem::take(&mut self.add_stack);
+        leaves.clear();
+        stack.clear();
+        stack.extend([b, a]);
+        let mut constant = 0u64;
+        while let Some(t) = stack.pop() {
+            let term = &self.terms[t.0 as usize];
+            match term.op {
+                Op::BvAdd => stack.extend([term.args[1], term.args[0]]),
+                Op::BvConst { value, .. } => constant = constant.wrapping_add(value),
+                _ => leaves.push(t),
+            }
+            if leaves.len() > MAX_ADD_LEAVES {
+                break;
+            }
+        }
+        let sort = Sort::BitVec(width);
+        let sum = if leaves.len() > MAX_ADD_LEAVES {
+            self.intern(Op::BvAdd, &ordered(a, b), sort)
+        } else {
+            leaves.sort_unstable();
+            let constant = mask(constant, width);
+            let mut chain = leaves.iter().copied();
+            match chain.next() {
+                None => self.bv_const(constant, width),
+                Some(first) => {
+                    let mut acc = first;
+                    for leaf in chain {
+                        acc = self.intern(Op::BvAdd, &[acc, leaf], sort);
+                    }
+                    if constant != 0 {
+                        let k = self.bv_const(constant, width);
+                        acc = self.intern(Op::BvAdd, &[acc, k], sort);
+                    }
+                    acc
+                }
+            }
+        };
+        self.add_leaves = leaves;
+        self.add_stack = stack;
+        sum
     }
 
     /// Wrapping subtraction.
@@ -637,7 +918,13 @@ impl Context {
             let width = self.sort(a).width();
             return self.bv_const(0, width);
         }
-        self.bv_binop(Op::BvSub, a, b, |x, y, w| mask(x.wrapping_sub(y), w))
+        self.bv_binop(
+            Op::BvSub,
+            a,
+            b,
+            |x, y, w| mask(x.wrapping_sub(y), w),
+            Context::bv_sub,
+        )
     }
 
     /// Low-bits multiplication.
@@ -652,7 +939,13 @@ impl Context {
         if self.as_bv_const(b) == Some(1) {
             return a;
         }
-        self.bv_binop(Op::BvMul, a, b, |x, y, w| mask(x.wrapping_mul(y), w))
+        self.bv_binop(
+            Op::BvMul,
+            a,
+            b,
+            |x, y, w| mask(x.wrapping_mul(y), w),
+            Context::bv_mul,
+        )
     }
 
     /// Two's-complement negation.
@@ -664,19 +957,50 @@ impl Context {
         self.intern(Op::BvNeg, &[a], Sort::BitVec(width))
     }
 
-    /// Bitwise and.
+    /// `Some(false)` for the zero constant, `Some(true)` for the all-ones
+    /// constant, `None` for any other term.
+    fn as_all_or_nothing(&self, id: TermId) -> Option<bool> {
+        let value = self.as_bv_const(id)?;
+        if value == 0 {
+            Some(false)
+        } else {
+            (value == mask(u64::MAX, self.sort(id).width())).then_some(true)
+        }
+    }
+
+    /// Bitwise and: `x & 0 = 0`, `x & -1 = x`.
     pub fn bv_and(&mut self, a: TermId, b: TermId) -> TermId {
-        self.bv_binop(Op::BvAnd, a, b, |x, y, w| mask(x & y, w))
+        match (self.as_all_or_nothing(a), self.as_all_or_nothing(b)) {
+            (Some(false), _) => return a,
+            (_, Some(false)) => return b,
+            (Some(true), _) => return b,
+            (_, Some(true)) => return a,
+            _ => {}
+        }
+        self.bv_binop(Op::BvAnd, a, b, |x, y, w| mask(x & y, w), Context::bv_and)
     }
 
-    /// Bitwise or.
+    /// Bitwise or: `x | 0 = x`, `x | -1 = -1`.
     pub fn bv_or(&mut self, a: TermId, b: TermId) -> TermId {
-        self.bv_binop(Op::BvOr, a, b, |x, y, w| mask(x | y, w))
+        match (self.as_all_or_nothing(a), self.as_all_or_nothing(b)) {
+            (Some(true), _) => return a,
+            (_, Some(true)) => return b,
+            (Some(false), _) => return b,
+            (_, Some(false)) => return a,
+            _ => {}
+        }
+        self.bv_binop(Op::BvOr, a, b, |x, y, w| mask(x | y, w), Context::bv_or)
     }
 
-    /// Bitwise xor.
+    /// Bitwise xor: `x ^ 0 = x`.
     pub fn bv_xor(&mut self, a: TermId, b: TermId) -> TermId {
-        self.bv_binop(Op::BvXor, a, b, |x, y, w| mask(x ^ y, w))
+        if self.as_bv_const(a) == Some(0) {
+            return b;
+        }
+        if self.as_bv_const(b) == Some(0) {
+            return a;
+        }
+        self.bv_binop(Op::BvXor, a, b, |x, y, w| mask(x ^ y, w), Context::bv_xor)
     }
 
     /// Bitwise complement.
@@ -690,75 +1014,117 @@ impl Context {
 
     /// Logical shift left.
     pub fn bv_shl(&mut self, a: TermId, b: TermId) -> TermId {
-        self.bv_binop(Op::BvShl, a, b, |x, y, w| {
-            if y >= w as u64 {
-                0
-            } else {
-                mask(x << y, w)
-            }
-        })
+        self.bv_binop(
+            Op::BvShl,
+            a,
+            b,
+            |x, y, w| {
+                if y >= w as u64 {
+                    0
+                } else {
+                    mask(x << y, w)
+                }
+            },
+            Context::bv_shl,
+        )
     }
 
     /// Logical shift right.
     pub fn bv_lshr(&mut self, a: TermId, b: TermId) -> TermId {
-        self.bv_binop(Op::BvLshr, a, b, |x, y, w| {
-            if y >= w as u64 {
-                0
-            } else {
-                mask(x >> y, w)
-            }
-        })
+        self.bv_binop(
+            Op::BvLshr,
+            a,
+            b,
+            |x, y, w| {
+                if y >= w as u64 {
+                    0
+                } else {
+                    mask(x >> y, w)
+                }
+            },
+            Context::bv_lshr,
+        )
     }
 
     /// Arithmetic shift right.
     pub fn bv_ashr(&mut self, a: TermId, b: TermId) -> TermId {
-        self.bv_binop(Op::BvAshr, a, b, |x, y, w| {
-            let sx = sign_extend(x, w);
-            let shift = (y.min(w as u64 - 1)) as u32;
-            mask((sx >> shift) as u64, w)
-        })
+        self.bv_binop(
+            Op::BvAshr,
+            a,
+            b,
+            |x, y, w| {
+                let sx = sign_extend(x, w);
+                let shift = (y.min(w as u64 - 1)) as u32;
+                mask((sx >> shift) as u64, w)
+            },
+            Context::bv_ashr,
+        )
     }
 
     /// Unsigned division (division by zero yields all-ones, SMT-LIB style).
     pub fn bv_udiv(&mut self, a: TermId, b: TermId) -> TermId {
-        self.bv_binop(Op::BvUdiv, a, b, |x, y, w| match x.checked_div(y) {
-            None => mask(u64::MAX, w),
-            Some(q) => mask(q, w),
-        })
+        self.bv_binop(
+            Op::BvUdiv,
+            a,
+            b,
+            |x, y, w| match x.checked_div(y) {
+                None => mask(u64::MAX, w),
+                Some(q) => mask(q, w),
+            },
+            Context::bv_udiv,
+        )
     }
 
     /// Unsigned remainder (remainder by zero yields the dividend).
     pub fn bv_urem(&mut self, a: TermId, b: TermId) -> TermId {
-        self.bv_binop(Op::BvUrem, a, b, |x, y, w| match x.checked_rem(y) {
-            None => mask(x, w),
-            Some(r) => mask(r, w),
-        })
+        self.bv_binop(
+            Op::BvUrem,
+            a,
+            b,
+            |x, y, w| match x.checked_rem(y) {
+                None => mask(x, w),
+                Some(r) => mask(r, w),
+            },
+            Context::bv_urem,
+        )
     }
 
     /// Signed division with C truncation semantics.
     pub fn bv_sdiv(&mut self, a: TermId, b: TermId) -> TermId {
-        self.bv_binop(Op::BvSdiv, a, b, |x, y, w| {
-            let sx = sign_extend(x, w);
-            let sy = sign_extend(y, w);
-            if sy == 0 {
-                mask(u64::MAX, w)
-            } else {
-                mask(sx.wrapping_div(sy) as u64, w)
-            }
-        })
+        self.bv_binop(
+            Op::BvSdiv,
+            a,
+            b,
+            |x, y, w| {
+                let sx = sign_extend(x, w);
+                let sy = sign_extend(y, w);
+                if sy == 0 {
+                    mask(u64::MAX, w)
+                } else {
+                    mask(sx.wrapping_div(sy) as u64, w)
+                }
+            },
+            Context::bv_sdiv,
+        )
     }
 
     /// Signed remainder with C truncation semantics.
     pub fn bv_srem(&mut self, a: TermId, b: TermId) -> TermId {
-        self.bv_binop(Op::BvSrem, a, b, |x, y, w| {
-            let sx = sign_extend(x, w);
-            let sy = sign_extend(y, w);
-            if sy == 0 {
-                mask(sx as u64, w)
-            } else {
-                mask(sx.wrapping_rem(sy) as u64, w)
-            }
-        })
+        self.bv_binop(
+            Op::BvSrem,
+            a,
+            b,
+            |x, y, w| {
+                let sx = sign_extend(x, w);
+                let sy = sign_extend(y, w);
+                if sy == 0 {
+                    mask(sx as u64, w)
+                } else {
+                    mask(sx.wrapping_rem(sy) as u64, w)
+                }
+            },
+            Context::bv_srem,
+        )
     }
 
     // ---- comparisons ------------------------------------------------------------
@@ -767,6 +1133,9 @@ impl Context {
     pub fn bv_ult(&mut self, a: TermId, b: TermId) -> TermId {
         if let (Some(x), Some(y)) = (self.as_bv_const(a), self.as_bv_const(b)) {
             return self.bool_const(x < y);
+        }
+        if let Some(lifted) = self.lift_const_ite(a, b, Context::bv_ult) {
+            return lifted;
         }
         self.intern(Op::BvUlt, &[a, b], Sort::Bool)
     }
@@ -780,19 +1149,16 @@ impl Context {
         if a == b {
             return self.bool_const(false);
         }
+        if let Some(lifted) = self.lift_const_ite(a, b, Context::bv_slt) {
+            return lifted;
+        }
         self.intern(Op::BvSlt, &[a, b], Sort::Bool)
     }
 
-    /// Signed less-or-equal.
+    /// Signed less-or-equal, built as `¬slt(b, a)`.
     pub fn bv_sle(&mut self, a: TermId, b: TermId) -> TermId {
-        let width = self.sort(a).width();
-        if let (Some(x), Some(y)) = (self.as_bv_const(a), self.as_bv_const(b)) {
-            return self.bool_const(sign_extend(x, width) <= sign_extend(y, width));
-        }
-        if a == b {
-            return self.bool_const(true);
-        }
-        self.intern(Op::BvSle, &[a, b], Sort::Bool)
+        let gt = self.bv_slt(b, a);
+        self.not(gt)
     }
 
     /// Signed greater-than, expressed via [`Context::bv_slt`].
@@ -803,6 +1169,103 @@ impl Context {
     /// Signed greater-or-equal, expressed via [`Context::bv_sle`].
     pub fn bv_sge(&mut self, a: TermId, b: TermId) -> TermId {
         self.bv_sle(b, a)
+    }
+
+    /// Evaluates `root` under an assignment of its variables. `value_of`
+    /// gives each variable's value by name: a bitvector's low `width` bits,
+    /// or a Boolean's as nonzero for `true`. Booleans evaluate to 0 or 1.
+    /// The semantics are those of constant folding; the tests use this as
+    /// the rewrites' soundness oracle.
+    pub fn eval(&self, root: TermId, value_of: &dyn Fn(&str) -> u64) -> u64 {
+        // Arguments are interned before the terms that use them, so every
+        // id below `root` can be indexed directly.
+        let mut values: Vec<Option<u64>> = vec![None; root.0 as usize + 1];
+        let mut stack = vec![root];
+        while let Some(&id) = stack.last() {
+            if values[id.0 as usize].is_some() {
+                stack.pop();
+                continue;
+            }
+            let term = self.term(id);
+            let pending = stack.len();
+            stack.extend(
+                term.args
+                    .iter()
+                    .copied()
+                    .filter(|arg| values[arg.0 as usize].is_none()),
+            );
+            if stack.len() > pending {
+                continue;
+            }
+            let arg = |i: usize| values[term.args[i].0 as usize].expect("argument evaluated");
+            let w = term
+                .args
+                .first()
+                .and_then(|&a| self.sort(a).try_width())
+                .unwrap_or(1);
+            let value = match &term.op {
+                Op::BoolConst(b) => u64::from(*b),
+                Op::BvConst { value, .. } => *value,
+                Op::Var { name, sort } => match sort {
+                    Sort::Bool => u64::from(value_of(name) != 0),
+                    Sort::BitVec(width) => mask(value_of(name), *width),
+                },
+                Op::Not => arg(0) ^ 1,
+                Op::And => arg(0) & arg(1),
+                Op::Or => arg(0) | arg(1),
+                Op::Xor => arg(0) ^ arg(1),
+                Op::Implies => (arg(0) ^ 1) | arg(1),
+                Op::Ite => {
+                    if arg(0) != 0 {
+                        arg(1)
+                    } else {
+                        arg(2)
+                    }
+                }
+                Op::Eq => u64::from(arg(0) == arg(1)),
+                Op::BvAdd => mask(arg(0).wrapping_add(arg(1)), w),
+                Op::BvSub => mask(arg(0).wrapping_sub(arg(1)), w),
+                Op::BvMul => mask(arg(0).wrapping_mul(arg(1)), w),
+                Op::BvNeg => mask(arg(0).wrapping_neg(), w),
+                Op::BvAnd => arg(0) & arg(1),
+                Op::BvOr => arg(0) | arg(1),
+                Op::BvXor => arg(0) ^ arg(1),
+                Op::BvNot => mask(!arg(0), w),
+                Op::BvShl => match arg(1) {
+                    s if s >= u64::from(w) => 0,
+                    s => mask(arg(0) << s, w),
+                },
+                Op::BvLshr => match arg(1) {
+                    s if s >= u64::from(w) => 0,
+                    s => arg(0) >> s,
+                },
+                Op::BvAshr => {
+                    let shift = arg(1).min(u64::from(w) - 1);
+                    mask((sign_extend(arg(0), w) >> shift) as u64, w)
+                }
+                Op::BvUdiv => match arg(1) {
+                    0 => mask(u64::MAX, w),
+                    d => arg(0) / d,
+                },
+                Op::BvUrem => match arg(1) {
+                    0 => arg(0),
+                    d => arg(0) % d,
+                },
+                Op::BvSdiv => match sign_extend(arg(1), w) {
+                    0 => mask(u64::MAX, w),
+                    d => mask(sign_extend(arg(0), w).wrapping_div(d) as u64, w),
+                },
+                Op::BvSrem => match sign_extend(arg(1), w) {
+                    0 => arg(0),
+                    d => mask(sign_extend(arg(0), w).wrapping_rem(d) as u64, w),
+                },
+                Op::BvUlt => u64::from(arg(0) < arg(1)),
+                Op::BvSlt => u64::from(sign_extend(arg(0), w) < sign_extend(arg(1), w)),
+            };
+            values[id.0 as usize] = Some(value);
+            stack.pop();
+        }
+        values[root.0 as usize].expect("root evaluated")
     }
 
     /// Renders a term as an s-expression (for debugging and error messages).
@@ -852,6 +1315,15 @@ pub fn sign_extend(value: u64, width: u32) -> i64 {
         (value | !((1u64 << width) - 1)) as i64
     } else {
         value as i64
+    }
+}
+
+/// Two arguments of a commutative operator in canonical (term id) order.
+fn ordered(a: TermId, b: TermId) -> [TermId; 2] {
+    if a <= b {
+        [a, b]
+    } else {
+        [b, a]
     }
 }
 
@@ -1052,12 +1524,419 @@ mod tests {
         let x = ctx.bv_var("x", 32);
         let y = ctx.bv_var("y", 32);
         let z = ctx.bv_var("z", 32);
-        let yz = ctx.bv_add(y, z);
-        let e = ctx.bv_mul(yz, x);
+        // Non-commutative operators keep their argument order, so the walk
+        // meets `y` and `z` before the older `x`.
+        let yz = ctx.bv_sub(y, z);
+        let e = ctx.bv_sub(yz, x);
         let order = vars_in_order(&ctx, e);
         assert_eq!(order, vec![y, z, x]);
         // Repeats collapse to the first occurrence.
-        let e2 = ctx.bv_add(e, y);
+        let e2 = ctx.bv_sub(e, y);
         assert_eq!(vars_in_order(&ctx, e2), vec![y, z, x]);
+    }
+
+    // ---- rewrite soundness oracle -----------------------------------------------
+    //
+    // Each rule is checked the same way: a term built through the smart
+    // constructors (rewritten) must evaluate like the same operator interned
+    // as is (`raw`), for every value of the variables `x` and `y` at widths
+    // 4 to 8.
+
+    /// SplitMix64: a deterministic source of random term shapes.
+    struct Rng(u64);
+
+    impl Rng {
+        /// One of `0`, `1`, all ones or a random value: the constants the
+        /// rules single out, and any other.
+        fn constant(&mut self) -> u64 {
+            let value = self.next();
+            [0, 1, u64::MAX, value][self.below(4)]
+        }
+
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    const WIDTHS: std::ops::RangeInclusive<u32> = 4..=8;
+
+    /// `op(args)` interned without any rewrite.
+    fn raw(ctx: &mut Context, op: Op, args: &[TermId]) -> TermId {
+        let sort = match op {
+            Op::Not | Op::And | Op::Or | Op::Xor | Op::Implies | Op::Eq | Op::BvUlt | Op::BvSlt => {
+                Sort::Bool
+            }
+            Op::Ite => ctx.sort(args[1]),
+            _ => ctx.sort(args[0]),
+        };
+        ctx.intern(op, args, sort)
+    }
+
+    /// Asserts `rewritten ≡ reference` under every assignment of `x` and
+    /// `y` at width `w`.
+    fn assert_equivalent(ctx: &Context, w: u32, rewritten: TermId, reference: TermId, what: &str) {
+        for x in 0..1u64 << w {
+            for y in 0..1u64 << w {
+                let value_of = |name: &str| if name == "x" { x } else { y };
+                assert_eq!(
+                    ctx.eval(rewritten, &value_of),
+                    ctx.eval(reference, &value_of),
+                    "{what}: {} vs {} at x = {x}, y = {y}, width {w}",
+                    ctx.display(rewritten),
+                    ctx.display(reference),
+                );
+            }
+        }
+    }
+
+    /// A random bitvector term over `x`, `y` and constants, built through
+    /// the smart constructors; `depth` bounds its height.
+    fn random_bv(ctx: &mut Context, rng: &mut Rng, w: u32, depth: u32) -> TermId {
+        if depth == 0 || rng.below(4) == 0 {
+            return match rng.below(4) {
+                0 => ctx.bv_var("x", w),
+                1 => ctx.bv_var("y", w),
+                _ => ctx.bv_const(rng.constant(), w),
+            };
+        }
+        let a = random_bv(ctx, rng, w, depth - 1);
+        let b = random_bv(ctx, rng, w, depth - 1);
+        match rng.below(9) {
+            0 => ctx.bv_add(a, b),
+            1 => ctx.bv_sub(a, b),
+            2 => ctx.bv_mul(a, b),
+            3 => ctx.bv_and(a, b),
+            4 => ctx.bv_or(a, b),
+            5 => ctx.bv_xor(a, b),
+            6 => ctx.bv_not(a),
+            7 => {
+                let c = random_bool(ctx, rng, w, depth - 1);
+                ctx.ite(c, a, b)
+            }
+            _ => {
+                // A constant-branch ite, the shape comparison masks have.
+                let c = random_bool(ctx, rng, w, depth - 1);
+                let k1 = ctx.bv_const(rng.next(), w);
+                let k2 = ctx.bv_const(rng.constant(), w);
+                ctx.ite(c, k1, k2)
+            }
+        }
+    }
+
+    /// A random Boolean term over comparisons of [`random_bv`] terms.
+    fn random_bool(ctx: &mut Context, rng: &mut Rng, w: u32, depth: u32) -> TermId {
+        let a = random_bv(ctx, rng, w, depth.saturating_sub(1));
+        let b = random_bv(ctx, rng, w, depth.saturating_sub(1));
+        match rng.below(5) {
+            0 => ctx.eq(a, b),
+            1 => ctx.bv_slt(a, b),
+            2 => ctx.bv_ult(a, b),
+            3 => ctx.bv_sle(a, b),
+            _ => {
+                let k = ctx.bv_const(rng.next(), w);
+                ctx.eq(a, k)
+            }
+        }
+    }
+
+    /// Runs `case` on fresh contexts: `cases` random seeds at each width.
+    fn for_each_case(cases: u64, mut case: impl FnMut(&mut Context, &mut Rng, u32)) {
+        for w in WIDTHS {
+            for seed in 0..cases {
+                let mut ctx = Context::new();
+                let mut rng = Rng(seed * 1_000 + u64::from(w));
+                case(&mut ctx, &mut rng, w);
+            }
+        }
+    }
+
+    type Builder = fn(&mut Context, TermId, TermId) -> TermId;
+
+    const COMMUTATIVE: [(Op, Builder); 5] = [
+        (Op::BvAdd, Context::bv_add),
+        (Op::BvMul, Context::bv_mul),
+        (Op::BvAnd, Context::bv_and),
+        (Op::BvOr, Context::bv_or),
+        (Op::BvXor, Context::bv_xor),
+    ];
+
+    const BINARY: [(Op, Builder); 16] = [
+        (Op::BvAdd, Context::bv_add),
+        (Op::BvSub, Context::bv_sub),
+        (Op::BvMul, Context::bv_mul),
+        (Op::BvAnd, Context::bv_and),
+        (Op::BvOr, Context::bv_or),
+        (Op::BvXor, Context::bv_xor),
+        (Op::BvShl, Context::bv_shl),
+        (Op::BvLshr, Context::bv_lshr),
+        (Op::BvAshr, Context::bv_ashr),
+        (Op::BvUdiv, Context::bv_udiv),
+        (Op::BvUrem, Context::bv_urem),
+        (Op::BvSdiv, Context::bv_sdiv),
+        (Op::BvSrem, Context::bv_srem),
+        (Op::BvUlt, Context::bv_ult),
+        (Op::BvSlt, Context::bv_slt),
+        (Op::Eq, Context::eq),
+    ];
+
+    #[test]
+    fn commutative_arguments_are_sorted_soundly() {
+        for_each_case(3, |ctx, rng, w| {
+            let a = random_bv(ctx, rng, w, 2);
+            let b = random_bv(ctx, rng, w, 2);
+            for (op, build) in COMMUTATIVE {
+                let ab = build(ctx, a, b);
+                assert_eq!(ab, build(ctx, b, a), "{op:?} commutes to one id");
+                let reference = raw(ctx, op.clone(), &[a, b]);
+                assert_equivalent(ctx, w, ab, reference, &format!("{op:?}"));
+            }
+            let p = random_bool(ctx, rng, w, 1);
+            let q = random_bool(ctx, rng, w, 1);
+            for (op, build) in [
+                (Op::And, Context::and as Builder),
+                (Op::Or, Context::or),
+                (Op::Eq, Context::eq),
+            ] {
+                let pq = build(ctx, p, q);
+                assert_eq!(pq, build(ctx, q, p), "{op:?} commutes to one id");
+                let reference = raw(ctx, op.clone(), &[p, q]);
+                assert_equivalent(ctx, w, pq, reference, &format!("{op:?}"));
+            }
+        });
+    }
+
+    #[test]
+    fn add_chains_flatten_to_one_sorted_chain_soundly() {
+        for_each_case(4, |ctx, rng, w| {
+            // Constant-branch ites are left out: against a constant they
+            // lift instead of joining the chain.
+            let count = 2 + rng.below(5);
+            let mut leaves = Vec::new();
+            while leaves.len() < count {
+                let leaf = random_bv(ctx, rng, w, 1);
+                if ctx.const_ite(leaf).is_none() {
+                    leaves.push(leaf);
+                }
+            }
+            // Left-leaning in the given order, and a random association of
+            // a shuffled order, must intern to the same chain.
+            let mut left = leaves[0];
+            let mut reference = leaves[0];
+            for &leaf in &leaves[1..] {
+                left = ctx.bv_add(left, leaf);
+                reference = raw(ctx, Op::BvAdd, &[reference, leaf]);
+            }
+            let mut pending = leaves.clone();
+            while pending.len() > 1 {
+                let i = rng.below(pending.len());
+                let a = pending.swap_remove(i);
+                let j = rng.below(pending.len());
+                pending[j] = ctx.bv_add(pending[j], a);
+            }
+            assert_eq!(left, pending[0], "association and order do not matter");
+            assert_equivalent(ctx, w, left, reference, "add chain");
+        });
+        // A shared `t + t` DAG stays linear in size.
+        let mut ctx = Context::new();
+        let mut t = ctx.bv_var("x", 8);
+        for _ in 0..40 {
+            let y = ctx.bv_var("y", 8);
+            let ty = ctx.bv_add(t, y);
+            t = ctx.bv_add(ty, ty);
+        }
+        assert!(ctx.len() < 40 * (MAX_ADD_LEAVES + 8), "{} terms", ctx.len());
+    }
+
+    #[test]
+    fn constant_branch_ites_lift_through_binary_operators_soundly() {
+        for_each_case(2, |ctx, rng, w| {
+            let c = random_bool(ctx, rng, w, 2);
+            let k1 = ctx.bv_const(rng.next(), w);
+            let k2 = ctx.bv_const(rng.constant(), w);
+            let k = ctx.bv_const(rng.next(), w);
+            let mask = ctx.ite(c, k1, k2);
+            for (op, build) in BINARY {
+                for (a, b) in [(mask, k), (k, mask)] {
+                    let lifted = build(ctx, a, b);
+                    assert!(
+                        !ctx.term(lifted).args.contains(&mask),
+                        "{op:?} lifts: {}",
+                        ctx.display(lifted)
+                    );
+                    let reference = raw(ctx, op.clone(), &[a, b]);
+                    assert_equivalent(ctx, w, lifted, reference, &format!("{op:?}"));
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn bool_ites_with_constant_branches_reduce_soundly() {
+        for_each_case(3, |ctx, rng, w| {
+            let c = random_bool(ctx, rng, w, 2);
+            let t = ctx.bool_const(true);
+            let f = ctx.bool_const(false);
+            assert_eq!(ctx.ite(c, t, f), c);
+            let negated = ctx.ite(c, f, t);
+            assert_eq!(negated, ctx.not(c));
+            let reference = raw(ctx, Op::Ite, &[c, f, t]);
+            assert_equivalent(ctx, w, negated, reference, "ite(c, false, true)");
+        });
+    }
+
+    #[test]
+    fn negated_conditions_swap_the_branches_soundly() {
+        for_each_case(3, |ctx, rng, w| {
+            let c = random_bool(ctx, rng, w, 2);
+            let x = random_bv(ctx, rng, w, 2);
+            let y = random_bv(ctx, rng, w, 2);
+            let not_c = ctx.not(c);
+            let swapped = ctx.ite(not_c, x, y);
+            assert_eq!(swapped, ctx.ite(c, y, x));
+            let reference = raw(ctx, Op::Ite, &[not_c, x, y]);
+            assert_equivalent(ctx, w, swapped, reference, "ite(not c, x, y)");
+        });
+    }
+
+    #[test]
+    fn nested_ites_on_one_condition_collapse_soundly() {
+        for_each_case(3, |ctx, rng, w| {
+            let c = random_bool(ctx, rng, w, 2);
+            let [x, y, z] = [0; 3].map(|_| random_bv(ctx, rng, w, 2));
+            let inner = ctx.ite(c, x, y);
+            let outer = ctx.ite(c, inner, z);
+            assert_eq!(outer, ctx.ite(c, x, z));
+            let raw_inner = raw(ctx, Op::Ite, &[c, x, y]);
+            let reference = raw(ctx, Op::Ite, &[c, raw_inner, z]);
+            assert_equivalent(ctx, w, outer, reference, "ite(c, ite(c, x, y), z)");
+            let inner = ctx.ite(c, y, z);
+            let outer = ctx.ite(c, x, inner);
+            assert_eq!(outer, ctx.ite(c, x, z));
+            let raw_inner = raw(ctx, Op::Ite, &[c, y, z]);
+            let reference = raw(ctx, Op::Ite, &[c, x, raw_inner]);
+            assert_equivalent(ctx, w, outer, reference, "ite(c, x, ite(c, y, z))");
+        });
+    }
+
+    #[test]
+    fn signed_less_or_equal_becomes_a_negated_less_than_soundly() {
+        for_each_case(3, |ctx, rng, w| {
+            let a = random_bv(ctx, rng, w, 2);
+            let b = random_bv(ctx, rng, w, 2);
+            let le = ctx.bv_sle(a, b);
+            let lt = raw(ctx, Op::BvSlt, &[a, b]);
+            let eq = raw(ctx, Op::Eq, &[a, b]);
+            let reference = raw(ctx, Op::Or, &[lt, eq]);
+            assert_equivalent(ctx, w, le, reference, "sle");
+        });
+    }
+
+    #[test]
+    fn bitwise_neutral_and_absorbing_elements_fold_soundly() {
+        for_each_case(3, |ctx, rng, w| {
+            let x = random_bv(ctx, rng, w, 2);
+            let zero = ctx.bv_const(0, w);
+            let ones = ctx.bv_const(u64::MAX, w);
+            for (op, build, k, expect) in [
+                (Op::BvAnd, Context::bv_and as Builder, zero, zero),
+                (Op::BvAnd, Context::bv_and, ones, x),
+                (Op::BvOr, Context::bv_or, zero, x),
+                (Op::BvOr, Context::bv_or, ones, ones),
+                (Op::BvXor, Context::bv_xor, zero, x),
+            ] {
+                for (a, b) in [(x, k), (k, x)] {
+                    let folded = build(ctx, a, b);
+                    assert_eq!(folded, expect, "{op:?}");
+                    let reference = raw(ctx, op.clone(), &[a, b]);
+                    assert_equivalent(ctx, w, folded, reference, &format!("{op:?}"));
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn conditional_substitution_folds_soundly() {
+        for_each_case(4, |ctx, rng, w| {
+            let x = ctx.bv_var("x", w);
+            let k = ctx.bv_const(rng.constant(), w);
+            let z = random_bv(ctx, rng, w, 3);
+            let cond = ctx.eq(x, k);
+            // `z[x := k]`, and an unrelated term, as the then-branch.
+            let mut memo = HashMap::new();
+            let mut budget = usize::MAX;
+            let substituted = ctx.substitute(z, x, k, &mut memo, &mut budget).unwrap();
+            let unrelated = random_bv(ctx, rng, w, 2);
+            for y in [substituted, unrelated] {
+                let folded = ctx.ite(cond, y, z);
+                if y == substituted {
+                    assert_eq!(folded, z, "the branches agree where x = k");
+                }
+                let reference = raw(ctx, Op::Ite, &[cond, y, z]);
+                assert_equivalent(ctx, w, folded, reference, "ite(x = k, z[x := k], z)");
+            }
+        });
+        // s2711's residual: ite(b = 0, a, a + b * c) is a + b * c.
+        let mut ctx = Context::new();
+        let [a, b, c] = ["a", "b", "c"].map(|name| ctx.bv_var(name, 32));
+        let zero = ctx.bv32(0);
+        let bc = ctx.bv_mul(b, c);
+        let sum = ctx.bv_add(a, bc);
+        let b_zero = ctx.eq(b, zero);
+        assert_eq!(ctx.ite(b_zero, a, sum), sum);
+    }
+
+    #[test]
+    fn comparison_masks_tested_bytewise_fold_to_their_condition() {
+        // A sign-splat mask ite(p, -1, 0), its complement, and their byte
+        // selectors `and(m, 0x80 << 8j) != 0`.
+        let mut ctx = Context::new();
+        let x = ctx.bv_var("x", 32);
+        let y = ctx.bv_var("y", 32);
+        let p = ctx.bv_slt(y, x);
+        let ones = ctx.bv32(-1);
+        let zero = ctx.bv32(0);
+        let mask = ctx.ite(p, ones, zero);
+        let complement = ctx.bv_xor(mask, ones);
+        let not_p = ctx.not(p);
+        for j in 0..4 {
+            let msb = ctx.bv_const(0x80 << (8 * j), 32);
+            for (m, want) in [(mask, p), (complement, not_p)] {
+                let bit = ctx.bv_and(m, msb);
+                assert_eq!(ctx.ne(bit, zero), want);
+            }
+        }
+    }
+
+    #[test]
+    fn eval_follows_constant_folding() {
+        let mut ctx = Context::new();
+        let x = ctx.bv_var("x", 8);
+        let y = ctx.bv_var("y", 8);
+        for (op, build) in BINARY {
+            let reference = raw(&mut ctx, op, &[x, y]);
+            for (vx, vy) in [(200, 0), (7, 3), (0x80, 0xff), (5, 9), (3, 200)] {
+                let (kx, ky) = (ctx.bv_const(vx, 8), ctx.bv_const(vy, 8));
+                let folded = build(&mut ctx, kx, ky);
+                let value_of = |name: &str| if name == "x" { vx } else { vy };
+                let want = match ctx.as_bv_const(folded) {
+                    Some(v) => v,
+                    None => u64::from(ctx.as_bool_const(folded).unwrap()),
+                };
+                assert_eq!(
+                    ctx.eval(reference, &value_of),
+                    want,
+                    "{}",
+                    ctx.display(reference)
+                );
+            }
+        }
     }
 }

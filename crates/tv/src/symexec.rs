@@ -9,11 +9,18 @@
 //! * fully symbolic initial contents for every array parameter, each in its
 //!   own region (the paper's non-aliasing modelling from Section 3.1).
 //!
-//! Control flow is handled by *predicated* execution: every store is guarded
-//! by the path condition, `if`/`else` become ite-merges, and forward `goto`s
-//! become suppression guards that are lifted at their label. Loops are
-//! unrolled on the fly as long as their condition folds to a constant, which
-//! it does because induction variables and bounds are concrete.
+//! Control flow is handled the way an SSA form joins it. An `if` whose
+//! condition folds runs only the branch taken. Otherwise both branches run
+//! from the state before the `if`: the executor records the cells and
+//! variables each branch writes, rewinds them after the branch, and at the
+//! join merges each changed one as `ite(taken, then, else)`, one phi per
+//! cell and `if`. The scalar kernel's `if` and the candidate's blend of a
+//! comparison mask therefore build the same `ite`. Undefined behaviour,
+//! the suppression guards that model forward `goto`s and `return` (lifted
+//! at their label), and the pending `goto` guards are threaded through both
+//! branches in sequence, each under its branch's path condition. Loops are
+//! unrolled on the fly as long as their condition folds to a constant,
+//! which it does because induction variables and bounds are concrete.
 
 use lv_cir::ast::{AssignOp, BinOp, Block, Expr, Function, Stmt, Type, UnOp};
 use lv_simd::LANES;
@@ -111,11 +118,18 @@ pub fn sym_exec(
 }
 
 /// A symbolic value: a 32-bit term, an 8-lane vector of terms, or a pointer.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 enum SymValue {
     Scalar(TermId),
     Vector([TermId; LANES]),
     Ptr { array: String, offset: i64 },
+}
+
+/// A location an `if` branch can write: a variable, or one array cell.
+#[derive(Debug, Clone, PartialEq)]
+enum Loc {
+    Var(String),
+    Cell(String, usize),
 }
 
 struct SymExec<'a> {
@@ -130,6 +144,12 @@ struct SymExec<'a> {
     pending: HashMap<String, TermId>,
     ub: TermId,
     iterations: usize,
+    /// The value each location had before its write, in write order, for
+    /// every write inside an open `if` branch. `None` is a variable that
+    /// did not exist yet.
+    undo: Vec<(Loc, Option<SymValue>)>,
+    /// How many `if` branches are open.
+    branch_depth: usize,
 }
 
 impl<'a> SymExec<'a> {
@@ -185,6 +205,8 @@ impl<'a> SymExec<'a> {
             pending: HashMap::new(),
             ub: false_t,
             iterations: 0,
+            undo: Vec::new(),
+            branch_depth: 0,
         })
     }
 
@@ -209,6 +231,142 @@ impl<'a> SymExec<'a> {
 
     fn record_ub(&mut self, guard: TermId) {
         self.ub = self.ctx.or(self.ub, guard);
+    }
+
+    // ---- locations and the `if` merge ---------------------------------------
+
+    fn get(&self, loc: &Loc) -> Option<SymValue> {
+        match loc {
+            Loc::Var(name) => self.scalars.get(name).cloned(),
+            Loc::Cell(array, index) => Some(SymValue::Scalar(self.arrays[array][*index])),
+        }
+    }
+
+    /// Stores `value` at `loc`, recording the old value while a branch is
+    /// open.
+    fn put(&mut self, loc: &Loc, value: Option<SymValue>) {
+        match (loc, value) {
+            (Loc::Var(name), value) => self.set_var(name, value),
+            (Loc::Cell(array, index), Some(SymValue::Scalar(term))) => {
+                self.set_cell(array, *index, term)
+            }
+            (Loc::Cell(..), _) => unreachable!("array cells hold scalar terms"),
+        }
+    }
+
+    /// [`SymExec::put`] for a variable (`None` removes it), naming the
+    /// location only when a branch is open.
+    fn set_var(&mut self, name: &str, value: Option<SymValue>) {
+        let old = match (self.scalars.get_mut(name), value) {
+            (Some(slot), Some(value)) => Some(std::mem::replace(slot, value)),
+            (None, Some(value)) => self.scalars.insert(name.to_string(), value),
+            (_, None) => self.scalars.remove(name),
+        };
+        if self.branch_depth > 0 {
+            self.undo.push((Loc::Var(name.to_string()), old));
+        }
+    }
+
+    /// [`SymExec::put`] for an array cell, naming the location only when a
+    /// branch is open.
+    fn set_cell(&mut self, array: &str, index: usize, term: TermId) {
+        let cell = &mut self.arrays.get_mut(array).expect("array exists")[index];
+        let old = std::mem::replace(cell, term);
+        if self.branch_depth > 0 {
+            let loc = Loc::Cell(array.to_string(), index);
+            self.undo.push((loc, Some(SymValue::Scalar(old))));
+        }
+    }
+
+    /// Rewinds every write since `mark` and returns each written location
+    /// once, with the value it had before the rewind.
+    fn rewind(&mut self, mark: usize) -> Vec<(Loc, Option<SymValue>)> {
+        let mut written: Vec<(Loc, Option<SymValue>)> = Vec::new();
+        for (loc, _) in &self.undo[mark..] {
+            if !written.iter().any(|(seen, _)| seen == loc) {
+                written.push((loc.clone(), self.get(loc)));
+            }
+        }
+        let depth = std::mem::replace(&mut self.branch_depth, 0);
+        while self.undo.len() > mark {
+            let (loc, old) = self.undo.pop().expect("undo entry above the mark");
+            self.put(&loc, old);
+        }
+        self.branch_depth = depth;
+        written
+    }
+
+    /// The value of a location written by one branch of an `if` at the
+    /// join: `ite(taken, then, else)`, lane-wise for vectors. A variable
+    /// that one branch declared goes out of scope (`None`).
+    fn merge(
+        &mut self,
+        loc: &Loc,
+        taken: TermId,
+        then_v: Option<SymValue>,
+        else_v: Option<SymValue>,
+    ) -> Result<Option<SymValue>, SymExecError> {
+        Ok(match (then_v, else_v) {
+            (None, _) | (_, None) => None,
+            (Some(SymValue::Scalar(t)), Some(SymValue::Scalar(e))) => {
+                Some(SymValue::Scalar(self.ctx.ite(taken, t, e)))
+            }
+            (Some(SymValue::Vector(t)), Some(SymValue::Vector(e))) => {
+                let mut lanes = t;
+                for (lane, (&t, &e)) in lanes.iter_mut().zip(t.iter().zip(e.iter())) {
+                    *lane = self.ctx.ite(taken, t, e);
+                }
+                Some(SymValue::Vector(lanes))
+            }
+            (Some(t @ SymValue::Ptr { .. }), Some(e)) if t == e => Some(t),
+            (Some(t), Some(e)) => {
+                let reason = format!("{loc:?} differs across the branches of an `if`");
+                return Err(SymExecError::new(format!("{reason}: {t:?} vs {e:?}")));
+            }
+        })
+    }
+
+    /// Runs an `if` whose condition does not fold: each branch from the
+    /// state before it, then one merge per changed location.
+    fn exec_if(
+        &mut self,
+        taken: TermId,
+        then_branch: &Block,
+        else_branch: Option<&Block>,
+        guard: TermId,
+    ) -> Result<(), SymExecError> {
+        let not_taken = self.ctx.not(taken);
+        let then_guard = self.ctx.and(guard, taken);
+        let else_guard = self.ctx.and(guard, not_taken);
+        let mark = self.undo.len();
+        self.branch_depth += 1;
+        self.exec_block(then_branch, then_guard)?;
+        let then_written = self.rewind(mark);
+        if let Some(else_branch) = else_branch {
+            self.exec_block(else_branch, else_guard)?;
+        }
+        let else_written = self.rewind(mark);
+        self.branch_depth -= 1;
+        let value_in = |written: &[(Loc, Option<SymValue>)], loc: &Loc| {
+            written
+                .iter()
+                .find(|(seen, _)| seen == loc)
+                .map(|(_, value)| value.clone())
+        };
+        let mut locs: Vec<&Loc> = then_written.iter().map(|(loc, _)| loc).collect();
+        for (loc, _) in &else_written {
+            if !locs.contains(&loc) {
+                locs.push(loc);
+            }
+        }
+        for loc in locs {
+            let before = self.get(loc);
+            let then_v = value_in(&then_written, loc).unwrap_or_else(|| before.clone());
+            let else_v = value_in(&else_written, loc).unwrap_or(before);
+            let merged = self.merge(loc, taken, then_v, else_v)?;
+            self.put(loc, merged);
+        }
+        Ok(())
     }
 
     // ---- statements -----------------------------------------------------------
@@ -247,9 +405,9 @@ impl<'a> SymExec<'a> {
                         )))
                     }
                 };
-                // Declarations are unconditional bindings; conditional
-                // declarations do not occur after unrolling in this subset.
-                self.scalars.insert(name.clone(), value);
+                // A declaration binds unconditionally; one inside an `if`
+                // branch goes out of scope at the join.
+                self.set_var(name, Some(value));
                 Ok(())
             }
             Stmt::Expr(e) => {
@@ -264,16 +422,12 @@ impl<'a> SymExec<'a> {
                 let c = self.eval_scalar(cond, guard)?;
                 let zero = self.ctx.bv32(0);
                 let taken = self.ctx.ne(c, zero);
-                let not_taken = self.ctx.not(taken);
-                let then_guard = self.ctx.and(guard, taken);
-                let else_guard = self.ctx.and(guard, not_taken);
-                // Predicated execution: both branches run, every store is
-                // guarded, so the merge is implicit.
-                self.exec_block(then_branch, then_guard)?;
-                if let Some(else_branch) = else_branch {
-                    self.exec_block(else_branch, else_guard)?;
+                match (self.ctx.as_bool_const(taken), else_branch) {
+                    (Some(true), _) => self.exec_block(then_branch, guard),
+                    (Some(false), Some(else_branch)) => self.exec_block(else_branch, guard),
+                    (Some(false), None) => Ok(()),
+                    (None, _) => self.exec_if(taken, then_branch, else_branch.as_ref(), guard),
                 }
-                Ok(())
             }
             Stmt::For {
                 init,
@@ -438,48 +592,50 @@ impl<'a> SymExec<'a> {
         Ok(self.arrays[array][index as usize])
     }
 
+    /// Stores `value` on every path not suppressed by a `goto` or `return`
+    /// on which `lane` (a masked store's lane enable, else `true`) holds.
+    /// The path condition `guard` only decides undefined behaviour: the
+    /// merge at the end of each `if` selects among the branches' stores.
     fn write_cell(
         &mut self,
         array: &str,
         index: i64,
         value: TermId,
         guard: TermId,
+        lane: TermId,
     ) -> Result<(), SymExecError> {
-        let active = self.active(guard);
+        let not_suppressed = self.ctx.not(self.suppress);
+        let live = self.ctx.and(lane, not_suppressed);
+        let active = self.ctx.and(guard, live);
         if !self.check_bounds(array, index, 1, active) {
             return Ok(());
         }
         let old = self.arrays[array][index as usize];
-        let merged = self.ctx.ite(active, value, old);
-        self.arrays.get_mut(array).expect("array exists")[index as usize] = merged;
+        let merged = self.ctx.ite(live, value, old);
+        self.set_cell(array, index as usize, merged);
         Ok(())
     }
 
-    fn assign_scalar(
-        &mut self,
-        name: &str,
-        value: SymValue,
-        guard: TermId,
-    ) -> Result<(), SymExecError> {
-        let active = self.active(guard);
+    /// Assigns a variable on every path not suppressed by a `goto` or
+    /// `return` (see [`SymExec::write_cell`]).
+    fn assign_scalar(&mut self, name: &str, value: SymValue) -> Result<(), SymExecError> {
+        let live = self.ctx.not(self.suppress);
         match (self.scalars.get(name).cloned(), value) {
             (Some(SymValue::Scalar(old)), SymValue::Scalar(new)) => {
-                let merged = self.ctx.ite(active, new, old);
-                self.scalars
-                    .insert(name.to_string(), SymValue::Scalar(merged));
+                let merged = self.ctx.ite(live, new, old);
+                self.set_var(name, Some(SymValue::Scalar(merged)));
                 Ok(())
             }
             (Some(SymValue::Vector(old)), SymValue::Vector(new)) => {
                 let mut merged = old;
                 for i in 0..LANES {
-                    merged[i] = self.ctx.ite(active, new[i], old[i]);
+                    merged[i] = self.ctx.ite(live, new[i], old[i]);
                 }
-                self.scalars
-                    .insert(name.to_string(), SymValue::Vector(merged));
+                self.set_var(name, Some(SymValue::Vector(merged)));
                 Ok(())
             }
             (Some(SymValue::Ptr { .. }), new @ SymValue::Ptr { .. }) | (None, new) => {
-                self.scalars.insert(name.to_string(), new);
+                self.set_var(name, Some(new));
                 Ok(())
             }
             (old, new) => Err(SymExecError::new(format!(
@@ -674,7 +830,7 @@ impl<'a> SymExec<'a> {
         };
         match target {
             Expr::Var(name) => {
-                self.assign_scalar(name, new_value.clone(), guard)?;
+                self.assign_scalar(name, new_value.clone())?;
                 Ok(new_value)
             }
             Expr::Index { base, index } => {
@@ -685,7 +841,8 @@ impl<'a> SymExec<'a> {
                     SymValue::Scalar(t) => *t,
                     _ => return Err(SymExecError::new("can only store scalars into arrays")),
                 };
-                self.write_cell(&array, idx, scalar, guard)?;
+                let all_lanes = self.ctx.bool_const(true);
+                self.write_cell(&array, idx, scalar, guard, all_lanes)?;
                 Ok(new_value)
             }
             other => Err(SymExecError::new(format!(
@@ -734,15 +891,14 @@ impl<'a> SymExec<'a> {
                     (None, self.eval_vector(&args[1], guard)?)
                 };
                 for i in 0..LANES {
-                    let lane_guard = match &mask {
-                        None => guard,
+                    let lane = match &mask {
+                        None => self.ctx.bool_const(true),
                         Some(mask) => {
                             let zero = self.ctx.bv32(0);
-                            let neg = self.ctx.bv_slt(mask[i], zero);
-                            self.ctx.and(guard, neg)
+                            self.ctx.bv_slt(mask[i], zero)
                         }
                     };
-                    self.write_cell(&array, base + i as i64, value[i], lane_guard)?;
+                    self.write_cell(&array, base + i as i64, value[i], guard, lane)?;
                 }
                 Ok(SymValue::Scalar(self.ctx.bv32(0)))
             }
@@ -845,13 +1001,34 @@ impl<'a> SymExec<'a> {
                 SymValue::Vector(out)
             }
             "_mm256_blendv_epi8" => {
-                // For the i32-lane masks produced by cmpgt/cmpeq, byte-level
-                // blending degenerates to lane selection on the sign bit.
+                // Byte-wise, as `lv_simd::I32x8::blendv` runs it: byte j of
+                // a lane comes from `b` when bit 8j + 7 of the mask lane is
+                // set. For a sign-splat mask `ite(p, -1, 0)` (what cmpgt,
+                // cmpeq and their complements produce) the four byte
+                // selectors fold to one term `p`, and the lane is the
+                // lane-wise `ite(p, b, a)`.
                 let mut out = splat(zero32);
-                for i in 0..LANES {
-                    let zero = self.ctx.bv32(0);
-                    let take_b = self.ctx.bv_slt(vec_args[2][i], zero);
-                    out[i] = self.ctx.ite(take_b, vec_args[1][i], vec_args[0][i]);
+                for (i, lane) in out.iter_mut().enumerate() {
+                    let (a, b, mask) = (vec_args[0][i], vec_args[1][i], vec_args[2][i]);
+                    let mut selectors = [a; 4];
+                    for (j, selector) in selectors.iter_mut().enumerate() {
+                        let msb = self.ctx.bv_const(0x80 << (8 * j), 32);
+                        let bit = self.ctx.bv_and(mask, msb);
+                        *selector = self.ctx.ne(bit, zero32);
+                    }
+                    *lane = if selectors.iter().all(|&s| s == selectors[0]) {
+                        self.ctx.ite(selectors[0], b, a)
+                    } else {
+                        let mut blended = zero32;
+                        for (j, &selector) in selectors.iter().enumerate() {
+                            let byte = self.ctx.bv_const(0xff << (8 * j), 32);
+                            let from_b = self.ctx.bv_and(b, byte);
+                            let from_a = self.ctx.bv_and(a, byte);
+                            let pick = self.ctx.ite(selector, from_b, from_a);
+                            blended = self.ctx.bv_or(blended, pick);
+                        }
+                        blended
+                    };
                 }
                 SymValue::Vector(out)
             }
@@ -1134,5 +1311,130 @@ mod tests {
         config.scalar_bindings.insert("n".into(), 8);
         let err = sym_exec(&mut solver.ctx, &func, &config).unwrap_err();
         assert!(err.reason.contains("not encoded"), "{}", err);
+    }
+
+    /// SplitMix64 for the differential tests.
+    fn next_random(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn blendv_matches_lv_simd_bytewise() {
+        // Random lanes and random masks (not only sign splats): the symbolic
+        // blend, evaluated under the same inputs, equals what `lv_simd`
+        // computes, byte for byte.
+        let func = parse_function(
+            "void f(int n, int *a, int *b, int *m, int *o) { __m256i x = _mm256_loadu_si256((__m256i *)&a[0]); __m256i y = _mm256_loadu_si256((__m256i *)&b[0]); __m256i k = _mm256_loadu_si256((__m256i *)&m[0]); _mm256_storeu_si256((__m256i *)&o[0], _mm256_blendv_epi8(x, y, k)); }",
+        )
+        .unwrap();
+        let mut ctx = Context::new();
+        let mut config = SymExecConfig {
+            array_len: LANES,
+            ..SymExecConfig::default()
+        };
+        config.scalar_bindings.insert("n".into(), 8);
+        let out = sym_exec(&mut ctx, &func, &config).unwrap();
+        let mut state = 7;
+        for trial in 0..200 {
+            let mut lanes = |sign_splat: bool| {
+                let mut v = [0i32; LANES];
+                for lane in &mut v {
+                    let r = next_random(&mut state);
+                    *lane = if sign_splat {
+                        -((r & 1) as i32)
+                    } else {
+                        r as i32
+                    };
+                }
+                v
+            };
+            let (a, b, m) = (lanes(false), lanes(false), lanes(trial % 4 == 0));
+            let want = lv_simd::eval_intrinsic(
+                "_mm256_blendv_epi8",
+                &[
+                    lv_simd::I32x8::from_lanes(a).into(),
+                    lv_simd::I32x8::from_lanes(b).into(),
+                    lv_simd::I32x8::from_lanes(m).into(),
+                ],
+            )
+            .unwrap()
+            .unwrap_vector()
+            .lanes();
+            let value_of = |name: &str| {
+                let (array, index) = name.split_once('!').unwrap();
+                let index: usize = index.parse().unwrap();
+                let v = match array {
+                    "a" => a[index],
+                    "b" => b[index],
+                    "m" => m[index],
+                    other => panic!("unexpected input {other}"),
+                };
+                v as u32 as u64
+            };
+            for (i, &expected) in want.iter().enumerate() {
+                let got = ctx.eval(out.arrays["o"][i], &value_of) as u32 as i32;
+                assert_eq!(got, expected, "lane {i}: mask {:#x}", m[i]);
+            }
+        }
+    }
+
+    #[test]
+    fn blendv_of_a_sign_splat_mask_is_a_lane_select() {
+        // cmpgt masks keep the lane-wise ite the scalar `if` builds.
+        let mut ctx = Context::new();
+        let out = exec_with(
+            &mut ctx,
+            "void f(int n, int *a, int *b) { __m256i x = _mm256_loadu_si256((__m256i *)&a[0]); __m256i y = _mm256_loadu_si256((__m256i *)&b[0]); __m256i k = _mm256_cmpgt_epi32(y, _mm256_setzero_si256()); _mm256_storeu_si256((__m256i *)&a[0], _mm256_blendv_epi8(x, y, k)); }",
+            8,
+            8,
+        )
+        .unwrap();
+        let scalar = exec_with(
+            &mut ctx,
+            "void f(int n, int *a, int *b) { for (int i = 0; i < 8; i++) { if (b[i] > 0) { a[i] = b[i]; } } }",
+            8,
+            8,
+        )
+        .unwrap();
+        assert_eq!(out.arrays["a"], scalar.arrays["a"]);
+    }
+
+    #[test]
+    fn if_else_merges_both_branches_from_the_state_before_the_if() {
+        // The else branch reads `a[0]` as it was before the `if`, not the
+        // then branch's guarded write, and the join is one ite per cell.
+        let mut ctx = Context::new();
+        let out = exec_with(
+            &mut ctx,
+            "void f(int n, int *a, int *b) { int s = a[0]; if (b[0] > 0) { a[0] = b[0]; s = 1; } else { a[0] = a[0] + 1; } a[1] = s; }",
+            4,
+            2,
+        )
+        .unwrap();
+        let a0 = ctx.bv_var("a!0", 32);
+        let b0 = ctx.bv_var("b!0", 32);
+        let zero = ctx.bv32(0);
+        let one = ctx.bv32(1);
+        let taken = ctx.bv_slt(zero, b0);
+        let incremented = ctx.bv_add(a0, one);
+        assert_eq!(out.arrays["a"][0], ctx.ite(taken, b0, incremented));
+        assert_eq!(out.arrays["a"][1], ctx.ite(taken, one, a0));
+    }
+
+    #[test]
+    fn a_pointer_that_differs_across_branches_is_rejected() {
+        let mut ctx = Context::new();
+        let err = exec_with(
+            &mut ctx,
+            "void f(int n, int *a, int *b) { int *p = a; if (b[0] > 0) { p = b; } p[0] = 1; }",
+            4,
+            2,
+        )
+        .unwrap_err();
+        assert!(err.reason.contains("across the branches"), "{}", err);
     }
 }

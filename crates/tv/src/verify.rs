@@ -779,10 +779,10 @@ mod tests {
 
     #[test]
     fn tiny_budget_falls_through_to_c_unroll() {
-        // A correct candidate whose terms are *not* structurally identical to
-        // the scalar ones (operands of the add are commuted), so the query
-        // genuinely reaches the SAT solver and the tiny budget gives up.
-        let commuted = "void s000(int n, int *a, int *b) { int i; for (i = 0; i + 8 <= n; i += 8) { __m256i x = _mm256_loadu_si256((__m256i *)&b[i]); _mm256_storeu_si256((__m256i *)&a[i], _mm256_add_epi32(_mm256_set1_epi32(1), x)); } for (; i < n; i++) { a[i] = b[i] + 1; } }";
+        // A correct candidate whose terms no rewrite makes identical to the
+        // scalar ones (it adds 1 by subtracting -1), so the query genuinely
+        // reaches the SAT solver and the tiny budget gives up.
+        let subtracts = "void s000(int n, int *a, int *b) { int i; for (i = 0; i + 8 <= n; i += 8) { __m256i x = _mm256_loadu_si256((__m256i *)&b[i]); _mm256_storeu_si256((__m256i *)&a[i], _mm256_sub_epi32(x, _mm256_set1_epi32(-1))); } for (; i < n; i++) { a[i] = b[i] + 1; } }";
         let config = TvConfig {
             alive2_budget: SolverBudget {
                 max_conflicts: 1,
@@ -791,7 +791,7 @@ mod tests {
             alive2_chunks: 1,
             ..TvConfig::default()
         };
-        let (verdict, stage) = check_equivalence_symbolic(&f(S000), &f(commuted), &config);
+        let (verdict, stage) = check_equivalence_symbolic(&f(S000), &f(subtracts), &config);
         assert_eq!(verdict, TvVerdict::Equivalent);
         assert_eq!(stage, TvStage::CUnroll);
     }
@@ -819,5 +819,31 @@ mod tests {
             assert_eq!(with_memo, plain);
         }
         assert!(memoized.reuse_stats().blast_hits > 0);
+    }
+
+    #[test]
+    fn blendv_with_a_byte_mask_writes_the_low_byte() {
+        // set1(128) sets only the low byte's top bit in each lane, so the
+        // blend takes b's low byte: not a copy of `a`.
+        let copy = "void s(int n, int *a, int *b) { for (int i = 0; i < n; i++) { a[i] = a[i]; } }";
+        let blend = "void s(int n, int *a, int *b) { int i; for (i = 0; i + 8 <= n; i += 8) { __m256i av = _mm256_loadu_si256((__m256i *)&a[i]); __m256i bv = _mm256_loadu_si256((__m256i *)&b[i]); _mm256_storeu_si256((__m256i *)&a[i], _mm256_blendv_epi8(av, bv, _mm256_set1_epi32(128))); } }";
+        let (verdict, stage) = check_equivalence_symbolic(&f(copy), &f(blend), &quick_config());
+        assert!(
+            matches!(verdict, TvVerdict::NotEquivalent { .. }),
+            "{:?} @ {:?}",
+            verdict,
+            stage
+        );
+        assert_eq!(stage, TvStage::Alive2Unroll);
+    }
+
+    #[test]
+    fn blendv_with_a_byte_mask_masks_the_low_byte() {
+        let masked =
+            "void s(int n, int *a, int *b) { for (int i = 0; i < n; i++) { a[i] = b[i] & 255; } }";
+        let blend = "void s(int n, int *a, int *b) { int i; for (i = 0; i + 8 <= n; i += 8) { __m256i bv = _mm256_loadu_si256((__m256i *)&b[i]); _mm256_storeu_si256((__m256i *)&a[i], _mm256_blendv_epi8(_mm256_set1_epi32(0), bv, _mm256_set1_epi32(128))); } }";
+        let (verdict, stage) = check_equivalence_symbolic(&f(masked), &f(blend), &quick_config());
+        assert_eq!(verdict, TvVerdict::Equivalent, "@ {:?}", stage);
+        assert_eq!(stage, TvStage::Alive2Unroll);
     }
 }

@@ -1,8 +1,12 @@
 //! The verification-service acceptance check, run by CI.
 //!
 //! Builds the full TSVC Table 3 workload (one FSM-produced candidate per
-//! kernel, exactly like `shard_sweep.rs`), then checks the `lv-sweep
-//! serve` subsystem's contract end to end over real loopback TCP:
+//! kernel, exactly like `shard_sweep.rs`) plus the bitwise-select
+//! conditional candidates that still reach the SAT search
+//! (`lv_bench::bitwise_select_jobs`, ~0.1–0.6 s each; without them every
+//! job folds in about a millisecond and a shard finishes before its first
+//! 250 ms heartbeat), then checks the `lv-sweep serve` subsystem's contract
+//! end to end over real loopback TCP:
 //!
 //! * a daemon ([`VerificationService`]) serves the whole workload to a
 //!   [`ServiceClient`] **cold** — every streamed verdict bit-identical
@@ -30,6 +34,7 @@ use llm_vectorizer_repro::core::{
 use llm_vectorizer_repro::interp::ChecksumConfig;
 use llm_vectorizer_repro::tsvc::KERNELS;
 use llm_vectorizer_repro::tv::{SolverBudget, TvConfig};
+use lv_bench::bitwise_select_jobs;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -125,7 +130,8 @@ fn main() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("temp dir");
     let config = service_config();
-    let jobs = table3_jobs(&config.pipeline.checksum);
+    let mut jobs = table3_jobs(&config.pipeline.checksum);
+    jobs.extend(bitwise_select_jobs());
     assert!(
         jobs.len() >= 30,
         "expected the full TSVC workload, got {} jobs",

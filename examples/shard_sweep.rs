@@ -1,7 +1,9 @@
 //! The sharded-sweep acceptance check, run by CI.
 //!
 //! Builds the full TSVC Table 3 workload (one FSM-produced candidate per
-//! kernel, exactly like the `table3` driver), then checks the shard
+//! kernel, exactly like the `table3` driver) plus the bitwise-select
+//! conditional candidates that still reach the SAT search
+//! (`lv_bench::bitwise_select_jobs`), then checks the shard
 //! subsystem's contract end to end, self-executing as its own worker
 //! processes:
 //!
@@ -15,11 +17,14 @@
 //!   recovered by the coordinator re-running the missing jobs in-process —
 //!   and the merged outputs are *still* byte-identical to the
 //!   single-process run;
-//! * the single-process run's telemetry, persisted as a `CrossRunProfile`
+//! * a single-process run's telemetry, persisted as a `CrossRunProfile`
 //!   journal, derives a **non-default** per-category stage schedule with no
 //!   pilot slice, and a profile-guided 2-shard sweep under that schedule
 //!   produces verdicts identical to the default-schedule single-process run
-//!   (the concluding *stages* legitimately differ — that is the point);
+//!   (the concluding *stages* legitimately differ — that is the point).
+//!   This part runs on the workload whose conditional kernels are only the
+//!   bitwise-select candidates, since the FSM's conditional candidates fold
+//!   before SAT and leave Alive2 nothing to waste;
 //! * a worker killed between batched flushes (`--flush-every 3`) loses at
 //!   most 2 buffered tail records, and recovery still merges the cache file
 //!   byte-identical to the single-process run;
@@ -40,6 +45,7 @@ use llm_vectorizer_repro::core::{
 use llm_vectorizer_repro::interp::ChecksumConfig;
 use llm_vectorizer_repro::tsvc::KERNELS;
 use llm_vectorizer_repro::tv::{SolverBudget, TvConfig};
+use lv_bench::{bitwise_select_jobs, with_unfoldable_conditionals};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -179,7 +185,8 @@ fn main() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("temp dir");
     let config = sweep_config();
-    let jobs = table3_jobs(&config.pipeline.checksum);
+    let mut jobs = table3_jobs(&config.pipeline.checksum);
+    jobs.extend(bitwise_select_jobs());
     assert!(
         jobs.len() >= 30,
         "expected the full TSVC workload (the FSM finds ~36 plausible candidates \
@@ -271,8 +278,11 @@ fn main() {
     // The single-process run's telemetry becomes the persisted profile; a
     // "second run" then derives its schedule from the journal alone — no
     // pilot slice, no fresh measurements.
+    let profile_jobs = with_unfoldable_conditionals(jobs.clone());
+    let profile_single = llm_vectorizer_repro::core::VerificationEngine::new(config.clone())
+        .run_batch(&profile_jobs);
     let profile_path = dir.join("profile.json");
-    CrossRunProfile::from_batch(&jobs, &single.jobs)
+    CrossRunProfile::from_batch(&profile_jobs, &profile_single.jobs)
         .append_to(&profile_path, FsyncPolicy::OnCompact)
         .expect("profile append");
     let loaded = CrossRunProfile::load(&profile_path).expect("profile reload");
@@ -281,8 +291,8 @@ fn main() {
     println!("derived schedule: {}", derived.spec());
     assert!(
         !derived.is_default(),
-        "under these budgets the conditional kernels exhaust Alive2, so the \
-         warm profile must reorder that category"
+        "under these budgets the bitwise-select conditional candidates exhaust \
+         Alive2, so the warm profile must reorder that category"
     );
     let scheduled_config = config.clone().with_schedule(derived);
     assert_ne!(
@@ -291,7 +301,7 @@ fn main() {
         "the profile-guided schedule is a distinct cache configuration"
     );
     let guided = sharded_with(
-        &jobs,
+        &profile_jobs,
         &scheduled_config,
         dir.join("guided"),
         None,
@@ -305,8 +315,8 @@ fn main() {
     // Verdict byte-identity to the default-schedule single-process run: the
     // concluding stage (and therefore trace telemetry) may legitimately
     // differ — reordering decides *who* answers, never *what*.
-    assert_eq!(single.jobs.len(), guided.report.jobs.len());
-    for (s, g) in single.jobs.iter().zip(&guided.report.jobs) {
+    assert_eq!(profile_single.jobs.len(), guided.report.jobs.len());
+    for (s, g) in profile_single.jobs.iter().zip(&guided.report.jobs) {
         assert_eq!(s.label, g.label, "profile-guided sweep: job order");
         assert_eq!(
             s.verdict, g.verdict,

@@ -14,7 +14,7 @@ use llm_vectorizer_repro::core::{
 use llm_vectorizer_repro::interp::ChecksumConfig;
 use llm_vectorizer_repro::tsvc::KERNELS;
 use llm_vectorizer_repro::tv::{SymbolicStrategy, TvReuse, TvSession};
-use lv_bench::{sweep_tv_config, REPRESENTATIVE_KERNELS};
+use lv_bench::{bitwise_select_jobs, sweep_tv_config, REPRESENTATIVE_KERNELS};
 
 /// A pipeline configuration fast enough for a full-suite sweep in a test,
 /// while still reaching every cascade stage. Starts from the bench sweep
@@ -176,9 +176,10 @@ impl VerificationStrategy for FreshSession {
     }
 }
 
-/// The rule-based candidate plus three synthetic completions for each of the
-/// conditional kernels whose Alive2 attempt runs out of budget before
-/// C-unroll concludes on the same instance.
+/// The rule-based candidate plus three synthetic completions for each of
+/// three conditional kernels, then the [`bitwise_select_jobs`], whose
+/// Alive2 attempts run out of budget before C-unroll concludes on the same
+/// instance.
 fn budget_stopped_jobs() -> Vec<Job> {
     let names = ["vif", "s271", "s2711"];
     let scalars: Vec<Function> = names
@@ -202,6 +203,7 @@ fn budget_stopped_jobs() -> Vec<Job> {
             ));
         }
     }
+    jobs.extend(bitwise_select_jobs());
     jobs
 }
 

@@ -20,10 +20,11 @@ use llm_vectorizer_repro::core::{
 };
 use llm_vectorizer_repro::interp::ChecksumConfig;
 use llm_vectorizer_repro::tv::{SolverBudget, TvConfig};
+use lv_bench::with_unfoldable_conditionals;
 
-/// Reduced budgets (the shard-sweep example's): small enough that the
-/// conditional kernels exhaust Alive2 and fall through — which is exactly
-/// the regime where reordering matters.
+/// Reduced budgets (the shard-sweep example's): small enough that a
+/// conditional candidate the term rewrites cannot fold exhausts Alive2 and
+/// falls through — which is exactly the regime where reordering matters.
 fn pipeline() -> PipelineConfig {
     PipelineConfig {
         checksum: ChecksumConfig {
@@ -211,7 +212,10 @@ fn profile_round_trip_derives_identical_schedule_and_budgets() {
 
 #[test]
 fn warm_profile_derives_a_non_default_schedule_with_identical_verdicts() {
-    let jobs = slice_jobs();
+    // The rule-based `s2711` and `s441` candidates fold to `true` before
+    // SAT; the bitwise-select candidates that replace them exhaust Alive2
+    // under these budgets and conclude at C-unroll.
+    let jobs = with_unfoldable_conditionals(slice_jobs());
     let default_run =
         VerificationEngine::new(EngineConfig::full(pipeline()).with_threads(1)).run_batch(&jobs);
 
