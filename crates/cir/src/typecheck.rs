@@ -65,7 +65,11 @@ pub fn compiles(func: &Function) -> bool {
 
 struct Checker<'a> {
     func: &'a Function,
-    scopes: Vec<HashMap<String, Type>>,
+    /// Every variable in scope, outermost first, as one flat stack of names
+    /// and types borrowed from the AST. A block truncates it back to its
+    /// entry height on exit, and a lookup scans down from the top, so the
+    /// innermost (and, within a block, the latest) declaration wins.
+    vars: Vec<(&'a str, &'a Type)>,
     info: TypeInfo,
 }
 
@@ -73,36 +77,38 @@ impl<'a> Checker<'a> {
     fn new(func: &'a Function) -> Checker<'a> {
         Checker {
             func,
-            scopes: vec![HashMap::new()],
+            vars: Vec::new(),
             info: TypeInfo::default(),
         }
     }
 
-    fn declare(&mut self, name: &str, ty: Type) {
+    fn declare(&mut self, name: &'a str, ty: &'a Type) {
         self.info.vars.insert(name.to_string(), ty.clone());
-        self.scopes
-            .last_mut()
-            .expect("scope stack is never empty")
-            .insert(name.to_string(), ty);
+        self.vars.push((name, ty));
     }
 
-    fn lookup(&self, name: &str) -> Option<&Type> {
-        self.scopes.iter().rev().find_map(|s| s.get(name))
+    fn lookup(&self, name: &str) -> Option<&'a Type> {
+        self.vars
+            .iter()
+            .rev()
+            .find(|(n, _)| *n == name)
+            .map(|&(_, ty)| ty)
     }
 
     fn check_function(&mut self) -> Result<(), TypeError> {
-        for param in &self.func.params {
+        let func = self.func;
+        for param in &func.params {
             if param.ty == Type::Void {
                 return Err(TypeError::new(format!(
                     "parameter `{}` cannot have type void",
                     param.name
                 )));
             }
-            self.declare(&param.name, param.ty.clone());
+            self.declare(&param.name, &param.ty);
         }
-        self.collect_labels(&self.func.body.clone());
-        self.check_block(&self.func.body.clone())?;
-        self.check_gotos(&self.func.body.clone())?;
+        self.collect_labels(&func.body);
+        self.check_block(&func.body)?;
+        self.check_gotos(&func.body)?;
         Ok(())
     }
 
@@ -154,16 +160,16 @@ impl<'a> Checker<'a> {
         Ok(())
     }
 
-    fn check_block(&mut self, block: &Block) -> Result<(), TypeError> {
-        self.scopes.push(HashMap::new());
+    fn check_block(&mut self, block: &'a Block) -> Result<(), TypeError> {
+        let scope = self.vars.len();
         for stmt in &block.stmts {
             self.check_stmt(stmt)?;
         }
-        self.scopes.pop();
+        self.vars.truncate(scope);
         Ok(())
     }
 
-    fn check_stmt(&mut self, stmt: &Stmt) -> Result<(), TypeError> {
+    fn check_stmt(&mut self, stmt: &'a Stmt) -> Result<(), TypeError> {
         match stmt {
             Stmt::Decl { ty, name, init } => {
                 if *ty == Type::Void {
@@ -181,7 +187,7 @@ impl<'a> Checker<'a> {
                         )));
                     }
                 }
-                self.declare(name, ty.clone());
+                self.declare(name, ty);
                 Ok(())
             }
             Stmt::Expr(e) => {
@@ -207,7 +213,7 @@ impl<'a> Checker<'a> {
                 step,
                 body,
             } => {
-                self.scopes.push(HashMap::new());
+                let header = self.vars.len();
                 if let Some(init) = init {
                     self.check_stmt(init)?;
                 }
@@ -219,7 +225,7 @@ impl<'a> Checker<'a> {
                     self.check_expr(step)?;
                 }
                 self.check_block(body)?;
-                self.scopes.pop();
+                self.vars.truncate(header);
                 Ok(())
             }
             Stmt::While { cond, body } => {

@@ -57,8 +57,46 @@ impl fmt::Display for UbKind {
 pub struct UbEvent {
     /// What happened.
     pub kind: UbKind,
+    /// Where it happened: array name and index, operands, etc.
+    pub detail: UbDetail,
+}
+
+/// The context of a [`UbEvent`]; it displays as the event's context text.
+///
+/// A signed overflow does not stop the run and may happen on every loop
+/// iteration, so it keeps its operands and is only formatted when shown:
+/// recording one allocates nothing.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum UbDetail {
     /// Free-form context: array name and index, operands, etc.
-    pub detail: String,
+    Text(String),
+    /// The overflowing operation `lhs op rhs`.
+    Arith {
+        /// The left operand.
+        lhs: i32,
+        /// The operator's C symbol.
+        op: &'static str,
+        /// The right operand.
+        rhs: i32,
+    },
+    /// The overflowing negation of `i32::MIN`, with its operand.
+    Negation(i32),
+}
+
+impl From<String> for UbDetail {
+    fn from(text: String) -> UbDetail {
+        UbDetail::Text(text)
+    }
+}
+
+impl fmt::Display for UbDetail {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            UbDetail::Text(text) => f.write_str(text),
+            UbDetail::Arith { lhs, op, rhs } => write!(f, "{} {} {}", lhs, op, rhs),
+            UbDetail::Negation(v) => write!(f, "negation of {}", v),
+        }
+    }
 }
 
 impl fmt::Display for UbEvent {
@@ -126,9 +164,26 @@ mod tests {
     fn display_formats() {
         let e = ExecError::Ub(UbEvent {
             kind: UbKind::OobRead,
-            detail: "a[100] with region of length 100".into(),
+            detail: "a[100] with region of length 100".to_string().into(),
         });
-        assert!(e.to_string().contains("out-of-bounds read"));
+        assert_eq!(
+            e.to_string(),
+            "undefined behaviour: out-of-bounds read: a[100] with region of length 100"
+        );
+        let overflow = UbEvent {
+            kind: UbKind::SignedOverflow,
+            detail: UbDetail::Arith {
+                lhs: i32::MAX,
+                op: "+",
+                rhs: 1,
+            },
+        };
+        assert_eq!(
+            overflow.to_string(),
+            "signed integer overflow: 2147483647 + 1"
+        );
+        let negation = UbDetail::Negation(i32::MIN);
+        assert_eq!(negation.to_string(), "negation of -2147483648");
         assert!(ExecError::StepLimitExceeded { limit: 10 }
             .to_string()
             .contains("step limit"));

@@ -4,8 +4,19 @@
 //! executes both the scalar kernel and the vectorized candidate on concrete
 //! inputs so that the checksum harness can compare their observable effects
 //! (the final contents of the array arguments).
+//!
+//! # Environment
+//!
+//! Variables live on one flat stack of `(name, value)` slots whose names are
+//! borrowed from the AST, so declaring a variable copies no string. A block
+//! (and a `for` header) records the stack height on entry and truncates back
+//! to it on exit; a lookup scans down from the top, so the innermost
+//! declaration of a name shadows the outer ones, and a redeclaration in the
+//! same block overwrites its slot. The pure-intrinsic argument list is a
+//! second stack reused the same way. After the first trips have grown the
+//! two stacks, running a loop allocates nothing per iteration or per block.
 
-use crate::error::{ExecError, UbEvent, UbKind};
+use crate::error::{ExecError, UbDetail, UbEvent, UbKind};
 use crate::memory::{Memory, Pointer, Value};
 use lv_cir::ast::{AssignOp, BinOp, Block, Expr, Function, Stmt, Type, UnOp};
 use lv_simd::{eval_intrinsic, SimdArg, SimdValue};
@@ -101,31 +112,44 @@ pub fn run_function(
     let mut interp = Interp::new(func, args, config)?;
     let flow = interp.exec_block(&func.body)?;
     if let Flow::Goto(label) = flow {
-        return Err(ExecError::MissingLabel(label));
+        return Err(ExecError::MissingLabel(label.to_string()));
     }
     Ok(interp.finish(func))
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Flow {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Flow<'a> {
     Normal,
     Break,
     Continue,
     Return,
-    Goto(String),
+    Goto(&'a str),
 }
 
 struct Interp<'a> {
     memory: Memory,
-    scopes: Vec<HashMap<String, Value>>,
+    /// Every variable in scope, outermost first (see the module docs); the
+    /// parameters are the bottom slots.
+    vars: Vec<(&'a str, Value)>,
+    /// Evaluated arguments of the pure intrinsic calls being evaluated.
+    simd_args: Vec<SimdArg>,
     steps: u64,
     config: &'a ExecConfig,
 }
 
 impl<'a> Interp<'a> {
-    fn new(func: &Function, args: &ArgBindings, config: &'a ExecConfig) -> Result<Self, ExecError> {
-        let mut memory = Memory::new();
-        let mut globals = HashMap::new();
+    fn new(
+        func: &'a Function,
+        args: &ArgBindings,
+        config: &'a ExecConfig,
+    ) -> Result<Self, ExecError> {
+        let mut interp = Interp {
+            memory: Memory::new(),
+            vars: Vec::new(),
+            simd_args: Vec::new(),
+            steps: 0,
+            config,
+        };
         for param in &func.params {
             match &param.ty {
                 Type::Int => {
@@ -134,7 +158,7 @@ impl<'a> Interp<'a> {
                         .get(&param.name)
                         .copied()
                         .ok_or_else(|| ExecError::MissingArgument(param.name.clone()))?;
-                    globals.insert(param.name.clone(), Value::Int(value));
+                    interp.declare(0, &param.name, Value::Int(value));
                 }
                 Type::Ptr(_) => {
                     let data = args
@@ -142,11 +166,8 @@ impl<'a> Interp<'a> {
                         .get(&param.name)
                         .cloned()
                         .ok_or_else(|| ExecError::MissingArgument(param.name.clone()))?;
-                    let region = memory.alloc_region(&param.name, data);
-                    globals.insert(
-                        param.name.clone(),
-                        Value::Ptr(Pointer { region, offset: 0 }),
-                    );
+                    let region = interp.memory.alloc_region(&param.name, data);
+                    interp.declare(0, &param.name, Value::Ptr(Pointer { region, offset: 0 }));
                 }
                 other => {
                     return Err(ExecError::TypeMismatch(format!(
@@ -156,12 +177,7 @@ impl<'a> Interp<'a> {
                 }
             }
         }
-        Ok(Interp {
-            memory,
-            scopes: vec![globals],
-            steps: 0,
-            config,
-        })
+        Ok(interp)
     }
 
     fn finish(mut self, func: &Function) -> ExecResult {
@@ -173,12 +189,11 @@ impl<'a> Interp<'a> {
                 }
             }
         }
+        // Only the parameters are left on the stack.
         let mut scalars = HashMap::new();
-        if let Some(globals) = self.scopes.first() {
-            for (name, value) in globals {
-                if let Value::Int(v) = value {
-                    scalars.insert(name.clone(), *v);
-                }
+        for &(name, value) in &self.vars {
+            if let Value::Int(v) = value {
+                scalars.insert(name.to_string(), v);
             }
         }
         ExecResult {
@@ -203,44 +218,44 @@ impl<'a> Interp<'a> {
 
     // ---- environment ------------------------------------------------------
 
-    fn declare(&mut self, name: &str, value: Value) {
-        self.scopes
-            .last_mut()
-            .expect("scope stack never empty")
-            .insert(name.to_string(), value);
+    /// Declares `name` in the scope that starts at stack height `scope`:
+    /// a redeclaration in the same scope overwrites its slot.
+    fn declare(&mut self, scope: usize, name: &'a str, value: Value) {
+        match self.vars[scope..].iter_mut().find(|(n, _)| *n == name) {
+            Some(slot) => slot.1 = value,
+            None => self.vars.push((name, value)),
+        }
     }
 
-    fn lookup(&self, name: &str) -> Result<Value, ExecError> {
-        self.scopes
-            .iter()
-            .rev()
-            .find_map(|s| s.get(name).copied())
-            .ok_or_else(|| ExecError::UnboundVariable(name.to_string()))
+    fn slot(&mut self, name: &str) -> Result<&mut Value, ExecError> {
+        match self.vars.iter_mut().rev().find(|(n, _)| *n == name) {
+            Some((_, value)) => Ok(value),
+            None => Err(ExecError::UnboundVariable(name.to_string())),
+        }
+    }
+
+    fn lookup(&mut self, name: &str) -> Result<Value, ExecError> {
+        self.slot(name).copied()
     }
 
     fn assign_var(&mut self, name: &str, value: Value) -> Result<(), ExecError> {
-        for scope in self.scopes.iter_mut().rev() {
-            if let Some(slot) = scope.get_mut(name) {
-                *slot = value;
-                return Ok(());
-            }
-        }
-        Err(ExecError::UnboundVariable(name.to_string()))
+        *self.slot(name)? = value;
+        Ok(())
     }
 
     // ---- statements ---------------------------------------------------------
 
-    fn exec_block(&mut self, block: &Block) -> Result<Flow, ExecError> {
-        self.scopes.push(HashMap::new());
-        let result = self.exec_block_inner(block);
-        self.scopes.pop();
+    fn exec_block(&mut self, block: &'a Block) -> Result<Flow<'a>, ExecError> {
+        let scope = self.vars.len();
+        let result = self.exec_block_inner(block, scope);
+        self.vars.truncate(scope);
         result
     }
 
-    fn exec_block_inner(&mut self, block: &Block) -> Result<Flow, ExecError> {
+    fn exec_block_inner(&mut self, block: &'a Block, scope: usize) -> Result<Flow<'a>, ExecError> {
         let mut idx = 0usize;
         while idx < block.stmts.len() {
-            let flow = self.exec_stmt(&block.stmts[idx])?;
+            let flow = self.exec_stmt(&block.stmts[idx], scope)?;
             match flow {
                 Flow::Normal => idx += 1,
                 Flow::Goto(label) => {
@@ -261,7 +276,8 @@ impl<'a> Interp<'a> {
         Ok(Flow::Normal)
     }
 
-    fn exec_stmt(&mut self, stmt: &Stmt) -> Result<Flow, ExecError> {
+    /// Runs one statement of the scope that starts at stack height `scope`.
+    fn exec_stmt(&mut self, stmt: &'a Stmt, scope: usize) -> Result<Flow<'a>, ExecError> {
         self.tick()?;
         match stmt {
             Stmt::Decl { ty, name, init } => {
@@ -269,7 +285,7 @@ impl<'a> Interp<'a> {
                     Some(init) => self.eval(init)?,
                     None => default_value(ty)?,
                 };
-                self.declare(name, value);
+                self.declare(scope, name, value);
                 Ok(Flow::Normal)
             }
             Stmt::Expr(e) => {
@@ -296,9 +312,10 @@ impl<'a> Interp<'a> {
                 step,
                 body,
             } => {
-                self.scopes.push(HashMap::new());
-                let result = self.exec_for(init.as_deref(), cond.as_ref(), step.as_ref(), body);
-                self.scopes.pop();
+                let header = self.vars.len();
+                let result =
+                    self.exec_for(header, init.as_deref(), cond.as_ref(), step.as_ref(), body);
+                self.vars.truncate(header);
                 result
             }
             Stmt::While { cond, body } => {
@@ -318,21 +335,23 @@ impl<'a> Interp<'a> {
             Stmt::Return(_) => Ok(Flow::Return),
             Stmt::Break => Ok(Flow::Break),
             Stmt::Continue => Ok(Flow::Continue),
-            Stmt::Goto(label) => Ok(Flow::Goto(label.clone())),
+            Stmt::Goto(label) => Ok(Flow::Goto(label)),
             Stmt::Label(_) | Stmt::Empty => Ok(Flow::Normal),
             Stmt::Block(b) => self.exec_block(b),
         }
     }
 
+    /// Runs a `for` loop whose header scope starts at stack height `header`.
     fn exec_for(
         &mut self,
-        init: Option<&Stmt>,
+        header: usize,
+        init: Option<&'a Stmt>,
         cond: Option<&Expr>,
         step: Option<&Expr>,
-        body: &Block,
-    ) -> Result<Flow, ExecError> {
+        body: &'a Block,
+    ) -> Result<Flow<'a>, ExecError> {
         if let Some(init) = init {
-            match self.exec_stmt(init)? {
+            match self.exec_stmt(init, header)? {
                 Flow::Normal => {}
                 other => return Ok(other),
             }
@@ -372,7 +391,7 @@ impl<'a> Interp<'a> {
                 let out = match op {
                     UnOp::Neg => {
                         if v == i32::MIN {
-                            self.memory.record_overflow(format!("negation of {}", v));
+                            self.memory.record_overflow(UbDetail::Negation(v));
                         }
                         v.wrapping_neg()
                     }
@@ -477,7 +496,7 @@ impl<'a> Interp<'a> {
                 if r == 0 {
                     let event = UbEvent {
                         kind: UbKind::DivByZero,
-                        detail: format!("{} / {}", l, r),
+                        detail: UbDetail::Text(format!("{} / {}", l, r)),
                     };
                     self.memory.ub_events.push(event.clone());
                     return Err(ExecError::Ub(event));
@@ -485,7 +504,7 @@ impl<'a> Interp<'a> {
                 if l == i32::MIN && r == -1 {
                     let event = UbEvent {
                         kind: UbKind::DivOverflow,
-                        detail: format!("{} / {}", l, r),
+                        detail: UbDetail::Text(format!("{} / {}", l, r)),
                     };
                     self.memory.ub_events.push(event.clone());
                     return Err(ExecError::Ub(event));
@@ -509,7 +528,7 @@ impl<'a> Interp<'a> {
                 if !(0..32).contains(&r) {
                     let event = UbEvent {
                         kind: UbKind::ShiftOutOfRange,
-                        detail: format!("shift by {}", r),
+                        detail: UbDetail::Text(format!("shift by {}", r)),
                     };
                     self.memory.ub_events.push(event.clone());
                     return Err(ExecError::Ub(event));
@@ -531,13 +550,13 @@ impl<'a> Interp<'a> {
         r: i32,
         checked: impl Fn(i32, i32) -> Option<i32>,
         wrapping: impl Fn(i32, i32) -> i32,
-        symbol: &str,
+        op: &'static str,
     ) -> i32 {
         match checked(l, r) {
             Some(v) => v,
             None => {
                 self.memory
-                    .record_overflow(format!("{} {} {}", l, symbol, r));
+                    .record_overflow(UbDetail::Arith { lhs: l, op, rhs: r });
                 wrapping(l, r)
             }
         }
@@ -601,10 +620,12 @@ impl<'a> Interp<'a> {
                 Ok(Value::Int(0))
             }
             _ => {
-                let mut simd_args = Vec::with_capacity(args.len());
+                // Nested calls push their arguments above this call's and
+                // pop them before this call reads its own.
+                let base = self.simd_args.len();
                 for arg in args {
                     let v = self.eval(arg)?;
-                    simd_args.push(match v {
+                    self.simd_args.push(match v {
                         Value::Int(i) => SimdArg::Scalar(i),
                         Value::Vec(v) => SimdArg::Vector(v),
                         Value::Ptr(_) => {
@@ -615,7 +636,9 @@ impl<'a> Interp<'a> {
                         }
                     });
                 }
-                match eval_intrinsic(callee, &simd_args) {
+                let result = eval_intrinsic(callee, &self.simd_args[base..]);
+                self.simd_args.truncate(base);
+                match result {
                     Ok(SimdValue::Scalar(v)) => Ok(Value::Int(v)),
                     Ok(SimdValue::Vector(v)) => Ok(Value::Vec(v)),
                     Err(_) => Err(ExecError::UnknownCall(callee.to_string())),
@@ -810,6 +833,29 @@ mod tests {
         .unwrap();
         assert_eq!(result.arrays["a"], vec![1]);
         assert_eq!(result.scalars["n"], 9);
+    }
+
+    #[test]
+    fn inner_declarations_shadow_and_go_out_of_scope() {
+        // `x` is shadowed in the block, the loop header's `i` and the body's
+        // `t` end with their scopes, and `y` is redeclared in one block.
+        let result = run(
+            "void f(int n, int *a) { int x = 1; { int x = 2; a[0] = x; } a[1] = x; for (int i = 0; i < n; i++) { int t = i * 10; a[2] += t; } int i = 7; a[3] = i; int y = 3; int y = 4; a[4] = y; }",
+            ArgBindings::new().scalar("n", 3).array("a", vec![0; 5]),
+        )
+        .unwrap();
+        assert_eq!(result.arrays["a"], vec![2, 1, 30, 7, 4]);
+        assert_eq!(result.scalars, HashMap::from([("n".to_string(), 3)]));
+    }
+
+    #[test]
+    fn nested_intrinsic_calls_keep_their_own_arguments() {
+        let result = run(
+            "void f(int n, int *a) { __m256i v = _mm256_add_epi32(_mm256_set1_epi32(n), _mm256_sub_epi32(_mm256_setr_epi32(1, 2, 3, 4, 5, 6, 7, 8), _mm256_set1_epi32(1))); _mm256_storeu_si256((__m256i *)&a[0], v); }",
+            ArgBindings::new().scalar("n", 10).array("a", vec![0; 8]),
+        )
+        .unwrap();
+        assert_eq!(result.arrays["a"], (10..18).collect::<Vec<_>>());
     }
 
     #[test]

@@ -40,6 +40,6 @@ pub use checksum::{
     array_param_names_mismatch, checksum_test, ChecksumClass, ChecksumConfig, ChecksumFilter,
     ChecksumOutcome, ChecksumReport, Mismatch,
 };
-pub use error::{ExecError, UbEvent, UbKind};
+pub use error::{ExecError, UbDetail, UbEvent, UbKind};
 pub use exec::{run_function, ArgBindings, ExecConfig, ExecReport, ExecResult};
 pub use memory::{Memory, Pointer, RegionId, Value};

@@ -6,7 +6,7 @@
 //! is a `(region, element offset)` pair; pointer arithmetic moves the offset
 //! and can never jump between regions.
 
-use crate::error::{ExecError, UbEvent, UbKind};
+use crate::error::{ExecError, UbDetail, UbEvent, UbKind};
 use lv_simd::{I32x8, LANES};
 use std::collections::HashMap;
 use std::fmt;
@@ -162,13 +162,13 @@ impl Memory {
             };
             let event = UbEvent {
                 kind,
-                detail: format!(
+                detail: UbDetail::Text(format!(
                     "{}[{}..{}] with region of length {}",
                     self.region_name(ptr.region),
                     start,
                     end,
                     region_len
-                ),
+                )),
             };
             self.ub_events.push(event.clone());
             return Err(ExecError::Ub(event));
@@ -257,7 +257,7 @@ impl Memory {
     }
 
     /// Records a non-fatal UB event (signed overflow).
-    pub fn record_overflow(&mut self, detail: String) {
+    pub fn record_overflow(&mut self, detail: UbDetail) {
         self.ub_events.push(UbEvent {
             kind: UbKind::SignedOverflow,
             detail,

@@ -39,6 +39,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// The sort of a term.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -166,11 +167,17 @@ pub struct TermData {
 
 /// The term arena and interner.
 ///
-/// The interner is a bucketed hash table keyed by a stable FNV-1a hash of
-/// the `(op, args)` pair; candidates in a bucket are verified by structural
-/// comparison against the arena. Because the lookup never builds an owned
-/// key, *interning an already-known term allocates nothing* — the hot path
-/// of symbolic execution, which rebuilds mostly-shared terms per iteration.
+/// The interner is keyed by a stable FNV-1a hash of the `(op, args)` pair.
+/// Its table maps each hash to the newest term with that hash, and every
+/// term links to the previous term with the same hash, so the terms sharing
+/// a hash form a chain through the arena; candidates on the chain are
+/// verified by structural comparison. The table's hasher passes the FNV
+/// key through instead of hashing it a second time. Because the lookup
+/// never builds an owned key, *interning an already-known term allocates
+/// nothing* — the hot path of symbolic execution, which rebuilds
+/// mostly-shared terms per iteration. A new term allocates only its `args`
+/// (and a variable its name); [`Context::clear`] keeps the table's and the
+/// links' storage.
 ///
 /// The rewrites keep that guarantee: their scratch space (the leaves of a
 /// `bv_add` chain, the substitution memo) lives in buffers on the context
@@ -178,7 +185,10 @@ pub struct TermData {
 #[derive(Debug, Default)]
 pub struct Context {
     terms: Vec<TermData>,
-    table: HashMap<u64, Vec<TermId>>,
+    /// Hash of `(op, args)` → the newest term with that hash.
+    table: HashMap<u64, TermId, BuildHasherDefault<PassThrough>>,
+    /// Per term: the previous term with the same hash, or [`NO_TERM`].
+    same_hash: Vec<u32>,
     /// Leaves of the `bv_add` chain being flattened.
     add_leaves: Vec<TermId>,
     /// Work stack of the flattening walk.
@@ -188,6 +198,28 @@ pub struct Context {
     /// Set while a substitution rebuilds a term, so the `ite`s it builds
     /// start no substitution of their own.
     substituting: bool,
+}
+
+/// The end of a [`Context::same_hash`] chain.
+const NO_TERM: u32 = u32::MAX;
+
+/// The interner table's hasher: its keys are FNV-1a hashes already, so it
+/// hands them through.
+#[derive(Debug, Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the interner table hashes only u64 keys")
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key;
+    }
 }
 
 /// The most leaves a flattened `bv_add` chain may have.
@@ -420,6 +452,7 @@ impl Context {
     pub fn clear(&mut self) {
         self.terms.clear();
         self.table.clear();
+        self.same_hash.clear();
     }
 
     /// Returns `true` if no terms have been created.
@@ -445,21 +478,36 @@ impl Context {
             "variables are interned through intern_var"
         );
         let hash = hash_key(&op, args);
-        if let Some(bucket) = self.table.get(&hash) {
-            for &id in bucket {
-                let term = &self.terms[id.0 as usize];
-                if term.op == op && term.args == args {
-                    return id;
-                }
+        let mut link = self.chain_head(hash);
+        while link != NO_TERM {
+            let term = &self.terms[link as usize];
+            if term.op == op && term.args == args {
+                return TermId(link);
             }
+            link = self.same_hash[link as usize];
         }
+        self.push_term(
+            hash,
+            TermData {
+                op,
+                args: args.to_vec(),
+                sort,
+            },
+        )
+    }
+
+    /// The newest term whose key hashes to `hash`, or [`NO_TERM`].
+    fn chain_head(&self, hash: u64) -> u32 {
+        self.table.get(&hash).map_or(NO_TERM, |id| id.0)
+    }
+
+    /// Appends a term that is not interned yet and links it into its
+    /// hash's chain.
+    fn push_term(&mut self, hash: u64, data: TermData) -> TermId {
         let id = TermId(self.terms.len() as u32);
-        self.terms.push(TermData {
-            op,
-            args: args.to_vec(),
-            sort,
-        });
-        self.table.entry(hash).or_default().push(id);
+        self.terms.push(data);
+        let previous = self.table.insert(hash, id);
+        self.same_hash.push(previous.map_or(NO_TERM, |p| p.0));
         id
     }
 
@@ -467,26 +515,26 @@ impl Context {
     /// the heap when the variable does not exist yet.
     fn intern_var(&mut self, name: &str, sort: Sort) -> TermId {
         let hash = hash_var_key(name, sort);
-        if let Some(bucket) = self.table.get(&hash) {
-            for &id in bucket {
-                if let Op::Var { name: n, sort: s } = &self.terms[id.0 as usize].op {
-                    if *s == sort && n == name {
-                        return id;
-                    }
+        let mut link = self.chain_head(hash);
+        while link != NO_TERM {
+            if let Op::Var { name: n, sort: s } = &self.terms[link as usize].op {
+                if *s == sort && n == name {
+                    return TermId(link);
                 }
             }
+            link = self.same_hash[link as usize];
         }
-        let id = TermId(self.terms.len() as u32);
-        self.terms.push(TermData {
-            op: Op::Var {
-                name: name.to_string(),
+        self.push_term(
+            hash,
+            TermData {
+                op: Op::Var {
+                    name: name.to_string(),
+                    sort,
+                },
+                args: Vec::new(),
                 sort,
             },
-            args: Vec::new(),
-            sort,
-        });
-        self.table.entry(hash).or_default().push(id);
-        id
+        )
     }
 
     /// Returns the constant value if the term is a bitvector constant.
@@ -1089,23 +1137,11 @@ impl Context {
         )
     }
 
-    /// Signed division with C truncation semantics.
+    /// Signed division with C truncation semantics. Division by zero is
+    /// SMT-LIB's `bvsdiv`, as the bit-blaster builds it: all ones for a
+    /// non-negative dividend and 1 for a negative one.
     pub fn bv_sdiv(&mut self, a: TermId, b: TermId) -> TermId {
-        self.bv_binop(
-            Op::BvSdiv,
-            a,
-            b,
-            |x, y, w| {
-                let sx = sign_extend(x, w);
-                let sy = sign_extend(y, w);
-                if sy == 0 {
-                    mask(u64::MAX, w)
-                } else {
-                    mask(sx.wrapping_div(sy) as u64, w)
-                }
-            },
-            Context::bv_sdiv,
-        )
+        self.bv_binop(Op::BvSdiv, a, b, sdiv_value, Context::bv_sdiv)
     }
 
     /// Signed remainder with C truncation semantics.
@@ -1251,10 +1287,7 @@ impl Context {
                     0 => arg(0),
                     d => arg(0) % d,
                 },
-                Op::BvSdiv => match sign_extend(arg(1), w) {
-                    0 => mask(u64::MAX, w),
-                    d => mask(sign_extend(arg(0), w).wrapping_div(d) as u64, w),
-                },
+                Op::BvSdiv => sdiv_value(arg(0), arg(1), w),
                 Op::BvSrem => match sign_extend(arg(1), w) {
                     0 => arg(0),
                     d => mask(sign_extend(arg(0), w).wrapping_rem(d) as u64, w),
@@ -1315,6 +1348,19 @@ pub fn sign_extend(value: u64, width: u32) -> i64 {
         (value | !((1u64 << width) - 1)) as i64
     } else {
         value as i64
+    }
+}
+
+/// Signed division of two `w`-bit values, truncating toward zero. Division
+/// by zero follows SMT-LIB's `bvsdiv`, as the bit-blaster does: all ones
+/// (-1) for a non-negative dividend and 1 for a negative one, the unsigned
+/// quotient of the magnitudes negated when the signs differ.
+fn sdiv_value(x: u64, y: u64, w: u32) -> u64 {
+    let sx = sign_extend(x, w);
+    match sign_extend(y, w) {
+        0 if sx < 0 => 1,
+        0 => mask(u64::MAX, w),
+        sy => mask(sx.wrapping_div(sy) as u64, w),
     }
 }
 

@@ -21,13 +21,19 @@
 //! branches in sequence, each under its branch's path condition. Loops are
 //! unrolled on the fly as long as their condition folds to a constant,
 //! which it does because induction variables and bounds are concrete.
+//!
+//! Names are resolved once. An array is an index into the executor's array
+//! table (its parameter position), so a pointer value and a written cell
+//! carry no name; variables and pending `goto` labels are flat lists keyed
+//! by names borrowed from the AST; and the names of the input cells are
+//! written into one reused buffer before they are interned.
 
 use lv_cir::ast::{AssignOp, BinOp, Block, Expr, Function, Stmt, Type, UnOp};
 use lv_simd::LANES;
 use lv_smt::{Context, TermId};
 use std::collections::HashMap;
 use std::error::Error;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Why symbolic execution could not produce a verification condition.
 ///
@@ -117,74 +123,125 @@ pub fn sym_exec(
     Ok(exec.finish())
 }
 
-/// A symbolic value: a 32-bit term, an 8-lane vector of terms, or a pointer.
-#[derive(Debug, Clone, PartialEq)]
+/// A symbolic value: a 32-bit term, an 8-lane vector of terms, or a pointer
+/// into the array with index `array` in [`SymExec::arrays`].
+#[derive(Clone, Copy, PartialEq)]
 enum SymValue {
     Scalar(TermId),
     Vector([TermId; LANES]),
-    Ptr { array: String, offset: i64 },
+    Ptr { array: usize, offset: i64 },
 }
 
 /// A location an `if` branch can write: a variable, or one array cell.
-#[derive(Debug, Clone, PartialEq)]
-enum Loc {
-    Var(String),
-    Cell(String, usize),
+#[derive(Clone, Copy, PartialEq)]
+enum Loc<'f> {
+    Var(&'f str),
+    Cell(usize, usize),
 }
 
-struct SymExec<'a> {
+/// A location or value shown with each array index replaced by the array's
+/// name, the way error texts render them.
+struct Named<'n, T>(&'n [&'n str], T);
+
+impl fmt::Debug for Named<'_, Loc<'_>> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.1 {
+            Loc::Var(name) => f.debug_tuple("Var").field(&name).finish(),
+            Loc::Cell(array, index) => f
+                .debug_tuple("Cell")
+                .field(&self.0[array])
+                .field(&index)
+                .finish(),
+        }
+    }
+}
+
+impl fmt::Debug for Named<'_, SymValue> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.1 {
+            SymValue::Scalar(term) => f.debug_tuple("Scalar").field(&term).finish(),
+            SymValue::Vector(lanes) => f.debug_tuple("Vector").field(&lanes).finish(),
+            SymValue::Ptr { array, offset } => f
+                .debug_struct("Ptr")
+                .field("array", &self.0[array])
+                .field("offset", &offset)
+                .finish(),
+        }
+    }
+}
+
+impl fmt::Debug for Named<'_, Option<SymValue>> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.1 {
+            None => f.write_str("None"),
+            Some(value) => f.debug_tuple("Some").field(&Named(self.0, value)).finish(),
+        }
+    }
+}
+
+struct SymExec<'a, 'f> {
     ctx: &'a mut Context,
     config: &'a SymExecConfig,
-    scalars: HashMap<String, SymValue>,
-    arrays: HashMap<String, Vec<TermId>>,
-    array_order: Vec<String>,
+    /// Every variable (parameters included) with its current value.
+    vars: Vec<(&'f str, SymValue)>,
+    /// The cells of every array parameter, by parameter position among the
+    /// arrays.
+    arrays: Vec<Vec<TermId>>,
+    /// The name of each array in [`SymExec::arrays`].
+    array_names: Vec<&'f str>,
     /// Path suppression due to taken forward gotos / returns.
     suppress: TermId,
     /// Pending goto guards per label.
-    pending: HashMap<String, TermId>,
+    pending: Vec<(&'f str, TermId)>,
     ub: TermId,
     iterations: usize,
     /// The value each location had before its write, in write order, for
     /// every write inside an open `if` branch. `None` is a variable that
     /// did not exist yet.
-    undo: Vec<(Loc, Option<SymValue>)>,
+    undo: Vec<(Loc<'f>, Option<SymValue>)>,
     /// How many `if` branches are open.
     branch_depth: usize,
+    /// The name of the input variable being interned.
+    name_buf: String,
 }
 
-impl<'a> SymExec<'a> {
+impl<'a, 'f> SymExec<'a, 'f> {
     fn new(
         ctx: &'a mut Context,
-        func: &Function,
+        func: &'f Function,
         config: &'a SymExecConfig,
     ) -> Result<Self, SymExecError> {
-        let mut scalars = HashMap::new();
-        let mut arrays = HashMap::new();
-        let mut array_order = Vec::new();
+        let mut vars: Vec<(&'f str, SymValue)> = Vec::new();
+        let mut arrays = Vec::new();
+        let mut array_names = Vec::new();
+        let mut name_buf = String::new();
         for param in &func.params {
-            match &param.ty {
+            let value = match &param.ty {
                 Type::Int => {
                     let term = match config.scalar_bindings.get(&param.name) {
                         Some(&v) => ctx.bv32(v),
-                        None => ctx.bv_var(format!("{}{}", config.input_prefix, param.name), 32),
+                        None => {
+                            name_buf.clear();
+                            name_buf.push_str(&config.input_prefix);
+                            name_buf.push_str(&param.name);
+                            ctx.bv_var(&name_buf, 32)
+                        }
                     };
-                    scalars.insert(param.name.clone(), SymValue::Scalar(term));
+                    SymValue::Scalar(term)
                 }
                 Type::Ptr(_) => {
-                    let cells: Vec<TermId> = (0..config.array_len)
-                        .map(|i| {
-                            ctx.bv_var(format!("{}{}!{}", config.input_prefix, param.name, i), 32)
-                        })
-                        .collect();
-                    arrays.insert(param.name.clone(), cells);
-                    array_order.push(param.name.clone());
-                    scalars.insert(
-                        param.name.clone(),
-                        SymValue::Ptr {
-                            array: param.name.clone(),
-                            offset: 0,
-                        },
-                    );
+                    let mut cells = Vec::with_capacity(config.array_len);
+                    for i in 0..config.array_len {
+                        name_buf.clear();
+                        let _ = write!(name_buf, "{}{}!{}", config.input_prefix, param.name, i);
+                        cells.push(ctx.bv_var(&name_buf, 32));
+                    }
+                    arrays.push(cells);
+                    array_names.push(param.name.as_str());
+                    SymValue::Ptr {
+                        array: arrays.len() - 1,
+                        offset: 0,
+                    }
                 }
                 other => {
                     return Err(SymExecError::new(format!(
@@ -192,36 +249,60 @@ impl<'a> SymExec<'a> {
                         other, param.name
                     )))
                 }
+            };
+            // A repeated parameter name rebinds the name.
+            match vars.iter_mut().find(|(name, _)| *name == param.name) {
+                Some(slot) => slot.1 = value,
+                None => vars.push((&param.name, value)),
             }
         }
         let false_t = ctx.bool_const(false);
         Ok(SymExec {
             ctx,
             config,
-            scalars,
+            vars,
             arrays,
-            array_order,
+            array_names,
             suppress: false_t,
-            pending: HashMap::new(),
+            pending: Vec::new(),
             ub: false_t,
             iterations: 0,
             undo: Vec::new(),
             branch_depth: 0,
+            name_buf,
         })
     }
 
-    fn run(&mut self, func: &Function) -> Result<(), SymExecError> {
+    fn run(&mut self, func: &'f Function) -> Result<(), SymExecError> {
         let guard = self.ctx.bool_const(true);
         self.exec_block(&func.body, guard)
     }
 
+    /// Later arrays of the same name replace earlier ones, as a parameter
+    /// does.
     fn finish(self) -> SymOutcome {
+        let array_order: Vec<String> = self.array_names.iter().map(|n| n.to_string()).collect();
         SymOutcome {
-            arrays: self.arrays,
-            array_order: self.array_order,
+            arrays: array_order.iter().cloned().zip(self.arrays).collect(),
+            array_order,
             ub: self.ub,
             unrolled_iterations: self.iterations,
         }
+    }
+
+    /// The current value of a variable.
+    fn var(&self, name: &str) -> Option<SymValue> {
+        self.vars
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map(|&(_, value)| value)
+    }
+
+    /// An out-of-window cell of `array`: a fresh unconstrained symbol.
+    fn oob_cell(&mut self, array: usize, index: i64) -> TermId {
+        self.name_buf.clear();
+        let _ = write!(self.name_buf, "oob!{}!{}", self.array_names[array], index);
+        self.ctx.bv_var(&self.name_buf, 32)
     }
 
     fn active(&mut self, guard: TermId) -> TermId {
@@ -235,62 +316,64 @@ impl<'a> SymExec<'a> {
 
     // ---- locations and the `if` merge ---------------------------------------
 
-    fn get(&self, loc: &Loc) -> Option<SymValue> {
+    fn get(&self, loc: Loc) -> Option<SymValue> {
         match loc {
-            Loc::Var(name) => self.scalars.get(name).cloned(),
-            Loc::Cell(array, index) => Some(SymValue::Scalar(self.arrays[array][*index])),
+            Loc::Var(name) => self.var(name),
+            Loc::Cell(array, index) => Some(SymValue::Scalar(self.arrays[array][index])),
         }
     }
 
     /// Stores `value` at `loc`, recording the old value while a branch is
     /// open.
-    fn put(&mut self, loc: &Loc, value: Option<SymValue>) {
+    fn put(&mut self, loc: Loc<'f>, value: Option<SymValue>) {
         match (loc, value) {
             (Loc::Var(name), value) => self.set_var(name, value),
             (Loc::Cell(array, index), Some(SymValue::Scalar(term))) => {
-                self.set_cell(array, *index, term)
+                self.set_cell(array, index, term)
             }
             (Loc::Cell(..), _) => unreachable!("array cells hold scalar terms"),
         }
     }
 
-    /// [`SymExec::put`] for a variable (`None` removes it), naming the
-    /// location only when a branch is open.
-    fn set_var(&mut self, name: &str, value: Option<SymValue>) {
-        let old = match (self.scalars.get_mut(name), value) {
-            (Some(slot), Some(value)) => Some(std::mem::replace(slot, value)),
-            (None, Some(value)) => self.scalars.insert(name.to_string(), value),
-            (_, None) => self.scalars.remove(name),
+    /// [`SymExec::put`] for a variable (`None` removes it).
+    fn set_var(&mut self, name: &'f str, value: Option<SymValue>) {
+        let slot = self.vars.iter().position(|(n, _)| *n == name);
+        let old = match (slot, value) {
+            (Some(i), Some(value)) => Some(std::mem::replace(&mut self.vars[i].1, value)),
+            (None, Some(value)) => {
+                self.vars.push((name, value));
+                None
+            }
+            (Some(i), None) => Some(self.vars.swap_remove(i).1),
+            (None, None) => None,
         };
         if self.branch_depth > 0 {
-            self.undo.push((Loc::Var(name.to_string()), old));
+            self.undo.push((Loc::Var(name), old));
         }
     }
 
-    /// [`SymExec::put`] for an array cell, naming the location only when a
-    /// branch is open.
-    fn set_cell(&mut self, array: &str, index: usize, term: TermId) {
-        let cell = &mut self.arrays.get_mut(array).expect("array exists")[index];
-        let old = std::mem::replace(cell, term);
+    /// [`SymExec::put`] for an array cell.
+    fn set_cell(&mut self, array: usize, index: usize, term: TermId) {
+        let old = std::mem::replace(&mut self.arrays[array][index], term);
         if self.branch_depth > 0 {
-            let loc = Loc::Cell(array.to_string(), index);
+            let loc = Loc::Cell(array, index);
             self.undo.push((loc, Some(SymValue::Scalar(old))));
         }
     }
 
     /// Rewinds every write since `mark` and returns each written location
     /// once, with the value it had before the rewind.
-    fn rewind(&mut self, mark: usize) -> Vec<(Loc, Option<SymValue>)> {
+    fn rewind(&mut self, mark: usize) -> Vec<(Loc<'f>, Option<SymValue>)> {
         let mut written: Vec<(Loc, Option<SymValue>)> = Vec::new();
-        for (loc, _) in &self.undo[mark..] {
-            if !written.iter().any(|(seen, _)| seen == loc) {
-                written.push((loc.clone(), self.get(loc)));
+        for &(loc, _) in &self.undo[mark..] {
+            if !written.iter().any(|&(seen, _)| seen == loc) {
+                written.push((loc, self.get(loc)));
             }
         }
         let depth = std::mem::replace(&mut self.branch_depth, 0);
         while self.undo.len() > mark {
             let (loc, old) = self.undo.pop().expect("undo entry above the mark");
-            self.put(&loc, old);
+            self.put(loc, old);
         }
         self.branch_depth = depth;
         written
@@ -301,7 +384,7 @@ impl<'a> SymExec<'a> {
     /// that one branch declared goes out of scope (`None`).
     fn merge(
         &mut self,
-        loc: &Loc,
+        loc: Loc,
         taken: TermId,
         then_v: Option<SymValue>,
         else_v: Option<SymValue>,
@@ -320,6 +403,8 @@ impl<'a> SymExec<'a> {
             }
             (Some(t @ SymValue::Ptr { .. }), Some(e)) if t == e => Some(t),
             (Some(t), Some(e)) => {
+                let names = &self.array_names[..];
+                let (loc, t, e) = (Named(names, loc), Named(names, t), Named(names, e));
                 let reason = format!("{loc:?} differs across the branches of an `if`");
                 return Err(SymExecError::new(format!("{reason}: {t:?} vs {e:?}")));
             }
@@ -331,8 +416,8 @@ impl<'a> SymExec<'a> {
     fn exec_if(
         &mut self,
         taken: TermId,
-        then_branch: &Block,
-        else_branch: Option<&Block>,
+        then_branch: &'f Block,
+        else_branch: Option<&'f Block>,
         guard: TermId,
     ) -> Result<(), SymExecError> {
         let not_taken = self.ctx.not(taken);
@@ -347,21 +432,21 @@ impl<'a> SymExec<'a> {
         }
         let else_written = self.rewind(mark);
         self.branch_depth -= 1;
-        let value_in = |written: &[(Loc, Option<SymValue>)], loc: &Loc| {
+        let value_in = |written: &[(Loc, Option<SymValue>)], loc: Loc| {
             written
                 .iter()
-                .find(|(seen, _)| seen == loc)
-                .map(|(_, value)| value.clone())
+                .find(|&&(seen, _)| seen == loc)
+                .map(|&(_, value)| value)
         };
-        let mut locs: Vec<&Loc> = then_written.iter().map(|(loc, _)| loc).collect();
-        for (loc, _) in &else_written {
+        let mut locs: Vec<Loc> = then_written.iter().map(|&(loc, _)| loc).collect();
+        for &(loc, _) in &else_written {
             if !locs.contains(&loc) {
                 locs.push(loc);
             }
         }
         for loc in locs {
             let before = self.get(loc);
-            let then_v = value_in(&then_written, loc).unwrap_or_else(|| before.clone());
+            let then_v = value_in(&then_written, loc).unwrap_or(before);
             let else_v = value_in(&else_written, loc).unwrap_or(before);
             let merged = self.merge(loc, taken, then_v, else_v)?;
             self.put(loc, merged);
@@ -371,7 +456,7 @@ impl<'a> SymExec<'a> {
 
     // ---- statements -----------------------------------------------------------
 
-    fn exec_block(&mut self, block: &Block, guard: TermId) -> Result<(), SymExecError> {
+    fn exec_block(&mut self, block: &'f Block, guard: TermId) -> Result<(), SymExecError> {
         for (idx, stmt) in block.stmts.iter().enumerate() {
             if let Stmt::Goto(label) = stmt {
                 // Backward gotos (label earlier in this block) cannot be
@@ -391,7 +476,7 @@ impl<'a> SymExec<'a> {
         Ok(())
     }
 
-    fn exec_stmt(&mut self, stmt: &Stmt, guard: TermId) -> Result<(), SymExecError> {
+    fn exec_stmt(&mut self, stmt: &'f Stmt, guard: TermId) -> Result<(), SymExecError> {
         match stmt {
             Stmt::Decl { ty, name, init } => {
                 let value = match (init, ty) {
@@ -501,18 +586,22 @@ impl<'a> SymExec<'a> {
             }
             Stmt::Goto(label) => {
                 let active = self.active(guard);
-                let entry = self
-                    .pending
-                    .get(label)
-                    .copied()
-                    .unwrap_or_else(|| self.ctx.bool_const(false));
+                let slot = self.pending.iter().position(|(l, _)| l == label);
+                let entry = match slot {
+                    Some(i) => self.pending[i].1,
+                    None => self.ctx.bool_const(false),
+                };
                 let merged = self.ctx.or(entry, active);
-                self.pending.insert(label.clone(), merged);
+                match slot {
+                    Some(i) => self.pending[i].1 = merged,
+                    None => self.pending.push((label, merged)),
+                }
                 self.suppress = self.ctx.or(self.suppress, active);
                 Ok(())
             }
             Stmt::Label(label) => {
-                if let Some(arrivals) = self.pending.remove(label) {
+                if let Some(i) = self.pending.iter().position(|(l, _)| l == label) {
+                    let (_, arrivals) = self.pending.swap_remove(i);
                     let not_arrivals = self.ctx.not(arrivals);
                     self.suppress = self.ctx.and(self.suppress, not_arrivals);
                 }
@@ -529,7 +618,7 @@ impl<'a> SymExec<'a> {
 
     // ---- expressions -------------------------------------------------------------
 
-    fn eval_scalar(&mut self, expr: &Expr, guard: TermId) -> Result<TermId, SymExecError> {
+    fn eval_scalar(&mut self, expr: &'f Expr, guard: TermId) -> Result<TermId, SymExecError> {
         match self.eval(expr, guard)? {
             // Guard the sort at the user-input boundary: every scalar the
             // executor hands to a bitvector constructor must be a bitvector.
@@ -545,14 +634,19 @@ impl<'a> SymExec<'a> {
         }
     }
 
-    fn eval_vector(&mut self, expr: &Expr, guard: TermId) -> Result<[TermId; LANES], SymExecError> {
+    fn eval_vector(
+        &mut self,
+        expr: &'f Expr,
+        guard: TermId,
+    ) -> Result<[TermId; LANES], SymExecError> {
         match self.eval(expr, guard)? {
             SymValue::Vector(v) => Ok(v),
             _ => Err(SymExecError::new("expected a __m256i value")),
         }
     }
 
-    fn eval_ptr(&mut self, expr: &Expr, guard: TermId) -> Result<(String, i64), SymExecError> {
+    /// A pointer as `(array index, offset)`.
+    fn eval_ptr(&mut self, expr: &'f Expr, guard: TermId) -> Result<(usize, i64), SymExecError> {
         match self.eval(expr, guard)? {
             SymValue::Ptr { array, offset } => Ok((array, offset)),
             _ => Err(SymExecError::new("expected a pointer value")),
@@ -568,7 +662,7 @@ impl<'a> SymExec<'a> {
         }
     }
 
-    fn check_bounds(&mut self, array: &str, index: i64, lanes: i64, guard: TermId) -> bool {
+    fn check_bounds(&mut self, array: usize, index: i64, lanes: i64, guard: TermId) -> bool {
         let len = self.arrays[array].len() as i64;
         if index < 0 || index + lanes > len {
             self.record_ub(guard);
@@ -579,7 +673,7 @@ impl<'a> SymExec<'a> {
 
     fn read_cell(
         &mut self,
-        array: &str,
+        array: usize,
         index: i64,
         guard: TermId,
     ) -> Result<TermId, SymExecError> {
@@ -587,7 +681,7 @@ impl<'a> SymExec<'a> {
         if !self.check_bounds(array, index, 1, active) {
             // Out of the modelled window: the value is an unconstrained fresh
             // symbol (the UB flag already records the violation).
-            return Ok(self.ctx.bv_var(format!("oob!{}!{}", array, index), 32));
+            return Ok(self.oob_cell(array, index));
         }
         Ok(self.arrays[array][index as usize])
     }
@@ -598,7 +692,7 @@ impl<'a> SymExec<'a> {
     /// merge at the end of each `if` selects among the branches' stores.
     fn write_cell(
         &mut self,
-        array: &str,
+        array: usize,
         index: i64,
         value: TermId,
         guard: TermId,
@@ -618,9 +712,9 @@ impl<'a> SymExec<'a> {
 
     /// Assigns a variable on every path not suppressed by a `goto` or
     /// `return` (see [`SymExec::write_cell`]).
-    fn assign_scalar(&mut self, name: &str, value: SymValue) -> Result<(), SymExecError> {
+    fn assign_scalar(&mut self, name: &'f str, value: SymValue) -> Result<(), SymExecError> {
         let live = self.ctx.not(self.suppress);
-        match (self.scalars.get(name).cloned(), value) {
+        match (self.var(name), value) {
             (Some(SymValue::Scalar(old)), SymValue::Scalar(new)) => {
                 let merged = self.ctx.ite(live, new, old);
                 self.set_var(name, Some(SymValue::Scalar(merged)));
@@ -640,24 +734,24 @@ impl<'a> SymExec<'a> {
             }
             (old, new) => Err(SymExecError::new(format!(
                 "assignment to `{}` changes its kind ({:?} -> {:?})",
-                name, old, new
+                name,
+                Named(&self.array_names, old),
+                Named(&self.array_names, new)
             ))),
         }
     }
 
-    fn eval(&mut self, expr: &Expr, guard: TermId) -> Result<SymValue, SymExecError> {
+    fn eval(&mut self, expr: &'f Expr, guard: TermId) -> Result<SymValue, SymExecError> {
         match expr {
             Expr::IntLit(v) => Ok(SymValue::Scalar(self.ctx.bv32(*v as i32))),
             Expr::Var(name) => self
-                .scalars
-                .get(name)
-                .cloned()
+                .var(name)
                 .ok_or_else(|| SymExecError::new(format!("unbound variable `{}`", name))),
             Expr::Index { base, index } => {
                 let (array, offset) = self.eval_ptr(base, guard)?;
                 let idx_term = self.eval_scalar(index, guard)?;
                 let idx = self.concrete_index(idx_term)? + offset;
-                Ok(SymValue::Scalar(self.read_cell(&array, idx, guard)?))
+                Ok(SymValue::Scalar(self.read_cell(array, idx, guard)?))
             }
             Expr::Unary { op, expr } => {
                 let v = self.eval_scalar(expr, guard)?;
@@ -708,13 +802,13 @@ impl<'a> SymExec<'a> {
     fn eval_binary(
         &mut self,
         op: BinOp,
-        lhs: &Expr,
-        rhs: &Expr,
+        lhs: &'f Expr,
+        rhs: &'f Expr,
         guard: TermId,
     ) -> Result<SymValue, SymExecError> {
         // Pointer arithmetic keeps the offset concrete.
         let lhs_v = self.eval(lhs, guard)?;
-        if let SymValue::Ptr { array, offset } = &lhs_v {
+        if let SymValue::Ptr { array, offset } = lhs_v {
             let rhs_t = self.eval_scalar(rhs, guard)?;
             let delta = self.concrete_index(rhs_t)?;
             let new_offset = match op {
@@ -723,7 +817,7 @@ impl<'a> SymExec<'a> {
                 _ => return Err(SymExecError::new("unsupported pointer arithmetic operator")),
             };
             return Ok(SymValue::Ptr {
-                array: array.clone(),
+                array,
                 offset: new_offset,
             });
         }
@@ -820,8 +914,8 @@ impl<'a> SymExec<'a> {
     fn eval_assign(
         &mut self,
         op: AssignOp,
-        target: &Expr,
-        value: &Expr,
+        target: &'f Expr,
+        value: &'f Expr,
         guard: TermId,
     ) -> Result<SymValue, SymExecError> {
         let new_value = match op.binop() {
@@ -830,7 +924,7 @@ impl<'a> SymExec<'a> {
         };
         match target {
             Expr::Var(name) => {
-                self.assign_scalar(name, new_value.clone())?;
+                self.assign_scalar(name, new_value)?;
                 Ok(new_value)
             }
             Expr::Index { base, index } => {
@@ -842,7 +936,7 @@ impl<'a> SymExec<'a> {
                     _ => return Err(SymExecError::new("can only store scalars into arrays")),
                 };
                 let all_lanes = self.ctx.bool_const(true);
-                self.write_cell(&array, idx, scalar, guard, all_lanes)?;
+                self.write_cell(array, idx, scalar, guard, all_lanes)?;
                 Ok(new_value)
             }
             other => Err(SymExecError::new(format!(
@@ -855,7 +949,7 @@ impl<'a> SymExec<'a> {
     fn eval_call(
         &mut self,
         callee: &str,
-        args: &[Expr],
+        args: &'f [Expr],
         guard: TermId,
     ) -> Result<SymValue, SymExecError> {
         match callee {
@@ -868,7 +962,7 @@ impl<'a> SymExec<'a> {
                 };
                 let mut lanes = [self.ctx.bv32(0); LANES];
                 for (i, lane) in lanes.iter_mut().enumerate() {
-                    let loaded = self.read_cell(&array, base + i as i64, guard)?;
+                    let loaded = self.read_cell(array, base + i as i64, guard)?;
                     *lane = match &mask {
                         None => loaded,
                         Some(mask) => {
@@ -898,7 +992,7 @@ impl<'a> SymExec<'a> {
                             self.ctx.bv_slt(mask[i], zero)
                         }
                     };
-                    self.write_cell(&array, base + i as i64, value[i], guard, lane)?;
+                    self.write_cell(array, base + i as i64, value[i], guard, lane)?;
                 }
                 Ok(SymValue::Scalar(self.ctx.bv32(0)))
             }
@@ -909,26 +1003,40 @@ impl<'a> SymExec<'a> {
     fn eval_pure_intrinsic(
         &mut self,
         callee: &str,
-        args: &[Expr],
+        args: &'f [Expr],
         guard: TermId,
     ) -> Result<SymValue, SymExecError> {
         let zero32 = self.ctx.bv32(0);
         let splat = |v: TermId| -> [TermId; LANES] { [v; LANES] };
-        let mut vec_args: Vec<[TermId; LANES]> = Vec::new();
-        let mut scalar_args: Vec<TermId> = Vec::new();
+        // No intrinsic takes more than `LANES` operands (`setr_epi32`).
+        let mut vec_args = [splat(zero32); LANES];
+        let mut scalar_args = [zero32; LANES];
+        let (mut vecs, mut scalars) = (0, 0);
         let sig = lv_cir::intrinsics::intrinsic_sig(callee).ok_or_else(|| {
             SymExecError::new(format!(
                 "intrinsic `{}` is not modelled by the verifier",
                 callee
             ))
         })?;
+        if args.len() < sig.params.len() {
+            // The type checker refuses such a call; without the check the
+            // missing operands would read as zeros.
+            return Err(SymExecError::new(format!(
+                "`{}` expects {} arguments, found {}",
+                callee,
+                sig.params.len(),
+                args.len()
+            )));
+        }
         for (arg, slot) in args.iter().zip(sig.params.iter()) {
             match slot {
                 lv_cir::intrinsics::IntrinsicType::I32 => {
-                    scalar_args.push(self.eval_scalar(arg, guard)?)
+                    scalar_args[scalars] = self.eval_scalar(arg, guard)?;
+                    scalars += 1;
                 }
                 lv_cir::intrinsics::IntrinsicType::Vec => {
-                    vec_args.push(self.eval_vector(arg, guard)?)
+                    vec_args[vecs] = self.eval_vector(arg, guard)?;
+                    vecs += 1;
                 }
                 _ => {
                     return Err(SymExecError::new(format!(
@@ -1426,6 +1534,22 @@ mod tests {
     }
 
     #[test]
+    fn an_intrinsic_call_missing_operands_is_rejected() {
+        let mut ctx = Context::new();
+        let err = exec_with(
+            &mut ctx,
+            "void f(int n, int *a) { __m256i x = _mm256_loadu_si256((__m256i *)&a[0]); _mm256_storeu_si256((__m256i *)&a[0], _mm256_add_epi32(x)); }",
+            8,
+            8,
+        )
+        .unwrap_err();
+        assert_eq!(
+            err.reason,
+            "`_mm256_add_epi32` expects 2 arguments, found 1"
+        );
+    }
+
+    #[test]
     fn a_pointer_that_differs_across_branches_is_rejected() {
         let mut ctx = Context::new();
         let err = exec_with(
@@ -1435,6 +1559,30 @@ mod tests {
             2,
         )
         .unwrap_err();
-        assert!(err.reason.contains("across the branches"), "{}", err);
+        assert_eq!(
+            err.reason,
+            "Var(\"p\") differs across the branches of an `if`: \
+             Ptr { array: \"b\", offset: 0 } vs Ptr { array: \"a\", offset: 0 }"
+        );
+    }
+
+    #[test]
+    fn a_pointer_assigned_a_scalar_names_its_array() {
+        let mut ctx = Context::new();
+        let err = exec_with(
+            &mut ctx,
+            "void f(int n, int *a, int *b) { int *p = b + 2; p = n; a[0] = 1; }",
+            4,
+            2,
+        )
+        .unwrap_err();
+        let n = ctx.bv32(4);
+        assert_eq!(
+            err.reason,
+            format!(
+                "assignment to `p` changes its kind \
+                 (Some(Ptr {{ array: \"b\", offset: 2 }}) -> Scalar({n:?}))"
+            )
+        );
     }
 }
