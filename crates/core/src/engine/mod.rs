@@ -15,10 +15,11 @@
 //!   orders are hashed in) and still produce bit-identical *verdicts*, since
 //!   every symbolic stage is sound. [`StageSchedule::from_profile`] derives
 //!   the overrides from a persisted [`crate::profile::CrossRunProfile`];
-//! * [`pool`] — the atomic work-queue worker pool ([`parallel_map`] and the
-//!   batch runner core): workers pull jobs from a shared cursor, each owning
-//!   one reusable SMT session ([`lv_tv::TvSession`]) for its whole lifetime,
-//!   and results are returned in job order regardless of scheduling.
+//! * [`pool`] — the scoped worker pool ([`parallel_map`] and the core of
+//!   every engine run) and the streaming [`job_channel`]: workers pull jobs
+//!   from a shared cursor or channel, each owning one reusable SMT session
+//!   ([`lv_tv::TvSession`]) for its whole lifetime, and results are
+//!   returned in job order regardless of scheduling.
 //!
 //! Every job is deterministic given its inputs and each worker session is
 //! reset to a just-constructed state between queries, so a batch produces
@@ -32,7 +33,15 @@
 //!   events to a [`BatchObserver`] as workers make progress;
 //! * a configured [`VerdictCache`] is consulted per job *before any stage
 //!   runs*, keyed by `(scalar, candidate, config)` content hashes; hits run
-//!   zero stages and are counted in [`BatchReport::cache_hits`].
+//!   zero stages and are counted in [`BatchReport::cache_hits`];
+//! * with a cache, each run verifies every distinct key once (single-flight
+//!   dispatch): a job that misses the cache while another worker of the
+//!   same run verifies its key becomes an *in-flight follower*, the worker
+//!   moves on to its next job, and the key's owner answers the follower
+//!   with a cache-hit report when its verdict lands. Hit, miss and stage
+//!   counts therefore do not depend on the worker count. The in-flight
+//!   table belongs to one run, so concurrent runs on one engine each verify
+//!   their own copy of a job they share.
 //!
 //! Tuning happens *between* runs, not inside one: from a persisted
 //! [`crate::profile::CrossRunProfile`], [`StageSchedule::from_profile`] and
@@ -70,8 +79,10 @@ use lv_cir::ast::Function;
 use lv_cir::hash::{structural_hash, structural_hash_in_env, Fnv64};
 use lv_interp::ChecksumClass;
 use lv_tv::{SymbolicStrategy, TvReuse, TvSessionStats};
-use std::sync::Arc;
-use std::sync::Mutex;
+use std::borrow::Cow;
+use std::collections::hash_map::{Entry, HashMap};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Which cross-job SMT reuse the engine runs with. Off by default — the
@@ -292,10 +303,11 @@ pub struct JobReport {
     /// Algorithm 1's short-circuit ordering. Empty for cache hits, which run
     /// no stages at all.
     pub traces: Vec<StageTrace>,
-    /// Total wall time for the job.
+    /// Total wall time for the job (for an in-flight follower, from its
+    /// claim until the running copy's verdict landed).
     pub wall: Duration,
-    /// `true` when the verdict came from the [`VerdictCache`] and no stage
-    /// ran.
+    /// `true` when no stage ran: the verdict came from the [`VerdictCache`]
+    /// or from the copy of this job another worker was verifying.
     pub cache_hit: bool,
     /// Cross-job SMT reuse activity attributed to this job (deltas of the
     /// worker session's counters around the job). All zero when reuse is
@@ -323,10 +335,13 @@ pub struct BatchReport {
     pub wall: Duration,
     /// Worker threads actually used.
     pub threads: usize,
-    /// Jobs answered from the verdict cache without running any stage.
+    /// Jobs answered without running any stage: from the verdict cache, or
+    /// as in-flight followers of a copy another worker of the same run was
+    /// verifying. Independent of the worker count.
     pub cache_hits: usize,
-    /// Jobs that ran their cascade and stored the verdict (always `0` when
-    /// the engine has no cache).
+    /// Jobs that ran their cascade and stored the verdict: one per distinct
+    /// cache key the run found missing, at any worker count (always `0`
+    /// when the engine has no cache).
     pub cache_misses: usize,
 }
 
@@ -470,12 +485,16 @@ impl VerificationEngine {
     /// any batched job.
     pub fn check_one(&self, scalar: &Function, candidate: &Function) -> JobReport {
         let mut worker = WorkerState::default();
+        let mut out = Vec::with_capacity(1);
         self.run_job(
             0,
             &Job::new(scalar.name.clone(), scalar.clone(), candidate.clone()),
             &mut worker,
             &NoopObserver,
-        )
+            None,
+            &mut out,
+        );
+        out.pop().expect("a job without followers has one report").1
     }
 
     /// Verifies a batch of jobs on the worker pool.
@@ -491,27 +510,15 @@ impl VerificationEngine {
     /// Callbacks fire from worker threads in completion order; the reports
     /// in the returned batch are still in job order, bit-identical to an
     /// unobserved run.
+    ///
+    /// With a cache attached, the batch verifies each distinct job once:
+    /// a job whose cache key another worker of this call is verifying
+    /// becomes an in-flight follower and takes that copy's verdict as a
+    /// cache hit (see [`BatchReport::cache_hits`]), so hit, miss and stage
+    /// counts do not depend on the worker count either.
     pub fn run_batch_observed(&self, jobs: &[Job], observer: &dyn BatchObserver) -> BatchReport {
         let threads = self.resolved_threads(jobs.len());
-        let start = Instant::now();
-        let init = || WorkerState::with_reuse(self.reuse.tv());
-        let run = |index: usize, job: &Job, worker: &mut WorkerState| {
-            self.run_job(index, job, worker, observer)
-        };
-        let reports = pool::parallel_map_with(threads, jobs, init, run);
-        let cache_hits = reports.iter().filter(|r| r.cache_hit).count();
-        let cache_misses = if self.cache.is_some() {
-            reports.len() - cache_hits
-        } else {
-            0
-        };
-        BatchReport {
-            jobs: reports,
-            wall: start.elapsed(),
-            threads,
-            cache_hits,
-            cache_misses,
-        }
+        self.run(Intake::Batch(jobs, AtomicUsize::new(0)), threads, observer)
     }
 
     /// Verifies a stream of jobs as they arrive, without materializing the
@@ -528,44 +535,50 @@ impl VerificationEngine {
     /// Workers claim `(index, job)` pairs from the bounded `source` (see
     /// [`job_channel`]) as a producer — typically seeded
     /// parallel candidate generation — pushes them, so verification starts
-    /// before generation finishes. Each job runs through the identical
-    /// [`run_job`](Self::run_batch) path as the batch entry points, and the
-    /// returned [`BatchReport`] is assembled in ascending job-index order,
-    /// so verdicts are bit-identical to `run_batch` over the same jobs in
-    /// index order, at any worker count and any arrival order (pinned at
-    /// worker counts 1/2/8 by the pipeline property tests). Indices need
-    /// not be dense — the service streams sparse post-dedupe slots — but
-    /// must be unique.
+    /// before generation finishes. Each job runs through the same worker
+    /// loop as [`run_batch_observed`](Self::run_batch_observed), in-flight
+    /// followers included, and the returned [`BatchReport`] is assembled in
+    /// ascending job-index order, so verdicts and hit, miss and stage
+    /// counts equal `run_batch` over the same jobs in index order, at any
+    /// worker count and any arrival order (pinned at worker counts 1/2/8 by
+    /// the pipeline property tests). Indices need not be dense — the
+    /// service streams sparse post-dedupe slots — but must be unique.
+    ///
+    /// The in-flight table belongs to this call alone: concurrent calls on
+    /// one engine (the daemon's connections) each verify their own copy of
+    /// a job they share, and every report reaches its own call's observer.
     pub fn run_stream_observed(
         &self,
         source: &JobSource<Job>,
         observer: &dyn BatchObserver,
     ) -> BatchReport {
-        let start = Instant::now();
         let threads = pool::resolve_threads(self.threads, usize::MAX);
-        let init = || WorkerState::with_reuse(self.reuse.tv());
-        let collected: Mutex<Vec<(usize, JobReport)>> = Mutex::new(Vec::new());
-        if threads <= 1 {
-            let mut worker = init();
-            while let Some((index, job)) = source.next() {
-                let report = self.run_job(index, &job, &mut worker, observer);
-                collected.lock().unwrap().push((index, report));
+        self.run(Intake::Stream(source), threads, observer)
+    }
+
+    /// The worker loop behind every batch and stream run: `threads`
+    /// workers claim jobs from `intake` until it is exhausted, sharing one
+    /// in-flight table when a cache is attached, and the reports are
+    /// reassembled in job-index order.
+    fn run(&self, intake: Intake<'_>, threads: usize, observer: &dyn BatchObserver) -> BatchReport {
+        let start = Instant::now();
+        let in_flight = self.cache.as_ref().map(|_| InFlight::default());
+        let mut pairs = pool::run_workers(threads, || {
+            let mut worker = WorkerState::with_reuse(self.reuse.tv());
+            let mut out = Vec::new();
+            while let Some((index, job)) = intake.claim() {
+                self.run_job(
+                    index,
+                    &job,
+                    &mut worker,
+                    observer,
+                    in_flight.as_ref(),
+                    &mut out,
+                );
             }
-        } else {
-            std::thread::scope(|scope| {
-                for _ in 0..threads {
-                    scope.spawn(|| {
-                        let mut worker = init();
-                        while let Some((index, job)) = source.next() {
-                            let report = self.run_job(index, &job, &mut worker, observer);
-                            collected.lock().unwrap().push((index, report));
-                        }
-                    });
-                }
-            });
-        }
-        let mut pairs = collected.into_inner().unwrap();
-        pairs.sort_by_key(|(index, _)| *index);
+            out
+        });
+        pairs.sort_unstable_by_key(|(index, _)| *index);
         assert!(
             pairs.windows(2).all(|w| w[0].0 < w[1].0),
             "duplicate job index in the stream"
@@ -608,38 +621,87 @@ impl VerificationEngine {
             .map_or(&self.identity_order, |(_, order)| order)
     }
 
-    /// Runs the cascade on one job, collecting per-stage telemetry. The
-    /// verdict cache is consulted first — a hit returns before any stage
-    /// (checksum included) runs.
+    /// Runs one claimed job and pushes its report — and those of any
+    /// in-flight followers it answers — onto `out`.
+    ///
+    /// The verdict cache is consulted first: a hit returns before any stage
+    /// (checksum included) runs. On a miss with an `in_flight` table, a job
+    /// whose key another worker is verifying becomes that worker's follower
+    /// and returns at once; otherwise this job owns the key, runs the
+    /// cascade, stores the verdict, and then answers every follower with a
+    /// cache-hit report.
     fn run_job(
         &self,
         index: usize,
         job: &Job,
         worker: &mut WorkerState,
         observer: &dyn BatchObserver,
-    ) -> JobReport {
+        in_flight: Option<&InFlight>,
+        out: &mut Vec<(usize, JobReport)>,
+    ) {
         let job_start = Instant::now();
         observer.job_started(index, job);
 
         let key = self.cache_key(job);
         if let (Some(cache), Some(key)) = (&self.cache, key) {
-            if let Some(hit) = cache.get(&key) {
-                let report = JobReport {
+            let mut hit = cache.get(&key);
+            if let (None, Some(table)) = (&hit, in_flight) {
+                let follower = || Follower {
+                    index,
                     label: job.label.clone(),
-                    verdict: hit.verdict,
-                    stage: hit.stage,
-                    detail: hit.detail,
-                    checksum: hit.checksum,
-                    traces: Vec::new(),
-                    wall: job_start.elapsed(),
-                    cache_hit: true,
-                    reuse: ReuseCounters::default(),
+                    started: job_start,
                 };
+                match table.claim(key, cache, follower) {
+                    Claim::Own => {}
+                    Claim::Follow => return,
+                    Claim::Hit(verdict) => hit = Some(verdict),
+                }
+            }
+            if let Some(hit) = hit {
+                let report = hit_report(job.label.clone(), hit, job_start);
                 observer.job_finished(index, &report);
-                return report;
+                out.push((index, report));
+                return;
             }
         }
 
+        let report = self.run_cascade(index, job, worker, observer, job_start);
+        let mut answered = Vec::new();
+        if let (Some(cache), Some(key)) = (&self.cache, key) {
+            let verdict = CachedVerdict {
+                verdict: report.verdict,
+                stage: report.stage,
+                detail: report.detail.clone(),
+                checksum: report.checksum,
+            };
+            cache.insert(key, verdict.clone());
+            // Released only after the insert, so a job claimed from here on
+            // finds the verdict in the cache.
+            if let Some(table) = in_flight {
+                answered = table
+                    .release(&key)
+                    .into_iter()
+                    .map(|f| (f.index, hit_report(f.label, verdict.clone(), f.started)))
+                    .collect();
+            }
+        }
+        observer.job_finished(index, &report);
+        out.push((index, report));
+        for (index, report) in answered {
+            observer.job_finished(index, &report);
+            out.push((index, report));
+        }
+    }
+
+    /// Runs the cascade stages on one job, collecting per-stage telemetry.
+    fn run_cascade(
+        &self,
+        index: usize,
+        job: &Job,
+        worker: &mut WorkerState,
+        observer: &dyn BatchObserver,
+        job_start: Instant,
+    ) -> JobReport {
         worker.checksum = None;
         worker.name_mismatch = false;
         let reuse_before = worker.session.reuse_stats();
@@ -688,7 +750,7 @@ impl VerificationEngine {
             blast_hits: reuse_after.blast_hits - reuse_before.blast_hits,
             blast_misses: reuse_after.blast_misses - reuse_before.blast_misses,
         };
-        let report = JobReport {
+        JobReport {
             label: job.label.clone(),
             verdict,
             stage,
@@ -698,20 +760,109 @@ impl VerificationEngine {
             wall: job_start.elapsed(),
             cache_hit: false,
             reuse,
-        };
-        if let (Some(cache), Some(key)) = (&self.cache, key) {
-            cache.insert(
-                key,
-                CachedVerdict {
-                    verdict: report.verdict,
-                    stage: report.stage,
-                    detail: report.detail.clone(),
-                    checksum: report.checksum,
-                },
-            );
         }
-        observer.job_finished(index, &report);
-        report
+    }
+}
+
+/// The report of a job answered without running a stage: from the cache,
+/// or from the copy of it that another worker of the same run verified.
+fn hit_report(label: String, hit: CachedVerdict, started: Instant) -> JobReport {
+    JobReport {
+        label,
+        verdict: hit.verdict,
+        stage: hit.stage,
+        detail: hit.detail,
+        checksum: hit.checksum,
+        traces: Vec::new(),
+        wall: started.elapsed(),
+        cache_hit: true,
+        reuse: ReuseCounters::default(),
+    }
+}
+
+/// Where one run's workers claim their jobs.
+enum Intake<'a> {
+    /// A batch, claimed in index order through an atomic cursor.
+    Batch(&'a [Job], AtomicUsize),
+    /// A streaming source, claimed in arrival order.
+    Stream(&'a JobSource<Job>),
+}
+
+impl<'a> Intake<'a> {
+    /// The next unclaimed `(index, job)` pair, or `None` once exhausted.
+    fn claim(&self) -> Option<(usize, Cow<'a, Job>)> {
+        match self {
+            Intake::Batch(jobs, cursor) => {
+                let index = cursor.fetch_add(1, Ordering::Relaxed);
+                jobs.get(index).map(|job| (index, Cow::Borrowed(job)))
+            }
+            Intake::Stream(source) => source.next().map(|(index, job)| (index, Cow::Owned(job))),
+        }
+    }
+}
+
+/// A job claimed while another worker of its run was verifying a job with
+/// the same cache key. Its report is built when that verdict lands.
+struct Follower {
+    index: usize,
+    label: String,
+    /// When the follower was claimed; its report's `wall` runs from here.
+    started: Instant,
+}
+
+/// What a worker does with a job that missed the cache (see
+/// [`InFlight::claim`]).
+enum Claim {
+    /// Run the cascade: no other worker holds the key.
+    Own,
+    /// Move on: the job waits on the key's owner.
+    Follow,
+    /// The key's owner stored this verdict since the caller's lookup.
+    Hit(CachedVerdict),
+}
+
+/// One run's in-flight table: each cache key a worker is verifying, with
+/// the jobs that claimed a copy of it meanwhile. Local to one
+/// [`VerificationEngine::run`] call, so a follower's report reaches its own
+/// call's collector and observer.
+///
+/// An owner stores its verdict in the cache before it
+/// [releases](Self::release) the key, and [`claim`](Self::claim) re-reads
+/// the cache under the table lock, so a job claimed at any moment finds
+/// the key in flight or its verdict cached, and never starts a second run.
+#[derive(Default)]
+struct InFlight(Mutex<HashMap<CacheKey, Vec<Follower>>>);
+
+impl InFlight {
+    /// Claims `key` for a job that just missed `cache`: registers the job
+    /// (built by `follower`) behind a running owner, or makes it the owner.
+    fn claim(
+        &self,
+        key: CacheKey,
+        cache: &VerdictCache,
+        follower: impl FnOnce() -> Follower,
+    ) -> Claim {
+        let mut table = self.0.lock().expect("in-flight table poisoned");
+        match table.entry(key) {
+            Entry::Occupied(mut waiting) => {
+                waiting.get_mut().push(follower());
+                Claim::Follow
+            }
+            Entry::Vacant(slot) => match cache.get(&key) {
+                Some(verdict) => Claim::Hit(verdict),
+                None => {
+                    slot.insert(Vec::new());
+                    Claim::Own
+                }
+            },
+        }
+    }
+
+    /// Ends the owner's claim on `key`, whose verdict is now cached, and
+    /// returns the jobs that followed it.
+    fn release(&self, key: &CacheKey) -> Vec<Follower> {
+        let mut table = self.0.lock().expect("in-flight table poisoned");
+        table.remove(key).unwrap_or_default()
     }
 }
 

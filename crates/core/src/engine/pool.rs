@@ -1,12 +1,12 @@
-//! The pool layer: the atomic work-queue worker pool.
+//! The pool layer: the scoped worker pool and the streaming job channel.
 //!
-//! Workers claim item indices from a shared atomic cursor, each carrying
-//! per-worker state (the engine's reusable SMT session; `()` for the plain
-//! map). Ordering of *results* is by item index regardless of which worker
-//! ran what, which is how every batch stays bit-identical across thread
-//! counts. Nothing in this layer knows what a verification stage is — the
-//! [stage](super::stage) and [schedule](super::schedule) layers are plugged
-//! in by [`VerificationEngine`](super::VerificationEngine).
+//! Workers claim items from a shared atomic cursor (or a [`JobSource`]),
+//! each carrying its own state (the engine's reusable SMT session; nothing
+//! for the plain map). Ordering of *results* is by item index regardless
+//! of which worker ran what, which is how every batch stays bit-identical
+//! across thread counts. Nothing in this layer knows what a verification
+//! stage is — the [stage](super::stage) and [schedule](super::schedule)
+//! layers are plugged in by [`VerificationEngine`](super::VerificationEngine).
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -23,12 +23,18 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    parallel_map_with(
-        resolve_threads(threads, items.len()),
-        items,
-        || (),
-        |_, item, _| f(item),
-    )
+    let cursor = AtomicUsize::new(0);
+    let mut pairs = run_workers(resolve_threads(threads, items.len()), || {
+        let mut out = Vec::new();
+        loop {
+            let index = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(index) else { break };
+            out.push((index, f(item)));
+        }
+        out
+    });
+    pairs.sort_unstable_by_key(|(index, _)| *index);
+    pairs.into_iter().map(|(_, value)| value).collect()
 }
 
 /// Resolves a configured worker count: `0` means one per available CPU, and
@@ -41,52 +47,34 @@ pub fn resolve_threads(configured: usize, items: usize) -> usize {
     threads.clamp(1, items.max(1))
 }
 
-/// The work-queue core shared by [`parallel_map`] and
-/// [`VerificationEngine::run_batch`](super::VerificationEngine::run_batch):
-/// workers claim item indices from an atomic cursor, each carrying
-/// per-worker state built by `init`. The claimed index is passed to `f` so
-/// the engine can label observer events with the job's position in the
-/// batch.
+/// The worker pool shared by [`parallel_map`] and every
+/// [`VerificationEngine`](super::VerificationEngine) run: runs `work` on
+/// `threads` scoped workers (on the calling thread when `threads <= 1`)
+/// and concatenates what they return. Each worker claims its own items and
+/// tags each result with the item's index, so callers restore job order by
+/// sorting, whichever worker produced a result.
 ///
-/// `threads` must already be resolved and clamped by the caller.
-pub(crate) fn parallel_map_with<T, R, S, I, F>(threads: usize, items: &[T], init: I, f: F) -> Vec<R>
+/// `threads` must already be resolved and clamped by the caller. A
+/// worker's panic is re-raised on the calling thread.
+pub(crate) fn run_workers<R, W>(threads: usize, work: W) -> Vec<R>
 where
-    T: Sync,
     R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(usize, &T, &mut S) -> R + Sync,
+    W: Fn() -> Vec<R> + Sync,
 {
     if threads <= 1 {
-        let mut state = init();
-        return items
-            .iter()
-            .enumerate()
-            .map(|(index, item)| f(index, item, &mut state))
-            .collect();
+        return work();
     }
-    let results: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
     std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let mut state = init();
-                loop {
-                    let index = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(item) = items.get(index) else { break };
-                    let value = f(index, item, &mut state);
-                    *results[index].lock().unwrap() = Some(value);
-                }
-            });
-        }
-    });
-    results
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap()
-                .expect("every item index was claimed by a worker")
-        })
-        .collect()
+        let workers: Vec<_> = (0..threads).map(|_| scope.spawn(&work)).collect();
+        workers
+            .into_iter()
+            .flat_map(|worker| {
+                worker
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
+    })
 }
 
 struct ChannelState<T> {

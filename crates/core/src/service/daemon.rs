@@ -426,8 +426,10 @@ impl VerificationService {
 
         self.stages
             .fetch_add(counting.stage_count() as u64, Ordering::Relaxed);
-        // In-batch duplicates of an admitted job hit the cache entry the
-        // first copy stored — they count as dedupe answers too.
+        // In-batch duplicates of an admitted job take the verdict of the
+        // copy that ran — from the cache entry it stored, or as in-flight
+        // followers while it was still running — and count as dedupe
+        // answers too.
         self.dedupe_hits
             .fetch_add(batch.cache_hits as u64, Ordering::Relaxed);
         self.completed

@@ -558,24 +558,16 @@ fn exec_side(
 }
 
 /// Arrays written by either function; unread output arrays of the candidate
-/// are still compared so that missing stores are caught.
+/// are still compared so that missing stores are caught. One access walk
+/// per function covers every statement, loop bodies included: whether an
+/// access writes does not depend on the induction variable.
 fn written_arrays(scalar: &Function, vector: &Function) -> Vec<String> {
     let mut out = Vec::new();
     for func in [scalar, vector] {
-        let nest = lv_analysis::loop_nest(func);
-        for l in &nest.loops {
-            let body = collect_accesses(&l.body, &l.iv);
-            for access in &body.accesses {
-                if access.kind == AccessKind::Write && !out.contains(&access.array) {
-                    out.push(access.array.clone());
-                }
-            }
-        }
-        // Also scan statements outside loops (prologue stores).
         let body = collect_accesses(&func.body, "__no_iv__");
-        for access in &body.accesses {
+        for access in body.accesses {
             if access.kind == AccessKind::Write && !out.contains(&access.array) {
-                out.push(access.array.clone());
+                out.push(access.array);
             }
         }
     }
@@ -673,6 +665,7 @@ pub fn alignment_assumption(scalar: &Function, vector: &Function) -> Option<Stri
 mod tests {
     use super::*;
     use lv_cir::parse_function;
+    use std::collections::BTreeSet;
 
     const S000: &str =
         "void s000(int n, int *a, int *b) { for (int i = 0; i < n; i++) { a[i] = b[i] + 1; } }";
@@ -845,5 +838,42 @@ mod tests {
         let (verdict, stage) = check_equivalence_symbolic(&f(masked), &f(blend), &quick_config());
         assert_eq!(verdict, TvVerdict::Equivalent, "@ {:?}", stage);
         assert_eq!(stage, TvStage::Alive2Unroll);
+    }
+
+    /// The union `written_arrays` used to take: every top-level loop body
+    /// walked on its own, then the whole function.
+    fn per_loop_written(scalar: &Function, vector: &Function) -> BTreeSet<String> {
+        let mut out = BTreeSet::new();
+        for func in [scalar, vector] {
+            let mut walks = vec![collect_accesses(&func.body, "__no_iv__")];
+            for l in &lv_analysis::loop_nest(func).loops {
+                walks.push(collect_accesses(&l.body, &l.iv));
+            }
+            for access in walks.into_iter().flat_map(|walk| walk.accesses) {
+                if access.kind == AccessKind::Write {
+                    out.insert(access.array);
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn written_arrays_matches_the_per_loop_union_on_every_tsvc_kernel() {
+        let mut vectorized = 0;
+        for kernel in lv_tsvc::KERNELS {
+            let scalar = kernel.function();
+            let mut pairs = vec![(scalar.clone(), scalar.clone())];
+            if let Ok(candidate) = lv_agents::vectorize_correct(&scalar) {
+                pairs.push((scalar.clone(), candidate));
+                vectorized += 1;
+            }
+            for (scalar, vector) in &pairs {
+                let got: BTreeSet<String> = written_arrays(scalar, vector).into_iter().collect();
+                assert!(!got.is_empty(), "{} writes an array", kernel.name);
+                assert_eq!(got, per_loop_written(scalar, vector), "{}", kernel.name);
+            }
+        }
+        assert!(vectorized >= 37, "only {} candidates", vectorized);
     }
 }

@@ -6,20 +6,22 @@
 //! * the first run misses on every engine job and persists its verdicts;
 //! * the second run — through a *fresh* cache loaded from the file —
 //!   reports 100% cache hits, executes **zero** checksum/SMT stages, and
-//!   produces bit-identical verdicts.
+//!   produces bit-identical verdicts;
+//! * a third run submits every cold-run job twice in adjacent slots to 4
+//!   engine workers over an empty cache, and verifies each job once: its
+//!   misses, its hits and its stage count all equal the cold run's.
 //!
 //! Exits non-zero (panics) on any violation.
 
 use llm_vectorizer_repro::core::{
-    table3_with, CountingObserver, ExperimentConfig, Table3, VerdictCache,
+    table3_with, CountingObserver, ExperimentConfig, Job, Table3, VerdictCache,
 };
 use llm_vectorizer_repro::interp::ChecksumConfig;
 use std::path::Path;
 use std::sync::Arc;
 
-fn sweep(cache_path: &Path) -> (Table3, CountingObserver) {
-    let cache = Arc::new(VerdictCache::open(cache_path).expect("cache file must load"));
-    let config = ExperimentConfig {
+fn config(cache: Arc<VerdictCache>) -> ExperimentConfig {
+    ExperimentConfig {
         kernel_names: Some(
             ["s000", "s112", "s212", "s278", "s2711", "vsumr"]
                 .iter()
@@ -31,13 +33,31 @@ fn sweep(cache_path: &Path) -> (Table3, CountingObserver) {
             n: 40,
             ..ChecksumConfig::default()
         },
-        cache: Some(cache.clone()),
+        cache: Some(cache),
         ..ExperimentConfig::default()
-    };
+    }
+}
+
+fn sweep(cache_path: &Path) -> (Table3, CountingObserver) {
+    let cache = Arc::new(VerdictCache::open(cache_path).expect("cache file must load"));
     let counter = CountingObserver::new();
-    let table = table3_with(&config, &counter);
+    let table = table3_with(&config(cache.clone()), &counter);
     cache.persist().expect("cache file must persist");
     (table, counter)
+}
+
+/// Every engine job of a Table 3 run, each twice in adjacent slots.
+fn doubled_jobs(table: &Table3) -> Vec<Job> {
+    table
+        .verdicts
+        .iter()
+        .filter_map(|verdict| {
+            let candidate = verdict.candidate.clone()?;
+            let kernel = llm_vectorizer_repro::tsvc::kernel(verdict.name)?;
+            Some(Job::new(verdict.name, kernel.function(), candidate))
+        })
+        .flat_map(|job| [job.clone(), job])
+        .collect()
 }
 
 fn main() {
@@ -82,11 +102,48 @@ fn main() {
         assert_eq!(c.stage, w.stage, "stage drifted for {}", c.name);
     }
 
+    println!("== doubled run (each cold job twice, 4 workers, empty cache) ==");
+    let doubled = doubled_jobs(&cold);
+    assert_eq!(doubled.len(), 2 * jobs);
+    let engine = ExperimentConfig {
+        threads: 4,
+        ..config(Arc::new(VerdictCache::in_memory()))
+    }
+    .engine();
+    let doubled_counter = CountingObserver::new();
+    let batch = engine.run_batch_observed(&doubled, &doubled_counter);
+    assert_eq!(batch.threads, 4);
+    assert_eq!(
+        batch.cache_misses, jobs,
+        "each distinct job must run its cascade once"
+    );
+    assert_eq!(
+        batch.cache_hits, jobs,
+        "each second copy takes the first copy's verdict"
+    );
+    assert_eq!(
+        doubled_counter.stage_count(),
+        cold_counter.stage_count(),
+        "the doubled run must execute the cold run's stages, no more"
+    );
+    assert_eq!(batch.stage_runs(), cold.batch.stage_runs());
+    for (pair, want) in batch.jobs.chunks(2).zip(&cold.batch.jobs) {
+        for got in pair {
+            assert_eq!(got.label, want.label);
+            assert_eq!(
+                got.verdict, want.verdict,
+                "verdict drifted for {}",
+                got.label
+            );
+            assert_eq!(got.stage, want.stage, "stage drifted for {}", got.label);
+        }
+    }
+
     println!("== funnel (cold run) ==");
     println!("{}", cold.funnel.render());
     println!(
-        "cache sweep OK: {} jobs, cold wall {:?}, warm wall {:?} ({} entries on disk)",
-        jobs, cold.batch.wall, warm.batch.wall, jobs
+        "cache sweep OK: {} jobs, cold wall {:?}, warm wall {:?}, doubled wall {:?} ({} entries on disk)",
+        jobs, cold.batch.wall, warm.batch.wall, batch.wall, jobs
     );
     let _ = std::fs::remove_file(&path);
 }

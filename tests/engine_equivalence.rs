@@ -1,20 +1,23 @@
 //! The parallel batch engine must be an observationally pure speed-up:
 //! byte-identical verdicts, stages, and details for every thread count, and
 //! equal to the sequential one-shot `check_equivalence` path — plus the
-//! Algorithm 1 early-exit ordering pin.
+//! Algorithm 1 early-exit ordering pin. With a cache attached, every
+//! distinct job runs its cascade once per run, whatever the worker count.
 
 use llm_vectorizer_repro::agents::{sample_completion_batch, LlmConfig};
 use llm_vectorizer_repro::cir::ast::Function;
 use llm_vectorizer_repro::cir::parse_function;
 use llm_vectorizer_repro::core::{
-    check_equivalence, BatchReport, ChecksumStage, EngineConfig, EngineReuse, Equivalence, Job,
-    PipelineConfig, Stage, StrategyOutcome, SymbolicStage, VerificationEngine,
-    VerificationStrategy, WorkerState,
+    check_equivalence, job_channel, BatchObserver, BatchReport, ChecksumStage, EngineConfig,
+    EngineReuse, Equivalence, Job, JobReport, PipelineConfig, Stage, StrategyOutcome,
+    SymbolicStage, VerdictCache, VerificationEngine, VerificationStrategy, WorkerState,
 };
 use llm_vectorizer_repro::interp::ChecksumConfig;
 use llm_vectorizer_repro::tsvc::KERNELS;
 use llm_vectorizer_repro::tv::{SymbolicStrategy, TvReuse, TvSession};
 use lv_bench::{bitwise_select_jobs, sweep_tv_config, REPRESENTATIVE_KERNELS};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// A pipeline configuration fast enough for a full-suite sweep in a test,
 /// while still reaching every cascade stage. Starts from the bench sweep
@@ -272,4 +275,164 @@ fn resumed_searches_report_what_fresh_sessions_report() {
         "expected budget-stopped Alive2 attempts followed by C-unroll: {}",
         resumable
     );
+}
+
+/// Each representative suite job, `copies` times in adjacent slots, as a
+/// sweep's rule-based candidate and its identical completions arrive.
+/// Returns the jobs and the number of distinct cache keys among them.
+fn duplicated_jobs(copies: usize) -> (Vec<Job>, usize) {
+    let base: Vec<Job> = suite_jobs()
+        .into_iter()
+        .filter(|job| REPRESENTATIVE_KERNELS.contains(&job.label.as_str()))
+        .collect();
+    assert!(base.len() >= 8);
+    let jobs = base
+        .iter()
+        .flat_map(|job| std::iter::repeat_n(job, copies).cloned())
+        .collect();
+    // Every base job checks a different scalar, so each has its own key.
+    (jobs, base.len())
+}
+
+fn cached_engine(threads: usize) -> VerificationEngine {
+    VerificationEngine::new(
+        EngineConfig::full(sweep_pipeline())
+            .with_threads(threads)
+            .with_cache(Arc::new(VerdictCache::in_memory())),
+    )
+}
+
+/// Counts `job_started` and `job_finished` per job index.
+struct PerIndexObserver {
+    started: Vec<AtomicUsize>,
+    finished: Vec<AtomicUsize>,
+}
+
+impl PerIndexObserver {
+    fn new(jobs: usize) -> PerIndexObserver {
+        PerIndexObserver {
+            started: (0..jobs).map(|_| AtomicUsize::new(0)).collect(),
+            finished: (0..jobs).map(|_| AtomicUsize::new(0)).collect(),
+        }
+    }
+
+    fn assert_once_each(&self, what: &str) {
+        for (index, (started, finished)) in self.started.iter().zip(&self.finished).enumerate() {
+            let counts = (
+                started.load(Ordering::SeqCst),
+                finished.load(Ordering::SeqCst),
+            );
+            assert_eq!(counts, (1, 1), "{what}: job {index} started/finished");
+        }
+    }
+}
+
+impl BatchObserver for PerIndexObserver {
+    fn job_started(&self, index: usize, _job: &Job) {
+        self.started[index].fetch_add(1, Ordering::SeqCst);
+    }
+
+    fn job_finished(&self, index: usize, _report: &JobReport) {
+        self.finished[index].fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+/// The hit/miss/stage counts that must not depend on the worker count.
+fn counts(batch: &BatchReport) -> (usize, usize, usize) {
+    (batch.cache_misses, batch.cache_hits, batch.stage_runs())
+}
+
+fn assert_same_reports(got: &BatchReport, want: &BatchReport, what: &str) {
+    assert_eq!(got.jobs.len(), want.jobs.len(), "{what}");
+    for (g, w) in got.jobs.iter().zip(&want.jobs) {
+        assert_eq!(g.label, w.label, "{what}");
+        assert_eq!(g.verdict, w.verdict, "{what}: {}", g.label);
+        assert_eq!(g.stage, w.stage, "{what}: {}", g.label);
+        assert_eq!(g.detail, w.detail, "{what}: {}", g.label);
+        assert_eq!(g.checksum, w.checksum, "{what}: {}", g.label);
+    }
+    for report in got.jobs.iter().filter(|r| r.cache_hit) {
+        assert!(report.traces.is_empty(), "{what}: {} hit", report.label);
+    }
+}
+
+#[test]
+fn cached_batches_verify_each_distinct_job_once_at_any_worker_count() {
+    let (jobs, distinct) = duplicated_jobs(4);
+    let one = cached_engine(1).run_batch(&jobs);
+    assert_eq!(one.cache_misses, distinct);
+    assert_eq!(one.cache_hits, jobs.len() - distinct);
+    assert!(one.stage_runs() >= distinct);
+    for threads in [2, 8] {
+        let batch = cached_engine(threads).run_batch(&jobs);
+        assert_eq!(batch.threads, threads);
+        assert_eq!(counts(&batch), counts(&one), "{threads} workers");
+        assert_same_reports(&batch, &one, &format!("{threads} workers"));
+    }
+}
+
+#[test]
+fn streamed_duplicates_follow_the_running_copy_and_finish_once_each() {
+    let (jobs, distinct) = duplicated_jobs(4);
+    let want = cached_engine(1).run_batch(&jobs);
+    for threads in [1, 2, 8] {
+        let observer = PerIndexObserver::new(jobs.len());
+        // Every job is queued before the workers start, so adjacent copies
+        // are claimed at once.
+        let (producer, source) = job_channel(jobs.len());
+        for (index, job) in jobs.iter().enumerate() {
+            producer.push(index, job.clone());
+        }
+        drop(producer);
+        let streamed = cached_engine(threads).run_stream_observed(&source, &observer);
+        let what = format!("stream at {threads} workers");
+        observer.assert_once_each(&what);
+        assert_eq!(streamed.cache_misses, distinct, "{what}");
+        assert_eq!(counts(&streamed), counts(&want), "{what}");
+        assert_same_reports(&streamed, &want, &what);
+    }
+}
+
+#[test]
+fn concurrent_batches_on_one_engine_each_get_every_report() {
+    let (jobs, distinct) = duplicated_jobs(3);
+    let want = cached_engine(1).run_batch(&jobs);
+    let engine = cached_engine(2);
+    let observers = [
+        PerIndexObserver::new(jobs.len()),
+        PerIndexObserver::new(jobs.len()),
+    ];
+    let batches: Vec<BatchReport> = std::thread::scope(|scope| {
+        let runs: Vec<_> = observers
+            .iter()
+            .map(|observer| scope.spawn(|| engine.run_batch_observed(&jobs, observer)))
+            .collect();
+        runs.into_iter().map(|run| run.join().unwrap()).collect()
+    });
+    for (batch, observer) in batches.iter().zip(&observers) {
+        observer.assert_once_each("concurrent batch");
+        assert_same_reports(batch, &want, "concurrent batch");
+        assert_eq!(batch.cache_hits + batch.cache_misses, jobs.len());
+        assert!(batch.cache_misses <= distinct);
+    }
+    // A key both calls missed at once runs in each call, but never twice
+    // within one.
+    let misses: usize = batches.iter().map(|b| b.cache_misses).sum();
+    assert!(
+        (distinct..=2 * distinct).contains(&misses),
+        "{misses} misses"
+    );
+}
+
+#[test]
+fn an_engine_without_a_cache_runs_every_duplicate() {
+    let (jobs, _) = duplicated_jobs(4);
+    let batch = VerificationEngine::new(EngineConfig::full(sweep_pipeline()).with_threads(8))
+        .run_batch(&jobs);
+    assert_eq!((batch.cache_hits, batch.cache_misses), (0, 0));
+    for report in &batch.jobs {
+        assert!(!report.cache_hit, "{}", report.label);
+        assert!(!report.traces.is_empty(), "{} ran no stage", report.label);
+    }
+    assert_same_reports(&batch, &cached_engine(1).run_batch(&jobs), "no cache");
 }

@@ -2,7 +2,8 @@
 //! served over the wire are bit-identical to the in-process engine, a warm
 //! resubmission is answered entirely from the dedupe cache with zero stages
 //! run, and killed clients — garbage bytes, or a valid handshake followed
-//! by a torn frame — never take the daemon down.
+//! by a torn frame — never take the daemon down. A submission carrying one
+//! job several times runs its cascade once.
 
 use llm_vectorizer_repro::core::service::VerdictFrame;
 use llm_vectorizer_repro::core::{
@@ -158,4 +159,37 @@ fn loopback_service_matches_engine_dedupes_warm_and_survives_killed_clients() {
     let final_status = daemon.join().expect("daemon thread");
     assert_eq!(final_status.completed, 2 * jobs.len() as u64);
     assert!(final_status.connections >= 4);
+}
+
+#[test]
+fn one_submission_of_a_job_four_times_runs_its_cascade_once() {
+    let job = small_jobs().remove(0);
+    let one_job_stages = VerificationEngine::new(quick_config())
+        .run_batch(std::slice::from_ref(&job))
+        .stage_runs() as u64;
+    assert!(one_job_stages > 0);
+    let service = VerificationService::bind(
+        "127.0.0.1:0",
+        quick_config().with_threads(4),
+        Arc::new(VerdictCache::in_memory()),
+    )
+    .expect("bind");
+    let addr = service.local_addr();
+    let daemon = std::thread::spawn(move || service.serve_forever().expect("serve"));
+
+    let mut client = ServiceClient::connect(addr).expect("connect");
+    let frames = client.submit(&vec![job.clone(); 4]).expect("submit");
+    assert_eq!(frames.len(), 4);
+    assert_frames_match_engine(&frames[..1], std::slice::from_ref(&job));
+    for frame in &frames {
+        assert_eq!(frame.verdict, frames[0].verdict, "slot {}", frame.index);
+    }
+    assert_eq!(frames.iter().filter(|frame| !frame.cache_hit).count(), 1);
+    let status = client.status().expect("status");
+    assert_eq!(status.stages, one_job_stages, "the cascade ran once");
+    assert_eq!(status.dedupe_hits, 3);
+    assert_eq!(status.completed, 4);
+
+    client.shutdown().expect("shutdown");
+    daemon.join().expect("daemon thread");
 }
