@@ -1,19 +1,10 @@
-//! CIR-feature kernel categorization for schedule selection.
+//! CIR-feature kernel categorization.
 //!
-//! The verification funnel's kill/conflict profile differs sharply by kernel
-//! shape: dependence-free loops are usually settled by the cheap unrolling
-//! strategies, reductions tend to need C-level unrolling, and conditional
-//! kernels often fall through to spatial splitting. [`categorize`] collapses
-//! the [`DependenceReport`](crate::DependenceReport) of a kernel into one of
-//! four coarse [`KernelCategory`] buckets, which is the key the engine's
-//! per-category stage schedule (`lv_core::engine::StageSchedule`) and the
-//! persisted cross-run profile (`lv_core::profile`) are indexed by.
-//!
-//! The categorization is a pure function of the scalar kernel's AST, so the
-//! same kernel lands in the same bucket in every process of a sharded sweep
-//! — which is what lets a schedule override participate in the engine
-//! configuration fingerprint without breaking cross-process verdict-cache
-//! exchange.
+//! [`categorize`] collapses the [`DependenceReport`](crate::DependenceReport)
+//! of a kernel into one of four coarse [`KernelCategory`] buckets:
+//! dependence-free, reduction, conditional, and everything else. The
+//! categorization is a pure function of the scalar kernel's AST, so the
+//! same kernel lands in the same bucket in every process.
 
 use crate::dependence::analyze_function;
 use lv_cir::ast::Function;
@@ -39,7 +30,7 @@ pub enum KernelCategory {
 }
 
 impl KernelCategory {
-    /// All categories, in stable (fingerprint/report) order.
+    /// All categories, in stable report order.
     pub fn all() -> [KernelCategory; 4] {
         [
             KernelCategory::DependenceFree,
@@ -49,34 +40,13 @@ impl KernelCategory {
         ]
     }
 
-    /// Stable serialization tag (exchange files, CLI).
+    /// Stable display tag.
     pub fn tag(self) -> &'static str {
         match self {
             KernelCategory::DependenceFree => "dependence-free",
             KernelCategory::Reduction => "reduction",
             KernelCategory::Conditional => "conditional",
             KernelCategory::Other => "other",
-        }
-    }
-
-    /// Parses a [`KernelCategory::tag`].
-    pub fn from_tag(tag: &str) -> Result<KernelCategory, String> {
-        match tag {
-            "dependence-free" => Ok(KernelCategory::DependenceFree),
-            "reduction" => Ok(KernelCategory::Reduction),
-            "conditional" => Ok(KernelCategory::Conditional),
-            "other" => Ok(KernelCategory::Other),
-            other => Err(format!("unknown kernel category tag `{}`", other)),
-        }
-    }
-
-    /// One stable byte per category, for configuration fingerprints.
-    pub fn fingerprint_byte(self) -> u8 {
-        match self {
-            KernelCategory::DependenceFree => 1,
-            KernelCategory::Reduction => 2,
-            KernelCategory::Conditional => 3,
-            KernelCategory::Other => 4,
         }
     }
 }
@@ -150,15 +120,12 @@ mod tests {
 
     #[test]
     fn tags_round_trip_and_stay_stable() {
-        for category in KernelCategory::all() {
-            assert_eq!(KernelCategory::from_tag(category.tag()), Ok(category));
-        }
-        assert!(KernelCategory::from_tag("nope").is_err());
-        let bytes: Vec<u8> = KernelCategory::all()
-            .iter()
-            .map(|c| c.fingerprint_byte())
-            .collect();
-        assert_eq!(bytes, vec![1, 2, 3, 4], "fingerprint bytes are pinned");
+        let tags: Vec<&str> = KernelCategory::all().iter().map(|c| c.tag()).collect();
+        assert_eq!(
+            tags,
+            ["dependence-free", "reduction", "conditional", "other"],
+            "tags are pinned"
+        );
         assert_eq!(KernelCategory::Reduction.to_string(), "reduction");
     }
 

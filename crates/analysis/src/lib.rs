@@ -14,8 +14,7 @@
 //! * [`dependence`] — flow/anti/output dependence analysis with distances
 //!   ([`analyze_function`], [`DependenceReport`]);
 //! * [`category`] — coarse kernel-shape buckets derived from the dependence
-//!   report ([`categorize`], [`KernelCategory`]), the key the verification
-//!   engine's per-category stage schedule is indexed by;
+//!   report ([`categorize`], [`KernelCategory`]);
 //! * [`remarks`] — compiler-style remark rendering for the agent prompt
 //!   ([`remarks_text`]).
 //!

@@ -81,8 +81,9 @@ pub fn sweep_jobs() -> Vec<Job> {
 /// `xor(a, and(xor(a, b), m))`, and `s271` as the first form over
 /// `a + b * c`. No term rewrite turns these into the scalar kernel's `ite`,
 /// so under 1,000/10,000-conflict Alive2/C-unroll budgets their Alive2
-/// attempt stops at its budget and C-unroll resumes the identical instance
-/// to conclude (at 1,024, 1,511 and 1,985 conflicts).
+/// attempt stops at its budget and C-unroll, which builds the identical
+/// instance, searches it afresh and concludes (at 1,024, 1,511 and 1,032
+/// conflicts).
 pub fn bitwise_select_jobs() -> Vec<Job> {
     let vector = |name: &str, params: &str, body: &str| {
         lv_cir::parse_function(&format!(
@@ -129,21 +130,4 @@ pub fn bitwise_select_jobs() -> Vec<Job> {
             ),
         ),
     ]
-}
-
-/// `jobs` with every conditional kernel's job replaced by the
-/// [`bitwise_select_jobs`]. The term rewrites fold the verification
-/// condition of the rule-based and synthetic TSVC conditional candidates
-/// before SAT, so Alive2 is the cheapest stage for them; this job set keeps
-/// a category whose Alive2 attempts exhaust a 1,000-conflict budget, which
-/// is what a profile-derived schedule reorders.
-pub fn with_unfoldable_conditionals(jobs: Vec<Job>) -> Vec<Job> {
-    let mut jobs: Vec<Job> = jobs
-        .into_iter()
-        .filter(|job| {
-            lv_analysis::categorize(&job.scalar) != lv_analysis::KernelCategory::Conditional
-        })
-        .collect();
-    jobs.extend(bitwise_select_jobs());
-    jobs
 }

@@ -1,25 +1,19 @@
-//! The parallel batch verification engine, split into three layers:
+//! The parallel batch verification engine, split into two layers:
 //!
 //! * [`stage`] — one cascade stage as a [`VerificationStrategy`] trait
 //!   object ([`ChecksumStage`] wrapping the checksum filter, one
 //!   [`SymbolicStage`] per [`lv_tv::SymbolicStrategy`]). A stage checks one
 //!   `(scalar, candidate)` pair and knows nothing about ordering or
 //!   parallelism;
-//! * [`schedule`] — the cascade *order* as data: a [`StageSchedule`] is the
-//!   default Algorithm 1 order plus per-kernel-category overrides that
-//!   permute only the symbolic stages (checksum pinned first), keyed by the
-//!   CIR-feature categorizer in [`lv_analysis::categorize`]. The default
-//!   schedule is bit-identical to the fixed cascade — same execution, same
-//!   [`EngineConfig::semantic_fingerprint`], same cache keys — while
-//!   effective overrides fingerprint distinctly (the resolved per-category
-//!   orders are hashed in) and still produce bit-identical *verdicts*, since
-//!   every symbolic stage is sound. [`StageSchedule::from_profile`] derives
-//!   the overrides from a persisted [`crate::profile::CrossRunProfile`];
 //! * [`pool`] — the scoped worker pool ([`parallel_map`] and the core of
 //!   every engine run) and the streaming [`job_channel`]: workers pull jobs
 //!   from a shared cursor or channel, each owning one reusable SMT session
 //!   ([`lv_tv::TvSession`]) for its whole lifetime, and results are
 //!   returned in job order regardless of scheduling.
+//!
+//! Every job runs [`EngineConfig::cascade`] in its configured order —
+//! Algorithm 1's checksum → Alive2 → C-unroll → splitting by default —
+//! under the fixed per-stage budgets of [`EngineConfig::pipeline`].
 //!
 //! Every job is deterministic given its inputs and each worker session is
 //! reset to a just-constructed state between queries, so a batch produces
@@ -43,38 +37,26 @@
 //!   table belongs to one run, so concurrent runs on one engine each verify
 //!   their own copy of a job they share.
 //!
-//! Tuning happens *between* runs, not inside one: from a persisted
-//! [`crate::profile::CrossRunProfile`], [`StageSchedule::from_profile`] and
-//! [`crate::funnel::derive_from_profile`] derive the stage order and
-//! tightened per-stage [`lv_tv::SolverBudget`]s for the next run from every
-//! previous run's telemetry, and the caller builds the next
-//! [`EngineConfig`] from them.
-//!
 //! Orthogonal to all of the above, [`EngineReuse`] switches on the blast
 //! memo (off by default): each worker's solver memoizes the blasted CNF of
 //! structurally repeated queries and replays the recorded clause stream
 //! instead of re-blasting. Replays are clause-identical by construction, so
 //! reports and the fingerprint stay bit-identical to the fresh path. Every
-//! query then takes one path: blast once, search once, and resume a paused
-//! search when the next stage asks the identical query.
+//! query then takes one path: blast once and search once.
 //!
 //! Per-job memo activity lands in [`JobReport::reuse`] ([`ReuseCounters`]),
-//! aggregates via [`BatchReport::reuse_totals`], and feeds the funnel report
-//! and the persisted cross-run profile.
+//! aggregates via [`BatchReport::reuse_totals`], and feeds the funnel report.
 
 pub mod pool;
-pub mod schedule;
 pub mod stage;
 
 pub use pool::{job_channel, parallel_map, JobProducer, JobSource};
-pub use schedule::{StageSchedule, SYMBOLIC_STAGES};
 pub use stage::{ChecksumStage, StrategyOutcome, SymbolicStage, VerificationStrategy, WorkerState};
 
 use crate::cache::{CacheKey, CachedVerdict, VerdictCache};
 use crate::funnel::FunnelReport;
 use crate::observer::{BatchObserver, NoopObserver};
 use crate::pipeline::{Equivalence, EquivalenceReport, PipelineConfig, Stage};
-use lv_analysis::KernelCategory;
 use lv_cir::ast::Function;
 use lv_cir::hash::{structural_hash, structural_hash_in_env, Fnv64};
 use lv_interp::ChecksumClass;
@@ -132,14 +114,9 @@ impl ReuseCounters {
 pub struct EngineConfig {
     /// Worker threads; `0` means one per available CPU.
     pub threads: usize,
-    /// The stages to run, in base order. Defaults to Algorithm 1's full
-    /// cascade; the [`StageSchedule`] may reorder the symbolic stages per
-    /// kernel category.
+    /// The stages to run, in order. Defaults to Algorithm 1's full
+    /// cascade.
     pub cascade: Vec<Stage>,
-    /// Per-kernel-category stage ordering. The default is Algorithm 1's
-    /// fixed order for every category — bit-identical execution and
-    /// fingerprint to the pre-schedule engine.
-    pub schedule: StageSchedule,
     /// Stage configurations (checksum harness + symbolic budgets).
     pub pipeline: PipelineConfig,
     /// Verdict cache consulted per job before any stage runs. `None`
@@ -159,7 +136,6 @@ impl Default for EngineConfig {
                 Stage::CUnroll,
                 Stage::Splitting,
             ],
-            schedule: StageSchedule::algorithm1(),
             pipeline: PipelineConfig::default(),
             cache: None,
             reuse: EngineReuse::default(),
@@ -200,12 +176,6 @@ impl EngineConfig {
         self
     }
 
-    /// Returns this configuration with the given stage schedule.
-    pub fn with_schedule(mut self, schedule: StageSchedule) -> EngineConfig {
-        self.schedule = schedule;
-        self
-    }
-
     /// Returns this configuration with the given reuse enabled.
     pub fn with_reuse(mut self, reuse: EngineReuse) -> EngineConfig {
         self.reuse = reuse;
@@ -214,32 +184,36 @@ impl EngineConfig {
 
     /// A stable fingerprint of everything that can influence a verdict: the
     /// cascade stage list (order matters — it decides which stage answers
-    /// first), the *effective* per-category schedule overrides (resolved
-    /// against the cascade; the default schedule contributes nothing, so
-    /// default-schedule fingerprints are bit-identical to the pre-schedule
-    /// engine), the checksum harness configuration, the symbolic budgets,
+    /// first), the checksum harness configuration, the symbolic budgets,
     /// and the SAT search revision ([`lv_tv::SEARCH_REVISION`]).
     ///
     /// This is the `config` component of every [`CacheKey`]. Thread count
     /// and the cache itself are deliberately excluded: neither changes the
-    /// verdict a given budget configuration produces (a run under
-    /// profile-tuned budgets caches its verdicts under the tuned
-    /// configuration's own fingerprint).
+    /// verdict a given budget configuration produces.
     pub fn semantic_fingerprint(&self) -> u64 {
         let mut fnv = Fnv64::new();
         fnv.write_u64(self.cascade.len() as u64);
         for stage in &self.cascade {
-            fnv.write_u8(schedule::stage_fingerprint_byte(*stage));
+            fnv.write_u8(stage_fingerprint_byte(*stage));
         }
         fnv.write_u64(self.pipeline.checksum.fingerprint());
         fnv.write_u64(self.pipeline.tv.fingerprint());
-        self.schedule.fingerprint_into(&self.cascade, &mut fnv);
         // A symbolic verdict is whatever the SAT search reaches within its
         // budget, so it is keyed by the search revision that reached it.
         fnv.write_u8(lv_tv::SEARCH_REVISION);
         // Memo replays are clause-identical, so the memo leaves the
         // fingerprint alone.
         fnv.finish()
+    }
+}
+
+/// Stable one-byte stage codes for [`EngineConfig::semantic_fingerprint`].
+fn stage_fingerprint_byte(stage: Stage) -> u8 {
+    match stage {
+        Stage::Checksum => 1,
+        Stage::Alive2 => 2,
+        Stage::CUnroll => 3,
+        Stage::Splitting => 4,
     }
 }
 
@@ -386,16 +360,8 @@ impl BatchReport {
 /// The parallel batch verification engine.
 pub struct VerificationEngine {
     threads: usize,
-    /// One strategy instance per base-cascade stage, in cascade order.
+    /// One strategy instance per cascade stage, in cascade order.
     strategies: Vec<Box<dyn VerificationStrategy>>,
-    /// The base execution order: `0..strategies.len()`.
-    identity_order: Vec<usize>,
-    /// Per-category execution orders (indices into `strategies`) for
-    /// categories whose resolved schedule differs from the base cascade.
-    /// Empty for the default schedule — jobs then skip categorization
-    /// entirely, so default-schedule batches are bit-identical (down to
-    /// wall-clock behavior) to the pre-schedule engine.
-    category_orders: Vec<(KernelCategory, Vec<usize>)>,
     cache: Option<Arc<VerdictCache>>,
     /// [`EngineConfig::semantic_fingerprint`] of the source configuration,
     /// precomputed once — it is part of every cache key.
@@ -406,7 +372,7 @@ pub struct VerificationEngine {
 
 impl VerificationEngine {
     /// Builds an engine from a configuration, instantiating one strategy per
-    /// cascade stage and precomputing the per-category execution orders.
+    /// cascade stage.
     pub fn new(config: EngineConfig) -> VerificationEngine {
         let symbolic = |strategy: SymbolicStrategy| -> Box<dyn VerificationStrategy> {
             Box::new(SymbolicStage::new(strategy, config.pipeline.tv.clone()))
@@ -425,33 +391,9 @@ impl VerificationEngine {
                 }
             })
             .collect();
-        // Resolve each effective override into indices of `strategies`: the
-        // resolved order is a permutation of the cascade, so every stage in
-        // it names exactly one cascade position.
-        let category_orders = config
-            .schedule
-            .resolved_overrides(&config.cascade)
-            .into_iter()
-            .map(|(category, order)| {
-                let mut remaining: Vec<usize> = (0..config.cascade.len()).collect();
-                let indices = order
-                    .iter()
-                    .map(|stage| {
-                        let slot = remaining
-                            .iter()
-                            .position(|&i| config.cascade[i] == *stage)
-                            .expect("resolved order is a permutation of the cascade");
-                        remaining.remove(slot)
-                    })
-                    .collect();
-                (category, indices)
-            })
-            .collect();
         VerificationEngine {
             threads: config.threads,
-            identity_order: (0..strategies.len()).collect(),
             strategies,
-            category_orders,
             cache: config.cache.clone(),
             config_fingerprint: config.semantic_fingerprint(),
             reuse: config.reuse,
@@ -466,9 +408,7 @@ impl VerificationEngine {
     ) -> VerificationEngine {
         VerificationEngine {
             threads,
-            identity_order: (0..strategies.len()).collect(),
             strategies,
-            category_orders: Vec::new(),
             cache: None,
             config_fingerprint: 0,
             reuse: EngineReuse::default(),
@@ -606,21 +546,6 @@ impl VerificationEngine {
         Some(job_cache_key(job, self.config_fingerprint))
     }
 
-    /// The stage execution order for `job`: the base cascade order unless
-    /// the schedule has an effective override for the job's kernel category.
-    /// Categorization runs only when overrides exist, so a default-schedule
-    /// engine pays nothing.
-    fn stage_order(&self, job: &Job) -> &[usize] {
-        if self.category_orders.is_empty() {
-            return &self.identity_order;
-        }
-        let category = lv_analysis::categorize(&job.scalar);
-        self.category_orders
-            .iter()
-            .find(|(c, _)| *c == category)
-            .map_or(&self.identity_order, |(_, order)| order)
-    }
-
     /// Runs one claimed job and pushes its report — and those of any
     /// in-flight followers it answers — onto `out`.
     ///
@@ -705,8 +630,7 @@ impl VerificationEngine {
         worker.checksum = None;
         worker.name_mismatch = false;
         let reuse_before = worker.session.reuse_stats();
-        let order = self.stage_order(job);
-        let mut traces = Vec::with_capacity(order.len());
+        let mut traces = Vec::with_capacity(self.strategies.len());
         // If no stage concludes, report the last stage that ran (Alive2 with
         // an empty reason for an empty cascade, mirroring the sequential
         // pipeline's initializer).
@@ -714,8 +638,7 @@ impl VerificationEngine {
         let mut last_reason = String::new();
         let mut conclusion: Option<(Equivalence, Stage, String)> = None;
 
-        for &slot in order {
-            let strategy = &self.strategies[slot];
+        for strategy in &self.strategies {
             let stats_before = worker.session.stats;
             let stage_start = Instant::now();
             let outcome = strategy.verify(&job.scalar, &job.candidate, worker);
@@ -1115,77 +1038,6 @@ mod tests {
             "one callback per executed stage"
         );
         assert_eq!(counter.cache_hit_count(), 0);
-    }
-
-    #[test]
-    fn default_schedule_fingerprint_is_unchanged_and_overrides_differ() {
-        let base = EngineConfig::full(quick_pipeline());
-        let explicit_default =
-            EngineConfig::full(quick_pipeline()).with_schedule(StageSchedule::algorithm1());
-        assert_eq!(
-            base.semantic_fingerprint(),
-            explicit_default.semantic_fingerprint(),
-            "the default schedule must not perturb the fingerprint"
-        );
-
-        let reordered = EngineConfig::full(quick_pipeline()).with_schedule(
-            StageSchedule::algorithm1()
-                .with_override(
-                    KernelCategory::DependenceFree,
-                    vec![Stage::Splitting, Stage::Alive2, Stage::CUnroll],
-                )
-                .unwrap(),
-        );
-        assert_ne!(
-            base.semantic_fingerprint(),
-            reordered.semantic_fingerprint(),
-            "an effective override is a different verification configuration"
-        );
-
-        // Against a checksum-only cascade the same override has no effect,
-        // so it must not perturb that fingerprint either.
-        let checksum_base = EngineConfig::checksum_only(ChecksumConfig::default());
-        let checksum_scheduled = EngineConfig {
-            schedule: reordered.schedule.clone(),
-            ..EngineConfig::checksum_only(ChecksumConfig::default())
-        };
-        assert_eq!(
-            checksum_base.semantic_fingerprint(),
-            checksum_scheduled.semantic_fingerprint()
-        );
-    }
-
-    #[test]
-    fn scheduled_engine_reorders_stages_but_keeps_verdicts() {
-        let scalar = parse_function(S000).unwrap();
-        let good = vectorize_correct(&scalar).unwrap();
-        assert_eq!(
-            lv_analysis::categorize(&scalar),
-            KernelCategory::DependenceFree
-        );
-        let jobs = vec![Job::new("s000", scalar.clone(), good)];
-
-        let default_engine = VerificationEngine::new(EngineConfig::full(quick_pipeline()));
-        let default_run = default_engine.run_batch(&jobs);
-
-        let schedule = StageSchedule::algorithm1()
-            .with_override(
-                KernelCategory::DependenceFree,
-                vec![Stage::Splitting, Stage::CUnroll, Stage::Alive2],
-            )
-            .unwrap();
-        let scheduled_engine =
-            VerificationEngine::new(EngineConfig::full(quick_pipeline()).with_schedule(schedule));
-        let scheduled_run = scheduled_engine.run_batch(&jobs);
-
-        let (d, s) = (&default_run.jobs[0], &scheduled_run.jobs[0]);
-        assert_eq!(d.verdict, s.verdict, "verdicts are schedule-invariant");
-        assert_eq!(d.verdict, Equivalence::Equivalent);
-        // The scheduled run really executed a different order: checksum
-        // first (pinned), then Splitting before the default's Alive2.
-        assert_eq!(s.traces[0].stage, Stage::Checksum);
-        assert_eq!(s.traces[1].stage, Stage::Splitting);
-        assert_eq!(d.traces[1].stage, Stage::Alive2);
     }
 
     /// A candidate that is semantically equal to [`S000`] but adds 1 by

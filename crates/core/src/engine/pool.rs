@@ -5,8 +5,8 @@
 //! for the plain map). Ordering of *results* is by item index regardless
 //! of which worker ran what, which is how every batch stays bit-identical
 //! across thread counts. Nothing in this layer knows what a verification
-//! stage is — the [stage](super::stage) and [schedule](super::schedule)
-//! layers are plugged in by [`VerificationEngine`](super::VerificationEngine).
+//! stage is — the [stage](super::stage) layer is plugged in by
+//! [`VerificationEngine`](super::VerificationEngine).
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -1,8 +1,8 @@
 //! The stage layer: one cascade stage as a [`VerificationStrategy`].
 //!
 //! A stage knows how to check one `(scalar, candidate)` pair and nothing
-//! about ordering, scheduling, or parallelism — those live in the
-//! [`schedule`](super::schedule) and [`pool`](super::pool) layers.
+//! about ordering or parallelism — the engine runs the cascade in its
+//! configured order, on the [`pool`](super::pool) layer.
 //! Implementations exist for the checksum filter (wrapping
 //! [`lv_interp::ChecksumFilter`]) and for each [`lv_tv::SymbolicStrategy`];
 //! the trait is public so alternative cascades (e.g. a future fuzzing stage)

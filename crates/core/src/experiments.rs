@@ -18,14 +18,12 @@
 //! incrementally while the sweep is still running. The drivers themselves
 //! accumulate their rows through the same callbacks instead of
 //! post-processing the finished [`BatchReport`](crate::BatchReport), so the
-//! streamed view and the returned table can never disagree. A cache and a
-//! stage schedule configured on [`ExperimentConfig`] are honored by every
-//! engine run a driver performs.
+//! streamed view and the returned table can never disagree. A cache
+//! configured on [`ExperimentConfig`] is honored by every engine run of
+//! every experiment.
 
 use crate::cache::VerdictCache;
-use crate::engine::{
-    parallel_map, EngineConfig, Job, JobReport, StageSchedule, VerificationEngine,
-};
+use crate::engine::{parallel_map, EngineConfig, Job, JobReport, VerificationEngine};
 use crate::funnel::FunnelReport;
 use crate::observer::{BatchObserver, NoopObserver, TeeObserver};
 use crate::passk::pass_at_k_curve;
@@ -60,13 +58,6 @@ pub struct ExperimentConfig {
     /// Verdict cache shared by every engine a driver builds. `None` (the
     /// default) disables caching.
     pub cache: Option<Arc<VerdictCache>>,
-    /// Per-kernel-category stage schedule applied to every full-cascade
-    /// engine a driver builds (usually
-    /// [`StageSchedule::from_profile`](crate::engine::StageSchedule::from_profile)
-    /// of a persisted [`CrossRunProfile`](crate::profile::CrossRunProfile)).
-    /// The default is Algorithm 1's fixed order — bit-identical verdicts,
-    /// fingerprints, and cache keys to the pre-schedule drivers.
-    pub schedule: StageSchedule,
 }
 
 impl Default for ExperimentConfig {
@@ -80,7 +71,6 @@ impl Default for ExperimentConfig {
             performance_n: 32_000,
             threads: 0,
             cache: None,
-            schedule: StageSchedule::algorithm1(),
         }
     }
 }
@@ -110,11 +100,9 @@ impl ExperimentConfig {
     }
 
     /// The engine running Algorithm 1's full cascade under this
-    /// configuration and [`ExperimentConfig::schedule`] (Table 3, Figure 1).
+    /// configuration (Table 3, Figure 1).
     pub fn engine(&self) -> VerificationEngine {
-        let mut engine = EngineConfig::full(self.pipeline.clone())
-            .with_threads(self.threads)
-            .with_schedule(self.schedule.clone());
+        let mut engine = EngineConfig::full(self.pipeline.clone()).with_threads(self.threads);
         engine.cache = self.cache.clone();
         VerificationEngine::new(engine)
     }
@@ -123,13 +111,10 @@ impl ExperimentConfig {
     /// configuration (Table 2, Figure 5, the Section 4.4 evaluation).
     /// Shares [`ExperimentConfig::cache`] with the full-cascade engine —
     /// the two cascades have different configuration fingerprints, so their
-    /// entries never collide. The schedule is passed through too, though it
-    /// can never reorder a checksum-only cascade (and so never perturbs its
-    /// fingerprint).
+    /// entries never collide.
     pub fn checksum_engine(&self) -> VerificationEngine {
-        let mut engine = EngineConfig::checksum_only(self.checksum.clone())
-            .with_threads(self.threads)
-            .with_schedule(self.schedule.clone());
+        let mut engine =
+            EngineConfig::checksum_only(self.checksum.clone()).with_threads(self.threads);
         engine.cache = self.cache.clone();
         VerificationEngine::new(engine)
     }

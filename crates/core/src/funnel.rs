@@ -1,28 +1,15 @@
-//! The telemetry funnel and the budget tuning built on it.
+//! The telemetry funnel.
 //!
 //! Every job the engine runs records a [`StageTrace`](crate::StageTrace)
-//! per cascade stage, and this module is its first consumer. A
-//! [`FunnelReport`] aggregates a batch's traces per stage — how many jobs
-//! reached the stage, how many it killed (and with which verdict), and the
-//! distribution of SAT conflicts it spent — and renders the result as a
-//! funnel table with log₂ conflict histograms.
-//!
-//! [`derive_from_profile`] turns the same per-stage evidence, accumulated
-//! across runs in a [`CrossRunProfile`], into tuned [`SolverBudget`]s:
-//! conclusive queries tell us how much effort proofs *actually* need at
-//! each stage, so each stage's budget is capped at the maximum conclusive
-//! effort observed plus a 100% safety margin. Inconclusive queries at a
-//! stage — the ones that burn the whole budget and fall through anyway —
-//! then give up earlier and fall through to the next (cheaper-per-verdict)
-//! strategy sooner. Derived budgets only ever *tighten* the configured base
-//! and never drop below a fixed floor. Tuning is opt-in (`lv-sweep --budget
-//! profile`): without it, budgets are exactly the configured ones and
-//! verdicts stay bit-identical.
+//! per cascade stage, and this module aggregates them. A [`FunnelReport`]
+//! sums a batch's traces per stage — how many jobs reached the stage, how
+//! many it killed (and with which verdict), and the distribution of SAT
+//! conflicts it spent — and renders the result as a funnel table with log₂
+//! conflict histograms. It reports; it tunes nothing: stage order and
+//! budgets come from the [`EngineConfig`](crate::EngineConfig) alone.
 
 use crate::engine::JobReport;
 use crate::pipeline::{Equivalence, Stage};
-use crate::profile::CrossRunProfile;
-use lv_tv::{SolverBudget, TvConfig};
 use std::time::Duration;
 
 /// Number of log₂ buckets in a conflict histogram: bucket 0 counts
@@ -51,13 +38,8 @@ pub struct StageFunnel {
     pub total_conflicts: u64,
     /// Largest conflict count any single run of this stage spent.
     pub max_conflicts: u64,
-    /// Largest conflict count among *conclusive* runs — what budget tuning
-    /// budgets for.
-    pub conclusive_max_conflicts: u64,
     /// CNF clauses built by this stage across all jobs.
     pub total_clauses: u64,
-    /// Largest clause count among conclusive runs.
-    pub conclusive_max_clauses: u64,
     /// Wall time spent in this stage across all jobs.
     pub wall: Duration,
     /// Histogram of per-run conflict counts (see [`HISTOGRAM_BUCKETS`]).
@@ -80,9 +62,7 @@ impl StageFunnel {
             passed: 0,
             total_conflicts: 0,
             max_conflicts: 0,
-            conclusive_max_conflicts: 0,
             total_clauses: 0,
-            conclusive_max_clauses: 0,
             wall: Duration::ZERO,
             conflict_histogram: [0; HISTOGRAM_BUCKETS],
             name_mismatches: 0,
@@ -148,9 +128,6 @@ impl FunnelReport {
                     stage.name_mismatches += 1;
                 }
                 if trace.conclusive {
-                    stage.conclusive_max_conflicts =
-                        stage.conclusive_max_conflicts.max(trace.conflicts);
-                    stage.conclusive_max_clauses = stage.conclusive_max_clauses.max(trace.clauses);
                     match report.verdict {
                         Equivalence::Equivalent => stage.equivalent += 1,
                         Equivalence::NotEquivalent => stage.not_equivalent += 1,
@@ -229,85 +206,6 @@ fn spark(count: usize, peak: usize) -> char {
     }
 }
 
-/// Safety margin over the maximum conclusive effort observed, in percent:
-/// `100` doubles it.
-const BUDGET_MARGIN_PERCENT: u64 = 100;
-
-/// Tuned budgets never drop below this floor.
-const BUDGET_FLOOR: SolverBudget = SolverBudget {
-    max_conflicts: 1_000,
-    max_clauses: 100_000,
-};
-
-/// Tunes the symbolic-stage budgets of `base` from a persisted
-/// [`CrossRunProfile`]: the profile's per-category cells are aggregated per
-/// stage (kills summed, conclusive-effort highwater marks maxed) and each
-/// stage's budget is capped at its maximum conclusive effort plus the
-/// margin (see the [module docs](self)). The result only tightens `base`
-/// and never drops below the floor; stages the profile never saw conclude
-/// keep their base budget — there is no evidence to tune from.
-pub fn derive_from_profile(profile: &CrossRunProfile, base: &TvConfig) -> TvConfig {
-    let mut tuned = base.clone();
-    tuned.alive2_budget = tune(
-        profile_stage_funnel(profile, Stage::Alive2).as_ref(),
-        base.alive2_budget,
-    );
-    tuned.cunroll_budget = tune(
-        profile_stage_funnel(profile, Stage::CUnroll).as_ref(),
-        base.cunroll_budget,
-    );
-    tuned.spatial_budget = tune(
-        profile_stage_funnel(profile, Stage::Splitting).as_ref(),
-        base.spatial_budget,
-    );
-    tuned
-}
-
-fn tune(observed: Option<&StageFunnel>, base: SolverBudget) -> SolverBudget {
-    let Some(stage) = observed else {
-        return base;
-    };
-    if stage.killed() == 0 {
-        return base;
-    }
-    let scale = |v: u64| v.saturating_mul(100 + BUDGET_MARGIN_PERCENT) / 100;
-    let derived = SolverBudget {
-        max_conflicts: scale(stage.conclusive_max_conflicts).max(1),
-        // The clause budget models memory, and bit-blasting happens
-        // before any conflict is spent — budget for the largest
-        // conclusive query seen, with the same margin.
-        max_clauses: usize::try_from(scale(stage.conclusive_max_clauses).max(1))
-            .unwrap_or(usize::MAX),
-    };
-    derived.max_with(BUDGET_FLOOR).min_with(base)
-}
-
-/// Aggregates a profile's per-category cells for one stage into the
-/// [`StageFunnel`] shape the tuning rule consumes. `None` when no category
-/// ever reached the stage (no evidence — keep the base budget).
-fn profile_stage_funnel(profile: &CrossRunProfile, stage: Stage) -> Option<StageFunnel> {
-    let mut funnel = StageFunnel::new(stage);
-    let mut seen = false;
-    for category in lv_analysis::KernelCategory::all() {
-        if let Some(cell) = profile.cell(category, stage) {
-            seen = true;
-            funnel.entered += usize::try_from(cell.entered).unwrap_or(usize::MAX);
-            // The tuning rule only consumes `killed()` and the conclusive
-            // highwater marks; the profile does not split kills by verdict,
-            // so they all land in `equivalent`.
-            funnel.equivalent += usize::try_from(cell.killed).unwrap_or(usize::MAX);
-            funnel.total_conflicts += cell.conflicts;
-            funnel.conclusive_max_conflicts = funnel
-                .conclusive_max_conflicts
-                .max(cell.conclusive_max_conflicts);
-            funnel.conclusive_max_clauses = funnel
-                .conclusive_max_clauses
-                .max(cell.conclusive_max_clauses);
-        }
-    }
-    seen.then_some(funnel)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -377,7 +275,6 @@ mod tests {
         assert_eq!(alive2.entered, 2);
         assert_eq!(alive2.equivalent, 1);
         assert_eq!(alive2.passed, 1);
-        assert_eq!(alive2.conclusive_max_conflicts, 500);
         assert_eq!(alive2.max_conflicts, 5_000);
 
         let cunroll = funnel.stage(Stage::CUnroll).unwrap();
@@ -409,72 +306,5 @@ mod tests {
         assert_eq!(histogram_bucket(3), 2);
         assert_eq!(histogram_bucket(4), 3);
         assert_eq!(histogram_bucket(u64::MAX), HISTOGRAM_BUCKETS - 1);
-    }
-
-    /// A profile holding `reports`, all observed under one category.
-    fn profile_of(reports: &[JobReport]) -> CrossRunProfile {
-        let mut profile = CrossRunProfile::new();
-        for report in reports {
-            profile.observe(lv_analysis::KernelCategory::Reduction, report);
-        }
-        profile
-    }
-
-    #[test]
-    fn adaptive_policy_tightens_toward_observed_effort() {
-        let reports = vec![
-            job(
-                Equivalence::Equivalent,
-                vec![trace(Stage::Alive2, true, 400, 50_000)],
-            ),
-            job(
-                Equivalence::Equivalent,
-                vec![trace(Stage::Alive2, true, 900, 80_000)],
-            ),
-            job(
-                Equivalence::Inconclusive,
-                vec![
-                    trace(Stage::Alive2, false, 60_000, 600_000),
-                    trace(Stage::CUnroll, false, 1_000, 1_000),
-                ],
-            ),
-        ];
-        let base = TvConfig::default();
-        let tuned = derive_from_profile(&profile_of(&reports), &base);
-
-        // Alive2 concluded at ≤900 conflicts: tuned to 1800 (margin 100%),
-        // well below the 60k base — inconclusive jobs stop wasting 60k.
-        assert_eq!(tuned.alive2_budget.max_conflicts, 1_800);
-        assert_eq!(tuned.alive2_budget.max_clauses, 160_000);
-        // C-Unroll never concluded: keep the base budget.
-        assert_eq!(tuned.cunroll_budget, base.cunroll_budget);
-        // Splitting never ran: keep the base budget.
-        assert_eq!(tuned.spatial_budget, base.spatial_budget);
-        // Non-budget fields are untouched.
-        assert_eq!(tuned.alive2_chunks, base.alive2_chunks);
-
-        // An empty profile changes nothing at all.
-        let untouched = derive_from_profile(&CrossRunProfile::new(), &base);
-        assert_eq!(untouched.alive2_budget, base.alive2_budget);
-    }
-
-    #[test]
-    fn adaptive_policy_respects_floor_and_base() {
-        let base = TvConfig::default();
-        let reports = vec![job(
-            Equivalence::Equivalent,
-            vec![trace(Stage::Alive2, true, 1, 10)],
-        )];
-        let tuned = derive_from_profile(&profile_of(&reports), &base);
-        // Tiny observations are floored.
-        assert_eq!(tuned.alive2_budget, BUDGET_FLOOR);
-
-        // Huge observations are capped at the base.
-        let reports = vec![job(
-            Equivalence::Equivalent,
-            vec![trace(Stage::Alive2, true, u64::MAX / 2, u64::MAX / 2)],
-        )];
-        let tuned = derive_from_profile(&profile_of(&reports), &base);
-        assert_eq!(tuned.alive2_budget, base.alive2_budget);
     }
 }

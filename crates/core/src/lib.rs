@@ -1,25 +1,22 @@
-//! # lv-core — the observable, cached, self-tuning batch verification engine
+//! # lv-core — the observable, cached batch verification engine
 //!
 //! This crate ties the substrates together into the system the paper
 //! describes, built around a batch engine rather than a hard-coded loop:
 //!
-//! * [`engine`] — the [`VerificationEngine`], split into three layers:
+//! * [`engine`] — the [`VerificationEngine`], split into two layers:
 //!   [`engine::stage`] (Algorithm 1's checksum testing, Alive2-style
 //!   unrolling, C-level unrolling, and spatial splitting as
-//!   [`VerificationStrategy`] trait objects), [`engine::schedule`] (the
-//!   cascade *order* as data — a [`StageSchedule`] is the default Algorithm
-//!   1 order plus per-kernel-category overrides permuting only the symbolic
-//!   stages, keyed by [`lv_analysis::categorize`]), and [`engine::pool`]
-//!   (the atomic work-queue worker pool fanning `(kernel × candidate)`
-//!   [`Job`]s out). Each worker owns one reusable SMT session, and every job
+//!   [`VerificationStrategy`] trait objects) and [`engine::pool`] (the
+//!   atomic work-queue worker pool fanning `(kernel × candidate)` [`Job`]s
+//!   out). Every job runs one cascade order — Algorithm 1's, unless
+//!   [`EngineConfig::cascade`] says otherwise — under fixed per-stage
+//!   budgets. Each worker owns one reusable SMT session, and every job
 //!   records structured telemetry ([`StageTrace`]: stage reached, SAT
 //!   conflicts, CNF clauses, wall time). Verdicts are bit-identical for any
-//!   thread count *and* any schedule — parallelism is purely a wall-clock
-//!   win, and reordering sound symbolic stages only changes which one
-//!   answers first. [`EngineReuse`] layers blasted-CNF memoization on
-//!   top; its replays are clause-identical, so reports and the cache
-//!   fingerprint are unchanged, and per-job activity is counted in
-//!   [`ReuseCounters`];
+//!   thread count — parallelism is purely a wall-clock win. [`EngineReuse`]
+//!   layers blasted-CNF memoization on top; its replays are
+//!   clause-identical, so reports and the cache fingerprint are unchanged,
+//!   and per-job activity is counted in [`ReuseCounters`];
 //! * [`observer`] — the [`BatchObserver`] trait: job-started /
 //!   stage-finished / job-finished callbacks fired from the worker pool as
 //!   a batch progresses, so sweeps render incrementally
@@ -35,20 +32,13 @@
 //!   module docs for the file format and invalidation rules;
 //! * [`funnel`] — the first consumer of the telemetry: [`FunnelReport`]
 //!   aggregates per-stage reach/kill/conflict distributions over a batch;
-//! * [`profile`] — the *cross-run* consumer of the telemetry: a
-//!   [`CrossRunProfile`] persists per-category per-stage reach/kill/time
-//!   as a CRC-framed journal next to the verdict cache, accumulating over
-//!   every sweep; [`StageSchedule::from_profile`] derives the next run's
-//!   per-category stage order from it and [`derive_from_profile`] its
-//!   tightened per-stage [`lv_tv::SolverBudget`]s (opt-in, default off so
-//!   verdicts stay bit-identical);
 //! * [`service`] — the always-on form of the engine: a loopback-first TCP
 //!   daemon ([`VerificationService`]) plus client ([`ServiceClient`])
 //!   speaking a length-prefixed, CRC32-framed binary protocol whose verdict
 //!   payloads are the cache's own binary records. Submitted jobs are
 //!   deduped through the [`VerdictCache`] before any stage runs; admitted
-//!   jobs run on the worker pool with the configured schedule and stream
-//!   back incrementally through the observer path;
+//!   jobs run on the worker pool and stream back incrementally through the
+//!   observer path;
 //! * [`shard`] — sharded *multi-process* sweeps: a deterministic
 //!   [`ShardPlan`] partitions a batch over N worker processes (spawned by a
 //!   coordinator via self-exec `--shard i/N`), each shard runs the unchanged
@@ -128,7 +118,6 @@ pub mod journal;
 pub mod observer;
 pub mod passk;
 pub mod pipeline;
-pub mod profile;
 pub mod service;
 pub mod shard;
 
@@ -138,8 +127,8 @@ pub use cache::{
 };
 pub use engine::{
     job_channel, parallel_map, BatchReport, ChecksumStage, EngineConfig, EngineReuse, Job,
-    JobProducer, JobReport, JobSource, ReuseCounters, StageSchedule, StageTrace, StrategyOutcome,
-    SymbolicStage, VerificationEngine, VerificationStrategy, WorkerState, SYMBOLIC_STAGES,
+    JobProducer, JobReport, JobSource, ReuseCounters, StageTrace, StrategyOutcome, SymbolicStage,
+    VerificationEngine, VerificationStrategy, WorkerState,
 };
 pub use experiments::{
     figure1, figure1_with, figure5, figure5_with, figure6, figure6_with, fsm_evaluation,
@@ -147,7 +136,7 @@ pub use experiments::{
     ExperimentConfig, Figure5, FsmEvaluation, KernelVerdict, SpeedupFigure, SpeedupRow, Table2,
     Table2Column, Table3, Table3Row,
 };
-pub use funnel::{derive_from_profile, FunnelReport, StageFunnel, HISTOGRAM_BUCKETS};
+pub use funnel::{FunnelReport, StageFunnel, HISTOGRAM_BUCKETS};
 pub use journal::FsyncPolicy;
 pub use observer::{
     BatchObserver, CallbackObserver, CountingObserver, NoopObserver, StreamObserver, TeeObserver,
@@ -157,7 +146,6 @@ pub use passk::{
     pass_at_k_curve, PassKRun,
 };
 pub use pipeline::{check_equivalence, Equivalence, EquivalenceReport, PipelineConfig, Stage};
-pub use profile::{CrossRunProfile, ProfileCell, PROFILE_FORMAT_VERSION};
 pub use service::{
     GenerationRequest, ServiceClient, ServiceError, ServiceStatus, VerificationService,
 };

@@ -1,10 +1,10 @@
 //! The long-running verification service: a loopback-first TCP daemon plus
 //! client, surfaced on the CLI as `lv-sweep serve` / `submit` / `status`.
 //!
-//! The batch engine, verdict cache, profile-derived schedule, and observer
-//! plumbing were all built batch-shaped; this module puts a socket in front
-//! of them so verification traffic can arrive continuously instead of as
-//! one offline sweep.
+//! The batch engine, verdict cache, and observer plumbing were all built
+//! batch-shaped; this module puts a socket in front of them so
+//! verification traffic can arrive continuously instead of as one offline
+//! sweep.
 //!
 //! # Wire framing
 //!
@@ -28,8 +28,7 @@
 //! produced the cache file, or a duplicate in the same batch) are answered
 //! immediately from the cache with `cache_hit = true` and are never
 //! admitted to the engine. Admitted jobs run on the engine's
-//! worker pool with the configured [`StageSchedule`](crate::StageSchedule),
-//! and their verdicts stream back incrementally through the
+//! worker pool, and their verdicts stream back incrementally through the
 //! [`BatchObserver`](crate::BatchObserver) path as each job finishes —
 //! the client does not wait for the batch. A warm resubmission of a whole
 //! workload therefore answers entirely from the dedupe path with zero

@@ -16,11 +16,10 @@
 use crate::cache::{CacheBounds, CachedVerdict, VerdictCache};
 use crate::engine::{job_cache_key, BatchReport, Job, JobReport, VerificationEngine};
 use crate::journal::FsyncPolicy;
-use crate::profile::CrossRunProfile;
 use crate::shard::exchange::{
     read_progress, GenerationSpec, ShardProgress, ShardReportFile, SweepManifest,
 };
-use crate::shard::runner::{cache_path, claims_path, profile_path, report_path};
+use crate::shard::runner::{cache_path, claims_path, report_path};
 use crate::shard::{ShardError, ShardPolicy};
 use crate::EngineConfig;
 use std::collections::BTreeMap;
@@ -165,21 +164,13 @@ pub struct SweepConfig {
     pub worker: WorkerSpec,
     /// Bounds applied to the merged cache before it is persisted.
     pub bounds: CacheBounds,
-    /// Whether workers `fsync` each journal record (passed as `--fsync`);
-    /// also the policy of the coordinator's profile append.
+    /// Whether workers `fsync` each journal record (passed as `--fsync`).
     pub fsync: FsyncPolicy,
     /// Journal flush batching (passed as `--flush-every`): every `n`-th
     /// record append flushes; a killed worker loses at most `n - 1`
     /// buffered tail records (plus one torn record), all of which the
     /// coordinator's recovery re-runs anyway. Default 1 (flush per record).
     pub flush_every: usize,
-    /// Cross-run profile journal ([`CrossRunProfile`]) to accumulate this
-    /// sweep's telemetry into. Each worker appends its shard's delta to its
-    /// own `shard-<i>.profile.json` in the workdir (passed as `--profile`;
-    /// profile journals are single-writer), and the coordinator appends the
-    /// authoritative whole-run delta — computed from the merged report, so
-    /// it covers recovered jobs too — to *this* path after the merge.
-    pub profile: Option<PathBuf>,
     /// Fault injection for recovery tests: `(shard, k)` passes
     /// `--fail-after k` to that shard's worker, making it exit after `k`
     /// finished jobs with partial output flushed.
@@ -218,7 +209,6 @@ impl Default for SweepConfig {
             bounds: CacheBounds::unbounded(),
             fsync: FsyncPolicy::default(),
             flush_every: 1,
-            profile: None,
             fail_shard_after: None,
             steal: false,
             stall_timeout: None,
@@ -287,10 +277,6 @@ pub struct ShardedSweep {
     pub evicted: usize,
     /// Per-shard worker outcomes.
     pub shards: Vec<ShardOutcome>,
-    /// This sweep's telemetry delta, already appended to
-    /// [`SweepConfig::profile`] when one was configured. `None` when the
-    /// sweep ran without a profile.
-    pub profile_delta: Option<CrossRunProfile>,
 }
 
 enum Worker {
@@ -380,7 +366,6 @@ fn run_manifest_sweep(
     for shard in 0..manifest.shards {
         let _ = std::fs::remove_file(cache_path(&sweep.workdir, shard));
         let _ = std::fs::remove_file(report_path(&sweep.workdir, shard));
-        let _ = std::fs::remove_file(profile_path(&sweep.workdir, shard));
         let _ = std::fs::remove_file(claims_path(&sweep.workdir, shard));
     }
 
@@ -401,17 +386,11 @@ fn run_manifest_sweep(
             args.push(manifest_path.display().to_string());
             args.push("--out".into());
             args.push(sweep.workdir.display().to_string());
-            args.push("--schedule".into());
-            args.push(manifest.schedule.spec());
             args.push("--fsync".into());
             args.push(sweep.fsync.tag().into());
             if sweep.flush_every > 1 {
                 args.push("--flush-every".into());
                 args.push(sweep.flush_every.to_string());
-            }
-            if sweep.profile.is_some() {
-                args.push("--profile".into());
-                args.push(profile_path(&sweep.workdir, shard).display().to_string());
             }
             if let Some(period) = heartbeat {
                 args.push("--heartbeat-ms".into());
@@ -604,28 +583,6 @@ fn run_manifest_sweep(
         jobs: reports,
     };
 
-    // Commit the run's telemetry to the cross-run profile. The delta is
-    // computed from the *merged* report — it covers recovered jobs, which no
-    // shard's own `--profile` output saw — and appended once, by the only
-    // process that outlives every worker.
-    let profile_delta = match &sweep.profile {
-        None => None,
-        Some(path) => {
-            let delta = CrossRunProfile::from_batch(jobs, &report.jobs);
-            // The profile is advisory — it tunes future stage orders and
-            // budgets, never verdicts — so an unwritable journal must not
-            // fail a sweep whose verification and merge already succeeded.
-            if let Err(e) = delta.append_to(path, sweep.fsync) {
-                eprintln!(
-                    "warning: could not append run telemetry to {}: {}",
-                    path.display(),
-                    e
-                );
-            }
-            Some(delta)
-        }
-    };
-
     Ok(ShardedSweep {
         report,
         cache: Arc::new(merged),
@@ -633,6 +590,5 @@ fn run_manifest_sweep(
         recovered: missing,
         evicted,
         shards: outcomes,
-        profile_delta,
     })
 }

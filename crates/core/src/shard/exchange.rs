@@ -23,9 +23,7 @@ use crate::cache::{
     emit_checksum, hex, parse_checksum, parse_hex, parse_stage, parse_verdict, stage_tag,
     verdict_tag, write_atomic_stream,
 };
-use crate::engine::{
-    EngineConfig, EngineReuse, Job, JobReport, ReuseCounters, StageSchedule, StageTrace,
-};
+use crate::engine::{EngineConfig, EngineReuse, Job, JobReport, ReuseCounters, StageTrace};
 use crate::journal::{self, FsyncPolicy, JournalWriter};
 use crate::pipeline::PipelineConfig;
 use crate::shard::{ShardError, ShardPlan, ShardPolicy};
@@ -325,6 +323,25 @@ impl GenerationSpec {
     }
 }
 
+/// Refuses a manifest whose `schedule` object names a per-category stage
+/// order: earlier builds wrote one, and this build runs every job in the
+/// cascade's one order. An absent or empty `schedule` (what earlier builds
+/// wrote for the default order) loads unchanged.
+fn check_no_schedule(doc: &Value) -> Result<(), ShardError> {
+    match doc.get("schedule") {
+        None => Ok(()),
+        Some(Value::Object(overrides)) if overrides.is_empty() => Ok(()),
+        Some(Value::Object(overrides)) => Err(ShardError::Format(format!(
+            "manifest carries a per-category stage schedule (`{}`…), a layer this build \
+             removed: every job runs the cascade in its one order",
+            overrides[0].0
+        ))),
+        Some(_) => Err(ShardError::Format(
+            "`schedule` is not an object".to_string(),
+        )),
+    }
+}
+
 /// The coordinator → worker manifest: the full job list, the shard layout,
 /// and the engine configuration (minus the cache — every worker opens its
 /// own per-shard cache file).
@@ -336,13 +353,8 @@ pub struct SweepManifest {
     pub policy: ShardPolicy,
     /// Worker threads per shard process (`0` = one per CPU).
     pub threads: usize,
-    /// The cascade stage list, in base order.
+    /// The cascade stage list, in execution order.
     pub cascade: Vec<crate::pipeline::Stage>,
-    /// The per-kernel-category stage schedule. Serialized as its configured
-    /// overrides; the recorded fingerprint covers the *resolved* orders, so
-    /// a worker from a build whose categorizer or resolution differs is
-    /// rejected before it can mix verdicts.
-    pub schedule: StageSchedule,
     /// Stage configurations.
     pub pipeline: PipelineConfig,
     /// The solver reuse every shard runs with, so that each worker runs the
@@ -379,7 +391,6 @@ impl SweepManifest {
             policy,
             threads: config.threads,
             cascade: config.cascade.clone(),
-            schedule: config.schedule.clone(),
             pipeline: config.pipeline.clone(),
             reuse: config.reuse,
             jobs: jobs.to_vec(),
@@ -400,7 +411,6 @@ impl SweepManifest {
             policy,
             threads: config.threads,
             cascade: config.cascade.clone(),
-            schedule: config.schedule.clone(),
             pipeline: config.pipeline.clone(),
             reuse: config.reuse,
             jobs: Vec::new(),
@@ -442,7 +452,6 @@ impl SweepManifest {
         EngineConfig {
             threads: self.threads,
             cascade: self.cascade.clone(),
-            schedule: self.schedule.clone(),
             pipeline: self.pipeline.clone(),
             cache: None,
             reuse: self.reuse,
@@ -479,17 +488,6 @@ impl SweepManifest {
             e.str(stage_tag(*stage))?;
         }
         e.end_array()?;
-        e.key("schedule")?;
-        e.begin_object()?;
-        for (category, order) in self.schedule.overrides() {
-            e.key(category.tag())?;
-            e.begin_array()?;
-            for stage in order {
-                e.str(stage_tag(*stage))?;
-            }
-            e.end_array()?;
-        }
-        e.end_object()?;
         e.key("checksum")?;
         e.value(&checksum_config_value(&self.pipeline.checksum))?;
         e.key("tv")?;
@@ -572,43 +570,7 @@ impl SweepManifest {
             })
             .collect::<Result<Vec<_>, _>>()
             .map_err(ShardError::Format)?;
-        let mut schedule = StageSchedule::algorithm1();
-        match doc.get("schedule") {
-            // Manifests written before the schedule layer carry no field;
-            // they mean the default order.
-            None => {}
-            Some(Value::Object(clauses)) => {
-                for (tag, order) in clauses {
-                    let category =
-                        lv_analysis::KernelCategory::from_tag(tag).map_err(ShardError::Format)?;
-                    let order = order
-                        .as_array()
-                        .ok_or_else(|| {
-                            ShardError::Format(format!(
-                                "schedule override `{}` is not an array",
-                                tag
-                            ))
-                        })?
-                        .iter()
-                        .map(|stage| {
-                            stage
-                                .as_str()
-                                .ok_or_else(|| "schedule stage is not a string".to_string())
-                                .and_then(parse_stage)
-                        })
-                        .collect::<Result<Vec<_>, _>>()
-                        .map_err(ShardError::Format)?;
-                    schedule = schedule
-                        .with_override(category, order)
-                        .map_err(ShardError::Format)?;
-                }
-            }
-            Some(_) => {
-                return Err(ShardError::Format(
-                    "`schedule` is not an object".to_string(),
-                ))
-            }
-        }
+        check_no_schedule(&doc)?;
         // Either form: a generation spec (kernels + k + seed, no printed
         // candidates), or the explicit job list.
         let (jobs, generation) = match doc.get("generation") {
@@ -664,7 +626,6 @@ impl SweepManifest {
             policy,
             threads: usize_field(&doc, "threads").map_err(ShardError::Format)?,
             cascade,
-            schedule,
             pipeline: PipelineConfig {
                 checksum: parse_checksum_config(&doc).map_err(ShardError::Format)?,
                 tv: parse_tv_config(&doc).map_err(ShardError::Format)?,
@@ -1166,46 +1127,35 @@ mod tests {
     }
 
     #[test]
-    fn scheduled_manifest_round_trips_and_fingerprints_distinctly() {
-        use lv_analysis::KernelCategory;
+    fn manifest_with_a_stage_schedule_is_rejected() {
         let dir = std::env::temp_dir().join(format!("lv-shard-sched-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("manifest.json");
-        let mut manifest = sample_manifest();
-        let default_fingerprint = manifest.fingerprint();
-        manifest.schedule = StageSchedule::algorithm1()
-            .with_override(
-                KernelCategory::DependenceFree,
-                vec![Stage::Splitting, Stage::Alive2, Stage::CUnroll],
-            )
-            .unwrap()
-            .with_override(
-                KernelCategory::Reduction,
-                vec![Stage::CUnroll, Stage::Splitting, Stage::Alive2],
-            )
-            .unwrap();
-        assert_ne!(
-            manifest.fingerprint(),
-            default_fingerprint,
-            "effective overrides change the configuration fingerprint"
-        );
-        manifest.write(&path).unwrap();
-        let loaded = SweepManifest::load(&path).unwrap();
-        assert_eq!(loaded.schedule, manifest.schedule);
-        assert_eq!(loaded.fingerprint(), manifest.fingerprint());
-        assert_eq!(loaded.render(), manifest.render());
+        let manifest = sample_manifest();
+        let rendered = manifest.render();
+        assert!(!rendered.contains("\"schedule\""), "no schedule is written");
+        let anchor = "\"checksum\":";
+        assert!(rendered.contains(anchor), "splice point must exist");
+        let load_with = |schedule: &str| {
+            let spliced = rendered.replace(anchor, &format!("\"schedule\":{schedule},{anchor}"));
+            std::fs::write(&path, spliced).unwrap();
+            SweepManifest::load(&path)
+        };
 
-        // Tampering with the schedule trips the fingerprint check, exactly
-        // like any other configuration field.
-        let tampered = manifest.render().replace(
-            "\"dependence-free\":[\"splitting\",\"alive2\",\"cunroll\"]",
-            "\"dependence-free\":[\"alive2\",\"splitting\",\"cunroll\"]",
-        );
-        assert_ne!(tampered, manifest.render(), "tamper point must exist");
-        std::fs::write(&path, &tampered).unwrap();
-        match SweepManifest::load(&path) {
-            Err(ShardError::FingerprintMismatch { .. }) => {}
-            other => panic!("expected a fingerprint mismatch, got {:?}", other),
+        // What earlier builds wrote for the default order still loads, under
+        // the same fingerprint as a manifest without the field.
+        let empty = load_with("{}").expect("an empty schedule loads");
+        assert_eq!(empty.fingerprint(), manifest.fingerprint());
+        assert_eq!(empty.render(), rendered);
+
+        match load_with("{\"reduction\":[\"cunroll\",\"alive2\",\"splitting\"]}") {
+            Err(ShardError::Format(message)) => {
+                assert!(message.contains("stage schedule"), "{}", message);
+                assert!(message.contains("reduction"), "{}", message);
+            }
+            other => panic!("a schedule override must be refused, got {:?}", other),
         }
+        assert!(matches!(load_with("[]"), Err(ShardError::Format(_))));
         std::fs::remove_file(&path).unwrap();
     }
 

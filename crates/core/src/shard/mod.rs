@@ -78,19 +78,14 @@
 //! It is a [`ShardReportJournal`]: the shard metadata rides in the journal
 //! header and each finished job is one appended record.
 //!
-//! **Cross-run profile** (`shard-<i>.profile.json`, one per worker, plus
-//! the sweep-level journal named by
-//! [`SweepConfig::profile`](crate::shard::SweepConfig::profile)): the
-//! [`CrossRunProfile`](crate::profile::CrossRunProfile) journals feeding
-//! telemetry-driven stage scheduling. Profile journals are single-writer,
-//! so each worker appends its shard's delta to its own file (`--profile`),
-//! and the coordinator — the only process that sees recovered jobs —
-//! appends the authoritative whole-run delta to the sweep-level journal
-//! after the merge. The manifest additionally carries the sweep's
-//! [`StageSchedule`](crate::engine::StageSchedule) (its per-category
-//! overrides are part of the configuration fingerprint), and the
-//! coordinator passes `--schedule <spec>` so a worker pointed at a stale
-//! manifest fails fast instead of running the wrong cascade order.
+//! **Removed layers.** Earlier builds also wrote per-shard cross-run
+//! profile journals (`shard-<i>.profile.json`) and carried a per-category
+//! stage schedule in the manifest. Every shard now runs the manifest's one
+//! cascade order under its fixed budgets: a manifest whose `schedule`
+//! object names an override is refused as [`ShardError::Format`] (an
+//! absent or empty `schedule` still loads, fingerprint unchanged), and a
+//! worker passed `--profile`, `--schedule` or `--budget` refuses with
+//! [`ShardError::BadInvocation`] naming the removed layer.
 //!
 //! Flush batching (`--flush-every N`,
 //! [`ShardRunOptions::flush_every`](crate::shard::ShardRunOptions::flush_every))
@@ -223,8 +218,8 @@ pub use exchange::{
 };
 pub use plan::{job_key, ShardPlan, ShardPolicy};
 pub use runner::{
-    run_shard, run_shard_with, run_worker_from_args, ShardRunOptions, ShardRunOutput,
-    WorkerInvocation,
+    removed_layer_message, run_shard, run_shard_with, run_worker_from_args, ShardRunOptions,
+    ShardRunOutput, WorkerInvocation, REMOVED_LAYER_FLAGS,
 };
 
 use crate::cache::CacheMergeError;

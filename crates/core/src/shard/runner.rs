@@ -27,10 +27,9 @@
 //! ([`FsyncPolicy::OnCompact`], default).
 
 use crate::cache::VerdictCache;
-use crate::engine::{Job, JobReport, StageSchedule, VerificationEngine};
+use crate::engine::{Job, JobReport, VerificationEngine};
 use crate::journal::FsyncPolicy;
 use crate::observer::BatchObserver;
-use crate::profile::CrossRunProfile;
 use crate::shard::exchange::{
     read_claims, read_progress, ClaimsJournal, ShardReportJournal, SweepManifest,
 };
@@ -50,14 +49,6 @@ pub(crate) fn cache_path(out_dir: &Path, shard: usize) -> PathBuf {
 /// See [`cache_path`].
 pub(crate) fn report_path(out_dir: &Path, shard: usize) -> PathBuf {
     out_dir.join(format!("shard-{}.report.json", shard))
-}
-
-/// See [`cache_path`]. The per-worker cross-run profile journal — a
-/// diagnostic artifact only: the coordinator computes the authoritative
-/// whole-run delta from the merged report, so shard profiles must never be
-/// merged into the sweep-level profile (that would double-count the run).
-pub(crate) fn profile_path(out_dir: &Path, shard: usize) -> PathBuf {
-    out_dir.join(format!("shard-{}.profile.json", shard))
 }
 
 /// See [`cache_path`]. The steal-claim journal a stealing-enabled shard
@@ -82,9 +73,6 @@ pub struct ShardRunOutput {
     pub cache_file: PathBuf,
     /// The shard report file.
     pub report_file: PathBuf,
-    /// The cross-run profile journal this shard's telemetry was appended
-    /// to, when one was requested ([`ShardRunOptions::profile`]).
-    pub profile_file: Option<PathBuf>,
 }
 
 /// Tuning knobs of one shard run, beyond its manifest/shard identity.
@@ -103,13 +91,6 @@ pub struct ShardRunOptions {
     /// record) for `n`× fewer flush syscalls — recovery semantics are
     /// otherwise unchanged, since everything unflushed is a clean suffix.
     pub flush_every: usize,
-    /// Append this shard's observed per-category per-stage telemetry to the
-    /// [`CrossRunProfile`] journal at this path after the shard finishes.
-    /// The coordinator hands every worker its own per-shard path
-    /// (`shard-<i>.profile.json`) — profile journals are single-writer — and
-    /// commits the authoritative whole-run delta itself from the merged
-    /// report.
-    pub profile: Option<PathBuf>,
     /// Append a liveness heartbeat record to the report journal at this
     /// period (`--heartbeat-ms`). `None` (the default) writes no
     /// heartbeats, keeping journal bytes identical to previous builds.
@@ -134,7 +115,6 @@ impl Default for ShardRunOptions {
             fail_after: None,
             fsync: FsyncPolicy::default(),
             flush_every: 1,
-            profile: None,
             heartbeat: None,
             steal: false,
             delay: None,
@@ -253,7 +233,8 @@ pub fn run_shard(
     )
 }
 
-/// [`run_shard`] with the full option set (flush batching, profile output).
+/// [`run_shard`] with the full option set (flush batching, heartbeats,
+/// stealing).
 pub fn run_shard_with(
     manifest: &SweepManifest,
     shard: usize,
@@ -294,7 +275,7 @@ pub fn run_shard_with(
     };
 
     let stop = AtomicBool::new(false);
-    let (ran_jobs, ran_reports, stolen) = std::thread::scope(|scope| {
+    let (finished, stolen) = std::thread::scope(|scope| {
         if let Some(period) = options.heartbeat {
             let appender = &appender;
             let stop = &stop;
@@ -331,16 +312,12 @@ pub fn run_shard_with(
             // streaming engine intake, instead of materialize-then-batch.
             // Jobs are pushed under their original indices, so reports and
             // journal records need no index mapping.
-            let generated: Mutex<Vec<(usize, Job)>> = Mutex::new(Vec::with_capacity(indices.len()));
             let (producer, source) = crate::engine::job_channel(SHARD_GENERATION_QUEUE_CAPACITY);
             let batch = std::thread::scope(|gen_scope| {
-                let generated = &generated;
                 let indices = &indices;
                 gen_scope.spawn(move || {
                     for &index in indices.iter() {
-                        let job = manifest.job(index);
-                        generated.lock().unwrap().push((index, job.clone()));
-                        producer.push(index, job);
+                        producer.push(index, manifest.job(index));
                     }
                 });
                 engine.run_stream_observed(
@@ -350,10 +327,7 @@ pub fn run_shard_with(
                     },
                 )
             });
-            let mut pairs = generated.into_inner().unwrap();
-            pairs.sort_by_key(|(index, _)| *index);
-            let ran_jobs: Vec<Job> = pairs.into_iter().map(|(_, job)| job).collect();
-            Ok((ran_jobs, batch.jobs, 0))
+            Ok((batch.jobs.len(), 0))
         } else {
             let jobs: Vec<Job> = indices.iter().map(|&i| manifest.jobs[i].clone()).collect();
             let observer = ChunkObserver {
@@ -361,7 +335,7 @@ pub fn run_shard_with(
                 indices: &indices,
             };
             let batch = engine.run_batch_observed(&jobs, &observer);
-            Ok((jobs, batch.jobs, 0))
+            Ok((batch.jobs.len(), 0))
         };
         stop.store(true, Ordering::SeqCst);
         result
@@ -372,20 +346,12 @@ pub fn run_shard_with(
     // buffered tail.
     appender.flush();
     cache.persist()?;
-    if let Some(profile_path) = &options.profile {
-        // The shard's contribution to the cross-run profile. The profile is
-        // advisory, so a lost append only costs tuning evidence, never
-        // correctness.
-        CrossRunProfile::from_batch(&ran_jobs, &ran_reports)
-            .append_to(profile_path, options.fsync)?;
-    }
     Ok(ShardRunOutput {
         shard,
-        finished: ran_reports.len(),
+        finished,
         stolen,
         cache_file,
         report_file,
-        profile_file: options.profile.clone(),
     })
 }
 
@@ -396,7 +362,8 @@ pub fn run_shard_with(
 /// are appended to this shard's own report journal under the jobs'
 /// original indices; the coordinator accepts reports from any shard
 /// (first report wins) and its recovery path backstops jobs that were
-/// claimed but never reported.
+/// claimed but never reported. Returns the jobs run and, of them, the
+/// jobs stolen.
 #[allow(clippy::too_many_arguments)]
 fn run_shard_stealing(
     manifest: &SweepManifest,
@@ -406,7 +373,7 @@ fn run_shard_stealing(
     engine: &VerificationEngine,
     appender: &ShardAppender,
     own_indices: &[usize],
-) -> Result<(Vec<Job>, Vec<JobReport>, usize), ShardError> {
+) -> Result<(usize, usize), ShardError> {
     if let Some(delay) = options.delay {
         // One-time simulated slow start (fault injection for the stealing
         // tests): heartbeats keep ticking — the shard is alive, just slow —
@@ -423,8 +390,7 @@ fn run_shard_stealing(
         options.fsync,
     )?;
     let mut claimed: BTreeSet<usize> = BTreeSet::new();
-    let mut ran_jobs: Vec<Job> = Vec::new();
-    let mut ran_reports: Vec<JobReport> = Vec::new();
+    let mut ran = 0usize;
 
     // The union of every *sibling's* claims right now (our own are tracked
     // in `claimed` — re-reading our own journal would be redundant).
@@ -439,8 +405,7 @@ fn run_shard_stealing(
     let run_chunk = |chunk: &[usize],
                      claims: &mut ClaimsJournal,
                      claimed: &mut BTreeSet<usize>,
-                     ran_jobs: &mut Vec<Job>,
-                     ran_reports: &mut Vec<JobReport>|
+                     ran: &mut usize|
      -> Result<(), ShardError> {
         for &index in chunk {
             claims.append(index)?;
@@ -451,9 +416,7 @@ fn run_shard_stealing(
             appender,
             indices: chunk,
         };
-        let batch = engine.run_batch_observed(&chunk_jobs, &observer);
-        ran_jobs.extend(chunk_jobs);
-        ran_reports.extend(batch.jobs);
+        *ran += engine.run_batch_observed(&chunk_jobs, &observer).jobs.len();
         Ok(())
     };
 
@@ -471,13 +434,7 @@ fn run_shard_stealing(
             break;
         }
         let chunk_len = engine.resolved_threads(pending.len()).min(pending.len());
-        run_chunk(
-            &pending[..chunk_len],
-            &mut claims,
-            &mut claimed,
-            &mut ran_jobs,
-            &mut ran_reports,
-        )?;
+        run_chunk(&pending[..chunk_len], &mut claims, &mut claimed, &mut ran)?;
     }
 
     // Phase 2 — thief: while some sibling has pending unclaimed jobs, take
@@ -509,17 +466,21 @@ fn run_shard_stealing(
             break;
         };
         let chunk_len = engine.resolved_threads(pending.len()).min(pending.len());
-        run_chunk(
-            &pending[..chunk_len],
-            &mut claims,
-            &mut claimed,
-            &mut ran_jobs,
-            &mut ran_reports,
-        )?;
+        run_chunk(&pending[..chunk_len], &mut claims, &mut claimed, &mut ran)?;
         stolen += chunk_len;
     }
-    Ok((ran_jobs, ran_reports, stolen))
+    Ok((ran, stolen))
 }
+
+/// Sweep flags of earlier builds whose layers were deleted, each with the
+/// layer it switched. The worker and the `lv-sweep` coordinator refuse
+/// them by name: every job now runs the configuration's one cascade order
+/// under its fixed budgets.
+pub const REMOVED_LAYER_FLAGS: [(&str, &str); 3] = [
+    ("--profile", "cross-run telemetry profiles"),
+    ("--schedule", "per-category stage schedules"),
+    ("--budget", "profile-tuned solver budgets"),
+];
 
 /// A parsed `--shard` worker command line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -540,16 +501,6 @@ pub struct WorkerInvocation {
     /// Journal flush batching (`--flush-every N`, default 1); see
     /// [`ShardRunOptions::flush_every`].
     pub flush_every: usize,
-    /// Cross-run profile journal to append this shard's telemetry to
-    /// (`--profile <path>`).
-    pub profile: Option<PathBuf>,
-    /// The stage schedule the coordinator intends this sweep to run under
-    /// (`--schedule <spec>`). Cross-checked against the loaded manifest's
-    /// schedule, so a worker pointed at a stale manifest (written for a
-    /// different schedule generation) fails fast instead of producing a
-    /// report the coordinator would only reject after the shard burned its
-    /// wall-clock.
-    pub schedule: Option<StageSchedule>,
     /// Liveness heartbeat period in milliseconds (`--heartbeat-ms N`); see
     /// [`ShardRunOptions::heartbeat`].
     pub heartbeat_ms: Option<u64>,
@@ -562,11 +513,11 @@ pub struct WorkerInvocation {
 
 impl WorkerInvocation {
     /// Parses `--shard i/N --manifest <path> --out <dir> [--fail-after k]
-    /// [--fsync record|compact] [--flush-every N] [--profile <path>]
-    /// [--schedule <spec>] [--heartbeat-ms N] [--steal] [--delay-ms N]` from
-    /// `args`. Returns `None` when `--shard` is absent (the process is not a
-    /// worker); `Some(Err(..))` when it is present but malformed, or names
-    /// a removed flag (`--flush`, `--cache-format`).
+    /// [--fsync record|compact] [--flush-every N] [--heartbeat-ms N]
+    /// [--steal] [--delay-ms N]` from `args`. Returns `None` when `--shard`
+    /// is absent (the process is not a worker); `Some(Err(..))` when it is
+    /// present but malformed, or names a removed flag (`--flush`,
+    /// `--cache-format`, or one of [`REMOVED_LAYER_FLAGS`]).
     pub fn parse(args: &[String]) -> Option<Result<WorkerInvocation, ShardError>> {
         args.iter().any(|a| a == "--shard").then(|| {
             let mut shard = None;
@@ -575,8 +526,6 @@ impl WorkerInvocation {
             let mut fail_after = None;
             let mut fsync = FsyncPolicy::default();
             let mut flush_every = 1usize;
-            let mut profile = None;
-            let mut schedule = None;
             let mut heartbeat_ms = None;
             let mut steal = false;
             let mut delay_ms = None;
@@ -631,13 +580,6 @@ impl WorkerInvocation {
                                     ))
                                 })?;
                     }
-                    "--profile" => profile = Some(PathBuf::from(value("--profile")?)),
-                    "--schedule" => {
-                        schedule = Some(
-                            StageSchedule::parse_spec(&value("--schedule")?)
-                                .map_err(ShardError::BadInvocation)?,
-                        )
-                    }
                     "--fail-after" => {
                         let spec = value("--fail-after")?;
                         fail_after = Some(spec.parse::<usize>().map_err(|_| {
@@ -669,7 +611,11 @@ impl WorkerInvocation {
                             ))
                         })?);
                     }
-                    _ => {}
+                    other => {
+                        if let Some(message) = removed_layer_message(other) {
+                            return Err(ShardError::BadInvocation(message));
+                        }
+                    }
                 }
             }
             // `--shard` appeared somewhere in `args`, but it may have been
@@ -698,8 +644,6 @@ impl WorkerInvocation {
                 fail_after,
                 fsync,
                 flush_every,
-                profile,
-                schedule,
                 heartbeat_ms,
                 steal,
                 delay_ms,
@@ -725,9 +669,19 @@ pub fn run_worker_from_args(args: &[String]) -> Option<Result<ShardRunOutput, Sh
     Some(run_worker(&invocation))
 }
 
+/// The refusal message naming `flag` and its layer, when `flag` is one of
+/// [`REMOVED_LAYER_FLAGS`].
+pub fn removed_layer_message(flag: &str) -> Option<String> {
+    let (_, layer) = REMOVED_LAYER_FLAGS.iter().find(|(f, _)| *f == flag)?;
+    Some(format!(
+        "{} was removed with its layer ({}); every job runs the cascade in its one \
+         order under fixed budgets",
+        flag, layer
+    ))
+}
+
 /// Runs a parsed worker invocation: loads the manifest, cross-checks the
-/// shard count (and, when `--schedule` was passed, the stage schedule), and
-/// executes the shard.
+/// shard count, and executes the shard.
 pub fn run_worker(invocation: &WorkerInvocation) -> Result<ShardRunOutput, ShardError> {
     let manifest = SweepManifest::load(&invocation.manifest)?;
     if manifest.shards != invocation.shards {
@@ -735,16 +689,6 @@ pub fn run_worker(invocation: &WorkerInvocation) -> Result<ShardRunOutput, Shard
             "--shard says {} shards but the manifest has {}",
             invocation.shards, manifest.shards
         )));
-    }
-    if let Some(expected) = &invocation.schedule {
-        if *expected != manifest.schedule {
-            return Err(ShardError::BadInvocation(format!(
-                "--schedule says `{}` but the manifest carries `{}` — the manifest is \
-                 stale for this sweep",
-                expected.spec(),
-                manifest.schedule.spec()
-            )));
-        }
     }
     run_shard_with(
         &manifest,
@@ -754,7 +698,6 @@ pub fn run_worker(invocation: &WorkerInvocation) -> Result<ShardRunOutput, Shard
             fail_after: invocation.fail_after,
             fsync: invocation.fsync,
             flush_every: invocation.flush_every,
-            profile: invocation.profile.clone(),
             heartbeat: invocation.heartbeat_ms.map(Duration::from_millis),
             steal: invocation.steal,
             delay: invocation.delay_ms.map(Duration::from_millis),
@@ -796,8 +739,6 @@ mod tests {
             "sync on compaction by default"
         );
         assert_eq!(parsed.flush_every, 1, "flush batching defaults off");
-        assert_eq!(parsed.profile, None);
-        assert_eq!(parsed.schedule, None);
         assert_eq!(parsed.heartbeat_ms, None, "heartbeats default off");
         assert!(!parsed.steal, "stealing defaults off");
         assert_eq!(parsed.delay_ms, None);
@@ -811,17 +752,10 @@ mod tests {
             "o",
             "--flush-every",
             "8",
-            "--profile",
-            "prof.json",
-            "--schedule",
-            "reduction=cunroll,alive2,splitting",
         ]))
         .expect("worker mode")
         .expect("well-formed");
         assert_eq!(tuned.flush_every, 8);
-        assert_eq!(tuned.profile, Some(PathBuf::from("prof.json")));
-        let schedule = tuned.schedule.expect("schedule parsed");
-        assert_eq!(schedule.spec(), "reduction=cunroll,alive2,splitting");
 
         let stealing = WorkerInvocation::parse(&args(&[
             "--shard",
@@ -968,6 +902,20 @@ mod tests {
         ] {
             let result = WorkerInvocation::parse(&args(&bad)).expect("worker mode");
             assert!(result.is_err(), "{:?} should be rejected", bad);
+        }
+    }
+
+    #[test]
+    fn removed_layer_flags_are_refused_by_name() {
+        for (flag, layer) in REMOVED_LAYER_FLAGS {
+            let invocation = args(&["--shard", "0/2", "--manifest", "m", "--out", "o", flag, "x"]);
+            match run_worker_from_args(&invocation) {
+                Some(Err(ShardError::BadInvocation(message))) => {
+                    assert!(message.contains(flag), "{}", message);
+                    assert!(message.contains(layer), "{}", message);
+                }
+                other => panic!("{} must be refused, got {:?}", flag, other),
+            }
         }
     }
 }

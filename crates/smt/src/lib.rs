@@ -20,16 +20,14 @@
 //!   ([`BitBlaster`]), with a blasted-CNF memo ([`BlastCache`]) replaying
 //!   recorded clause streams for structurally repeated queries;
 //! * [`sat`] — the CDCL SAT solver ([`SatSolver`]) with a flat clause
-//!   arena, an indexed VSIDS decision heap, and budget stops that pause and
-//!   resume ([`SatSolver::resume`]); [`SEARCH_REVISION`] names its search
-//!   trajectory;
+//!   arena, an indexed VSIDS decision heap, and a conflict budget that
+//!   turns a long search into `Unknown`; [`SEARCH_REVISION`] names its
+//!   search trajectory;
 //! * [`solver`] — the user-facing facade ([`Solver`], [`CheckResult`],
-//!   [`Validity`]), including the resumption of a budget-stopped search by
-//!   an identical follow-up query and the reuse counters ([`ReuseStats`]).
+//!   [`Validity`]) and the reuse counters ([`ReuseStats`]).
 //!
 //! Every query takes one path: blast once (replaying from the memo when it
-//! is on), search once, and resume a paused search when the next query is
-//! the identical instance.
+//! is on) and search once.
 //!
 //! # Examples
 //!

@@ -30,19 +30,10 @@
 //! live activity, while this one keeps the true VSIDS order; the changed
 //! trajectories are why [`SEARCH_REVISION`] is 1.
 //!
-//! A budget stop is a *pause*, not an abort. The search state that one
-//! call used to keep in locals — the restart schedule and the conflict at
-//! which the budget ran out, found and counted but not yet analysed — lives
-//! on the solver, and [`SatSolver::resume`] continues from exactly that
-//! point under a larger budget. Conflicts already spent count against the
-//! new budget and [`SatSolver::stats`] keeps accumulating, so a resumed
-//! search returns what a fresh solve with the larger budget returns: the
-//! same result, model, and decision/conflict/propagation counts. A fresh
-//! solve, `add_clause`, `new_var` or `reset_to_root` discards the pause.
-//! [`SatSolver::encode_instance`] is
-//! the exact pre-search identity a caller compares before resuming a pause
-//! for a rebuilt instance (MiniSat-style reusable solver state, Eén &
-//! Sörensson, SAT'03).
+//! A budget stop ends the search: the result is `Unknown` and the solver
+//! stays where the search stopped, as it does after a `Sat` result.
+//! [`SatSolver::reset_to_root`] returns it to decision level 0, after
+//! which clauses can be added and the instance solved again from scratch.
 
 /// Revision of the CDCL search trajectory. Two builds with equal revisions
 /// take the same decisions on the same instance under the same budget, so
@@ -204,20 +195,13 @@ pub struct SatSolver {
     phase: Vec<bool>,
     /// Set when an empty clause has been added; the instance is trivially UNSAT.
     unsat: bool,
-    /// Statistics of the most recent search: reset by every solve,
-    /// accumulated across [`SatSolver::resume`] calls.
+    /// Statistics of the most recent search, reset by every solve.
     pub stats: SatStats,
     seen: Vec<bool>,
     // Reusable scratch buffers: the hot paths (clause intake, conflict
     // analysis) stay allocation-free once their capacities are warm.
     add_buf: Vec<Lit>,
     learned_buf: Vec<Lit>,
-    // Search state that outlives one call, so a budget stop is a pause:
-    // the geometric restart schedule, and the conflict at which the budget
-    // ran out (found and counted, not yet analysed). See [`SatSolver::resume`].
-    restart_limit: u64,
-    conflicts_since_restart: u64,
-    paused: Option<ClauseRef>,
 }
 
 /// Marks a variable that has no slot in [`VarHeap::heap`].
@@ -391,9 +375,8 @@ impl SatSolver {
         &self.trail[..root]
     }
 
-    /// Allocates a fresh variable and returns it. Discards a paused search.
+    /// Allocates a fresh variable and returns it.
     pub fn new_var(&mut self) -> Var {
-        self.discard_pause();
         let var = self.assign.len() as Var;
         self.assign.push(None);
         self.level.push(0);
@@ -408,9 +391,8 @@ impl SatSolver {
     }
 
     /// Adds a clause. Returns `false` if the clause is trivially unsatisfiable
-    /// at level 0 (the instance becomes UNSAT). Discards a paused search.
+    /// at level 0 (the instance becomes UNSAT).
     pub fn add_clause(&mut self, lits: &[Lit]) -> bool {
-        self.discard_pause();
         let mut clause = std::mem::take(&mut self.add_buf);
         let ok = self.add_clause_inner(lits, &mut clause);
         self.add_buf = clause;
@@ -661,10 +643,7 @@ impl SatSolver {
 
     /// Solves the formula under the given budget.
     pub fn solve(&mut self, budget: &SatBudget) -> SatResult {
-        self.discard_pause();
         self.stats = SatStats::default();
-        self.restart_limit = 100;
-        self.conflicts_since_restart = 0;
         if self.unsat {
             return SatResult::Unsat;
         }
@@ -672,52 +651,22 @@ impl SatSolver {
             self.unsat = true;
             return SatResult::Unsat;
         }
-        self.search(budget, None)
+        self.search(budget)
     }
 
-    /// Continues the search paused by the last budget stop under a larger
-    /// `budget`.
-    ///
-    /// The conflicts already spent count against `budget`, and
-    /// [`SatSolver::stats`] keeps accumulating, so `solve(b1)` → `Unknown`
-    /// → `resume(b2)` returns exactly what a fresh `solve(b2)` on the same
-    /// instance returns: the same result, the same model, and the same
-    /// decision, conflict and propagation counts. A budget at or below the
-    /// conflicts already spent stays `Unknown` (and stays paused).
-    ///
-    /// Any solve, [`SatSolver::add_clause`], [`SatSolver::new_var`] or
-    /// [`SatSolver::reset_to_root`] discards the pause. Without one, this is
-    /// [`SatSolver::solve`].
-    pub fn resume(&mut self, budget: &SatBudget) -> SatResult {
-        match self.paused.take() {
-            Some(conflict) => self.search(budget, Some(conflict)),
-            None => self.solve(budget),
-        }
-    }
-
-    /// Drops a paused search, returning to decision level 0.
-    fn discard_pause(&mut self) {
-        if self.paused.take().is_some() {
-            self.backtrack(0);
-        }
-    }
-
-    /// The CDCL loop. `pending` is a conflict already found and counted
-    /// before a budget stop; it is analysed first.
-    fn search(&mut self, budget: &SatBudget, mut pending: Option<ClauseRef>) -> SatResult {
+    /// The CDCL loop, with geometric restarts every 100 × 1.5ⁿ conflicts.
+    fn search(&mut self, budget: &SatBudget) -> SatResult {
+        let mut restart_limit: u64 = 100;
+        let mut conflicts_since_restart: u64 = 0;
         loop {
-            let resumed = pending.take();
-            if let Some(conflict) = resumed.or_else(|| self.propagate()) {
-                if resumed.is_none() {
-                    self.stats.conflicts += 1;
-                    self.conflicts_since_restart += 1;
-                    if self.decision_level() == 0 {
-                        self.unsat = true;
-                        return SatResult::Unsat;
-                    }
+            if let Some(conflict) = self.propagate() {
+                self.stats.conflicts += 1;
+                conflicts_since_restart += 1;
+                if self.decision_level() == 0 {
+                    self.unsat = true;
+                    return SatResult::Unsat;
                 }
                 if self.stats.conflicts >= budget.max_conflicts {
-                    self.paused = Some(conflict);
                     return SatResult::Unknown;
                 }
                 let backtrack_level = self.analyze(conflict);
@@ -736,9 +685,9 @@ impl SatSolver {
                 self.learned_buf = learned;
                 self.decay_activities();
             } else {
-                if self.conflicts_since_restart >= self.restart_limit {
-                    self.conflicts_since_restart = 0;
-                    self.restart_limit += self.restart_limit / 2;
+                if conflicts_since_restart >= restart_limit {
+                    conflicts_since_restart = 0;
+                    restart_limit += restart_limit / 2;
                     self.stats.restarts += 1;
                     self.backtrack(0);
                     continue;
@@ -757,10 +706,8 @@ impl SatSolver {
     }
 
     /// Undoes every decision, returning the solver to decision level 0, after
-    /// which more clauses can be added and the solver re-solved. Discards a
-    /// paused search.
+    /// which more clauses can be added and the solver re-solved.
     pub fn reset_to_root(&mut self) {
-        self.paused = None;
         self.backtrack(0);
     }
 
@@ -795,43 +742,6 @@ impl SatSolver {
             }
         }
         hash
-    }
-
-    /// Writes the solver's pre-search state into `out`, replacing its
-    /// contents: the variable count, the root-level trail, every stored
-    /// clause in insertion order (literals in stored order), and every watch
-    /// list in order. Search from level 0 is a deterministic function of
-    /// exactly this state, so two solvers with equal images (compared with
-    /// `==`, never by hash) search identically under equal budgets. Must be
-    /// called at decision level 0 before any search.
-    pub fn encode_instance(&self, out: &mut Vec<u32>) {
-        debug_assert_eq!(self.decision_level(), 0);
-        out.clear();
-        out.reserve(
-            5 + self.trail.len()
-                + self.db.heads.len() * 3
-                + self.db.lits.len()
-                + self.watches.len(),
-        );
-        out.push(self.num_vars() as u32);
-        out.push(u32::from(self.unsat));
-        out.push(self.qhead as u32);
-        out.push(self.trail.len() as u32);
-        out.extend(self.trail.iter().map(|lit| lit.0));
-        out.push(self.db.len() as u32);
-        for head in &self.db.heads {
-            out.push(head.len);
-            let start = head.start as usize;
-            out.extend(
-                self.db.lits[start..start + head.len as usize]
-                    .iter()
-                    .map(|lit| lit.0),
-            );
-        }
-        for watch in &self.watches {
-            out.push(watch.len() as u32);
-            out.extend(watch.iter().map(|&cref| cref as u32));
-        }
     }
 
     /// The value assigned to a variable by the last `Sat` result.
@@ -1009,7 +919,7 @@ mod tests {
         assert!(!s.is_unsat());
     }
 
-    /// Deterministic 3-CNF generator shared by the resume tests.
+    /// Deterministic 3-CNF generator shared by the trajectory tests.
     fn random_cnf(seed: u64, num_vars: u64, num_clauses: usize) -> Vec<Vec<Lit>> {
         let mut state = seed
             .wrapping_mul(6364136223846793005)
@@ -1029,141 +939,12 @@ mod tests {
             .collect()
     }
 
-    /// Everything a search leaves observable: result, model, statistics.
-    fn outcome(s: &SatSolver, result: SatResult) -> (SatResult, Vec<bool>, SatStats) {
-        let model = (0..s.num_vars() as Var).map(|v| s.model_value(v)).collect();
-        (result, model, s.stats)
-    }
-
     fn solver_for(num_vars: usize, clauses: &[Vec<Lit>]) -> SatSolver {
         let mut s = solver_with_vars(num_vars);
         for c in clauses {
             s.add_clause(c);
         }
         s
-    }
-
-    #[test]
-    fn resume_equals_a_fresh_solve_with_the_final_budget() {
-        let (b1, b2, b3) = (20, 90, 400);
-        let mut resumed_to_a_conclusion = 0;
-        for seed in 0..40u64 {
-            // Just above the 3-SAT phase transition: a mix of SAT and UNSAT
-            // instances needing tens to hundreds of conflicts.
-            let clauses = random_cnf(seed, 60, 258);
-            let mut fresh = solver_for(60, &clauses);
-            let want = fresh.solve(&SatBudget { max_conflicts: b3 });
-            let want = outcome(&fresh, want);
-
-            let mut stepped = solver_for(60, &clauses);
-            let mut got = stepped.solve(&SatBudget { max_conflicts: b1 });
-            let first = got;
-            for budget in [b2, b3] {
-                if got == SatResult::Unknown {
-                    assert!(stepped.paused.is_some(), "seed {}", seed);
-                    got = stepped.resume(&SatBudget {
-                        max_conflicts: budget,
-                    });
-                }
-            }
-            assert_eq!(outcome(&stepped, got), want, "seed {}", seed);
-            if first == SatResult::Unknown && got != SatResult::Unknown {
-                resumed_to_a_conclusion += 1;
-            }
-        }
-        assert!(
-            resumed_to_a_conclusion >= 5,
-            "too few instances exercise a resume: {}",
-            resumed_to_a_conclusion
-        );
-    }
-
-    #[test]
-    fn resume_within_the_spent_budget_stays_unknown() {
-        let clauses = random_cnf(3, 60, 258);
-        let mut s = solver_for(60, &clauses);
-        assert_eq!(
-            s.solve(&SatBudget { max_conflicts: 10 }),
-            SatResult::Unknown
-        );
-        let spent = s.stats;
-        for budget in [1, 9, 10] {
-            let result = s.resume(&SatBudget {
-                max_conflicts: budget,
-            });
-            assert_eq!(result, SatResult::Unknown);
-            assert!(s.paused.is_some());
-            assert_eq!(s.stats, spent, "a no-op resume spends nothing");
-        }
-        let mut fresh = solver_for(60, &clauses);
-        let want = fresh.solve(&SatBudget { max_conflicts: 300 });
-        let got = s.resume(&SatBudget { max_conflicts: 300 });
-        assert_eq!(outcome(&s, got), outcome(&fresh, want));
-    }
-
-    #[test]
-    fn instance_image_separates_every_small_difference() {
-        let base = random_cnf(11, 20, 60);
-        let image = |num_vars: usize, clauses: &[Vec<Lit>], unit: Option<Lit>| {
-            let mut s = solver_for(num_vars, clauses);
-            if let Some(unit) = unit {
-                s.add_clause(&[unit]);
-            }
-            let mut out = Vec::new();
-            s.encode_instance(&mut out);
-            out
-        };
-        let reference = image(20, &base, Some(lit(1)));
-        assert_eq!(reference, image(20, &base, Some(lit(1))));
-
-        let mut flipped = base.clone();
-        flipped[7][1] = flipped[7][1].negate();
-        let mut missing = base.clone();
-        missing.remove(30);
-        let mut extra = base.clone();
-        extra.push(vec![lit(2), lit(-3), lit(4)]);
-        let mut reordered = base.clone();
-        reordered[12].rotate_left(1);
-        assert_ne!(reordered[12], base[12]);
-        let variants = [
-            ("flipped literal", image(20, &flipped, Some(lit(1)))),
-            ("missing clause", image(20, &missing, Some(lit(1)))),
-            ("extra clause", image(20, &extra, Some(lit(1)))),
-            ("reordered literals", image(20, &reordered, Some(lit(1)))),
-            ("variable count", image(21, &base, Some(lit(1)))),
-            ("root unit", image(20, &base, Some(lit(-1)))),
-        ];
-        for (what, variant) in variants {
-            assert_ne!(variant, reference, "{}", what);
-        }
-    }
-
-    #[test]
-    fn add_clause_or_reset_after_a_pause_falls_back_to_a_fresh_solve() {
-        let clauses = random_cnf(5, 60, 258);
-        let extra = [lit(1), lit(2), lit(3)];
-        // After either call, `resume` must behave as `solve` on the same
-        // solver history: stats restart from zero, nothing is continued.
-        for add in [true, false] {
-            let mut a = solver_for(60, &clauses);
-            let mut b = solver_for(60, &clauses);
-            for s in [&mut a, &mut b] {
-                assert_eq!(
-                    s.solve(&SatBudget { max_conflicts: 15 }),
-                    SatResult::Unknown
-                );
-                if add {
-                    assert!(s.add_clause(&extra));
-                } else {
-                    s.reset_to_root();
-                }
-                assert!(s.paused.is_none());
-            }
-            let budget = SatBudget { max_conflicts: 400 };
-            let got = a.resume(&budget);
-            let want = b.solve(&budget);
-            assert_eq!(outcome(&a, got), outcome(&b, want), "add_clause: {}", add);
-        }
     }
 
     /// `(result, decisions, conflicts, propagations, restarts)` of a fresh

@@ -19,30 +19,14 @@
 //! of the same scalar, and their verification conditions re-blast
 //! identically across recycles.
 //!
-//! # Resuming a budget-stopped search
+//! # One solve per query
 //!
-//! The verification cascade moves on when a stage runs out of budget, and
-//! the next stage can build the *same* instance: with a one-chunk window,
-//! C-unroll symbolically executes to the terms the Alive2 stage asked
-//! about, under a larger conflict budget. Since CDCL search is
-//! deterministic, re-solving would replay every conflict already spent. So
-//! a [`Solver::check`] whose search stops at its conflict budget
-//! keeps the paused [`SatSolver`] (one per `Solver`; like the blast memo it
-//! survives [`Solver::recycle`]), and the next `check` resumes it when, and
-//! only when:
-//!
-//! - its pre-search instance is *exactly* equal to the paused one: the same
-//!   variable count, root units, clause stream in order, and watch lists
-//!   ([`SatSolver::encode_instance`], compared element by element — never
-//!   by hash), and
-//! - its conflict budget is at least the conflicts already spent (a fresh
-//!   solve under a smaller budget would stop earlier).
-//!
-//! Any other query drops the pause. A resumed search reports the search's
-//! *total* conflicts and decisions in [`Solver::last_stats`], and returns
-//! the result and model a fresh solve with the larger budget returns, so
-//! verdicts, stage traces, funnels, profiles and cache keys cannot tell the
-//! difference.
+//! Every [`Solver::check`] blasts its assertions into a fresh [`SatSolver`]
+//! and searches it once under the query's conflict budget. A search stopped
+//! by that budget is dropped with the query: a later query that builds the
+//! same instance under a larger budget searches it from the start and
+//! takes the same trajectory, so it reports the same result, model and
+//! total conflict count a continued search would.
 
 use crate::bitblast::{BitBlaster, BlastCache};
 use crate::sat::{Lit, SatBudget, SatResult, SatSolver};
@@ -76,24 +60,6 @@ impl SolverBudget {
         SolverBudget {
             max_conflicts: 20_000,
             max_clauses: 400_000,
-        }
-    }
-
-    /// The componentwise minimum of two budgets — used by adaptive tuning,
-    /// which only ever *tightens* a configured budget so that a tuned run can
-    /// never spend more than the base configuration allowed.
-    pub fn min_with(self, other: SolverBudget) -> SolverBudget {
-        SolverBudget {
-            max_conflicts: self.max_conflicts.min(other.max_conflicts),
-            max_clauses: self.max_clauses.min(other.max_clauses),
-        }
-    }
-
-    /// The componentwise maximum of two budgets — used to apply floors.
-    pub fn max_with(self, other: SolverBudget) -> SolverBudget {
-        SolverBudget {
-            max_conflicts: self.max_conflicts.max(other.max_conflicts),
-            max_clauses: self.max_clauses.max(other.max_clauses),
         }
     }
 
@@ -222,16 +188,6 @@ impl ReuseStats {
     }
 }
 
-/// A search stopped by its conflict budget, kept so that the next
-/// query, if it builds the identical instance under a larger budget, picks
-/// the search up where it stopped (see the module docs).
-#[derive(Debug)]
-struct PausedSearch {
-    sat: SatSolver,
-    /// [`SatSolver::encode_instance`] of the instance before the search.
-    instance: Vec<u32>,
-}
-
 /// A solver facade over the term [`Context`].
 #[derive(Debug, Default)]
 pub struct Solver {
@@ -242,12 +198,6 @@ pub struct Solver {
     pub last_stats: CheckStats,
     /// Blasted-CNF memo; survives [`Solver::recycle`] when enabled.
     blast_memo: Option<BlastCache>,
-    /// The last search, if its budget stopped it; survives
-    /// [`Solver::recycle`], and any query that does not resume it drops it.
-    paused: Option<PausedSearch>,
-    /// Reused buffer for the current query's pre-search image, so encoding
-    /// it does not allocate once warm.
-    instance_buf: Vec<u32>,
 }
 
 impl Solver {
@@ -293,9 +243,7 @@ impl Solver {
         self.last_stats = CheckStats::default();
         // Term ids are invalidated by the clear, but the blasted-CNF memo is
         // keyed by structural hash, not term id, and deliberately survives:
-        // reusing blasts across recycles is its whole purpose. A paused
-        // search survives for the same reason: it is matched by the CNF it
-        // was built from, never by term ids.
+        // reusing blasts across recycles is its whole purpose.
     }
 
     /// The current assertions.
@@ -304,16 +252,7 @@ impl Solver {
     }
 
     /// Checks satisfiability of the conjunction of all assertions.
-    ///
-    /// When the previous search stopped at its conflict budget and
-    /// this query blasts to the identical instance with at least that many
-    /// conflicts to spend, the paused search is resumed instead of re-run;
-    /// the result, the model and [`Solver::last_stats`] are exactly those
-    /// of a fresh solve.
     pub fn check(&mut self, budget: &SolverBudget) -> CheckResult {
-        // Only an identical query may resume the paused search; every other
-        // path below drops it.
-        let paused = self.paused.take();
         // Fast path: constant assertions.
         if self
             .assertions
@@ -355,34 +294,17 @@ impl Solver {
         let sat_budget = SatBudget {
             max_conflicts: budget.max_conflicts,
         };
-        let mut instance = std::mem::take(&mut self.instance_buf);
-        sat.encode_instance(&mut instance);
-        let result = match paused {
-            Some(p) if p.sat.stats.conflicts <= budget.max_conflicts && p.instance == instance => {
-                sat = p.sat;
-                sat.resume(&sat_budget)
-            }
-            _ => sat.solve(&sat_budget),
-        };
+        let result = sat.solve(&sat_budget);
         self.last_stats.conflicts = sat.stats.conflicts;
         self.last_stats.decisions = sat.stats.decisions;
 
         match result {
-            SatResult::Unsat => {
-                self.instance_buf = instance;
-                CheckResult::Unsat
-            }
-            SatResult::Unknown => {
-                // The image moves into the pause; the next query encodes
-                // its own into a fresh buffer.
-                self.paused = Some(PausedSearch { sat, instance });
-                CheckResult::Unknown(format!(
-                    "solver exhausted its budget of {} conflicts",
-                    budget.max_conflicts
-                ))
-            }
+            SatResult::Unsat => CheckResult::Unsat,
+            SatResult::Unknown => CheckResult::Unknown(format!(
+                "solver exhausted its budget of {} conflicts",
+                budget.max_conflicts
+            )),
             SatResult::Sat => {
-                self.instance_buf = instance;
                 CheckResult::Sat(Box::new(extract_model(&sat, &var_bits, &var_bools)))
             }
         }
@@ -667,100 +589,6 @@ mod tests {
         assert_eq!(plain_result, warmup);
         assert_eq!(plain_result, replayed);
         assert!(memoized.reuse_stats().blast_hits > 0);
-    }
-
-    /// Checks the validity of `(x - y) * (x - y) == x * x + y * y - 2 * x * y`
-    /// at bit width `width` (with `x` and `y` swapped when `swapped`). Valid,
-    /// and no rewrite folds it, so the SAT search needs hundreds (width 5)
-    /// to thousands (width 6) of conflicts to prove it.
-    fn square_of_difference(
-        solver: &mut Solver,
-        swapped: bool,
-        width: u32,
-        conflicts: u64,
-    ) -> Validity {
-        let x = solver.ctx.bv_var("x", width);
-        let y = solver.ctx.bv_var("y", width);
-        let (a, b) = if swapped { (y, x) } else { (x, y) };
-        let diff = solver.ctx.bv_sub(a, b);
-        let lhs = solver.ctx.bv_mul(diff, diff);
-        let aa = solver.ctx.bv_mul(a, a);
-        let bb = solver.ctx.bv_mul(b, b);
-        let ab = solver.ctx.bv_mul(a, b);
-        let two_ab = solver.ctx.bv_add(ab, ab);
-        let squares = solver.ctx.bv_add(aa, bb);
-        let rhs = solver.ctx.bv_sub(squares, two_ab);
-        let formula = solver.ctx.eq(lhs, rhs);
-        let budget = SolverBudget {
-            max_conflicts: conflicts,
-            max_clauses: 4_000_000,
-        };
-        solver.check_validity(formula, &budget)
-    }
-
-    /// [`square_of_difference`] on a recycled `solver`: the verdict and the
-    /// reported (conflicts, decisions).
-    fn run_on(
-        solver: &mut Solver,
-        swapped: bool,
-        width: u32,
-        conflicts: u64,
-    ) -> (Validity, (u64, u64)) {
-        solver.recycle();
-        let verdict = square_of_difference(solver, swapped, width, conflicts);
-        let stats = solver.last_stats;
-        (verdict, (stats.conflicts, stats.decisions))
-    }
-
-    fn fresh_run(swapped: bool, width: u32, conflicts: u64) -> (Validity, (u64, u64)) {
-        run_on(&mut Solver::new(), swapped, width, conflicts)
-    }
-
-    #[test]
-    fn a_resumed_check_equals_a_fresh_check_with_the_larger_budget() {
-        for (memo, width) in [(false, 5), (true, 5), (true, 6)] {
-            let mut solver = Solver::new();
-            if memo {
-                solver.enable_blast_memo();
-            }
-            let (first, _) = run_on(&mut solver, false, width, 8);
-            assert!(matches!(first, Validity::Unknown(_)));
-            assert!(solver.paused.is_some());
-            // A second budget stop on the same query keeps the pause going.
-            assert_eq!(
-                run_on(&mut solver, false, width, 40),
-                fresh_run(false, width, 40)
-            );
-            assert!(solver.paused.is_some());
-            let want = fresh_run(false, width, 100_000);
-            assert_eq!(want.0, Validity::Valid);
-            assert_eq!(run_on(&mut solver, false, width, 100_000), want);
-            assert!(solver.paused.is_none(), "a conclusive search is not kept");
-        }
-    }
-
-    #[test]
-    fn a_smaller_budget_never_resumes() {
-        let mut solver = Solver::new();
-        let _ = run_on(&mut solver, false, 5, 50);
-        assert!(solver.paused.is_some());
-        // The paused search has spent 50 conflicts; a fresh solve under 20
-        // stops at 20, so the pause must not answer for it.
-        assert_eq!(run_on(&mut solver, false, 5, 20), fresh_run(false, 5, 20));
-    }
-
-    #[test]
-    fn a_different_query_drops_the_pause_and_solves_fresh() {
-        // Every query other than the paused one (here: swapped operands,
-        // another width) must get exactly the fresh answer.
-        for (swapped, width) in [(true, 5), (false, 6)] {
-            let mut solver = Solver::new();
-            let _ = run_on(&mut solver, false, 5, 8);
-            assert!(solver.paused.is_some());
-            let got = run_on(&mut solver, swapped, width, 100_000);
-            assert_eq!(got, fresh_run(swapped, width, 100_000));
-            assert!(solver.paused.is_none());
-        }
     }
 
     #[test]

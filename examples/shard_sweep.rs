@@ -17,14 +17,6 @@
 //!   recovered by the coordinator re-running the missing jobs in-process —
 //!   and the merged outputs are *still* byte-identical to the
 //!   single-process run;
-//! * a single-process run's telemetry, persisted as a `CrossRunProfile`
-//!   journal, derives a **non-default** per-category stage schedule with no
-//!   pilot slice, and a profile-guided 2-shard sweep under that schedule
-//!   produces verdicts identical to the default-schedule single-process run
-//!   (the concluding *stages* legitimately differ — that is the point).
-//!   This part runs on the workload whose conditional kernels are only the
-//!   bitwise-select candidates, since the FSM's conditional candidates fold
-//!   before SAT and leave Alive2 nothing to waste;
 //! * a worker killed between batched flushes (`--flush-every 3`) loses at
 //!   most 2 buffered tail records, and recovery still merges the cache file
 //!   byte-identical to the single-process run;
@@ -39,13 +31,13 @@
 use llm_vectorizer_repro::agents::{fsm_candidate_batch, FsmConfig, LlmConfig, SyntheticLlm};
 use llm_vectorizer_repro::core::shard::run_worker_from_args;
 use llm_vectorizer_repro::core::{
-    run_sharded_sweep, BatchReport, CrossRunProfile, EngineConfig, EngineReuse, FsyncPolicy, Job,
-    PipelineConfig, ShardPolicy, ShardStatus, StageSchedule, SweepConfig, VerdictCache, WorkerSpec,
+    run_sharded_sweep, BatchReport, EngineConfig, EngineReuse, Job, PipelineConfig, ShardPolicy,
+    ShardStatus, SweepConfig, VerdictCache, WorkerSpec,
 };
 use llm_vectorizer_repro::interp::ChecksumConfig;
 use llm_vectorizer_repro::tsvc::KERNELS;
 use llm_vectorizer_repro::tv::{SolverBudget, TvConfig};
-use lv_bench::{bitwise_select_jobs, with_unfoldable_conditionals};
+use lv_bench::bitwise_select_jobs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -144,7 +136,7 @@ fn sharded(
     workdir: PathBuf,
     fail: Option<(usize, usize)>,
 ) -> llm_vectorizer_repro::core::ShardedSweep {
-    sharded_with(jobs, config, workdir, fail, 1, None)
+    sharded_with(jobs, config, workdir, fail, 1)
 }
 
 fn sharded_with(
@@ -153,7 +145,6 @@ fn sharded_with(
     workdir: PathBuf,
     fail: Option<(usize, usize)>,
     flush_every: usize,
-    profile: Option<PathBuf>,
 ) -> llm_vectorizer_repro::core::ShardedSweep {
     let sweep = SweepConfig {
         shards: 2,
@@ -162,7 +153,6 @@ fn sharded_with(
         worker: WorkerSpec::current_exe().expect("own executable"),
         fail_shard_after: fail,
         flush_every,
-        profile,
         ..SweepConfig::default()
     };
     run_sharded_sweep(jobs, config, &sweep).expect("sharded sweep must succeed")
@@ -274,86 +264,8 @@ fn main() {
         "recovery must still yield a byte-identical merged cache file"
     );
 
-    println!("== cross-run profile: record -> derive -> profile-guided 2-shard sweep ==");
-    // The single-process run's telemetry becomes the persisted profile; a
-    // "second run" then derives its schedule from the journal alone — no
-    // pilot slice, no fresh measurements.
-    let profile_jobs = with_unfoldable_conditionals(jobs.clone());
-    let profile_single = llm_vectorizer_repro::core::VerificationEngine::new(config.clone())
-        .run_batch(&profile_jobs);
-    let profile_path = dir.join("profile.json");
-    CrossRunProfile::from_batch(&profile_jobs, &profile_single.jobs)
-        .append_to(&profile_path, FsyncPolicy::OnCompact)
-        .expect("profile append");
-    let loaded = CrossRunProfile::load(&profile_path).expect("profile reload");
-    assert!(!loaded.is_empty(), "the recorded profile must have cells");
-    let derived = StageSchedule::from_profile(&loaded);
-    println!("derived schedule: {}", derived.spec());
-    assert!(
-        !derived.is_default(),
-        "under these budgets the bitwise-select conditional candidates exhaust \
-         Alive2, so the warm profile must reorder that category"
-    );
-    let scheduled_config = config.clone().with_schedule(derived);
-    assert_ne!(
-        scheduled_config.semantic_fingerprint(),
-        config.semantic_fingerprint(),
-        "the profile-guided schedule is a distinct cache configuration"
-    );
-    let guided = sharded_with(
-        &profile_jobs,
-        &scheduled_config,
-        dir.join("guided"),
-        None,
-        1,
-        Some(profile_path.clone()),
-    );
-    for outcome in &guided.shards {
-        assert_eq!(outcome.status, ShardStatus::Completed);
-        assert_eq!(outcome.reported, outcome.planned);
-    }
-    // Verdict byte-identity to the default-schedule single-process run: the
-    // concluding stage (and therefore trace telemetry) may legitimately
-    // differ — reordering decides *who* answers, never *what*.
-    assert_eq!(profile_single.jobs.len(), guided.report.jobs.len());
-    for (s, g) in profile_single.jobs.iter().zip(&guided.report.jobs) {
-        assert_eq!(s.label, g.label, "profile-guided sweep: job order");
-        assert_eq!(
-            s.verdict, g.verdict,
-            "profile-guided sweep: verdict drifted for {}",
-            s.label
-        );
-        assert_eq!(
-            s.checksum, g.checksum,
-            "profile-guided sweep: checksum class drifted for {}",
-            s.label
-        );
-    }
-    // The workers really ran with --profile: each shard left its own
-    // profile journal, and the coordinator appended the run's delta.
-    for shard in 0..2 {
-        let worker_profile = dir
-            .join("guided")
-            .join(format!("shard-{}.profile.json", shard));
-        let text = read(&worker_profile);
-        assert!(
-            text.starts_with("{\"journal\":\"cross-run-profile\""),
-            "shard {} must have written a profile journal",
-            shard
-        );
-    }
-    assert!(
-        guided.profile_delta.is_some(),
-        "the coordinator must commit the run's delta"
-    );
-    let accumulated = CrossRunProfile::load(&profile_path).expect("profile after sweep");
-    assert!(
-        accumulated.len() >= loaded.len(),
-        "the profile accumulates across runs"
-    );
-
     println!("== batched-flush kill-recovery: --flush-every 3, shard 0 dies after 2 jobs ==");
-    let batched = sharded_with(&jobs, &config, dir.join("batched"), Some((0, 2)), 3, None);
+    let batched = sharded_with(&jobs, &config, dir.join("batched"), Some((0, 2)), 3);
     let shard0 = &batched.shards[0];
     assert_eq!(
         shard0.status,
@@ -419,7 +331,7 @@ fn main() {
 
     println!(
         "shard sweep OK: {} jobs, merged cache {} bytes, recovery re-ran {} + {} job(s), \
-         profile-guided schedule and blast-memo sweep verified",
+         blast-memo sweep verified",
         jobs.len(),
         merged_bytes.len(),
         wounded.recovered.len(),

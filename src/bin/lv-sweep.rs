@@ -12,8 +12,7 @@
 //!          [--kernels s000,s112,...] [--threads T] [--quick]
 //!          [--max-cache-entries N] [--timeout-secs S]
 //!          [--fsync compact|record] [--flush-every N]
-//!          [--profile PATH] [--schedule default|profile|SPEC]
-//!          [--budget fixed|profile] [--no-reuse]
+//!          [--no-reuse]
 //!          [--steal] [--heartbeat-ms MS] [--stall-timeout-secs S]
 //! lv-sweep run --generate K [--gen-seed S] [--gen-threads T]
 //!          [--kernels s000,...] [--threads N] [--quick] [--no-overlap]
@@ -58,15 +57,11 @@
 //! `--cache-format` flags of earlier builds (rewrite flushing, binary cache
 //! journals) are gone and refused as usage errors.
 //!
-//! `--profile` names a cross-run profile journal: the sweep's per-category
-//! per-stage telemetry is appended to it after the merge, and
-//! `--schedule profile` derives the per-category stage order (and, when the
-//! profile has conclusive evidence, nothing else — budgets stay configured)
-//! from what previous runs recorded there. `--schedule` also accepts an
-//! explicit spec (`reduction=cunroll,alive2,splitting;...`) or `default`.
-//! `--budget profile` additionally derives tightened per-stage solver
-//! budgets from the same profile journal (`lv_core::derive_from_profile`);
-//! `fixed` (the default) keeps the configured budgets.
+//! Every job runs Algorithm 1's cascade in its one order under fixed
+//! per-stage budgets. The `--profile`, `--schedule` and `--budget` flags of
+//! earlier builds (cross-run telemetry profiles, per-category stage
+//! schedules, profile-tuned budgets) are gone with their layers and refused
+//! as usage errors naming the layer.
 //!
 //! Every worker's solver runs with the blasted-CNF memo on: its replays are
 //! clause-identical, so it changes no verdict, fingerprint, or cache byte.
@@ -96,12 +91,11 @@
 //! `compact` rewrites journal files into their canonical compact form:
 //! verdict-cache journals become the sorted JSON snapshot
 //! (`VerdictCache::compact_journal`), shard-report journals a fresh report
-//! journal in job-index order without heartbeats or a torn tail, and
-//! cross-run profile journals one summed record per cell; a JSON snapshot
-//! is left unchanged. The binary cache journal (`LVBJ`) and binary snapshot
-//! (`LVCS`) of earlier builds are refused with an error naming the removed
-//! form, and the `--format` flag that could write the binary snapshot is
-//! a usage error.
+//! journal in job-index order without heartbeats or a torn tail; a JSON
+//! snapshot is left unchanged. The binary cache journal (`LVBJ`), binary
+//! snapshot (`LVCS`) and cross-run profile journal of earlier builds are
+//! refused with an error naming the removed form, and the `--format` flag
+//! that could write the binary snapshot is a usage error.
 //!
 //! `cache stats` prints, for each verdict-cache file: the sniffed form
 //! (`json-snapshot` or `json-journal`), size, entry count, bytes per
@@ -113,12 +107,14 @@
 
 use llm_vectorizer_repro::agents::LlmConfig;
 use llm_vectorizer_repro::cir::ast::Function;
-use llm_vectorizer_repro::core::shard::{run_worker_from_args, ShardError, ShardReportFile};
+use llm_vectorizer_repro::core::shard::{
+    removed_layer_message, run_worker_from_args, ShardError, ShardReportFile,
+};
 use llm_vectorizer_repro::core::{
-    cache_file_stats, derive_from_profile, generate_then_verify_pass_at_k, overlapped_pass_at_k,
-    CacheBounds, CrossRunProfile, EngineConfig, EngineReuse, Equivalence, FsyncPolicy,
-    GenerationRequest, GenerationSpec, Job, PipelineConfig, ServiceClient, ShardPolicy,
-    StageSchedule, SweepConfig, VerdictCache, VerificationEngine, VerificationService, WorkerSpec,
+    cache_file_stats, generate_then_verify_pass_at_k, overlapped_pass_at_k, CacheBounds,
+    EngineConfig, EngineReuse, Equivalence, FsyncPolicy, GenerationRequest, GenerationSpec, Job,
+    PipelineConfig, ServiceClient, ShardPolicy, SweepConfig, VerdictCache, VerificationEngine,
+    VerificationService, WorkerSpec,
 };
 use llm_vectorizer_repro::interp::ChecksumConfig;
 use llm_vectorizer_repro::tv::{SolverBudget, TvConfig};
@@ -234,10 +230,9 @@ fn compact_files(args: &[String]) -> Result<(), CliError> {
                         .map_err(|e| e.to_string())
                 })
         } else if bytes.starts_with(b"{\"journal\":\"cross-run-profile\"") {
-            CrossRunProfile::load(path)
-                .and_then(|profile| profile.rewrite(path, FsyncPolicy::OnCompact))
-                .map(|()| "profile -> one record per cell")
-                .map_err(|e| e.to_string())
+            Err("a cross-run profile journal, a layer this build removed: \
+                 nothing reads it, so there is nothing to compact"
+                .to_string())
         } else if bytes.starts_with(b"{\"version\":") {
             // Already the target JSON snapshot: compaction is a no-op, not
             // an error, so `compact` is idempotent over a workdir.
@@ -783,9 +778,6 @@ struct CoordinatorArgs {
     timeout: Duration,
     fsync: FsyncPolicy,
     flush_every: usize,
-    profile: Option<PathBuf>,
-    schedule_arg: String,
-    budget_arg: String,
     memo: bool,
     steal: bool,
     heartbeat_ms: Option<u64>,
@@ -806,9 +798,6 @@ fn parse_coordinator(args: &[String]) -> Result<CoordinatorArgs, CliError> {
         timeout: Duration::from_secs(600),
         fsync: FsyncPolicy::default(),
         flush_every: 1,
-        profile: None,
-        schedule_arg: "default".to_string(),
-        budget_arg: "fixed".to_string(),
         memo: true,
         steal: false,
         heartbeat_ms: None,
@@ -880,9 +869,6 @@ fn parse_coordinator(args: &[String]) -> Result<CoordinatorArgs, CliError> {
                     arg
                 )))
             }
-            "--profile" => opts.profile = Some(value("--profile")?.into()),
-            "--schedule" => opts.schedule_arg = value("--schedule")?,
-            "--budget" => opts.budget_arg = value("--budget")?,
             "--no-reuse" => opts.memo = false,
             "--reuse" | "--simplify" => return Err(removed_layer_flag(arg)),
             "--steal" => opts.steal = true,
@@ -917,10 +903,9 @@ fn parse_coordinator(args: &[String]) -> Result<CoordinatorArgs, CliError> {
                     .map_err(|_| usage("--gen-seed expects an integer"))?
             }
             other => {
-                return Err(usage(format!(
-                    "unknown argument `{}` (see the module docs)",
-                    other
-                )))
+                return Err(usage(removed_layer_message(other).unwrap_or_else(|| {
+                    format!("unknown argument `{}` (see the module docs)", other)
+                })))
             }
         }
     }
@@ -932,97 +917,9 @@ fn cmd_coordinator(args: &[String]) -> Result<(), CliError> {
     let opts = parse_coordinator(args)?;
     let pipeline = build_pipeline(opts.quick);
 
-    // Resolve the stage schedule: `default`, `profile` (derived from the
-    // cross-run profile journal), or an explicit spec string.
-    let schedule = match opts.schedule_arg.as_str() {
-        "profile" => {
-            let Some(path) = &opts.profile else {
-                return Err(usage("--schedule profile needs --profile <path>"));
-            };
-            match CrossRunProfile::load(path) {
-                Ok(loaded) if loaded.is_empty() => {
-                    println!(
-                        "profile {} is empty; running the default schedule",
-                        path.display()
-                    );
-                    StageSchedule::algorithm1()
-                }
-                Ok(loaded) => {
-                    let derived = StageSchedule::from_profile(&loaded);
-                    println!(
-                        "schedule derived from {}: {}",
-                        path.display(),
-                        derived.spec()
-                    );
-                    derived
-                }
-                Err(e) => {
-                    return Err(runtime(format!(
-                        "cannot load profile {}: {}",
-                        path.display(),
-                        e
-                    )))
-                }
-            }
-        }
-        spec => {
-            StageSchedule::parse_spec(spec).map_err(|e| usage(format!("bad --schedule: {}", e)))?
-        }
-    };
-
-    // Resolve the solver budgets: `fixed` keeps the configured ones,
-    // `profile` derives tightened budgets from the cross-run profile's
-    // conclusive-effort evidence (stages without evidence keep their
-    // configured budget).
-    let pipeline = match opts.budget_arg.as_str() {
-        "fixed" => pipeline,
-        "profile" => {
-            let Some(path) = &opts.profile else {
-                return Err(usage("--budget profile needs --profile <path>"));
-            };
-            match CrossRunProfile::load(path) {
-                Ok(loaded) if loaded.is_empty() => {
-                    println!(
-                        "profile {} is empty; keeping configured budgets",
-                        path.display()
-                    );
-                    pipeline
-                }
-                Ok(loaded) => {
-                    let tuned = derive_from_profile(&loaded, &pipeline.tv);
-                    println!(
-                        "budgets derived from {}: alive2 {} conflicts, cunroll {}, spatial {}",
-                        path.display(),
-                        tuned.alive2_budget.max_conflicts,
-                        tuned.cunroll_budget.max_conflicts,
-                        tuned.spatial_budget.max_conflicts
-                    );
-                    PipelineConfig {
-                        tv: tuned,
-                        ..pipeline
-                    }
-                }
-                Err(e) => {
-                    return Err(runtime(format!(
-                        "cannot load profile {}: {}",
-                        path.display(),
-                        e
-                    )))
-                }
-            }
-        }
-        other => {
-            return Err(usage(format!(
-                "bad --budget `{}` (expected `fixed` or `profile`)",
-                other
-            )))
-        }
-    };
-
     let reuse = resolve_reuse(opts.memo);
     let config = EngineConfig::full(pipeline)
         .with_threads(opts.threads)
-        .with_schedule(schedule)
         .with_reuse(reuse);
 
     let worker = WorkerSpec::current_exe()
@@ -1039,7 +936,6 @@ fn cmd_coordinator(args: &[String]) -> Result<(), CliError> {
         },
         fsync: opts.fsync,
         flush_every: opts.flush_every,
-        profile: opts.profile.clone(),
         fail_shard_after: None,
         steal: opts.steal,
         stall_timeout: opts.stall_timeout_secs.map(Duration::from_secs),
@@ -1049,13 +945,12 @@ fn cmd_coordinator(args: &[String]) -> Result<(), CliError> {
 
     let describe = |count: usize, what: &str| {
         println!(
-            "sweeping {} {} over {} shard process(es) ({}, fsync {}, schedule {}, reuse {}{}), workdir {}",
+            "sweeping {} {} over {} shard process(es) ({}, fsync {}, reuse {}{}), workdir {}",
             count,
             what,
             opts.shards,
             opts.policy.tag(),
             opts.fsync.tag(),
-            config.schedule.spec(),
             reuse_tag(reuse),
             if opts.steal { ", stealing" } else { "" },
             opts.workdir.display()
@@ -1133,13 +1028,6 @@ fn cmd_coordinator(args: &[String]) -> Result<(), CliError> {
             totals.blast_hits, totals.blast_misses
         );
     }
-    if let (Some(path), Some(delta)) = (&opts.profile, &swept.profile_delta) {
-        println!(
-            "profile: appended {} cell delta(s) to {}",
-            delta.len(),
-            path.display()
-        );
-    }
     Ok(())
 }
 
@@ -1198,6 +1086,7 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use llm_vectorizer_repro::core::shard::REMOVED_LAYER_FLAGS;
 
     fn strings(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
@@ -1446,5 +1335,41 @@ mod tests {
                 bad
             );
         }
+    }
+
+    #[test]
+    fn removed_tuning_flags_are_refused_by_name() {
+        for (flag, layer) in REMOVED_LAYER_FLAGS {
+            for args in [strings(&[flag]), strings(&[flag, "profile"])] {
+                match parse_coordinator(&args) {
+                    Err(CliError::Usage(message)) => {
+                        assert!(message.contains(flag), "{}", message);
+                        assert!(message.contains(layer), "{}", message);
+                    }
+                    other => panic!("{} must be refused, got {:?}", flag, other),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn compact_refuses_a_cross_run_profile_journal() {
+        let path =
+            std::env::temp_dir().join(format!("lv-sweep-profile-{}.json", std::process::id()));
+        let journal = "{\"journal\":\"cross-run-profile\",\"version\":1} 00000000\n";
+        std::fs::write(&path, journal).unwrap();
+        let result = compact_files(&[path.display().to_string()]);
+        match result {
+            Err(CliError::Runtime(message)) => {
+                assert!(message.contains("cross-run profile"), "{}", message);
+            }
+            other => panic!("a profile journal must be refused, got {:?}", other),
+        }
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            journal,
+            "a refused file is left as it was"
+        );
+        std::fs::remove_file(&path).unwrap();
     }
 }

@@ -221,13 +221,13 @@ fn assert_same_verdicts(got: &BatchReport, want: &BatchReport, what: &str) {
 }
 
 #[test]
-fn resumed_searches_report_what_fresh_sessions_report() {
+fn warm_sessions_report_what_fresh_sessions_report() {
     let pipeline = sweep_pipeline();
     let jobs = budget_stopped_jobs();
     let memo = EngineReuse { memo: true };
-    // The shipped configuration: one warm session per worker, so a
-    // budget-stopped Alive2 search is resumed by an identical C-unroll query
-    // (verdicts are thread-count independent, so 2 workers keep it quick).
+    // The shipped configuration: one warm session per worker, recycled
+    // between queries with its blast memo kept (verdicts are thread-count
+    // independent, so 2 workers keep it quick).
     let warm = VerificationEngine::new(
         EngineConfig::full(pipeline.clone())
             .with_threads(2)
@@ -252,28 +252,35 @@ fn resumed_searches_report_what_fresh_sessions_report() {
     .run_batch(&jobs);
 
     assert_same_verdicts(&warm, &fresh, "warm vs fresh sessions");
-    let mut resumable = 0;
+    let shape = |r: &JobReport| -> Vec<(Stage, bool, u64, u64)> {
+        r.traces
+            .iter()
+            .map(|t| (t.stage, t.conclusive, t.conflicts, t.clauses))
+            .collect()
+    };
     for (w, f) in warm.jobs.iter().zip(&fresh.jobs) {
-        let shape = |r: &llm_vectorizer_repro::core::JobReport| -> Vec<(Stage, bool, u64, u64)> {
-            r.traces
-                .iter()
-                .map(|t| (t.stage, t.conclusive, t.conflicts, t.clauses))
-                .collect()
-        };
         assert_eq!(shape(w), shape(f), "stage traces for {}", w.label);
-        // An Alive2 attempt stopped by its budget, followed by C-unroll.
-        if w.traces.windows(2).any(|pair| {
-            pair[0].stage == Stage::Alive2
-                && pair[0].conflicts == pipeline.tv.alive2_budget.max_conflicts
-                && pair[1].stage == Stage::CUnroll
-        }) {
-            resumable += 1;
-        }
     }
-    assert!(
-        resumable >= 3,
-        "expected budget-stopped Alive2 attempts followed by C-unroll: {}",
-        resumable
+    // Each bitwise-select candidate stops Alive2 at its budget, and C-unroll
+    // searches the identical instance from the start to the same total
+    // conflict count a search continued from the Alive2 stop reached.
+    let bitwise: Vec<String> = bitwise_select_jobs().into_iter().map(|j| j.label).collect();
+    let cunroll: Vec<(&str, u64)> = warm
+        .jobs
+        .iter()
+        .filter(|job| bitwise.contains(&job.label))
+        .map(|job| {
+            let alive2 = &job.traces[1];
+            assert_eq!(alive2.stage, Stage::Alive2, "{}", job.label);
+            assert_eq!(alive2.conflicts, pipeline.tv.alive2_budget.max_conflicts);
+            let last = job.traces.last().expect("the cascade ran");
+            assert_eq!((last.stage, last.conclusive), (Stage::CUnroll, true));
+            (job.label.as_str(), last.conflicts)
+        })
+        .collect();
+    assert_eq!(
+        cunroll,
+        [("vif#or", 1_024), ("vif#xor", 1_511), ("s271#or", 1_032)]
     );
 }
 
