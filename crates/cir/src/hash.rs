@@ -380,14 +380,14 @@ pub fn structural_hash(func: &Function) -> u64 {
 /// [`structural_hash`] with the variable canonicalization seeded by an
 /// environment of names at fixed indices `0..env.len()`.
 ///
-/// This is how a *pair* of functions is hashed consistently when name
-/// correspondence between them is semantic. In this workspace the checksum
-/// harness and the refinement check both bind a candidate's arrays to the
-/// scalar kernel's by **parameter name**, so renaming a candidate's
-/// parameters away from the scalar's changes the verification problem (and
-/// possibly the verdict) even though the candidate alone is
-/// alpha-equivalent. Hashing the candidate in the scalar's parameter-name
-/// environment makes the hash track exactly that correspondence:
+/// This hashes a *pair* of functions consistently when name correspondence
+/// between them is semantic: hashing one function in the other's
+/// parameter-name environment makes the hash track which names the two
+/// share. The verification stages do not need it — they bind a candidate's
+/// parameters to the scalar's by **position**, so the verdict cache keys a
+/// candidate by its plain [`structural_hash`] — but a caller that pairs
+/// functions by name (for instance, to ask whether a candidate is the
+/// rule-based one spelled with the scalar's names) gets:
 ///
 /// * renaming the candidate's *locals* (or `goto` labels) never changes the
 ///   hash;

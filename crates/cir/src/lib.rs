@@ -54,4 +54,4 @@ pub use hash::{structural_hash, Fnv64};
 pub use intrinsics::{intrinsic_sig, is_intrinsic, IntrinsicSig, IntrinsicType, VECTOR_WIDTH};
 pub use parser::{parse_expr, parse_function, parse_program};
 pub use printer::{print_expr, print_function, print_program, print_stmt};
-pub use typecheck::{compiles, type_check, TypeInfo};
+pub use typecheck::{check_types, compiles, type_check, TypeInfo};

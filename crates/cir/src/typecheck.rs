@@ -51,16 +51,31 @@ impl TypeInfo {
 /// counts or types, assignment type mismatches, invalid operand types, or a
 /// `goto` to an undefined label.
 pub fn type_check(func: &Function) -> Result<TypeInfo, TypeError> {
-    let mut checker = Checker::new(func);
+    let mut checker = Checker::new(func, Some(TypeInfo::default()));
     checker
         .check_function()
         .map_err(|e| e.in_function(&func.name))?;
-    Ok(checker.info)
+    let mut info = checker.info.unwrap_or_default();
+    info.labels = checker.labels.iter().map(|l| l.to_string()).collect();
+    Ok(info)
+}
+
+/// [`type_check`] without the [`TypeInfo`]: the same verdict and the same
+/// error, but a function that type checks costs no allocation per variable
+/// or label.
+///
+/// # Errors
+///
+/// The [`TypeError`] that [`type_check`] returns.
+pub fn check_types(func: &Function) -> Result<(), TypeError> {
+    Checker::new(func, None)
+        .check_function()
+        .map_err(|e| e.in_function(&func.name))
 }
 
 /// Convenience wrapper: returns `true` if the function type checks.
 pub fn compiles(func: &Function) -> bool {
-    type_check(func).is_ok()
+    check_types(func).is_ok()
 }
 
 struct Checker<'a> {
@@ -70,20 +85,26 @@ struct Checker<'a> {
     /// entry height on exit, and a lookup scans down from the top, so the
     /// innermost (and, within a block, the latest) declaration wins.
     vars: Vec<(&'a str, &'a Type)>,
-    info: TypeInfo,
+    /// Every label declared in the body, in order.
+    labels: Vec<&'a str>,
+    /// The variable types, when the caller asked for them.
+    info: Option<TypeInfo>,
 }
 
 impl<'a> Checker<'a> {
-    fn new(func: &'a Function) -> Checker<'a> {
+    fn new(func: &'a Function, info: Option<TypeInfo>) -> Checker<'a> {
         Checker {
             func,
             vars: Vec::new(),
-            info: TypeInfo::default(),
+            labels: Vec::new(),
+            info,
         }
     }
 
     fn declare(&mut self, name: &'a str, ty: &'a Type) {
-        self.info.vars.insert(name.to_string(), ty.clone());
+        if let Some(info) = &mut self.info {
+            info.vars.insert(name.to_string(), ty.clone());
+        }
         self.vars.push((name, ty));
     }
 
@@ -112,10 +133,10 @@ impl<'a> Checker<'a> {
         Ok(())
     }
 
-    fn collect_labels(&mut self, block: &Block) {
+    fn collect_labels(&mut self, block: &'a Block) {
         for stmt in &block.stmts {
             match stmt {
-                Stmt::Label(name) => self.info.labels.push(name.clone()),
+                Stmt::Label(name) => self.labels.push(name),
                 Stmt::If {
                     then_branch,
                     else_branch,
@@ -136,7 +157,7 @@ impl<'a> Checker<'a> {
     fn check_gotos(&self, block: &Block) -> Result<(), TypeError> {
         for stmt in &block.stmts {
             match stmt {
-                Stmt::Goto(label) if !self.info.labels.contains(label) => {
+                Stmt::Goto(label) if !self.labels.contains(&label.as_str()) => {
                     return Err(TypeError::new(format!(
                         "goto to undefined label `{}`",
                         label

@@ -8,17 +8,17 @@
 //!
 //! * `scalar` — [`lv_cir::structural_hash`] of the scalar kernel, so
 //!   renaming its variables, labels, or the kernel itself still hits;
-//! * `candidate` — [`lv_cir::hash::structural_hash_in_env`] of the
-//!   candidate in the scalar's parameter-name environment: renaming the
-//!   candidate's locals or labels still hits, but renaming its *parameters*
-//!   away from the scalar's misses — the harnesses bind arrays by parameter
-//!   name, so that rename genuinely changes the verification problem. Any
-//!   semantic edit (a constant, an operator, a type, the statement shape)
-//!   misses;
+//! * `candidate` — [`lv_cir::structural_hash`] of the candidate alone, by
+//!   its own parameter positions: every stage binds the candidate's
+//!   parameters to the scalar's by position, so renaming any of its
+//!   variables (parameters included) or labels still hits, while reordering
+//!   its parameters, or any semantic edit (a constant, an operator, a type,
+//!   the statement shape), misses;
 //! * `config` — [`EngineConfig::semantic_fingerprint`](crate::EngineConfig::semantic_fingerprint),
 //!   covering the cascade stage list, the checksum harness configuration,
-//!   and every solver budget. Anything that could change a verdict — or an
-//!   `Inconclusive` outcome — invalidates the entry by changing its key.
+//!   every solver budget and the search and binding revisions. Anything
+//!   that could change a verdict — or an `Inconclusive` outcome —
+//!   invalidates the entry by changing its key.
 //!
 //! # File formats
 //!
@@ -97,9 +97,7 @@ pub const CACHE_FORMAT_VERSION: i64 = 1;
 pub struct CacheKey {
     /// [`lv_cir::structural_hash`] of the scalar kernel.
     pub scalar: u64,
-    /// [`lv_cir::hash::structural_hash_in_env`] of the candidate in the
-    /// scalar's parameter-name environment (see the module docs for why the
-    /// pairing is semantic).
+    /// [`lv_cir::structural_hash`] of the candidate (see the module docs).
     pub candidate: u64,
     /// [`crate::EngineConfig::semantic_fingerprint`] of the engine
     /// configuration the verdict was produced under.

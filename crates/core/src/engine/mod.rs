@@ -1,10 +1,14 @@
-//! The parallel batch verification engine, split into two layers:
+//! The parallel batch verification engine, split into three layers:
 //!
 //! * [`stage`] — one cascade stage as a [`VerificationStrategy`] trait
 //!   object ([`ChecksumStage`] wrapping the checksum filter, one
 //!   [`SymbolicStage`] per [`lv_tv::SymbolicStrategy`]). A stage checks one
 //!   `(scalar, candidate)` pair and knows nothing about ordering or
 //!   parallelism;
+//! * [`reference`](mod@reference) — the [`ReferenceTable`] of scalar
+//!   checksum references ([`lv_interp::ScalarReference`]): the scalar's
+//!   seeded inputs and outputs, computed once per scalar and checksum
+//!   configuration and shared by every candidate of that scalar in one run;
 //! * [`pool`] — the scoped worker pool ([`parallel_map`] and the core of
 //!   every engine run) and the streaming [`job_channel`]: workers pull jobs
 //!   from a shared cursor or channel, each owning one reusable SMT session
@@ -14,6 +18,11 @@
 //! Every job runs [`EngineConfig::cascade`] in its configured order —
 //! Algorithm 1's checksum → Alive2 → C-unroll → splitting by default —
 //! under the fixed per-stage budgets of [`EngineConfig::pipeline`].
+//!
+//! Both the checksum harness and the symbolic stages bind a candidate's
+//! parameters to the scalar's by position, as a C call does; a candidate
+//! whose parameter list differs from the scalar's in length or type is
+//! `CannotCompile` at the checksum stage.
 //!
 //! Every job is deterministic given its inputs and each worker session is
 //! reset to a just-constructed state between queries, so a batch produces
@@ -37,6 +46,13 @@
 //!   table belongs to one run, so concurrent runs on one engine each verify
 //!   their own copy of a job they share.
 //!
+//! Each run also makes one [`ReferenceTable`], shared by its workers and
+//! dropped when the run returns, so the checksum stage runs each scalar
+//! kernel's reference once per run (at most
+//! [`REFERENCE_TABLE_CAPACITY`] scalars are held at a time) and only the
+//! candidate per job. A reference test reports exactly what the one-shot
+//! [`lv_interp::checksum_test`] reports.
+//!
 //! Orthogonal to all of the above, [`EngineReuse`] switches on the blast
 //! memo (off by default): each worker's solver memoizes the blasted CNF of
 //! structurally repeated queries and replays the recorded clause stream
@@ -48,9 +64,11 @@
 //! aggregates via [`BatchReport::reuse_totals`], and feeds the funnel report.
 
 pub mod pool;
+pub mod reference;
 pub mod stage;
 
 pub use pool::{job_channel, parallel_map, JobProducer, JobSource};
+pub use reference::{ReferenceTable, REFERENCE_TABLE_CAPACITY};
 pub use stage::{ChecksumStage, StrategyOutcome, SymbolicStage, VerificationStrategy, WorkerState};
 
 use crate::cache::{CacheKey, CachedVerdict, VerdictCache};
@@ -58,7 +76,7 @@ use crate::funnel::FunnelReport;
 use crate::observer::{BatchObserver, NoopObserver};
 use crate::pipeline::{Equivalence, EquivalenceReport, PipelineConfig, Stage};
 use lv_cir::ast::Function;
-use lv_cir::hash::{structural_hash, structural_hash_in_env, Fnv64};
+use lv_cir::hash::{structural_hash, Fnv64};
 use lv_interp::ChecksumClass;
 use lv_tv::{SymbolicStrategy, TvReuse, TvSessionStats};
 use std::borrow::Cow;
@@ -185,7 +203,8 @@ impl EngineConfig {
     /// A stable fingerprint of everything that can influence a verdict: the
     /// cascade stage list (order matters — it decides which stage answers
     /// first), the checksum harness configuration, the symbolic budgets,
-    /// and the SAT search revision ([`lv_tv::SEARCH_REVISION`]).
+    /// the SAT search revision ([`lv_tv::SEARCH_REVISION`]) and the
+    /// argument-binding revision ([`BINDING_REVISION`]).
     ///
     /// This is the `config` component of every [`CacheKey`]. Thread count
     /// and the cache itself are deliberately excluded: neither changes the
@@ -201,11 +220,18 @@ impl EngineConfig {
         // A symbolic verdict is whatever the SAT search reaches within its
         // budget, so it is keyed by the search revision that reached it.
         fnv.write_u8(lv_tv::SEARCH_REVISION);
+        // Verdicts reached under name binding are never served.
+        fnv.write_u8(BINDING_REVISION);
         // Memo replays are clause-identical, so the memo leaves the
         // fingerprint alone.
         fnv.finish()
     }
 }
+
+/// How the stages bind a candidate's parameters to the scalar's, folded
+/// into [`EngineConfig::semantic_fingerprint`]. Revision 1 binds by
+/// parameter position; verdicts cached before it bound by name.
+pub const BINDING_REVISION: u8 = 1;
 
 /// Stable one-byte stage codes for [`EngineConfig::semantic_fingerprint`].
 fn stage_fingerprint_byte(stage: Stage) -> u8 {
@@ -252,11 +278,6 @@ pub struct StageTrace {
     pub conflicts: u64,
     /// CNF clauses built (always 0 for the checksum stage).
     pub clauses: u64,
-    /// `true` on a checksum-stage trace whose candidate renamed its array
-    /// parameters away from the scalar's — the harness bound disjoint arrays
-    /// and the comparison was vacuous (telemetry only; the verdict is
-    /// unchanged). Always `false` for symbolic stages.
-    pub name_mismatch: bool,
 }
 
 /// The result of one job, with telemetry.
@@ -498,13 +519,14 @@ impl VerificationEngine {
 
     /// The worker loop behind every batch and stream run: `threads`
     /// workers claim jobs from `intake` until it is exhausted, sharing one
-    /// in-flight table when a cache is attached, and the reports are
-    /// reassembled in job-index order.
+    /// reference table and, when a cache is attached, one in-flight table,
+    /// and the reports are reassembled in job-index order.
     fn run(&self, intake: Intake<'_>, threads: usize, observer: &dyn BatchObserver) -> BatchReport {
         let start = Instant::now();
         let in_flight = self.cache.as_ref().map(|_| InFlight::default());
+        let references = Arc::new(ReferenceTable::new());
         let mut pairs = pool::run_workers(threads, || {
-            let mut worker = WorkerState::with_reuse(self.reuse.tv());
+            let mut worker = WorkerState::sharing(self.reuse.tv(), Arc::clone(&references));
             let mut out = Vec::new();
             while let Some((index, job)) = intake.claim() {
                 self.run_job(
@@ -628,7 +650,6 @@ impl VerificationEngine {
         job_start: Instant,
     ) -> JobReport {
         worker.checksum = None;
-        worker.name_mismatch = false;
         let reuse_before = worker.session.reuse_stats();
         let mut traces = Vec::with_capacity(self.strategies.len());
         // If no stage concludes, report the last stage that ran (Alive2 with
@@ -651,7 +672,6 @@ impl VerificationEngine {
                 wall,
                 conflicts: spent.0,
                 clauses: spent.1,
-                name_mismatch: strategy.stage() == Stage::Checksum && worker.name_mismatch,
             });
             observer.stage_finished(index, job, traces.last().expect("just pushed"));
             match outcome {
@@ -794,18 +814,17 @@ impl InFlight {
 /// coordinator's report-to-cache reconstruction, so the two can never drift
 /// apart and mis-key (or spuriously conflict on) the same verdict.
 ///
-/// The candidate is hashed in the scalar's parameter-name environment
-/// ([`structural_hash_in_env`]): the checksum harness and the refinement
-/// check bind arrays by parameter name, so a candidate whose parameters are
-/// renamed away from the scalar's is a *different* verification problem and
-/// must not share a key with the name-matched spelling.
+/// Both functions are hashed alone, by their own parameter positions
+/// ([`structural_hash`]): every stage binds the candidate's parameters to
+/// the scalar's by position, so renaming either function's parameters
+/// leaves the verification problem, and the key, unchanged, while
+/// reordering them changes both. `(n, a, b) { a = b + 1 }` and
+/// `(n, b, a) { a = b + 1 }` are different candidates and get different
+/// keys.
 pub(crate) fn job_cache_key(job: &Job, config_fingerprint: u64) -> CacheKey {
     CacheKey {
         scalar: structural_hash(&job.scalar),
-        candidate: structural_hash_in_env(
-            &job.candidate,
-            job.scalar.params.iter().map(|p| p.name.as_str()),
-        ),
+        candidate: structural_hash(&job.candidate),
         config: config_fingerprint,
     }
 }
@@ -922,39 +941,108 @@ mod tests {
     }
 
     #[test]
-    fn renamed_array_params_are_flagged_but_verdicts_unchanged() {
+    fn parameters_bind_by_position_in_every_stage() {
         let scalar = parse_function(S000).unwrap();
-        // Same body, arrays renamed: the harness binds arrays by name, so
-        // the checksum comparison is vacuous — the stage must record the
-        // mismatch in its trace (and warn) without changing its outcome.
-        let renamed = parse_function(
-            "void s000(int n, int *x, int *y) { for (int i = 0; i < n; i++) { x[i] = y[i] + 1; } }",
-        )
-        .unwrap();
         let engine = VerificationEngine::new(EngineConfig::full(quick_pipeline()));
-        let report = engine.check_one(&scalar, &renamed);
-        assert_eq!(report.traces[0].stage, Stage::Checksum);
-        assert!(report.traces[0].name_mismatch, "mismatch must be flagged");
+        let verdict = |src: &str| {
+            let report = engine.check_one(&scalar, &parse_function(src).unwrap());
+            (report.verdict, report.stage, report.checksum)
+        };
+        // Renamed but correct: the same computation on the same positions.
         assert_eq!(
-            report.checksum,
-            Some(ChecksumClass::Plausible),
-            "diagnostic only: the vacuous pass is preserved, not reclassified"
+            verdict("void s000(int n, int *x, int *y) { for (int i = 0; i < n; i++) { x[i] = y[i] + 1; } }"),
+            (Equivalence::Equivalent, Stage::Alive2, Some(ChecksumClass::Plausible))
         );
-        let funnel = crate::FunnelReport::from_jobs(std::slice::from_ref(&report));
-        assert_eq!(funnel.stage(Stage::Checksum).unwrap().name_mismatches, 1);
-        assert!(
-            funnel.render().contains("disjoint arrays"),
-            "{}",
-            funnel.render()
+        // Renamed and wrong: the renaming no longer hides the wrong constant.
+        assert_eq!(
+            verdict("void s000(int n, int *x, int *y) { for (int i = 0; i < n; i++) { x[i] = y[i] + 2; } }"),
+            (Equivalence::NotEquivalent, Stage::Checksum, Some(ChecksumClass::NotEquivalent))
         );
+        // The scalar's body under reordered parameters writes the caller's
+        // second array.
+        assert_eq!(
+            verdict("void s000(int n, int *b, int *a) { for (int i = 0; i < n; i++) { a[i] = b[i] + 1; } }"),
+            (Equivalence::NotEquivalent, Stage::Checksum, Some(ChecksumClass::NotEquivalent))
+        );
+        // A candidate that cannot be called with the scalar's arguments.
+        assert_eq!(
+            verdict(
+                "void s000(int n, int *a) { for (int i = 0; i < n; i++) { a[i] = a[i] + 1; } }"
+            ),
+            (
+                Equivalence::NotEquivalent,
+                Stage::Checksum,
+                Some(ChecksumClass::CannotCompile)
+            )
+        );
+    }
 
-        // Name-matched candidates are never flagged, on any stage.
-        let good = vectorize_correct(&scalar).unwrap();
-        let report = engine.check_one(&scalar, &good);
-        assert!(report.traces.iter().all(|t| !t.name_mismatch));
-        let funnel = crate::FunnelReport::from_jobs(std::slice::from_ref(&report));
-        assert!(funnel.stages.iter().all(|s| s.name_mismatches == 0));
-        assert!(!funnel.render().contains("disjoint arrays"));
+    #[test]
+    fn a_stream_past_the_reference_bound_reports_what_one_shot_checks_report() {
+        // More distinct scalars than one run's reference table holds, each
+        // tested against itself and then, in a second pass that brings the
+        // evicted ones back, against one fixed candidate.
+        let scalars: Vec<Function> = (0..REFERENCE_TABLE_CAPACITY as i32 + 6)
+            .map(|k| {
+                parse_function(&format!(
+                    "void s{k}(int n, int *a, int *b) {{ for (int i = 0; i < n; i++) {{ a[i] = b[i] + {k}; }} }}"
+                ))
+                .unwrap()
+            })
+            .collect();
+        let wrong = parse_function(S000_WRONG).unwrap();
+        let jobs: Vec<Job> = (0..2)
+            .flat_map(|round| scalars.iter().map(move |s| (round, s)))
+            .map(|(round, s)| {
+                let candidate = if round == 0 { s.clone() } else { wrong.clone() };
+                Job::new(format!("{}#{round}", s.name), s.clone(), candidate)
+            })
+            .collect();
+        let engine = VerificationEngine::new(
+            EngineConfig::checksum_only(quick_pipeline().checksum).with_threads(2),
+        );
+        let (producer, source) = job_channel(8);
+        let streamed = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for (index, job) in jobs.iter().enumerate() {
+                    producer.push(index, job.clone());
+                }
+                drop(producer);
+            });
+            engine.run_stream(&source)
+        });
+        assert_eq!(streamed.jobs.len(), jobs.len());
+        for (job, report) in jobs.iter().zip(&streamed.jobs) {
+            let one_shot = engine.check_one(&job.scalar, &job.candidate);
+            assert_eq!(
+                (report.verdict, report.checksum, &report.detail),
+                (one_shot.verdict, one_shot.checksum, &one_shot.detail),
+                "{}",
+                job.label
+            );
+        }
+    }
+
+    #[test]
+    fn reordered_parameters_get_their_own_cache_key() {
+        let scalar = parse_function(S000).unwrap();
+        let key = |src: &str| {
+            job_cache_key(
+                &Job::new("k", scalar.clone(), parse_function(src).unwrap()),
+                0,
+            )
+        };
+        let plain = key("void s000(int n, int *a, int *b) { a[0] = b[0] + 1; }");
+        // Renaming every parameter is the same candidate.
+        assert_eq!(
+            plain,
+            key("void s000(int m, int *x, int *y) { x[0] = y[0] + 1; }")
+        );
+        // Reordering them is not.
+        assert_ne!(
+            plain,
+            key("void s000(int n, int *b, int *a) { a[0] = b[0] + 1; }")
+        );
     }
 
     #[test]
@@ -1110,10 +1198,14 @@ mod tests {
     }
 
     /// The absolute fingerprint of the default configuration, which earlier
-    /// builds also ran. It moves only when [`lv_tv::SEARCH_REVISION`] does:
-    /// any other change to it would make verdict caches written by builds of
-    /// the same search revision silently miss.
-    const BASE_FINGERPRINT: u64 = 0x6c57_6d70_2ba9_662c;
+    /// builds also ran. It moves only when [`lv_tv::SEARCH_REVISION`] or
+    /// [`BINDING_REVISION`] does: any other change to it would make verdict
+    /// caches written by builds of the same revisions silently miss.
+    const BASE_FINGERPRINT: u64 = 0xc1f5_229a_30d8_9e77;
+
+    /// [`BASE_FINGERPRINT`] as builds that bound parameters by name wrote
+    /// it, before the binding revision was folded in.
+    const NAME_BINDING_FINGERPRINT: u64 = 0x6c57_6d70_2ba9_662c;
 
     #[test]
     fn memo_shares_the_base_fingerprint() {
@@ -1123,5 +1215,11 @@ mod tests {
         // verification problem, so it may not invalidate cached verdicts.
         assert_eq!(base.semantic_fingerprint(), BASE_FINGERPRINT);
         assert_eq!(memo.semantic_fingerprint(), BASE_FINGERPRINT);
+        // The binding revision is the only byte added since name binding:
+        // one more FNV-1a step from the old fingerprint.
+        assert_eq!(
+            BASE_FINGERPRINT,
+            (NAME_BINDING_FINGERPRINT ^ u64::from(BINDING_REVISION)).wrapping_mul(0x100_0000_01b3)
+        );
     }
 }

@@ -3,21 +3,25 @@
 //! A stage knows how to check one `(scalar, candidate)` pair and nothing
 //! about ordering or parallelism — the engine runs the cascade in its
 //! configured order, on the [`pool`](super::pool) layer.
-//! Implementations exist for the checksum filter (wrapping
-//! [`lv_interp::ChecksumFilter`]) and for each [`lv_tv::SymbolicStrategy`];
+//! Implementations exist for the checksum filter (testing each candidate
+//! against a [`lv_interp::ScalarReference`] from the worker's
+//! [`ReferenceTable`]) and for each [`lv_tv::SymbolicStrategy`];
 //! the trait is public so alternative cascades (e.g. a future fuzzing stage)
 //! can plug in without touching the engine.
 
+use super::reference::ReferenceTable;
 use crate::pipeline::{Equivalence, Stage};
 use lv_cir::ast::Function;
-use lv_interp::{ChecksumClass, ChecksumFilter, ChecksumOutcome};
+use lv_interp::{ChecksumClass, ChecksumConfig, ChecksumOutcome};
 use lv_tv::{SymbolicStrategy, TvConfig, TvReuse, TvSession};
+use std::sync::Arc;
 
 /// Per-worker mutable state threaded through every strategy call.
 ///
 /// One value lives per worker thread for the whole batch; strategies use it
-/// to reuse expensive resources (the SMT session) and to report side-band
-/// facts (the checksum classification) without widening their return type.
+/// to reuse expensive resources (the SMT session, the scalar checksum
+/// references) and to report side-band facts (the checksum classification)
+/// without widening their return type.
 #[derive(Debug, Default)]
 pub struct WorkerState {
     /// The worker's reusable SMT session.
@@ -25,20 +29,25 @@ pub struct WorkerState {
     /// Checksum classification of the current job, recorded by the checksum
     /// strategy so reports can distinguish "cannot compile" from "refuted".
     pub checksum: Option<ChecksumClass>,
-    /// Set by the checksum strategy when the candidate's array parameter
-    /// names differ from the scalar's — the harness binds arrays by name, so
-    /// such a candidate is tested on disjoint arrays (see
-    /// [`lv_interp::array_param_names_mismatch`]). Telemetry only; the
-    /// verdict is unchanged.
-    pub name_mismatch: bool,
+    /// The scalar checksum references of this worker's run, shared with the
+    /// run's other workers. A state made outside an engine run has its own.
+    pub references: Arc<ReferenceTable>,
 }
 
 impl WorkerState {
-    /// A worker whose SMT session runs with the given reuse.
+    /// A worker whose SMT session runs with the given reuse, with a fresh
+    /// reference table.
     pub fn with_reuse(reuse: TvReuse) -> WorkerState {
+        WorkerState::sharing(reuse, Arc::default())
+    }
+
+    /// A worker of an engine run: its session runs with `reuse`, and it
+    /// shares the run's reference table.
+    pub(crate) fn sharing(reuse: TvReuse, references: Arc<ReferenceTable>) -> WorkerState {
         WorkerState {
             session: TvSession::with_reuse(reuse),
-            ..WorkerState::default()
+            checksum: None,
+            references,
         }
     }
 }
@@ -76,16 +85,25 @@ pub trait VerificationStrategy: Send + Sync {
 }
 
 /// Algorithm 1 line 2: checksum testing as a cascade stage.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct ChecksumStage {
-    filter: ChecksumFilter,
+    config: ChecksumConfig,
+    /// `config.fingerprint()`, part of every reference-table key.
+    fingerprint: u64,
+}
+
+impl Default for ChecksumStage {
+    fn default() -> Self {
+        ChecksumStage::new(ChecksumConfig::default())
+    }
 }
 
 impl ChecksumStage {
     /// A stage running the given checksum harness configuration.
-    pub fn new(config: lv_interp::ChecksumConfig) -> ChecksumStage {
+    pub fn new(config: ChecksumConfig) -> ChecksumStage {
         ChecksumStage {
-            filter: ChecksumFilter::new(config),
+            fingerprint: config.fingerprint(),
+            config,
         }
     }
 }
@@ -101,22 +119,10 @@ impl VerificationStrategy for ChecksumStage {
         candidate: &Function,
         worker: &mut WorkerState,
     ) -> StrategyOutcome {
-        if lv_interp::array_param_names_mismatch(scalar, candidate) {
-            // Diagnostic only: the harness binds arrays by parameter name, so
-            // this candidate runs on disjoint arrays and the comparison is
-            // vacuous. The flag surfaces in the job's checksum StageTrace and
-            // the funnel; the behavioral fix (positional binding or a
-            // CannotCompile classification) shifts Table 2 counts and is a
-            // separate change (see ROADMAP).
-            worker.name_mismatch = true;
-            eprintln!(
-                "warning: candidate `{}` renames array parameters away from the scalar's; \
-                 the checksum harness binds arrays by name, so the candidate was tested on \
-                 disjoint arrays (verdict unchanged)",
-                candidate.name
-            );
-        }
-        let report = self.filter.run(scalar, candidate);
+        let report = worker
+            .references
+            .reference(scalar, &self.config, self.fingerprint)
+            .test(candidate);
         worker.checksum = Some(report.outcome.class());
         match report.outcome {
             ChecksumOutcome::NotEquivalent { reason, .. } => StrategyOutcome::Conclusive {

@@ -44,11 +44,6 @@ pub struct StageFunnel {
     pub wall: Duration,
     /// Histogram of per-run conflict counts (see [`HISTOGRAM_BUCKETS`]).
     pub conflict_histogram: [usize; HISTOGRAM_BUCKETS],
-    /// Runs whose candidate renamed its array parameters away from the
-    /// scalar's ([`StageTrace::name_mismatch`](crate::StageTrace)) — on the
-    /// checksum stage this counts candidates the harness tested vacuously on
-    /// disjoint arrays.
-    pub name_mismatches: usize,
 }
 
 impl StageFunnel {
@@ -65,7 +60,6 @@ impl StageFunnel {
             total_clauses: 0,
             wall: Duration::ZERO,
             conflict_histogram: [0; HISTOGRAM_BUCKETS],
-            name_mismatches: 0,
         }
     }
 
@@ -124,9 +118,6 @@ impl FunnelReport {
                 stage.total_clauses += trace.clauses;
                 stage.wall += trace.wall;
                 stage.conflict_histogram[histogram_bucket(trace.conflicts)] += 1;
-                if trace.name_mismatch {
-                    stage.name_mismatches += 1;
-                }
                 if trace.conclusive {
                     match report.verdict {
                         Equivalence::Equivalent => stage.equivalent += 1,
@@ -178,14 +169,6 @@ impl FunnelReport {
                 bars
             );
         }
-        let mismatched: usize = self.stages.iter().map(|s| s.name_mismatches).sum();
-        if mismatched > 0 {
-            out += &format!(
-                "warning: {} candidate(s) renamed array parameters away from the scalar's \
-                 (checksum ran on disjoint arrays)\n",
-                mismatched
-            );
-        }
         if !self.reuse.is_zero() {
             out += &format!(
                 "reuse: {} blast-cache hits / {} misses\n",
@@ -232,7 +215,6 @@ mod tests {
             wall: Duration::from_millis(1),
             conflicts,
             clauses,
-            name_mismatch: false,
         }
     }
 

@@ -972,7 +972,6 @@ fn emit_job_report<W: io::Write>(
         e.field_hex("wall_us", duration_us(trace.wall))?;
         e.field_hex("conflicts", trace.conflicts)?;
         e.field_hex("clauses", trace.clauses)?;
-        e.field_bool("name_mismatch", trace.name_mismatch)?;
         e.end_object()?;
     }
     e.end_array()?;
@@ -992,12 +991,12 @@ fn parse_job_report(item: &Value) -> Result<(usize, JobReport), String> {
                 wall: Duration::from_micros(parse_hex(trace.get("wall_us"), "wall_us")?),
                 conflicts: parse_hex(trace.get("conflicts"), "conflicts")?,
                 clauses: parse_hex(trace.get("clauses"), "clauses")?,
-                name_mismatch: bool_field(trace, "name_mismatch")?,
             })
         })
         .collect::<Result<Vec<_>, String>>()?;
     // Reports written before the reuse subsystem carry no counters. Keys
-    // and objects of deleted counters in older reports are ignored.
+    // and objects of deleted counters in older reports (such as a trace's
+    // `name_mismatch` flag) are ignored.
     let reuse = match item.get("reuse") {
         None => ReuseCounters::default(),
         Some(obj) => ReuseCounters {
@@ -1261,7 +1260,6 @@ mod tests {
                         wall: Duration::from_micros(1234),
                         conflicts: 0,
                         clauses: 0,
-                        name_mismatch: true,
                     }],
                     wall: Duration::from_micros(9999),
                     cache_hit: false,
@@ -1273,6 +1271,8 @@ mod tests {
             )],
         };
         report.rewrite(&path, FsyncPolicy::OnCompact).unwrap();
+        let written = std::fs::read_to_string(&path).unwrap();
+        assert!(!written.contains("name_mismatch"), "{written}");
         let loaded = ShardReportFile::load(&path).unwrap();
         assert_eq!(loaded.shard, 0);
         assert_eq!(loaded.shards, 2);
@@ -1285,7 +1285,6 @@ mod tests {
         assert_eq!(job.stage, Stage::CUnroll);
         assert_eq!(job.detail, "with \"quotes\"\nand newlines");
         assert_eq!(job.traces.len(), 1);
-        assert!(job.traces[0].name_mismatch);
         assert_eq!(job.traces[0].wall, Duration::from_micros(1234));
         assert_eq!(job.reuse.blast_hits, 7);
         assert_eq!(job.reuse.blast_misses, 2);
@@ -1305,9 +1304,10 @@ mod tests {
 
     #[test]
     fn reports_with_removed_counters_still_load() {
-        // A report journal as builds with CNF preprocessing and incremental
-        // sessions wrote it: an `assumption_reuses` key in `reuse` and a
-        // `simplify` object in every job record.
+        // A report journal as builds with CNF preprocessing, incremental
+        // sessions and name binding wrote it: an `assumption_reuses` key in
+        // `reuse`, a `simplify` object in every job record and a
+        // `name_mismatch` flag in every trace.
         let dir = std::env::temp_dir().join(format!("lv-shard-old-report-{}", std::process::id()));
         let path = dir.join("shard-0.report.json");
         let text = concat!(

@@ -10,7 +10,7 @@
 //! report is in job order no matter which shard ran which job.
 
 use crate::engine::Job;
-use lv_cir::hash::{structural_hash, structural_hash_in_env, Fnv64};
+use lv_cir::hash::{structural_hash, Fnv64};
 
 /// How jobs are distributed over shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,8 +46,8 @@ impl ShardPolicy {
 }
 
 /// The stable key of one job: a content hash of the scalar, the candidate
-/// (in the scalar's parameter-name environment, like the verdict-cache key),
-/// and the label.
+/// (each by its own parameter positions, like the verdict-cache key), and
+/// the label.
 ///
 /// Alpha-renaming a kernel's locals does not move it between shards (the
 /// structural hashes are rename-insensitive); any semantic edit, or a label
@@ -55,10 +55,7 @@ impl ShardPolicy {
 pub fn job_key(job: &Job) -> u64 {
     let mut fnv = Fnv64::new();
     fnv.write_u64(structural_hash(&job.scalar));
-    fnv.write_u64(structural_hash_in_env(
-        &job.candidate,
-        job.scalar.params.iter().map(|p| p.name.as_str()),
-    ));
+    fnv.write_u64(structural_hash(&job.candidate));
     fnv.write_str(&job.label);
     fnv.finish()
 }

@@ -161,7 +161,6 @@ fn sample_report(label: &str) -> JobReport {
             wall: Duration::from_micros(1234),
             conflicts: 5,
             clauses: 99,
-            name_mismatch: false,
         }],
         wall: Duration::from_micros(9876),
         cache_hit: false,

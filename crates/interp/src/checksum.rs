@@ -2,15 +2,35 @@
 //!
 //! The harness initializes the input arrays randomly, executes the scalar
 //! function and the vectorized candidate on identical copies of the inputs,
-//! and compares the outputs. A candidate that fails to type check is
-//! `CannotCompile`; a candidate whose outputs differ on any trial is
-//! `NotEquivalent`; otherwise it is `Plausible` — the same three-way
+//! and compares the outputs. A candidate that fails to type check, or whose
+//! parameter list differs from the scalar's in length or in any parameter's
+//! type, is `CannotCompile`; a candidate whose outputs differ on any trial
+//! is `NotEquivalent`; otherwise it is `Plausible` — the same three-way
 //! classification as Table 2.
+//!
+//! # Binding
+//!
+//! Arguments bind by parameter position, as a C call does: the candidate's
+//! `i`-th parameter receives the scalar's `i`-th input, whatever either
+//! function calls it, and output array `k` of the candidate is compared
+//! with output array `k` of the scalar. Inputs are seeded from the scalar's
+//! parameter list alone.
+//!
+//! # Reference and test
+//!
+//! The scalar half of a test depends only on the scalar and the
+//! configuration, so it is split out: [`ScalarReference::new`] draws every
+//! trial's inputs and runs the scalar on them once, and
+//! [`ScalarReference::test`] runs one candidate against those recorded
+//! inputs and outputs. Testing many candidates of one kernel (pass@k)
+//! builds one reference and calls `test` once per candidate.
+//! [`checksum_test`] is the one-shot composition of the two, so a shared
+//! reference reports exactly what a reference built per candidate would.
 
 use crate::error::ExecError;
-use crate::exec::{run_function, ArgBindings, ExecConfig};
+use crate::exec::{run_function, Arg, ArgBindings, ExecConfig};
 use lv_cir::ast::{Function, Type};
-use lv_cir::typecheck::type_check;
+use lv_cir::typecheck::check_types;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
@@ -160,27 +180,6 @@ pub enum ChecksumClass {
     ScalarFailed,
 }
 
-/// The checksum filter of Algorithm 1 line 2 packaged as a reusable value,
-/// so the verification engine can treat testing as just another strategy in
-/// its cascade.
-#[derive(Debug, Clone, Default)]
-pub struct ChecksumFilter {
-    /// Harness configuration shared by every job run through this filter.
-    pub config: ChecksumConfig,
-}
-
-impl ChecksumFilter {
-    /// A filter with the given harness configuration.
-    pub fn new(config: ChecksumConfig) -> ChecksumFilter {
-        ChecksumFilter { config }
-    }
-
-    /// Runs checksum testing of `candidate` against `scalar`.
-    pub fn run(&self, scalar: &Function, candidate: &Function) -> ChecksumReport {
-        checksum_test(scalar, candidate, &self.config)
-    }
-}
-
 /// The full report of a checksum run, including the checksums themselves
 /// (sums over the output arrays, which is what the TSVC harness prints).
 #[derive(Debug, Clone)]
@@ -197,188 +196,230 @@ pub struct ChecksumReport {
 }
 
 /// Runs checksum-based testing of `vectorized` against the reference
-/// `scalar` kernel.
+/// `scalar` kernel: [`ScalarReference::new`] followed by
+/// [`ScalarReference::test`].
 ///
-/// Both functions must take the same parameters (this is how the pipeline
-/// constructs candidates); parameters present in only one of the two are
-/// still bound, so mismatched signatures fail type checking or execution
-/// rather than panicking.
+/// Arguments bind by position (see the module docs), so a candidate whose
+/// parameter list differs from the scalar's in length or in a parameter's
+/// type is `CannotCompile`.
 pub fn checksum_test(
     scalar: &Function,
     vectorized: &Function,
     config: &ChecksumConfig,
 ) -> ChecksumReport {
-    // "Compilation" of the candidate.
-    if let Err(err) = type_check(vectorized) {
-        return ChecksumReport {
-            outcome: ChecksumOutcome::CannotCompile {
-                error: err.to_string(),
-            },
-            scalar_checksum: None,
-            vector_checksum: None,
-            trials_run: 0,
-        };
-    }
+    ScalarReference::new(scalar, config).test(vectorized)
+}
 
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut scalar_checksum = None;
-    let mut vector_checksum = None;
+/// The scalar half of checksum testing: the seeded inputs of every trial
+/// and the scalar kernel's outputs on them, computed once and shared by
+/// every candidate tested against the same scalar under the same
+/// configuration.
+///
+/// Trials stop at the first one the scalar fails to execute; the reference
+/// then holds the trials before it and the interpreter's error.
+#[derive(Debug, Clone)]
+pub struct ScalarReference {
+    scalar: Function,
+    /// The trials the scalar completed, in order.
+    trials: Vec<ReferenceTrial>,
+    /// The scalar's error on the trial after the completed ones, if any.
+    failure: Option<String>,
+    /// The configured number of trials.
+    planned: u32,
+    exec: ExecConfig,
+    /// Array positions in comparison order: sorted by the scalar's parameter
+    /// names, the order that decides which mismatch a report names first.
+    compare_order: Vec<usize>,
+}
 
-    for trial in 0..config.trials {
-        let args = random_bindings(scalar, vectorized, config, &mut rng);
+/// One completed trial of a [`ScalarReference`].
+#[derive(Debug, Clone)]
+struct ReferenceTrial {
+    inputs: ArgBindings,
+    /// The scalar's final arrays, by array position.
+    outputs: Vec<Vec<i32>>,
+    /// Wrapping sum of `outputs`.
+    checksum: i64,
+}
 
-        let scalar_result = match run_function(scalar, &args, &config.exec) {
-            Ok(r) => r,
-            Err(err) => {
-                return ChecksumReport {
-                    outcome: ChecksumOutcome::ScalarExecutionFailed {
-                        error: err.to_string(),
-                    },
-                    scalar_checksum,
-                    vector_checksum,
-                    trials_run: trial,
+impl ScalarReference {
+    /// Draws the inputs of every trial from `config` and runs `scalar` on
+    /// them.
+    pub fn new(scalar: &Function, config: &ChecksumConfig) -> ScalarReference {
+        let mut rng = StdRng::seed_from_u64(config.seed);
+        let mut trials = Vec::with_capacity(config.trials as usize);
+        let mut failure = None;
+        for _ in 0..config.trials {
+            let inputs = random_bindings(scalar, config, &mut rng);
+            match run_function(scalar, &inputs, &config.exec) {
+                Ok(result) => trials.push(ReferenceTrial {
+                    checksum: checksum_of(&result.arrays),
+                    outputs: result.arrays,
+                    inputs,
+                }),
+                Err(err) => {
+                    failure = Some(err.to_string());
+                    break;
                 }
             }
-        };
-
-        let vector_result = match run_function(vectorized, &args, &config.exec) {
-            Ok(r) => r,
-            Err(err) => {
-                let reason = match &err {
-                    ExecError::Ub(event) => format!(
-                        "the vectorized code triggered {} that the scalar code does not",
-                        event
-                    ),
-                    other => format!("the vectorized code failed to execute: {}", other),
-                };
-                return ChecksumReport {
-                    outcome: ChecksumOutcome::NotEquivalent {
-                        mismatch: None,
-                        reason,
-                    },
-                    scalar_checksum,
-                    vector_checksum,
-                    trials_run: trial + 1,
-                };
-            }
-        };
-
-        scalar_checksum = Some(checksum_of(&scalar_result.arrays));
-        vector_checksum = Some(checksum_of(&vector_result.arrays));
-
-        // Compare arrays in sorted name order so the first reported mismatch
-        // is deterministic (HashMap iteration order is not), keeping batched
-        // engine runs byte-identical to one-shot runs.
-        let mut names: Vec<&String> = scalar_result.arrays.keys().collect();
-        names.sort();
-        for name in names {
-            let expected = &scalar_result.arrays[name];
-            let Some(actual) = vector_result.arrays.get(name) else {
-                continue;
-            };
-            if let Some(index) = expected.iter().zip(actual.iter()).position(|(a, b)| a != b) {
-                let mismatch = Mismatch {
-                    array: name.clone(),
-                    index,
-                    expected: expected[index],
-                    actual: actual[index],
-                    trial,
-                };
-                let reason = mismatch.to_string();
-                return ChecksumReport {
-                    outcome: ChecksumOutcome::NotEquivalent {
-                        mismatch: Some(mismatch),
-                        reason,
-                    },
-                    scalar_checksum,
-                    vector_checksum,
-                    trials_run: trial + 1,
-                };
-            }
+        }
+        let names = scalar.array_params();
+        let mut compare_order: Vec<usize> = (0..names.len()).collect();
+        compare_order.sort_by_key(|&k| names[k]);
+        ScalarReference {
+            scalar: scalar.clone(),
+            trials,
+            failure,
+            planned: config.trials,
+            exec: config.exec.clone(),
+            compare_order,
         }
     }
 
-    ChecksumReport {
-        outcome: ChecksumOutcome::Plausible,
-        scalar_checksum,
-        vector_checksum,
-        trials_run: config.trials,
+    /// The scalar kernel this reference was built from.
+    pub fn scalar(&self) -> &Function {
+        &self.scalar
+    }
+
+    /// Tests `candidate` against the recorded trials.
+    pub fn test(&self, candidate: &Function) -> ChecksumReport {
+        // "Compilation" of the candidate: it must type check and take the
+        // scalar's parameter types in the scalar's order.
+        if let Err(error) = check_types(candidate)
+            .map_err(|err| err.to_string())
+            .and_then(|()| self.check_signature(candidate))
+        {
+            return ChecksumReport {
+                outcome: ChecksumOutcome::CannotCompile { error },
+                scalar_checksum: None,
+                vector_checksum: None,
+                trials_run: 0,
+            };
+        }
+
+        let mut scalar_checksum = None;
+        let mut vector_checksum = None;
+        for (trial, reference) in (0u32..).zip(&self.trials) {
+            let result = match run_function(candidate, &reference.inputs, &self.exec) {
+                Ok(r) => r,
+                Err(err) => {
+                    let reason = match &err {
+                        ExecError::Ub(event) => format!(
+                            "the vectorized code triggered {} that the scalar code does not",
+                            event
+                        ),
+                        other => format!("the vectorized code failed to execute: {}", other),
+                    };
+                    return ChecksumReport {
+                        outcome: ChecksumOutcome::NotEquivalent {
+                            mismatch: None,
+                            reason,
+                        },
+                        scalar_checksum,
+                        vector_checksum,
+                        trials_run: trial + 1,
+                    };
+                }
+            };
+
+            scalar_checksum = Some(reference.checksum);
+            vector_checksum = Some(checksum_of(&result.arrays));
+
+            for &k in &self.compare_order {
+                let (expected, actual) = (&reference.outputs[k], &result.arrays[k]);
+                if let Some(index) = expected.iter().zip(actual).position(|(a, b)| a != b) {
+                    let mismatch = Mismatch {
+                        array: self.scalar.array_params()[k].to_string(),
+                        index,
+                        expected: expected[index],
+                        actual: actual[index],
+                        trial,
+                    };
+                    let reason = mismatch.to_string();
+                    return ChecksumReport {
+                        outcome: ChecksumOutcome::NotEquivalent {
+                            mismatch: Some(mismatch),
+                            reason,
+                        },
+                        scalar_checksum,
+                        vector_checksum,
+                        trials_run: trial + 1,
+                    };
+                }
+            }
+        }
+
+        if let Some(error) = &self.failure {
+            return ChecksumReport {
+                outcome: ChecksumOutcome::ScalarExecutionFailed {
+                    error: error.clone(),
+                },
+                scalar_checksum,
+                vector_checksum,
+                trials_run: self.trials.len() as u32,
+            };
+        }
+        ChecksumReport {
+            outcome: ChecksumOutcome::Plausible,
+            scalar_checksum,
+            vector_checksum,
+            trials_run: self.planned,
+        }
+    }
+
+    /// Why `candidate` cannot be called with the scalar's arguments: a
+    /// different parameter count, or a parameter whose type differs from
+    /// the scalar's at the same position.
+    fn check_signature(&self, candidate: &Function) -> Result<(), String> {
+        let expected = &self.scalar.params;
+        if candidate.params.len() != expected.len() {
+            return Err(format!(
+                "the candidate takes {} parameters but the scalar kernel takes {}",
+                candidate.params.len(),
+                expected.len()
+            ));
+        }
+        match (1..).zip(expected.iter().zip(&candidate.params)).find(|(_, (s, c))| s.ty != c.ty) {
+            None => Ok(()),
+            Some((position, (s, c))) => Err(format!(
+                "parameter {} `{}` has type {} but parameter {} `{}` of the scalar kernel has type {}",
+                position, c.name, c.ty, position, s.name, s.ty
+            )),
+        }
     }
 }
 
-/// Returns `true` when the candidate's array (pointer-typed) parameter
-/// *names* differ from the scalar's.
-///
-/// The harness binds arrays by parameter name (`random_bindings` keys its
-/// map on names), so a candidate whose array parameters are renamed away
-/// from the scalar's runs on *disjoint* arrays and passes the comparison
-/// vacuously — refutation is left entirely to the symbolic stages. This
-/// predicate lets callers surface that situation as telemetry (the engine
-/// records it in its per-stage traces and logs a warning) without changing
-/// any verdict; making the harness bind positionally or classify the
-/// mismatch as `CannotCompile` is a planned behavior change (see ROADMAP).
-///
-/// Order is ignored — binding is by name, so a permutation of the same
-/// names is harmless.
-pub fn array_param_names_mismatch(scalar: &Function, candidate: &Function) -> bool {
-    fn array_names(func: &Function) -> Vec<&str> {
-        let mut names: Vec<&str> = func
-            .params
-            .iter()
-            .filter(|p| matches!(p.ty, Type::Ptr(_)))
-            .map(|p| p.name.as_str())
-            .collect();
-        names.sort_unstable();
-        names.dedup();
-        names
-    }
-    array_names(scalar) != array_names(candidate)
-}
-
-/// Builds a single set of random bindings that satisfies the parameters of
-/// both functions.
-fn random_bindings(
-    scalar: &Function,
-    vectorized: &Function,
-    config: &ChecksumConfig,
-    rng: &mut StdRng,
-) -> ArgBindings {
-    let mut args = ArgBindings::new();
+/// Draws one trial's arguments for the scalar's parameters, in order:
+/// every `int` parameter gets its override or `n`, every array `n + slack`
+/// random values.
+fn random_bindings(scalar: &Function, config: &ChecksumConfig, rng: &mut StdRng) -> ArgBindings {
     let len = config.n as usize + config.slack;
     let (lo, hi) = config.value_range;
-    for func in [scalar, vectorized] {
-        for param in &func.params {
-            match &param.ty {
-                Type::Int => {
-                    let value = config
-                        .scalar_overrides
-                        .get(&param.name)
-                        .copied()
-                        .unwrap_or(config.n);
-                    args.scalars.entry(param.name.clone()).or_insert(value);
-                }
-                Type::Ptr(_) => {
-                    args.arrays
-                        .entry(param.name.clone())
-                        .or_insert_with(|| (0..len).map(|_| rng.gen_range(lo..=hi)).collect());
-                }
-                _ => {}
-            }
-        }
-    }
-    args
+    let args = scalar
+        .params
+        .iter()
+        .map(|param| match &param.ty {
+            Type::Ptr(_) => Arg::Array((0..len).map(|_| rng.gen_range(lo..=hi)).collect()),
+            // A parameter of another type makes the run fail; it still
+            // takes its position.
+            _ => Arg::Int(
+                config
+                    .scalar_overrides
+                    .get(&param.name)
+                    .copied()
+                    .unwrap_or(config.n),
+            ),
+        })
+        .collect();
+    ArgBindings { args }
 }
 
-fn checksum_of(arrays: &HashMap<String, Vec<i32>>) -> i64 {
-    let mut names: Vec<&String> = arrays.keys().collect();
-    names.sort();
-    let mut sum: i64 = 0;
-    for name in names {
-        for &v in &arrays[name] {
-            sum = sum.wrapping_add(v as i64);
-        }
-    }
-    sum
+/// Wrapping sum of every element of `arrays`.
+fn checksum_of(arrays: &[Vec<i32>]) -> i64 {
+    arrays
+        .iter()
+        .flatten()
+        .fold(0i64, |sum, &v| sum.wrapping_add(i64::from(v)))
 }
 
 #[cfg(test)]
@@ -467,6 +508,51 @@ mod tests {
         let scalar = parse_function(SCALAR).unwrap();
         let report = checksum_test(&scalar, &scalar, &cfg());
         assert!(report.outcome.is_plausible());
+    }
+
+    #[test]
+    fn parameters_bind_by_position() {
+        let scalar = parse_function(SCALAR).unwrap();
+        let reference = ScalarReference::new(&scalar, &cfg());
+        let renamed = parse_function(
+            "void s000(int m, int *x, int *y) { for (int i = 0; i < m; i++) { x[i] = y[i] + 1; } }",
+        )
+        .unwrap();
+        assert!(reference.test(&renamed).outcome.is_plausible());
+        // The same body with the arrays swapped in the signature writes the
+        // second array; the mismatch names the scalar's first array.
+        let swapped = parse_function(
+            "void s000(int n, int *b, int *a) { for (int i = 0; i < n; i++) { a[i] = b[i] + 1; } }",
+        )
+        .unwrap();
+        match reference.test(&swapped).outcome {
+            ChecksumOutcome::NotEquivalent {
+                mismatch: Some(m), ..
+            } => assert_eq!((m.array.as_str(), m.index, m.trial), ("a", 0, 0)),
+            other => panic!("expected a mismatch, got {:?}", other),
+        }
+    }
+
+    #[test]
+    fn a_failing_scalar_fails_every_candidate_that_compiles() {
+        // Writes past the slack on the first trial.
+        let scalar = parse_function("void f(int n, int *a) { a[n + 20] = 1; }").unwrap();
+        let reference = ScalarReference::new(&scalar, &cfg());
+        let report = reference.test(&scalar);
+        assert!(
+            matches!(
+                report.outcome,
+                ChecksumOutcome::ScalarExecutionFailed { ref error } if error.contains("out-of-bounds write")
+            ),
+            "{:?}",
+            report.outcome
+        );
+        assert_eq!(report.trials_run, 0);
+        let wrong_arity = parse_function("void f(int n) { }").unwrap();
+        assert!(matches!(
+            reference.test(&wrong_arity).outcome,
+            ChecksumOutcome::CannotCompile { .. }
+        ));
     }
 
     #[test]

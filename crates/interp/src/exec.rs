@@ -5,6 +5,14 @@
 //! inputs so that the checksum harness can compare their observable effects
 //! (the final contents of the array arguments).
 //!
+//! # Binding
+//!
+//! Arguments bind by parameter position ([`ArgBindings`]): argument `i`
+//! initializes parameter `i`, and each array argument gets its own memory
+//! region in parameter order. The final arrays come back by position too
+//! ([`ExecResult::arrays`]), so a run looks up, copies and hashes no
+//! parameter name.
+//!
 //! # Environment
 //!
 //! Variables live on one flat stack of `(name, value)` slots whose names are
@@ -20,7 +28,6 @@ use crate::error::{ExecError, UbDetail, UbEvent, UbKind};
 use crate::memory::{Memory, Pointer, Value};
 use lv_cir::ast::{AssignOp, BinOp, Block, Expr, Function, Stmt, Type, UnOp};
 use lv_simd::{eval_intrinsic, SimdArg, SimdValue};
-use std::collections::HashMap;
 
 /// Configuration for a single execution.
 #[derive(Debug, Clone)]
@@ -38,13 +45,24 @@ impl Default for ExecConfig {
     }
 }
 
-/// Concrete argument bindings for a kernel invocation.
+/// One concrete argument of a kernel invocation.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Arg {
+    /// The value of a scalar `int` parameter.
+    Int(i32),
+    /// The initial contents of an array (`int *`) parameter.
+    Array(Vec<i32>),
+}
+
+/// Concrete argument bindings for a kernel invocation, by parameter
+/// position: argument `i` binds parameter `i`, whatever the parameter is
+/// called. Two kernels with the same parameter types therefore run on the
+/// same inputs however either spells its parameters, as two calls of C
+/// functions with one signature would.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ArgBindings {
-    /// Values for scalar `int` parameters.
-    pub scalars: HashMap<String, i32>,
-    /// Initial contents for array (`int *`) parameters.
-    pub arrays: HashMap<String, Vec<i32>>,
+    /// One argument per parameter, in parameter order.
+    pub args: Vec<Arg>,
 }
 
 impl ArgBindings {
@@ -53,15 +71,15 @@ impl ArgBindings {
         ArgBindings::default()
     }
 
-    /// Sets a scalar argument (builder style).
-    pub fn scalar(mut self, name: impl Into<String>, value: i32) -> ArgBindings {
-        self.scalars.insert(name.into(), value);
+    /// Appends a scalar argument for the next parameter (builder style).
+    pub fn scalar(mut self, value: i32) -> ArgBindings {
+        self.args.push(Arg::Int(value));
         self
     }
 
-    /// Sets an array argument (builder style).
-    pub fn array(mut self, name: impl Into<String>, data: Vec<i32>) -> ArgBindings {
-        self.arrays.insert(name.into(), data);
+    /// Appends an array argument for the next parameter (builder style).
+    pub fn array(mut self, data: Vec<i32>) -> ArgBindings {
+        self.args.push(Arg::Array(data));
         self
     }
 }
@@ -87,23 +105,27 @@ impl ExecReport {
 /// The result of a successful run: the final array contents plus the report.
 #[derive(Debug, Clone)]
 pub struct ExecResult {
-    /// Final contents of every array argument, keyed by parameter name.
-    pub arrays: HashMap<String, Vec<i32>>,
-    /// Final values of scalar locals and parameters that are still in scope
-    /// at function exit (parameters only; loop locals are discarded).
-    pub scalars: HashMap<String, i32>,
+    /// Final contents of every array parameter, by position among the array
+    /// parameters: `arrays[k]` is the `k`-th `int *` parameter.
+    pub arrays: Vec<Vec<i32>>,
+    /// Final values of the scalar `int` parameters, by position among the
+    /// scalar parameters (locals are out of scope at function exit).
+    pub scalars: Vec<i32>,
     /// Execution statistics and UB log.
     pub report: ExecReport,
 }
 
-/// Runs a kernel on the given argument bindings.
+/// Runs a kernel on the given argument bindings, argument `i` bound to
+/// parameter `i`.
 ///
 /// # Errors
 ///
 /// Returns an [`ExecError`] on fatal undefined behaviour (out-of-bounds
-/// access, division by zero, out-of-range shifts), on missing argument
-/// bindings, on runaway loops exceeding the step budget, and on dynamic type
-/// mismatches that indicate the program would not have type checked.
+/// access, division by zero, out-of-range shifts), on a missing argument, on
+/// an argument whose kind (scalar or array) differs from its parameter's or
+/// that has no parameter, on runaway loops exceeding the step budget, and on
+/// dynamic type mismatches that indicate the program would not have type
+/// checked.
 pub fn run_function(
     func: &Function,
     args: &ArgBindings,
@@ -127,7 +149,7 @@ enum Flow<'a> {
 }
 
 struct Interp<'a> {
-    memory: Memory,
+    memory: Memory<'a>,
     /// Every variable in scope, outermost first (see the module docs); the
     /// parameters are the bottom slots.
     vars: Vec<(&'a str, Value)>,
@@ -144,65 +166,74 @@ impl<'a> Interp<'a> {
         config: &'a ExecConfig,
     ) -> Result<Self, ExecError> {
         let mut interp = Interp {
-            memory: Memory::new(),
+            memory: Memory::with_capacity(func.params.len()),
             vars: Vec::new(),
             simd_args: Vec::new(),
             steps: 0,
             config,
         };
-        for param in &func.params {
-            match &param.ty {
-                Type::Int => {
-                    let value = args
-                        .scalars
-                        .get(&param.name)
-                        .copied()
-                        .ok_or_else(|| ExecError::MissingArgument(param.name.clone()))?;
-                    interp.declare(0, &param.name, Value::Int(value));
+        if args.args.len() > func.params.len() {
+            return Err(ExecError::TypeMismatch(format!(
+                "{} arguments supplied for {} parameters",
+                args.args.len(),
+                func.params.len()
+            )));
+        }
+        for (position, param) in func.params.iter().enumerate() {
+            let arg = args
+                .args
+                .get(position)
+                .ok_or_else(|| ExecError::MissingArgument(param.name.clone()))?;
+            let value = match (&param.ty, arg) {
+                (Type::Int, Arg::Int(value)) => Value::Int(*value),
+                (Type::Ptr(_), Arg::Array(data)) => {
+                    let region = interp.memory.alloc_region(&param.name, data.clone());
+                    Value::Ptr(Pointer { region, offset: 0 })
                 }
-                Type::Ptr(_) => {
-                    let data = args
-                        .arrays
-                        .get(&param.name)
-                        .cloned()
-                        .ok_or_else(|| ExecError::MissingArgument(param.name.clone()))?;
-                    let region = interp.memory.alloc_region(&param.name, data);
-                    interp.declare(0, &param.name, Value::Ptr(Pointer { region, offset: 0 }));
+                (Type::Int | Type::Ptr(_), _) => {
+                    return Err(ExecError::TypeMismatch(format!(
+                        "parameter {} `{}` of type {} is bound to {}",
+                        position + 1,
+                        param.name,
+                        param.ty,
+                        match arg {
+                            Arg::Int(_) => "a scalar",
+                            Arg::Array(_) => "an array",
+                        }
+                    )))
                 }
-                other => {
+                (other, _) => {
                     return Err(ExecError::TypeMismatch(format!(
                         "parameter `{}` has unsupported type {}",
                         param.name, other
                     )))
                 }
-            }
+            };
+            interp.declare(0, &param.name, value);
         }
         Ok(interp)
     }
 
     fn finish(mut self, func: &Function) -> ExecResult {
-        let mut arrays = HashMap::new();
-        for param in &func.params {
-            if param.ty.is_ptr() {
-                if let Some(region) = self.memory.region_by_name(&param.name) {
-                    arrays.insert(param.name.clone(), self.memory.region_data(region).to_vec());
-                }
-            }
-        }
-        // Only the parameters are left on the stack.
-        let mut scalars = HashMap::new();
-        for &(name, value) in &self.vars {
-            if let Value::Int(v) = value {
-                scalars.insert(name.to_string(), v);
-            }
-        }
+        // Only the parameters are left on the stack; a repeated parameter
+        // name shares one slot, as it shares one binding in the body.
+        let scalars = func
+            .params
+            .iter()
+            .filter(|p| p.ty == Type::Int)
+            .filter_map(|p| match self.vars.iter().find(|(n, _)| *n == p.name) {
+                Some(&(_, Value::Int(v))) => Some(v),
+                _ => None,
+            })
+            .collect();
         ExecResult {
-            arrays,
             scalars,
             report: ExecReport {
                 steps: self.steps,
                 ub_events: std::mem::take(&mut self.memory.ub_events),
             },
+            // Regions are allocated for the array parameters in order.
+            arrays: self.memory.into_regions(),
         }
     }
 
@@ -674,13 +705,13 @@ mod tests {
         let result = run(
             "void f(int n, int *a, int *b) { for (int i = 0; i < n; i++) { a[i] = b[i] + 1; } }",
             ArgBindings::new()
-                .scalar("n", 4)
-                .array("a", vec![0; 4])
-                .array("b", vec![10, 20, 30, 40]),
+                .scalar(4)
+                .array(vec![0; 4])
+                .array(vec![10, 20, 30, 40]),
         )
         .unwrap();
-        assert_eq!(result.arrays["a"], vec![11, 21, 31, 41]);
-        assert_eq!(result.arrays["b"], vec![10, 20, 30, 40]);
+        assert_eq!(result.arrays[0], vec![11, 21, 31, 41]);
+        assert_eq!(result.arrays[1], vec![10, 20, 30, 40]);
     }
 
     #[test]
@@ -689,18 +720,18 @@ mod tests {
         let result = run(
             "void s212(int n, int *a, int *b, int *c, int *d) { for (int i = 0; i < n - 1; i++) { a[i] *= c[i]; b[i] += a[i + 1] * d[i]; } }",
             ArgBindings::new()
-                .scalar("n", 4)
-                .array("a", vec![1, 2, 3, 4])
-                .array("b", vec![1, 1, 1, 1])
-                .array("c", vec![2, 2, 2, 2])
-                .array("d", vec![3, 3, 3, 3]),
+                .scalar(4)
+                .array(vec![1, 2, 3, 4])
+                .array(vec![1, 1, 1, 1])
+                .array(vec![2, 2, 2, 2])
+                .array(vec![3, 3, 3, 3]),
         )
         .unwrap();
         // i=0: a[0]=2, b[0]=1+a[1]*3=1+6=7 (a[1] still 2)
         // i=1: a[1]=4, b[1]=1+a[2]*3=1+9=10
         // i=2: a[2]=6, b[2]=1+a[3]*3=1+12=13
-        assert_eq!(result.arrays["a"], vec![2, 4, 6, 4]);
-        assert_eq!(result.arrays["b"], vec![7, 10, 13, 1]);
+        assert_eq!(result.arrays[0], vec![2, 4, 6, 4]);
+        assert_eq!(result.arrays[1], vec![7, 10, 13, 1]);
     }
 
     #[test]
@@ -708,12 +739,12 @@ mod tests {
         let result = run(
             "void v(int n, int *a, int *b) { int i; for (i = 0; i + 8 <= n; i += 8) { __m256i x = _mm256_loadu_si256((__m256i *)&b[i]); __m256i y = _mm256_add_epi32(x, _mm256_set1_epi32(1)); _mm256_storeu_si256((__m256i *)&a[i], y); } for (; i < n; i++) { a[i] = b[i] + 1; } }",
             ArgBindings::new()
-                .scalar("n", 11)
-                .array("a", vec![0; 11])
-                .array("b", (0..11).collect()),
+                .scalar(11)
+                .array(vec![0; 11])
+                .array((0..11).collect()),
         )
         .unwrap();
-        assert_eq!(result.arrays["a"], (1..=11).collect::<Vec<_>>());
+        assert_eq!(result.arrays[0], (1..=11).collect::<Vec<_>>());
     }
 
     #[test]
@@ -721,19 +752,19 @@ mod tests {
         let result = run(
             "void s278(int n, int *a, int *b, int *c, int *d, int *e) { for (int i = 0; i < n; i++) { if (a[i] > 0) { goto L20; } b[i] = -b[i] + d[i] * e[i]; goto L30; L20: c[i] = -c[i] + d[i] * e[i]; L30: a[i] = b[i] + c[i] * d[i]; } }",
             ArgBindings::new()
-                .scalar("n", 2)
-                .array("a", vec![1, -1])
-                .array("b", vec![2, 2])
-                .array("c", vec![3, 3])
-                .array("d", vec![4, 4])
-                .array("e", vec![5, 5]),
+                .scalar(2)
+                .array(vec![1, -1])
+                .array(vec![2, 2])
+                .array(vec![3, 3])
+                .array(vec![4, 4])
+                .array(vec![5, 5]),
         )
         .unwrap();
         // i=0: a[0] > 0, so c[0] = -3 + 20 = 17, a[0] = b[0] + c[0]*d[0] = 2 + 68 = 70
         // i=1: a[1] <= 0, so b[1] = -2 + 20 = 18, a[1] = 18 + 3*4 = 30
-        assert_eq!(result.arrays["c"], vec![17, 3]);
-        assert_eq!(result.arrays["b"], vec![2, 18]);
-        assert_eq!(result.arrays["a"], vec![70, 30]);
+        assert_eq!(result.arrays[2], vec![17, 3]);
+        assert_eq!(result.arrays[1], vec![2, 18]);
+        assert_eq!(result.arrays[0], vec![70, 30]);
     }
 
     #[test]
@@ -741,19 +772,19 @@ mod tests {
         let result = run(
             "void vsumr(int n, int *a, int *sum) { int s = 0; for (int i = 0; i < n; i++) { s += a[i]; } sum[0] = s; }",
             ArgBindings::new()
-                .scalar("n", 5)
-                .array("a", vec![1, 2, 3, 4, 5])
-                .array("sum", vec![0]),
+                .scalar(5)
+                .array(vec![1, 2, 3, 4, 5])
+                .array(vec![0]),
         )
         .unwrap();
-        assert_eq!(result.arrays["sum"], vec![15]);
+        assert_eq!(result.arrays[1], vec![15]);
     }
 
     #[test]
     fn out_of_bounds_read_is_fatal() {
         let err = run(
             "void f(int n, int *a) { a[0] = a[n]; }",
-            ArgBindings::new().scalar("n", 4).array("a", vec![0; 4]),
+            ArgBindings::new().scalar(4).array(vec![0; 4]),
         )
         .unwrap_err();
         assert!(matches!(err, ExecError::Ub(_)));
@@ -763,7 +794,7 @@ mod tests {
     fn division_by_zero_is_fatal() {
         let err = run(
             "void f(int n, int *a) { a[0] = 1 / n; }",
-            ArgBindings::new().scalar("n", 0).array("a", vec![0; 1]),
+            ArgBindings::new().scalar(0).array(vec![0; 1]),
         )
         .unwrap_err();
         assert!(matches!(err, ExecError::Ub(e) if e.kind == UbKind::DivByZero));
@@ -773,13 +804,11 @@ mod tests {
     fn signed_overflow_wraps_and_is_recorded() {
         let result = run(
             "void f(int n, int *a) { a[0] = n * n; }",
-            ArgBindings::new()
-                .scalar("n", i32::MAX)
-                .array("a", vec![0; 1]),
+            ArgBindings::new().scalar(i32::MAX).array(vec![0; 1]),
         )
         .unwrap();
         assert!(result.report.had_signed_overflow());
-        assert_eq!(result.arrays["a"][0], i32::MAX.wrapping_mul(i32::MAX));
+        assert_eq!(result.arrays[0][0], i32::MAX.wrapping_mul(i32::MAX));
     }
 
     #[test]
@@ -787,7 +816,7 @@ mod tests {
         let func = parse_function("void f(int n) { while (1) { n = n + 0; } }").unwrap();
         let err = run_function(
             &func,
-            &ArgBindings::new().scalar("n", 0),
+            &ArgBindings::new().scalar(0),
             &ExecConfig { max_steps: 1000 },
         )
         .unwrap_err();
@@ -798,41 +827,75 @@ mod tests {
     fn missing_argument_is_reported() {
         let err = run(
             "void f(int n, int *a) { a[0] = n; }",
-            ArgBindings::new().scalar("n", 1),
+            ArgBindings::new().scalar(1),
         )
         .unwrap_err();
         assert!(matches!(err, ExecError::MissingArgument(name) if name == "a"));
     }
 
     #[test]
+    fn arguments_bind_by_position_not_by_name() {
+        let args = ArgBindings::new()
+            .scalar(3)
+            .array(vec![0; 3])
+            .array(vec![1, 2, 3]);
+        let named = run(
+            "void f(int n, int *a, int *b) { for (int i = 0; i < n; i++) { a[i] = b[i] * 2; } }",
+            args.clone(),
+        )
+        .unwrap();
+        // The same kernel with its arrays renamed and swapped in the
+        // signature: the first array argument is now the one it reads.
+        let swapped = run(
+            "void f(int m, int *b, int *a) { for (int i = 0; i < m; i++) { a[i] = b[i] * 2; } }",
+            args,
+        )
+        .unwrap();
+        assert_eq!(named.arrays, vec![vec![2, 4, 6], vec![1, 2, 3]]);
+        assert_eq!(swapped.arrays, vec![vec![0; 3], vec![0; 3]]);
+    }
+
+    #[test]
+    fn argument_kind_and_count_mismatches_are_reported() {
+        let src = "void f(int n, int *a) { a[0] = n; }";
+        let swapped = run(src, ArgBindings::new().array(vec![0]).scalar(1)).unwrap_err();
+        assert_eq!(
+            swapped.to_string(),
+            "runtime type mismatch: parameter 1 `n` of type int is bound to an array"
+        );
+        let extra = run(src, ArgBindings::new().scalar(1).array(vec![0]).scalar(2)).unwrap_err();
+        assert!(matches!(extra, ExecError::TypeMismatch(_)), "{extra}");
+    }
+
+    #[test]
     fn short_circuit_avoids_division_by_zero() {
         let result = run(
             "void f(int n, int *a) { if (n != 0 && 10 / n > 1) { a[0] = 1; } else { a[0] = 2; } }",
-            ArgBindings::new().scalar("n", 0).array("a", vec![0]),
+            ArgBindings::new().scalar(0).array(vec![0]),
         )
         .unwrap();
-        assert_eq!(result.arrays["a"], vec![2]);
+        assert_eq!(result.arrays[0], vec![2]);
     }
 
     #[test]
     fn break_and_continue() {
         let result = run(
             "void f(int n, int *a) { for (int i = 0; i < n; i++) { if (i == 2) { continue; } if (i == 4) { break; } a[i] = 1; } }",
-            ArgBindings::new().scalar("n", 8).array("a", vec![0; 8]),
+            ArgBindings::new().scalar(8).array(vec![0; 8]),
         )
         .unwrap();
-        assert_eq!(result.arrays["a"], vec![1, 1, 0, 1, 0, 0, 0, 0]);
+        assert_eq!(result.arrays[0], vec![1, 1, 0, 1, 0, 0, 0, 0]);
     }
 
     #[test]
     fn ternary_and_scalars_in_result() {
         let result = run(
             "void f(int n, int *a) { int m = n > 5 ? 1 : 0; a[0] = m; }",
-            ArgBindings::new().scalar("n", 9).array("a", vec![0]),
+            ArgBindings::new().scalar(9).array(vec![0]),
         )
         .unwrap();
-        assert_eq!(result.arrays["a"], vec![1]);
-        assert_eq!(result.scalars["n"], 9);
+        assert_eq!(result.arrays[0], vec![1]);
+        assert_eq!(result.scalars, vec![9]);
     }
 
     #[test]
@@ -841,21 +904,21 @@ mod tests {
         // `t` end with their scopes, and `y` is redeclared in one block.
         let result = run(
             "void f(int n, int *a) { int x = 1; { int x = 2; a[0] = x; } a[1] = x; for (int i = 0; i < n; i++) { int t = i * 10; a[2] += t; } int i = 7; a[3] = i; int y = 3; int y = 4; a[4] = y; }",
-            ArgBindings::new().scalar("n", 3).array("a", vec![0; 5]),
+            ArgBindings::new().scalar(3).array(vec![0; 5]),
         )
         .unwrap();
-        assert_eq!(result.arrays["a"], vec![2, 1, 30, 7, 4]);
-        assert_eq!(result.scalars, HashMap::from([("n".to_string(), 3)]));
+        assert_eq!(result.arrays[0], vec![2, 1, 30, 7, 4]);
+        assert_eq!(result.scalars, vec![3]);
     }
 
     #[test]
     fn nested_intrinsic_calls_keep_their_own_arguments() {
         let result = run(
             "void f(int n, int *a) { __m256i v = _mm256_add_epi32(_mm256_set1_epi32(n), _mm256_sub_epi32(_mm256_setr_epi32(1, 2, 3, 4, 5, 6, 7, 8), _mm256_set1_epi32(1))); _mm256_storeu_si256((__m256i *)&a[0], v); }",
-            ArgBindings::new().scalar("n", 10).array("a", vec![0; 8]),
+            ArgBindings::new().scalar(10).array(vec![0; 8]),
         )
         .unwrap();
-        assert_eq!(result.arrays["a"], (10..18).collect::<Vec<_>>());
+        assert_eq!(result.arrays[0], (10..18).collect::<Vec<_>>());
     }
 
     #[test]
@@ -863,11 +926,11 @@ mod tests {
         let result = run(
             "void f(int n, int *a, int *b) { __m256i mask = _mm256_setr_epi32(-1, -1, -1, -1, 0, 0, 0, 0); __m256i v = _mm256_maskload_epi32(b, mask); _mm256_maskstore_epi32(a, mask, v); }",
             ArgBindings::new()
-                .scalar("n", 4)
-                .array("a", vec![9; 4])
-                .array("b", vec![1, 2, 3, 4]),
+                .scalar(4)
+                .array(vec![9; 4])
+                .array(vec![1, 2, 3, 4]),
         )
         .unwrap();
-        assert_eq!(result.arrays["a"], vec![1, 2, 3, 4]);
+        assert_eq!(result.arrays[0], vec![1, 2, 3, 4]);
     }
 }

@@ -4,11 +4,12 @@
 //! the "arrays allocated in different memory regions" modelling the paper
 //! uses to communicate non-aliasing to Alive2 (Section 3.1). A pointer value
 //! is a `(region, element offset)` pair; pointer arithmetic moves the offset
-//! and can never jump between regions.
+//! and can never jump between regions. Regions are numbered in allocation
+//! order; a region's name is borrowed from the AST and only shows in the
+//! text of an out-of-bounds event.
 
 use crate::error::{ExecError, UbDetail, UbEvent, UbKind};
 use lv_simd::{I32x8, LANES};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Identifies a memory region (one per array).
@@ -93,46 +94,44 @@ impl fmt::Display for Value {
 
 /// The memory: a set of named `i32` regions plus the log of UB events.
 #[derive(Debug, Clone, Default)]
-pub struct Memory {
-    regions: Vec<RegionData>,
-    by_name: HashMap<String, RegionId>,
+pub struct Memory<'n> {
+    regions: Vec<RegionData<'n>>,
     /// Undefined-behaviour events recorded so far (fatal ones also abort).
     pub ub_events: Vec<UbEvent>,
 }
 
 #[derive(Debug, Clone)]
-struct RegionData {
-    name: String,
+struct RegionData<'n> {
+    name: &'n str,
     data: Vec<i32>,
 }
 
-impl Memory {
+impl<'n> Memory<'n> {
     /// Creates an empty memory.
-    pub fn new() -> Memory {
+    pub fn new() -> Memory<'n> {
         Memory::default()
     }
 
-    /// Allocates a region named after an array parameter and returns its id.
-    /// Re-using a name returns a fresh region; the latest allocation wins for
-    /// name lookup.
-    pub fn alloc_region(&mut self, name: &str, data: Vec<i32>) -> RegionId {
+    /// Creates an empty memory with room for `regions` regions.
+    pub fn with_capacity(regions: usize) -> Memory<'n> {
+        Memory {
+            regions: Vec::with_capacity(regions),
+            ub_events: Vec::new(),
+        }
+    }
+
+    /// Allocates a region for an array parameter and returns its id; ids
+    /// count up from 0 in allocation order. `name` only labels the region
+    /// in out-of-bounds events.
+    pub fn alloc_region(&mut self, name: &'n str, data: Vec<i32>) -> RegionId {
         let id = RegionId(self.regions.len());
-        self.regions.push(RegionData {
-            name: name.to_string(),
-            data,
-        });
-        self.by_name.insert(name.to_string(), id);
+        self.regions.push(RegionData { name, data });
         id
     }
 
-    /// Looks up a region id by array name.
-    pub fn region_by_name(&self, name: &str) -> Option<RegionId> {
-        self.by_name.get(name).copied()
-    }
-
     /// The name a region was allocated under.
-    pub fn region_name(&self, id: RegionId) -> &str {
-        &self.regions[id.0].name
+    pub fn region_name(&self, id: RegionId) -> &'n str {
+        self.regions[id.0].name
     }
 
     /// The length (in elements) of a region.
@@ -145,9 +144,9 @@ impl Memory {
         &self.regions[id.0].data
     }
 
-    /// Names of all regions in allocation order.
-    pub fn region_names(&self) -> Vec<&str> {
-        self.regions.iter().map(|r| r.name.as_str()).collect()
+    /// The contents of every region, in allocation order.
+    pub fn into_regions(self) -> Vec<Vec<i32>> {
+        self.regions.into_iter().map(|r| r.data).collect()
     }
 
     fn check_bounds(&mut self, ptr: Pointer, len: usize, write: bool) -> Result<usize, ExecError> {
@@ -279,10 +278,10 @@ mod tests {
         let mut mem = Memory::new();
         let a = mem.alloc_region("a", vec![1, 2, 3]);
         let b = mem.alloc_region("b", vec![4, 5]);
-        assert_ne!(a, b);
-        assert_eq!(mem.region_by_name("a"), Some(a));
+        assert_eq!((a, b), (RegionId(0), RegionId(1)));
+        assert_eq!(mem.region_name(b), "b");
         assert_eq!(mem.region_len(b), 2);
-        assert_eq!(mem.region_names(), vec!["a", "b"]);
+        assert_eq!(mem.into_regions(), vec![vec![1, 2, 3], vec![4, 5]]);
     }
 
     #[test]

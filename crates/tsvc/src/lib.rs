@@ -219,14 +219,8 @@ mod tests {
             let mut args = ArgBindings::new();
             for p in &func.params {
                 match &p.ty {
-                    lv_cir::Type::Int => {
-                        args.scalars.insert(p.name.clone(), 64);
-                    }
-                    lv_cir::Type::Ptr(_) => {
-                        args.arrays
-                            .insert(p.name.clone(), (1..=80).map(|x| x % 17 - 8).collect());
-                    }
-                    _ => {}
+                    lv_cir::Type::Int => args = args.scalar(64),
+                    _ => args = args.array((1..=80).map(|x| x % 17 - 8).collect()),
                 }
             }
             run_function(&func, &args, &ExecConfig::default())

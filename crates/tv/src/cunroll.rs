@@ -245,15 +245,14 @@ mod tests {
         // n - 1 iterations must be a multiple of 8 for the unrolled version
         // to cover the same range: use n = 9.
         let args = ArgBindings::new()
-            .scalar("n", 9)
-            .array("a", (0..16).collect())
-            .array("b", (0..16).rev().collect())
-            .array("c", vec![3; 16])
-            .array("d", vec![5; 16]);
+            .scalar(9)
+            .array((0..16).collect())
+            .array((0..16).rev().collect())
+            .array(vec![3; 16])
+            .array(vec![5; 16]);
         let r1 = run_function(&original, &args, &ExecConfig::default()).unwrap();
         let r2 = run_function(&unrolled_fn, &args, &ExecConfig::default()).unwrap();
-        assert_eq!(r1.arrays["a"], r2.arrays["a"]);
-        assert_eq!(r1.arrays["b"], r2.arrays["b"]);
+        assert_eq!(r1.arrays, r2.arrays);
     }
 
     #[test]

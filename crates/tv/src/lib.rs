@@ -9,7 +9,8 @@
 //! * [`mod@align`] — loop alignment and the `(end1 - start1) % m == 0`
 //!   divisibility assumption (Section 3.1);
 //! * [`symexec`] — guarded symbolic execution into `lv-smt` terms with UB
-//!   tracking and per-array memory regions;
+//!   tracking and per-array memory regions; a candidate reads the scalar
+//!   kernel's inputs by parameter position ([`sym_exec_bound`]);
 //! * [`cunroll`] — the C-level unrolling preprocessing step (Section 3.2);
 //! * [`verify`] — the three verification strategies of Algorithm 1
 //!   ([`check_with_alive2_unroll`], [`check_with_c_unroll`],
@@ -52,7 +53,7 @@ pub mod verify;
 pub use align::{align, Alignment, AlignmentError};
 pub use cunroll::{c_unroll, CUnrollError};
 pub use lv_smt::{SolverBudget, SEARCH_REVISION};
-pub use symexec::{sym_exec, SymExecConfig, SymExecError, SymOutcome};
+pub use symexec::{sym_exec, sym_exec_bound, SymExecConfig, SymExecError, SymOutcome};
 pub use verify::{
     alignment_assumption, check_equivalence_symbolic, check_with_alive2_unroll,
     check_with_alive2_unroll_in, check_with_c_unroll, check_with_c_unroll_in,

@@ -1,13 +1,21 @@
 //! Guarded symbolic execution of mini-C into SMT terms.
 //!
-//! The executor turns a kernel into a map from array names to vectors of
-//! symbolic 32-bit terms (one per cell), given:
+//! The executor turns a kernel into the final contents of its array
+//! parameters, by position, as vectors of symbolic 32-bit terms (one per
+//! cell), given:
 //!
 //! * concrete values for the scalar parameters that control trip counts
 //!   (the loop bound `n` is fixed to a multiple of the vectorization width,
 //!   which realizes the paper's `(end1 - start1) % m == 0` assumption), and
 //! * fully symbolic initial contents for every array parameter, each in its
 //!   own region (the paper's non-aliasing modelling from Section 3.1).
+//!
+//! Inputs bind by parameter position. [`sym_exec_bound`] names a
+//! function's input cells, its unbound scalar inputs and its
+//! out-of-window cells after the parameter at the same position of another
+//! function (the scalar kernel), so the scalar and a candidate that spells
+//! or orders its parameters differently still read the same input terms
+//! position for position, as a C call passes them.
 //!
 //! Control flow is handled the way an SSA form joins it. An `if` whose
 //! condition folds runs only the branch taken. Otherwise both branches run
@@ -28,7 +36,7 @@
 //! by names borrowed from the AST; and the names of the input cells are
 //! written into one reused buffer before they are interned.
 
-use lv_cir::ast::{AssignOp, BinOp, Block, Expr, Function, Stmt, Type, UnOp};
+use lv_cir::ast::{AssignOp, BinOp, Block, Expr, Function, Param, Stmt, Type, UnOp};
 use lv_simd::LANES;
 use lv_smt::{Context, TermId};
 use std::collections::HashMap;
@@ -90,10 +98,9 @@ impl Default for SymExecConfig {
 /// The result of symbolically executing one function.
 #[derive(Debug, Clone)]
 pub struct SymOutcome {
-    /// Final symbolic contents of every array parameter.
-    pub arrays: HashMap<String, Vec<TermId>>,
-    /// Names (in declaration order) of the array parameters.
-    pub array_order: Vec<String>,
+    /// Final symbolic contents of every array parameter, by position among
+    /// the array parameters: `arrays[k]` is the `k`-th `int *` parameter.
+    pub arrays: Vec<Vec<TermId>>,
     /// A boolean term that is true exactly when the execution triggered
     /// undefined behaviour (out-of-bounds access, division by zero).
     pub ub: TermId,
@@ -104,10 +111,10 @@ pub struct SymOutcome {
 /// Symbolically executes `func` and returns the final array state.
 ///
 /// The *initial* contents of array `a` are the shared symbolic variables
-/// `{prefix}a!0 .. {prefix}a!len-1`, so executing the scalar and the
-/// vectorized function with the same context and prefix compares them on the
-/// same inputs. Scalar parameters not bound in the config become fresh
-/// symbolic variables (they do not control loops in the TSVC subset).
+/// `{prefix}a!0 .. {prefix}a!len-1`. Scalar parameters not bound in the
+/// config become fresh symbolic variables (they do not control loops in the
+/// TSVC subset). This is [`sym_exec_bound`] with `func` naming its own
+/// inputs.
 ///
 /// # Errors
 ///
@@ -118,7 +125,46 @@ pub fn sym_exec(
     func: &Function,
     config: &SymExecConfig,
 ) -> Result<SymOutcome, SymExecError> {
-    let mut exec = SymExec::new(ctx, func, config)?;
+    sym_exec_bound(ctx, func, func, config)
+}
+
+/// Symbolically executes `func` on the inputs of `inputs`: parameter `i`
+/// of `func` reads the input named after parameter `i` of `inputs`. Its
+/// array cells are `{prefix}{name}!0 ..`, an unbound scalar is
+/// `{prefix}{name}`, a scalar binding is looked up under that name, and an
+/// out-of-window cell is `oob!{name}!{index}`. Executing the scalar kernel
+/// with [`sym_exec`] and a candidate bound to it with the same context and
+/// prefix therefore compares them on the same inputs by position.
+///
+/// # Errors
+///
+/// Everything [`sym_exec`] rejects, and a `func` whose parameter count or
+/// any parameter's type differs from `inputs`'.
+pub fn sym_exec_bound(
+    ctx: &mut Context,
+    func: &Function,
+    inputs: &Function,
+    config: &SymExecConfig,
+) -> Result<SymOutcome, SymExecError> {
+    if func.params.len() != inputs.params.len() {
+        return Err(SymExecError::new(format!(
+            "`{}` takes {} parameters but is bound to the {} inputs of `{}`",
+            func.name,
+            func.params.len(),
+            inputs.params.len(),
+            inputs.name
+        )));
+    }
+    let mismatch = (1..)
+        .zip(func.params.iter().zip(&inputs.params))
+        .find(|(_, (p, input))| p.ty != input.ty);
+    if let Some((position, (p, input))) = mismatch {
+        return Err(SymExecError::new(format!(
+            "parameter {} `{}` has type {} but input {} `{}` has type {}",
+            position, p.name, p.ty, position, input.name, input.ty
+        )));
+    }
+    let mut exec = SymExec::new(ctx, func, &inputs.params, config)?;
     exec.run(func)?;
     Ok(exec.finish())
 }
@@ -187,8 +233,11 @@ struct SymExec<'a, 'f> {
     /// The cells of every array parameter, by parameter position among the
     /// arrays.
     arrays: Vec<Vec<TermId>>,
-    /// The name of each array in [`SymExec::arrays`].
+    /// The name of each array in [`SymExec::arrays`], as error texts show it.
     array_names: Vec<&'f str>,
+    /// The name of each array's input: the bound parameter's, which labels
+    /// its out-of-window cells.
+    input_names: Vec<&'f str>,
     /// Path suppression due to taken forward gotos / returns.
     suppress: TermId,
     /// Pending goto guards per label.
@@ -206,24 +255,28 @@ struct SymExec<'a, 'f> {
 }
 
 impl<'a, 'f> SymExec<'a, 'f> {
+    /// An executor of `func` whose parameter `i` reads the input of
+    /// `inputs[i]` (same length as `func.params`).
     fn new(
         ctx: &'a mut Context,
         func: &'f Function,
+        inputs: &'f [Param],
         config: &'a SymExecConfig,
     ) -> Result<Self, SymExecError> {
         let mut vars: Vec<(&'f str, SymValue)> = Vec::new();
         let mut arrays = Vec::new();
         let mut array_names = Vec::new();
+        let mut input_names = Vec::new();
         let mut name_buf = String::new();
-        for param in &func.params {
+        for (param, input) in func.params.iter().zip(inputs) {
             let value = match &param.ty {
                 Type::Int => {
-                    let term = match config.scalar_bindings.get(&param.name) {
+                    let term = match config.scalar_bindings.get(&input.name) {
                         Some(&v) => ctx.bv32(v),
                         None => {
                             name_buf.clear();
                             name_buf.push_str(&config.input_prefix);
-                            name_buf.push_str(&param.name);
+                            name_buf.push_str(&input.name);
                             ctx.bv_var(&name_buf, 32)
                         }
                     };
@@ -233,11 +286,12 @@ impl<'a, 'f> SymExec<'a, 'f> {
                     let mut cells = Vec::with_capacity(config.array_len);
                     for i in 0..config.array_len {
                         name_buf.clear();
-                        let _ = write!(name_buf, "{}{}!{}", config.input_prefix, param.name, i);
+                        let _ = write!(name_buf, "{}{}!{}", config.input_prefix, input.name, i);
                         cells.push(ctx.bv_var(&name_buf, 32));
                     }
                     arrays.push(cells);
                     array_names.push(param.name.as_str());
+                    input_names.push(input.name.as_str());
                     SymValue::Ptr {
                         array: arrays.len() - 1,
                         offset: 0,
@@ -263,6 +317,7 @@ impl<'a, 'f> SymExec<'a, 'f> {
             vars,
             arrays,
             array_names,
+            input_names,
             suppress: false_t,
             pending: Vec::new(),
             ub: false_t,
@@ -278,13 +333,9 @@ impl<'a, 'f> SymExec<'a, 'f> {
         self.exec_block(&func.body, guard)
     }
 
-    /// Later arrays of the same name replace earlier ones, as a parameter
-    /// does.
     fn finish(self) -> SymOutcome {
-        let array_order: Vec<String> = self.array_names.iter().map(|n| n.to_string()).collect();
         SymOutcome {
-            arrays: array_order.iter().cloned().zip(self.arrays).collect(),
-            array_order,
+            arrays: self.arrays,
             ub: self.ub,
             unrolled_iterations: self.iterations,
         }
@@ -301,7 +352,7 @@ impl<'a, 'f> SymExec<'a, 'f> {
     /// An out-of-window cell of `array`: a fresh unconstrained symbol.
     fn oob_cell(&mut self, array: usize, index: i64) -> TermId {
         self.name_buf.clear();
-        let _ = write!(self.name_buf, "oob!{}!{}", self.array_names[array], index);
+        let _ = write!(self.name_buf, "oob!{}!{}", self.input_names[array], index);
         self.ctx.bv_var(&self.name_buf, 32)
     }
 
@@ -1253,7 +1304,7 @@ mod tests {
         let b0 = solver.ctx.bv_var("b!0", 32);
         let one = solver.ctx.bv32(1);
         let expected = solver.ctx.bv_add(b0, one);
-        let eq = solver.ctx.eq(out.arrays["a"][0], expected);
+        let eq = solver.ctx.eq(out.arrays[0][0], expected);
         assert_eq!(
             solver.check_validity(eq, &SolverBudget::default()),
             Validity::Valid
@@ -1273,7 +1324,7 @@ mod tests {
         assert_eq!(out.unrolled_iterations, 4);
         // Cells beyond the trip count keep their initial symbolic value.
         let a5 = solver.ctx.bv_var("a!5", 32);
-        assert_eq!(out.arrays["a"][5], a5);
+        assert_eq!(out.arrays[0][5], a5);
     }
 
     #[test]
@@ -1291,7 +1342,7 @@ mod tests {
         let five = solver.ctx.bv32(5);
         let one = solver.ctx.bv32(1);
         let pre = solver.ctx.eq(b0, five);
-        let post = solver.ctx.eq(out.arrays["a"][0], one);
+        let post = solver.ctx.eq(out.arrays[0][0], one);
         let vc = solver.ctx.implies(pre, post);
         assert_eq!(
             solver.check_validity(vc, &SolverBudget::default()),
@@ -1316,8 +1367,8 @@ mod tests {
         let ten = solver.ctx.bv32(10);
         let pos = solver.ctx.bv_sgt(b0, zero);
         let expected = solver.ctx.ite(pos, twenty, ten);
-        let eq0 = solver.ctx.eq(out.arrays["a"][0], expected);
-        let eq1 = solver.ctx.eq(out.arrays["a"][1], expected);
+        let eq0 = solver.ctx.eq(out.arrays[0][0], expected);
+        let eq1 = solver.ctx.eq(out.arrays[0][1], expected);
         let both = solver.ctx.and(eq0, eq1);
         assert_eq!(
             solver.check_validity(both, &SolverBudget::default()),
@@ -1348,7 +1399,7 @@ mod tests {
         for i in 0..8 {
             let eq = solver
                 .ctx
-                .eq(scalar_out.arrays["a"][i], vector_out.arrays["a"][i]);
+                .eq(scalar_out.arrays[0][i], vector_out.arrays[0][i]);
             all = solver.ctx.and(all, eq);
         }
         assert_eq!(
@@ -1379,7 +1430,7 @@ mod tests {
         let a2 = solver.ctx.bv_var("a!2", 32);
         let s01 = solver.ctx.bv_add(a0, a1);
         let expected = solver.ctx.bv_add(s01, a2);
-        let eq = solver.ctx.eq(out.arrays["out"][0], expected);
+        let eq = solver.ctx.eq(out.arrays[1][0], expected);
         assert_eq!(
             solver.check_validity(eq, &SolverBudget::default()),
             Validity::Valid
@@ -1484,7 +1535,7 @@ mod tests {
                 v as u32 as u64
             };
             for (i, &expected) in want.iter().enumerate() {
-                let got = ctx.eval(out.arrays["o"][i], &value_of) as u32 as i32;
+                let got = ctx.eval(out.arrays[3][i], &value_of) as u32 as i32;
                 assert_eq!(got, expected, "lane {i}: mask {:#x}", m[i]);
             }
         }
@@ -1508,7 +1559,7 @@ mod tests {
             8,
         )
         .unwrap();
-        assert_eq!(out.arrays["a"], scalar.arrays["a"]);
+        assert_eq!(out.arrays[0], scalar.arrays[0]);
     }
 
     #[test]
@@ -1529,8 +1580,8 @@ mod tests {
         let one = ctx.bv32(1);
         let taken = ctx.bv_slt(zero, b0);
         let incremented = ctx.bv_add(a0, one);
-        assert_eq!(out.arrays["a"][0], ctx.ite(taken, b0, incremented));
-        assert_eq!(out.arrays["a"][1], ctx.ite(taken, one, a0));
+        assert_eq!(out.arrays[0][0], ctx.ite(taken, b0, incremented));
+        assert_eq!(out.arrays[0][1], ctx.ite(taken, one, a0));
     }
 
     #[test]
@@ -1583,6 +1634,35 @@ mod tests {
                 "assignment to `p` changes its kind \
                  (Some(Ptr {{ array: \"b\", offset: 2 }}) -> Scalar({n:?}))"
             )
+        );
+    }
+
+    #[test]
+    fn a_bound_function_reads_the_inputs_at_its_parameter_positions() {
+        let mut ctx = Context::new();
+        let config = SymExecConfig {
+            array_len: 4,
+            ..SymExecConfig::default()
+        };
+        let scalar = parse_function("void f(int n, int *a, int *b) { a[0] = b[0]; }").unwrap();
+        // The same computation with the arrays renamed and swapped in the
+        // signature: position 1 is still written from position 2.
+        let swapped = parse_function("void g(int m, int *b, int *a) { b[0] = a[0]; }").unwrap();
+        let src = sym_exec(&mut ctx, &scalar, &config).unwrap();
+        let tgt = sym_exec_bound(&mut ctx, &swapped, &scalar, &config).unwrap();
+        assert_eq!(src.arrays, tgt.arrays);
+
+        let short = parse_function("void h(int n, int *a) { a[0] = 1; }").unwrap();
+        let err = sym_exec_bound(&mut ctx, &short, &scalar, &config).unwrap_err();
+        assert_eq!(
+            err.reason,
+            "`h` takes 2 parameters but is bound to the 3 inputs of `f`"
+        );
+        let retyped = parse_function("void h(int n, int a, int *b) { b[0] = a; }").unwrap();
+        let err = sym_exec_bound(&mut ctx, &retyped, &scalar, &config).unwrap_err();
+        assert_eq!(
+            err.reason,
+            "parameter 2 `a` has type int but input 2 `a` has type int *"
         );
     }
 }

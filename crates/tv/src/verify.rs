@@ -17,15 +17,17 @@
 //! is UB-free, the candidate must also be UB-free and produce identical
 //! array contents. Arrays live in distinct regions (non-aliasing, Section
 //! 3.1) and trip counts are fixed to multiples of the vectorization width
-//! (the paper's `(end1 - start1) % m == 0` assumption).
+//! (the paper's `(end1 - start1) % m == 0` assumption). The candidate's
+//! parameters bind to the scalar's by position ([`sym_exec_bound`]), and
+//! output array `k` of the candidate is compared with output array `k` of
+//! the scalar.
 
 use crate::align::{align, Alignment};
 use crate::cunroll::c_unroll;
-use crate::symexec::{sym_exec, SymExecConfig, SymOutcome};
+use crate::symexec::{sym_exec, sym_exec_bound, SymExecConfig};
 use lv_analysis::{analyze_function, collect_accesses, AccessKind};
 use lv_cir::ast::{BinOp, Expr, Function, UnOp};
 use lv_smt::{ReuseStats, Solver, SolverBudget, Validity};
-use std::collections::HashMap;
 
 /// Cumulative solver-effort statistics over the lifetime of a [`TvSession`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -489,26 +491,41 @@ fn refinement_check(
     };
     let array_len = start + trip * step + config.array_slack;
 
+    // Every scalar parameter (the bound) takes `n_value`; the candidate
+    // reads the scalar's inputs by position.
+    let sym_config = SymExecConfig {
+        scalar_bindings: scalar
+            .scalar_params()
+            .into_iter()
+            .map(|name| (name.to_string(), n_value))
+            .collect(),
+        array_len,
+        max_iterations: config.max_iterations,
+        input_prefix: String::new(),
+    };
     let solver = session.query_solver();
-    let outcome_scalar = exec_side(solver, scalar, n_value, array_len, config);
-    let outcome_vector = exec_side(solver, vector, n_value, array_len, config);
+    let outcome_scalar = sym_exec(&mut solver.ctx, scalar, &sym_config);
+    let outcome_vector = sym_exec_bound(&mut solver.ctx, vector, scalar, &sym_config);
     let (src, tgt) = match (outcome_scalar, outcome_vector) {
         (Ok(s), Ok(t)) => (s, t),
-        (Err(reason), _) | (_, Err(reason)) => return TvVerdict::Inconclusive { reason },
+        (Err(e), _) | (_, Err(e)) => {
+            return TvVerdict::Inconclusive {
+                reason: e.to_string(),
+            }
+        }
     };
 
     // Refinement: whenever the source is UB-free, the target must be UB-free
     // and the observable outputs must agree.
     let mut agree = solver.ctx.bool_const(true);
     let written = written_arrays(scalar, vector);
-    for name in &src.array_order {
-        let Some(tgt_cells) = tgt.arrays.get(name) else {
-            continue;
-        };
-        if !written.contains(name) {
+    for (k, src_cells) in src.arrays.iter().enumerate() {
+        if !written.contains(&k) {
             continue;
         }
-        let src_cells = &src.arrays[name];
+        // `sym_exec_bound` accepted the candidate, so it takes the scalar's
+        // parameter types: every array has a counterpart at its position.
+        let tgt_cells = &tgt.arrays[k];
         let indices: Vec<usize> = match compare_lane {
             Some(lane) => vec![start + lane],
             None => (0..src_cells.len().min(tgt_cells.len())).collect(),
@@ -537,37 +554,26 @@ fn refinement_check(
     verdict
 }
 
-fn exec_side(
-    solver: &mut Solver,
-    func: &Function,
-    n_value: i32,
-    array_len: usize,
-    config: &TvConfig,
-) -> Result<SymOutcome, String> {
-    let mut bindings = HashMap::new();
-    for name in func.scalar_params() {
-        bindings.insert(name.to_string(), n_value);
-    }
-    let sym_config = SymExecConfig {
-        scalar_bindings: bindings,
-        array_len,
-        max_iterations: config.max_iterations,
-        input_prefix: String::new(),
-    };
-    sym_exec(&mut solver.ctx, func, &sym_config).map_err(|e| e.to_string())
-}
-
-/// Arrays written by either function; unread output arrays of the candidate
-/// are still compared so that missing stores are caught. One access walk
+/// Positions (among the array parameters) of the arrays either function
+/// writes; unread output arrays of the candidate are still compared so that
+/// missing stores are caught. Each function's written names map to
+/// positions through its own parameter list, so a candidate that spells its
+/// parameters differently still names the arrays it writes. One access walk
 /// per function covers every statement, loop bodies included: whether an
 /// access writes does not depend on the induction variable.
-fn written_arrays(scalar: &Function, vector: &Function) -> Vec<String> {
+fn written_arrays(scalar: &Function, vector: &Function) -> Vec<usize> {
     let mut out = Vec::new();
     for func in [scalar, vector] {
+        let arrays = func.array_params();
         let body = collect_accesses(&func.body, "__no_iv__");
         for access in body.accesses {
-            if access.kind == AccessKind::Write && !out.contains(&access.array) {
-                out.push(access.array);
+            if access.kind != AccessKind::Write {
+                continue;
+            }
+            if let Some(k) = arrays.iter().position(|&name| name == access.array) {
+                if !out.contains(&k) {
+                    out.push(k);
+                }
             }
         }
     }
@@ -764,6 +770,29 @@ mod tests {
     }
 
     #[test]
+    fn a_candidate_without_the_scalars_parameters_is_inconclusive() {
+        // It drops the array the scalar reads, so no output array of the
+        // scalar can be paired by position; no stage may treat that as
+        // agreement.
+        let dropped =
+            "void s000(int n, int *a) { for (int i = 0; i < n; i++) { a[i] = a[i] + 1; } }";
+        for verdict in [
+            check_with_alive2_unroll(&f(S000), &f(dropped), &quick_config()),
+            check_with_c_unroll(&f(S000), &f(dropped), &quick_config()),
+            check_with_spatial_splitting(&f(S000), &f(dropped), &quick_config()),
+        ] {
+            assert_eq!(
+                verdict,
+                TvVerdict::Inconclusive {
+                    reason: "symbolic execution failed: `s000` takes 2 parameters but is bound \
+                             to the 3 inputs of `s000`"
+                        .to_string()
+                }
+            );
+        }
+    }
+
+    #[test]
     fn full_pipeline_reports_stage() {
         let (verdict, stage) = check_equivalence_symbolic(&f(S000), &f(S000_VEC), &quick_config());
         assert_eq!(verdict, TvVerdict::Equivalent);
@@ -869,7 +898,11 @@ mod tests {
                 vectorized += 1;
             }
             for (scalar, vector) in &pairs {
-                let got: BTreeSet<String> = written_arrays(scalar, vector).into_iter().collect();
+                let names = scalar.array_params();
+                let got: BTreeSet<String> = written_arrays(scalar, vector)
+                    .into_iter()
+                    .map(|k| names[k].to_string())
+                    .collect();
                 assert!(!got.is_empty(), "{} writes an array", kernel.name);
                 assert_eq!(got, per_loop_written(scalar, vector), "{}", kernel.name);
             }

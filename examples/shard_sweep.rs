@@ -119,8 +119,8 @@ fn assert_reports_match(single: &BatchReport, merged: &BatchReport, what: &str) 
             for (st, mt) in s.traces.iter().zip(&m.traces) {
                 assert_eq!(st.stage, mt.stage, "{}: trace stage for {}", what, s.label);
                 assert_eq!(
-                    (st.conclusive, st.conflicts, st.clauses, st.name_mismatch),
-                    (mt.conclusive, mt.conflicts, mt.clauses, mt.name_mismatch),
+                    (st.conclusive, st.conflicts, st.clauses),
+                    (mt.conclusive, mt.conflicts, mt.clauses),
                     "{}: trace telemetry for {}",
                     what,
                     s.label

@@ -244,8 +244,7 @@ fn label_renaming_preserves_the_hash() {
 }
 
 /// Renames only the candidate's *locals* (declared names), leaving the
-/// parameter names — and therefore the scalar↔candidate name pairing —
-/// intact.
+/// parameter names intact.
 fn rename_locals(func: &Function) -> Function {
     let mut renamed = func.clone();
     let params: Vec<String> = func.params.iter().map(|p| p.name.clone()).collect();
@@ -298,52 +297,84 @@ fn local_renamed_candidate_is_answered_from_the_cache() {
     assert_eq!(warm.jobs[0].detail, cold.jobs[0].detail);
 }
 
-/// Renaming the candidate's *parameters* breaks the name pairing the
-/// harnesses rely on (arrays are bound by parameter name), so it is a
-/// different verification problem: the verdicts genuinely differ, and the
-/// cache must keep the two apart even though the candidates are
-/// alpha-equivalent in isolation.
+/// Every stage binds the candidate's parameters to the scalar's by
+/// position, so renaming the candidate's *parameters* is the same
+/// verification problem: the verdicts agree, and the renamed candidate is
+/// answered from the entry of the name-matched one.
 #[test]
-fn parameter_renamed_candidate_is_a_different_cache_entry() {
+fn parameter_renamed_candidate_is_answered_from_the_cache() {
     let scalar = parse_function(S000_SCALAR).unwrap();
-    // Missing epilogue: with matching names the checksum harness refutes it
-    // (n = 44 is not a multiple of 8).
+    // Missing epilogue: the checksum harness refutes it (n = 44 is not a
+    // multiple of 8).
     let no_epilogue = parse_function(
         "void s000(int n, int *a, int *b) { int i; for (i = 0; i + 8 <= n; i += 8) { __m256i x = _mm256_loadu_si256((__m256i *)&b[i]); _mm256_storeu_si256((__m256i *)&a[i], _mm256_add_epi32(x, _mm256_set1_epi32(1))); } }",
     )
     .unwrap();
-    // The same candidate with renamed parameters: the checksum harness
-    // binds disjoint arrays, so the refutation disappears.
+    // The same candidate with renamed parameters.
     let params_renamed = parse_function(
         "void s000(int m, int *x, int *y) { int i; for (i = 0; i + 8 <= m; i += 8) { __m256i v = _mm256_loadu_si256((__m256i *)&y[i]); _mm256_storeu_si256((__m256i *)&x[i], _mm256_add_epi32(v, _mm256_set1_epi32(1))); } }",
     )
     .unwrap();
-    // Alpha-equivalent in isolation...
     assert_eq!(
         structural_hash(&no_epilogue),
         structural_hash(&params_renamed)
     );
 
-    // ...but different verdicts against the same scalar.
     let fresh = VerificationEngine::new(EngineConfig::full(quick_pipeline()));
     let named_verdict = fresh.check_one(&scalar, &no_epilogue);
     assert_eq!(named_verdict.verdict, Equivalence::NotEquivalent);
     let renamed_verdict = fresh.check_one(&scalar, &params_renamed);
-    assert_ne!(renamed_verdict.verdict, named_verdict.verdict);
+    assert_eq!(renamed_verdict.verdict, named_verdict.verdict);
+    assert_eq!(renamed_verdict.detail, named_verdict.detail);
 
-    // The cache must not cross-contaminate: warm it with the renamed pair,
-    // then query the name-matched pair — it must miss and re-derive the
-    // refutation.
     let cache = Arc::new(VerdictCache::in_memory());
     let engine =
         VerificationEngine::new(EngineConfig::full(quick_pipeline()).with_cache(cache.clone()));
-    engine.run_batch(&[Job::new("renamed", scalar.clone(), params_renamed)]);
+    engine.run_batch(&[Job::new("named", scalar.clone(), no_epilogue)]);
+    let second = engine.run_batch(&[Job::new("renamed", scalar, params_renamed)]);
+    assert!(
+        second.jobs[0].cache_hit,
+        "a param-renamed candidate must hit"
+    );
+    assert_eq!(second.stage_runs(), 0);
+    assert_eq!(second.jobs[0].verdict, Equivalence::NotEquivalent);
     assert_eq!(cache.len(), 1);
-    let second = engine.run_batch(&[Job::new("named", scalar, no_epilogue)]);
+}
+
+/// Reordering the candidate's parameters changes which caller array each
+/// one receives, so it is a different verification problem: the scalar's
+/// own body under `(int n, int *b, int *a)` writes the caller's `b`. The
+/// cache must keep the two apart.
+#[test]
+fn parameter_reordered_candidate_is_a_different_cache_entry() {
+    let scalar = parse_function(S000_SCALAR).unwrap();
+    let correct = parse_function(S000_VEC).unwrap();
+    let reordered =
+        parse_function(&S000_VEC.replace("(int n, int *a, int *b)", "(int n, int *b, int *a)"))
+            .unwrap();
+
+    let fresh = VerificationEngine::new(EngineConfig::full(quick_pipeline()));
+    assert_eq!(
+        fresh.check_one(&scalar, &correct).verdict,
+        Equivalence::Equivalent
+    );
+    assert_eq!(
+        fresh.check_one(&scalar, &reordered).verdict,
+        Equivalence::NotEquivalent
+    );
+
+    // Warm the cache with the reordered candidate, then query the correct
+    // one: it must miss and re-derive its own verdict.
+    let cache = Arc::new(VerdictCache::in_memory());
+    let engine =
+        VerificationEngine::new(EngineConfig::full(quick_pipeline()).with_cache(cache.clone()));
+    engine.run_batch(&[Job::new("reordered", scalar.clone(), reordered)]);
+    assert_eq!(cache.len(), 1);
+    let second = engine.run_batch(&[Job::new("correct", scalar, correct)]);
     assert!(
         !second.jobs[0].cache_hit,
-        "a param-renamed entry must not answer the name-matched problem"
+        "a param-reordered entry must not answer the correct candidate"
     );
-    assert_eq!(second.jobs[0].verdict, Equivalence::NotEquivalent);
+    assert_eq!(second.jobs[0].verdict, Equivalence::Equivalent);
     assert_eq!(cache.len(), 2);
 }

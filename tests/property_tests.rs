@@ -107,12 +107,12 @@ proptest! {
             "void f(int n, int *a, int *b) { for (int i = 0; i < n; i++) { a[i] = b[i] * 3 + 1; } }",
         ).unwrap();
         let args = ArgBindings::new()
-            .scalar("n", b_values.len() as i32)
-            .array("a", vec![0; b_values.len()])
-            .array("b", b_values.clone());
+            .scalar(b_values.len() as i32)
+            .array(vec![0; b_values.len()])
+            .array(b_values.clone());
         let result = run_function(&func, &args, &ExecConfig::default()).unwrap();
         let expected: Vec<i32> = b_values.iter().map(|&x| x.wrapping_mul(3).wrapping_add(1)).collect();
-        prop_assert_eq!(&result.arrays["a"], &expected);
+        prop_assert_eq!(&result.arrays[0], &expected);
     }
 
     /// The bitvector solver agrees with wrapping i32 arithmetic on ground terms.

@@ -59,13 +59,13 @@ fn symbolic_cells_of_conditional_kernels_match_the_interpreter() {
             let mut args = ArgBindings::new();
             for param in &func.params {
                 match param.ty {
-                    Type::Int => args = args.scalar(param.name.clone(), N),
+                    Type::Int => args = args.scalar(N),
                     _ => {
                         let data: Vec<i32> = (0..ARRAY_LEN)
                             .map(|_| (next_random(&mut state) % 41) as i32 - 20)
                             .collect();
                         inputs.insert(param.name.clone(), data.clone());
-                        args = args.array(param.name.clone(), data);
+                        args = args.array(data);
                     }
                 }
             }
@@ -91,7 +91,7 @@ fn symbolic_cells_of_conditional_kernels_match_the_interpreter() {
                         "{} trial {trial}: symbolic UB without a concrete one",
                         kernel.name
                     );
-                    for (array, cells) in &symbolic.arrays {
+                    for (array, cells) in symbolic.arrays.iter().enumerate() {
                         for (index, &cell) in cells.iter().enumerate() {
                             assert_eq!(
                                 ctx.eval(cell, &value_of) as u32 as i32,
