@@ -437,7 +437,7 @@ impl VerificationEngine {
     }
 
     /// The worker count a batch of `jobs` jobs would use.
-    pub fn resolved_threads(&self, jobs: usize) -> usize {
+    fn resolved_threads(&self, jobs: usize) -> usize {
         pool::resolve_threads(self.threads, jobs)
     }
 

@@ -39,9 +39,7 @@ where
 
 /// Resolves a configured worker count: `0` means one per available CPU, and
 /// the result is clamped to `[1, items]` so idle workers are never spawned.
-/// Public because it is also the natural work-stealing chunk size — one
-/// claimed chunk keeps one worker pool exactly busy.
-pub fn resolve_threads(configured: usize, items: usize) -> usize {
+pub(crate) fn resolve_threads(configured: usize, items: usize) -> usize {
     let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
     let threads = if configured == 0 { hw } else { configured };
     threads.clamp(1, items.max(1))

@@ -51,7 +51,7 @@ impl ReferenceTable {
     /// The reference of `scalar` under `config`, whose fingerprint is
     /// `fingerprint`: the stored one, or a new one that is stored. A miss
     /// builds the reference without holding the table, so a worker that
-    /// builds one never stalls the others.
+    /// builds one never blocks the others.
     pub fn reference(
         &self,
         scalar: &Function,

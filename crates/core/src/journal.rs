@@ -80,7 +80,7 @@ pub enum FsyncPolicy {
     EveryRecord,
     /// `fsync` only when the journal is compacted into its snapshot form
     /// (and on explicit [`JournalWriter::sync`]). The default: process-crash
-    /// consistency without per-record sync stalls.
+    /// consistency without a disk sync per record.
     #[default]
     OnCompact,
 }

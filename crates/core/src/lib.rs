@@ -43,8 +43,9 @@
 //!   [`ShardPlan`] partitions a batch over N worker processes (spawned by a
 //!   coordinator via self-exec `--shard i/N`), each shard runs the unchanged
 //!   engine path and exchanges results through a per-shard verdict-cache
-//!   file + JSON shard report, and the coordinator supervises (timeouts,
-//!   crashes), recovers missing jobs in-process, and merges everything —
+//!   file + JSON shard report, and the coordinator waits for every worker
+//!   to exit (killing the rest at its wall-clock timeout), recovers missing
+//!   jobs in-process, and merges everything —
 //!   with typed cache-conflict errors and [`CacheBounds`] compaction — into
 //!   a [`BatchReport`] and cache file equal to the single-process run;
 //! * [`pipeline`] — Algorithm 1 ([`check_equivalence`]) as a thin wrapper

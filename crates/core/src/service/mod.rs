@@ -54,13 +54,11 @@
 //! in `tests/service_e2e.rs`). The daemon exits its accept loop only on an
 //! explicit [`Message::Shutdown`].
 //!
-//! # Relation to shard work stealing
+//! # Relation to sharded sweeps
 //!
-//! The service answers *online* traffic on one host; the steal-claim
-//! protocol in [`crate::shard`] (claim journals appended next to the shard
-//! report journals, keyed on the same heartbeat liveness signal) covers the
-//! *offline* multi-process sweep. See the shard module docs for the claim
-//! format and its conflict rules.
+//! The service answers *online* traffic on one host; [`crate::shard`]
+//! covers the *offline* multi-process sweep, where each worker process
+//! runs its own share and the coordinator recovers what a worker missed.
 
 pub mod client;
 pub mod daemon;

@@ -16,14 +16,12 @@
 use crate::cache::{CacheBounds, CachedVerdict, VerdictCache};
 use crate::engine::{job_cache_key, BatchReport, Job, JobReport, VerificationEngine};
 use crate::journal::FsyncPolicy;
-use crate::shard::exchange::{
-    read_progress, GenerationSpec, ShardProgress, ShardReportFile, SweepManifest,
-};
-use crate::shard::runner::{cache_path, claims_path, report_path};
+use crate::shard::exchange::{GenerationSpec, ShardReportFile, SweepManifest};
+use crate::shard::runner::{cache_path, report_path};
 use crate::shard::{ShardError, ShardPolicy};
 use crate::EngineConfig;
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -58,95 +56,6 @@ impl WorkerSpec {
     }
 }
 
-/// A fully assembled worker launch: program, final argument vector, and the
-/// log file its stdout/stderr should go to. The coordinator builds one per
-/// shard and hands it to the [`WorkerSpawner`]; a backend never has to know
-/// how the shard arguments were derived.
-#[derive(Debug, Clone)]
-pub struct WorkerLaunch {
-    /// The program to run.
-    pub program: PathBuf,
-    /// The complete argument vector (worker-spec args plus shard args).
-    pub args: Vec<String>,
-    /// Where the worker's stdout/stderr should be captured.
-    pub log_path: PathBuf,
-}
-
-/// A handle to one spawned worker, owned by the coordinator's supervision
-/// loop.
-pub trait WorkerHandle: Send {
-    /// Non-blocking poll: `Ok(None)` while the worker is still running,
-    /// `Ok(Some(status))` once it ended.
-    fn try_wait(&mut self) -> std::io::Result<Option<ShardStatus>>;
-    /// Forcibly terminates the worker (used at the deadline and on stall).
-    /// Must reap the worker so no zombie outlives the sweep.
-    fn kill(&mut self);
-}
-
-/// Spawning backend for shard workers.
-///
-/// [`run_sharded_sweep`] uses [`LocalProcessSpawner`] — one local child
-/// process per shard. The trait exists so the same coordinator (manifest,
-/// supervision, stall detection, merge, recovery) can drive workers it does
-/// not fork itself, e.g. a remote-exec backend that ships the launch to
-/// another host; the shard exchange format is already path-based and
-/// self-describing, so only this seam changes.
-pub trait WorkerSpawner {
-    /// Starts one worker. Errors become [`ShardStatus::SpawnFailed`] — the
-    /// coordinator recovers the shard's jobs in-process.
-    fn spawn(&self, launch: &WorkerLaunch) -> Result<Box<dyn WorkerHandle>, String>;
-}
-
-/// The default [`WorkerSpawner`]: `std::process::Command` on this machine,
-/// stdout/stderr captured to the launch's log file.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LocalProcessSpawner;
-
-struct LocalProcessHandle(Child);
-
-impl WorkerHandle for LocalProcessHandle {
-    fn try_wait(&mut self) -> std::io::Result<Option<ShardStatus>> {
-        Ok(self.0.try_wait()?.map(|status| {
-            if status.success() {
-                ShardStatus::Completed
-            } else {
-                ShardStatus::Failed(status.code())
-            }
-        }))
-    }
-
-    fn kill(&mut self) {
-        let _ = self.0.kill();
-        let _ = self.0.wait();
-    }
-}
-
-impl WorkerSpawner for LocalProcessSpawner {
-    fn spawn(&self, launch: &WorkerLaunch) -> Result<Box<dyn WorkerHandle>, String> {
-        let mut command = Command::new(&launch.program);
-        command.args(&launch.args).stdin(Stdio::null());
-        // Worker diagnostics go to the per-shard log so they survive for
-        // post-mortems; an uncreatable log silently degrades to /dev/null
-        // rather than failing the shard.
-        match std::fs::File::create(&launch.log_path) {
-            Ok(log) => {
-                let err = log.try_clone();
-                command.stdout(Stdio::from(log));
-                if let Ok(err) = err {
-                    command.stderr(Stdio::from(err));
-                }
-            }
-            Err(_) => {
-                command.stdout(Stdio::null()).stderr(Stdio::null());
-            }
-        }
-        match command.spawn() {
-            Ok(child) => Ok(Box::new(LocalProcessHandle(child))),
-            Err(e) => Err(e.to_string()),
-        }
-    }
-}
-
 /// Coordinator configuration.
 #[derive(Debug, Clone)]
 pub struct SweepConfig {
@@ -175,27 +84,6 @@ pub struct SweepConfig {
     /// `--fail-after k` to that shard's worker, making it exit after `k`
     /// finished jobs with partial output flushed.
     pub fail_shard_after: Option<(usize, usize)>,
-    /// Live-shard work stealing (passed as `--steal`): workers that finish
-    /// their own share claim pending jobs from slow siblings through
-    /// CRC-framed claim journals next to the shard reports; see the
-    /// [module docs](crate::shard) for the claim protocol and its conflict
-    /// rules.
-    pub steal: bool,
-    /// Per-shard stall detection: a worker whose report journal shows no
-    /// new heartbeat *and* no new report for this long is presumed hung and
-    /// killed early ([`ShardStatus::Stalled`]) instead of holding the sweep
-    /// until [`SweepConfig::timeout`]. Its unreported jobs are recovered
-    /// like any other dead worker's. `None` disables stall detection.
-    pub stall_timeout: Option<Duration>,
-    /// Liveness heartbeat period (passed as `--heartbeat-ms`). `None` lets
-    /// the coordinator choose: 250ms whenever stealing or stall detection
-    /// needs the signal, off otherwise (keeping default journals
-    /// byte-stable for tests that pin them).
-    pub heartbeat: Option<Duration>,
-    /// Fault injection for the stealing tests: `(shard, ms)` passes
-    /// `--delay-ms` to that shard's worker, delaying its first claim so
-    /// siblings can demonstrably steal its share.
-    pub delay_shard: Option<(usize, u64)>,
 }
 
 impl Default for SweepConfig {
@@ -210,10 +98,6 @@ impl Default for SweepConfig {
             fsync: FsyncPolicy::default(),
             flush_every: 1,
             fail_shard_after: None,
-            steal: false,
-            stall_timeout: None,
-            heartbeat: None,
-            delay_shard: None,
         }
     }
 }
@@ -232,9 +116,6 @@ pub enum ShardStatus {
     Failed(Option<i32>),
     /// The worker outlived [`SweepConfig::timeout`] and was killed.
     TimedOut,
-    /// The worker showed no fresh heartbeat or report for
-    /// [`SweepConfig::stall_timeout`] and was killed early as hung.
-    Stalled,
     /// The worker process could not be spawned at all.
     SpawnFailed(String),
 }
@@ -248,14 +129,8 @@ pub struct ShardOutcome {
     pub status: ShardStatus,
     /// Jobs the shard planned to run.
     pub planned: usize,
-    /// Of the shard's *own* share, jobs its report file actually contained.
+    /// Jobs of the shard's share its report file actually contained.
     pub reported: usize,
-    /// Jobs this shard reported from *other* shards' shares — its work
-    /// stealing yield. Always zero without [`SweepConfig::steal`].
-    pub stolen: usize,
-    /// Liveness heartbeats the shard's report journal carried (zero unless
-    /// a heartbeat period was in effect).
-    pub heartbeats: u64,
 }
 
 /// The merged result of a sharded sweep.
@@ -279,19 +154,6 @@ pub struct ShardedSweep {
     pub shards: Vec<ShardOutcome>,
 }
 
-enum Worker {
-    Running(Box<dyn WorkerHandle>),
-    SpawnFailed(String),
-    Done(ShardStatus),
-}
-
-/// What the supervision loop last saw in a shard's report journal, for
-/// stall detection: the observable progress tuple plus when it last moved.
-struct StallWatch {
-    last: ShardProgress,
-    moved: Instant,
-}
-
 /// Runs `jobs` as a multi-process sweep under `config` (whose `cache` field
 /// is ignored — see [`SweepManifest`]) and merges the results, spawning
 /// workers as local child processes. See the [module docs](crate::shard)
@@ -301,18 +163,8 @@ pub fn run_sharded_sweep(
     config: &EngineConfig,
     sweep: &SweepConfig,
 ) -> Result<ShardedSweep, ShardError> {
-    run_sharded_sweep_with(jobs, config, sweep, &LocalProcessSpawner)
-}
-
-/// [`run_sharded_sweep`] with an explicit [`WorkerSpawner`] backend.
-pub fn run_sharded_sweep_with(
-    jobs: &[Job],
-    config: &EngineConfig,
-    sweep: &SweepConfig,
-    spawner: &dyn WorkerSpawner,
-) -> Result<ShardedSweep, ShardError> {
     let manifest = SweepManifest::new(config, jobs, sweep.shards, sweep.policy);
-    run_manifest_sweep(jobs, &manifest, sweep, spawner)
+    run_manifest_sweep(jobs, &manifest, sweep)
 }
 
 /// Runs a *generated* sharded sweep: the manifest carries only the spec's
@@ -327,19 +179,64 @@ pub fn run_generated_sweep(
     config: &EngineConfig,
     sweep: &SweepConfig,
 ) -> Result<ShardedSweep, ShardError> {
-    run_generated_sweep_with(spec, config, sweep, &LocalProcessSpawner)
-}
-
-/// [`run_generated_sweep`] with an explicit [`WorkerSpawner`] backend.
-pub fn run_generated_sweep_with(
-    spec: GenerationSpec,
-    config: &EngineConfig,
-    sweep: &SweepConfig,
-    spawner: &dyn WorkerSpawner,
-) -> Result<ShardedSweep, ShardError> {
     let manifest = SweepManifest::from_generation(config, spec, sweep.shards, sweep.policy);
     let jobs = manifest.materialize_jobs();
-    run_manifest_sweep(&jobs, &manifest, sweep, spawner)
+    run_manifest_sweep(&jobs, &manifest, sweep)
+}
+
+/// A shard worker under supervision.
+enum Worker {
+    Running(Child),
+    Ended(ShardStatus),
+}
+
+/// Spawns shard `shard`'s worker as a local child process: the worker
+/// spec's program and arguments, then `--shard i/N --manifest <path> --out
+/// <workdir> --fsync <policy>` (plus `--flush-every` and `--fail-after` when
+/// configured). Its stdout and stderr go to `shard-<i>.log` in the workdir
+/// so they survive for post-mortems; an uncreatable log degrades to
+/// `/dev/null` rather than failing the shard.
+fn spawn_worker(
+    sweep: &SweepConfig,
+    shard: usize,
+    shards: usize,
+    manifest_path: &Path,
+) -> std::io::Result<Child> {
+    let mut command = Command::new(&sweep.worker.program);
+    command
+        .args(&sweep.worker.args)
+        .arg("--shard")
+        .arg(format!("{}/{}", shard, shards))
+        .arg("--manifest")
+        .arg(manifest_path)
+        .arg("--out")
+        .arg(&sweep.workdir)
+        .arg("--fsync")
+        .arg(sweep.fsync.tag());
+    if sweep.flush_every > 1 {
+        command
+            .arg("--flush-every")
+            .arg(sweep.flush_every.to_string());
+    }
+    if let Some((fail_shard, after)) = sweep.fail_shard_after {
+        if fail_shard == shard {
+            command.arg("--fail-after").arg(after.to_string());
+        }
+    }
+    command.stdin(Stdio::null());
+    match std::fs::File::create(sweep.workdir.join(format!("shard-{}.log", shard))) {
+        Ok(log) => {
+            let err = log.try_clone();
+            command.stdout(Stdio::from(log));
+            if let Ok(err) = err {
+                command.stderr(Stdio::from(err));
+            }
+        }
+        Err(_) => {
+            command.stdout(Stdio::null()).stderr(Stdio::null());
+        }
+    }
+    command.spawn()
 }
 
 /// The shared coordinator loop: writes the manifest, spawns and supervises
@@ -350,7 +247,6 @@ fn run_manifest_sweep(
     jobs: &[Job],
     manifest: &SweepManifest,
     sweep: &SweepConfig,
-    spawner: &dyn WorkerSpawner,
 ) -> Result<ShardedSweep, ShardError> {
     let start = Instant::now();
     std::fs::create_dir_all(&sweep.workdir)?;
@@ -366,97 +262,28 @@ fn run_manifest_sweep(
     for shard in 0..manifest.shards {
         let _ = std::fs::remove_file(cache_path(&sweep.workdir, shard));
         let _ = std::fs::remove_file(report_path(&sweep.workdir, shard));
-        let _ = std::fs::remove_file(claims_path(&sweep.workdir, shard));
     }
 
-    // Stealing and stall detection both key on the liveness heartbeat; when
-    // the caller did not pick a period, turn it on at 250ms exactly when one
-    // of them needs it (and leave journals byte-stable otherwise).
-    let heartbeat = sweep.heartbeat.or_else(|| {
-        (sweep.steal || sweep.stall_timeout.is_some()).then(|| Duration::from_millis(250))
-    });
-
-    // Assemble one launch per shard and hand them to the spawner backend.
+    // Spawn one worker per shard, then supervise: poll until every worker
+    // exits or the deadline passes, and kill whatever is still running then.
+    // A worker that never spawned has ended before it started.
     let mut workers: Vec<Worker> = (0..manifest.shards)
-        .map(|shard| {
-            let mut args = sweep.worker.args.clone();
-            args.push("--shard".into());
-            args.push(format!("{}/{}", shard, manifest.shards));
-            args.push("--manifest".into());
-            args.push(manifest_path.display().to_string());
-            args.push("--out".into());
-            args.push(sweep.workdir.display().to_string());
-            args.push("--fsync".into());
-            args.push(sweep.fsync.tag().into());
-            if sweep.flush_every > 1 {
-                args.push("--flush-every".into());
-                args.push(sweep.flush_every.to_string());
-            }
-            if let Some(period) = heartbeat {
-                args.push("--heartbeat-ms".into());
-                args.push(period.as_millis().max(1).to_string());
-            }
-            if sweep.steal {
-                args.push("--steal".into());
-            }
-            if let Some((delay_shard, ms)) = sweep.delay_shard {
-                if delay_shard == shard {
-                    args.push("--delay-ms".into());
-                    args.push(ms.to_string());
-                }
-            }
-            if let Some((fail_shard, after)) = sweep.fail_shard_after {
-                if fail_shard == shard {
-                    args.push("--fail-after".into());
-                    args.push(after.to_string());
-                }
-            }
-            let launch = WorkerLaunch {
-                program: sweep.worker.program.clone(),
-                args,
-                log_path: sweep.workdir.join(format!("shard-{}.log", shard)),
-            };
-            match spawner.spawn(&launch) {
-                Ok(handle) => Worker::Running(handle),
-                Err(e) => Worker::SpawnFailed(e),
-            }
-        })
+        .map(
+            |shard| match spawn_worker(sweep, shard, manifest.shards, &manifest_path) {
+                Ok(child) => Worker::Running(child),
+                Err(e) => Worker::Ended(ShardStatus::SpawnFailed(e.to_string())),
+            },
+        )
         .collect();
-
-    // Supervise: poll until every worker exits or the deadline passes. With
-    // a stall timeout, each running worker's report journal is also watched
-    // — reports and heartbeats both count as progress, so a hung-but-alive
-    // worker (heartbeats ticking, no reports) is *not* killed early, while a
-    // truly wedged one is killed as Stalled well before the hard deadline.
     let deadline = Instant::now() + sweep.timeout;
-    let mut watches: Vec<StallWatch> = (0..manifest.shards)
-        .map(|_| StallWatch {
-            last: ShardProgress::default(),
-            moved: Instant::now(),
-        })
-        .collect();
     loop {
         let mut running = false;
-        for (shard, worker) in workers.iter_mut().enumerate() {
-            if let Worker::Running(handle) = worker {
-                match handle.try_wait()? {
-                    Some(status) => *worker = Worker::Done(status),
-                    None => {
-                        running = true;
-                        if let Some(stall) = sweep.stall_timeout {
-                            let seen =
-                                read_progress(&report_path(&sweep.workdir, shard), fingerprint)
-                                    .unwrap_or_default();
-                            let watch = &mut watches[shard];
-                            if seen != watch.last {
-                                watch.last = seen;
-                                watch.moved = Instant::now();
-                            } else if watch.moved.elapsed() >= stall {
-                                handle.kill();
-                                *worker = Worker::Done(ShardStatus::Stalled);
-                            }
-                        }
-                    }
+        for worker in &mut workers {
+            if let Worker::Running(child) = worker {
+                match child.try_wait()? {
+                    Some(exit) if exit.success() => *worker = Worker::Ended(ShardStatus::Completed),
+                    Some(exit) => *worker = Worker::Ended(ShardStatus::Failed(exit.code())),
+                    None => running = true,
                 }
             }
         }
@@ -465,9 +292,10 @@ fn run_manifest_sweep(
         }
         if Instant::now() >= deadline {
             for worker in &mut workers {
-                if let Worker::Running(handle) = worker {
-                    handle.kill();
-                    *worker = Worker::Done(ShardStatus::TimedOut);
+                if let Worker::Running(child) = worker {
+                    let _ = child.kill();
+                    let _ = child.wait();
+                    *worker = Worker::Ended(ShardStatus::TimedOut);
                 }
             }
             break;
@@ -477,46 +305,35 @@ fn run_manifest_sweep(
 
     // Collect shard reports. A missing/corrupt report, one produced under a
     // different configuration fingerprint, or an entry that does not match
-    // this sweep's job list (an out-of-range index or a drifted label)
-    // contributes nothing — its jobs fall into the recovery set. An entry
-    // for *another* shard's job is a steal: verification determinism makes
-    // a doubly-claimed job's two reports identical, so first report wins.
+    // this sweep's job list (an out-of-range index, a drifted label, or a
+    // job outside the shard's share) contributes nothing — its jobs fall
+    // into the recovery set.
     let mut entries: BTreeMap<usize, JobReport> = BTreeMap::new();
     let mut outcomes = Vec::with_capacity(manifest.shards);
     for (shard, worker) in workers.into_iter().enumerate() {
-        let status = match worker {
-            Worker::Done(status) => status,
-            Worker::SpawnFailed(e) => ShardStatus::SpawnFailed(e),
-            Worker::Running(_) => unreachable!("supervision loop drains every worker"),
+        let Worker::Ended(status) = worker else {
+            unreachable!("supervision ends every worker")
         };
         let mut reported = 0;
-        let mut stolen = 0;
         if let Ok(report) = ShardReportFile::load(report_path(&sweep.workdir, shard)) {
             if report.fingerprint == fingerprint {
                 for (index, job_report) in report.entries {
                     let valid = jobs
                         .get(index)
-                        .is_some_and(|job| job.label == job_report.label);
+                        .is_some_and(|job| job.label == job_report.label)
+                        && plan.shard_of(index) == shard;
                     if valid {
-                        if plan.shard_of(index) == shard {
-                            reported += 1;
-                        } else {
-                            stolen += 1;
-                        }
+                        reported += 1;
                         entries.entry(index).or_insert(job_report);
                     }
                 }
             }
         }
-        let heartbeats = read_progress(&report_path(&sweep.workdir, shard), fingerprint)
-            .map_or(0, |progress| progress.heartbeats);
         outcomes.push(ShardOutcome {
             shard,
             status,
             planned: plan.indices_of(shard).len(),
             reported,
-            stolen,
-            heartbeats,
         });
     }
 

@@ -42,9 +42,6 @@ pub const SHARD_FORMAT_VERSION: i64 = 1;
 /// The journal-header kind tag for shard-report journals.
 pub(crate) const REPORT_JOURNAL_KIND: &str = "shard-report";
 
-/// The journal-header kind tag for steal-claim journals.
-pub(crate) const CLAIMS_JOURNAL_KIND: &str = "shard-claims";
-
 fn int_field(value: &Value, key: &str) -> Result<i64, String> {
     value
         .get(key)
@@ -684,9 +681,9 @@ impl ShardReportFile {
     /// Loads a shard report journal. A torn final record is truncated (the
     /// killed-mid-append case); a journal torn at its *header* has no shard
     /// metadata and is reported as malformed, which the coordinator treats
-    /// like a missing report. Heartbeat records are skipped. A file that is
-    /// not a journal — including the snapshot report document earlier
-    /// builds wrote — is a [`ShardError::Format`].
+    /// like a missing report. The liveness heartbeat records of older builds
+    /// are skipped, so their journals still load. A file that is not a journal — including the snapshot
+    /// report document earlier builds wrote — is a [`ShardError::Format`].
     pub fn load(path: impl Into<PathBuf>) -> Result<ShardReportFile, ShardError> {
         let text = std::fs::read_to_string(path.into())?;
         if !journal::is_journal(&text) {
@@ -703,7 +700,8 @@ impl ShardReportFile {
         let entries = replayed
             .records
             .iter()
-            // Heartbeat records are liveness telemetry, not job results.
+            // Heartbeat records of older builds are liveness telemetry, not
+            // job results.
             .filter(|record| record.get("heartbeat").is_none())
             .map(parse_job_report)
             .collect::<Result<Vec<_>, String>>()
@@ -776,23 +774,6 @@ impl ShardReportJournal {
         self.writer.append(|e| emit_job_report(e, index, report))
     }
 
-    /// Appends a liveness heartbeat: a monotonic sequence number plus the
-    /// shard's finished-job count. Heartbeats are flushed immediately —
-    /// their whole point is that a *reader* (the coordinator's stall
-    /// detector, a thief shard) sees liveness now, not at the next batched
-    /// commit — which also commits any job records buffered behind them.
-    /// [`ShardReportFile::load`] skips them, so they are invisible to the
-    /// report merge.
-    pub fn append_heartbeat(&mut self, seq: u64, finished: usize) -> io::Result<()> {
-        self.writer.append(|e| {
-            e.begin_object()?;
-            e.field_hex("heartbeat", seq)?;
-            e.field_int("finished", finished as i64)?;
-            e.end_object()
-        })?;
-        self.writer.flush()
-    }
-
     /// Sets the journal's flush batching (see
     /// [`JournalWriter::set_flush_every`]).
     pub fn set_flush_every(&mut self, n: usize) {
@@ -813,128 +794,6 @@ impl ShardReportJournal {
     pub fn sync(&mut self) -> io::Result<()> {
         self.writer.sync()
     }
-}
-
-/// A live shard's observable progress, read from its report journal
-/// *while the worker is still running*: the latest heartbeat sequence
-/// number plus the set of job indices it has already committed. This is
-/// the signal both the coordinator's stall detector and thief shards key
-/// on — a worker whose progress tuple stops advancing is stalled even if
-/// its process is alive.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ShardProgress {
-    /// The highest heartbeat sequence number seen (0 before the first
-    /// heartbeat).
-    pub heartbeats: u64,
-    /// Original job indices whose reports have reached the journal.
-    pub reported: std::collections::BTreeSet<usize>,
-}
-
-/// Reads a live shard's progress from its report journal, tolerantly: a
-/// missing file, a non-journal file, a torn or wrong-kind header, a
-/// fingerprint mismatch, or any malformed record reads as `None` / gets
-/// skipped — a concurrent reader must never fail a sweep over a file that
-/// is mid-append.
-pub fn read_progress(path: &Path, fingerprint: u64) -> Option<ShardProgress> {
-    let text = std::fs::read_to_string(path).ok()?;
-    if !journal::is_journal(&text) {
-        return None;
-    }
-    let replayed = journal::replay(&text).ok()?;
-    journal::check_header(&replayed, REPORT_JOURNAL_KIND, SHARD_FORMAT_VERSION).ok()?;
-    if replayed.header != Value::Null
-        && parse_hex(replayed.header.get("fingerprint"), "fingerprint").ok()? != fingerprint
-    {
-        return None;
-    }
-    let mut progress = ShardProgress::default();
-    for record in &replayed.records {
-        if let Ok(seq) = parse_hex(record.get("heartbeat"), "heartbeat") {
-            progress.heartbeats = progress.heartbeats.max(seq);
-        } else if let Ok(index) = usize_field(record, "index") {
-            progress.reported.insert(index);
-        }
-    }
-    Some(progress)
-}
-
-/// The append-only steal-claim journal a stealing-enabled shard writes
-/// next to its report journal (`shard-<i>.claims.json`): its header
-/// carries the shard/fingerprint metadata, and each record is one job
-/// index the shard claims *before* running it. Claims are flushed per
-/// record — a claim that other shards cannot see yet does not exist.
-///
-/// Claims are advisory, not locks: two shards that race to claim the same
-/// index both run it, deterministically produce the same verdict, and the
-/// coordinator's first-report-wins merge plus the cache's
-/// equal-entries-merge-cleanly rule make the duplicate harmless. The
-/// claim's job is to make that race rare, not impossible.
-#[derive(Debug)]
-pub struct ClaimsJournal {
-    writer: JournalWriter,
-}
-
-impl ClaimsJournal {
-    /// Creates (truncating) the claims journal at `path` and writes its
-    /// header record.
-    pub fn create(
-        path: &Path,
-        shard: usize,
-        shards: usize,
-        fingerprint: u64,
-        fsync: FsyncPolicy,
-    ) -> io::Result<ClaimsJournal> {
-        let writer = JournalWriter::create(path, fsync, |e| {
-            e.begin_object()?;
-            e.field_str("journal", CLAIMS_JOURNAL_KIND)?;
-            e.field_int("version", SHARD_FORMAT_VERSION)?;
-            e.field_int("shard", shard as i64)?;
-            e.field_int("shards", shards as i64)?;
-            e.field_hex("fingerprint", fingerprint)?;
-            e.end_object()
-        })?;
-        Ok(ClaimsJournal { writer })
-    }
-
-    /// Appends (and flushes — claims must be visible immediately) one
-    /// claimed job index.
-    pub fn append(&mut self, index: usize) -> io::Result<()> {
-        self.writer.append(|e| {
-            e.begin_object()?;
-            e.field_int("index", index as i64)?;
-            e.end_object()
-        })
-    }
-}
-
-/// Reads the set of job indices a shard has claimed, tolerantly (same
-/// rules as [`read_progress`]: anything unreadable reads as "no claims").
-pub fn read_claims(path: &Path, fingerprint: u64) -> std::collections::BTreeSet<usize> {
-    let mut claims = std::collections::BTreeSet::new();
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return claims;
-    };
-    if !journal::is_journal(&text) {
-        return claims;
-    }
-    let Ok(replayed) = journal::replay(&text) else {
-        return claims;
-    };
-    if journal::check_header(&replayed, CLAIMS_JOURNAL_KIND, SHARD_FORMAT_VERSION).is_err() {
-        return claims;
-    }
-    if replayed.header != Value::Null {
-        match parse_hex(replayed.header.get("fingerprint"), "fingerprint") {
-            Ok(recorded) if recorded == fingerprint => {}
-            _ => return claims,
-        }
-    }
-    for record in &replayed.records {
-        if let Ok(index) = usize_field(record, "index") {
-            claims.insert(index);
-        }
-    }
-    claims
 }
 
 fn duration_us(duration: Duration) -> u64 {
@@ -1369,12 +1228,18 @@ mod tests {
         let mut journal =
             ShardReportJournal::create(&path, 1, 2, 0xfeed, FsyncPolicy::OnCompact).unwrap();
         journal.append(5, &job("s5")).unwrap();
-        journal.append_heartbeat(1, 1).unwrap();
         journal.append(3, &job("s3")).unwrap();
         journal.append(7, &job("s7")).unwrap();
         drop(journal);
+        // A liveness heartbeat after the first job, framed as older builds
+        // appended it.
+        let heartbeat = "{\"heartbeat\":\"0000000000000001\",\"finished\":1}";
+        let framed = format!("{} {:08x}", heartbeat, journal::crc32(heartbeat.as_bytes()));
+        let written = std::fs::read_to_string(&path).unwrap();
+        let mut lines: Vec<&str> = written.lines().collect();
+        lines.insert(2, &framed);
         // Tear the final record, as a kill mid-append would.
-        let full = std::fs::read(&path).unwrap();
+        let full = lines.join("\n") + "\n";
         std::fs::write(&path, &full[..full.len() - 4]).unwrap();
 
         let loaded = ShardReportFile::load(&path).unwrap();

@@ -25,12 +25,9 @@
 //!   [`run_worker_from_args`] is the drop-in `--shard i/N` entry point for
 //!   self-executing binaries (the `lv-sweep` CLI and the `shard_sweep`
 //!   example both use it).
-//! * [`coordinator`] — spawns one worker per shard through a pluggable
-//!   [`WorkerSpawner`] backend ([`LocalProcessSpawner`] forks local child
-//!   processes; a remote-exec backend only has to implement the same
-//!   two-method seam), supervises them (wall-clock timeout, stall
-//!   detection, nonzero-exit and spawn-failure detection), recovers
-//!   missing results, and merges shard outputs.
+//! * [`coordinator`] — spawns one local worker process per shard, polls
+//!   them until each exits or the wall-clock timeout kills the rest,
+//!   recovers missing results in-process, and merges shard outputs.
 //!
 //! # Exchange formats
 //!
@@ -83,9 +80,13 @@
 //! stage schedule in the manifest. Every shard now runs the manifest's one
 //! cascade order under its fixed budgets: a manifest whose `schedule`
 //! object names an override is refused as [`ShardError::Format`] (an
-//! absent or empty `schedule` still loads, fingerprint unchanged), and a
-//! worker passed `--profile`, `--schedule` or `--budget` refuses with
-//! [`ShardError::BadInvocation`] naming the removed layer.
+//! absent or empty `schedule` still loads, fingerprint unchanged). Builds
+//! with shard liveness layers also wrote per-shard claim journals
+//! (`shard-<i>.claims.json`) and appended liveness records to the report
+//! journals; nothing reads claim journals now, and report replay skips the
+//! liveness records, so those report journals still load. A worker passed
+//! a flag of any removed layer ([`REMOVED_LAYER_FLAGS`]) refuses with
+//! [`ShardError::BadInvocation`] naming the layer.
 //!
 //! Flush batching (`--flush-every N`,
 //! [`ShardRunOptions::flush_every`](crate::shard::ShardRunOptions::flush_every))
@@ -103,61 +104,22 @@
 //! (and `fsync`s it, the durability point of the default
 //! [`FsyncPolicy::OnCompact`](crate::journal::FsyncPolicy) policy),
 //! byte-identical to a snapshot-mode persist of the same contents, and
-//! [`ShardReportFile::rewrite`] rewrites a report journal without its
-//! heartbeats. The coordinator's merged cache is itself written as a
+//! [`ShardReportFile::rewrite`] rewrites a report journal in job-index
+//! order without a torn tail. The coordinator's merged cache is itself written as a
 //! snapshot, which is why a sharded sweep still produces a merged cache
 //! file byte-identical to the single-process run (CI pins this,
 //! kill-recovery included).
 //!
-//! # Liveness heartbeats
-//!
-//! With a heartbeat period in effect (`--heartbeat-ms`,
-//! [`SweepConfig::heartbeat`], or implied by stealing / stall detection), a
-//! worker appends a heartbeat record —
-//! `{"heartbeat": <seq>, "finished": <n>}` — to its *report journal* on a
-//! background ticker, each one flushed immediately. Heartbeats are liveness
-//! telemetry, not job results: report replay filters them out, so the
-//! merged report is unchanged. They give the coordinator (and thieves) the
-//! distinction the exit code can't: a worker with ticking heartbeats but no
-//! new reports is **hung-but-alive inside a long stage** (or deliberately
-//! delayed) — [`read_progress`] surfaces the `(reported, heartbeats)`
-//! tuple, stall detection ([`SweepConfig::stall_timeout`]) only kills a
-//! worker whose tuple stopped moving entirely, and the heartbeat flush also
-//! commits any records buffered by `--flush-every`, shrinking the
-//! kill-loss window.
-//!
-//! # Work stealing
-//!
-//! With [`SweepConfig::steal`] (worker flag `--steal`), a worker that
-//! exhausts its own share turns thief: it scans the sibling report journals
-//! for the *stalest* victim (fewest committed reports, then fewest
-//! heartbeats) with pending jobs and claims a worker-pool-sized chunk of
-//! them. Claims go through per-shard, single-writer **claim
-//! journals** (`shard-<i>.claims.json`, [`ClaimsJournal`], header kind
-//! `shard-claims`): one CRC-framed `{"index": n}` record per claimed job,
-//! flushed per append, written *before* the job runs. Claims are
-//! advisory, not locks — the conflict rules are:
-//!
-//! * A claim race (two shards claim the same job between each other's
-//!   scans) is benign: verification is deterministic, so both produce the
-//!   identical verdict; the coordinator takes the first report per index
-//!   and the cache merge only rejects *disagreeing* duplicates.
-//! * Workers skip jobs claimed by a sibling ([`read_claims`]) — including
-//!   their *own* share's, so a delayed owner does not re-run what a thief
-//!   already took — and re-scan between chunks.
-//! * A job claimed but never reported (the thief died) is no one's
-//!   responsibility: the coordinator's recovery re-runs every unreported
-//!   index regardless of claims, so claims can only deduplicate work,
-//!   never lose it.
-//!
-//! Stolen reports are appended to the thief's own report journal under the
-//! jobs' original indices; [`ShardOutcome::stolen`] counts them.
-//!
 //! # Recovery semantics
 //!
-//! Workers flush their cache file and report after every finished job —
+//! Each shard runs exactly its own share, on one of two paths: a batch
+//! over the manifest's explicit job list, or a stream that generates the
+//! share from a generation manifest while verifying it. Workers flush their
+//! cache file and report after every finished job —
 //! one appended record each — so the failure unit is one *job*, not one
-//! shard. The coordinator collects whatever entries each
+//! shard. The coordinator has one supervision rule: it polls until every
+//! worker has exited or [`SweepConfig::timeout`] passes, and kills the
+//! workers still running then. It collects whatever entries each
 //! shard managed to write — a worker that was killed mid-sweep (possibly
 //! tearing its final journal record, which replay truncates), exited
 //! nonzero, timed out (the coordinator kills it), failed to spawn, or wrote
@@ -208,14 +170,10 @@ pub mod plan;
 pub mod runner;
 
 pub use coordinator::{
-    run_generated_sweep, run_generated_sweep_with, run_sharded_sweep, run_sharded_sweep_with,
-    LocalProcessSpawner, ShardOutcome, ShardStatus, ShardedSweep, SweepConfig, WorkerHandle,
-    WorkerLaunch, WorkerSpawner, WorkerSpec,
+    run_generated_sweep, run_sharded_sweep, ShardOutcome, ShardStatus, ShardedSweep, SweepConfig,
+    WorkerSpec,
 };
-pub use exchange::{
-    read_claims, read_progress, ClaimsJournal, GenerationSpec, ShardProgress, ShardReportFile,
-    ShardReportJournal, SweepManifest,
-};
+pub use exchange::{GenerationSpec, ShardReportFile, ShardReportJournal, SweepManifest};
 pub use plan::{job_key, ShardPlan, ShardPolicy};
 pub use runner::{
     removed_layer_message, run_shard, run_shard_with, run_worker_from_args, ShardRunOptions,

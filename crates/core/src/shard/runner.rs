@@ -30,15 +30,11 @@ use crate::cache::VerdictCache;
 use crate::engine::{Job, JobReport, VerificationEngine};
 use crate::journal::FsyncPolicy;
 use crate::observer::BatchObserver;
-use crate::shard::exchange::{
-    read_claims, read_progress, ClaimsJournal, ShardReportJournal, SweepManifest,
-};
+use crate::shard::exchange::{ShardReportJournal, SweepManifest};
 use crate::shard::ShardError;
-use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 /// Where a shard worker writes its outputs inside the sweep's working
 /// directory.
@@ -51,24 +47,14 @@ pub(crate) fn report_path(out_dir: &Path, shard: usize) -> PathBuf {
     out_dir.join(format!("shard-{}.report.json", shard))
 }
 
-/// See [`cache_path`]. The steal-claim journal a stealing-enabled shard
-/// appends its claims to.
-pub(crate) fn claims_path(out_dir: &Path, shard: usize) -> PathBuf {
-    out_dir.join(format!("shard-{}.claims.json", shard))
-}
-
 /// What [`run_shard`] produced.
 #[derive(Debug)]
 pub struct ShardRunOutput {
     /// The shard that ran.
     pub shard: usize,
-    /// Jobs the shard finished (== its share of the plan on a healthy
-    /// non-stealing run; with stealing, its own jobs it ran plus the ones
-    /// it stole).
+    /// Jobs the shard finished (its whole share of the plan on a healthy
+    /// run).
     pub finished: usize,
-    /// Of `finished`, the jobs stolen from other shards' shares (always 0
-    /// without [`ShardRunOptions::steal`]).
-    pub stolen: usize,
     /// The per-shard verdict-cache file.
     pub cache_file: PathBuf,
     /// The shard report file.
@@ -91,22 +77,6 @@ pub struct ShardRunOptions {
     /// record) for `n`× fewer flush syscalls — recovery semantics are
     /// otherwise unchanged, since everything unflushed is a clean suffix.
     pub flush_every: usize,
-    /// Append a liveness heartbeat record to the report journal at this
-    /// period (`--heartbeat-ms`). `None` (the default) writes no
-    /// heartbeats, keeping journal bytes identical to previous builds.
-    /// Each heartbeat flushes, which commits any job records batched behind
-    /// it ([`ShardRunOptions::flush_every`]'s loss window shrinks to one
-    /// heartbeat period).
-    pub heartbeat: Option<Duration>,
-    /// Enable live-shard work stealing (`--steal`): claim own jobs through
-    /// a [`ClaimsJournal`] chunk by chunk, then steal unclaimed pending
-    /// jobs from the stalest sibling shards. See the [module
-    /// docs](crate::shard) for the conflict rules.
-    pub steal: bool,
-    /// Fault injection for the stealing tests: sleep this long *once* at
-    /// startup, before claiming or running anything (`--delay-ms`) — the
-    /// deliberately slowed shard whose share the others steal.
-    pub delay: Option<Duration>,
 }
 
 impl Default for ShardRunOptions {
@@ -115,9 +85,6 @@ impl Default for ShardRunOptions {
             fail_after: None,
             fsync: FsyncPolicy::default(),
             flush_every: 1,
-            heartbeat: None,
-            steal: false,
-            delay: None,
         }
     }
 }
@@ -126,11 +93,6 @@ impl Default for ShardRunOptions {
 /// after every job so partial output survives a kill. Optionally aborts the
 /// process after `fail_after` jobs — the fault-injection hook the recovery
 /// tests and the CI example use to simulate a worker dying mid-sweep.
-///
-/// The appender is shard-lifetime state shared by every engine sub-batch
-/// the shard runs (one for a plain run; one per claimed chunk under work
-/// stealing) and by the heartbeat ticker; the per-batch index mapping
-/// lives in the throwaway [`ChunkObserver`]s layered on top.
 struct ShardAppender {
     cache: Arc<VerdictCache>,
     /// The report lock is held across the file writes: `record` fires
@@ -156,12 +118,6 @@ impl ShardAppender {
         }
     }
 
-    /// Appends a liveness heartbeat; best-effort.
-    fn heartbeat(&self, seq: u64) {
-        let finished = self.finished.load(Ordering::SeqCst);
-        let _ = self.report().append_heartbeat(seq, finished);
-    }
-
     /// Flushes the report journal and the cache journal. Flushes are
     /// best-effort: an unwritable report surfaces later as missing output,
     /// which the coordinator recovers from anyway.
@@ -177,15 +133,15 @@ impl ShardAppender {
     }
 }
 
-/// The per-batch observer: maps the engine's local batch indices back to
+/// The batch-share observer: maps the engine's local batch indices back to
 /// original job indices and forwards to the shard's [`ShardAppender`].
-struct ChunkObserver<'a> {
+struct ShareBatchObserver<'a> {
     appender: &'a ShardAppender,
     /// Local batch index → original job index.
     indices: &'a [usize],
 }
 
-impl BatchObserver for ChunkObserver<'_> {
+impl BatchObserver for ShareBatchObserver<'_> {
     fn job_finished(&self, index: usize, report: &JobReport) {
         self.appender.record(self.indices[index], report);
     }
@@ -233,8 +189,8 @@ pub fn run_shard(
     )
 }
 
-/// [`run_shard`] with the full option set (flush batching, heartbeats,
-/// stealing).
+/// [`run_shard`] with the full option set (fault injection, fsync policy,
+/// flush batching).
 pub fn run_shard_with(
     manifest: &SweepManifest,
     shard: usize,
@@ -248,12 +204,10 @@ pub fn run_shard_with(
         )));
     }
     std::fs::create_dir_all(out_dir)?;
-    let plan = manifest.plan();
-    let indices = plan.indices_of(shard);
+    let indices = manifest.plan().indices_of(shard);
 
     let cache_file = cache_path(out_dir, shard);
     let report_file = report_path(out_dir, shard);
-    let fingerprint = manifest.fingerprint();
     let flush_every = options.flush_every.max(1);
     let cache = Arc::new(VerdictCache::open_journal(&cache_file, options.fsync)?);
     cache.set_journal_flush_every(flush_every);
@@ -261,7 +215,7 @@ pub fn run_shard_with(
         &report_file,
         shard,
         manifest.shards,
-        fingerprint,
+        manifest.fingerprint(),
         options.fsync,
     )?;
     report.set_flush_every(flush_every);
@@ -274,72 +228,36 @@ pub fn run_shard_with(
         fail_after: options.fail_after,
     };
 
-    let stop = AtomicBool::new(false);
-    let (finished, stolen) = std::thread::scope(|scope| {
-        if let Some(period) = options.heartbeat {
-            let appender = &appender;
-            let stop = &stop;
+    let batch = if manifest.generation.is_some() {
+        // Generation manifest: the shard generates its own share and the
+        // engine verifies it *as it appears* — a bounded channel between a
+        // producer thread materializing cells and the streaming engine
+        // intake, instead of materialize-then-batch. Jobs are pushed under
+        // their original indices, so reports and journal records need no
+        // index mapping.
+        let (producer, source) = crate::engine::job_channel(SHARD_GENERATION_QUEUE_CAPACITY);
+        std::thread::scope(|scope| {
+            let indices = &indices;
             scope.spawn(move || {
-                let mut seq = 0u64;
-                loop {
-                    // Sleep in short slices so the ticker exits promptly
-                    // when the shard finishes.
-                    let mut slept = Duration::ZERO;
-                    while slept < period {
-                        if stop.load(Ordering::SeqCst) {
-                            return;
-                        }
-                        let slice = Duration::from_millis(10).min(period - slept);
-                        std::thread::sleep(slice);
-                        slept += slice;
-                    }
-                    if stop.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    seq += 1;
-                    appender.heartbeat(seq);
+                for &index in indices.iter() {
+                    producer.push(index, manifest.job(index));
                 }
             });
-        }
-        let result = if options.steal {
-            run_shard_stealing(
-                manifest, shard, out_dir, options, &engine, &appender, &indices,
+            engine.run_stream_observed(
+                &source,
+                &ShareStreamObserver {
+                    appender: &appender,
+                },
             )
-        } else if manifest.generation.is_some() {
-            // Generation manifest: the shard generates its own share and
-            // the engine verifies it *as it appears* — a bounded channel
-            // between a producer thread materializing cells and the
-            // streaming engine intake, instead of materialize-then-batch.
-            // Jobs are pushed under their original indices, so reports and
-            // journal records need no index mapping.
-            let (producer, source) = crate::engine::job_channel(SHARD_GENERATION_QUEUE_CAPACITY);
-            let batch = std::thread::scope(|gen_scope| {
-                let indices = &indices;
-                gen_scope.spawn(move || {
-                    for &index in indices.iter() {
-                        producer.push(index, manifest.job(index));
-                    }
-                });
-                engine.run_stream_observed(
-                    &source,
-                    &ShareStreamObserver {
-                        appender: &appender,
-                    },
-                )
-            });
-            Ok((batch.jobs.len(), 0))
-        } else {
-            let jobs: Vec<Job> = indices.iter().map(|&i| manifest.jobs[i].clone()).collect();
-            let observer = ChunkObserver {
-                appender: &appender,
-                indices: &indices,
-            };
-            let batch = engine.run_batch_observed(&jobs, &observer);
-            Ok((batch.jobs.len(), 0))
+        })
+    } else {
+        let jobs: Vec<Job> = indices.iter().map(|&i| manifest.jobs[i].clone()).collect();
+        let observer = ShareBatchObserver {
+            appender: &appender,
+            indices: &indices,
         };
-        stop.store(true, Ordering::SeqCst);
-        result
-    })?;
+        engine.run_batch_observed(&jobs, &observer)
+    };
 
     // Final flush: on an empty shard no job ever flushed, and with batched
     // flushing (or a transiently failed mid-sweep flush) it commits the
@@ -348,138 +266,45 @@ pub fn run_shard_with(
     cache.persist()?;
     Ok(ShardRunOutput {
         shard,
-        finished,
-        stolen,
+        finished: batch.jobs.len(),
         cache_file,
         report_file,
     })
 }
 
-/// The stealing run loop: claim and run the shard's *own* pending jobs one
-/// worker-pool-sized chunk at a time (skipping anything a sibling already
-/// claimed), then turn thief — repeatedly pick the stalest sibling with
-/// unclaimed pending jobs and claim a chunk of its share. Stolen reports
-/// are appended to this shard's own report journal under the jobs'
-/// original indices; the coordinator accepts reports from any shard
-/// (first report wins) and its recovery path backstops jobs that were
-/// claimed but never reported. Returns the jobs run and, of them, the
-/// jobs stolen.
-#[allow(clippy::too_many_arguments)]
-fn run_shard_stealing(
-    manifest: &SweepManifest,
-    shard: usize,
-    out_dir: &Path,
-    options: &ShardRunOptions,
-    engine: &VerificationEngine,
-    appender: &ShardAppender,
-    own_indices: &[usize],
-) -> Result<(usize, usize), ShardError> {
-    if let Some(delay) = options.delay {
-        // One-time simulated slow start (fault injection for the stealing
-        // tests): heartbeats keep ticking — the shard is alive, just slow —
-        // while its pending share sits unclaimed for siblings to take.
-        std::thread::sleep(delay);
-    }
-    let plan = manifest.plan();
-    let fingerprint = manifest.fingerprint();
-    let mut claims = ClaimsJournal::create(
-        &claims_path(out_dir, shard),
-        shard,
-        manifest.shards,
-        fingerprint,
-        options.fsync,
-    )?;
-    let mut claimed: BTreeSet<usize> = BTreeSet::new();
-    let mut ran = 0usize;
+/// What every cascade or budget layer's removal left: one stage order and
+/// fixed budgets.
+const ONE_CASCADE: &str = "every job runs the cascade in its one order under fixed budgets";
 
-    // The union of every *sibling's* claims right now (our own are tracked
-    // in `claimed` — re-reading our own journal would be redundant).
-    let sibling_claims = |out_dir: &Path| -> BTreeSet<usize> {
-        (0..manifest.shards)
-            .filter(|&s| s != shard)
-            .flat_map(|s| read_claims(&claims_path(out_dir, s), fingerprint))
-            .collect()
-    };
+/// What the shard liveness layers' removal left: one run path per shard
+/// and one supervision rule in the coordinator.
+const ONE_SUPERVISION_RULE: &str = "each shard runs its own share, and the coordinator \
+     re-runs in-process whatever a worker did not report by its exit or the wall-clock \
+     timeout";
 
-    // Claims a chunk and runs it through the shared appender.
-    let run_chunk = |chunk: &[usize],
-                     claims: &mut ClaimsJournal,
-                     claimed: &mut BTreeSet<usize>,
-                     ran: &mut usize|
-     -> Result<(), ShardError> {
-        for &index in chunk {
-            claims.append(index)?;
-            claimed.insert(index);
-        }
-        let chunk_jobs: Vec<Job> = chunk.iter().map(|&i| manifest.job(i)).collect();
-        let observer = ChunkObserver {
-            appender,
-            indices: chunk,
-        };
-        *ran += engine.run_batch_observed(&chunk_jobs, &observer).jobs.len();
-        Ok(())
-    };
-
-    // Phase 1 — our own share, chunk by chunk. Re-scanning sibling claims
-    // between chunks is what lets a thief relieve *us* too: anything a
-    // sibling claimed while we worked is dropped from our pending set.
-    loop {
-        let foreign = sibling_claims(out_dir);
-        let pending: Vec<usize> = own_indices
-            .iter()
-            .copied()
-            .filter(|i| !claimed.contains(i) && !foreign.contains(i))
-            .collect();
-        if pending.is_empty() {
-            break;
-        }
-        let chunk_len = engine.resolved_threads(pending.len()).min(pending.len());
-        run_chunk(&pending[..chunk_len], &mut claims, &mut claimed, &mut ran)?;
-    }
-
-    // Phase 2 — thief: while some sibling has pending unclaimed jobs, take
-    // a chunk from the stalest one (fewest committed reports, then fewest
-    // heartbeats — the hung-but-alive signal).
-    let mut stolen = 0usize;
-    loop {
-        let foreign = sibling_claims(out_dir);
-        let mut victims: Vec<(usize, Vec<usize>)> = Vec::new();
-        for victim in (0..manifest.shards).filter(|&s| s != shard) {
-            let progress =
-                read_progress(&report_path(out_dir, victim), fingerprint).unwrap_or_default();
-            let pending: Vec<usize> = plan
-                .indices_of(victim)
-                .into_iter()
-                .filter(|i| {
-                    !progress.reported.contains(i) && !foreign.contains(i) && !claimed.contains(i)
-                })
-                .collect();
-            if !pending.is_empty() {
-                victims.push((victim, pending));
-            }
-        }
-        let Some((_, pending)) = victims.into_iter().min_by_key(|(victim, pending)| {
-            let progress =
-                read_progress(&report_path(out_dir, *victim), fingerprint).unwrap_or_default();
-            (progress.reported.len(), progress.heartbeats, pending.len())
-        }) else {
-            break;
-        };
-        let chunk_len = engine.resolved_threads(pending.len()).min(pending.len());
-        run_chunk(&pending[..chunk_len], &mut claims, &mut claimed, &mut ran)?;
-        stolen += chunk_len;
-    }
-    Ok((ran, stolen))
-}
-
-/// Sweep flags of earlier builds whose layers were deleted, each with the
-/// layer it switched. The worker and the `lv-sweep` coordinator refuse
-/// them by name: every job now runs the configuration's one cascade order
-/// under its fixed budgets.
-pub const REMOVED_LAYER_FLAGS: [(&str, &str); 3] = [
-    ("--profile", "cross-run telemetry profiles"),
-    ("--schedule", "per-category stage schedules"),
-    ("--budget", "profile-tuned solver budgets"),
+/// Sweep flags of earlier builds whose layers were deleted: the flag, the
+/// layer it switched, and what runs in its place. The worker and the
+/// `lv-sweep` coordinator refuse them by name.
+pub const REMOVED_LAYER_FLAGS: [(&str, &str, &str); 7] = [
+    ("--profile", "cross-run telemetry profiles", ONE_CASCADE),
+    ("--schedule", "per-category stage schedules", ONE_CASCADE),
+    ("--budget", "profile-tuned solver budgets", ONE_CASCADE),
+    ("--steal", "live-shard work stealing", ONE_SUPERVISION_RULE),
+    (
+        "--heartbeat-ms",
+        "shard liveness heartbeats",
+        ONE_SUPERVISION_RULE,
+    ),
+    (
+        "--stall-timeout-secs",
+        "shard stall supervision",
+        ONE_SUPERVISION_RULE,
+    ),
+    (
+        "--delay-ms",
+        "the delayed-shard fault injection of work stealing",
+        ONE_SUPERVISION_RULE,
+    ),
 ];
 
 /// A parsed `--shard` worker command line.
@@ -501,20 +326,12 @@ pub struct WorkerInvocation {
     /// Journal flush batching (`--flush-every N`, default 1); see
     /// [`ShardRunOptions::flush_every`].
     pub flush_every: usize,
-    /// Liveness heartbeat period in milliseconds (`--heartbeat-ms N`); see
-    /// [`ShardRunOptions::heartbeat`].
-    pub heartbeat_ms: Option<u64>,
-    /// Live-shard work stealing (`--steal`); see [`ShardRunOptions::steal`].
-    pub steal: bool,
-    /// One-time startup delay in milliseconds (`--delay-ms N`); see
-    /// [`ShardRunOptions::delay`].
-    pub delay_ms: Option<u64>,
 }
 
 impl WorkerInvocation {
     /// Parses `--shard i/N --manifest <path> --out <dir> [--fail-after k]
-    /// [--fsync record|compact] [--flush-every N] [--heartbeat-ms N]
-    /// [--steal] [--delay-ms N]` from `args`. Returns `None` when `--shard`
+    /// [--fsync record|compact] [--flush-every N]` from `args`. Returns
+    /// `None` when `--shard`
     /// is absent (the process is not a worker); `Some(Err(..))` when it is
     /// present but malformed, or names a removed flag (`--flush`,
     /// `--cache-format`, or one of [`REMOVED_LAYER_FLAGS`]).
@@ -526,9 +343,6 @@ impl WorkerInvocation {
             let mut fail_after = None;
             let mut fsync = FsyncPolicy::default();
             let mut flush_every = 1usize;
-            let mut heartbeat_ms = None;
-            let mut steal = false;
-            let mut delay_ms = None;
             let mut iter = args.iter();
             while let Some(arg) = iter.next() {
                 let mut value = |what: &str| {
@@ -589,28 +403,6 @@ impl WorkerInvocation {
                             ))
                         })?);
                     }
-                    "--heartbeat-ms" => {
-                        let spec = value("--heartbeat-ms")?;
-                        heartbeat_ms =
-                            Some(spec.parse::<u64>().ok().filter(|&n| n >= 1).ok_or_else(
-                                || {
-                                    ShardError::BadInvocation(format!(
-                                        "--heartbeat-ms expects a positive integer, got `{}`",
-                                        spec
-                                    ))
-                                },
-                            )?);
-                    }
-                    "--steal" => steal = true,
-                    "--delay-ms" => {
-                        let spec = value("--delay-ms")?;
-                        delay_ms = Some(spec.parse::<u64>().map_err(|_| {
-                            ShardError::BadInvocation(format!(
-                                "--delay-ms expects an integer, got `{}`",
-                                spec
-                            ))
-                        })?);
-                    }
                     other => {
                         if let Some(message) = removed_layer_message(other) {
                             return Err(ShardError::BadInvocation(message));
@@ -644,9 +436,6 @@ impl WorkerInvocation {
                 fail_after,
                 fsync,
                 flush_every,
-                heartbeat_ms,
-                steal,
-                delay_ms,
             })
         })
     }
@@ -669,14 +458,13 @@ pub fn run_worker_from_args(args: &[String]) -> Option<Result<ShardRunOutput, Sh
     Some(run_worker(&invocation))
 }
 
-/// The refusal message naming `flag` and its layer, when `flag` is one of
-/// [`REMOVED_LAYER_FLAGS`].
+/// The refusal message naming `flag`, its layer and what runs in its
+/// place, when `flag` is one of [`REMOVED_LAYER_FLAGS`].
 pub fn removed_layer_message(flag: &str) -> Option<String> {
-    let (_, layer) = REMOVED_LAYER_FLAGS.iter().find(|(f, _)| *f == flag)?;
+    let (_, layer, instead) = REMOVED_LAYER_FLAGS.iter().find(|(f, ..)| *f == flag)?;
     Some(format!(
-        "{} was removed with its layer ({}); every job runs the cascade in its one \
-         order under fixed budgets",
-        flag, layer
+        "{} was removed with its layer ({}); {}",
+        flag, layer, instead
     ))
 }
 
@@ -698,9 +486,6 @@ pub fn run_worker(invocation: &WorkerInvocation) -> Result<ShardRunOutput, Shard
             fail_after: invocation.fail_after,
             fsync: invocation.fsync,
             flush_every: invocation.flush_every,
-            heartbeat: invocation.heartbeat_ms.map(Duration::from_millis),
-            steal: invocation.steal,
-            delay: invocation.delay_ms.map(Duration::from_millis),
         },
     )
 }
@@ -739,9 +524,6 @@ mod tests {
             "sync on compaction by default"
         );
         assert_eq!(parsed.flush_every, 1, "flush batching defaults off");
-        assert_eq!(parsed.heartbeat_ms, None, "heartbeats default off");
-        assert!(!parsed.steal, "stealing defaults off");
-        assert_eq!(parsed.delay_ms, None);
 
         let tuned = WorkerInvocation::parse(&args(&[
             "--shard",
@@ -756,25 +538,6 @@ mod tests {
         .expect("worker mode")
         .expect("well-formed");
         assert_eq!(tuned.flush_every, 8);
-
-        let stealing = WorkerInvocation::parse(&args(&[
-            "--shard",
-            "1/2",
-            "--manifest",
-            "m",
-            "--out",
-            "o",
-            "--steal",
-            "--heartbeat-ms",
-            "250",
-            "--delay-ms",
-            "4000",
-        ]))
-        .expect("worker mode")
-        .expect("well-formed");
-        assert!(stealing.steal);
-        assert_eq!(stealing.heartbeat_ms, Some(250));
-        assert_eq!(stealing.delay_ms, Some(4000));
 
         let synced = WorkerInvocation::parse(&args(&[
             "--shard",
@@ -869,36 +632,6 @@ mod tests {
                 "--schedule",
                 "reduction=alive2",
             ],
-            vec![
-                "--shard",
-                "0/2",
-                "--manifest",
-                "m",
-                "--out",
-                "o",
-                "--heartbeat-ms",
-                "0",
-            ],
-            vec![
-                "--shard",
-                "0/2",
-                "--manifest",
-                "m",
-                "--out",
-                "o",
-                "--heartbeat-ms",
-                "soon",
-            ],
-            vec![
-                "--shard",
-                "0/2",
-                "--manifest",
-                "m",
-                "--out",
-                "o",
-                "--delay-ms",
-                "x",
-            ],
         ] {
             let result = WorkerInvocation::parse(&args(&bad)).expect("worker mode");
             assert!(result.is_err(), "{:?} should be rejected", bad);
@@ -907,7 +640,7 @@ mod tests {
 
     #[test]
     fn removed_layer_flags_are_refused_by_name() {
-        for (flag, layer) in REMOVED_LAYER_FLAGS {
+        for (flag, layer, _) in REMOVED_LAYER_FLAGS {
             let invocation = args(&["--shard", "0/2", "--manifest", "m", "--out", "o", flag, "x"]);
             match run_worker_from_args(&invocation) {
                 Some(Err(ShardError::BadInvocation(message))) => {

@@ -188,10 +188,11 @@ impl I32x8 {
         self.map(|a| ((a as u32) >> count) as i32)
     }
 
-    /// Arithmetic right shift (`_mm256_srai_epi32`); counts of 32 or more
-    /// shift by 31, replicating the sign bit.
+    /// Arithmetic right shift (`_mm256_srai_epi32`). The count is unsigned,
+    /// as on hardware: counts of 32 or more — negative ones included — shift
+    /// by 31, replicating the sign bit.
     pub fn shr_arith(self, count: i32) -> I32x8 {
-        let c = count.clamp(0, 31);
+        let c = (count as u32).min(31);
         self.map(|a| a >> c)
     }
 
@@ -384,6 +385,11 @@ mod tests {
         assert_eq!(I32x8::splat(3).shl(2), I32x8::splat(12));
         assert_eq!(I32x8::splat(3).shl(40), I32x8::zero());
         assert_eq!(I32x8::splat(-1).shr_arith(40), I32x8::splat(-1));
+        // A negative count is a huge unsigned one: every shift saturates.
+        assert_eq!(v.shr_arith(-1), I32x8::splat(-1));
+        assert_eq!(I32x8::splat(8).shr_arith(-1), I32x8::zero());
+        assert_eq!(v.shr_logical(-1), I32x8::zero());
+        assert_eq!(v.shl(-1), I32x8::zero());
     }
 
     #[test]

@@ -1481,62 +1481,199 @@ mod tests {
         z ^ (z >> 31)
     }
 
-    #[test]
-    fn blendv_matches_lv_simd_bytewise() {
-        // Random lanes and random masks (not only sign splats): the symbolic
-        // blend, evaluated under the same inputs, equals what `lv_simd`
-        // computes, byte for byte.
-        let func = parse_function(
-            "void f(int n, int *a, int *b, int *m, int *o) { __m256i x = _mm256_loadu_si256((__m256i *)&a[0]); __m256i y = _mm256_loadu_si256((__m256i *)&b[0]); __m256i k = _mm256_loadu_si256((__m256i *)&m[0]); _mm256_storeu_si256((__m256i *)&o[0], _mm256_blendv_epi8(x, y, k)); }",
-        )
-        .unwrap();
-        let mut ctx = Context::new();
-        let mut config = SymExecConfig {
-            array_len: LANES,
-            ..SymExecConfig::default()
+    /// An operand of an intrinsic call in the differential table.
+    #[derive(Clone, Copy)]
+    enum Operand {
+        /// The vector loaded from array `a`, `b` or `m` (0, 1, 2).
+        V(usize),
+        /// Scalar parameter `s0` … `s7`.
+        S(usize),
+        /// `_mm256_setr_epi32(s0, …, s7)`: constant lanes, for the index
+        /// vector of `permutevar8x32`.
+        Lanes,
+    }
+    use Operand::{Lanes, S, V};
+
+    const EIGHT_SCALARS: &[Operand] = &[S(0), S(1), S(2), S(3), S(4), S(5), S(6), S(7)];
+
+    /// Every pure intrinsic `sym_exec` encodes: its operands, and whether
+    /// its scalar operands must be constants (lane indices).
+    const ENCODED: &[(&str, &[Operand], bool)] = &[
+        ("_mm256_setzero_si256", &[], false),
+        ("_mm256_set1_epi32", &[S(0)], false),
+        ("_mm256_setr_epi32", EIGHT_SCALARS, false),
+        ("_mm256_set_epi32", EIGHT_SCALARS, false),
+        ("_mm256_add_epi32", &[V(0), V(1)], false),
+        ("_mm256_sub_epi32", &[V(0), V(1)], false),
+        ("_mm256_mullo_epi32", &[V(0), V(1)], false),
+        ("_mm256_and_si256", &[V(0), V(1)], false),
+        ("_mm256_or_si256", &[V(0), V(1)], false),
+        ("_mm256_xor_si256", &[V(0), V(1)], false),
+        ("_mm256_andnot_si256", &[V(0), V(1)], false),
+        ("_mm256_max_epi32", &[V(0), V(1)], false),
+        ("_mm256_min_epi32", &[V(0), V(1)], false),
+        ("_mm256_cmpgt_epi32", &[V(0), V(1)], false),
+        ("_mm256_cmpeq_epi32", &[V(0), V(1)], false),
+        ("_mm256_hadd_epi32", &[V(0), V(1)], false),
+        ("_mm256_abs_epi32", &[V(0)], false),
+        ("_mm256_blendv_epi8", &[V(0), V(1), V(2)], false),
+        ("_mm256_slli_epi32", &[V(0), S(0)], false),
+        ("_mm256_srli_epi32", &[V(0), S(0)], false),
+        ("_mm256_srai_epi32", &[V(0), S(0)], false),
+        ("_mm256_extract_epi32", &[V(0), S(0)], true),
+        ("_mm256_insert_epi32", &[V(0), S(1), S(0)], true),
+        ("_mm256_permutevar8x32_epi32", &[V(0), Lanes], true),
+    ];
+
+    /// Pure intrinsics the type checker accepts but `sym_exec` refuses.
+    const NOT_ENCODED: &[(&str, &[Operand])] = &[
+        ("_mm256_shuffle_epi32", &[V(0), S(0)]),
+        ("_mm256_permute2x128_si256", &[V(0), V(1), S(0)]),
+        ("_mm256_movemask_epi8", &[V(0)]),
+    ];
+
+    /// `void f(…)` storing `name(operands)` to `o` (a scalar result to
+    /// `o[0]`), with vectors `v0`, `v1`, `v2` loaded from `a`, `b`, `m`.
+    fn intrinsic_source(name: &str, operands: &[Operand]) -> String {
+        let text: Vec<String> = operands
+            .iter()
+            .map(|operand| match operand {
+                V(k) => format!("v{k}"),
+                S(k) => format!("s{k}"),
+                Lanes => "_mm256_setr_epi32(s0, s1, s2, s3, s4, s5, s6, s7)".to_string(),
+            })
+            .collect();
+        let call = format!("{}({})", name, text.join(", "));
+        let store = if lv_cir::intrinsics::intrinsic_sig(name).unwrap().ret
+            == lv_cir::intrinsics::IntrinsicType::I32
+        {
+            format!("o[0] = {call};")
+        } else {
+            format!("_mm256_storeu_si256((__m256i *)&o[0], {call});")
         };
-        config.scalar_bindings.insert("n".into(), 8);
-        let out = sym_exec(&mut ctx, &func, &config).unwrap();
+        format!(
+            "void f(int n, int *a, int *b, int *m, int *o, int s0, int s1, int s2, int s3, \
+             int s4, int s5, int s6, int s7) {{ \
+             __m256i v0 = _mm256_loadu_si256((__m256i *)&a[0]); \
+             __m256i v1 = _mm256_loadu_si256((__m256i *)&b[0]); \
+             __m256i v2 = _mm256_loadu_si256((__m256i *)&m[0]); {store} }}"
+        )
+    }
+
+    /// A scalar operand: an edge value (negative, zero, ≥ 32 shift counts,
+    /// the extremes), a small value around the lane and shift ranges, or a
+    /// random word.
+    fn random_scalar(state: &mut u64) -> i32 {
+        const EDGES: [i32; 11] = [0, 1, 8, 31, 32, 33, 256, -1, -32, i32::MIN, i32::MAX];
+        let r = next_random(state);
+        match r % 3 {
+            0 => EDGES[(r >> 8) as usize % EDGES.len()],
+            1 => ((r >> 8) % 81) as i32 - 40,
+            _ => (r >> 32) as i32,
+        }
+    }
+
+    #[test]
+    fn every_encoded_intrinsic_matches_lv_simd() {
+        // The table covers every pure intrinsic the type checker knows.
+        for sig in lv_cir::intrinsics::INTRINSICS {
+            assert!(
+                lv_simd::is_memory_intrinsic(sig.name)
+                    || ENCODED.iter().any(|(name, ..)| *name == sig.name)
+                    || NOT_ENCODED.iter().any(|(name, _)| *name == sig.name),
+                "`{}` is missing from the differential table",
+                sig.name
+            );
+        }
+        let config_with = |scalars: Option<&[i32; LANES]>| {
+            let mut config = SymExecConfig {
+                array_len: LANES,
+                ..SymExecConfig::default()
+            };
+            config.scalar_bindings.insert("n".into(), 8);
+            for (k, &value) in scalars.into_iter().flatten().enumerate() {
+                config.scalar_bindings.insert(format!("s{k}"), value);
+            }
+            config
+        };
+        for (name, operands) in NOT_ENCODED {
+            let func = parse_function(&intrinsic_source(name, operands)).unwrap();
+            let err = sym_exec(&mut Context::new(), &func, &config_with(None)).unwrap_err();
+            assert!(err.to_string().contains("not encoded"), "{name}: {err}");
+        }
+
         let mut state = 7;
-        for trial in 0..200 {
-            let mut lanes = |sign_splat: bool| {
-                let mut v = [0i32; LANES];
-                for lane in &mut v {
-                    let r = next_random(&mut state);
-                    *lane = if sign_splat {
-                        -((r & 1) as i32)
-                    } else {
-                        r as i32
-                    };
+        for &(name, operands, constant_scalars) in ENCODED {
+            let func = parse_function(&intrinsic_source(name, operands)).unwrap();
+            // With symbolic scalar operands the terms are built once and
+            // evaluated under every trial's assignment.
+            let mut symbolic_ctx = Context::new();
+            let symbolic = (!constant_scalars)
+                .then(|| sym_exec(&mut symbolic_ctx, &func, &config_with(None)).unwrap());
+            for trial in 0..64 {
+                let mut vectors = [[0i32; LANES]; 3];
+                for (k, vector) in vectors.iter_mut().enumerate() {
+                    for lane in vector.iter_mut() {
+                        let r = next_random(&mut state);
+                        // Every fourth blendv mask is a sign splat, as
+                        // cmpgt and cmpeq produce.
+                        *lane = if k == 2 && trial % 4 == 0 {
+                            -((r & 1) as i32)
+                        } else {
+                            r as i32
+                        };
+                    }
                 }
-                v
-            };
-            let (a, b, m) = (lanes(false), lanes(false), lanes(trial % 4 == 0));
-            let want = lv_simd::eval_intrinsic(
-                "_mm256_blendv_epi8",
-                &[
-                    lv_simd::I32x8::from_lanes(a).into(),
-                    lv_simd::I32x8::from_lanes(b).into(),
-                    lv_simd::I32x8::from_lanes(m).into(),
-                ],
-            )
-            .unwrap()
-            .unwrap_vector()
-            .lanes();
-            let value_of = |name: &str| {
-                let (array, index) = name.split_once('!').unwrap();
-                let index: usize = index.parse().unwrap();
-                let v = match array {
-                    "a" => a[index],
-                    "b" => b[index],
-                    "m" => m[index],
-                    other => panic!("unexpected input {other}"),
+                let mut scalars = [0i32; LANES];
+                for scalar in &mut scalars {
+                    *scalar = random_scalar(&mut state);
+                }
+                let args: Vec<lv_simd::SimdArg> = operands
+                    .iter()
+                    .map(|operand| match *operand {
+                        V(k) => lv_simd::I32x8::from_lanes(vectors[k]).into(),
+                        S(k) => scalars[k].into(),
+                        Lanes => lv_simd::I32x8::from_lanes(scalars).into(),
+                    })
+                    .collect();
+                let want: Vec<i32> = match lv_simd::eval_intrinsic(name, &args).unwrap() {
+                    lv_simd::SimdValue::Vector(v) => v.lanes().to_vec(),
+                    lv_simd::SimdValue::Scalar(x) => vec![x],
                 };
-                v as u32 as u64
-            };
-            for (i, &expected) in want.iter().enumerate() {
-                let got = ctx.eval(out.arrays[3][i], &value_of) as u32 as i32;
-                assert_eq!(got, expected, "lane {i}: mask {:#x}", m[i]);
+                let value_of = |var: &str| -> u64 {
+                    let value = match var.split_once('!') {
+                        Some((array, index)) => {
+                            let index: usize = index.parse().unwrap();
+                            match array {
+                                "a" => vectors[0][index],
+                                "b" => vectors[1][index],
+                                "m" => vectors[2][index],
+                                "o" => 0,
+                                other => panic!("unexpected array {other}"),
+                            }
+                        }
+                        None => scalars[var[1..].parse::<usize>().unwrap()],
+                    };
+                    value as u32 as u64
+                };
+                // Even trials (and lane-index operands always) bind the
+                // scalars as constants, so the constructors fold them.
+                let mut bound_ctx = Context::new();
+                let (ctx, out) = match &symbolic {
+                    Some(out) if trial % 2 == 1 => (&symbolic_ctx, out.clone()),
+                    _ => {
+                        let out =
+                            sym_exec(&mut bound_ctx, &func, &config_with(Some(&scalars))).unwrap();
+                        (&bound_ctx, out)
+                    }
+                };
+                for (lane, &expected) in want.iter().enumerate() {
+                    let got = ctx.eval(out.arrays[3][lane], &value_of) as u32 as i32;
+                    assert_eq!(
+                        got, expected,
+                        "{name} lane {lane}: vectors {vectors:?}, scalars {scalars:?}"
+                    );
+                }
             }
         }
     }

@@ -3,10 +3,11 @@
 //! Builds the full TSVC Table 3 workload (one FSM-produced candidate per
 //! kernel, exactly like `shard_sweep.rs`) plus the bitwise-select
 //! conditional candidates that still reach the SAT search
-//! (`lv_bench::bitwise_select_jobs`, ~0.1–0.6 s each; without them every
-//! job folds in about a millisecond and a shard finishes before its first
-//! 250 ms heartbeat), then checks the `lv-sweep serve` subsystem's contract
-//! end to end over real loopback TCP:
+//! (`lv_bench::bitwise_select_jobs`). Every Table 3 job folds before SAT,
+//! so those jobs are the only place the daemon's cold run meets a
+//! SAT-searching job (`tests/service_e2e.rs` submits none). It then checks
+//! the `lv-sweep serve` subsystem's contract end to end over real loopback
+//! TCP:
 //!
 //! * a daemon ([`VerificationService`]) serves the whole workload to a
 //!   [`ServiceClient`] **cold** — every streamed verdict bit-identical
@@ -15,27 +16,20 @@
 //! * a **warm** resubmission over a fresh connection is answered entirely
 //!   from the dedupe/admission cache: every frame is flagged as a dedupe
 //!   hit, the payloads equal the cold run's, and the daemon's stage
-//!   counter does not move — zero stages ran;
-//! * a 2-shard self-exec sweep with one **deliberately slowed shard**
-//!   completes via live-shard work stealing — the idle shard claims the
-//!   sleeper's pending jobs through the claim journals — with verdicts
-//!   and a merged cache file **byte**-identical to the same sweep with no
-//!   slowdown and no stealing.
+//!   counter does not move — zero stages ran.
 //!
 //! Exits non-zero (panics) on any violation.
 
 use llm_vectorizer_repro::agents::{fsm_candidate_batch, FsmConfig, LlmConfig, SyntheticLlm};
 use llm_vectorizer_repro::core::service::VerdictFrame;
-use llm_vectorizer_repro::core::shard::run_worker_from_args;
 use llm_vectorizer_repro::core::{
-    run_sharded_sweep, BatchReport, EngineConfig, Job, PipelineConfig, ServiceClient, ShardPolicy,
-    ShardStatus, SweepConfig, VerdictCache, VerificationEngine, VerificationService, WorkerSpec,
+    BatchReport, EngineConfig, Job, PipelineConfig, ServiceClient, VerdictCache,
+    VerificationEngine, VerificationService,
 };
 use llm_vectorizer_repro::interp::ChecksumConfig;
 use llm_vectorizer_repro::tsvc::KERNELS;
 use llm_vectorizer_repro::tv::{SolverBudget, TvConfig};
 use lv_bench::bitwise_select_jobs;
-use std::path::Path;
 use std::sync::Arc;
 
 /// Reduced solver budgets so the full-suite runs stay CI-friendly; the
@@ -113,22 +107,7 @@ fn assert_frames_match(frames: &[VerdictFrame], baseline: &BatchReport, what: &s
     }
 }
 
-fn read(path: &Path) -> String {
-    std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("cannot read {}: {}", path.display(), e))
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(result) = run_worker_from_args(&args) {
-        // This process is one of the stealing sweep's shard workers.
-        result.expect("shard worker failed");
-        return;
-    }
-
-    let dir = std::env::temp_dir().join(format!("lv-service-sweep-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("temp dir");
     let config = service_config();
     let mut jobs = table3_jobs(&config.pipeline.checksum);
     jobs.extend(bitwise_select_jobs());
@@ -208,94 +187,5 @@ fn main() {
         final_status.connections, final_status.received
     );
 
-    println!("== 2-shard sweep, no slowdown (reference) ==");
-    let reference = run_sharded_sweep(
-        &jobs,
-        &config,
-        &SweepConfig {
-            shards: 2,
-            policy: ShardPolicy::HashMod,
-            workdir: dir.join("reference"),
-            worker: WorkerSpec::current_exe().expect("own executable"),
-            ..SweepConfig::default()
-        },
-    )
-    .expect("reference sweep");
-    for outcome in &reference.shards {
-        assert_eq!(outcome.status, ShardStatus::Completed);
-    }
-    let reference_bytes = read(&reference.cache_file);
-
-    println!("== 2-shard sweep, shard 0 slowed 20s, work stealing on ==");
-    let start = std::time::Instant::now();
-    let stolen_sweep = run_sharded_sweep(
-        &jobs,
-        &config,
-        &SweepConfig {
-            shards: 2,
-            policy: ShardPolicy::HashMod,
-            workdir: dir.join("steal"),
-            worker: WorkerSpec::current_exe().expect("own executable"),
-            steal: true,
-            delay_shard: Some((0, 20_000)),
-            ..SweepConfig::default()
-        },
-    )
-    .expect("stealing sweep");
-    let mut stolen_total = 0;
-    for outcome in &stolen_sweep.shards {
-        println!(
-            "shard {}: {:?}, {}/{} reported, {} stolen, {} heartbeat(s)",
-            outcome.shard,
-            outcome.status,
-            outcome.reported,
-            outcome.planned,
-            outcome.stolen,
-            outcome.heartbeats
-        );
-        assert_eq!(
-            outcome.status,
-            ShardStatus::Completed,
-            "stealing sweep: worker {} must complete (see shard-{}.log)",
-            outcome.shard,
-            outcome.shard
-        );
-        assert!(
-            outcome.heartbeats >= 1,
-            "stealing implies heartbeats; shard {} wrote none",
-            outcome.shard
-        );
-        stolen_total += outcome.stolen;
-    }
-    assert!(
-        stolen_total >= 1,
-        "the idle shard must steal from a 20s-delayed sibling"
-    );
-    assert!(
-        stolen_sweep.recovered.is_empty(),
-        "live stealing, not coordinator recovery, must cover the slow shard"
-    );
-    // The stolen sweep's merged outputs are byte-identical to the
-    // unstalled reference sweep's.
-    for (r, s) in reference.report.jobs.iter().zip(&stolen_sweep.report.jobs) {
-        assert_eq!(r.label, s.label);
-        assert_eq!(r.verdict, s.verdict, "verdict drift for {}", r.label);
-        assert_eq!(r.stage, s.stage, "stage drift for {}", r.label);
-        assert_eq!(r.detail, s.detail, "detail drift for {}", r.label);
-    }
-    let stolen_bytes = read(&stolen_sweep.cache_file);
-    assert_eq!(
-        reference_bytes, stolen_bytes,
-        "stealing sweep: merged cache file must be byte-identical to the \
-         unstalled run"
-    );
-    println!(
-        "stealing sweep matched the reference bit for bit ({} jobs, {} stolen, wall {:?})",
-        stolen_sweep.report.jobs.len(),
-        stolen_total,
-        start.elapsed()
-    );
-
-    let _ = std::fs::remove_dir_all(&dir);
     println!("service sweep acceptance: all checks passed");
 }

@@ -13,7 +13,6 @@
 //!          [--max-cache-entries N] [--timeout-secs S]
 //!          [--fsync compact|record] [--flush-every N]
 //!          [--no-reuse]
-//!          [--steal] [--heartbeat-ms MS] [--stall-timeout-secs S]
 //! lv-sweep run --generate K [--gen-seed S] [--gen-threads T]
 //!          [--kernels s000,...] [--threads N] [--quick] [--no-overlap]
 //!          [--no-reuse]
@@ -70,14 +69,11 @@
 //! (CNF preprocessing) flags of earlier builds are gone with their layers
 //! and refused as usage errors.
 //!
-//! `--steal` turns on live-shard work stealing: workers that finish their
-//! share claim pending jobs from slow siblings through per-shard claim
-//! journals, so one stalled shard no longer bounds the sweep.
-//! `--heartbeat-ms` sets the liveness heartbeat period workers append to
-//! their report journals (implied at 250ms by `--steal` or
-//! `--stall-timeout-secs`); `--stall-timeout-secs` makes the coordinator
-//! kill — and recover — a worker whose report journal shows neither a new
-//! heartbeat nor a new report for that long.
+//! Each worker runs exactly its own shard's share. The coordinator waits
+//! for every worker to exit, kills any still running after
+//! `--timeout-secs`, and re-runs in-process whatever no worker reported.
+//! The flags of the removed shard liveness layers are refused as usage
+//! errors naming the layer.
 //!
 //! `serve` runs the long-lived verification daemon
 //! ([`VerificationService`]): a loopback-first TCP listener speaking the
@@ -91,9 +87,9 @@
 //! `compact` rewrites journal files into their canonical compact form:
 //! verdict-cache journals become the sorted JSON snapshot
 //! (`VerdictCache::compact_journal`), shard-report journals a fresh report
-//! journal in job-index order without heartbeats or a torn tail; a JSON
-//! snapshot is left unchanged. The binary cache journal (`LVBJ`), binary
-//! snapshot (`LVCS`) and cross-run profile journal of earlier builds are
+//! journal in job-index order without a torn tail; a JSON snapshot is left
+//! unchanged. The binary cache journal (`LVBJ`), binary snapshot (`LVCS`),
+//! cross-run profile journal and shard claim journal of earlier builds are
 //! refused with an error naming the removed form, and the `--format` flag
 //! that could write the binary snapshot is a usage error.
 //!
@@ -233,6 +229,12 @@ fn compact_files(args: &[String]) -> Result<(), CliError> {
             Err("a cross-run profile journal, a layer this build removed: \
                  nothing reads it, so there is nothing to compact"
                 .to_string())
+        } else if bytes.starts_with(b"{\"journal\":\"shard-claims\"") {
+            Err(
+                "a shard claim journal of live-shard work stealing, a layer this \
+                 build removed: nothing reads it, so there is nothing to compact"
+                    .to_string(),
+            )
         } else if bytes.starts_with(b"{\"version\":") {
             // Already the target JSON snapshot: compaction is a no-op, not
             // an error, so `compact` is idempotent over a workdir.
@@ -779,9 +781,6 @@ struct CoordinatorArgs {
     fsync: FsyncPolicy,
     flush_every: usize,
     memo: bool,
-    steal: bool,
-    heartbeat_ms: Option<u64>,
-    stall_timeout_secs: Option<u64>,
     generate: Option<usize>,
     gen_seed: u64,
 }
@@ -799,9 +798,6 @@ fn parse_coordinator(args: &[String]) -> Result<CoordinatorArgs, CliError> {
         fsync: FsyncPolicy::default(),
         flush_every: 1,
         memo: true,
-        steal: false,
-        heartbeat_ms: None,
-        stall_timeout_secs: None,
         generate: None,
         gen_seed: 0xC0FFEE,
     };
@@ -871,23 +867,6 @@ fn parse_coordinator(args: &[String]) -> Result<CoordinatorArgs, CliError> {
             }
             "--no-reuse" => opts.memo = false,
             "--reuse" | "--simplify" => return Err(removed_layer_flag(arg)),
-            "--steal" => opts.steal = true,
-            "--heartbeat-ms" => {
-                opts.heartbeat_ms = Some(
-                    value("--heartbeat-ms")?
-                        .parse::<u64>()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .ok_or_else(|| usage("--heartbeat-ms expects a positive integer"))?,
-                )
-            }
-            "--stall-timeout-secs" => {
-                opts.stall_timeout_secs = Some(
-                    value("--stall-timeout-secs")?
-                        .parse()
-                        .map_err(|_| usage("--stall-timeout-secs expects an integer"))?,
-                )
-            }
             "--generate" => {
                 opts.generate = Some(
                     value("--generate")?
@@ -937,22 +916,17 @@ fn cmd_coordinator(args: &[String]) -> Result<(), CliError> {
         fsync: opts.fsync,
         flush_every: opts.flush_every,
         fail_shard_after: None,
-        steal: opts.steal,
-        stall_timeout: opts.stall_timeout_secs.map(Duration::from_secs),
-        heartbeat: opts.heartbeat_ms.map(Duration::from_millis),
-        delay_shard: None,
     };
 
     let describe = |count: usize, what: &str| {
         println!(
-            "sweeping {} {} over {} shard process(es) ({}, fsync {}, reuse {}{}), workdir {}",
+            "sweeping {} {} over {} shard process(es) ({}, fsync {}, reuse {}), workdir {}",
             count,
             what,
             opts.shards,
             opts.policy.tag(),
             opts.fsync.tag(),
             reuse_tag(reuse),
-            if opts.steal { ", stealing" } else { "" },
             opts.workdir.display()
         );
     };
@@ -978,21 +952,8 @@ fn cmd_coordinator(args: &[String]) -> Result<(), CliError> {
 
     for outcome in &swept.shards {
         println!(
-            "shard {}: {:?}, {}/{} job(s) reported{}{}",
-            outcome.shard,
-            outcome.status,
-            outcome.reported,
-            outcome.planned,
-            if outcome.stolen > 0 {
-                format!(", {} stolen", outcome.stolen)
-            } else {
-                String::new()
-            },
-            if outcome.heartbeats > 0 {
-                format!(", {} heartbeat(s)", outcome.heartbeats)
-            } else {
-                String::new()
-            }
+            "shard {}: {:?}, {}/{} job(s) reported",
+            outcome.shard, outcome.status, outcome.reported, outcome.planned
         );
     }
     if !swept.recovered.is_empty() {
@@ -1052,14 +1013,9 @@ fn run(args: &[String]) -> Result<(), CliError> {
         return match result {
             Ok(output) => {
                 println!(
-                    "shard {} finished {} job(s){}; cache {}, report {}",
+                    "shard {} finished {} job(s); cache {}, report {}",
                     output.shard,
                     output.finished,
-                    if output.stolen > 0 {
-                        format!(" ({} stolen)", output.stolen)
-                    } else {
-                        String::new()
-                    },
                     output.cache_file.display(),
                     output.report_file.display()
                 );
@@ -1296,20 +1252,10 @@ mod tests {
 
     #[test]
     fn coordinator_args_parse_and_reject() {
-        let parsed = parse_coordinator(&strings(&[
-            "--shards",
-            "3",
-            "--steal",
-            "--heartbeat-ms",
-            "100",
-            "--stall-timeout-secs",
-            "30",
-        ]))
-        .unwrap();
+        let parsed =
+            parse_coordinator(&strings(&["--shards", "3", "--timeout-secs", "30"])).unwrap();
         assert_eq!(parsed.shards, 3);
-        assert!(parsed.steal);
-        assert_eq!(parsed.heartbeat_ms, Some(100));
-        assert_eq!(parsed.stall_timeout_secs, Some(30));
+        assert_eq!(parsed.timeout, Duration::from_secs(30));
         assert!(parsed.memo, "memo-on default");
 
         // Every malformed spelling is a typed usage error, never a panic.
@@ -1322,9 +1268,7 @@ mod tests {
             strings(&["--flush", "journal"]),
             strings(&["--cache-format", "binary"]),
             strings(&["--cache-format", "json"]),
-            strings(&["--heartbeat-ms", "0"]),
-            strings(&["--heartbeat-ms", "soon"]),
-            strings(&["--stall-timeout-secs", "-1"]),
+            strings(&["--timeout-secs", "-1"]),
             strings(&["--serve"]),
             strings(&["--reuse"]),
             strings(&["--simplify"]),
@@ -1339,7 +1283,7 @@ mod tests {
 
     #[test]
     fn removed_tuning_flags_are_refused_by_name() {
-        for (flag, layer) in REMOVED_LAYER_FLAGS {
+        for (flag, layer, _) in REMOVED_LAYER_FLAGS {
             for args in [strings(&[flag]), strings(&[flag, "profile"])] {
                 match parse_coordinator(&args) {
                     Err(CliError::Usage(message)) => {
@@ -1354,22 +1298,27 @@ mod tests {
 
     #[test]
     fn compact_refuses_a_cross_run_profile_journal() {
-        let path =
-            std::env::temp_dir().join(format!("lv-sweep-profile-{}.json", std::process::id()));
-        let journal = "{\"journal\":\"cross-run-profile\",\"version\":1} 00000000\n";
-        std::fs::write(&path, journal).unwrap();
-        let result = compact_files(&[path.display().to_string()]);
-        match result {
-            Err(CliError::Runtime(message)) => {
-                assert!(message.contains("cross-run profile"), "{}", message);
+        for (kind, named) in [
+            ("cross-run-profile", "cross-run profile"),
+            ("shard-claims", "shard claim journal"),
+        ] {
+            let path =
+                std::env::temp_dir().join(format!("lv-sweep-{}-{}.json", kind, std::process::id()));
+            let journal = format!("{{\"journal\":\"{}\",\"version\":1}} 00000000\n", kind);
+            std::fs::write(&path, &journal).unwrap();
+            let result = compact_files(&[path.display().to_string()]);
+            match result {
+                Err(CliError::Runtime(message)) => {
+                    assert!(message.contains(named), "{}", message);
+                }
+                other => panic!("a {} journal must be refused, got {:?}", kind, other),
             }
-            other => panic!("a profile journal must be refused, got {:?}", other),
+            assert_eq!(
+                std::fs::read_to_string(&path).unwrap(),
+                journal,
+                "a refused file is left as it was"
+            );
+            std::fs::remove_file(&path).unwrap();
         }
-        assert_eq!(
-            std::fs::read_to_string(&path).unwrap(),
-            journal,
-            "a refused file is left as it was"
-        );
-        std::fs::remove_file(&path).unwrap();
     }
 }
