@@ -1,15 +1,16 @@
-//! Framed append-only journals: O(records) flush I/O for the persistence
-//! surfaces that used to rewrite their whole file after every update.
+//! Framed append-only journals: O(records) flush I/O for the shard report,
+//! the persistence surface that would otherwise rewrite its whole file
+//! after every update.
 //!
-//! The verdict cache ([`crate::cache`]) and the shard report
-//! ([`crate::shard::exchange`]) both follow a write-heavy pattern: one new
-//! record per finished verification job, flushed immediately so a killed
-//! process loses at most one job. Whole-file atomic rewrite makes that flush
-//! cost O(file) — quadratic total I/O over a shard's lifetime. A journal
-//! makes it O(record): the file is a sequence of self-delimiting records,
-//! each appended through one buffered writer that stays open for the
-//! journal's lifetime (no reopen-per-record), and a crash can only tear the
-//! final record, which loading detects and truncates.
+//! The shard report ([`crate::shard::exchange`]) follows a write-heavy
+//! pattern: one new record per finished verification job, flushed
+//! immediately so a killed process loses at most one job. Whole-file
+//! atomic rewrite makes that flush cost O(file) — quadratic total I/O over
+//! a shard's lifetime. A journal makes it O(record): the file is a
+//! sequence of self-delimiting records, each appended through one buffered
+//! writer that stays open for the journal's lifetime (no
+//! reopen-per-record), and a crash can only tear the final record, which
+//! loading detects and truncates.
 //!
 //! # Record framing
 //!
@@ -31,8 +32,8 @@
 //!   `"journal": "<kind>"` plus a format `"version"` (each journal kind
 //!   reuses its snapshot format's version constant, so bumping the snapshot
 //!   format invalidates the journal too) and any kind-specific metadata.
-//!   [`is_journal`] sniffs that marker, which is how readers accept journal
-//!   and snapshot files interchangeably.
+//!   [`is_journal`] sniffs that marker, which is how readers tell a
+//!   journal from a snapshot document.
 //!
 //! # Torn-tail semantics
 //!
@@ -41,8 +42,7 @@
 //! line and reports the clean byte length ([`Replay::valid_len`]). An
 //! invalid line that is **not** the final one is real corruption and a hard
 //! error — a torn tail never looks like that, so nothing is silently
-//! dropped. Re-opening a journal for append truncates the file to the clean
-//! prefix first.
+//! dropped.
 //!
 //! # Durability
 //!
@@ -51,18 +51,18 @@
 //! whole-file rewrite gave, at O(record) cost. [`FsyncPolicy`] controls
 //! `fsync`: [`FsyncPolicy::EveryRecord`] syncs after each append (power-loss
 //! durability, slower), [`FsyncPolicy::OnCompact`] (the default) syncs only
-//! when a journal is compacted into its snapshot form — crash-consistent
-//! against process death, which is the failure mode sharded sweeps recover
-//! from.
+//! when a journal is compacted (rewritten without its torn tail, as
+//! `lv-sweep compact` does) — crash-consistent against process death, which
+//! is the failure mode sharded sweeps recover from.
 
 use serde::json::{self, Emitter, Value};
-use std::fs::{File, OpenOptions};
+use std::fs::File;
 use std::io::{self, BufWriter, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// The byte sequence every journal file starts with (the header record's
 /// first field). Snapshot documents start with `{"version":` — sniffing this
-/// marker is how dual-format readers pick a parser.
+/// marker is how readers tell the two apart.
 pub const JOURNAL_MARKER: &str = "{\"journal\":";
 
 /// Bytes of framing appended after each payload: `" "` + 8 hex digits + `\n`.
@@ -78,9 +78,9 @@ pub enum FsyncPolicy {
     /// `fsync` after every appended record. Maximum durability; one disk
     /// sync per finished job.
     EveryRecord,
-    /// `fsync` only when the journal is compacted into its snapshot form
-    /// (and on explicit [`JournalWriter::sync`]). The default: process-crash
-    /// consistency without a disk sync per record.
+    /// `fsync` only when the journal is compacted (and on explicit
+    /// [`JournalWriter::sync`]). The default: process-crash consistency
+    /// without a disk sync per record.
     #[default]
     OnCompact,
 }
@@ -145,7 +145,6 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 #[derive(Debug)]
 pub struct JournalWriter {
     file: BufWriter<File>,
-    path: PathBuf,
     scratch: Vec<u8>,
     fsync: FsyncPolicy,
     bytes: u64,
@@ -169,7 +168,6 @@ impl JournalWriter {
         let file = File::create(path)?;
         let mut writer = JournalWriter {
             file: BufWriter::new(file),
-            path: path.to_path_buf(),
             scratch: Vec::with_capacity(256),
             fsync,
             bytes: 0,
@@ -179,30 +177,6 @@ impl JournalWriter {
         };
         writer.append(emit_header)?;
         Ok(writer)
-    }
-
-    /// Re-opens an existing journal for append after a [`replay`]: the file
-    /// is truncated to `valid_len` (discarding a torn final record) and the
-    /// write cursor continues from there.
-    pub fn open_append(
-        path: &Path,
-        fsync: FsyncPolicy,
-        valid_len: u64,
-    ) -> io::Result<JournalWriter> {
-        use std::io::Seek;
-        let mut file = OpenOptions::new().write(true).open(path)?;
-        file.set_len(valid_len)?;
-        file.seek(io::SeekFrom::Start(valid_len))?;
-        Ok(JournalWriter {
-            file: BufWriter::new(file),
-            path: path.to_path_buf(),
-            scratch: Vec::with_capacity(256),
-            fsync,
-            bytes: valid_len,
-            poisoned: false,
-            flush_every: 1,
-            pending: 0,
-        })
     }
 
     /// Sets flush batching: every `n`-th append flushes the buffered writer
@@ -217,14 +191,8 @@ impl JournalWriter {
         self.flush_every = n.max(1);
     }
 
-    /// The journal's file path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// Total bytes of journal (header + records + framing) written through
-    /// this writer, including any pre-existing valid prefix it appended
-    /// after — i.e. the current file length.
+    /// this writer — i.e. the current file length.
     pub fn bytes_written(&self) -> u64 {
         self.bytes
     }
@@ -445,17 +413,10 @@ pub fn check_header(replay: &Replay, kind: &str, version: i64) -> Result<(), Str
     }
 }
 
-/// `fsync` on a *directory*: makes a rename or file creation inside `dir`
-/// itself durable. An atomic-replace protocol that syncs only the file
-/// contents can still lose the rename on power loss — the directory entry
-/// lives in the directory's own metadata, which has its own sync point.
-pub fn fsync_dir(dir: &Path) -> io::Result<()> {
-    File::open(dir)?.sync_all()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn temp_path(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("lv-journal-{}-{}", tag, std::process::id()))
@@ -643,36 +604,6 @@ mod tests {
         let on_disk = std::fs::read_to_string(&path).unwrap();
         assert_eq!(replay(&on_disk).unwrap().records.len(), 4);
         drop(journal);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn reopen_for_append_truncates_the_torn_tail() {
-        let path = temp_path("reopen");
-        drop(write_sample(&path, 2));
-        let full = std::fs::read_to_string(&path).unwrap();
-        // Tear the final record on disk.
-        let valid = replay(&full[..full.len() - 3]).unwrap();
-        assert!(valid.torn);
-        std::fs::write(&path, &full[..full.len() - 3]).unwrap();
-
-        let mut journal =
-            JournalWriter::open_append(&path, FsyncPolicy::OnCompact, valid.valid_len).unwrap();
-        journal
-            .append(|e| {
-                e.begin_object()?;
-                e.field_int("i", 9)?;
-                e.end_object()
-            })
-            .unwrap();
-        drop(journal);
-        let replayed = replay(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        assert!(!replayed.torn);
-        assert_eq!(replayed.records.len(), 2, "torn record replaced by new one");
-        assert_eq!(
-            replayed.records[1].get("i").and_then(Value::as_int),
-            Some(9)
-        );
         let _ = std::fs::remove_file(&path);
     }
 }

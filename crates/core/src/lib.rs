@@ -42,12 +42,12 @@
 //! * [`shard`] — sharded *multi-process* sweeps: a deterministic
 //!   [`ShardPlan`] partitions a batch over N worker processes (spawned by a
 //!   coordinator via self-exec `--shard i/N`), each shard runs the unchanged
-//!   engine path and exchanges results through a per-shard verdict-cache
-//!   file + JSON shard report, and the coordinator waits for every worker
-//!   to exit (killing the rest at its wall-clock timeout), recovers missing
-//!   jobs in-process, and merges everything —
-//!   with typed cache-conflict errors and [`CacheBounds`] compaction — into
-//!   a [`BatchReport`] and cache file equal to the single-process run;
+//!   engine path and writes one output file, its JSON shard report journal,
+//!   and the coordinator waits for every worker to exit (killing the rest at
+//!   its wall-clock timeout), recovers missing jobs in-process, and merges
+//!   the reports — with typed conflict errors and [`CacheBounds`]
+//!   compaction — into a [`BatchReport`] and cache file equal to the
+//!   single-process run;
 //! * [`pipeline`] — Algorithm 1 ([`check_equivalence`]) as a thin wrapper
 //!   over a single-job engine run, so the one-shot and batched paths share
 //!   one cascade implementation;
@@ -124,7 +124,7 @@ pub mod shard;
 
 pub use cache::{
     cache_file_stats, CacheBounds, CacheFileStats, CacheKey, CacheMergeError, CachedVerdict,
-    MergeStats, SyncEvent, VerdictCache, CACHE_FORMAT_VERSION,
+    MergeStats, VerdictCache, CACHE_FORMAT_VERSION,
 };
 pub use engine::{
     job_channel, parallel_map, BatchReport, ChecksumStage, EngineConfig, EngineReuse, Job,

@@ -8,16 +8,16 @@
 //! nonzero, never spawned, or reported under a mismatched configuration
 //! fingerprint — is re-run *in-process* through the identical engine
 //! configuration, so the merged result never has holes and, verification
-//! being deterministic, equals the single-process run bit for bit. Shard
-//! cache files are merged with conflict detection
-//! ([`VerdictCache::merge_from`]) and bounded by the configured
-//! [`CacheBounds`] before the merged cache is persisted.
+//! being deterministic, equals the single-process run bit for bit. The
+//! merged cache is built from the collected reports alone
+//! ([`insert_report_verdicts`], conflict-checked) and bounded by the
+//! configured [`CacheBounds`] before it is persisted.
 
-use crate::cache::{CacheBounds, CachedVerdict, VerdictCache};
+use crate::cache::{CacheBounds, CacheMergeError, CachedVerdict, VerdictCache};
 use crate::engine::{job_cache_key, BatchReport, Job, JobReport, VerificationEngine};
 use crate::journal::FsyncPolicy;
 use crate::shard::exchange::{GenerationSpec, ShardReportFile, SweepManifest};
-use crate::shard::runner::{cache_path, report_path};
+use crate::shard::runner::report_path;
 use crate::shard::{ShardError, ShardPolicy};
 use crate::EngineConfig;
 use std::collections::BTreeMap;
@@ -63,7 +63,7 @@ pub struct SweepConfig {
     pub shards: usize,
     /// How jobs are partitioned.
     pub policy: ShardPolicy,
-    /// Working directory for the manifest, per-shard outputs, worker logs,
+    /// Working directory for the manifest, the shard reports, worker logs,
     /// and the merged cache file. Created if missing.
     pub workdir: PathBuf,
     /// Wall-clock budget for the worker processes; workers still running at
@@ -73,9 +73,9 @@ pub struct SweepConfig {
     pub worker: WorkerSpec,
     /// Bounds applied to the merged cache before it is persisted.
     pub bounds: CacheBounds,
-    /// Whether workers `fsync` each journal record (passed as `--fsync`).
+    /// Whether workers `fsync` each report record (passed as `--fsync`).
     pub fsync: FsyncPolicy,
-    /// Journal flush batching (passed as `--flush-every`): every `n`-th
+    /// Report flush batching (passed as `--flush-every`): every `n`-th
     /// record append flushes; a killed worker loses at most `n - 1`
     /// buffered tail records (plus one torn record), all of which the
     /// coordinator's recovery re-runs anyway. Default 1 (flush per record).
@@ -255,12 +255,11 @@ fn run_manifest_sweep(
     let plan = manifest.plan();
     let fingerprint = manifest.fingerprint();
 
-    // A reused workdir may hold outputs from a *previous* sweep; a stale
+    // A reused workdir may hold reports from a *previous* sweep; a stale
     // report whose fingerprint happens to match (the fingerprint covers the
     // configuration, not the job list) must not be mistaken for this sweep's
-    // results, so every per-shard output is removed before any worker runs.
+    // results, so every shard report is removed before any worker runs.
     for shard in 0..manifest.shards {
-        let _ = std::fs::remove_file(cache_path(&sweep.workdir, shard));
         let _ = std::fs::remove_file(report_path(&sweep.workdir, shard));
     }
 
@@ -343,10 +342,12 @@ fn run_manifest_sweep(
     let missing: Vec<usize> = (0..jobs.len())
         .filter(|i| !entries.contains_key(i))
         .collect();
-    let recovery_cache = Arc::new(VerdictCache::in_memory());
     if !missing.is_empty() {
-        let engine =
-            VerificationEngine::new(manifest.engine_config().with_cache(recovery_cache.clone()));
+        let engine = VerificationEngine::new(
+            manifest
+                .engine_config()
+                .with_cache(Arc::new(VerdictCache::in_memory())),
+        );
         let recovery_jobs: Vec<Job> = missing.iter().map(|&i| jobs[i].clone()).collect();
         let recovered = engine.run_batch(&recovery_jobs);
         for (&index, report) in missing.iter().zip(recovered.jobs) {
@@ -354,38 +355,12 @@ fn run_manifest_sweep(
         }
     }
 
-    // Merge the shard caches (conflicts are typed errors, never
-    // last-write-wins), add the recovery run's verdicts, bound, persist. An
-    // *unreadable* shard cache is treated like a missing one — the verdicts
-    // are re-derivable from the collected reports below, so a torn cache
-    // file must not discard the healthy shards' work — but a readable cache
-    // that *disagrees* still aborts.
+    // The merged cache holds every collected verdict, from the shards and
+    // the recovery run alike; two reports that disagree on a key abort.
     let cache_file = sweep.workdir.join("merged.cache.json");
     let _ = std::fs::remove_file(&cache_file);
     let merged = VerdictCache::open(&cache_file)?;
-    for shard in 0..manifest.shards {
-        if let Ok(shard_cache) = VerdictCache::open(cache_path(&sweep.workdir, shard)) {
-            merged.merge_from(&shard_cache)?;
-        }
-    }
-    merged.merge_from(&recovery_cache)?;
-    // Every collected verdict is also inserted under its content key, so the
-    // merged cache is complete even when a shard's cache file was lost (its
-    // report survived an earlier flush, say) — and so a shard cache that
-    // contradicts a shard *report* is caught as a conflict too.
-    let from_reports = VerdictCache::in_memory();
-    for (&index, job_report) in &entries {
-        from_reports.insert(
-            job_cache_key(&jobs[index], fingerprint),
-            CachedVerdict {
-                verdict: job_report.verdict,
-                stage: job_report.stage,
-                detail: job_report.detail.clone(),
-                checksum: job_report.checksum,
-            },
-        );
-    }
-    merged.merge_from(&from_reports)?;
+    insert_report_verdicts(&merged, jobs, fingerprint, &entries)?;
     let evicted = merged.compact(&sweep.bounds);
     merged.persist()?;
 
@@ -408,4 +383,32 @@ fn run_manifest_sweep(
         evicted,
         shards: outcomes,
     })
+}
+
+/// Inserts the verdict of every collected report into `cache`, under its
+/// job's content key (`job_cache_key` of `jobs[index]` under
+/// `fingerprint`), through the conflict-checked
+/// [`VerdictCache::insert_checked`]: reports of one key (a candidate at two
+/// indices, say) must agree, or the merge fails with the typed conflict —
+/// never last-write-wins. Every key of `reports` indexes into `jobs`. This
+/// is how the coordinator builds the merged cache; a report's cache-hit
+/// flag and traces are not part of a verdict.
+pub fn insert_report_verdicts(
+    cache: &VerdictCache,
+    jobs: &[Job],
+    fingerprint: u64,
+    reports: &BTreeMap<usize, JobReport>,
+) -> Result<(), CacheMergeError> {
+    for (&index, report) in reports {
+        cache.insert_checked(
+            job_cache_key(&jobs[index], fingerprint),
+            CachedVerdict {
+                verdict: report.verdict,
+                stage: report.stage,
+                detail: report.detail.clone(),
+                checksum: report.checksum,
+            },
+        )?;
+    }
+    Ok(())
 }

@@ -340,8 +340,8 @@ fn check_no_schedule(doc: &Value) -> Result<(), ShardError> {
 }
 
 /// The coordinator → worker manifest: the full job list, the shard layout,
-/// and the engine configuration (minus the cache — every worker opens its
-/// own per-shard cache file).
+/// and the engine configuration (minus the cache — every worker verifies
+/// its share with its own in-memory cache).
 #[derive(Debug, Clone)]
 pub struct SweepManifest {
     /// Number of shards the sweep is partitioned into.
@@ -540,7 +540,7 @@ impl SweepManifest {
 
     /// Writes the manifest atomically.
     pub fn write(&self, path: &Path) -> io::Result<()> {
-        write_atomic_stream(path, false, |w| self.write_to(w)).map(|_| ())
+        write_atomic_stream(path, |w| self.write_to(w))
     }
 
     /// Loads and validates a manifest: the format version must match, every

@@ -1,4 +1,4 @@
-//! Sharded multi-process sweeps with cache-file exchange and merge.
+//! Sharded multi-process sweeps with report exchange and merge.
 //!
 //! The paper's experiments are embarrassingly parallel sweeps over
 //! `(kernel × candidate)` pairs; the [`engine`](crate::engine) already fans a
@@ -8,8 +8,8 @@
 //! shared filesystem, across hosts): a coordinator partitions the job list
 //! into shards, worker processes each run one shard through the unchanged
 //! [`run_batch_observed`](crate::VerificationEngine::run_batch_observed)
-//! path, and the per-shard verdict-cache files are merged — with conflict
-//! detection — into a single cache and a single
+//! path, and the per-shard reports are merged — with conflict detection —
+//! into a single verdict cache and a single
 //! [`BatchReport`](crate::BatchReport) equal to the single-process run.
 //!
 //! * [`plan`] — the deterministic [`ShardPlan`]: partitions jobs into `N`
@@ -20,8 +20,8 @@
 //!   which job.
 //! * [`exchange`] — the on-disk exchange formats (see below).
 //! * [`runner`] — the worker side: loads the manifest, selects its shard,
-//!   runs it on the engine, and incrementally flushes a per-shard cache
-//!   file + shard report so a killed worker leaves usable partial output.
+//!   runs it on the engine, and incrementally flushes its one output, the
+//!   shard report, so a killed worker leaves usable partial output.
 //!   [`run_worker_from_args`] is the drop-in `--shard i/N` entry point for
 //!   self-executing binaries (the `lv-sweep` CLI and the `shard_sweep`
 //!   example both use it).
@@ -36,13 +36,12 @@
 //! counts, microsecond wall times) are 16-digit lower-case hex strings,
 //! exactly like the [verdict cache format](crate::cache). The manifest is
 //! a whole-file document written atomically (temp file + rename) so
-//! readers never observe torn writes; the per-job outputs are
-//! **append-only journals** ([`crate::journal`]) — one checksum-framed
+//! readers never observe torn writes; a shard's one output, its report, is
+//! an **append-only journal** ([`crate::journal`]) — one checksum-framed
 //! record per line, appended through a buffered handle held open for the
 //! shard's lifetime, so a flush costs O(record) and a kill can only tear
-//! the final record (which readers detect by checksum and truncate). Each
-//! journal kind carries its format's version constant in its header
-//! record.
+//! the final record (which the reader detects by checksum and truncates).
+//! Its header record carries the shard format's version constant.
 //!
 //! **Manifest** (`manifest.json`, coordinator → workers, always a
 //! snapshot): the full job list (functions as printed C source —
@@ -55,17 +54,6 @@
 //! refuse to run on a mismatch, so a coordinator and a worker from
 //! semantically different builds can never silently mix verdicts.
 //!
-//! **Per-shard verdict cache** (`shard-<i>.cache.json`, workers →
-//! coordinator): a standard [`VerdictCache`](crate::VerdictCache) file — the
-//! natural exchange format for verdicts, since entries are content-addressed
-//! and therefore mergeable by key. The worker's cache is a journal that
-//! appends one record per fresh verdict at insert time
-//! ([`VerdictCache::open_journal`](crate::VerdictCache::open_journal)). The
-//! coordinator merges all shard caches (plus any recovery run's entries)
-//! with [`VerdictCache::merge_from`](crate::VerdictCache::merge_from): a
-//! same-key-different-verdict clash is a typed [`CacheMergeError`], never
-//! last-write-wins.
-//!
 //! **Shard report** (`shard-<i>.report.json`, workers → coordinator): one
 //! entry per finished job — original job index, label, verdict, stage,
 //! detail, checksum class, cache-hit flag, and the per-stage traces — i.e.
@@ -75,7 +63,19 @@
 //! It is a [`ShardReportJournal`]: the shard metadata rides in the journal
 //! header and each finished job is one appended record.
 //!
-//! **Removed layers.** Earlier builds also wrote per-shard cross-run
+//! **Merged verdict cache** (`merged.cache.json`, the coordinator's
+//! output): a standard [`VerdictCache`](crate::VerdictCache) snapshot built
+//! from the collected reports alone ([`insert_report_verdicts`]): each
+//! report's verdict goes in under its job's content key
+//! (`job_cache_key`), and two reports that
+//! give one key different verdicts are a typed [`CacheMergeError`]
+//! ([`ShardError::MergeConflict`]), never last-write-wins. Workers verify
+//! their share with an in-memory cache and write no cache file.
+//!
+//! **Removed layers.** Earlier builds also wrote per-shard verdict-cache
+//! journals (`shard-<i>.cache.json`), which the coordinator merged next to
+//! the reports that already held the same verdicts; the cache refuses such
+//! a file by name. They wrote per-shard cross-run
 //! profile journals (`shard-<i>.profile.json`) and carried a per-category
 //! stage schedule in the manifest. Every shard now runs the manifest's one
 //! cascade order under its fixed budgets: a manifest whose `schedule`
@@ -90,34 +90,30 @@
 //!
 //! Flush batching (`--flush-every N`,
 //! [`ShardRunOptions::flush_every`](crate::shard::ShardRunOptions::flush_every))
-//! buffers N journal record appends per syscall flush: a killed worker then
+//! buffers N report record appends per syscall flush: a killed worker then
 //! loses up to N−1 *whole* buffered tail records (plus at most one torn
 //! record from a partial write) instead of at most one — still a clean
 //! suffix, so replay, recovery, and merge semantics are unchanged.
 //!
 //! # Compaction
 //!
-//! A journal replays to exactly the entries it holds, so it never *needs*
-//! compaction for correctness — but
-//! [`VerdictCache::compact_journal`](crate::VerdictCache::compact_journal)
-//! rewrites a journal-mode cache into the deterministic sorted snapshot
-//! (and `fsync`s it, the durability point of the default
-//! [`FsyncPolicy::OnCompact`](crate::journal::FsyncPolicy) policy),
-//! byte-identical to a snapshot-mode persist of the same contents, and
-//! [`ShardReportFile::rewrite`] rewrites a report journal in job-index
-//! order without a torn tail. The coordinator's merged cache is itself written as a
-//! snapshot, which is why a sharded sweep still produces a merged cache
-//! file byte-identical to the single-process run (CI pins this,
-//! kill-recovery included).
+//! A report journal replays to exactly the entries it holds, so it never
+//! *needs* compaction for correctness — but [`ShardReportFile::rewrite`]
+//! rewrites one in job-index order without a torn tail (and `fsync`s it,
+//! the durability point of the default
+//! [`FsyncPolicy::OnCompact`](crate::journal::FsyncPolicy) policy). The
+//! coordinator's merged cache is written as the canonical sorted snapshot,
+//! which is why a sharded sweep produces a merged cache file
+//! byte-identical to the single-process run (CI pins this, kill-recovery
+//! included).
 //!
 //! # Recovery semantics
 //!
 //! Each shard runs exactly its own share, on one of two paths: a batch
 //! over the manifest's explicit job list, or a stream that generates the
 //! share from a generation manifest while verifying it. Workers flush their
-//! cache file and report after every finished job —
-//! one appended record each — so the failure unit is one *job*, not one
-//! shard. The coordinator has one supervision rule: it polls until every
+//! report after every finished job — one appended record — so the failure
+//! unit is one *job*, not one shard. The coordinator has one supervision rule: it polls until every
 //! worker has exited or [`SweepConfig::timeout`] passes, and kills the
 //! workers still running then. It collects whatever entries each
 //! shard managed to write — a worker that was killed mid-sweep (possibly
@@ -128,9 +124,11 @@
 //! in-process through the same engine configuration. Because verification
 //! is deterministic, re-run verdicts equal the ones the dead worker would
 //! have produced, so the merged report and cache file are bit-identical to
-//! a fully healthy run (and to a single-process run). Recovery strictly
-//! adds the missing keys; the conflict check still guards against corrupt
-//! partial files.
+//! a fully healthy run (and to a single-process run). The merged cache is
+//! built from the shard reports and the recovery run's reports together, so
+//! a forged or corrupt report that contradicts another report of the same
+//! key — a recovered one included — aborts the sweep with
+//! [`ShardError::MergeConflict`].
 //!
 //! # Example
 //!
@@ -170,8 +168,8 @@ pub mod plan;
 pub mod runner;
 
 pub use coordinator::{
-    run_generated_sweep, run_sharded_sweep, ShardOutcome, ShardStatus, ShardedSweep, SweepConfig,
-    WorkerSpec,
+    insert_report_verdicts, run_generated_sweep, run_sharded_sweep, ShardOutcome, ShardStatus,
+    ShardedSweep, SweepConfig, WorkerSpec,
 };
 pub use exchange::{GenerationSpec, ShardReportFile, ShardReportJournal, SweepManifest};
 pub use plan::{job_key, ShardPlan, ShardPolicy};
@@ -200,8 +198,8 @@ pub enum ShardError {
         /// Fingerprint recomputed by this build.
         computed: u64,
     },
-    /// Two shard caches (or a shard cache and the recovery run) disagree on
-    /// a key.
+    /// Two collected reports (from the shards or the recovery run) give one
+    /// cache key different verdicts.
     MergeConflict(CacheMergeError),
     /// A worker invocation's command line is malformed (`--shard i/N` with
     /// `i >= N`, a missing `--manifest`, …).

@@ -4,27 +4,26 @@
 //! [`ShardPlan`](crate::shard::ShardPlan) as the coordinator, and runs its
 //! shard's jobs through the unchanged
 //! [`run_batch_observed`](crate::VerificationEngine::run_batch_observed)
-//! path with a per-shard file-backed [`VerdictCache`]. A *generation*
+//! path with an in-memory [`VerdictCache`], so duplicate jobs in the share
+//! are verified once (single-flight dedupe). A *generation*
 //! manifest ([`SweepManifest::generation`]) ships no candidates at all:
 //! the shard materializes its own share cell by cell (deterministic
 //! per-cell seeds) on a producer thread and verifies it overlapped through
 //! the streaming intake
 //! ([`run_stream_observed`](crate::VerificationEngine::run_stream_observed)),
-//! with verdicts bit-identical to the materialize-then-batch run. After *every*
-//! finished job the worker flushes both its cache file and its shard
-//! report, so a worker killed mid-sweep leaves valid partial output and the
-//! coordinator only has to re-run the jobs that are actually missing (see
-//! the [module docs](crate::shard) for the recovery contract).
+//! with verdicts bit-identical to the materialize-then-batch run.
 //!
-//! Both outputs are append-only journals ([`crate::journal`]) behind
-//! buffered file handles opened once for the shard's lifetime: a finished
-//! job appends one framed record to the report journal, and the cache
-//! appends its record at insert time, so per-job flush I/O is O(record) and
-//! a shard's total flush I/O is O(jobs). A kill can only tear the final
-//! record, which loaders detect by checksum and truncate. The
-//! [`FsyncPolicy`] decides whether each record is also `fsync`ed
-//! ([`FsyncPolicy::EveryRecord`]) or only a final compaction is
-//! ([`FsyncPolicy::OnCompact`], default).
+//! The worker writes one output file, its shard report: an append-only
+//! journal ([`crate::journal`]) behind a buffered file handle opened once
+//! for the shard's lifetime. After *every* finished job it appends and
+//! flushes one framed record, so per-job flush I/O is O(record), a shard's
+//! total flush I/O is O(jobs), and a worker killed mid-sweep leaves valid
+//! partial output: the coordinator only has to re-run the jobs that are
+//! actually missing (see the [module docs](crate::shard) for the recovery
+//! contract). A kill can only tear the final record, which the loader
+//! detects by checksum and truncates. The [`FsyncPolicy`] decides whether
+//! each record is also `fsync`ed ([`FsyncPolicy::EveryRecord`]) or only a
+//! later compaction is ([`FsyncPolicy::OnCompact`], default).
 
 use crate::cache::VerdictCache;
 use crate::engine::{Job, JobReport, VerificationEngine};
@@ -36,13 +35,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Where a shard worker writes its outputs inside the sweep's working
+/// Where a shard worker writes its report inside the sweep's working
 /// directory.
-pub(crate) fn cache_path(out_dir: &Path, shard: usize) -> PathBuf {
-    out_dir.join(format!("shard-{}.cache.json", shard))
-}
-
-/// See [`cache_path`].
 pub(crate) fn report_path(out_dir: &Path, shard: usize) -> PathBuf {
     out_dir.join(format!("shard-{}.report.json", shard))
 }
@@ -55,9 +49,7 @@ pub struct ShardRunOutput {
     /// Jobs the shard finished (its whole share of the plan on a healthy
     /// run).
     pub finished: usize,
-    /// The per-shard verdict-cache file.
-    pub cache_file: PathBuf,
-    /// The shard report file.
+    /// The shard report file, the shard's one output.
     pub report_file: PathBuf,
 }
 
@@ -89,12 +81,11 @@ impl Default for ShardRunOptions {
     }
 }
 
-/// Streams finished jobs into the shard's report + cache files, flushing
-/// after every job so partial output survives a kill. Optionally aborts the
+/// Streams finished jobs into the shard's report journal, flushing after
+/// every job so partial output survives a kill. Optionally aborts the
 /// process after `fail_after` jobs — the fault-injection hook the recovery
 /// tests and the CI example use to simulate a worker dying mid-sweep.
 struct ShardAppender {
-    cache: Arc<VerdictCache>,
     /// The report lock is held across the file writes: `record` fires
     /// concurrently from engine worker threads, and records must not
     /// interleave mid-frame.
@@ -105,8 +96,7 @@ struct ShardAppender {
 
 impl ShardAppender {
     /// Commits one finished job under its *original* job index: one
-    /// O(record) append (flushed internally); the cache already appended
-    /// its record at insert time.
+    /// O(record) append (flushed internally).
     fn record(&self, original: usize, report: &JobReport) {
         // Best-effort, like `flush`.
         let _ = self.report().append(original, report);
@@ -118,12 +108,11 @@ impl ShardAppender {
         }
     }
 
-    /// Flushes the report journal and the cache journal. Flushes are
-    /// best-effort: an unwritable report surfaces later as missing output,
-    /// which the coordinator recovers from anyway.
+    /// Flushes the report journal. Flushes are best-effort: an unwritable
+    /// report surfaces later as missing output, which the coordinator
+    /// recovers from anyway.
     fn flush(&self) {
         let _ = self.report().flush();
-        let _ = self.cache.persist();
     }
 
     fn report(&self) -> std::sync::MutexGuard<'_, ShardReportJournal> {
@@ -165,8 +154,8 @@ impl BatchObserver for ShareStreamObserver<'_> {
 /// never races far ahead of verification (backpressure, not a job list).
 const SHARD_GENERATION_QUEUE_CAPACITY: usize = 32;
 
-/// Runs shard `shard` of `manifest`, writing the journals
-/// `shard-<i>.cache.json` and `shard-<i>.report.json` into `out_dir`.
+/// Runs shard `shard` of `manifest`, writing its report journal
+/// `shard-<i>.report.json` into `out_dir`.
 ///
 /// `fail_after` is the fault-injection hook: `Some(k)` makes the process
 /// exit with code 3 after `k` finished jobs (partial output already
@@ -206,11 +195,7 @@ pub fn run_shard_with(
     std::fs::create_dir_all(out_dir)?;
     let indices = manifest.plan().indices_of(shard);
 
-    let cache_file = cache_path(out_dir, shard);
     let report_file = report_path(out_dir, shard);
-    let flush_every = options.flush_every.max(1);
-    let cache = Arc::new(VerdictCache::open_journal(&cache_file, options.fsync)?);
-    cache.set_journal_flush_every(flush_every);
     let mut report = ShardReportJournal::create(
         &report_file,
         shard,
@@ -218,11 +203,17 @@ pub fn run_shard_with(
         manifest.fingerprint(),
         options.fsync,
     )?;
-    report.set_flush_every(flush_every);
-    let engine = VerificationEngine::new(manifest.engine_config().with_cache(cache.clone()));
+    report.set_flush_every(options.flush_every);
+    // The cache gives the share single-flight dedupe of duplicate jobs; the
+    // coordinator builds the merged cache from the reports, so it stays in
+    // memory.
+    let engine = VerificationEngine::new(
+        manifest
+            .engine_config()
+            .with_cache(Arc::new(VerdictCache::in_memory())),
+    );
 
     let appender = ShardAppender {
-        cache: cache.clone(),
         report: Mutex::new(report),
         finished: AtomicUsize::new(0),
         fail_after: options.fail_after,
@@ -263,11 +254,9 @@ pub fn run_shard_with(
     // flushing (or a transiently failed mid-sweep flush) it commits the
     // buffered tail.
     appender.flush();
-    cache.persist()?;
     Ok(ShardRunOutput {
         shard,
         finished: batch.jobs.len(),
-        cache_file,
         report_file,
     })
 }
@@ -316,7 +305,7 @@ pub struct WorkerInvocation {
     pub shards: usize,
     /// Path to the sweep manifest.
     pub manifest: PathBuf,
-    /// Output directory for the shard's cache + report files.
+    /// Output directory for the shard's report file.
     pub out_dir: PathBuf,
     /// Fault injection: exit after this many finished jobs.
     pub fail_after: Option<usize>,
@@ -373,7 +362,7 @@ impl WorkerInvocation {
                     "--out" => out_dir = Some(PathBuf::from(value("--out")?)),
                     "--flush" | "--cache-format" => {
                         return Err(ShardError::BadInvocation(format!(
-                            "{} was removed: shard outputs are always JSON journals",
+                            "{} was removed: the shard report is always a JSON journal",
                             arg
                         )))
                     }

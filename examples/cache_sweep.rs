@@ -38,8 +38,8 @@ fn config(cache: Arc<VerdictCache>) -> ExperimentConfig {
     }
 }
 
-fn sweep(cache_path: &Path) -> (Table3, CountingObserver) {
-    let cache = Arc::new(VerdictCache::open(cache_path).expect("cache file must load"));
+fn sweep(cache_file: &Path) -> (Table3, CountingObserver) {
+    let cache = Arc::new(VerdictCache::open(cache_file).expect("cache file must load"));
     let counter = CountingObserver::new();
     let table = table3_with(&config(cache.clone()), &counter);
     cache.persist().expect("cache file must persist");

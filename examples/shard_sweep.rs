@@ -7,11 +7,12 @@
 //! subsystem's contract end to end, self-executing as its own worker
 //! processes:
 //!
-//! * a 2-shard multi-process sweep (per-shard cache + report are
-//!   append-only journals, O(record) flush I/O) produces per-job verdicts
-//!   identical to a single-process run, and compacts — the coordinator's
-//!   merge writes the canonical snapshot — to a merged verdict-cache file
-//!   **byte** identical to the single-process cache file;
+//! * a 2-shard multi-process sweep (each shard's one output file is its
+//!   report, an append-only journal with O(record) flush I/O, and no shard
+//!   writes a cache file) produces per-job verdicts identical to a
+//!   single-process run, and the coordinator builds from the reports a
+//!   merged verdict-cache file **byte** identical to the single-process
+//!   cache file;
 //! * killing one shard worker mid-sweep (fault
 //!   injection: the worker exits after 2 jobs, records flushed) is
 //!   recovered by the coordinator re-running the missing jobs in-process —
@@ -185,14 +186,14 @@ fn main() {
     );
 
     println!("== single-process baseline ({} jobs) ==", jobs.len());
-    let single_cache_path = dir.join("single.cache.json");
-    let single_cache = Arc::new(VerdictCache::open(&single_cache_path).expect("cache"));
+    let single_cache_file = dir.join("single.cache.json");
+    let single_cache = Arc::new(VerdictCache::open(&single_cache_file).expect("cache"));
     let single_engine = llm_vectorizer_repro::core::VerificationEngine::new(
         config.clone().with_cache(single_cache.clone()),
     );
     let single = single_engine.run_batch(&jobs);
     single_cache.persist().expect("persist single cache");
-    let single_bytes = read(&single_cache_path);
+    let single_bytes = read(&single_cache_file);
 
     println!("== 2-shard multi-process sweep (self-exec workers) ==");
     let healthy = sharded(&jobs, &config, dir.join("healthy"), None);
@@ -211,28 +212,32 @@ fn main() {
         assert_eq!(outcome.reported, outcome.planned);
     }
     assert!(healthy.recovered.is_empty(), "nothing to recover");
-    // The exchange files really took the journal path: both per-shard
-    // outputs must carry the journal marker.
+    // One output file per shard: the report, an append-only journal, and
+    // no per-shard cache file.
     for shard in 0..2 {
-        for name in [
-            format!("shard-{}.cache.json", shard),
-            format!("shard-{}.report.json", shard),
-        ] {
-            let text = read(&dir.join("healthy").join(&name));
-            assert!(
-                text.starts_with("{\"journal\":"),
-                "{} must be an append-only journal, got: {}…",
-                name,
-                &text[..text.len().min(30)]
-            );
-        }
+        let name = format!("shard-{}.report.json", shard);
+        let text = read(&dir.join("healthy").join(&name));
+        assert!(
+            text.starts_with("{\"journal\":"),
+            "{} must be an append-only journal, got: {}…",
+            name,
+            &text[..text.len().min(30)]
+        );
+        let cache = dir
+            .join("healthy")
+            .join(format!("shard-{}.cache.json", shard));
+        assert!(
+            !cache.exists(),
+            "{} must not exist: a shard writes only its report",
+            cache.display()
+        );
     }
     assert_reports_match(&single, &healthy.report, "healthy 2-shard journal sweep");
     let merged_bytes = read(&healthy.cache_file);
     assert_eq!(
         single_bytes, merged_bytes,
-        "journal sweep: merged cache file must compact byte-identical to the \
-         single-process cache file"
+        "journal sweep: the merged cache file built from the reports must be \
+         byte-identical to the single-process cache file"
     );
 
     println!("== kill-recovery: shard 0 dies after 2 jobs ==");

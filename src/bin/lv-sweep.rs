@@ -3,9 +3,9 @@
 //! Coordinator mode (the default) builds one verification job per TSVC
 //! kernel the rule-based vectorizer supports, partitions them over `N`
 //! worker *processes* (each re-invoking this very binary with `--shard
-//! i/N`), and merges the per-shard verdict-cache files and reports into a
-//! single table plus a merged cache file — bit-identical to what a
-//! single-process run produces.
+//! i/N`), and merges the per-shard reports into a single table plus a
+//! merged cache file — bit-identical to what a single-process run
+//! produces.
 //!
 //! ```text
 //! lv-sweep [--shards N] [--policy hash|range] [--workdir DIR]
@@ -46,15 +46,16 @@
 //! protocol), `2` on a malformed command line. Every failure is a typed
 //! error printed to stderr — never a panic.
 //!
-//! Workers flush per-job output by appending one framed record per job to
-//! append-only JSON cache/report journals — O(record) flush I/O. `--fsync`
-//! picks when those journals reach the disk: `compact` (default) syncs only
-//! at compaction, `record` syncs after every appended record.
-//! `--flush-every N` buffers N record appends per syscall flush (default
-//! 1); a killed worker then loses at most N−1 buffered tail records, all of
-//! which the coordinator's recovery re-runs. The `--flush` and
-//! `--cache-format` flags of earlier builds (rewrite flushing, binary cache
-//! journals) are gone and refused as usage errors.
+//! Each worker writes one output file, its shard report: an append-only
+//! JSON journal to which it appends one framed record per finished job —
+//! O(record) flush I/O. `--fsync` picks when the report journals reach the
+//! disk: `compact` (default) syncs only at compaction, `record` syncs after
+//! every appended record. `--flush-every N` buffers N report record appends
+//! per syscall flush (default 1); a killed worker then loses at most N−1
+//! buffered tail records, all of which the coordinator's recovery re-runs.
+//! The coordinator builds the merged cache from the reports. The `--flush`
+//! and `--cache-format` flags of earlier builds (rewrite flushing, binary
+//! cache journals) are gone and refused as usage errors.
 //!
 //! Every job runs Algorithm 1's cascade in its one order under fixed
 //! per-stage budgets. The `--profile`, `--schedule` and `--budget` flags of
@@ -84,18 +85,17 @@
 //! afterwards); `status` prints a daemon's live counters. See
 //! `lv_core::service` for the protocol.
 //!
-//! `compact` rewrites journal files into their canonical compact form:
-//! verdict-cache journals become the sorted JSON snapshot
-//! (`VerdictCache::compact_journal`), shard-report journals a fresh report
-//! journal in job-index order without a torn tail; a JSON snapshot is left
-//! unchanged. The binary cache journal (`LVBJ`), binary snapshot (`LVCS`),
-//! cross-run profile journal and shard claim journal of earlier builds are
-//! refused with an error naming the removed form, and the `--format` flag
-//! that could write the binary snapshot is a usage error.
+//! `compact` rewrites a shard-report journal into a fresh report journal in
+//! job-index order without a torn tail; a verdict-cache JSON snapshot is
+//! already compact and left unchanged. The JSON cache journal, binary cache
+//! journal (`LVBJ`), binary snapshot (`LVCS`), cross-run profile journal and
+//! shard claim journal of earlier builds are refused with an error naming
+//! the removed form and left untouched, and the `--format` flag that could
+//! write the binary snapshot is a usage error.
 //!
-//! `cache stats` prints, for each verdict-cache file: the sniffed form
-//! (`json-snapshot` or `json-journal`), size, entry count, bytes per
-//! entry, and the per-verdict-class histogram.
+//! `cache stats` prints, for each verdict-cache snapshot: size, entry
+//! count, bytes per entry, and the per-verdict-class histogram. A file of a
+//! removed cache form is refused by name.
 //!
 //! Worker mode is selected by the presence of `--shard i/N` (plus
 //! `--manifest` and `--out`, which the coordinator passes automatically)
@@ -211,12 +211,7 @@ fn compact_files(args: &[String]) -> Result<(), CliError> {
         let bytes = std::fs::read(path)
             .map_err(|e| runtime(format!("cannot read {}: {}", path.display(), e)))?;
         let before = bytes.len();
-        let result: Result<&str, String> = if bytes.starts_with(b"{\"journal\":\"verdict-cache\"") {
-            VerdictCache::open(path)
-                .and_then(|cache| cache.compact_journal())
-                .map(|()| "verdict cache -> JSON snapshot")
-                .map_err(|e| e.to_string())
-        } else if bytes.starts_with(b"{\"journal\":\"shard-report\"") {
+        let result: Result<&str, String> = if bytes.starts_with(b"{\"journal\":\"shard-report\"") {
             ShardReportFile::load(path)
                 .map_err(|e| e.to_string())
                 .and_then(|report| {
@@ -240,7 +235,8 @@ fn compact_files(args: &[String]) -> Result<(), CliError> {
             // an error, so `compact` is idempotent over a workdir.
             Ok("already a snapshot (unchanged)")
         } else {
-            // The cache reader's error names the removed binary cache forms.
+            // The cache reader's error names the removed cache forms (the
+            // JSON cache journal and both binary forms).
             let reason = "not a recognized journal or snapshot file";
             Err(match VerdictCache::open(path) {
                 Err(e) => format!("{}: {}", reason, e),
@@ -276,7 +272,6 @@ fn cache_stats(paths: &[String]) -> Result<(), CliError> {
         let stats = cache_file_stats(path)
             .map_err(|e| runtime(format!("cannot read {}: {}", path.display(), e)))?;
         println!("{}:", path.display());
-        println!("  format:          {}", stats.format);
         println!("  file bytes:      {}", stats.file_bytes);
         println!("  entries:         {}", stats.entries);
         println!("  bytes/entry:     {:.1}", stats.bytes_per_entry());
@@ -911,7 +906,6 @@ fn cmd_coordinator(args: &[String]) -> Result<(), CliError> {
         worker,
         bounds: CacheBounds {
             max_entries: opts.max_entries,
-            max_bytes: None,
         },
         fsync: opts.fsync,
         flush_every: opts.flush_every,
@@ -1013,10 +1007,9 @@ fn run(args: &[String]) -> Result<(), CliError> {
         return match result {
             Ok(output) => {
                 println!(
-                    "shard {} finished {} job(s); cache {}, report {}",
+                    "shard {} finished {} job(s); report {}",
                     output.shard,
                     output.finished,
-                    output.cache_file.display(),
                     output.report_file.display()
                 );
                 Ok(())
@@ -1301,6 +1294,7 @@ mod tests {
         for (kind, named) in [
             ("cross-run-profile", "cross-run profile"),
             ("shard-claims", "shard claim journal"),
+            ("verdict-cache", "JSON cache journal"),
         ] {
             let path =
                 std::env::temp_dir().join(format!("lv-sweep-{}-{}.json", kind, std::process::id()));

@@ -3,7 +3,6 @@
 use llm_vectorizer_repro::cir::{parse_expr, parse_function, print_expr, print_function};
 use llm_vectorizer_repro::core::cache::{CacheKey, CachedVerdict, VerdictCache};
 use llm_vectorizer_repro::core::pipeline::{Equivalence, Stage};
-use llm_vectorizer_repro::core::FsyncPolicy;
 use llm_vectorizer_repro::interp::{run_function, ArgBindings, ChecksumClass, ExecConfig};
 use llm_vectorizer_repro::simd::{eval_intrinsic, I32x8};
 use llm_vectorizer_repro::smt::{Solver, SolverBudget, Validity};
@@ -139,12 +138,12 @@ proptest! {
         prop_assert_eq!(parsed, reparsed);
     }
 
-    /// Converting a verdict cache JSON snapshot → journal → JSON snapshot
-    /// is the identity on both the entries (every verdict class, stage,
-    /// checksum tag, and detail edge case) and the snapshot bytes
-    /// themselves.
+    /// Persisting a verdict cache, reopening the JSON snapshot and
+    /// persisting it again is the identity on both the entries (every
+    /// verdict class, stage, checksum tag, and detail edge case) and the
+    /// snapshot bytes themselves.
     #[test]
-    fn cache_json_journal_conversion_roundtrip(seeds in proptest::collection::vec(any::<u64>(), 16)) {
+    fn cache_snapshot_reopen_persist_roundtrip(seeds in proptest::collection::vec(any::<u64>(), 16)) {
         let dir = scratch_dir();
         let path = dir.join("cache.json");
         let entries = cache_entries(&seeds);
@@ -157,20 +156,13 @@ proptest! {
         drop(cache);
         let json_before = std::fs::read(&path).unwrap();
 
-        // JSON snapshot → journal: opening in journal mode converts the file.
-        let cache = VerdictCache::open_journal(&path, FsyncPolicy::OnCompact).unwrap();
-        prop_assert!(cache.is_journaling());
-        drop(cache);
-        prop_assert!(std::fs::read(&path).unwrap() != json_before, "file is now a journal");
-        let journal = VerdictCache::open_journal(&path, FsyncPolicy::OnCompact).unwrap();
-        prop_assert_eq!(journal.len(), entries.len());
+        let reopened = VerdictCache::open(&path).unwrap();
+        prop_assert_eq!(reopened.len(), entries.len());
         for (key, verdict) in &entries {
-            prop_assert_eq!(journal.get(key).as_ref(), Some(verdict));
+            prop_assert_eq!(reopened.get(key).as_ref(), Some(verdict));
         }
-
-        // Journal → JSON snapshot: byte-identical to the original persist.
-        journal.compact_journal().unwrap();
-        drop(journal);
+        reopened.persist().unwrap();
+        drop(reopened);
         let json_after = std::fs::read(&path).unwrap();
         prop_assert_eq!(json_before, json_after);
         let _ = std::fs::remove_dir_all(&dir);

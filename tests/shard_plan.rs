@@ -1,10 +1,12 @@
 //! Shard-planning properties and the merge-equivalence pin: a sweep split
 //! over N shards — run through the real on-disk exchange (manifest →
-//! per-shard runner → shard report + cache file → merge) — must reproduce
-//! the single-process batch exactly, for N ∈ {1, 2, 7}, on the TSVC suite.
+//! per-shard runner → shard report → merge) — must reproduce the
+//! single-process batch exactly, for N ∈ {1, 2, 7}, on the TSVC suite.
 
 use llm_vectorizer_repro::agents::{sample_completion_batch, LlmConfig};
-use llm_vectorizer_repro::core::shard::{run_shard, ShardReportFile, SweepManifest};
+use llm_vectorizer_repro::core::shard::{
+    insert_report_verdicts, run_shard, ShardReportFile, SweepManifest,
+};
 use llm_vectorizer_repro::core::{
     EngineConfig, Job, JobReport, PipelineConfig, ShardPlan, ShardPolicy, VerdictCache,
     VerificationEngine,
@@ -91,8 +93,9 @@ proptest! {
 }
 
 /// Runs every shard of `manifest` through the real worker path (files and
-/// all) in-process, then merges reports and caches the way the coordinator
-/// does, returning the reports in job order plus the merged cache.
+/// all) in-process, then merges the reports and builds the merged cache
+/// from them the way the coordinator does, returning the reports in job
+/// order plus the merged cache.
 fn run_all_shards_and_merge(
     manifest: &SweepManifest,
     dir: &std::path::Path,
@@ -102,11 +105,9 @@ fn run_all_shards_and_merge(
     let loaded = SweepManifest::load(&manifest_path).expect("reload manifest");
     assert_eq!(loaded.fingerprint(), manifest.fingerprint());
 
-    let merged = VerdictCache::in_memory();
     let mut entries: BTreeMap<usize, JobReport> = BTreeMap::new();
     for shard in 0..loaded.shards {
-        // The report and cache land as journals, which the loaders below
-        // replay.
+        // The report lands as a journal, which the loader below replays.
         let output = run_shard(&loaded, shard, dir, None).expect("shard run");
         let report = ShardReportFile::load(&output.report_file).expect("shard report");
         assert_eq!(report.fingerprint, manifest.fingerprint());
@@ -117,12 +118,15 @@ fn run_all_shards_and_merge(
                 index
             );
         }
-        let shard_cache = VerdictCache::open(&output.cache_file).expect("shard cache");
-        merged
-            .merge_from(&shard_cache)
-            .expect("shard caches must agree");
+        assert!(
+            !dir.join(format!("shard-{}.cache.json", shard)).exists(),
+            "a shard writes its report and no cache file"
+        );
     }
     assert_eq!(entries.len(), loaded.jobs.len(), "no job may be lost");
+    let merged = VerdictCache::in_memory();
+    insert_report_verdicts(&merged, &loaded.jobs, loaded.fingerprint(), &entries)
+        .expect("shard reports must agree");
     (entries.into_values().collect(), merged)
 }
 

@@ -14,8 +14,9 @@ use llm_vectorizer_repro::core::shard::{
     run_shard, run_shard_with, ShardReportFile, ShardReportJournal, ShardRunOptions, SweepManifest,
 };
 use llm_vectorizer_repro::core::{
-    run_sharded_sweep, EngineConfig, FsyncPolicy, Job, PipelineConfig, ShardPolicy, ShardStatus,
-    SweepConfig, VerdictCache, VerificationEngine, WorkerSpec,
+    run_sharded_sweep, CacheMergeError, EngineConfig, Equivalence, FsyncPolicy, Job,
+    PipelineConfig, ShardError, ShardPolicy, ShardStatus, SweepConfig, VerificationEngine,
+    WorkerSpec,
 };
 use llm_vectorizer_repro::interp::ChecksumConfig;
 use std::path::PathBuf;
@@ -191,7 +192,6 @@ fn partial_shard_output_is_kept_and_only_missing_jobs_rerun() {
     // Park the partial output under names the coordinator's pre-clean
     // leaves alone; the shard 0 "worker" installs it mid-sweep and dies.
     std::fs::copy(&output.report_file, dir.join("partial.report.json")).unwrap();
-    std::fs::copy(&output.cache_file, dir.join("partial.cache.json")).unwrap();
     let _ = std::fs::remove_dir_all(&staging);
 
     let sweep = SweepConfig {
@@ -206,7 +206,6 @@ fn partial_shard_output_is_kept_and_only_missing_jobs_rerun() {
                 "-c".to_string(),
                 "if [ \"${1%%/*}\" = 0 ]; then \
                      cp \"$5/partial.report.json\" \"$5/shard-0.report.json\"; \
-                     cp \"$5/partial.cache.json\" \"$5/shard-0.cache.json\"; \
                  fi; exit 7"
                     .to_string(),
             ],
@@ -274,8 +273,9 @@ fn stale_outputs_in_a_reused_workdir_are_ignored() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The journal-mode mirror of the partial-output case: a worker killed
-/// mid-*append* leaves journals whose final record is torn mid-frame. The
+/// The torn-frame mirror of the partial-output case: a worker killed
+/// mid-*append* leaves a report journal whose final record is torn
+/// mid-frame. The
 /// coordinator must keep every complete record (detecting the torn tail by
 /// its checksum framing, never mis-parsing it) and re-run only the jobs
 /// past the tear — and the merged result must still equal the
@@ -286,34 +286,31 @@ fn torn_journal_tails_are_truncated_and_only_missing_jobs_rerun() {
     let config = quick_config();
     let dir = temp_dir("torn-journal");
 
-    // Stage shard 0's journals (contiguous split: jobs {0, 1}) with the
-    // real runner, then tear the final record of both journals by chopping
-    // bytes off the end — byte-for-byte what a kill mid-append leaves,
-    // since journal appends are sequential writes.
+    // Stage shard 0's report journal (contiguous split: jobs {0, 1}) with
+    // the real runner, then tear its final record by chopping bytes off the
+    // end — byte-for-byte what a kill mid-append leaves, since journal
+    // appends are sequential writes.
     let staging = temp_dir("torn-journal-staging");
     let manifest = SweepManifest::new(&config, &jobs, 2, ShardPolicy::Contiguous);
     assert_eq!(manifest.plan().indices_of(0), vec![0, 1], "staging layout");
     let output = run_shard(&manifest, 0, &staging, None).expect("staging shard run");
-    for file in [&output.report_file, &output.cache_file] {
-        let bytes = std::fs::read(file).unwrap();
-        let text = String::from_utf8(bytes.clone()).unwrap();
-        assert!(
-            text.starts_with("{\"journal\":"),
-            "staged output must be a journal, got: {}",
-            &text[..text.len().min(40)]
-        );
-        // Cut inside the final record (5 bytes shy of its newline).
-        std::fs::write(file, &bytes[..bytes.len() - 5]).unwrap();
-    }
+    let bytes = std::fs::read(&output.report_file).unwrap();
+    let text = String::from_utf8(bytes.clone()).unwrap();
+    assert!(
+        text.starts_with("{\"journal\":"),
+        "staged output must be a journal, got: {}",
+        &text[..text.len().min(40)]
+    );
+    // Cut inside the final record (5 bytes shy of its newline).
+    std::fs::write(&output.report_file, &bytes[..bytes.len() - 5]).unwrap();
     std::fs::copy(&output.report_file, dir.join("partial.report.json")).unwrap();
-    std::fs::copy(&output.cache_file, dir.join("partial.cache.json")).unwrap();
     let _ = std::fs::remove_dir_all(&staging);
 
     let sweep = SweepConfig {
         shards: 2,
         policy: ShardPolicy::Contiguous,
         workdir: dir.clone(),
-        // Shard 0 installs the torn journals and dies; shard 1 dies with
+        // Shard 0 installs the torn journal and dies; shard 1 dies with
         // nothing ($1 is `i/N`, $5 is the --out directory).
         worker: WorkerSpec {
             program: PathBuf::from("sh"),
@@ -321,7 +318,6 @@ fn torn_journal_tails_are_truncated_and_only_missing_jobs_rerun() {
                 "-c".to_string(),
                 "if [ \"${1%%/*}\" = 0 ]; then \
                      cp \"$5/partial.report.json\" \"$5/shard-0.report.json\"; \
-                     cp \"$5/partial.cache.json\" \"$5/shard-0.cache.json\"; \
                  fi; exit 9"
                     .to_string(),
             ],
@@ -345,7 +341,7 @@ fn torn_journal_tails_are_truncated_and_only_missing_jobs_rerun() {
 
 /// The batched-flush (`--flush-every N`) mirror of the torn-journal case: a
 /// worker killed between batch flushes loses up to N−1 *whole* buffered
-/// tail records — the journals end at a clean record boundary with recent
+/// tail records — the journal ends at a clean record boundary with recent
 /// jobs simply absent, rather than with a torn frame. The coordinator must
 /// keep the flushed prefix, tolerate the lost tail, and recover to a result
 /// equal to the single-process run.
@@ -356,11 +352,10 @@ fn batched_flush_kill_loses_at_most_n_minus_1_tail_records_and_recovers() {
     let dir = temp_dir("flush-every");
     const FLUSH_EVERY: usize = 3;
 
-    // Stage shard 0's journals (contiguous split: jobs {0, 1}) through the
-    // real batched-flush runner, then drop the last 2 records (one from
-    // each journal would do; chop the report's tail job and the cache's
-    // newest entry) — byte-for-byte what a kill between batch flushes
-    // leaves, since unflushed appends never reach the file at all.
+    // Stage shard 0's report journal (contiguous split: jobs {0, 1})
+    // through the real batched-flush runner, then drop its tail record —
+    // byte-for-byte what a kill between batch flushes leaves, since
+    // unflushed appends never reach the file at all.
     let staging = temp_dir("flush-every-staging");
     let manifest = SweepManifest::new(&config, &jobs, 2, ShardPolicy::Contiguous);
     assert_eq!(manifest.plan().indices_of(0), vec![0, 1], "staging layout");
@@ -374,19 +369,16 @@ fn batched_flush_kill_loses_at_most_n_minus_1_tail_records_and_recovers() {
         },
     )
     .expect("staging shard run");
-    for file in [&output.report_file, &output.cache_file] {
-        let text = std::fs::read_to_string(file).unwrap();
-        assert!(
-            text.starts_with("{\"journal\":"),
-            "staged output must be a journal"
-        );
-        let mut lines: Vec<&str> = text.lines().collect();
-        assert!(lines.len() >= 3, "header + 2 records, got {}", lines.len());
-        lines.pop(); // the batched tail record that never got flushed
-        std::fs::write(file, format!("{}\n", lines.join("\n"))).unwrap();
-    }
+    let text = std::fs::read_to_string(&output.report_file).unwrap();
+    assert!(
+        text.starts_with("{\"journal\":"),
+        "staged output must be a journal"
+    );
+    let mut lines: Vec<&str> = text.lines().collect();
+    assert!(lines.len() >= 3, "header + 2 records, got {}", lines.len());
+    lines.pop(); // the batched tail record that never got flushed
+    std::fs::write(&output.report_file, format!("{}\n", lines.join("\n"))).unwrap();
     std::fs::copy(&output.report_file, dir.join("partial.report.json")).unwrap();
-    std::fs::copy(&output.cache_file, dir.join("partial.cache.json")).unwrap();
     let _ = std::fs::remove_dir_all(&staging);
 
     let sweep = SweepConfig {
@@ -394,7 +386,7 @@ fn batched_flush_kill_loses_at_most_n_minus_1_tail_records_and_recovers() {
         policy: ShardPolicy::Contiguous,
         workdir: dir.clone(),
         flush_every: FLUSH_EVERY,
-        // Shard 0 installs the truncated journals and dies; shard 1 dies
+        // Shard 0 installs the truncated journal and dies; shard 1 dies
         // with nothing ($1 is `i/N`, $5 is the --out directory).
         worker: WorkerSpec {
             program: PathBuf::from("sh"),
@@ -402,7 +394,6 @@ fn batched_flush_kill_loses_at_most_n_minus_1_tail_records_and_recovers() {
                 "-c".to_string(),
                 "if [ \"${1%%/*}\" = 0 ]; then \
                      cp \"$5/partial.report.json\" \"$5/shard-0.report.json\"; \
-                     cp \"$5/partial.cache.json\" \"$5/shard-0.cache.json\"; \
                  fi; exit 5"
                     .to_string(),
             ],
@@ -428,101 +419,81 @@ fn batched_flush_kill_loses_at_most_n_minus_1_tail_records_and_recovers() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A shard whose *cache file* is corrupt (torn write, disk trouble) must
-/// not discard the healthy shards' work: the verdicts are re-derivable from
-/// the shard reports and the recovery run, and the merged cache is rebuilt
-/// complete from those.
+/// Two reports that give one cache key different verdicts are a typed
+/// merge conflict, never last-write-wins — also when one of them comes from
+/// the coordinator's own recovery run. The job list holds one candidate at
+/// two indices (0 and 4); shard 0's "worker" installs a CRC-valid forged
+/// report that flips index 0's verdict and dies, and index 4 is recovered
+/// in-process with its true verdict.
 #[test]
-fn corrupt_shard_caches_are_tolerated_and_the_merged_cache_is_complete() {
-    let jobs = small_jobs();
-    let config = quick_config();
-    let dir = temp_dir("torncache");
-
-    // The "worker" writes garbage over its own shard cache (positional
-    // parameters: $1 is `i/N`, $5 is the --out directory) and exits 0
-    // without producing a report.
-    let sweep = SweepConfig {
-        shards: 2,
-        policy: ShardPolicy::Contiguous,
-        workdir: dir.clone(),
-        worker: WorkerSpec {
-            program: PathBuf::from("sh"),
-            args: vec![
-                "-c".to_string(),
-                "echo garbage > \"$5/shard-${1%%/*}.cache.json\"".to_string(),
-            ],
-        },
-        ..SweepConfig::default()
-    };
-    let swept = run_sharded_sweep(&jobs, &config, &sweep)
-        .expect("a corrupt shard cache must not abort the sweep");
-    assert_eq!(swept.recovered.len(), jobs.len());
-    assert_eq!(
-        swept.cache.len(),
-        jobs.len(),
-        "the merged cache is rebuilt complete from the collected verdicts"
-    );
-    assert_matches_single_process(&swept, &jobs);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// A shard cache that disagrees with another shard's results is a typed
-/// merge conflict, not silent last-write-wins.
-#[test]
-fn conflicting_shard_caches_abort_the_merge() {
-    let jobs = small_jobs();
+fn conflicting_shard_reports_abort_the_merge() {
+    let mut jobs = small_jobs();
+    let mut copy = jobs[0].clone();
+    copy.label = format!("{}-copy", copy.label);
+    jobs.push(copy);
     let config = quick_config();
     let dir = temp_dir("conflict");
 
-    // Produce a healthy shard cache in a staging directory, persist its
-    // entries as a JSON snapshot, flip one verdict, and park the forgery
-    // under a name the coordinator's output pre-clean leaves alone. The
-    // "workers" then install the forgery as their own shard cache
-    // (positional parameters: $1 is `i/N`, $5 is the --out directory)
-    // without writing a report, so every job is re-run in-process — and
-    // the recovery verdicts disagree with the forged cache entry.
-    let staging = temp_dir("conflict-staging");
+    // Contiguous split of 5 jobs over 2 shards: shard 0 owns {0, 1, 2},
+    // shard 1 owns {3, 4}. The forgery is job 0's true report with its
+    // verdict flipped, framed by the real journal writer so every checksum
+    // holds, and parked under a name the coordinator's pre-clean leaves
+    // alone.
     let manifest = SweepManifest::new(&config, &jobs, 2, ShardPolicy::Contiguous);
-    // The forgery edits snapshot text: a journal's per-record checksums
-    // would (correctly) reject an edited record as corruption rather than
-    // surface it as a merge conflict.
-    let output = run_shard(&manifest, 0, &staging, None).expect("healthy shard run");
-    let snapshot = staging.join("snapshot.json");
-    let copy = VerdictCache::open(&snapshot).unwrap();
-    copy.merge_file(&output.cache_file).unwrap();
-    copy.persist().unwrap();
-    let text = std::fs::read_to_string(&snapshot).unwrap();
-    let flipped = text.replacen(
-        "\"verdict\":\"equivalent\"",
-        "\"verdict\":\"inconclusive\"",
-        1,
+    assert_eq!(
+        manifest.plan().indices_of(0),
+        vec![0, 1, 2],
+        "staging layout"
     );
-    assert_ne!(text, flipped, "need at least one equivalent verdict");
-    std::fs::write(dir.join("forged.json"), flipped).unwrap();
-    let _ = std::fs::remove_dir_all(&staging);
+    let mut forged = VerificationEngine::new(config.clone())
+        .run_batch(&jobs[..1])
+        .jobs
+        .remove(0);
+    assert_eq!(forged.verdict, Equivalence::Equivalent);
+    forged.verdict = Equivalence::NotEquivalent;
+    let mut journal = ShardReportJournal::create(
+        &dir.join("forged.report.json"),
+        0,
+        2,
+        manifest.fingerprint(),
+        FsyncPolicy::OnCompact,
+    )
+    .unwrap();
+    journal.append(0, &forged).unwrap();
+    drop(journal);
 
     let sweep = SweepConfig {
         shards: 2,
         policy: ShardPolicy::Contiguous,
         workdir: dir.clone(),
+        // Shard 0 installs the forged report and dies; shard 1 dies with
+        // nothing ($1 is `i/N`, $5 is the --out directory).
         worker: WorkerSpec {
             program: PathBuf::from("sh"),
             args: vec![
                 "-c".to_string(),
-                "cp \"$5/forged.json\" \"$5/shard-${1%%/*}.cache.json\"".to_string(),
+                "if [ \"${1%%/*}\" = 0 ]; then \
+                     cp \"$5/forged.report.json\" \"$5/shard-0.report.json\"; \
+                 fi; exit 1"
+                    .to_string(),
             ],
         },
         ..SweepConfig::default()
     };
     let err = run_sharded_sweep(&jobs, &config, &sweep)
-        .expect_err("a disagreeing shard cache must abort the merge");
-    assert!(
-        matches!(
-            err,
-            llm_vectorizer_repro::core::ShardError::MergeConflict(_)
-        ),
-        "{:?}",
-        err
-    );
+        .expect_err("reports that disagree on a key must abort the merge");
+    match err {
+        ShardError::MergeConflict(CacheMergeError::Conflict {
+            existing, incoming, ..
+        }) => {
+            assert_eq!(existing.verdict, Equivalence::NotEquivalent, "the forgery");
+            assert_eq!(
+                incoming.verdict,
+                Equivalence::Equivalent,
+                "the recovered copy"
+            );
+        }
+        other => panic!("expected a merge conflict, got {:?}", other),
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
