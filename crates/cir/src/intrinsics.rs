@@ -6,6 +6,7 @@
 //! without depending on the executable model.
 
 use crate::ast::Type;
+use crate::typecheck::Ty;
 use serde::{Deserialize, Serialize};
 
 /// The argument / result types an intrinsic can mention.
@@ -26,9 +27,14 @@ pub enum IntrinsicType {
 impl IntrinsicType {
     /// Whether an argument of mini-C type `ty` is acceptable for this slot.
     pub fn accepts(self, ty: &Type) -> bool {
+        self.accepts_ty(Ty::of(ty))
+    }
+
+    /// [`accepts`](Self::accepts) on the type checker's copyable type.
+    pub(crate) fn accepts_ty(self, ty: Ty) -> bool {
         match self {
-            IntrinsicType::I32 => *ty == Type::Int,
-            IntrinsicType::Vec => *ty == Type::M256i,
+            IntrinsicType::I32 => ty == Ty::INT,
+            IntrinsicType::Vec => ty == Ty::M256I,
             // Vector memory operands are written either as `(__m256i *)&a[i]`
             // or directly as `(__m256i *)(a + i)`, and some code passes the
             // `int *` through unchanged; accept any pointer.
@@ -39,12 +45,18 @@ impl IntrinsicType {
 
     /// The mini-C result type for this intrinsic type.
     pub fn result_type(self) -> Type {
+        self.result_ty().to_type()
+    }
+
+    /// [`result_type`](Self::result_type) as the type checker's copyable
+    /// type.
+    pub(crate) fn result_ty(self) -> Ty {
         match self {
-            IntrinsicType::I32 => Type::Int,
-            IntrinsicType::Vec => Type::M256i,
-            IntrinsicType::VecPtr => Type::m256i_ptr(),
-            IntrinsicType::IntPtr => Type::int_ptr(),
-            IntrinsicType::Void => Type::Void,
+            IntrinsicType::I32 => Ty::INT,
+            IntrinsicType::Vec => Ty::M256I,
+            IntrinsicType::VecPtr => Ty::M256I.ptr(),
+            IntrinsicType::IntPtr => Ty::INT.ptr(),
+            IntrinsicType::Void => Ty::VOID,
         }
     }
 }

@@ -10,6 +10,7 @@ use crate::ast::{BinOp, Block, Expr, Function, Stmt, Type, UnOp};
 use crate::error::TypeError;
 use crate::intrinsics::{intrinsic_sig, looks_like_intrinsic};
 use std::collections::HashMap;
+use std::fmt;
 
 /// The result of type checking a function: the type of every named variable
 /// (parameters and locals). When a name is declared in several scopes the
@@ -78,6 +79,88 @@ pub fn compiles(func: &Function) -> bool {
     check_types(func).is_ok()
 }
 
+/// A mini-C type as the checker computes it: a base type under `ptrs`
+/// levels of pointer. It is `Copy`, so typing a pointer-valued expression —
+/// a pointer variable, `&a[i]`, a `(__m256i *)` cast — allocates nothing,
+/// where building the AST's [`Type::Ptr`] boxes its pointee. It displays
+/// exactly as the [`Type`] it stands for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Ty {
+    base: Base,
+    ptrs: u32,
+}
+
+/// The non-pointer type at the bottom of a [`Ty`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Base {
+    Void,
+    Int,
+    M256i,
+}
+
+impl Ty {
+    pub(crate) const VOID: Ty = Ty::base(Base::Void);
+    pub(crate) const INT: Ty = Ty::base(Base::Int);
+    pub(crate) const M256I: Ty = Ty::base(Base::M256i);
+
+    const fn base(base: Base) -> Ty {
+        Ty { base, ptrs: 0 }
+    }
+
+    /// The checker's form of an AST type.
+    pub(crate) fn of(ty: &Type) -> Ty {
+        match ty {
+            Type::Void => Ty::VOID,
+            Type::Int => Ty::INT,
+            Type::M256i => Ty::M256I,
+            Type::Ptr(inner) => Ty::of(inner).ptr(),
+        }
+    }
+
+    /// The AST type this stands for.
+    pub(crate) fn to_type(self) -> Type {
+        let base = match self.base {
+            Base::Void => Type::Void,
+            Base::Int => Type::Int,
+            Base::M256i => Type::M256i,
+        };
+        (0..self.ptrs).fold(base, |inner, _| Type::Ptr(Box::new(inner)))
+    }
+
+    /// A pointer to this type.
+    pub(crate) const fn ptr(self) -> Ty {
+        Ty {
+            base: self.base,
+            ptrs: self.ptrs + 1,
+        }
+    }
+
+    pub(crate) fn is_ptr(self) -> bool {
+        self.ptrs > 0
+    }
+
+    fn pointee(self) -> Option<Ty> {
+        self.ptrs.checked_sub(1).map(|ptrs| Ty {
+            base: self.base,
+            ptrs,
+        })
+    }
+}
+
+impl fmt::Display for Ty {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self.base {
+            Base::Void => "void",
+            Base::Int => "int",
+            Base::M256i => "__m256i",
+        })?;
+        for _ in 0..self.ptrs {
+            f.write_str(" *")?;
+        }
+        Ok(())
+    }
+}
+
 struct Checker<'a> {
     func: &'a Function,
     /// Every variable in scope, outermost first, as one flat stack of names
@@ -108,12 +191,12 @@ impl<'a> Checker<'a> {
         self.vars.push((name, ty));
     }
 
-    fn lookup(&self, name: &str) -> Option<&'a Type> {
+    fn lookup(&self, name: &str) -> Option<Ty> {
         self.vars
             .iter()
             .rev()
             .find(|(n, _)| *n == name)
-            .map(|&(_, ty)| ty)
+            .map(|&(_, ty)| Ty::of(ty))
     }
 
     fn check_function(&mut self) -> Result<(), TypeError> {
@@ -201,7 +284,7 @@ impl<'a> Checker<'a> {
                 }
                 if let Some(init) = init {
                     let init_ty = self.check_expr(init)?;
-                    if !assignable(ty, &init_ty) {
+                    if !assignable(Ty::of(ty), init_ty) {
                         return Err(TypeError::new(format!(
                             "cannot initialize `{}` of type {} with a value of type {}",
                             name, ty, init_ty
@@ -221,7 +304,7 @@ impl<'a> Checker<'a> {
                 else_branch,
             } => {
                 let cond_ty = self.check_expr(cond)?;
-                require_scalar_condition(&cond_ty)?;
+                require_scalar_condition(cond_ty)?;
                 self.check_block(then_branch)?;
                 if let Some(else_branch) = else_branch {
                     self.check_block(else_branch)?;
@@ -240,7 +323,7 @@ impl<'a> Checker<'a> {
                 }
                 if let Some(cond) = cond {
                     let cond_ty = self.check_expr(cond)?;
-                    require_scalar_condition(&cond_ty)?;
+                    require_scalar_condition(cond_ty)?;
                 }
                 if let Some(step) = step {
                     self.check_expr(step)?;
@@ -251,7 +334,7 @@ impl<'a> Checker<'a> {
             }
             Stmt::While { cond, body } => {
                 let cond_ty = self.check_expr(cond)?;
-                require_scalar_condition(&cond_ty)?;
+                require_scalar_condition(cond_ty)?;
                 self.check_block(body)
             }
             Stmt::Return(None) => Ok(()),
@@ -270,24 +353,23 @@ impl<'a> Checker<'a> {
         }
     }
 
-    fn check_expr(&mut self, expr: &Expr) -> Result<Type, TypeError> {
+    fn check_expr(&mut self, expr: &Expr) -> Result<Ty, TypeError> {
         match expr {
-            Expr::IntLit(_) => Ok(Type::Int),
+            Expr::IntLit(_) => Ok(Ty::INT),
             Expr::Var(name) => self
                 .lookup(name)
-                .cloned()
                 .ok_or_else(|| TypeError::new(format!("use of undeclared variable `{}`", name))),
             Expr::Index { base, index } => {
                 let base_ty = self.check_expr(base)?;
                 let index_ty = self.check_expr(index)?;
-                if index_ty != Type::Int {
+                if index_ty != Ty::INT {
                     return Err(TypeError::new(format!(
                         "array index must be int, found {}",
                         index_ty
                     )));
                 }
                 match base_ty.pointee() {
-                    Some(pointee) => Ok(pointee.clone()),
+                    Some(pointee) => Ok(pointee),
                     None => Err(TypeError::new(format!(
                         "cannot index a value of type {}",
                         base_ty
@@ -298,35 +380,35 @@ impl<'a> Checker<'a> {
                 let ty = self.check_expr(expr)?;
                 match op {
                     UnOp::Neg | UnOp::Not | UnOp::BitNot => {
-                        if ty != Type::Int {
+                        if ty != Ty::INT {
                             return Err(TypeError::new(format!(
                                 "unary `{}` requires an int operand, found {}",
                                 op.symbol(),
                                 ty
                             )));
                         }
-                        Ok(Type::Int)
+                        Ok(Ty::INT)
                     }
                 }
             }
             Expr::Binary { op, lhs, rhs } => {
                 let lt = self.check_expr(lhs)?;
                 let rt = self.check_expr(rhs)?;
-                self.binary_type(*op, &lt, &rt)
+                self.binary_type(*op, lt, rt)
             }
             Expr::Assign { op, target, value } => {
                 let target_ty = self.check_lvalue(target)?;
                 let value_ty = self.check_expr(value)?;
                 if let Some(binop) = op.binop() {
                     // Compound assignment: target op= value requires target (op) value to be valid.
-                    let result = self.binary_type(binop, &target_ty, &value_ty)?;
-                    if !assignable(&target_ty, &result) {
+                    let result = self.binary_type(binop, target_ty, value_ty)?;
+                    if !assignable(target_ty, result) {
                         return Err(TypeError::new(format!(
                             "cannot assign a value of type {} to a target of type {}",
                             result, target_ty
                         )));
                     }
-                } else if !assignable(&target_ty, &value_ty) {
+                } else if !assignable(target_ty, value_ty) {
                     return Err(TypeError::new(format!(
                         "cannot assign a value of type {} to a target of type {}",
                         value_ty, target_ty
@@ -337,28 +419,26 @@ impl<'a> Checker<'a> {
             Expr::Call { callee, args } => self.check_call(callee, args),
             Expr::Cast { ty, expr } => {
                 let from = self.check_expr(expr)?;
-                match (ty, &from) {
+                let to = Ty::of(ty);
+                match (to, from) {
                     // Pointer-to-pointer casts (the `(__m256i *)&a[i]` idiom).
-                    (Type::Ptr(_), Type::Ptr(_)) => Ok(ty.clone()),
+                    _ if to.is_ptr() && from.is_ptr() => Ok(to),
                     // int casts are no-ops in this subset.
-                    (Type::Int, Type::Int) => Ok(Type::Int),
+                    (Ty::INT, Ty::INT) => Ok(Ty::INT),
                     _ => Err(TypeError::new(format!(
                         "unsupported cast from {} to {}",
                         from, ty
                     ))),
                 }
             }
-            Expr::AddrOf(inner) => {
-                let ty = self.check_lvalue(inner)?;
-                Ok(Type::Ptr(Box::new(ty)))
-            }
+            Expr::AddrOf(inner) => Ok(self.check_lvalue(inner)?.ptr()),
             Expr::Ternary {
                 cond,
                 then_expr,
                 else_expr,
             } => {
                 let cond_ty = self.check_expr(cond)?;
-                require_scalar_condition(&cond_ty)?;
+                require_scalar_condition(cond_ty)?;
                 let t = self.check_expr(then_expr)?;
                 let e = self.check_expr(else_expr)?;
                 if t != e {
@@ -372,7 +452,7 @@ impl<'a> Checker<'a> {
         }
     }
 
-    fn check_lvalue(&mut self, expr: &Expr) -> Result<Type, TypeError> {
+    fn check_lvalue(&mut self, expr: &Expr) -> Result<Ty, TypeError> {
         match expr {
             Expr::Var(_) | Expr::Index { .. } => self.check_expr(expr),
             other => Err(TypeError::new(format!(
@@ -382,7 +462,7 @@ impl<'a> Checker<'a> {
         }
     }
 
-    fn check_call(&mut self, callee: &str, args: &[Expr]) -> Result<Type, TypeError> {
+    fn check_call(&mut self, callee: &str, args: &[Expr]) -> Result<Ty, TypeError> {
         let Some(sig) = intrinsic_sig(callee) else {
             if looks_like_intrinsic(callee) {
                 return Err(TypeError::new(format!(
@@ -405,7 +485,7 @@ impl<'a> Checker<'a> {
         }
         for (i, (arg, slot)) in args.iter().zip(sig.params.iter()).enumerate() {
             let ty = self.check_expr(arg)?;
-            if !slot.accepts(&ty) {
+            if !slot.accepts_ty(ty) {
                 return Err(TypeError::new(format!(
                     "argument {} of `{}` has type {}, which is not accepted",
                     i + 1,
@@ -414,15 +494,15 @@ impl<'a> Checker<'a> {
                 )));
             }
         }
-        Ok(sig.ret.result_type())
+        Ok(sig.ret.result_ty())
     }
 
-    fn binary_type(&self, op: BinOp, lhs: &Type, rhs: &Type) -> Result<Type, TypeError> {
+    fn binary_type(&self, op: BinOp, lhs: Ty, rhs: Ty) -> Result<Ty, TypeError> {
         match (lhs, rhs) {
-            (Type::Int, Type::Int) => Ok(Type::Int),
+            (Ty::INT, Ty::INT) => Ok(Ty::INT),
             // Pointer arithmetic: `a + i`, `i + a`, `a - i` produce a pointer.
-            (Type::Ptr(_), Type::Int) if matches!(op, BinOp::Add | BinOp::Sub) => Ok(lhs.clone()),
-            (Type::Int, Type::Ptr(_)) if op == BinOp::Add => Ok(rhs.clone()),
+            (_, Ty::INT) if lhs.is_ptr() && matches!(op, BinOp::Add | BinOp::Sub) => Ok(lhs),
+            (Ty::INT, _) if rhs.is_ptr() && op == BinOp::Add => Ok(rhs),
             _ => Err(TypeError::new(format!(
                 "invalid operands to `{}`: {} and {} (vector values must use intrinsics)",
                 op.symbol(),
@@ -433,17 +513,16 @@ impl<'a> Checker<'a> {
     }
 }
 
-fn assignable(target: &Type, value: &Type) -> bool {
-    match (target, value) {
-        (Type::Int, Type::Int) => true,
-        (Type::M256i, Type::M256i) => true,
-        (Type::Ptr(a), Type::Ptr(b)) => a == b || **a == Type::M256i || **b == Type::M256i,
+fn assignable(target: Ty, value: Ty) -> bool {
+    match (target.pointee(), value.pointee()) {
+        (Some(a), Some(b)) => a == b || a == Ty::M256I || b == Ty::M256I,
+        (None, None) => target == value && target != Ty::VOID,
         _ => false,
     }
 }
 
-fn require_scalar_condition(ty: &Type) -> Result<(), TypeError> {
-    if *ty == Type::Int {
+fn require_scalar_condition(ty: Ty) -> Result<(), TypeError> {
+    if ty == Ty::INT {
         Ok(())
     } else {
         Err(TypeError::new(format!(

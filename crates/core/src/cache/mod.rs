@@ -39,7 +39,8 @@
 //! contents twice produces byte-identical files. `checksum` is `null` for
 //! verdicts produced by cascades without a checksum stage. A file listing
 //! one key twice with different verdicts is corrupt and refused, never
-//! read last-write-wins.
+//! read last-write-wins; two listings that differ only in `detail` agree,
+//! and the first is kept ([`CachedVerdict::agrees_with`]).
 //!
 //! File I/O happens only in [`VerdictCache::open`] and
 //! [`VerdictCache::persist`], which rewrites the whole file atomically
@@ -105,6 +106,19 @@ pub struct CachedVerdict {
     pub checksum: Option<ChecksumClass>,
 }
 
+impl CachedVerdict {
+    /// Whether two verdicts of one key agree: the same verdict, stage and
+    /// checksum class. `detail` is explanation only. It may name functions
+    /// and variables the key does not cover, so two alpha-equivalent jobs
+    /// (kernels that differ only in their names) share a key and verdict
+    /// but can word their details differently.
+    pub fn agrees_with(&self, other: &CachedVerdict) -> bool {
+        self.verdict == other.verdict
+            && self.stage == other.stage
+            && self.checksum == other.checksum
+    }
+}
+
 /// Why a conflict-checked insert ([`VerdictCache::insert_checked`]) or a
 /// merge failed.
 ///
@@ -114,7 +128,9 @@ pub struct CachedVerdict {
 /// with different semantics under the same [`CACHE_FORMAT_VERSION`], or was
 /// tampered with. Last-write-wins would silently propagate the corruption
 /// into every future sweep, so the insert refuses instead: the conflict is
-/// a typed, actionable error naming the key and both verdicts.
+/// a typed, actionable error naming the key and both verdicts. Verdicts
+/// agree when [`CachedVerdict::agrees_with`] says so; a differing `detail`
+/// alone is no conflict.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CacheMergeError {
     /// Both sources hold the key with different verdict payloads.
@@ -243,11 +259,13 @@ impl VerdictCache {
         self.map().insert(key, verdict);
     }
 
-    /// Stores a verdict unless the cache holds a *different* one for `key`:
-    /// `Ok(true)` when the key was added, `Ok(false)` when the same verdict
-    /// was already stored, and [`CacheMergeError::Conflict`] — the stored
-    /// verdict left in place — when they disagree; never last-write-wins
-    /// (see the error type for why).
+    /// Stores a verdict unless the cache holds a *disagreeing* one for
+    /// `key` ([`CachedVerdict::agrees_with`]): `Ok(true)` when the key was
+    /// added, `Ok(false)` when an agreeing verdict was already stored (the
+    /// stored one, detail included, is kept), and
+    /// [`CacheMergeError::Conflict`] — the stored verdict left in place —
+    /// when they disagree; never last-write-wins (see the error type for
+    /// why).
     pub fn insert_checked(
         &self,
         key: CacheKey,
@@ -564,9 +582,9 @@ fn parse_entry(item: &Value) -> Result<(CacheKey, CachedVerdict), String> {
     Ok((key, verdict))
 }
 
-/// Parses the snapshot document. A key listed twice with the same verdict
-/// is a no-op; listed with *different* verdicts it is corruption, refused
-/// like a merge conflict — never last-write-wins.
+/// Parses the snapshot document. A key listed twice with agreeing verdicts
+/// is a no-op (the first listing is kept); listed with *different* verdicts
+/// it is corruption, refused like a merge conflict — never last-write-wins.
 fn parse_entries(text: &str) -> Result<HashMap<CacheKey, CachedVerdict>, String> {
     let doc = json::parse(text).map_err(|e| e.to_string())?;
     match doc.get("version").and_then(Value::as_int) {
@@ -598,10 +616,11 @@ fn parse_entries(text: &str) -> Result<HashMap<CacheKey, CachedVerdict>, String>
     Ok(entries)
 }
 
-/// Stores `verdict` under `key` unless `entries` holds a different verdict
+/// Stores `verdict` under `key` unless `entries` holds a disagreeing verdict
 /// for it — the one conflict rule of [`VerdictCache::insert_checked`] (and
 /// so of merges) and of the snapshot reader. `Ok(true)` when the key was
-/// added, `Ok(false)` when the same verdict was already stored.
+/// added, `Ok(false)` when an agreeing verdict was already stored; the
+/// stored entry, its detail included, is kept.
 fn insert_agreeing(
     entries: &mut HashMap<CacheKey, CachedVerdict>,
     key: CacheKey,
@@ -612,7 +631,7 @@ fn insert_agreeing(
             slot.insert(verdict);
             Ok(true)
         }
-        Entry::Occupied(slot) if *slot.get() == verdict => Ok(false),
+        Entry::Occupied(slot) if slot.get().agrees_with(&verdict) => Ok(false),
         Entry::Occupied(slot) => Err(CacheMergeError::Conflict {
             key,
             existing: Box::new(slot.get().clone()),
@@ -827,6 +846,63 @@ mod tests {
         assert_eq!(dest.insert_checked(key, verdict.clone()), Ok(false));
         assert_eq!(dest.insert_checked(key, flipped).unwrap_err(), err);
         assert_eq!(dest.get(&key), Some(verdict));
+    }
+
+    /// Alpha-equivalent kernels (`vsumr` and `s311r` differ only in their
+    /// names) share a key, and a detail may name the kernel: two reports of
+    /// one key whose verdict, stage and checksum class agree are no
+    /// conflict, and the stored detail is kept. Any other field still
+    /// conflicts, in a merge and in a snapshot file alike.
+    #[test]
+    fn a_differing_detail_alone_is_no_conflict() {
+        let (key, stored) = sample_entries().remove(1);
+        let renamed = CachedVerdict {
+            detail: "cannot compile: type error in `s311r`".to_string(),
+            ..stored.clone()
+        };
+        let dest = VerdictCache::in_memory();
+        assert_eq!(dest.insert_checked(key, stored.clone()), Ok(true));
+        assert_eq!(dest.insert_checked(key, renamed.clone()), Ok(false));
+        assert_eq!(
+            dest.get(&key),
+            Some(stored.clone()),
+            "the stored detail is kept"
+        );
+        let changed = [
+            CachedVerdict {
+                verdict: Equivalence::Inconclusive,
+                ..renamed.clone()
+            },
+            CachedVerdict {
+                stage: Stage::Alive2,
+                ..renamed.clone()
+            },
+            CachedVerdict {
+                checksum: None,
+                ..renamed
+            },
+        ];
+        for incoming in changed {
+            assert!(dest.insert_checked(key, incoming).is_err());
+        }
+        assert_eq!(dest.get(&key), Some(stored));
+
+        let entry = |detail: &str| {
+            format!(
+                "{{\"scalar\":\"1\",\"candidate\":\"0\",\"config\":\"0\",\
+                 \"verdict\":\"not-equivalent\",\"stage\":\"checksum\",\
+                 \"detail\":\"{}\",\"checksum\":\"not-equivalent\"}}",
+                detail
+            )
+        };
+        let parsed = parse_entries(&format!(
+            "{{\"version\":1,\"entries\":[{},{}]}}",
+            entry("in vsumr"),
+            entry("in s311r")
+        ))
+        .unwrap();
+        assert_eq!(parsed.len(), 1);
+        assert_eq!(parsed.values().next().unwrap().detail, "in vsumr");
     }
 
     #[test]

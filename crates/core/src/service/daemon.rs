@@ -2,7 +2,7 @@
 //! verdict cache, runs admitted jobs on the engine's worker pool, and
 //! streams verdicts back as they finish.
 
-use crate::cache::{CachedVerdict, VerdictCache};
+use crate::cache::{CacheKey, CachedVerdict, VerdictCache};
 use crate::engine::{job_cache_key, job_channel, EngineConfig, Job, VerificationEngine};
 use crate::observer::{CallbackObserver, CountingObserver, TeeObserver};
 use crate::service::wire::{
@@ -11,11 +11,13 @@ use crate::service::wire::{
 };
 use crate::service::ServiceError;
 use lv_agents::{sample_completion_cell, LlmConfig};
-use lv_cir::parse_function;
+use lv_cir::ast::Function;
+use lv_cir::{parse_function, ParseError};
+use std::collections::HashMap;
 use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// The verification daemon: owns the listener, the engine, and the shared
 /// verdict cache every connection dedupes through.
@@ -38,21 +40,76 @@ pub struct VerificationService {
     stages: AtomicU64,
     generation_queued: AtomicU64,
     generated: AtomicU64,
+    memo: Mutex<KeyMemo>,
+    /// Sources parsed for submissions, memo misses and cache misses alike.
+    parsed: AtomicU64,
 }
 
 /// How many generated-but-unverified candidates a connection's streaming
 /// run may hold in flight before generation blocks (backpressure).
 const GENERATION_QUEUE_CAPACITY: usize = 32;
 
-/// One unit of pending work on a connection: a fully specified job, or a
-/// generation request still to be expanded into `k` seeded jobs.
+/// The most source bytes the [`KeyMemo`] holds; an insert that would pass
+/// it clears the memo first.
+const KEY_MEMO_BYTES: usize = 4 << 20;
+
+/// Exact submitted source text → [`lv_cir::structural_hash`] of its parse,
+/// shared by every connection, so a resubmitted job gets its [`CacheKey`]
+/// without a parse. Both key halves are structural hashes of one function,
+/// so one map serves scalars and candidates alike.
+///
+/// It is keyed by the client's bytes, never by a hash a client supplies,
+/// and hashed with std's per-process keyed SipHash, because clients are
+/// untrusted. It holds only text that parsed, so a hit always parses. It
+/// holds at most [`KEY_MEMO_BYTES`] of text and is cleared wholesale when
+/// an insert would pass that.
+#[derive(Default)]
+struct KeyMemo {
+    hashes: HashMap<String, u64>,
+    /// Total bytes of the keys in `hashes`.
+    bytes: usize,
+}
+
+impl KeyMemo {
+    fn get(&self, source: &str) -> Option<u64> {
+        self.hashes.get(source).copied()
+    }
+
+    fn insert(&mut self, source: String, hash: u64) {
+        if source.len() > KEY_MEMO_BYTES || self.hashes.contains_key(&source) {
+            return;
+        }
+        if self.bytes + source.len() > KEY_MEMO_BYTES {
+            self.hashes.clear();
+            self.bytes = 0;
+        }
+        self.bytes += source.len();
+        self.hashes.insert(source, hash);
+    }
+}
+
+/// One unit of pending work on a connection: a submitted job under its
+/// cache key, or a generation request still to be expanded into `k` seeded
+/// jobs.
 enum Pending {
-    Job(Job),
+    Job(CacheKey, Submitted),
     Generate {
         label: String,
-        scalar: lv_cir::ast::Function,
+        scalar: Function,
         k: u32,
         seed: u64,
+    },
+}
+
+/// A submitted job's functions.
+enum Submitted {
+    /// Parsed on submission, because the key memo missed.
+    Parsed(Job),
+    /// The exact text of a key-memo hit, parsed only if the cache misses.
+    Text {
+        label: String,
+        scalar: String,
+        candidate: String,
     },
 }
 
@@ -60,8 +117,17 @@ impl Pending {
     /// Verdict slots this entry occupies in its batch.
     fn slots(&self) -> usize {
         match self {
-            Pending::Job(_) => 1,
+            Pending::Job(..) => 1,
             Pending::Generate { k, .. } => *k as usize,
+        }
+    }
+}
+
+impl Submitted {
+    fn label(&self) -> &str {
+        match self {
+            Submitted::Parsed(job) => &job.label,
+            Submitted::Text { label, .. } => label,
         }
     }
 }
@@ -102,6 +168,8 @@ impl VerificationService {
             stages: AtomicU64::new(0),
             generation_queued: AtomicU64::new(0),
             generated: AtomicU64::new(0),
+            memo: Mutex::new(KeyMemo::default()),
+            parsed: AtomicU64::new(0),
         })
     }
 
@@ -234,23 +302,39 @@ impl VerificationService {
                     scalar,
                     candidate,
                 } => {
-                    let scalar = match parse_function(&scalar) {
-                        Ok(f) => f,
-                        Err(e) => {
-                            let detail = format!("job '{}': unparsable scalar: {}", label, e);
-                            self.send_error(&writer, &detail)?;
-                            return Err(ServiceError::Protocol(detail));
+                    let entry = match self.memo_key(&scalar, &candidate) {
+                        Some(key) => Pending::Job(
+                            key,
+                            Submitted::Text {
+                                label,
+                                scalar,
+                                candidate,
+                            },
+                        ),
+                        None => {
+                            let parse = |source: &str, role: &str| {
+                                self.parse(source).map_err(|e| {
+                                    format!("job '{}': unparsable {}: {}", label, role, e)
+                                })
+                            };
+                            let parsed = parse(&scalar, "scalar")
+                                .and_then(|s| Ok((s, parse(&candidate, "candidate")?)));
+                            let (parsed_scalar, parsed_candidate) = match parsed {
+                                Ok(pair) => pair,
+                                Err(detail) => {
+                                    self.send_error(&writer, &detail)?;
+                                    return Err(ServiceError::Protocol(detail));
+                                }
+                            };
+                            let job = Job::new(label, parsed_scalar, parsed_candidate);
+                            let key = job_cache_key(&job, self.fingerprint);
+                            let mut memo = self.memo();
+                            memo.insert(scalar, key.scalar);
+                            memo.insert(candidate, key.candidate);
+                            Pending::Job(key, Submitted::Parsed(job))
                         }
                     };
-                    let candidate = match parse_function(&candidate) {
-                        Ok(f) => f,
-                        Err(e) => {
-                            let detail = format!("job '{}': unparsable candidate: {}", label, e);
-                            self.send_error(&writer, &detail)?;
-                            return Err(ServiceError::Protocol(detail));
-                        }
-                    };
-                    pending.push(Pending::Job(Job::new(label, scalar, candidate)));
+                    pending.push(entry);
                     self.received.fetch_add(1, Ordering::Relaxed);
                 }
                 Message::SubmitGenerate {
@@ -259,7 +343,7 @@ impl VerificationService {
                     k,
                     seed,
                 } => {
-                    let scalar = match parse_function(&scalar) {
+                    let scalar = match self.parse(&scalar) {
                         Ok(f) => f,
                         Err(e) => {
                             let detail =
@@ -309,11 +393,54 @@ impl VerificationService {
         }
     }
 
+    /// The cache key of a submitted job when the key memo holds both of
+    /// its sources' exact text.
+    fn memo_key(&self, scalar: &str, candidate: &str) -> Option<CacheKey> {
+        let memo = self.memo();
+        Some(CacheKey {
+            scalar: memo.get(scalar)?,
+            candidate: memo.get(candidate)?,
+            config: self.fingerprint,
+        })
+    }
+
+    /// The key memo. The lock is poisoned only when a thread panicked
+    /// while holding it, a bug in this program.
+    fn memo(&self) -> MutexGuard<'_, KeyMemo> {
+        self.memo
+            .lock()
+            .expect("key memo lock poisoned by a panicked thread")
+    }
+
+    fn parse(&self, source: &str) -> Result<Function, ParseError> {
+        self.parsed.fetch_add(1, Ordering::Relaxed);
+        parse_function(source)
+    }
+
+    /// A submitted job's [`Job`], parsing the text of a key-memo hit.
+    fn job_of(&self, submitted: Submitted) -> Job {
+        match submitted {
+            Submitted::Parsed(job) => job,
+            Submitted::Text {
+                label,
+                scalar,
+                candidate,
+            } => {
+                let parse = |source: &str| {
+                    self.parse(source)
+                        .expect("the key memo holds only text that parsed")
+                };
+                Job::new(label, parse(&scalar), parse(&candidate))
+            }
+        }
+    }
+
     /// Runs a batch of pending entries *overlapped*: a producer thread
-    /// walks the entries in slot order — deduping explicit jobs through
-    /// the cache and expanding generation requests into per-cell-seeded
-    /// jobs as it goes — while the engine's streaming intake verifies
-    /// admitted jobs as they appear. Dedupe answers are streamed the
+    /// walks the entries in slot order — deduping submitted jobs through
+    /// the cache by their keys, parsing one only when the cache misses,
+    /// and expanding generation requests into per-cell-seeded jobs as it
+    /// goes — while the engine's streaming intake verifies admitted jobs
+    /// as they appear. Dedupe answers are streamed the
     /// moment the producer sees them, engine answers in completion order;
     /// the batch closes with [`Message::Done`] over all slots.
     fn run_pending(
@@ -341,14 +468,13 @@ impl VerificationService {
 
         // Dedupe check: answered from the cache → streamed immediately,
         // never admitted to the engine.
-        let try_dedupe = |slot: usize, job: &Job| -> bool {
-            let key = job_cache_key(job, self.fingerprint);
-            if let Some(verdict) = self.cache.get(&key) {
+        let try_dedupe = |slot: usize, key: &CacheKey, label: &str| -> bool {
+            if let Some(verdict) = self.cache.get(key) {
                 self.dedupe_hits.fetch_add(1, Ordering::Relaxed);
                 self.completed.fetch_add(1, Ordering::Relaxed);
                 stream_verdict(VerdictFrame {
                     index: slot as u32,
-                    label: job.label.clone(),
+                    label: label.to_string(),
                     cache_hit: true,
                     verdict,
                 });
@@ -382,9 +508,9 @@ impl VerificationService {
                 let mut slot = 0usize;
                 for (ordinal, entry) in entries.into_iter().enumerate() {
                     match entry {
-                        Pending::Job(job) => {
-                            if !try_dedupe(slot, &job) {
-                                producer.push(slot, job);
+                        Pending::Job(key, submitted) => {
+                            if !try_dedupe(slot, &key, submitted.label()) {
+                                producer.push(slot, self.job_of(submitted));
                             }
                             slot += 1;
                         }
@@ -412,7 +538,8 @@ impl VerificationService {
                                     scalar.clone(),
                                     completion.candidate,
                                 );
-                                if !try_dedupe(slot, &job) {
+                                let key = job_cache_key(&job, self.fingerprint);
+                                if !try_dedupe(slot, &key, &job.label) {
                                     producer.push(slot, job);
                                 }
                                 slot += 1;
@@ -466,6 +593,243 @@ impl VerificationService {
 mod tests {
     use super::*;
     use crate::pipeline::PipelineConfig;
+    use crate::service::ServiceClient;
+
+    const S000: &str =
+        "void s000(int n, int *a, int *b) { for (int i = 0; i < n; i++) { a[i] = b[i] + 1; } }";
+    /// The rule-based vectorizer's `s000` candidate.
+    const S000_RULE: &str = "void s000(int n, int *a, int *b) { int i; for (i = 0; i + 8 <= n; i += 8) { __m256i b_v1 = _mm256_loadu_si256((__m256i *)&b[i]); __m256i a_v2 = _mm256_add_epi32(b_v1, _mm256_set1_epi32(1)); _mm256_storeu_si256((__m256i *)&a[i], a_v2); } for (; i < n; i += 1) { a[i] = b[i] + 1; } }";
+    const S000_WRONG: &str =
+        "void s000(int n, int *a, int *b) { for (int i = 0; i < n; i++) { a[i] = b[i] + 2; } }";
+    const TRIPLE: &str =
+        "void triple(int n, int *a, int *b) { for (int i = 0; i < n; i++) { a[i] = b[i] * 3; } }";
+
+    /// Three jobs over four distinct source texts.
+    const BATCH: [(&str, &str); 3] = [(S000, S000_RULE), (S000, S000_WRONG), (TRIPLE, TRIPLE)];
+
+    fn config() -> EngineConfig {
+        EngineConfig::full(PipelineConfig::default()).with_threads(1)
+    }
+
+    /// Runs `f` against a daemon serving on loopback, then shuts it down.
+    fn with_daemon<T>(f: impl FnOnce(&VerificationService) -> T) -> T {
+        let service =
+            VerificationService::bind("127.0.0.1:0", config(), Arc::new(VerdictCache::in_memory()))
+                .unwrap();
+        std::thread::scope(|scope| {
+            let server = scope.spawn(|| service.serve_forever().unwrap());
+            let out = f(&service);
+            ServiceClient::connect(service.local_addr())
+                .unwrap()
+                .shutdown()
+                .unwrap();
+            server.join().unwrap();
+            out
+        })
+    }
+
+    /// A client of the raw protocol, so a test can submit exact source
+    /// text (`ServiceClient` prints an AST).
+    struct RawClient {
+        reader: BufReader<TcpStream>,
+        writer: TcpStream,
+    }
+
+    impl RawClient {
+        fn connect(service: &VerificationService) -> RawClient {
+            let mut writer = TcpStream::connect(service.local_addr()).unwrap();
+            writer.write_all(&WIRE_MAGIC).unwrap();
+            write_message(
+                &mut writer,
+                &Message::Hello {
+                    version: WIRE_VERSION,
+                },
+            )
+            .unwrap();
+            let mut reader = BufReader::new(writer.try_clone().unwrap());
+            let mut magic = [0u8; 4];
+            reader.read_exact(&mut magic).unwrap();
+            check_magic(&magic).unwrap();
+            match read_message(&mut reader).unwrap() {
+                Some(Message::ServerHello { .. }) => {}
+                other => panic!("expected a server hello, got {:?}", other),
+            }
+            RawClient { reader, writer }
+        }
+
+        fn send_submit(&mut self, label: String, scalar: &str, candidate: &str) {
+            let submit = Message::Submit {
+                label,
+                scalar: scalar.to_string(),
+                candidate: candidate.to_string(),
+            };
+            write_message(&mut self.writer, &submit).unwrap();
+        }
+
+        /// Submits and runs `(scalar, candidate)` texts labeled `job<i>`:
+        /// the verdict frames in slot order.
+        fn submit(&mut self, jobs: &[(&str, &str)]) -> Vec<VerdictFrame> {
+            for (i, (scalar, candidate)) in jobs.iter().enumerate() {
+                self.send_submit(format!("job{}", i), scalar, candidate);
+            }
+            let run = Message::Run {
+                count: jobs.len() as u32,
+            };
+            write_message(&mut self.writer, &run).unwrap();
+            let mut frames = Vec::new();
+            loop {
+                match read_message(&mut self.reader).unwrap() {
+                    Some(Message::Verdict(frame)) => frames.push(frame),
+                    Some(Message::Done { count }) => {
+                        assert_eq!(count as usize, jobs.len());
+                        break;
+                    }
+                    other => panic!("expected a verdict, got {:?}", other),
+                }
+            }
+            frames.sort_by_key(|frame| frame.index);
+            frames
+        }
+
+        /// Submits one job the daemon refuses: the error frame's detail.
+        fn refused(mut self, scalar: &str, candidate: &str) -> String {
+            self.send_submit("bad".to_string(), scalar, candidate);
+            match read_message(&mut self.reader).unwrap() {
+                Some(Message::Error { detail }) => detail,
+                other => panic!("expected an error frame, got {:?}", other),
+            }
+        }
+    }
+
+    fn parsed(service: &VerificationService) -> u64 {
+        service.parsed.load(Ordering::Relaxed)
+    }
+
+    fn verdicts(frames: &[VerdictFrame]) -> Vec<CachedVerdict> {
+        frames.iter().map(|frame| frame.verdict.clone()).collect()
+    }
+
+    #[test]
+    fn a_warm_resubmission_parses_nothing() {
+        with_daemon(|service| {
+            let cold = RawClient::connect(service).submit(&BATCH);
+            assert!(cold.iter().all(|frame| !frame.cache_hit));
+            assert_eq!(parsed(service), 6, "a cold job parses both sources");
+            let stages = service.status().stages;
+            assert!(stages > 0);
+
+            let warm = RawClient::connect(service).submit(&BATCH);
+            assert!(warm.iter().all(|frame| frame.cache_hit));
+            assert_eq!(verdicts(&warm), verdicts(&cold));
+            assert_eq!(parsed(service), 6, "a warm resubmission parses nothing");
+            assert_eq!(service.status().stages, stages);
+        });
+    }
+
+    #[test]
+    fn changed_text_misses_the_memo_and_is_answered_from_the_cache() {
+        with_daemon(|service| {
+            let cold = RawClient::connect(service).submit(&BATCH);
+            let stages = service.status().stages;
+            let spaced = S000.replace("{ ", "{\n    ");
+            let renamed = S000_RULE
+                .replace("b_v1", "loaded")
+                .replace("s000", "renamed");
+            let changed = [(spaced.as_str(), S000_RULE), (S000, renamed.as_str())];
+            for round in 0..2 {
+                let before = parsed(service);
+                let frames = RawClient::connect(service).submit(&changed);
+                assert!(frames.iter().all(|frame| frame.cache_hit));
+                assert_eq!(frames[0].verdict, cold[0].verdict);
+                assert_eq!(frames[1].verdict, cold[0].verdict);
+                let expected = if round == 0 { 4 } else { 0 };
+                assert_eq!(parsed(service) - before, expected, "round {}", round);
+            }
+            assert_eq!(service.status().stages, stages);
+        });
+    }
+
+    #[test]
+    fn unparsable_source_is_refused_alike_on_every_connection_and_never_memoized() {
+        with_daemon(|service| {
+            for (scalar, candidate, what) in [
+                ("void s000(int n", S000_RULE, "unparsable scalar"),
+                (S000, "not C at all", "unparsable candidate"),
+            ] {
+                let first = RawClient::connect(service).refused(scalar, candidate);
+                assert!(
+                    first.starts_with(&format!("job 'bad': {}: ", what)),
+                    "{}",
+                    first
+                );
+                let second = RawClient::connect(service).refused(scalar, candidate);
+                assert_eq!(first, second);
+            }
+            // One parse per refusal of the scalar, two per refusal of the
+            // candidate: nothing was memoized, not even the scalar that
+            // parsed next to an unparsable candidate.
+            assert_eq!(parsed(service), 2 + 4);
+            assert!(service.memo().hashes.is_empty());
+        });
+    }
+
+    #[test]
+    fn memoized_sources_in_a_new_pairing_run_the_cascade() {
+        with_daemon(|service| {
+            RawClient::connect(service).submit(&BATCH);
+            let (before, stages) = (parsed(service), service.status().stages);
+
+            // Both texts are memoized, but never ran together.
+            let frames = RawClient::connect(service).submit(&[(S000, TRIPLE)]);
+            assert!(!frames[0].cache_hit);
+            assert_eq!(parsed(service) - before, 2, "a cache miss parses");
+            assert!(service.status().stages > stages, "and runs the cascade");
+            let cold = VerificationEngine::new(config()).run_batch(&[Job::new(
+                "job0",
+                parse_function(S000).unwrap(),
+                parse_function(TRIPLE).unwrap(),
+            )]);
+            let report = &cold.jobs[0];
+            assert_eq!(report.verdict, crate::Equivalence::NotEquivalent);
+            assert_eq!(
+                frames[0].verdict,
+                CachedVerdict {
+                    verdict: report.verdict,
+                    stage: report.stage,
+                    detail: report.detail.clone(),
+                    checksum: report.checksum,
+                }
+            );
+        });
+    }
+
+    #[test]
+    fn the_memo_stays_under_its_byte_bound() {
+        with_daemon(|service| {
+            let cold = RawClient::connect(service).submit(&BATCH);
+            let mut inserted = 0;
+            for i in 0..5 {
+                let padding = " ".repeat(KEY_MEMO_BYTES / 3 + i);
+                let padded = S000.replacen('{', &format!("{{{}", padding), 1);
+                inserted += padded.len();
+                let frames = RawClient::connect(service).submit(&[(&padded, S000_RULE)]);
+                assert!(frames[0].cache_hit);
+                assert_eq!(frames[0].verdict, cold[0].verdict);
+                let memo = service.memo();
+                assert!(memo.bytes <= KEY_MEMO_BYTES, "{} bytes", memo.bytes);
+                assert_eq!(
+                    memo.bytes,
+                    memo.hashes.keys().map(String::len).sum::<usize>()
+                );
+            }
+            assert!(
+                inserted > KEY_MEMO_BYTES,
+                "the padded texts overfill the memo"
+            );
+            let frames = RawClient::connect(service).submit(&BATCH);
+            assert_eq!(verdicts(&frames), verdicts(&cold));
+        });
+    }
 
     #[test]
     fn a_version_2_hello_gets_the_typed_version_mismatch() {

@@ -34,6 +34,23 @@
 //! workload therefore answers entirely from the dedupe path with zero
 //! stage executions, which `examples/service_sweep.rs` pins in CI.
 //!
+//! A dedupe answer needs only the job's cache key, and the daemon gets it
+//! without parsing when it can: a key memo shared by all connections maps
+//! the **exact bytes** of a submitted source to the
+//! [`structural_hash`](lv_cir::structural_hash) of its parse (both key
+//! halves are such hashes). When both sources of a submission hit the
+//! memo, the job is queued under its key as text and parsed only if the
+//! cache misses at run time — a known scalar paired with a known candidate
+//! for the first time, say. On any memo miss the daemon parses both
+//! sources at submission, as it always has, and memoizes them only after
+//! both parse, so unparsable text is refused with the same error frame on
+//! every submission and never memoized. The memo is keyed by the client's
+//! bytes, never by a client-supplied hash, and hashed with std's
+//! per-process keyed SipHash, because clients are untrusted; any byte
+//! change (whitespace, a renamed variable) is a memo miss that parses and
+//! can still hit the cache. It holds at most a constant 4 MiB of source
+//! text and is cleared wholesale when an insert would pass that.
+//!
 //! # Server-side generation
 //!
 //! A connection can also submit a [`GenerationRequest`] (`SubmitGenerate`:

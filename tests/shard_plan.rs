@@ -186,3 +186,47 @@ fn merged_reports_equal_single_process_for_1_2_and_7_shards() {
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
+
+/// `vsumr` and `s311r` differ only in their names, so their generated
+/// candidates share cache keys, while a candidate's detail may name either
+/// kernel (`type error in \`s311r\``). A 2-shard generated sweep that
+/// splits such a pair across its shards must merge them: reports of one key
+/// agree when their verdict, stage and checksum class do, whatever their
+/// details say.
+#[test]
+fn sharded_generated_sweep_over_alpha_equivalent_kernels_merges() {
+    let dir = temp_dir("alpha-equivalent");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_lv-sweep"))
+        .args([
+            "--shards",
+            "2",
+            "--generate",
+            "32",
+            "--kernels",
+            "vsumr,s311r",
+        ])
+        .arg("--workdir")
+        .arg(&dir)
+        .output()
+        .expect("run lv-sweep");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "lv-sweep exited {:?}\nstdout:\n{}\nstderr:\n{}",
+        out.status.code(),
+        stdout,
+        String::from_utf8_lossy(&out.stderr)
+    );
+    for kernel in ["vsumr", "s311r"] {
+        let verdicts = (0..32)
+            .filter(|j| stdout.contains(&format!("\n{}#{}: ", kernel, j)))
+            .count();
+        assert_eq!(
+            verdicts, 32,
+            "every {} job reports a verdict:\n{}",
+            kernel, stdout
+        );
+    }
+    assert!(dir.join("merged.cache.json").exists());
+    let _ = std::fs::remove_dir_all(&dir);
+}
