@@ -203,8 +203,9 @@ impl EngineConfig {
     /// A stable fingerprint of everything that can influence a verdict: the
     /// cascade stage list (order matters — it decides which stage answers
     /// first), the checksum harness configuration, the symbolic budgets,
-    /// the SAT search revision ([`lv_tv::SEARCH_REVISION`]) and the
-    /// argument-binding revision ([`BINDING_REVISION`]).
+    /// the SAT search revision ([`lv_tv::SEARCH_REVISION`]), the
+    /// argument-binding revision ([`BINDING_REVISION`]) and the
+    /// counterexample revision ([`COUNTEREXAMPLE_REVISION`]).
     ///
     /// This is the `config` component of every [`CacheKey`]. Thread count
     /// and the cache itself are deliberately excluded: neither changes the
@@ -222,6 +223,8 @@ impl EngineConfig {
         fnv.write_u8(lv_tv::SEARCH_REVISION);
         // Verdicts reached under name binding are never served.
         fnv.write_u8(BINDING_REVISION);
+        // Details rendered from solver models are never served.
+        fnv.write_u8(COUNTEREXAMPLE_REVISION);
         // Memo replays are clause-identical, so the memo leaves the
         // fingerprint alone.
         fnv.finish()
@@ -232,6 +235,13 @@ impl EngineConfig {
 /// into [`EngineConfig::semantic_fingerprint`]. Revision 1 binds by
 /// parameter position; verdicts cached before it bound by name.
 pub const BINDING_REVISION: u8 = 1;
+
+/// How symbolic counterexamples are found and rendered, folded into
+/// [`EngineConfig::semantic_fingerprint`]. Revision 1 refutes by
+/// evaluation before SAT and renders every detail from a concrete replay
+/// (`lv_tv::replay_counterexample`); verdicts cached before it carry
+/// details rendered from solver variable names.
+pub const COUNTEREXAMPLE_REVISION: u8 = 1;
 
 /// Stable one-byte stage codes for [`EngineConfig::semantic_fingerprint`].
 fn stage_fingerprint_byte(stage: Stage) -> u8 {
@@ -1198,13 +1208,19 @@ mod tests {
     }
 
     /// The absolute fingerprint of the default configuration, which earlier
-    /// builds also ran. It moves only when [`lv_tv::SEARCH_REVISION`] or
-    /// [`BINDING_REVISION`] does: any other change to it would make verdict
-    /// caches written by builds of the same revisions silently miss.
-    const BASE_FINGERPRINT: u64 = 0xc1f5_229a_30d8_9e77;
+    /// builds also ran. It moves only when [`lv_tv::SEARCH_REVISION`],
+    /// [`BINDING_REVISION`] or [`COUNTEREXAMPLE_REVISION`] does: any other
+    /// change to it would make verdict caches written by builds of the same
+    /// revisions silently miss.
+    const BASE_FINGERPRINT: u64 = 0x6c28_4201_0015_4282;
 
-    /// [`BASE_FINGERPRINT`] as builds that bound parameters by name wrote
-    /// it, before the binding revision was folded in.
+    /// [`BASE_FINGERPRINT`] as builds that rendered counterexamples from
+    /// solver models wrote it, before the counterexample revision was
+    /// folded in.
+    const MODEL_DETAIL_FINGERPRINT: u64 = 0xc1f5_229a_30d8_9e77;
+
+    /// [`MODEL_DETAIL_FINGERPRINT`] as builds that bound parameters by name
+    /// wrote it, before the binding revision was folded in.
     const NAME_BINDING_FINGERPRINT: u64 = 0x6c57_6d70_2ba9_662c;
 
     #[test]
@@ -1215,11 +1231,16 @@ mod tests {
         // verification problem, so it may not invalidate cached verdicts.
         assert_eq!(base.semantic_fingerprint(), BASE_FINGERPRINT);
         assert_eq!(memo.semantic_fingerprint(), BASE_FINGERPRINT);
-        // The binding revision is the only byte added since name binding:
-        // one more FNV-1a step from the old fingerprint.
+        // The binding and counterexample revisions are the only bytes added
+        // since name binding: one more FNV-1a step each.
+        let step = |hash: u64, byte: u8| (hash ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
+        assert_eq!(
+            MODEL_DETAIL_FINGERPRINT,
+            step(NAME_BINDING_FINGERPRINT, BINDING_REVISION)
+        );
         assert_eq!(
             BASE_FINGERPRINT,
-            (NAME_BINDING_FINGERPRINT ^ u64::from(BINDING_REVISION)).wrapping_mul(0x100_0000_01b3)
+            step(MODEL_DETAIL_FINGERPRINT, COUNTEREXAMPLE_REVISION)
         );
     }
 }

@@ -12,6 +12,7 @@
 use super::reference::ReferenceTable;
 use crate::pipeline::{Equivalence, Stage};
 use lv_cir::ast::Function;
+use lv_cir::typecheck::check_types;
 use lv_interp::{ChecksumClass, ChecksumConfig, ChecksumOutcome};
 use lv_tv::{SymbolicStrategy, TvConfig, TvReuse, TvSession};
 use std::sync::Arc;
@@ -131,7 +132,7 @@ impl VerificationStrategy for ChecksumStage {
             },
             ChecksumOutcome::CannotCompile { error } => StrategyOutcome::Conclusive {
                 verdict: Equivalence::NotEquivalent,
-                detail: format!("cannot compile: {}", error),
+                detail: format!("cannot compile: {}", compile_error(candidate, error)),
             },
             ChecksumOutcome::ScalarExecutionFailed { error } => StrategyOutcome::Conclusive {
                 verdict: Equivalence::Inconclusive,
@@ -141,6 +142,19 @@ impl VerificationStrategy for ChecksumStage {
                 reason: String::new(),
             },
         }
+    }
+}
+
+/// The diagnostic of a candidate that cannot compile, without the name of
+/// its function. A type error's text names the function it occurred in, but
+/// the cache key does not cover function names: a kernel and an
+/// alpha-equivalent one share their candidates' keys, so a detail naming
+/// either would be served for both.
+fn compile_error(candidate: &Function, error: String) -> String {
+    match check_types(candidate) {
+        Err(type_error) => type_error.message,
+        // A signature mismatch names no function.
+        Ok(()) => error,
     }
 }
 

@@ -15,7 +15,10 @@
 //! * [`verify`] — the three verification strategies of Algorithm 1
 //!   ([`check_with_alive2_unroll`], [`check_with_c_unroll`],
 //!   [`check_with_spatial_splitting`]) and the combined
-//!   [`check_equivalence_symbolic`] driver.
+//!   [`check_equivalence_symbolic`] driver;
+//! * [`counterexample`] — refutation by evaluation before bit-blasting, and
+//!   the concrete replay of every counterexample
+//!   ([`replay_counterexample`]).
 //!
 //! # Examples
 //!
@@ -46,11 +49,13 @@
 #![warn(missing_docs)]
 
 pub mod align;
+pub mod counterexample;
 pub mod cunroll;
 pub mod symexec;
 pub mod verify;
 
 pub use align::{align, Alignment, AlignmentError};
+pub use counterexample::{replay_counterexample, ReplayFrame, MODEL_DIVERGENCE};
 pub use cunroll::{c_unroll, CUnrollError};
 pub use lv_smt::{SolverBudget, SEARCH_REVISION};
 pub use symexec::{sym_exec, sym_exec_bound, SymExecConfig, SymExecError, SymOutcome};

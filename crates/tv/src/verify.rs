@@ -21,8 +21,36 @@
 //! parameters bind to the scalar's by position ([`sym_exec_bound`]), and
 //! output array `k` of the candidate is compared with output array `k` of
 //! the scalar.
+//!
+//! # The solve path
+//!
+//! Every strategy builds its verification conditions (VCs) through one
+//! function, which decides each VC in this order, with no option to skip a
+//! step:
+//!
+//! 1. **Constant.** A VC the term rewrites fold to `true` is `Equivalent`
+//!    and one folded to `false` is refuted by any input; neither is
+//!    evaluated or bit-blasted.
+//! 2. **Evaluate.** The VC is evaluated under a fixed set of edge-biased
+//!    assignments seeded from the query
+//!    ([`crate::counterexample`]); the first that falsifies it is the
+//!    counterexample, and SAT is skipped.
+//! 3. **SAT.** Only a VC no assignment falsifies is bit-blasted and
+//!    searched under the stage's budget: `Unsat` is `Equivalent`, a
+//!    stopped search `Inconclusive`, and a model the counterexample.
+//! 4. **Replay.** Every counterexample, from step 1, 2 or 3, is bound to
+//!    concrete arguments by position and run on the scalar kernel and the
+//!    candidate in `lv_interp` ([`replay_counterexample`]). The verdict is
+//!    `NotEquivalent` only when that run shows an output mismatch or
+//!    undefined behaviour in the candidate, with the detail rendered from
+//!    the run (array, index, expected, produced; spatial splitting adds the
+//!    lane). A model the run does not confirm is `Inconclusive` with a
+//!    [`MODEL_DIVERGENCE`](crate::MODEL_DIVERGENCE) reason.
 
 use crate::align::{align, Alignment};
+use crate::counterexample::{
+    falsifying_trial, query_seed, replay_counterexample, trial_value, ReplayFrame,
+};
 use crate::cunroll::c_unroll;
 use crate::symexec::{sym_exec, sym_exec_bound, SymExecConfig};
 use lv_analysis::{analyze_function, collect_accesses, AccessKind};
@@ -107,9 +135,11 @@ impl TvSession {
 pub enum TvVerdict {
     /// The candidate refines the scalar kernel (modulo the bounded unrolling).
     Equivalent,
-    /// A concrete counterexample distinguishes the two programs.
+    /// A counterexample distinguishes the two programs, and running both on
+    /// it confirms the difference.
     NotEquivalent {
-        /// Human-readable description of the differing input.
+        /// What the concrete run of the counterexample shows: the first
+        /// differing output cell, or the candidate's undefined behaviour.
         counterexample: String,
     },
     /// The query could not be decided (solver budget, unsupported features,
@@ -307,6 +337,7 @@ pub fn check_with_alive2_unroll_in(
     let chunks = config.alive2_chunks.max(1);
     refinement_check(
         scalar,
+        scalar,
         vector,
         &alignment,
         chunks,
@@ -348,6 +379,7 @@ pub fn check_with_c_unroll_in(
         }
     };
     refinement_check(
+        scalar,
         &unrolled,
         vector,
         &alignment,
@@ -392,6 +424,7 @@ pub fn check_with_spatial_splitting_in(
     let mut last_unknown: Option<String> = None;
     for lane in 0..m {
         let verdict = refinement_check(
+            scalar,
             scalar,
             vector,
             &alignment,
@@ -455,11 +488,22 @@ fn spatial_eligible(scalar: &Function, vector: &Function) -> Result<(), String> 
 
 /// Builds and discharges one refinement query.
 ///
-/// `chunks` is the number of vector iterations modelled; `compare_lane`
-/// restricts the comparison to a single output index (spatial splitting).
+/// `source` is the scalar kernel as it is symbolically executed: `scalar`
+/// itself, or its C-unrolled form. `chunks` is the number of vector
+/// iterations modelled; `compare_lane` restricts the comparison to a single
+/// output index (spatial splitting).
+///
+/// The verification condition is decided on one path (see the module
+/// docs): a constant needs no search, an assignment under which it
+/// evaluates to false is a counterexample without bit-blasting, and only a
+/// condition no assignment falsifies goes to the SAT search. Every
+/// counterexample, from evaluation or from SAT, is replayed on `scalar` and
+/// the candidate ([`replay_counterexample`]), and the verdict is what the
+/// replay shows.
 #[allow(clippy::too_many_arguments)]
 fn refinement_check(
     scalar: &Function,
+    source: &Function,
     vector: &Function,
     alignment: &Alignment,
     chunks: usize,
@@ -490,11 +534,16 @@ fn refinement_check(
         };
     };
     let array_len = start + trip * step + config.array_slack;
+    let frame = ReplayFrame {
+        n: n_value,
+        array_len,
+        cell: compare_lane.map(|lane| start + lane),
+    };
 
     // Every scalar parameter (the bound) takes `n_value`; the candidate
     // reads the scalar's inputs by position.
     let sym_config = SymExecConfig {
-        scalar_bindings: scalar
+        scalar_bindings: source
             .scalar_params()
             .into_iter()
             .map(|name| (name.to_string(), n_value))
@@ -504,8 +553,8 @@ fn refinement_check(
         input_prefix: String::new(),
     };
     let solver = session.query_solver();
-    let outcome_scalar = sym_exec(&mut solver.ctx, scalar, &sym_config);
-    let outcome_vector = sym_exec_bound(&mut solver.ctx, vector, scalar, &sym_config);
+    let outcome_scalar = sym_exec(&mut solver.ctx, source, &sym_config);
+    let outcome_vector = sym_exec_bound(&mut solver.ctx, vector, source, &sym_config);
     let (src, tgt) = match (outcome_scalar, outcome_vector) {
         (Ok(s), Ok(t)) => (s, t),
         (Err(e), _) | (_, Err(e)) => {
@@ -518,7 +567,7 @@ fn refinement_check(
     // Refinement: whenever the source is UB-free, the target must be UB-free
     // and the observable outputs must agree.
     let mut agree = solver.ctx.bool_const(true);
-    let written = written_arrays(scalar, vector);
+    let written = written_arrays(source, vector);
     for (k, src_cells) in src.arrays.iter().enumerate() {
         if !written.contains(&k) {
             continue;
@@ -526,8 +575,8 @@ fn refinement_check(
         // `sym_exec_bound` accepted the candidate, so it takes the scalar's
         // parameter types: every array has a counterpart at its position.
         let tgt_cells = &tgt.arrays[k];
-        let indices: Vec<usize> = match compare_lane {
-            Some(lane) => vec![start + lane],
+        let indices: Vec<usize> = match frame.cell {
+            Some(cell) => vec![cell],
             None => (0..src_cells.len().min(tgt_cells.len())).collect(),
         };
         for idx in indices {
@@ -543,12 +592,21 @@ fn refinement_check(
     let no_src_ub = solver.ctx.not(src.ub);
 
     let vc = solver.ctx.implies(no_src_ub, post);
-    let verdict = match solver.check_validity(vc, budget) {
-        Validity::Valid => TvVerdict::Equivalent,
-        Validity::Invalid(model) => TvVerdict::NotEquivalent {
-            counterexample: render_counterexample(&model.assignments()),
+    let replay =
+        |value_of: &dyn Fn(&str) -> u64| replay_counterexample(scalar, vector, &frame, value_of);
+    let seed = query_seed(&solver.ctx, vc);
+    let verdict = match solver.ctx.as_bool_const(vc) {
+        Some(true) => TvVerdict::Equivalent,
+        // Every assignment falsifies a false constant.
+        Some(false) => replay(&|name| trial_value(seed, 0, name)),
+        None => match falsifying_trial(&solver.ctx, vc, seed) {
+            Some(trial) => replay(&|name| trial_value(seed, trial, name)),
+            None => match solver.check_validity(vc, budget) {
+                Validity::Valid => TvVerdict::Equivalent,
+                Validity::Invalid(model) => replay(&|name| model.value(name).unwrap_or(0)),
+                Validity::Unknown(reason) => TvVerdict::Inconclusive { reason },
+            },
         },
-        Validity::Unknown(reason) => TvVerdict::Inconclusive { reason },
     };
     session.absorb_last_query();
     verdict
@@ -641,20 +699,6 @@ fn eval_bound_expr(expr: &Expr, n: i64) -> Option<i64> {
     }
 }
 
-fn render_counterexample(assignments: &[(String, i64)]) -> String {
-    let interesting: Vec<String> = assignments
-        .iter()
-        .filter(|(name, _)| !name.starts_with("oob!"))
-        .take(16)
-        .map(|(name, value)| format!("{} = {}", name, value))
-        .collect();
-    if interesting.is_empty() {
-        "counterexample found (no named inputs)".to_string()
-    } else {
-        interesting.join(", ")
-    }
-}
-
 /// Helper used by callers that need the unroll factor without running a
 /// verification (e.g. reports): the vector width implied by the candidate.
 pub fn unroll_factor_of(scalar: &Function, vector: &Function) -> Option<i64> {
@@ -717,6 +761,39 @@ mod tests {
             "{:?}",
             verdict
         );
+    }
+
+    #[test]
+    fn counterexamples_are_rendered_from_their_replay() {
+        // The wrong candidate stores `b[i] + 2` where the scalar stores
+        // `b[i] + 1`: every replayed mismatch is off by exactly one, and
+        // spatial splitting reports it at the lane its query compared.
+        let off_by_one = |detail: &str, prefix: &str| {
+            let rest = detail
+                .strip_prefix(prefix)
+                .unwrap_or_else(|| panic!("{}", detail));
+            let (expected, produced) = rest
+                .split_once(" but the vectorized code produced ")
+                .unwrap_or_else(|| panic!("{}", detail));
+            let expected: i32 = expected.parse().unwrap();
+            assert_eq!(produced.parse::<i32>().unwrap(), expected.wrapping_add(1));
+        };
+        for verdict in [
+            check_with_alive2_unroll(&f(S000), &f(S000_VEC_WRONG), &quick_config()),
+            check_with_c_unroll(&f(S000), &f(S000_VEC_WRONG), &quick_config()),
+        ] {
+            let TvVerdict::NotEquivalent { counterexample } = verdict else {
+                panic!("{:?}", verdict);
+            };
+            let cell = counterexample.split_once(": expected ").unwrap().0;
+            off_by_one(&counterexample, &format!("{}: expected ", cell));
+            assert!(cell.starts_with("a["), "{}", counterexample);
+        }
+        let verdict = check_with_spatial_splitting(&f(S000), &f(S000_VEC_WRONG), &quick_config());
+        let TvVerdict::NotEquivalent { counterexample } = verdict else {
+            panic!("{:?}", verdict);
+        };
+        off_by_one(&counterexample, "lane 0: a[0]: expected ");
     }
 
     #[test]
@@ -799,12 +876,13 @@ mod tests {
         assert_eq!(stage, TvStage::Alive2Unroll);
     }
 
+    /// A correct candidate whose terms no rewrite makes identical to the
+    /// scalar ones (it adds 1 by subtracting -1), so its query is valid,
+    /// no assignment falsifies it, and it genuinely reaches the SAT solver.
+    const S000_VEC_SUBTRACTS: &str = "void s000(int n, int *a, int *b) { int i; for (i = 0; i + 8 <= n; i += 8) { __m256i x = _mm256_loadu_si256((__m256i *)&b[i]); _mm256_storeu_si256((__m256i *)&a[i], _mm256_sub_epi32(x, _mm256_set1_epi32(-1))); } for (; i < n; i++) { a[i] = b[i] + 1; } }";
+
     #[test]
     fn tiny_budget_falls_through_to_c_unroll() {
-        // A correct candidate whose terms no rewrite makes identical to the
-        // scalar ones (it adds 1 by subtracting -1), so the query genuinely
-        // reaches the SAT solver and the tiny budget gives up.
-        let subtracts = "void s000(int n, int *a, int *b) { int i; for (i = 0; i + 8 <= n; i += 8) { __m256i x = _mm256_loadu_si256((__m256i *)&b[i]); _mm256_storeu_si256((__m256i *)&a[i], _mm256_sub_epi32(x, _mm256_set1_epi32(-1))); } for (; i < n; i++) { a[i] = b[i] + 1; } }";
         let config = TvConfig {
             alive2_budget: SolverBudget {
                 max_conflicts: 1,
@@ -813,7 +891,8 @@ mod tests {
             alive2_chunks: 1,
             ..TvConfig::default()
         };
-        let (verdict, stage) = check_equivalence_symbolic(&f(S000), &f(subtracts), &config);
+        let (verdict, stage) =
+            check_equivalence_symbolic(&f(S000), &f(S000_VEC_SUBTRACTS), &config);
         assert_eq!(verdict, TvVerdict::Equivalent);
         assert_eq!(stage, TvStage::CUnroll);
     }
@@ -829,13 +908,19 @@ mod tests {
     #[test]
     fn memo_only_session_produces_identical_verdicts() {
         // Blast memoization alone must be invisible: same verdicts, with
-        // cache hits once a structurally repeated query arrives. The wrong
-        // candidate is used for the repeat because its query actually
-        // reaches the SAT solver — the correct S000 one simplifies to a
-        // constant at the term level and never blasts.
+        // cache hits once a structurally repeated query arrives. The
+        // subtracting candidate is used for the repeat because its query
+        // actually reaches the SAT solver: the correct S000 one simplifies
+        // to a constant at the term level, and evaluation refutes a wrong
+        // one before it is blasted.
         let config = quick_config();
         let mut memoized = TvSession::with_reuse(TvReuse { memo: true });
-        for vector in [S000_VEC_WRONG, S000_VEC, S000_VEC_WRONG] {
+        for vector in [
+            S000_VEC_SUBTRACTS,
+            S000_VEC,
+            S000_VEC_WRONG,
+            S000_VEC_SUBTRACTS,
+        ] {
             let with_memo = check_with_c_unroll_in(&f(S000), &f(vector), &config, &mut memoized);
             let plain = check_with_c_unroll(&f(S000), &f(vector), &config);
             assert_eq!(with_memo, plain);

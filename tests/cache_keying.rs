@@ -378,3 +378,44 @@ fn parameter_reordered_candidate_is_a_different_cache_entry() {
     assert_eq!(second.jobs[0].verdict, Equivalence::Equivalent);
     assert_eq!(cache.len(), 2);
 }
+
+/// `vsumr` and `s311r` differ only in their names, so one candidate text
+/// for each (spelled with its kernel's name) is one cache entry. A type
+/// error's detail must therefore not name the kernel: whichever job the
+/// engine runs, the other is answered with its detail.
+#[test]
+fn compile_error_details_name_no_kernel() {
+    let kernel = |name: &str| {
+        KERNELS
+            .iter()
+            .find(|k| k.name == name)
+            .expect("a TSVC kernel")
+            .function()
+    };
+    let candidate = |name: &str| {
+        parse_function(&format!(
+            "void {name}(int n, int *a, int *out) {{ __m256i x = _mm256_frobnicate(_mm256_set1_epi32(1)); }}"
+        ))
+        .unwrap()
+    };
+    let jobs = [
+        Job::new("vsumr#0", kernel("vsumr"), candidate("vsumr")),
+        Job::new("s311r#0", kernel("s311r"), candidate("s311r")),
+    ];
+    let cache = Arc::new(VerdictCache::in_memory());
+    let engine = VerificationEngine::new(EngineConfig::full(quick_pipeline()).with_cache(cache));
+    let report = engine.run_batch(&jobs);
+    assert_eq!(report.jobs.iter().filter(|job| job.cache_hit).count(), 1);
+    for (job, other) in report.jobs.iter().zip(["s311r", "vsumr"]) {
+        assert_eq!(job.verdict, Equivalence::NotEquivalent);
+        assert_eq!(job.stage, Stage::Checksum);
+        assert!(job.detail.starts_with("cannot compile: "), "{}", job.detail);
+        assert!(
+            !job.detail.contains(other) && !job.detail.contains(&job.label[..5]),
+            "{}: {}",
+            job.label,
+            job.detail
+        );
+    }
+    assert_eq!(report.jobs[0].detail, report.jobs[1].detail);
+}
