@@ -12,12 +12,14 @@
 //! heavy kernels need many more completions — which is what produces the
 //! k = 1/10/100 growth of Table 2 and the pass@k curve of Figure 5.
 
-use crate::vectorizer::vectorize_correct;
+use crate::vectorizer::{vectorize_analyzed, UnsupportedKernel};
 use lv_analysis::{analyze_function, DependenceReport};
 use lv_cir::ast::{AssignOp, Block, Expr, Function, Stmt};
 use lv_cir::visit::map_exprs_in_block;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// Configuration of the synthetic model.
 #[derive(Debug, Clone)]
@@ -94,6 +96,40 @@ enum ErrorMode {
     NaiveScalarCopy,
 }
 
+/// What a completion needs to know about its scalar kernel: the dependence
+/// report and the rule-based vectorization. Both are pure functions of the
+/// scalar.
+struct Plan {
+    report: DependenceReport,
+    correct: Result<Function, UnsupportedKernel>,
+}
+
+thread_local! {
+    /// The last scalar this thread planned, with its plan. Consecutive
+    /// completions of one kernel (a sweep's 3, a pass@k kernel's `k`, a
+    /// daemon generation request's `k`) derive it once; any other scalar
+    /// replaces it.
+    static LAST_PLAN: RefCell<Option<(Function, Rc<Plan>)>> = const { RefCell::new(None) };
+}
+
+/// The plan of `scalar`, from this thread's one-entry memo when the last
+/// scalar planned is equal to it.
+fn plan(scalar: &Function) -> Rc<Plan> {
+    LAST_PLAN.with(|last| {
+        let mut last = last.borrow_mut();
+        if let Some((planned, plan)) = last.as_ref() {
+            if planned == scalar {
+                return Rc::clone(plan);
+            }
+        }
+        let report = analyze_function(scalar);
+        let correct = vectorize_analyzed(scalar, &report);
+        let plan = Rc::new(Plan { report, correct });
+        *last = Some((scalar.clone(), Rc::clone(&plan)));
+        plan
+    })
+}
+
 /// The synthetic LLM.
 #[derive(Debug)]
 pub struct SyntheticLlm {
@@ -150,18 +186,17 @@ impl SyntheticLlm {
         if !self.config.latency.is_zero() {
             std::thread::sleep(self.config.latency);
         }
-        let report = analyze_function(&prompt.scalar);
-        let p = self.success_probability(&report, prompt);
-        let correct = vectorize_correct(&prompt.scalar);
+        let plan = plan(&prompt.scalar);
+        let p = self.success_probability(&plan.report, prompt);
         let roll: f64 = self.rng.gen();
-        match correct {
+        match &plan.correct {
             Ok(candidate) if roll < p => Completion {
                 notes: "emitted the strip-mined vectorization".to_string(),
-                candidate,
+                candidate: candidate.clone(),
             },
             Ok(candidate) => {
-                let mode = self.pick_error_mode(&report);
-                let mutated = self.inject_error(&candidate, &prompt.scalar, mode);
+                let mode = self.pick_error_mode(&plan.report);
+                let mutated = self.inject_error(candidate, &prompt.scalar, mode);
                 Completion {
                     notes: format!("emitted a flawed vectorization ({:?})", mode),
                     candidate: mutated,
@@ -433,9 +468,35 @@ mod tests {
     }
 
     #[test]
+    fn the_plan_memo_leaves_completions_unchanged() {
+        let kernels = [parse_function(S453).unwrap(), parse_function(S000).unwrap()];
+        let sample = |kernel: usize, j: u64| {
+            let mut llm = SyntheticLlm::new(LlmConfig {
+                seed: j,
+                ..LlmConfig::default()
+            });
+            let completion = llm.complete(&VectorizePrompt::new(kernels[kernel].clone()));
+            lv_cir::print_function(&completion.candidate)
+        };
+        // One kernel's completions in a row hit the memo; alternating
+        // kernels replace it on every completion.
+        let consecutive: Vec<String> = (0..2)
+            .flat_map(|kernel| (0..8).map(move |j| (kernel, j)))
+            .map(|(kernel, j)| sample(kernel, j))
+            .collect();
+        let mut alternating = vec![String::new(); 16];
+        for j in 0..8 {
+            for kernel in 0..2 {
+                alternating[kernel * 8 + j as usize] = sample(kernel, j);
+            }
+        }
+        assert_eq!(consecutive, alternating);
+    }
+
+    #[test]
     fn wrong_seed_mode_reproduces_s453_first_attempt() {
         let scalar = parse_function(S453).unwrap();
-        let candidate = vectorize_correct(&scalar).unwrap();
+        let candidate = crate::vectorize_correct(&scalar).unwrap();
         let mut llm = SyntheticLlm::new(LlmConfig::default());
         let broken = llm.inject_error(&candidate, &scalar, ErrorMode::WrongSeed);
         let printed = lv_cir::print_function(&broken);

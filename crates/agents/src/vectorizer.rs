@@ -10,7 +10,9 @@
 //! The stochastic layer that decides which of these to emit lives in
 //! [`crate::llm`].
 
-use lv_analysis::{analyze_function, collect_accesses, loop_nest, AccessKind, CanonicalLoop};
+use lv_analysis::{
+    analyze_function, collect_accesses, loop_nest, AccessKind, CanonicalLoop, DependenceReport,
+};
 use lv_cir::ast::{AssignOp, BinOp, Block, Expr, Function, Stmt, Type};
 use lv_cir::builder as b;
 use lv_cir::intrinsics::VECTOR_WIDTH;
@@ -47,6 +49,15 @@ impl std::error::Error for UnsupportedKernel {}
 /// subscripts, flow-dependent recurrences on arrays, nested loops, or
 /// operators with no AVX2 integer equivalent.
 pub fn vectorize_correct(scalar: &Function) -> Result<Function, UnsupportedKernel> {
+    vectorize_analyzed(scalar, &analyze_function(scalar))
+}
+
+/// [`vectorize_correct`] with the scalar's dependence report already
+/// derived (`report` must be `analyze_function(scalar)`).
+pub(crate) fn vectorize_analyzed(
+    scalar: &Function,
+    report: &DependenceReport,
+) -> Result<Function, UnsupportedKernel> {
     let nest = loop_nest(scalar);
     if nest.is_nested() {
         return Err(UnsupportedKernel::new("nested loops are not supported"));
@@ -59,7 +70,6 @@ pub fn vectorize_correct(scalar: &Function) -> Result<Function, UnsupportedKerne
             "only unit-stride forward loops are supported",
         ));
     }
-    let report = analyze_function(scalar);
     if report.has_goto {
         return Err(UnsupportedKernel::new("goto-based control flow"));
     }

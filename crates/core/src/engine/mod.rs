@@ -204,8 +204,9 @@ impl EngineConfig {
     /// cascade stage list (order matters — it decides which stage answers
     /// first), the checksum harness configuration, the symbolic budgets,
     /// the SAT search revision ([`lv_tv::SEARCH_REVISION`]), the
-    /// argument-binding revision ([`BINDING_REVISION`]) and the
-    /// counterexample revision ([`COUNTEREXAMPLE_REVISION`]).
+    /// argument-binding revision ([`BINDING_REVISION`]), the
+    /// counterexample revision ([`COUNTEREXAMPLE_REVISION`]) and the
+    /// undefined-behaviour revision ([`UB_REVISION`]).
     ///
     /// This is the `config` component of every [`CacheKey`]. Thread count
     /// and the cache itself are deliberately excluded: neither changes the
@@ -225,6 +226,8 @@ impl EngineConfig {
         fnv.write_u8(BINDING_REVISION);
         // Details rendered from solver models are never served.
         fnv.write_u8(COUNTEREXAMPLE_REVISION);
+        // Nor verdicts reached without the symbolic overflow and shift UB.
+        fnv.write_u8(UB_REVISION);
         // Memo replays are clause-identical, so the memo leaves the
         // fingerprint alone.
         fnv.finish()
@@ -242,6 +245,14 @@ pub const BINDING_REVISION: u8 = 1;
 /// (`lv_tv::replay_counterexample`); verdicts cached before it carry
 /// details rendered from solver variable names.
 pub const COUNTEREXAMPLE_REVISION: u8 = 1;
+
+/// Which undefined behaviour the symbolic executor records, folded into
+/// [`EngineConfig::semantic_fingerprint`]. Revision 1 records what
+/// `lv_interp` stops on: `INT_MIN / -1` and `INT_MIN % -1` next to a zero
+/// divisor, and scalar shift counts outside 0–31. Verdicts cached before it
+/// gave those operations a value, so a candidate defined where the scalar
+/// overflows ended "model divergence" instead of `Equivalent`.
+pub const UB_REVISION: u8 = 1;
 
 /// Stable one-byte stage codes for [`EngineConfig::semantic_fingerprint`].
 fn stage_fingerprint_byte(stage: Stage) -> u8 {
@@ -1209,12 +1220,17 @@ mod tests {
 
     /// The absolute fingerprint of the default configuration, which earlier
     /// builds also ran. It moves only when [`lv_tv::SEARCH_REVISION`],
-    /// [`BINDING_REVISION`] or [`COUNTEREXAMPLE_REVISION`] does: any other
-    /// change to it would make verdict caches written by builds of the same
-    /// revisions silently miss.
-    const BASE_FINGERPRINT: u64 = 0x6c28_4201_0015_4282;
+    /// [`BINDING_REVISION`], [`COUNTEREXAMPLE_REVISION`] or [`UB_REVISION`]
+    /// does: any other change to it would make verdict caches written by
+    /// builds of the same revisions silently miss.
+    const BASE_FINGERPRINT: u64 = 0xddaa_aab3_2420_0499;
 
-    /// [`BASE_FINGERPRINT`] as builds that rendered counterexamples from
+    /// [`BASE_FINGERPRINT`] as builds whose symbolic executor gave
+    /// `INT_MIN / -1` and out-of-range shifts a value wrote it, before the
+    /// undefined-behaviour revision was folded in.
+    const VALUED_UB_FINGERPRINT: u64 = 0x6c28_4201_0015_4282;
+
+    /// [`VALUED_UB_FINGERPRINT`] as builds that rendered counterexamples from
     /// solver models wrote it, before the counterexample revision was
     /// folded in.
     const MODEL_DETAIL_FINGERPRINT: u64 = 0xc1f5_229a_30d8_9e77;
@@ -1231,16 +1247,17 @@ mod tests {
         // verification problem, so it may not invalidate cached verdicts.
         assert_eq!(base.semantic_fingerprint(), BASE_FINGERPRINT);
         assert_eq!(memo.semantic_fingerprint(), BASE_FINGERPRINT);
-        // The binding and counterexample revisions are the only bytes added
-        // since name binding: one more FNV-1a step each.
+        // The binding, counterexample and undefined-behaviour revisions are
+        // the only bytes added since name binding: one more FNV-1a step each.
         let step = |hash: u64, byte: u8| (hash ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
         assert_eq!(
             MODEL_DETAIL_FINGERPRINT,
             step(NAME_BINDING_FINGERPRINT, BINDING_REVISION)
         );
         assert_eq!(
-            BASE_FINGERPRINT,
+            VALUED_UB_FINGERPRINT,
             step(MODEL_DETAIL_FINGERPRINT, COUNTEREXAMPLE_REVISION)
         );
+        assert_eq!(BASE_FINGERPRINT, step(VALUED_UB_FINGERPRINT, UB_REVISION));
     }
 }

@@ -104,9 +104,11 @@ impl FsyncPolicy {
     }
 }
 
-/// CRC-32 (IEEE 802.3, the `cksum`/zlib polynomial), table-driven.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE 802.3, the `cksum`/zlib polynomial) lookup tables for
+/// slicing-by-8: `CRC_TABLES[0]` is the bytewise table, and
+/// `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -119,17 +121,45 @@ const CRC_TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
 /// CRC-32 of `bytes` (IEEE polynomial, standard init/final xor).
+///
+/// Slicing-by-8 (Kounavis & Berry, ISCC 2005): eight bytes per step
+/// through eight lookup tables, then the tail bytewise. The output is the
+/// bytewise table-driven CRC's, bit for bit.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = !0u32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xff) as usize];
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+        crc = t[7][(lo & 0xff) as usize]
+            ^ t[6][((lo >> 8) & 0xff) as usize]
+            ^ t[5][((lo >> 16) & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xff) as usize]
+            ^ t[2][((hi >> 8) & 0xff) as usize]
+            ^ t[1][((hi >> 16) & 0xff) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xff) as usize];
     }
     !crc
 }

@@ -130,7 +130,7 @@ pub use engine::{
     job_channel, parallel_map, BatchReport, ChecksumStage, EngineConfig, EngineReuse, Job,
     JobProducer, JobReport, JobSource, ReferenceTable, ReuseCounters, StageTrace, StrategyOutcome,
     SymbolicStage, VerificationEngine, VerificationStrategy, WorkerState, BINDING_REVISION,
-    COUNTEREXAMPLE_REVISION, REFERENCE_TABLE_CAPACITY,
+    COUNTEREXAMPLE_REVISION, REFERENCE_TABLE_CAPACITY, UB_REVISION,
 };
 pub use experiments::{
     figure1, figure1_with, figure5, figure5_with, figure6, figure6_with, fsm_evaluation,

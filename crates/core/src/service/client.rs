@@ -6,12 +6,12 @@
 use crate::engine::Job;
 use crate::service::wire::{
     check_magic, read_message, write_message, Message, ServiceStatus, VerdictFrame, WIRE_MAGIC,
-    WIRE_VERSION,
+    WIRE_VERSION, WRITE_BUFFER_BYTES,
 };
 use crate::service::ServiceError;
 use lv_cir::ast::Function;
 use lv_cir::print_function;
-use std::io::{BufReader, Read, Write};
+use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
 /// One server-side generation request: the daemon samples `k` completions
@@ -30,10 +30,15 @@ pub struct GenerationRequest {
 }
 
 /// A connection to a [`VerificationService`](crate::VerificationService).
+///
+/// Outgoing frames go through one bounded buffered writer: a batch's
+/// `Submit` frames queue in it and leave with its `Run` in a single flush
+/// (or in a few writes, when the batch outgrows the buffer), not in one
+/// `write` syscall per frame.
 #[derive(Debug)]
 pub struct ServiceClient {
     reader: BufReader<TcpStream>,
-    writer: TcpStream,
+    writer: BufWriter<TcpStream>,
     fingerprint: u64,
 }
 
@@ -41,17 +46,18 @@ impl ServiceClient {
     /// Connects and performs the magic + hello handshake, failing with a
     /// typed error on a protocol or version mismatch.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<ServiceClient, ServiceError> {
-        let writer = TcpStream::connect(addr)?;
-        let _ = writer.set_nodelay(true);
-        let mut reader = BufReader::new(writer.try_clone()?);
-        let mut out = writer.try_clone()?;
-        out.write_all(&WIRE_MAGIC)?;
+        let stream = TcpStream::connect(addr)?;
+        let _ = stream.set_nodelay(true);
+        let mut reader = BufReader::new(stream.try_clone()?);
+        let mut writer = BufWriter::with_capacity(WRITE_BUFFER_BYTES, stream);
+        writer.write_all(&WIRE_MAGIC)?;
         write_message(
-            &mut out,
+            &mut writer,
             &Message::Hello {
                 version: WIRE_VERSION,
             },
         )?;
+        writer.flush()?;
         let mut magic = [0u8; 4];
         reader.read_exact(&mut magic)?;
         check_magic(&magic)?;
@@ -94,10 +100,11 @@ impl ServiceClient {
     }
 
     /// Submits `jobs` and blocks until every verdict arrived, returning
-    /// them in submission order. The stream is cross-checked frame by
-    /// frame: an out-of-range index, a duplicate slot, a label that does
-    /// not match the submitted job, a short batch, or a mid-batch close
-    /// each fail with a typed error.
+    /// them in submission order. The `Submit` frames are buffered and sent
+    /// with the closing `Run` in one flush. The stream is cross-checked
+    /// frame by frame: an out-of-range index, a duplicate slot, a label
+    /// that does not match the submitted job, a short batch, or a
+    /// mid-batch close each fail with a typed error.
     pub fn submit(&mut self, jobs: &[Job]) -> Result<Vec<VerdictFrame>, ServiceError> {
         for job in jobs {
             write_message(
@@ -116,8 +123,8 @@ impl ServiceClient {
     /// Submits generation requests and blocks until every generated
     /// candidate's verdict arrived, in slot order (request order, `k`
     /// slots per request labeled `label#j`). Generation and verification
-    /// overlap on the daemon; the stream is cross-checked like
-    /// [`submit`](Self::submit).
+    /// overlap on the daemon; the frames are buffered and the stream is
+    /// cross-checked like [`submit`](Self::submit).
     pub fn submit_generation(
         &mut self,
         requests: &[GenerationRequest],
@@ -140,7 +147,8 @@ impl ServiceClient {
         self.run_and_collect(&expected)
     }
 
-    /// Sends [`Message::Run`] over `expected.len()` slots and collects the
+    /// Sends [`Message::Run`] over `expected.len()` slots, flushing every
+    /// buffered frame of the batch with it, and collects the
     /// streamed verdicts, strictly cross-checked frame by frame: an
     /// out-of-range index, a duplicate slot, a label that does not match
     /// the expected slot label, a short batch, or a mid-batch close each

@@ -7,14 +7,14 @@ use crate::engine::{job_cache_key, job_channel, EngineConfig, Job, VerificationE
 use crate::observer::{CallbackObserver, CountingObserver, TeeObserver};
 use crate::service::wire::{
     check_magic, read_message, write_message, Message, ServiceStatus, VerdictFrame, WireError,
-    WIRE_MAGIC, WIRE_VERSION,
+    WIRE_MAGIC, WIRE_VERSION, WRITE_BUFFER_BYTES,
 };
 use crate::service::ServiceError;
 use lv_agents::{sample_completion_cell, LlmConfig};
 use lv_cir::ast::Function;
 use lv_cir::{parse_function, ParseError};
 use std::collections::HashMap;
-use std::io::{BufReader, Read, Write};
+use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -43,6 +43,19 @@ pub struct VerificationService {
     memo: Mutex<KeyMemo>,
     /// Sources parsed for submissions, memo misses and cache misses alike.
     parsed: AtomicU64,
+    /// Engine runs started: one per batch that admits a job.
+    engine_runs: AtomicU64,
+}
+
+/// A connection's outgoing half: frames queue in the buffer until a flush
+/// point (see [`VerificationService::run_pending`]).
+type Out = Mutex<BufWriter<TcpStream>>;
+
+/// Writes `message` and flushes everything queued before it.
+fn send(out: &Out, message: &Message) -> std::io::Result<()> {
+    let mut locked = out.lock().unwrap();
+    write_message(&mut *locked, message)?;
+    locked.flush()
 }
 
 /// How many generated-but-unverified candidates a connection's streaming
@@ -170,6 +183,7 @@ impl VerificationService {
             generated: AtomicU64::new(0),
             memo: Mutex::new(KeyMemo::default()),
             parsed: AtomicU64::new(0),
+            engine_runs: AtomicU64::new(0),
         })
     }
 
@@ -259,7 +273,7 @@ impl VerificationService {
         check_magic(&magic)?;
         let hello = read_message(&mut reader)?
             .ok_or_else(|| ServiceError::Protocol("connection closed before hello".into()))?;
-        let writer = Mutex::new(stream);
+        let writer: Out = Mutex::new(BufWriter::with_capacity(WRITE_BUFFER_BYTES, stream));
         match hello {
             Message::Hello {
                 version: WIRE_VERSION,
@@ -278,17 +292,14 @@ impl VerificationService {
                 return Err(ServiceError::Protocol(detail));
             }
         }
-        {
-            let mut out = writer.lock().unwrap();
-            out.write_all(&WIRE_MAGIC)?;
-            write_message(
-                &mut *out,
-                &Message::ServerHello {
-                    version: WIRE_VERSION,
-                    fingerprint: self.fingerprint,
-                },
-            )?;
-        }
+        writer.lock().unwrap().write_all(&WIRE_MAGIC)?;
+        send(
+            &writer,
+            &Message::ServerHello {
+                version: WIRE_VERSION,
+                fingerprint: self.fingerprint,
+            },
+        )?;
 
         let mut pending: Vec<Pending> = Vec::new();
         loop {
@@ -375,13 +386,9 @@ impl VerificationService {
                     let entries = std::mem::take(&mut pending);
                     self.run_pending(entries, &writer)?;
                 }
-                Message::Status => {
-                    let mut out = writer.lock().unwrap();
-                    write_message(&mut *out, &Message::StatusReport(self.status()))?;
-                }
+                Message::Status => send(&writer, &Message::StatusReport(self.status()))?,
                 Message::Shutdown => {
-                    let mut out = writer.lock().unwrap();
-                    write_message(&mut *out, &Message::ShutdownAck)?;
+                    send(&writer, &Message::ShutdownAck)?;
                     return Ok(true);
                 }
                 other => {
@@ -435,44 +442,47 @@ impl VerificationService {
         }
     }
 
-    /// Runs a batch of pending entries *overlapped*: a producer thread
-    /// walks the entries in slot order — deduping submitted jobs through
+    /// Runs a batch of pending entries *overlapped*. The connection thread
+    /// walks the entries in slot order: it dedupes submitted jobs through
     /// the cache by their keys, parsing one only when the cache misses,
-    /// and expanding generation requests into per-cell-seeded jobs as it
-    /// goes — while the engine's streaming intake verifies admitted jobs
-    /// as they appear. Dedupe answers are streamed the
-    /// moment the producer sees them, engine answers in completion order;
-    /// the batch closes with [`Message::Done`] over all slots.
-    fn run_pending(
-        &self,
-        entries: Vec<Pending>,
-        out: &Mutex<TcpStream>,
-    ) -> Result<(), ServiceError> {
+    /// and expands generation requests into per-cell-seeded jobs as it
+    /// goes. The engine's streaming intake verifies the admitted jobs on
+    /// one scoped thread, started at the first job admitted, so a batch
+    /// the cache answers whole spawns no thread and builds no worker. The
+    /// batch closes with [`Message::Done`] over all slots.
+    ///
+    /// Dedupe answers are queued in the connection's write buffer, and the
+    /// buffer is flushed before each job is pushed to the engine (no known
+    /// answer waits behind a verification), after the walk, after each
+    /// engine verdict, and with `Done`.
+    fn run_pending(&self, entries: Vec<Pending>, out: &Out) -> Result<(), ServiceError> {
         let total_slots: usize = entries.iter().map(Pending::slots).sum();
         let write_failure: Mutex<Option<std::io::Error>> = Mutex::new(None);
-        let record_failure = |e: std::io::Error| {
-            let mut slot = write_failure.lock().unwrap();
-            if slot.is_none() {
-                *slot = Some(e);
+        // Failures are recorded, not fatal, so the batch still drains
+        // deterministically.
+        let record = |written: std::io::Result<()>| {
+            if let Err(e) = written {
+                let mut slot = write_failure.lock().unwrap();
+                if slot.is_none() {
+                    *slot = Some(e);
+                }
             }
         };
-
-        // Streams one verdict frame; failures are recorded, not fatal, so
-        // the batch still drains deterministically.
-        let stream_verdict = |frame: VerdictFrame| {
-            let mut locked = out.lock().unwrap();
-            if let Err(e) = write_message(&mut *locked, &Message::Verdict(frame)) {
-                record_failure(e);
-            }
+        let flush = || record(out.lock().unwrap().flush());
+        let queue_verdict = |frame: VerdictFrame| {
+            record(write_message(
+                &mut *out.lock().unwrap(),
+                &Message::Verdict(frame),
+            ))
         };
 
-        // Dedupe check: answered from the cache → streamed immediately,
-        // never admitted to the engine.
+        // Dedupe check: answered from the cache → queued at once, never
+        // admitted to the engine.
         let try_dedupe = |slot: usize, key: &CacheKey, label: &str| -> bool {
             if let Some(verdict) = self.cache.get(key) {
                 self.dedupe_hits.fetch_add(1, Ordering::Relaxed);
                 self.completed.fetch_add(1, Ordering::Relaxed);
-                stream_verdict(VerdictFrame {
+                queue_verdict(VerdictFrame {
                     index: slot as u32,
                     label: label.to_string(),
                     cache_hit: true,
@@ -486,7 +496,7 @@ impl VerificationService {
 
         let counting = CountingObserver::new();
         let streaming = CallbackObserver::new(|slot: usize, report: &crate::JobReport| {
-            stream_verdict(VerdictFrame {
+            queue_verdict(VerdictFrame {
                 index: slot as u32,
                 label: report.label.clone(),
                 cache_hit: report.cache_hit,
@@ -497,90 +507,101 @@ impl VerificationService {
                     checksum: report.checksum,
                 },
             });
+            flush();
         });
         let tee = TeeObserver(&counting, &streaming);
 
         let (producer, source) = job_channel(GENERATION_QUEUE_CAPACITY);
         let batch = std::thread::scope(|scope| {
-            scope.spawn(move || {
-                // The producer owns the only channel handle: the stream
-                // closes when this thread finishes (or panics).
-                let mut slot = 0usize;
-                for (ordinal, entry) in entries.into_iter().enumerate() {
-                    match entry {
-                        Pending::Job(key, submitted) => {
-                            if !try_dedupe(slot, &key, submitted.label()) {
-                                producer.push(slot, self.job_of(submitted));
+            // The walk owns the only producer, so the stream closes when the
+            // walk ends, also by a panic.
+            let producer = producer;
+            let mut engine = None;
+            let mut admit = |slot: usize, job: Job| {
+                flush();
+                engine.get_or_insert_with(|| {
+                    self.engine_runs.fetch_add(1, Ordering::Relaxed);
+                    scope.spawn(|| self.engine.run_stream_observed(&source, &tee))
+                });
+                producer.push(slot, job);
+            };
+            let mut slot = 0usize;
+            for (ordinal, entry) in entries.into_iter().enumerate() {
+                match entry {
+                    Pending::Job(key, submitted) => {
+                        if !try_dedupe(slot, &key, submitted.label()) {
+                            admit(slot, self.job_of(submitted));
+                        }
+                        slot += 1;
+                    }
+                    Pending::Generate {
+                        label,
+                        scalar,
+                        k,
+                        seed,
+                    } => {
+                        let config = LlmConfig {
+                            seed,
+                            ..LlmConfig::default()
+                        };
+                        for j in 0..k as usize {
+                            // The entry's ordinal is the "kernel index" of
+                            // the seed-derivation cell, so two generation
+                            // requests with the same base seed still sample
+                            // distinct cells.
+                            let completion = sample_completion_cell(&scalar, &config, ordinal, j);
+                            self.generation_queued.fetch_sub(1, Ordering::Relaxed);
+                            self.generated.fetch_add(1, Ordering::Relaxed);
+                            let job = Job::new(
+                                format!("{}#{}", label, j),
+                                scalar.clone(),
+                                completion.candidate,
+                            );
+                            let key = job_cache_key(&job, self.fingerprint);
+                            if !try_dedupe(slot, &key, &job.label) {
+                                admit(slot, job);
                             }
                             slot += 1;
                         }
-                        Pending::Generate {
-                            label,
-                            scalar,
-                            k,
-                            seed,
-                        } => {
-                            let config = LlmConfig {
-                                seed,
-                                ..LlmConfig::default()
-                            };
-                            for j in 0..k as usize {
-                                // The entry's ordinal is the "kernel index"
-                                // of the seed-derivation cell, so two
-                                // generation requests with the same base
-                                // seed still sample distinct cells.
-                                let completion =
-                                    sample_completion_cell(&scalar, &config, ordinal, j);
-                                self.generation_queued.fetch_sub(1, Ordering::Relaxed);
-                                self.generated.fetch_add(1, Ordering::Relaxed);
-                                let job = Job::new(
-                                    format!("{}#{}", label, j),
-                                    scalar.clone(),
-                                    completion.candidate,
-                                );
-                                let key = job_cache_key(&job, self.fingerprint);
-                                if !try_dedupe(slot, &key, &job.label) {
-                                    producer.push(slot, job);
-                                }
-                                slot += 1;
-                            }
-                        }
                     }
                 }
-            });
-            self.engine.run_stream_observed(&source, &tee)
+            }
+            flush();
+            drop(producer);
+            engine.map(|run| {
+                run.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
         });
 
-        self.stages
-            .fetch_add(counting.stage_count() as u64, Ordering::Relaxed);
-        // In-batch duplicates of an admitted job take the verdict of the
-        // copy that ran — from the cache entry it stored, or as in-flight
-        // followers while it was still running — and count as dedupe
-        // answers too.
-        self.dedupe_hits
-            .fetch_add(batch.cache_hits as u64, Ordering::Relaxed);
-        self.completed
-            .fetch_add(batch.jobs.len() as u64, Ordering::Relaxed);
+        if let Some(batch) = batch {
+            self.stages
+                .fetch_add(counting.stage_count() as u64, Ordering::Relaxed);
+            // In-batch duplicates of an admitted job take the verdict of
+            // the copy that ran — from the cache entry it stored, or as
+            // in-flight followers while it was still running — and count
+            // as dedupe answers too.
+            self.dedupe_hits
+                .fetch_add(batch.cache_hits as u64, Ordering::Relaxed);
+            self.completed
+                .fetch_add(batch.jobs.len() as u64, Ordering::Relaxed);
+        }
         if let Some(e) = write_failure.into_inner().unwrap() {
             return Err(e.into());
         }
-
-        let mut locked = out.lock().unwrap();
-        write_message(
-            &mut *locked,
+        send(
+            out,
             &Message::Done {
                 count: total_slots as u32,
             },
         )?;
-        locked.flush()?;
         Ok(())
     }
 
     /// Best-effort error frame before tearing the connection down.
-    fn send_error(&self, out: &Mutex<TcpStream>, detail: &str) -> Result<(), ServiceError> {
-        let mut locked = out.lock().unwrap();
-        write_message(
-            &mut *locked,
+    fn send_error(&self, out: &Out, detail: &str) -> Result<(), ServiceError> {
+        send(
+            out,
             &Message::Error {
                 detail: detail.to_string(),
             },
@@ -669,6 +690,15 @@ mod tests {
         /// Submits and runs `(scalar, candidate)` texts labeled `job<i>`:
         /// the verdict frames in slot order.
         fn submit(&mut self, jobs: &[(&str, &str)]) -> Vec<VerdictFrame> {
+            let mut frames = self.submit_in_arrival_order(jobs);
+            frames.sort_by_key(|frame| frame.index);
+            frames
+        }
+
+        /// [`submit`](Self::submit), with the verdict frames in the order
+        /// they arrived. `Done` closes the batch after exactly one frame
+        /// per job.
+        fn submit_in_arrival_order(&mut self, jobs: &[(&str, &str)]) -> Vec<VerdictFrame> {
             for (i, (scalar, candidate)) in jobs.iter().enumerate() {
                 self.send_submit(format!("job{}", i), scalar, candidate);
             }
@@ -687,8 +717,18 @@ mod tests {
                     other => panic!("expected a verdict, got {:?}", other),
                 }
             }
-            frames.sort_by_key(|frame| frame.index);
+            assert_eq!(frames.len(), jobs.len(), "one frame per job before Done");
             frames
+        }
+
+        /// The daemon's counters, read over the wire: the next frame after
+        /// a batch's `Done` must be the report, not a stray verdict.
+        fn status(&mut self) -> ServiceStatus {
+            write_message(&mut self.writer, &Message::Status).unwrap();
+            match read_message(&mut self.reader).unwrap() {
+                Some(Message::StatusReport(status)) => status,
+                other => panic!("expected a status report, got {:?}", other),
+            }
         }
 
         /// Submits one job the daemon refuses: the error frame's detail.
@@ -703,6 +743,18 @@ mod tests {
 
     fn parsed(service: &VerificationService) -> u64 {
         service.parsed.load(Ordering::Relaxed)
+    }
+
+    fn engine_runs(service: &VerificationService) -> u64 {
+        service.engine_runs.load(Ordering::Relaxed)
+    }
+
+    /// The frames' slots, labels and verdicts, without the cache-hit flag.
+    fn answers(frames: &[VerdictFrame]) -> Vec<(u32, String, CachedVerdict)> {
+        frames
+            .iter()
+            .map(|frame| (frame.index, frame.label.clone(), frame.verdict.clone()))
+            .collect()
     }
 
     fn verdicts(frames: &[VerdictFrame]) -> Vec<CachedVerdict> {
@@ -723,6 +775,49 @@ mod tests {
             assert_eq!(verdicts(&warm), verdicts(&cold));
             assert_eq!(parsed(service), 6, "a warm resubmission parses nothing");
             assert_eq!(service.status().stages, stages);
+        });
+    }
+
+    #[test]
+    fn an_all_hit_batch_starts_no_engine() {
+        with_daemon(|service| {
+            let mut cold_client = RawClient::connect(service);
+            let cold = cold_client.submit(&BATCH);
+            assert_eq!(
+                engine_runs(service),
+                1,
+                "a cold batch starts the engine once"
+            );
+            assert_eq!(cold_client.status().completed, BATCH.len() as u64);
+
+            let mut warm_client = RawClient::connect(service);
+            let warm = warm_client.submit(&BATCH);
+            assert!(warm.iter().all(|frame| frame.cache_hit));
+            assert_eq!(answers(&warm), answers(&cold));
+            assert_eq!(engine_runs(service), 1, "an all-hit batch starts none");
+            let status = warm_client.status();
+            assert_eq!(status.completed, 2 * BATCH.len() as u64);
+            assert_eq!(status.dedupe_hits, BATCH.len() as u64);
+        });
+    }
+
+    #[test]
+    fn dedupe_answers_arrive_before_an_admitted_jobs_verdict() {
+        with_daemon(|service| {
+            let cold = RawClient::connect(service).submit(&BATCH[..2]);
+            // Two hits, then a pairing no batch ran: the hits are flushed
+            // before the miss is pushed to the engine, so they arrive first.
+            let mixed = [BATCH[0], BATCH[1], (S000, TRIPLE)];
+            let mut client = RawClient::connect(service);
+            let frames = client.submit_in_arrival_order(&mixed);
+            let order: Vec<(u32, bool)> = frames
+                .iter()
+                .map(|frame| (frame.index, frame.cache_hit))
+                .collect();
+            assert_eq!(order, [(0, true), (1, true), (2, false)]);
+            assert_eq!(answers(&frames[..2]), answers(&cold));
+            assert_eq!(engine_runs(service), 2);
+            assert_eq!(client.status().completed, 5);
         });
     }
 

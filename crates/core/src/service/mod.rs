@@ -34,6 +34,24 @@
 //! workload therefore answers entirely from the dedupe path with zero
 //! stage executions, which `examples/service_sweep.rs` pins in CI.
 //!
+//! The connection thread walks the batch itself. The engine starts, on one
+//! thread of its own, at the first job the walk admits, so a batch the
+//! cache answers whole spawns no thread and builds no worker state. Both
+//! sides write through a bounded buffer (64 KiB): the client sends a
+//! batch's `Submit` frames with its `Run` in one flush, and the daemon
+//! queues dedupe answers and flushes them
+//!
+//! * before each job it pushes to the engine, so no known answer waits
+//!   behind a verification;
+//! * after the walk over the batch;
+//! * after each verdict the engine streams back;
+//! * with every `Done`, `ServerHello`, `StatusReport`, `ShutdownAck` and
+//!   `Error` frame.
+//!
+//! Each slot gets exactly one verdict frame and `Done` comes last; a
+//! dedupe answer that precedes an admitted job in the batch arrives before
+//! that job's verdict.
+//!
 //! A dedupe answer needs only the job's cache key, and the daemon gets it
 //! without parsing when it can: a key memo shared by all connections maps
 //! the **exact bytes** of a submitted source to the

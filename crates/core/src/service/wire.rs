@@ -36,6 +36,12 @@ pub const WIRE_MAGIC: [u8; 4] = *b"LVSV";
 /// removed them again with the preprocessing layer.
 pub const WIRE_VERSION: u32 = 3;
 
+/// Capacity of each side's buffered socket writer. Frames queue in it until
+/// an explicit flush (the client's `Run`, the daemon's flush points; see the
+/// [module docs](crate::service)) or until it fills, so a batch costs a few
+/// `write` syscalls instead of one per frame.
+pub(crate) const WRITE_BUFFER_BYTES: usize = 64 << 10;
+
 /// Upper bound on a frame's payload length. A length prefix beyond this is
 /// rejected before any allocation — a corrupt or hostile length field must
 /// not make the daemon try to buffer gigabytes.
@@ -515,21 +521,23 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Vec<u8>>, ServiceError> {
         }
         .into());
     }
-    let mut rest = vec![0u8; len + 4];
-    let have = read_fully(r, &mut rest)?;
-    if have < rest.len() {
+    // The payload and its CRC land in one buffer, which becomes the
+    // payload once the CRC checks.
+    let mut payload = vec![0u8; len + 4];
+    let have = read_fully(r, &mut payload)?;
+    if have < payload.len() {
         return Err(WireError::Truncated {
             needed: 4 + len + 4,
             have: 4 + have,
         }
         .into());
     }
-    let payload = rest[..len].to_vec();
-    let recorded = u32::from_le_bytes(rest[len..].try_into().expect("4 bytes"));
-    let computed = crc32(&payload);
+    let recorded = u32::from_le_bytes(payload[len..].try_into().expect("4 bytes"));
+    let computed = crc32(&payload[..len]);
     if recorded != computed {
         return Err(WireError::FrameCrc { recorded, computed }.into());
     }
+    payload.truncate(len);
     Ok(Some(payload))
 }
 

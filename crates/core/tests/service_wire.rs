@@ -248,3 +248,56 @@ fn stream_reader_distinguishes_clean_close_from_torn_frame() {
     assert_eq!(recorded, crc32(&payload));
     assert_eq!(read_frame(&mut framed).unwrap(), Some(payload));
 }
+
+/// The bytewise table-driven CRC-32 that framed every journal record and
+/// wire frame before slicing-by-8: the reference `crc32` must reproduce.
+fn bytewise_crc32(bytes: &[u8]) -> u32 {
+    let mut table = [0u32; 256];
+    for (i, entry) in table.iter_mut().enumerate() {
+        let mut crc = i as u32;
+        for _ in 0..8 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ 0xedb8_8320
+            } else {
+                crc >> 1
+            };
+        }
+        *entry = crc;
+    }
+    let mut crc = !0u32;
+    for &b in bytes {
+        crc = (crc >> 8) ^ table[((crc ^ b as u32) & 0xff) as usize];
+    }
+    !crc
+}
+
+#[test]
+fn crc32_equals_the_bytewise_crc_at_every_length_and_alignment() {
+    // Known vectors of the IEEE polynomial.
+    for (bytes, crc) in [
+        (&b""[..], 0),
+        (b"a", 0xe8b7_be43),
+        (b"123456789", 0xcbf4_3926),
+        (b"The quick brown fox jumps over the lazy dog", 0x414f_a339),
+    ] {
+        assert_eq!(crc32(bytes), crc, "{:?}", String::from_utf8_lossy(bytes));
+        assert_eq!(bytewise_crc32(bytes), crc);
+    }
+    // Every length 0..=256 at every start offset 0..8, so each tail length
+    // and each alignment of the 8-byte steps is covered.
+    let data: Vec<u8> = (0..264u32)
+        .map(|i| (i.wrapping_mul(0x9e37_79b9) >> 13) as u8)
+        .collect();
+    for offset in 0..8 {
+        for len in 0..=256 {
+            let bytes = &data[offset..offset + len];
+            assert_eq!(
+                crc32(bytes),
+                bytewise_crc32(bytes),
+                "offset {} length {}",
+                offset,
+                len
+            );
+        }
+    }
+}

@@ -904,17 +904,11 @@ impl<'a, 'f> SymExec<'a, 'f> {
             BinOp::Sub => self.ctx.bv_sub(l, r),
             BinOp::Mul => self.ctx.bv_mul(l, r),
             BinOp::Div => {
-                let is_zero = self.ctx.eq(r, zero);
-                let active = self.active(guard);
-                let div_ub = self.ctx.and(active, is_zero);
-                self.record_ub(div_ub);
+                self.record_division_ub(l, r, guard);
                 self.ctx.bv_sdiv(l, r)
             }
             BinOp::Rem => {
-                let is_zero = self.ctx.eq(r, zero);
-                let active = self.active(guard);
-                let div_ub = self.ctx.and(active, is_zero);
-                self.record_ub(div_ub);
+                self.record_division_ub(l, r, guard);
                 self.ctx.bv_srem(l, r)
             }
             BinOp::Lt => {
@@ -956,10 +950,43 @@ impl<'a, 'f> SymExec<'a, 'f> {
             BinOp::BitAnd => self.ctx.bv_and(l, r),
             BinOp::BitOr => self.ctx.bv_or(l, r),
             BinOp::BitXor => self.ctx.bv_xor(l, r),
-            BinOp::Shl => self.ctx.bv_shl(l, r),
-            BinOp::Shr => self.ctx.bv_ashr(l, r),
+            BinOp::Shl => {
+                self.record_shift_ub(r, guard);
+                self.ctx.bv_shl(l, r)
+            }
+            BinOp::Shr => {
+                self.record_shift_ub(r, guard);
+                self.ctx.bv_ashr(l, r)
+            }
         };
         Ok(SymValue::Scalar(out))
+    }
+
+    /// Records the undefined behaviour of `l / r` and `l % r` on the active
+    /// path, as `lv_interp` stops on it: a zero divisor, and `INT_MIN / -1`.
+    fn record_division_ub(&mut self, l: TermId, r: TermId, guard: TermId) {
+        let zero = self.ctx.bv32(0);
+        let is_zero = self.ctx.eq(r, zero);
+        let int_min = self.ctx.bv32(i32::MIN);
+        let minus_one = self.ctx.bv32(-1);
+        let l_min = self.ctx.eq(l, int_min);
+        let r_minus_one = self.ctx.eq(r, minus_one);
+        let overflow = self.ctx.and(l_min, r_minus_one);
+        let undefined = self.ctx.or(is_zero, overflow);
+        let active = self.active(guard);
+        let ub = self.ctx.and(active, undefined);
+        self.record_ub(ub);
+    }
+
+    /// Records the undefined behaviour of a scalar shift by `r` on the
+    /// active path, as `lv_interp` stops on it: a count outside 0–31, that
+    /// is `r >u 31`.
+    fn record_shift_ub(&mut self, r: TermId, guard: TermId) {
+        let max_count = self.ctx.bv32(31);
+        let out_of_range = self.ctx.bv_ult(max_count, r);
+        let active = self.active(guard);
+        let ub = self.ctx.and(active, out_of_range);
+        self.record_ub(ub);
     }
 
     fn eval_assign(

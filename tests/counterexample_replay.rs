@@ -21,8 +21,8 @@ use llm_vectorizer_repro::core::{
 use llm_vectorizer_repro::interp::{checksum_test, ChecksumConfig, ChecksumOutcome};
 use llm_vectorizer_repro::tsvc::KERNELS;
 use llm_vectorizer_repro::tv::{
-    check_with_alive2_unroll_in, replay_counterexample, ReplayFrame, SolverBudget,
-    SymbolicStrategy, TvConfig, TvSession, TvVerdict, MODEL_DIVERGENCE,
+    check_equivalence_symbolic, check_with_alive2_unroll_in, replay_counterexample, ReplayFrame,
+    SolverBudget, SymbolicStrategy, TvConfig, TvSession, TvVerdict, MODEL_DIVERGENCE,
 };
 
 /// The pass@k benchmark's kernels.
@@ -45,6 +45,24 @@ const S000: &str =
 /// Correct except where `b[i] == 123456789`: there the mask (-1) is added
 /// too, so `a[i]` gets `b[i]` instead of `b[i] + 1`.
 const S000_MAGIC: &str = "void s000(int n, int *a, int *b) { int i; for (i = 0; i + 8 <= n; i += 8) { __m256i x = _mm256_loadu_si256((__m256i *)&b[i]); __m256i m = _mm256_cmpeq_epi32(x, _mm256_set1_epi32(123456789)); _mm256_storeu_si256((__m256i *)&a[i], _mm256_add_epi32(_mm256_add_epi32(x, _mm256_set1_epi32(1)), m)); } for (; i < n; i++) { a[i] = b[i] + 1; } }";
+
+/// Undefined where `c[i] == 0`, and where `b[i] == INT_MIN && c[i] == -1`.
+const DIVIDE: &str = "void divide(int n, int *a, int *b, int *c) { for (int i = 0; i < n; i++) { a[i] = b[i] / c[i]; } }";
+
+/// [`DIVIDE`], storing 0 where it overflows: a refinement, since the scalar
+/// is undefined there.
+const DIVIDE_GUARDED: &str = "void divide(int n, int *a, int *b, int *c) { for (int i = 0; i < n; i++) { if (b[i] == -2147483647 - 1 && c[i] == -1) { a[i] = 0; } else { a[i] = b[i] / c[i]; } } }";
+
+/// Copies `b` to `a`: defined everywhere.
+const COPY: &str =
+    "void copy(int n, int *a, int *b, int *c) { for (int i = 0; i < n; i++) { a[i] = b[i]; } }";
+
+/// [`COPY`], adding a division that never divides by zero but overflows
+/// where `b[i] == INT_MIN` and `c[i]` is -1 or -2.
+const COPY_DIVIDING: &str = "void copy(int n, int *a, int *b, int *c) { for (int i = 0; i < n; i++) { a[i] = b[i] + b[i] / (c[i] | 1) * 0; } }";
+
+/// [`COPY`], adding a shift by an unchecked count.
+const COPY_SHIFTING: &str = "void copy(int n, int *a, int *b, int *c) { for (int i = 0; i < n; i++) { a[i] = b[i] + (b[i] << c[i]) * 0; } }";
 
 fn f(src: &str) -> Function {
     parse_function(src).unwrap()
@@ -304,4 +322,50 @@ fn a_wrong_model_is_a_model_divergence() {
                 .to_string()
         }
     );
+}
+
+/// (e) The symbolic executor records the undefined behaviour the
+/// interpreter stops on. A candidate defined where the scalar overflows is
+/// a refinement: `Equivalent`, with no stage reporting a model divergence.
+#[test]
+fn a_candidate_defined_where_the_scalar_overflows_is_equivalent() {
+    let (scalar, candidate) = (f(DIVIDE), f(DIVIDE_GUARDED));
+    let config = pipeline().tv;
+    let mut session = TvSession::new();
+    for strategy in SymbolicStrategy::ALL {
+        let verdict = strategy.run(&scalar, &candidate, &config, &mut session);
+        match &verdict {
+            TvVerdict::Equivalent => {}
+            TvVerdict::Inconclusive { reason } => {
+                assert!(
+                    !reason.contains(MODEL_DIVERGENCE),
+                    "{:?}: {}",
+                    strategy,
+                    reason
+                )
+            }
+            TvVerdict::NotEquivalent { .. } => panic!("{:?}: {:?}", strategy, verdict),
+        }
+    }
+    let (verdict, _) = check_equivalence_symbolic(&scalar, &candidate, &config);
+    assert_eq!(verdict, TvVerdict::Equivalent);
+}
+
+/// (e) A candidate that adds undefined behaviour the scalar does not have
+/// is refuted, and the refutation replays as the candidate's undefined
+/// behaviour.
+#[test]
+fn a_candidate_adding_overflow_or_a_wild_shift_is_not_equivalent() {
+    let config = pipeline().tv;
+    for (candidate, ub) in [
+        (COPY_DIVIDING, "INT_MIN division overflow"),
+        (COPY_SHIFTING, "shift amount out of range"),
+    ] {
+        let (verdict, stage) = check_equivalence_symbolic(&f(COPY), &f(candidate), &config);
+        let TvVerdict::NotEquivalent { counterexample } = verdict else {
+            panic!("{}: {:?} at {:?}", candidate, verdict, stage);
+        };
+        assert!(is_replay_detail(&counterexample), "{}", counterexample);
+        assert!(counterexample.contains(ub), "{}", counterexample);
+    }
 }

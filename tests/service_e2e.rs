@@ -3,16 +3,21 @@
 //! resubmission is answered entirely from the dedupe cache with zero stages
 //! run, and killed clients — garbage bytes, or a valid handshake followed
 //! by a torn frame — never take the daemon down. A submission carrying one
-//! job several times runs its cascade once.
+//! job several times runs its cascade once, and a client's batch is
+//! exactly its framed `Submit`s and `Run`.
 
-use llm_vectorizer_repro::core::service::VerdictFrame;
+use llm_vectorizer_repro::cir::print_function;
+use llm_vectorizer_repro::core::service::wire::{
+    check_magic, encode_message, read_message, write_message, Message,
+};
+use llm_vectorizer_repro::core::service::{VerdictFrame, WIRE_MAGIC, WIRE_VERSION};
 use llm_vectorizer_repro::core::{
-    EngineConfig, Job, PipelineConfig, ServiceClient, VerdictCache, VerificationEngine,
-    VerificationService,
+    CachedVerdict, EngineConfig, Equivalence, Job, PipelineConfig, ServiceClient, Stage,
+    VerdictCache, VerificationEngine, VerificationService,
 };
 use llm_vectorizer_repro::interp::ChecksumConfig;
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 
 fn quick_config() -> EngineConfig {
@@ -192,4 +197,80 @@ fn one_submission_of_a_job_four_times_runs_its_cascade_once() {
 
     client.shutdown().expect("shutdown");
     daemon.join().expect("daemon thread");
+}
+
+#[test]
+fn a_client_batch_is_its_framed_submits_then_run() {
+    let jobs = small_jobs();
+    let mut expected = Vec::new();
+    for job in &jobs {
+        expected.extend(encode_message(&Message::Submit {
+            label: job.label.clone(),
+            scalar: print_function(&job.scalar),
+            candidate: print_function(&job.candidate),
+        }));
+    }
+    expected.extend(encode_message(&Message::Run {
+        count: jobs.len() as u32,
+    }));
+
+    // A recording peer: it completes the handshake, records the batch's
+    // bytes, answers every slot, and then records what follows until the
+    // client hangs up.
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let labels: Vec<String> = jobs.iter().map(|job| job.label.clone()).collect();
+    let (batch_len, slots) = (expected.len(), jobs.len());
+    let peer = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("accept");
+        let mut magic = [0u8; 4];
+        stream.read_exact(&mut magic).expect("client magic");
+        check_magic(&magic).expect("LVSV");
+        match read_message(&mut stream).expect("hello") {
+            Some(Message::Hello {
+                version: WIRE_VERSION,
+            }) => {}
+            other => panic!("expected a hello, got {:?}", other),
+        }
+        let mut reply = WIRE_MAGIC.to_vec();
+        reply.extend(encode_message(&Message::ServerHello {
+            version: WIRE_VERSION,
+            fingerprint: 7,
+        }));
+        stream.write_all(&reply).expect("server hello");
+        let mut batch = vec![0u8; batch_len];
+        stream.read_exact(&mut batch).expect("the batch");
+        for (index, label) in labels.into_iter().enumerate() {
+            let frame = VerdictFrame {
+                index: index as u32,
+                label,
+                cache_hit: true,
+                verdict: CachedVerdict {
+                    verdict: Equivalence::Equivalent,
+                    stage: Stage::Alive2,
+                    detail: String::new(),
+                    checksum: None,
+                },
+            };
+            write_message(&mut stream, &Message::Verdict(frame)).expect("verdict");
+        }
+        write_message(
+            &mut stream,
+            &Message::Done {
+                count: slots as u32,
+            },
+        )
+        .expect("done");
+        let mut rest = Vec::new();
+        stream.read_to_end(&mut rest).expect("the rest");
+        (batch, rest)
+    });
+
+    let mut client = ServiceClient::connect(addr).expect("connect");
+    let frames = client.submit(&jobs).expect("submit");
+    drop(client);
+    let (batch, rest) = peer.join().expect("recording peer");
+    assert_eq!(batch, expected, "the client sends exactly the framed batch");
+    assert!(rest.is_empty(), "{} stray byte(s) after Run", rest.len());
+    assert_eq!(frames.len(), jobs.len());
 }
