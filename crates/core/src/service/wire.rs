@@ -270,24 +270,13 @@ impl Message {
                 label,
                 scalar,
                 candidate,
-            } => {
-                bin::put_u8(buf, TAG_SUBMIT);
-                bin::put_str(buf, label);
-                bin::put_str(buf, scalar);
-                bin::put_str(buf, candidate);
-            }
+            } => encode_submit(buf, label, scalar, candidate),
             Message::SubmitGenerate {
                 label,
                 scalar,
                 k,
                 seed,
-            } => {
-                bin::put_u8(buf, TAG_SUBMIT_GENERATE);
-                bin::put_str(buf, label);
-                bin::put_str(buf, scalar);
-                bin::put_u32(buf, *k);
-                bin::put_u64(buf, *seed);
-            }
+            } => encode_submit_generate(buf, label, scalar, *k, *seed),
             Message::Run { count } => {
                 bin::put_u8(buf, TAG_RUN);
                 bin::put_u32(buf, *count);
@@ -407,6 +396,32 @@ impl Message {
     }
 }
 
+/// Appends the payload of a [`Message::Submit`] from borrowed text, so a
+/// client can encode a job from buffers it reuses, without building the
+/// message.
+pub(crate) fn encode_submit(buf: &mut Vec<u8>, label: &str, scalar: &str, candidate: &str) {
+    bin::put_u8(buf, TAG_SUBMIT);
+    bin::put_str(buf, label);
+    bin::put_str(buf, scalar);
+    bin::put_str(buf, candidate);
+}
+
+/// Appends the payload of a [`Message::SubmitGenerate`] from borrowed text
+/// (see [`encode_submit`]).
+pub(crate) fn encode_submit_generate(
+    buf: &mut Vec<u8>,
+    label: &str,
+    scalar: &str,
+    k: u32,
+    seed: u64,
+) {
+    bin::put_u8(buf, TAG_SUBMIT_GENERATE);
+    bin::put_str(buf, label);
+    bin::put_str(buf, scalar);
+    bin::put_u32(buf, k);
+    bin::put_u64(buf, seed);
+}
+
 /// Validates a connection preamble.
 pub fn check_magic(magic: &[u8; 4]) -> Result<(), WireError> {
     if *magic == WIRE_MAGIC {
@@ -418,9 +433,7 @@ pub fn check_magic(magic: &[u8; 4]) -> Result<(), WireError> {
 
 /// Appends one complete frame (`[len][payload][crc]`) for `payload`.
 pub fn encode_frame(buf: &mut Vec<u8>, payload: &[u8]) {
-    bin::put_u32(buf, payload.len() as u32);
-    buf.extend_from_slice(payload);
-    bin::put_u32(buf, crc32(payload));
+    write_frame(buf, payload).expect("writing to a Vec cannot fail");
 }
 
 /// Encodes `message` as one complete frame.
@@ -476,16 +489,20 @@ pub fn decode_message_frame(bytes: &[u8]) -> Result<Message, WireError> {
     Message::decode(payload)
 }
 
-/// Writes one frame for `payload` as a single `write_all`.
+/// Writes one frame for `payload`: its length, the payload and its CRC go
+/// straight into `w`, with no frame buffer in between. Both sides hand it a
+/// buffered writer, so the three writes are copies into that buffer.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> std::io::Result<()> {
-    let mut frame = Vec::with_capacity(payload.len() + 8);
-    encode_frame(&mut frame, payload);
-    w.write_all(&frame)
+    w.write_all(&(payload.len() as u32).to_le_bytes())?;
+    w.write_all(payload)?;
+    w.write_all(&crc32(payload).to_le_bytes())
 }
 
-/// Writes `message` as one frame.
+/// Writes `message` as one frame (see [`write_frame`]).
 pub fn write_message<W: Write>(w: &mut W, message: &Message) -> std::io::Result<()> {
-    w.write_all(&encode_message(message))
+    let mut payload = Vec::new();
+    message.encode_payload(&mut payload);
+    write_frame(w, &payload)
 }
 
 /// Reads exactly `buf.len()` bytes, returning how many arrived before EOF.

@@ -3,14 +3,17 @@
 //! resubmission is answered entirely from the dedupe cache with zero stages
 //! run, and killed clients — garbage bytes, or a valid handshake followed
 //! by a torn frame — never take the daemon down. A submission carrying one
-//! job several times runs its cascade once, and a client's batch is
-//! exactly its framed `Submit`s and `Run`.
+//! job several times runs its cascade once, a client's batch is exactly its
+//! framed `Submit`s and `Run`, and a client refuses a verdict stream that
+//! does not answer its batch slot for slot.
 
 use llm_vectorizer_repro::cir::print_function;
 use llm_vectorizer_repro::core::service::wire::{
     check_magic, encode_message, read_message, write_message, Message,
 };
-use llm_vectorizer_repro::core::service::{VerdictFrame, WIRE_MAGIC, WIRE_VERSION};
+use llm_vectorizer_repro::core::service::{
+    GenerationRequest, ServiceError, VerdictFrame, WIRE_MAGIC, WIRE_VERSION,
+};
 use llm_vectorizer_repro::core::{
     CachedVerdict, EngineConfig, Equivalence, Job, PipelineConfig, ServiceClient, Stage,
     VerdictCache, VerificationEngine, VerificationService,
@@ -273,4 +276,105 @@ fn a_client_batch_is_its_framed_submits_then_run() {
     assert_eq!(batch, expected, "the client sends exactly the framed batch");
     assert!(rest.is_empty(), "{} stray byte(s) after Run", rest.len());
     assert_eq!(frames.len(), jobs.len());
+}
+
+/// A peer that completes one client's handshake, reads its batch up to and
+/// including `Run`, answers with `replies` and hangs up.
+fn scripted_peer(replies: Vec<Message>) -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let peer = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("accept");
+        let mut magic = [0u8; 4];
+        stream.read_exact(&mut magic).expect("client magic");
+        assert!(matches!(
+            read_message(&mut stream).expect("hello"),
+            Some(Message::Hello { .. })
+        ));
+        let mut reply = WIRE_MAGIC.to_vec();
+        reply.extend(encode_message(&Message::ServerHello {
+            version: WIRE_VERSION,
+            fingerprint: 7,
+        }));
+        stream.write_all(&reply).expect("server hello");
+        while !matches!(
+            read_message(&mut stream).expect("the batch"),
+            Some(Message::Run { .. })
+        ) {}
+        for message in &replies {
+            write_message(&mut stream, message).expect("reply");
+        }
+    });
+    (addr, peer)
+}
+
+fn verdict(index: u32, label: &str) -> Message {
+    Message::Verdict(VerdictFrame {
+        index,
+        label: label.to_string(),
+        cache_hit: true,
+        verdict: CachedVerdict {
+            verdict: Equivalence::Equivalent,
+            stage: Stage::Alive2,
+            detail: String::new(),
+            checksum: None,
+        },
+    })
+}
+
+#[test]
+fn a_client_refuses_a_verdict_stream_that_does_not_answer_its_batch() {
+    let jobs = &small_jobs()[..2];
+    let cases = [
+        (
+            vec![verdict(2, "s112")],
+            "verdict index 2 out of range for a 2-job batch",
+        ),
+        (
+            vec![verdict(1, "s000")],
+            "verdict 1 labeled 's000' but job 1 is 's112'",
+        ),
+        (
+            vec![verdict(0, "s000"), verdict(0, "s000")],
+            "duplicate verdict for job 0 ('s000')",
+        ),
+        (
+            vec![verdict(0, "s000"), Message::Done { count: 1 }],
+            "batch closed with 1 verdict(s), 2 submitted",
+        ),
+        (
+            vec![verdict(1, "s112"), Message::Done { count: 2 }],
+            "no verdict arrived for job 0",
+        ),
+        (
+            vec![verdict(0, "s000")],
+            "server closed the connection mid-batch",
+        ),
+    ];
+    for (replies, expected) in cases {
+        let (addr, peer) = scripted_peer(replies);
+        let mut client = ServiceClient::connect(addr).expect("connect");
+        match client.submit(jobs) {
+            Err(ServiceError::Protocol(detail)) => assert_eq!(detail, expected),
+            other => panic!("expected '{}', got {:?}", expected, other),
+        }
+        peer.join().expect("scripted peer");
+    }
+
+    // Generated slots are checked against their `label#j` names.
+    let (addr, peer) = scripted_peer(vec![verdict(0, "g#0"), verdict(1, "g#0")]);
+    let mut client = ServiceClient::connect(addr).expect("connect");
+    let request = GenerationRequest {
+        label: "g".into(),
+        scalar: jobs[0].scalar.clone(),
+        k: 2,
+        seed: 1,
+    };
+    match client.submit_generation(&[request]) {
+        Err(ServiceError::Protocol(detail)) => {
+            assert_eq!(detail, "verdict 1 labeled 'g#0' but job 1 is 'g#1'")
+        }
+        other => panic!("expected a mislabeled slot, got {:?}", other),
+    }
+    peer.join().expect("scripted peer");
 }
