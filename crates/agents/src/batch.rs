@@ -11,9 +11,9 @@
 //!   one [`SyntheticLlm`] walks every `(kernel, completion)` cell in order
 //!   and each cell consumes the next stretch of the *shared* RNG stream.
 //!   Output is byte-identical to every earlier release, which is what the
-//!   existing cache/shard/service CI pins (`examples/cache_sweep.rs`,
-//!   `shard_sweep.rs`, `service_sweep.rs`) and the
-//!   `batch_matches_sequential_sampling` test pin.
+//!   existing cache and service CI pins (`examples/cache_sweep.rs`,
+//!   `service_sweep.rs`) and the `batch_matches_sequential_sampling` test
+//!   pin.
 //! * [`GenerationMode::Seeded`] — the per-cell seeded path: each
 //!   `(kernel i, completion j)` cell samples from a **fresh** model seeded
 //!   with [`derive_cell_seed`]`(base, i, j)`, so cells are independent and
@@ -35,8 +35,7 @@
 //! The two modes produce *different* completion sets for the same base
 //! seed (a shared RNG stream cannot be split per-cell without changing the
 //! draws); callers choose per workload. New overlapped surfaces
-//! (`lv-sweep run`, service generation submits, generated shard manifests)
-//! use `Seeded`; the pre-existing experiment drivers stay `Sequential`.
+//! (`lv-sweep run --generate`, service generation submits) use `Seeded`; the pre-existing experiment drivers stay `Sequential`.
 
 use crate::fsm::{run_fsm_with_llm, FsmConfig, FsmResult};
 use crate::llm::{Completion, LlmConfig, SyntheticLlm, VectorizePrompt};

@@ -33,9 +33,8 @@ pub mod json {
     //!
     //! * [`Value`]'s `Display`/`to_string` renders a pre-built document tree;
     //! * [`Emitter`] streams tokens directly into any [`io::Write`] without
-    //!   building a tree or an intermediate `String` — the allocation-free
-    //!   path the append-only journals use for per-record serialization
-    //!   (pinned by a counting-global-allocator test in `lv_core`).
+    //!   building a tree or an intermediate `String` — the path the verdict
+    //!   cache streams its snapshot through.
     //!
     //! [`to_writer`] bridges the two: it walks a [`Value`] through an
     //! [`Emitter`], so callers that already hold a document can stream it.

@@ -3,8 +3,9 @@
 //! Verification is a pure function of `(scalar, candidate, configuration)`:
 //! the checksum harness is seeded, the SMT solver is deterministic, and
 //! budgets are part of the configuration. The engine therefore memoizes
-//! verdicts across batches — and, through the file backing, across
-//! *processes* — keyed by content hashes rather than source text:
+//! verdicts across batches — and, through the file backing, across runs
+//! of the `lv-sweep run` and `serve` commands — keyed by content hashes
+//! rather than source text:
 //!
 //! * `scalar` — [`lv_cir::structural_hash`] of the scalar kernel, so
 //!   renaming its variables, labels, or the kernel itself still hits;
@@ -44,15 +45,16 @@
 //!
 //! File I/O happens only in [`VerdictCache::open`] and
 //! [`VerdictCache::persist`], which rewrites the whole file atomically
-//! (temp file, then rename). Sharded sweeps exchange verdicts through the
-//! shard reports, not through cache files: the coordinator builds its
-//! merged cache from them (see [`crate::shard`]).
+//! (temp file, then rename).
 //!
-//! Files of the three forms earlier builds could write — the JSON cache
-//! journal (`{"journal":"verdict-cache"…`, written only as a per-shard
-//! exchange file), the binary cache journal (`LVBJ` magic) and the binary
-//! snapshot (`LVCS` magic) — are refused with [`io::ErrorKind::InvalidData`]
-//! naming the removed form, never mis-parsed, and left untouched.
+//! Files of the forms earlier builds could write are refused with
+//! [`io::ErrorKind::InvalidData`] naming the removed form, never
+//! mis-parsed, and left untouched: the three other verdict-cache forms (the
+//! JSON cache journal, `{"journal":"verdict-cache"…`, the binary cache
+//! journal, `LVBJ` magic, and the binary snapshot, `LVCS` magic) and the
+//! files of the deleted multi-process shard sweeps (report journals, claim
+//! journals, cross-run profile journals, and manifests, which a snapshot
+//! reader would otherwise take for a snapshot without entries).
 //!
 //! # Invalidation rules
 //!
@@ -119,88 +121,6 @@ impl CachedVerdict {
     }
 }
 
-/// Why a conflict-checked insert ([`VerdictCache::insert_checked`]) or a
-/// merge failed.
-///
-/// Verification is deterministic, so two sources of verdicts (two caches,
-/// or two shard reports) produced under the same format version can only
-/// disagree on a key if one of them is corrupt, was produced by a build
-/// with different semantics under the same [`CACHE_FORMAT_VERSION`], or was
-/// tampered with. Last-write-wins would silently propagate the corruption
-/// into every future sweep, so the insert refuses instead: the conflict is
-/// a typed, actionable error naming the key and both verdicts. Verdicts
-/// agree when [`CachedVerdict::agrees_with`] says so; a differing `detail`
-/// alone is no conflict.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CacheMergeError {
-    /// Both sources hold the key with different verdict payloads.
-    Conflict {
-        /// The disputed key.
-        key: CacheKey,
-        /// What the destination cache holds.
-        existing: Box<CachedVerdict>,
-        /// What the source offered.
-        incoming: Box<CachedVerdict>,
-    },
-}
-
-impl std::fmt::Display for CacheMergeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CacheMergeError::Conflict {
-                key,
-                existing,
-                incoming,
-            } => write!(
-                f,
-                "verdict cache merge conflict on key (scalar {:016x}, candidate {:016x}, \
-                 config {:016x}): existing verdict `{}` @ {} vs incoming `{}` @ {} — \
-                 one of the two sources is corrupt or was produced by a semantically \
-                 different build under the same format version",
-                key.scalar,
-                key.candidate,
-                key.config,
-                verdict_tag(existing.verdict),
-                stage_tag(existing.stage),
-                verdict_tag(incoming.verdict),
-                stage_tag(incoming.stage),
-            ),
-        }
-    }
-}
-
-impl std::error::Error for CacheMergeError {}
-
-/// What a successful [`VerdictCache::merge_from`] did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct MergeStats {
-    /// Keys added to the destination.
-    pub added: usize,
-    /// Keys present in both caches with identical verdicts (no-ops).
-    pub agreed: usize,
-}
-
-/// The size bound applied by [`VerdictCache::compact`], so
-/// million-candidate sweeps do not grow the cache file without limit.
-///
-/// Eviction is deterministic: entries are dropped from the *end* of the
-/// sorted key order (the same order [`VerdictCache::persist`] writes), so
-/// compacting identical contents always keeps identical survivors —
-/// bit-identical files again. The cache is content-addressed, so an evicted
-/// entry costs only a re-verification on its next lookup.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheBounds {
-    /// Maximum number of entries to keep; `None` means unbounded.
-    pub max_entries: Option<usize>,
-}
-
-impl CacheBounds {
-    /// Bounds that never evict.
-    pub fn unbounded() -> CacheBounds {
-        CacheBounds::default()
-    }
-}
-
 /// A thread-safe verdict store, optionally backed by a file.
 ///
 /// Workers on the engine's pool share one cache through an `Arc`; `get`
@@ -259,21 +179,6 @@ impl VerdictCache {
         self.map().insert(key, verdict);
     }
 
-    /// Stores a verdict unless the cache holds a *disagreeing* one for
-    /// `key` ([`CachedVerdict::agrees_with`]): `Ok(true)` when the key was
-    /// added, `Ok(false)` when an agreeing verdict was already stored (the
-    /// stored one, detail included, is kept), and
-    /// [`CacheMergeError::Conflict`] — the stored verdict left in place —
-    /// when they disagree; never last-write-wins (see the error type for
-    /// why).
-    pub fn insert_checked(
-        &self,
-        key: CacheKey,
-        verdict: CachedVerdict,
-    ) -> Result<bool, CacheMergeError> {
-        insert_agreeing(&mut self.map(), key, verdict)
-    }
-
     /// Number of stored verdicts.
     pub fn len(&self) -> usize {
         self.map().len()
@@ -282,45 +187,6 @@ impl VerdictCache {
     /// Returns `true` if the cache holds no verdicts.
     pub fn is_empty(&self) -> bool {
         self.map().is_empty()
-    }
-
-    /// Merges every entry of `other` into this cache through
-    /// [`VerdictCache::insert_checked`]: a key present in both caches with
-    /// the *same* verdict is a no-op, one with *different* verdicts aborts
-    /// the merge with [`CacheMergeError::Conflict`]. On error the
-    /// destination may already contain some of `other`'s non-conflicting
-    /// entries; since those entries agree with `other` by construction, the
-    /// destination is still internally consistent.
-    pub fn merge_from(&self, other: &VerdictCache) -> Result<MergeStats, CacheMergeError> {
-        let incoming = other.map().clone();
-        let mut stats = MergeStats::default();
-        for (key, verdict) in incoming {
-            if self.insert_checked(key, verdict)? {
-                stats.added += 1;
-            } else {
-                stats.agreed += 1;
-            }
-        }
-        Ok(stats)
-    }
-
-    /// Evicts entries until the cache fits `bounds`; returns how many were
-    /// dropped. Eviction order is the tail of the sorted key order, so it is
-    /// deterministic (see [`CacheBounds`]).
-    pub fn compact(&self, bounds: &CacheBounds) -> usize {
-        let Some(max) = bounds.max_entries else {
-            return 0;
-        };
-        let mut entries = self.map();
-        if entries.len() <= max {
-            return 0;
-        }
-        let mut keys: Vec<CacheKey> = entries.keys().copied().collect();
-        keys.sort_unstable();
-        for key in &keys[max..] {
-            entries.remove(key);
-        }
-        keys.len() - max
     }
 
     /// Rewrites the backing file (atomically: temp file, then rename) as
@@ -332,7 +198,7 @@ impl VerdictCache {
             return Ok(());
         };
         let entries = self.map().clone();
-        write_atomic_stream(path, |w| write_snapshot(w, &entries))
+        write_snapshot_atomic(path, &entries)
     }
 }
 
@@ -386,46 +252,69 @@ pub fn cache_file_stats(path: &Path) -> io::Result<CacheFileStats> {
     Ok(stats)
 }
 
+/// What to do with a verdict cache of a removed form.
+const CONVERT_CACHE: &str =
+    "convert it to a JSON snapshot with `lv-sweep compact` from an earlier build, or delete it";
+
+/// What to do with a file of the deleted multi-process shard sweeps.
+const SHARD_LAYER_GONE: &str = "nothing reads it since the multi-process shard sweeps were \
+     deleted (`lv-sweep run --cache FILE` keeps a sweep's verdicts in a snapshot); delete it";
+
 /// The leading bytes of each form earlier builds could write, with the
-/// name it is refused by. The forms are gone; their files are refused by
-/// name rather than failing as "not UTF-8" or "not JSON".
-const REMOVED_FORMS: [(&[u8], &str); 3] = [
-    (b"{\"journal\":\"verdict-cache\"", "JSON cache journal"),
-    (b"LVBJ", "binary cache journal"),
-    (b"LVCS", "binary snapshot"),
+/// name it is refused by and what to do with it. The forms are gone; their
+/// files are refused by name rather than failing as "not UTF-8", "not
+/// JSON" or "no `version` field".
+const REMOVED_FORMS: [(&[u8], &str, &str); 6] = [
+    (
+        b"{\"journal\":\"verdict-cache\"",
+        "JSON cache journal",
+        CONVERT_CACHE,
+    ),
+    (b"LVBJ", "binary cache journal", CONVERT_CACHE),
+    (b"LVCS", "binary snapshot", CONVERT_CACHE),
+    (
+        b"{\"journal\":\"shard-report\"",
+        "shard report journal",
+        SHARD_LAYER_GONE,
+    ),
+    (
+        b"{\"journal\":\"shard-claims\"",
+        "shard claim journal",
+        SHARD_LAYER_GONE,
+    ),
+    (
+        b"{\"journal\":\"cross-run-profile\"",
+        "cross-run profile journal",
+        SHARD_LAYER_GONE,
+    ),
 ];
 
 /// Parses a JSON snapshot into an entry map; a file of a removed form is a
 /// named error.
 fn entries_from_bytes(bytes: &[u8]) -> Result<HashMap<CacheKey, CachedVerdict>, String> {
-    if let Some((prefix, name)) = REMOVED_FORMS
+    if let Some((prefix, name, remedy)) = REMOVED_FORMS
         .iter()
-        .find(|(prefix, _)| bytes.starts_with(prefix))
+        .find(|(prefix, ..)| bytes.starts_with(prefix))
     {
         return Err(format!(
-            "cache file is a {} (`{}`), a form this build no longer reads; convert \
-             it to a JSON snapshot with `lv-sweep compact` from an earlier build, \
-             or delete it",
+            "cache file is a {} (`{}`), a form this build no longer reads; {}",
             name,
-            String::from_utf8_lossy(prefix)
+            String::from_utf8_lossy(prefix),
+            remedy
         ));
     }
     let text = std::str::from_utf8(bytes).map_err(|e| format!("cache file is not UTF-8: {}", e))?;
     parse_entries(text)
 }
 
-pub(crate) fn hex(value: u64) -> Value {
-    Value::Str(format!("{:016x}", value))
-}
-
-pub(crate) fn parse_hex(value: Option<&Value>, field: &str) -> Result<u64, String> {
+fn parse_hex(value: Option<&Value>, field: &str) -> Result<u64, String> {
     let s = value
         .and_then(Value::as_str)
         .ok_or_else(|| format!("entry is missing the `{}` hash", field))?;
     u64::from_str_radix(s, 16).map_err(|_| format!("`{}` is not a hex hash: `{}`", field, s))
 }
 
-pub(crate) fn verdict_tag(verdict: Equivalence) -> &'static str {
+fn verdict_tag(verdict: Equivalence) -> &'static str {
     match verdict {
         Equivalence::Equivalent => "equivalent",
         Equivalence::NotEquivalent => "not-equivalent",
@@ -433,7 +322,7 @@ pub(crate) fn verdict_tag(verdict: Equivalence) -> &'static str {
     }
 }
 
-pub(crate) fn parse_verdict(tag: &str) -> Result<Equivalence, String> {
+fn parse_verdict(tag: &str) -> Result<Equivalence, String> {
     match tag {
         "equivalent" => Ok(Equivalence::Equivalent),
         "not-equivalent" => Ok(Equivalence::NotEquivalent),
@@ -442,7 +331,7 @@ pub(crate) fn parse_verdict(tag: &str) -> Result<Equivalence, String> {
     }
 }
 
-pub(crate) fn stage_tag(stage: Stage) -> &'static str {
+fn stage_tag(stage: Stage) -> &'static str {
     match stage {
         Stage::Checksum => "checksum",
         Stage::Alive2 => "alive2",
@@ -451,7 +340,7 @@ pub(crate) fn stage_tag(stage: Stage) -> &'static str {
     }
 }
 
-pub(crate) fn parse_stage(tag: &str) -> Result<Stage, String> {
+fn parse_stage(tag: &str) -> Result<Stage, String> {
     match tag {
         "checksum" => Ok(Stage::Checksum),
         "alive2" => Ok(Stage::Alive2),
@@ -461,7 +350,7 @@ pub(crate) fn parse_stage(tag: &str) -> Result<Stage, String> {
     }
 }
 
-pub(crate) fn checksum_tag(class: ChecksumClass) -> &'static str {
+fn checksum_tag(class: ChecksumClass) -> &'static str {
     match class {
         ChecksumClass::Plausible => "plausible",
         ChecksumClass::NotEquivalent => "not-equivalent",
@@ -470,19 +359,7 @@ pub(crate) fn checksum_tag(class: ChecksumClass) -> &'static str {
     }
 }
 
-/// Emits `checksum`'s value position: the stable tag, or `null` for
-/// verdicts produced by cascades without a checksum stage.
-pub(crate) fn emit_checksum<W: io::Write>(
-    e: &mut Emitter<W>,
-    class: Option<ChecksumClass>,
-) -> io::Result<()> {
-    match class {
-        None => e.null(),
-        Some(class) => e.str(checksum_tag(class)),
-    }
-}
-
-pub(crate) fn parse_checksum(value: Option<&Value>) -> Result<Option<ChecksumClass>, String> {
+fn parse_checksum(value: Option<&Value>) -> Result<Option<ChecksumClass>, String> {
     match value {
         None | Some(Value::Null) => Ok(None),
         Some(Value::Str(s)) => match s.as_str() {
@@ -509,8 +386,12 @@ fn emit_entry<W: io::Write>(
     e.field_str("verdict", verdict_tag(verdict.verdict))?;
     e.field_str("stage", stage_tag(verdict.stage))?;
     e.field_str("detail", &verdict.detail)?;
+    // `null` for verdicts produced by cascades without a checksum stage.
     e.key("checksum")?;
-    emit_checksum(e, verdict.checksum)?;
+    match verdict.checksum {
+        None => e.null()?,
+        Some(class) => e.str(checksum_tag(class))?,
+    }
     e.end_object()
 }
 
@@ -536,19 +417,18 @@ fn write_snapshot<W: io::Write>(
     w.write_all(b"\n")
 }
 
-/// Streams a document to `path` atomically (temp file, then rename),
-/// creating parent directories as needed. The one atomic-write protocol
-/// shared by every snapshot surface (cache and shard manifest).
-pub(crate) fn write_atomic_stream<F>(path: &Path, emit: F) -> io::Result<()>
-where
-    F: FnOnce(&mut BufWriter<File>) -> io::Result<()>,
-{
+/// Streams the snapshot of `entries` to `path` atomically (temp file, then
+/// rename), creating parent directories as needed.
+fn write_snapshot_atomic(
+    path: &Path,
+    entries: &HashMap<CacheKey, CachedVerdict>,
+) -> io::Result<()> {
     if let Some(parent) = path.parent() {
         std::fs::create_dir_all(parent)?;
     }
     let tmp = path.with_extension("tmp");
     let mut writer = BufWriter::new(File::create(&tmp)?);
-    emit(&mut writer)?;
+    write_snapshot(&mut writer, entries)?;
     writer.flush()?;
     drop(writer);
     std::fs::rename(&tmp, path)
@@ -584,9 +464,18 @@ fn parse_entry(item: &Value) -> Result<(CacheKey, CachedVerdict), String> {
 
 /// Parses the snapshot document. A key listed twice with agreeing verdicts
 /// is a no-op (the first listing is kept); listed with *different* verdicts
-/// it is corruption, refused like a merge conflict — never last-write-wins.
+/// it is corruption and refused — never last-write-wins.
 fn parse_entries(text: &str) -> Result<HashMap<CacheKey, CachedVerdict>, String> {
     let doc = json::parse(text).map_err(|e| e.to_string())?;
+    // A shard sweep manifest is a JSON document with a `version` field too;
+    // its `shards` field tells it from a snapshot.
+    if doc.get("shards").is_some() {
+        return Err(format!(
+            "cache file is a shard manifest (it has a `shards` field), a form this build \
+             no longer reads; {}",
+            SHARD_LAYER_GONE
+        ));
+    }
     match doc.get("version").and_then(Value::as_int) {
         Some(CACHE_FORMAT_VERSION) => {}
         Some(other) => {
@@ -617,26 +506,23 @@ fn parse_entries(text: &str) -> Result<HashMap<CacheKey, CachedVerdict>, String>
 }
 
 /// Stores `verdict` under `key` unless `entries` holds a disagreeing verdict
-/// for it — the one conflict rule of [`VerdictCache::insert_checked`] (and
-/// so of merges) and of the snapshot reader. `Ok(true)` when the key was
-/// added, `Ok(false)` when an agreeing verdict was already stored; the
-/// stored entry, its detail included, is kept.
+/// for it ([`CachedVerdict::agrees_with`]) — the snapshot reader's one
+/// conflict rule. `Ok(true)` when the key was added, `Ok(false)` when an
+/// agreeing verdict was already stored (the stored entry, its detail
+/// included, is kept), and `Err` with the stored verdict, left in place,
+/// when they disagree: never last-write-wins.
 fn insert_agreeing(
     entries: &mut HashMap<CacheKey, CachedVerdict>,
     key: CacheKey,
     verdict: CachedVerdict,
-) -> Result<bool, CacheMergeError> {
+) -> Result<bool, CachedVerdict> {
     match entries.entry(key) {
         Entry::Vacant(slot) => {
             slot.insert(verdict);
             Ok(true)
         }
         Entry::Occupied(slot) if slot.get().agrees_with(&verdict) => Ok(false),
-        Entry::Occupied(slot) => Err(CacheMergeError::Conflict {
-            key,
-            existing: Box::new(slot.get().clone()),
-            incoming: Box::new(verdict),
-        }),
+        Entry::Occupied(slot) => Err(slot.get().clone()),
     }
 }
 
@@ -702,11 +588,51 @@ mod tests {
     const REMOVED_LVCS_SAMPLE: &[u8] =
         b"LVCS\x01\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x38\x00\x00\x00\x00\x00\x00\x00";
 
-    /// Every removed form: its leading bytes and the name it is refused by.
-    const REMOVED_SAMPLES: [(&[u8], &str); 3] = [
-        (REMOVED_JSON_JOURNAL_SAMPLE, "JSON cache journal"),
-        (REMOVED_LVBJ_SAMPLE, "binary cache journal"),
-        (REMOVED_LVCS_SAMPLE, "binary snapshot"),
+    /// The first bytes of a shard report journal of the deleted
+    /// multi-process sweeps: its CRC-framed header record.
+    const REMOVED_SHARD_REPORT_SAMPLE: &[u8] =
+        b"{\"journal\":\"shard-report\",\"version\":1,\"shard\":0,\"shards\":2,\
+          \"fingerprint\":\"d5d4940c130e4c27\"} 49683cfa\n";
+
+    /// A shard manifest of the deleted multi-process sweeps, cut short: a
+    /// JSON document with a `version` field, like a snapshot.
+    const REMOVED_MANIFEST_SAMPLE: &[u8] = b"{\"version\":1,\"fingerprint\":\"d5d4940c130e4c27\",\
+          \"shards\":2,\"policy\":\"hash-mod\",\"threads\":0,\"jobs\":[]}\n";
+
+    /// Every removed form: its leading bytes, the name it is refused by,
+    /// and the remedy the refusal names.
+    const REMOVED_SAMPLES: [(&[u8], &str, &str); 7] = [
+        (
+            REMOVED_JSON_JOURNAL_SAMPLE,
+            "JSON cache journal",
+            "lv-sweep compact",
+        ),
+        (
+            REMOVED_LVBJ_SAMPLE,
+            "binary cache journal",
+            "lv-sweep compact",
+        ),
+        (REMOVED_LVCS_SAMPLE, "binary snapshot", "lv-sweep compact"),
+        (
+            REMOVED_SHARD_REPORT_SAMPLE,
+            "shard report journal",
+            "lv-sweep run --cache",
+        ),
+        (
+            b"{\"journal\":\"shard-claims\",\"version\":1} 00000000\n",
+            "shard claim journal",
+            "lv-sweep run --cache",
+        ),
+        (
+            b"{\"journal\":\"cross-run-profile\",\"version\":1} 00000000\n",
+            "cross-run profile journal",
+            "lv-sweep run --cache",
+        ),
+        (
+            REMOVED_MANIFEST_SAMPLE,
+            "shard manifest",
+            "lv-sweep run --cache",
+        ),
     ];
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -776,13 +702,13 @@ mod tests {
         // byte-for-byte untouched (`cache_file_stats_cover_all_four_forms`
         // covers the stats path).
         let dir = temp_dir("removed-forms");
-        for (sample, name) in REMOVED_SAMPLES {
+        for (sample, name, remedy) in REMOVED_SAMPLES {
             let path = dir.join("old.cache");
             std::fs::write(&path, sample).unwrap();
             let err = VerdictCache::open(&path).expect_err("a removed-form file must be refused");
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);
             assert!(err.to_string().contains(name), "{}", err);
-            assert!(err.to_string().contains("lv-sweep compact"), "{}", err);
+            assert!(err.to_string().contains(remedy), "{}", err);
             assert_eq!(
                 std::fs::read(&path).unwrap(),
                 sample,
@@ -792,67 +718,12 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn merge_accepts_agreement_and_disjoint_keys() {
-        let dest = VerdictCache::in_memory();
-        let source = VerdictCache::in_memory();
-        let entries = sample_entries();
-        // Destination holds entries 0 and 1; source holds 1 (identical) and 2.
-        dest.insert(entries[0].0, entries[0].1.clone());
-        dest.insert(entries[1].0, entries[1].1.clone());
-        source.insert(entries[1].0, entries[1].1.clone());
-        source.insert(entries[2].0, entries[2].1.clone());
-
-        let stats = dest.merge_from(&source).expect("agreeing merge succeeds");
-        assert_eq!(
-            stats,
-            MergeStats {
-                added: 1,
-                agreed: 1
-            }
-        );
-        assert_eq!(dest.len(), 3);
-        for (key, verdict) in entries {
-            assert_eq!(dest.get(&key), Some(verdict));
-        }
-    }
-
-    #[test]
-    fn merge_conflict_is_a_typed_error_not_last_write_wins() {
-        let dest = VerdictCache::in_memory();
-        let source = VerdictCache::in_memory();
-        let (key, verdict) = sample_entries().remove(0);
-        assert_eq!(verdict.verdict, Equivalence::Equivalent);
-        let flipped = CachedVerdict {
-            verdict: Equivalence::NotEquivalent,
-            ..verdict.clone()
-        };
-        dest.insert(key, verdict.clone());
-        source.insert(key, flipped.clone());
-
-        let err = dest.merge_from(&source).expect_err("conflict must error");
-        let CacheMergeError::Conflict {
-            key: conflict_key,
-            existing,
-            incoming,
-        } = &err;
-        assert_eq!(*conflict_key, key);
-        assert_eq!(**existing, verdict);
-        assert_eq!(**incoming, flipped);
-        assert!(err.to_string().contains("merge conflict"), "{}", err);
-        // The destination kept its own verdict — no last-write-wins.
-        assert_eq!(dest.get(&key), Some(verdict.clone()));
-        // The single checked insert the merge is built on says the same.
-        assert_eq!(dest.insert_checked(key, verdict.clone()), Ok(false));
-        assert_eq!(dest.insert_checked(key, flipped).unwrap_err(), err);
-        assert_eq!(dest.get(&key), Some(verdict));
-    }
-
     /// Alpha-equivalent kernels (`vsumr` and `s311r` differ only in their
-    /// names) share a key, and a detail may name the kernel: two reports of
+    /// names) share a key, and a detail may name the kernel: two verdicts of
     /// one key whose verdict, stage and checksum class agree are no
-    /// conflict, and the stored detail is kept. Any other field still
-    /// conflicts, in a merge and in a snapshot file alike.
+    /// conflict, and the stored detail is kept. Any other field conflicts,
+    /// leaves the stored verdict in place and reports it, in the reader's
+    /// insert and in a snapshot file alike.
     #[test]
     fn a_differing_detail_alone_is_no_conflict() {
         let (key, stored) = sample_entries().remove(1);
@@ -860,14 +731,10 @@ mod tests {
             detail: "cannot compile: type error in `s311r`".to_string(),
             ..stored.clone()
         };
-        let dest = VerdictCache::in_memory();
-        assert_eq!(dest.insert_checked(key, stored.clone()), Ok(true));
-        assert_eq!(dest.insert_checked(key, renamed.clone()), Ok(false));
-        assert_eq!(
-            dest.get(&key),
-            Some(stored.clone()),
-            "the stored detail is kept"
-        );
+        let mut dest = HashMap::new();
+        assert_eq!(insert_agreeing(&mut dest, key, stored.clone()), Ok(true));
+        assert_eq!(insert_agreeing(&mut dest, key, renamed.clone()), Ok(false));
+        assert_eq!(dest.get(&key), Some(&stored), "the stored detail is kept");
         let changed = [
             CachedVerdict {
                 verdict: Equivalence::Inconclusive,
@@ -883,9 +750,13 @@ mod tests {
             },
         ];
         for incoming in changed {
-            assert!(dest.insert_checked(key, incoming).is_err());
+            assert_eq!(
+                insert_agreeing(&mut dest, key, incoming),
+                Err(stored.clone()),
+                "never last-write-wins"
+            );
         }
-        assert_eq!(dest.get(&key), Some(stored));
+        assert_eq!(dest.get(&key), Some(&stored));
 
         let entry = |detail: &str| {
             format!(
@@ -905,32 +776,53 @@ mod tests {
         assert_eq!(parsed.values().next().unwrap().detail, "in vsumr");
     }
 
+    /// Two verdicts of one key that disagree are an error, in the reader's
+    /// insert and in a snapshot file alike: the stored verdict stays, and a
+    /// file that lists the key twice is refused, never read last-write-wins.
     #[test]
-    fn compaction_is_deterministic_and_bounded() {
-        let cache = VerdictCache::in_memory();
-        for (key, verdict) in sample_entries() {
-            cache.insert(key, verdict);
-        }
-        assert_eq!(cache.compact(&CacheBounds::unbounded()), 0);
+    fn merge_conflict_is_a_typed_error_not_last_write_wins() {
+        let (key, verdict) = sample_entries().remove(0);
+        assert_eq!(verdict.verdict, Equivalence::Equivalent);
+        let flipped = CachedVerdict {
+            verdict: Equivalence::NotEquivalent,
+            ..verdict.clone()
+        };
+        let mut dest = HashMap::new();
+        assert_eq!(insert_agreeing(&mut dest, key, verdict.clone()), Ok(true));
         assert_eq!(
-            cache.compact(&CacheBounds {
-                max_entries: Some(3)
-            }),
-            0
+            insert_agreeing(&mut dest, key, flipped),
+            Err(verdict.clone())
         );
-        assert_eq!(cache.len(), 3);
+        assert_eq!(dest.get(&key), Some(&verdict));
 
-        // The survivors are the smallest keys in sorted order.
-        let evicted = cache.compact(&CacheBounds {
-            max_entries: Some(2),
-        });
-        assert_eq!(evicted, 1);
-        assert_eq!(cache.len(), 2);
-        let mut keys = sample_entries();
-        keys.sort_by_key(|(k, _)| *k);
-        assert!(cache.get(&keys[0].0).is_some());
-        assert!(cache.get(&keys[1].0).is_some());
-        assert!(cache.get(&keys[2].0).is_none(), "largest key evicted");
+        let entry = |verdict: &str| {
+            format!(
+                "{{\"scalar\":\"1\",\"candidate\":\"2\",\"config\":\"3\",\
+                 \"verdict\":\"{}\",\"stage\":\"checksum\",\
+                 \"detail\":\"\",\"checksum\":\"not-equivalent\"}}",
+                verdict
+            )
+        };
+        let sample = format!(
+            "{{\"version\":1,\"entries\":[{},{}]}}",
+            entry("not-equivalent"),
+            entry("equivalent")
+        );
+        let reason = parse_entries(&sample).expect_err("a conflicting file must be refused");
+        assert!(
+            reason.contains("twice with different verdicts"),
+            "{}",
+            reason
+        );
+
+        let dir = temp_dir("conflict");
+        let path = dir.join("conflict.json");
+        std::fs::write(&path, &sample).unwrap();
+        let err = VerdictCache::open(&path).expect_err("a conflicting file must be refused");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(err.to_string(), reason);
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), sample);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -972,9 +864,10 @@ mod tests {
         );
         assert!(stats.bytes_per_entry() > 0.0);
 
-        // The other three forms, the removed JSON cache journal, binary
-        // journal and binary snapshot, are named errors.
-        for (sample, name) in REMOVED_SAMPLES {
+        // The other three cache forms, the removed JSON cache journal,
+        // binary journal and binary snapshot, and the shard layer's files
+        // are named errors.
+        for (sample, name, _) in REMOVED_SAMPLES {
             let removed_path = dir.join("stats.removed");
             std::fs::write(&removed_path, sample).unwrap();
             let err = cache_file_stats(&removed_path).expect_err("a removed form must be refused");

@@ -831,9 +831,9 @@ impl InFlight {
 }
 
 /// The verdict-cache key of `job` under a configuration fingerprint — the
-/// single definition shared by the engine's per-job lookup and the shard
-/// coordinator's report-to-cache reconstruction, so the two can never drift
-/// apart and mis-key (or spuriously conflict on) the same verdict.
+/// single definition shared by the engine's per-job lookup and the
+/// daemon's dedupe of submitted jobs, so a verdict one of them stores is
+/// the verdict the other finds.
 ///
 /// Both functions are hashed alone, by their own parameter positions
 /// ([`structural_hash`]): every stage binds the candidate's parameters to

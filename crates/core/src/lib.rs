@@ -39,15 +39,6 @@
 //!   deduped through the [`VerdictCache`] before any stage runs; admitted
 //!   jobs run on the worker pool and stream back incrementally through the
 //!   observer path;
-//! * [`shard`] — sharded *multi-process* sweeps: a deterministic
-//!   [`ShardPlan`] partitions a batch over N worker processes (spawned by a
-//!   coordinator via self-exec `--shard i/N`), each shard runs the unchanged
-//!   engine path and writes one output file, its JSON shard report journal,
-//!   and the coordinator waits for every worker to exit (killing the rest at
-//!   its wall-clock timeout), recovers missing jobs in-process, and merges
-//!   the reports — with typed conflict errors and [`CacheBounds`]
-//!   compaction — into a [`BatchReport`] and cache file equal to the
-//!   single-process run;
 //! * [`pipeline`] — Algorithm 1 ([`check_equivalence`]) as a thin wrapper
 //!   over a single-job engine run, so the one-shot and batched paths share
 //!   one cascade implementation;
@@ -115,16 +106,13 @@ pub mod cache;
 pub mod engine;
 pub mod experiments;
 pub mod funnel;
-pub mod journal;
 pub mod observer;
 pub mod passk;
 pub mod pipeline;
 pub mod service;
-pub mod shard;
 
 pub use cache::{
-    cache_file_stats, CacheBounds, CacheFileStats, CacheKey, CacheMergeError, CachedVerdict,
-    MergeStats, VerdictCache, CACHE_FORMAT_VERSION,
+    cache_file_stats, CacheFileStats, CacheKey, CachedVerdict, VerdictCache, CACHE_FORMAT_VERSION,
 };
 pub use engine::{
     job_channel, parallel_map, BatchReport, ChecksumStage, EngineConfig, EngineReuse, Job,
@@ -139,7 +127,6 @@ pub use experiments::{
     Table2Column, Table3, Table3Row,
 };
 pub use funnel::{FunnelReport, StageFunnel, HISTOGRAM_BUCKETS};
-pub use journal::FsyncPolicy;
 pub use observer::{
     BatchObserver, CallbackObserver, CountingObserver, NoopObserver, StreamObserver, TeeObserver,
 };
@@ -150,9 +137,4 @@ pub use passk::{
 pub use pipeline::{check_equivalence, Equivalence, EquivalenceReport, PipelineConfig, Stage};
 pub use service::{
     GenerationRequest, ServiceClient, ServiceError, ServiceStatus, VerificationService,
-};
-pub use shard::{
-    run_generated_sweep, run_sharded_sweep, run_worker_from_args, GenerationSpec, ShardError,
-    ShardOutcome, ShardPlan, ShardPolicy, ShardStatus, ShardedSweep, SweepConfig, SweepManifest,
-    WorkerSpec,
 };

@@ -8,9 +8,8 @@
 //!
 //! # Wire framing
 //!
-//! The protocol is binary and CRC-framed, reusing the journal's framing
-//! idiom (see [`wire`]): each side opens with the 4-byte [`WIRE_MAGIC`]
-//! preamble, then exchanges frames of
+//! The protocol is binary and CRC-framed (see [`wire`]): each side opens
+//! with the 4-byte [`WIRE_MAGIC`] preamble, then exchanges frames of
 //! `[payload length u32 LE][payload][crc32(payload) u32 LE]`. Frame
 //! payloads are tagged [`Message`]s; verdicts travel as compact binary
 //! verdict records. Corruption anywhere — truncation, a flipped bit,
@@ -88,12 +87,6 @@
 //! error while the daemon keeps accepting (pinned by the client-kill test
 //! in `tests/service_e2e.rs`). The daemon exits its accept loop only on an
 //! explicit [`Message::Shutdown`].
-//!
-//! # Relation to sharded sweeps
-//!
-//! The service answers *online* traffic on one host; [`crate::shard`]
-//! covers the *offline* multi-process sweep, where each worker process
-//! runs its own share and the coordinator recovers what a worker missed.
 
 pub mod client;
 pub mod daemon;

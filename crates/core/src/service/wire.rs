@@ -1,7 +1,7 @@
 //! The framed binary wire protocol of the verification service.
 //!
-//! Every message travels in one **CRC32 frame** — the [`crc32`] checksum of
-//! the journal framing in [`crate::journal`], length-prefixed for a socket:
+//! Every message travels in one **CRC32 frame**, its payload length-prefixed
+//! and followed by its [`crc32`] checksum:
 //!
 //! ```text
 //! [payload length u32 LE][payload bytes][crc32(payload) u32 LE]
@@ -14,15 +14,13 @@
 //! client tags in `0x01..`, server tags in `0x81..`); verdict payloads use
 //! the compact binary verdict-record codec of the verdict cache module.
 //!
-//! Decoding is strict, mirroring the cache journal loader: a
-//! truncated frame, a CRC mismatch, an unknown tag, an out-of-range enum
-//! byte, or trailing payload bytes are all typed [`WireError`]s — never a
-//! guessed or silently dropped message. `crates/core/tests/service_wire.rs`
+//! Decoding is strict: a truncated frame, a CRC mismatch, an unknown tag,
+//! an out-of-range enum byte, or trailing payload bytes are all typed
+//! [`WireError`]s — never a guessed or silently dropped message. `crates/core/tests/service_wire.rs`
 //! pins this exhaustively (truncation and a flip at every byte offset).
 
 use crate::cache::binary::{decode_verdict, encode_verdict};
 use crate::cache::CachedVerdict;
-use crate::journal::crc32;
 use crate::service::ServiceError;
 use serde::bin::{self, Reader};
 use std::io::{Read, Write};
@@ -422,6 +420,66 @@ pub(crate) fn encode_submit_generate(
     bin::put_u64(buf, seed);
 }
 
+/// CRC-32 (IEEE 802.3, the `cksum`/zlib polynomial) lookup tables for
+/// slicing-by-8: `CRC_TABLES[0]` is the bytewise table, and
+/// `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ 0xedb8_8320
+            } else {
+                crc >> 1
+            };
+            bit += 1;
+        }
+        tables[0][i] = crc;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
+};
+
+/// CRC-32 of `bytes` (IEEE polynomial, standard init/final xor).
+///
+/// Slicing-by-8 (Kounavis & Berry, ISCC 2005): eight bytes per step
+/// through eight lookup tables, then the tail bytewise. The output is the
+/// bytewise table-driven CRC's, bit for bit.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut crc = !0u32;
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+        crc = t[7][(lo & 0xff) as usize]
+            ^ t[6][((lo >> 8) & 0xff) as usize]
+            ^ t[5][((lo >> 16) & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xff) as usize]
+            ^ t[2][((hi >> 8) & 0xff) as usize]
+            ^ t[1][((hi >> 16) & 0xff) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xff) as usize];
+    }
+    !crc
+}
+
 /// Validates a connection preamble.
 pub fn check_magic(magic: &[u8; 4]) -> Result<(), WireError> {
     if *magic == WIRE_MAGIC {
@@ -564,5 +622,17 @@ pub fn read_message<R: Read>(r: &mut R) -> Result<Option<Message>, ServiceError>
     match read_frame(r)? {
         None => Ok(None),
         Some(payload) => Ok(Some(Message::decode(&payload)?)),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn crc32_matches_known_vectors() {
+        // Standard IEEE CRC-32 check value.
+        assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
+        assert_eq!(crc32(b""), 0);
     }
 }

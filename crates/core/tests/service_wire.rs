@@ -1,12 +1,10 @@
-//! Wire-protocol codec torture tests (the service-side mirror of
-//! `journal_torn_tail.rs`): truncating a frame at every byte offset and
-//! flipping a bit at every byte offset must each yield a *typed*
+//! Wire-protocol codec torture tests: truncating a frame at every byte
+//! offset and flipping a bit at every byte offset must each yield a *typed*
 //! [`WireError`] — never a wrong message, a dropped verdict, or a panic.
 
-use lv_core::journal::crc32;
 use lv_core::service::wire::{
-    check_magic, decode_message_frame, encode_frame, encode_message, read_frame, read_message,
-    Message, ServiceStatus, VerdictFrame, WireError, MAX_FRAME_BYTES,
+    check_magic, crc32, decode_message_frame, encode_frame, encode_message, read_frame,
+    read_message, Message, ServiceStatus, VerdictFrame, WireError, MAX_FRAME_BYTES,
 };
 use lv_core::service::ServiceError;
 use lv_core::{CachedVerdict, Equivalence, Stage};

@@ -1,33 +1,19 @@
 //! The overlapped-pipeline acceptance check, run by CI.
 //!
-//! Builds a generation spec (representative TSVC kernels × k seeded
+//! Builds a generation grid (representative TSVC kernels × k seeded
 //! completions) and checks the generation→verification pipeline's contract
-//! end to end, self-executing as its own shard worker processes:
-//!
-//! * a single-process **overlapped** run (`overlapped_pass_at_k`: generator
-//!   threads streaming cells into the engine's bounded job channel) produces
-//!   per-job verdicts identical to the unoverlapped
-//!   `generate_then_verify_pass_at_k` reference with the same seed;
-//! * a 2-shard multi-process sweep driven by a **generation manifest**
-//!   (`run_generated_sweep`) — the manifest carries the spec, not candidates;
-//!   each shard worker generates its own share and overlaps generation with
-//!   verification — merges verdict-identically to the single-process
-//!   overlapped run, and the manifest on disk is asserted to contain **no
-//!   candidate functions**;
-//! * killing one shard worker mid-sweep (fault injection: the worker exits
-//!   after 2 jobs) is recovered by the coordinator re-generating and
-//!   re-running the missing cells in-process — and the merged report is
-//!   *still* verdict-identical.
+//! end to end: an **overlapped** run (`overlapped_pass_at_k`: generator
+//! threads streaming cells into the engine's bounded job channel) produces
+//! per-job verdicts and plausible counts identical to the unoverlapped
+//! `generate_then_verify_pass_at_k` reference with the same seed.
 //!
 //! Exits non-zero (panics) on any violation.
 
 use llm_vectorizer_repro::agents::LlmConfig;
 use llm_vectorizer_repro::cir::ast::Function;
-use llm_vectorizer_repro::core::shard::run_worker_from_args;
 use llm_vectorizer_repro::core::{
-    generate_then_verify_pass_at_k, overlapped_pass_at_k, run_generated_sweep, BatchReport,
-    EngineConfig, GenerationSpec, PipelineConfig, ShardPolicy, ShardStatus, SweepConfig,
-    VerificationEngine, WorkerSpec,
+    generate_then_verify_pass_at_k, overlapped_pass_at_k, BatchReport, EngineConfig,
+    PipelineConfig, VerificationEngine,
 };
 use llm_vectorizer_repro::interp::ChecksumConfig;
 use llm_vectorizer_repro::tv::{SolverBudget, TvConfig};
@@ -37,11 +23,9 @@ const GEN_SEED: u64 = 0xC0FFEE;
 const K: usize = 4;
 
 /// Reduced solver budgets so the sweep stays CI-friendly; the identity
-/// contract holds for any budget. Engines are pinned to one thread so the
-/// `--fail-after 2` fault injection dies after *exactly* two jobs on any
-/// host.
+/// contract holds for any budget.
 fn sweep_config() -> EngineConfig {
-    let config = EngineConfig::full(PipelineConfig {
+    EngineConfig::full(PipelineConfig {
         checksum: ChecksumConfig {
             trials: 1,
             n: 40,
@@ -63,8 +47,7 @@ fn sweep_config() -> EngineConfig {
             alive2_chunks: 1,
             ..TvConfig::default()
         },
-    });
-    config.with_threads(1)
+    })
 }
 
 fn spec_kernels() -> Vec<(String, Function)> {
@@ -80,10 +63,8 @@ fn spec_kernels() -> Vec<(String, Function)> {
 }
 
 /// Verdict identity across pipeline arrangements: same labels in the same
-/// job order, same verdict, stage, detail, and checksum class. Traces and
-/// cache-hit flags are execution artifacts (per-shard caches dedupe
-/// identical candidates differently than a cacheless single process) and
-/// are deliberately not compared.
+/// job order, same verdict, stage, detail, and checksum class. Traces are
+/// execution artifacts and are deliberately not compared.
 fn assert_verdicts_match(reference: &BatchReport, candidate: &BatchReport, what: &str) {
     assert_eq!(
         reference.jobs.len(),
@@ -101,16 +82,6 @@ fn assert_verdicts_match(reference: &BatchReport, candidate: &BatchReport, what:
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(result) = run_worker_from_args(&args) {
-        // This process is one of the coordinator's shard workers.
-        result.expect("shard worker failed");
-        return;
-    }
-
-    let dir = std::env::temp_dir().join(format!("lv-pipeline-sweep-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("temp dir");
     let config = sweep_config();
     let kernels = spec_kernels();
     let llm_config = LlmConfig {
@@ -120,18 +91,11 @@ fn main() {
     let cells = kernels.len() * K;
     let points = [1, K];
 
-    println!(
-        "== single-process: overlapped vs generate-then-verify ({} cells) ==",
-        cells
-    );
-    let engine = VerificationEngine::new(config.clone());
+    println!("== overlapped vs generate-then-verify ({} cells) ==", cells);
+    let engine = VerificationEngine::new(config);
     let reference = generate_then_verify_pass_at_k(&engine, &kernels, &llm_config, K, &points, 1);
     let overlapped = overlapped_pass_at_k(&engine, &kernels, &llm_config, K, &points, 2, 8);
-    assert_verdicts_match(
-        &reference.report,
-        &overlapped.report,
-        "single-process overlapped run",
-    );
+    assert_verdicts_match(&reference.report, &overlapped.report, "overlapped run");
     assert_eq!(
         reference.plausible_per_kernel, overlapped.plausible_per_kernel,
         "overlap must not change plausible counts"
@@ -144,80 +108,6 @@ fn main() {
         cells
     );
 
-    println!("== 2-shard generated sweep (generation inside each shard) ==");
-    let spec = GenerationSpec {
-        kernels: kernels.clone(),
-        k: K,
-        seed: GEN_SEED,
-    };
-    let sweep = SweepConfig {
-        shards: 2,
-        policy: ShardPolicy::HashMod,
-        workdir: dir.join("healthy"),
-        worker: WorkerSpec::current_exe().expect("own executable"),
-        ..SweepConfig::default()
-    };
-    let healthy = run_generated_sweep(spec.clone(), &config, &sweep).expect("generated sweep");
-    for outcome in &healthy.shards {
-        println!(
-            "shard {}: {:?}, {}/{} reported",
-            outcome.shard, outcome.status, outcome.reported, outcome.planned
-        );
-        assert_eq!(outcome.status, ShardStatus::Completed);
-        assert_eq!(outcome.reported, outcome.planned);
-    }
-    assert!(healthy.recovered.is_empty(), "nothing to recover");
-    // The shards really generated their own share: the manifest must carry
-    // the spec, not materialized candidates.
-    let manifest_text =
-        std::fs::read_to_string(dir.join("healthy").join("manifest.json")).expect("read manifest");
-    assert!(
-        manifest_text.contains("\"generation\""),
-        "manifest must carry the generation spec"
-    );
-    assert!(
-        !manifest_text.contains("\"candidate\""),
-        "generation manifest must ship no candidate functions"
-    );
-    assert_verdicts_match(
-        &overlapped.report,
-        &healthy.report,
-        "healthy 2-shard generated sweep",
-    );
-
-    println!("== 2-shard generated sweep, shard 0 killed after 2 jobs ==");
-    let killed_sweep = SweepConfig {
-        shards: 2,
-        policy: ShardPolicy::HashMod,
-        workdir: dir.join("killed"),
-        worker: WorkerSpec::current_exe().expect("own executable"),
-        fail_shard_after: Some((0, 2)),
-        ..SweepConfig::default()
-    };
-    let killed = run_generated_sweep(spec, &config, &killed_sweep).expect("killed sweep");
-    assert!(
-        killed
-            .shards
-            .iter()
-            .any(|s| s.status != ShardStatus::Completed),
-        "fault injection must actually kill a worker"
-    );
-    assert!(
-        !killed.recovered.is_empty(),
-        "the coordinator must re-run the killed shard's missing cells"
-    );
-    println!(
-        "recovered {} of {} cells in-process",
-        killed.recovered.len(),
-        cells
-    );
-    assert_verdicts_match(
-        &overlapped.report,
-        &killed.report,
-        "killed-worker generated sweep",
-    );
-
-    let _ = std::fs::remove_dir_all(&dir);
     println!(
         "pipeline sweep: all identities hold ({} cells, k={})",
         cells, K

@@ -1,7 +1,7 @@
 //! The verification-service acceptance check, run by CI.
 //!
 //! Builds the full TSVC Table 3 workload (one FSM-produced candidate per
-//! kernel, exactly like `shard_sweep.rs`) plus the bitwise-select
+//! kernel) plus the bitwise-select
 //! conditional candidates that still reach the SAT search
 //! (`lv_bench::bitwise_select_jobs`). Every Table 3 job folds before SAT,
 //! so those jobs are the only place the daemon's cold run meets a

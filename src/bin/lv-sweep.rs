@@ -1,80 +1,48 @@
-//! `lv-sweep` — the sharded multi-process TSVC sweep CLI.
-//!
-//! Coordinator mode (the default) builds one verification job per TSVC
-//! kernel the rule-based vectorizer supports, partitions them over `N`
-//! worker *processes* (each re-invoking this very binary with `--shard
-//! i/N`), and merges the per-shard reports into a single table plus a
-//! merged cache file — bit-identical to what a single-process run
-//! produces.
+//! `lv-sweep` — the TSVC verification sweep CLI.
 //!
 //! ```text
-//! lv-sweep [--shards N] [--policy hash|range] [--workdir DIR]
-//!          [--kernels s000,s112,...] [--threads T] [--quick]
-//!          [--max-cache-entries N] [--timeout-secs S]
-//!          [--fsync compact|record] [--flush-every N]
-//!          [--no-reuse]
+//! lv-sweep [run] [--kernels s000,s112,...] [--threads T] [--quick]
+//!          [--cache FILE] [--no-reuse]
 //! lv-sweep run --generate K [--gen-seed S] [--gen-threads T]
-//!          [--kernels s000,...] [--threads N] [--quick] [--no-overlap]
-//!          [--no-reuse]
+//!          [--kernels s000,...] [--threads T] [--quick] [--no-overlap]
+//!          [--cache FILE] [--no-reuse]
 //! lv-sweep serve [--addr HOST:PORT] [--cache FILE] [--threads T] [--quick]
 //!          [--no-reuse]
 //! lv-sweep submit [--addr HOST:PORT] [--kernels s000,...]
 //!          [--generate K] [--gen-seed S] [--shutdown]
 //! lv-sweep status [--addr HOST:PORT]
-//! lv-sweep compact FILE...
 //! lv-sweep cache stats FILE...
 //! ```
 //!
-//! `run` is the overlapped generation→verification pipeline in one
-//! process: `--gen-threads` producer threads sample `K` candidates per
-//! kernel (per-cell seeds derived from `--gen-seed`, so any thread count
-//! yields the same candidate set) and stream them through the engine's
-//! bounded job intake while verification is already running. Verdicts are
+//! `run` (also what a bare `lv-sweep [flags]` runs) verifies in this
+//! process, on the engine's worker pool. Without `--generate` it builds one
+//! job per TSVC kernel the rule-based vectorizer supports, and prints one
+//! `label: Verdict @ stage (detail)` line per job in job order, then a
+//! summary line. `--kernels` restricts the sweep (in `run` and `submit`) to
+//! named TSVC kernels; an unknown name is a usage error naming it, and so
+//! is, where the sweep needs rule-based candidates (without `--generate`),
+//! a kernel the rule-based vectorizer has none for.
+//!
+//! `run --generate K` is the overlapped generation→verification pipeline:
+//! `--gen-threads` producer threads sample `K` candidates per kernel
+//! (per-cell seeds derived from `--gen-seed`, so any thread count yields
+//! the same candidate set) and stream them through the engine's bounded
+//! job intake while verification is already running. Verdicts are
 //! bit-identical to the unoverlapped same-seed run (`--no-overlap`
 //! generates the full batch first, then verifies — the comparison arm).
 //! The pass@k curve of Section 4.1.2 is printed for k = 1, 2, 4, … K.
 //!
-//! The coordinator accepts the same `--generate K` / `--gen-seed S` pair:
-//! the sweep manifest then carries the *generation spec* instead of
-//! printed candidates, and every shard process generates its own share
-//! (overlapped with verification) — bit-identical to the single-process
-//! run over the same spec. `submit --generate K` asks a daemon to do the
-//! generation server-side: each selected kernel occupies `K` verdict slots
-//! labeled `name#j`, and generation overlaps verification on the daemon.
-//!
-//! Exit status: `0` on success, `1` on a runtime failure (I/O, solver,
-//! protocol), `2` on a malformed command line. Every failure is a typed
-//! error printed to stderr — never a panic.
-//!
-//! Each worker writes one output file, its shard report: an append-only
-//! JSON journal to which it appends one framed record per finished job —
-//! O(record) flush I/O. `--fsync` picks when the report journals reach the
-//! disk: `compact` (default) syncs only at compaction, `record` syncs after
-//! every appended record. `--flush-every N` buffers N report record appends
-//! per syscall flush (default 1); a killed worker then loses at most N−1
-//! buffered tail records, all of which the coordinator's recovery re-runs.
-//! The coordinator builds the merged cache from the reports. The `--flush`
-//! and `--cache-format` flags of earlier builds (rewrite flushing, binary
-//! cache journals) are gone and refused as usage errors.
+//! `--cache FILE` (on `run` and `serve`) opens the verdict-cache snapshot
+//! at `FILE` (a missing file is an empty cache), attaches it to the engine
+//! and persists it when the sweep or the daemon ends. A second `run` over
+//! the same jobs answers every job from it, prints the same verdict lines
+//! and leaves `FILE` byte-identical. Without `--cache` the verdicts are
+//! cached in memory only.
 //!
 //! Every job runs Algorithm 1's cascade in its one order under fixed
-//! per-stage budgets. The `--profile`, `--schedule` and `--budget` flags of
-//! earlier builds (cross-run telemetry profiles, per-category stage
-//! schedules, profile-tuned budgets) are gone with their layers and refused
-//! as usage errors naming the layer.
-//!
-//! Every worker's solver runs with the blasted-CNF memo on: its replays are
+//! per-stage budgets, with the blasted-CNF memo on: its replays are
 //! clause-identical, so it changes no verdict, fingerprint, or cache byte.
-//! `--no-reuse` (accepted by the coordinator, `run` and `serve`) switches
-//! it off. The `--reuse` (incremental per-scalar sessions) and `--simplify`
-//! (CNF preprocessing) flags of earlier builds are gone with their layers
-//! and refused as usage errors.
-//!
-//! Each worker runs exactly its own shard's share. The coordinator waits
-//! for every worker to exit, kills any still running after
-//! `--timeout-secs`, and re-runs in-process whatever no worker reported.
-//! The flags of the removed shard liveness layers are refused as usage
-//! errors naming the layer.
+//! `--no-reuse` (on `run` and `serve`) switches the memo off.
 //!
 //! `serve` runs the long-lived verification daemon
 //! ([`VerificationService`]): a loopback-first TCP listener speaking the
@@ -82,42 +50,40 @@
 //! the shared verdict cache (`--cache` persists it across restarts) before
 //! anything runs. `submit` builds the TSVC job list client-side, streams it
 //! to a daemon, and prints the verdict table (`--shutdown` stops the daemon
-//! afterwards); `status` prints a daemon's live counters. See
-//! `lv_core::service` for the protocol.
-//!
-//! `compact` rewrites a shard-report journal into a fresh report journal in
-//! job-index order without a torn tail; a verdict-cache JSON snapshot is
-//! already compact and left unchanged. The JSON cache journal, binary cache
-//! journal (`LVBJ`), binary snapshot (`LVCS`), cross-run profile journal and
-//! shard claim journal of earlier builds are refused with an error naming
-//! the removed form and left untouched, and the `--format` flag that could
-//! write the binary snapshot is a usage error.
+//! afterwards); `--generate K` asks the daemon to generate instead: each
+//! selected kernel occupies `K` verdict slots labeled `name#j`, and
+//! generation overlaps verification on the daemon. `status` prints a
+//! daemon's live counters. See `lv_core::service` for the protocol.
 //!
 //! `cache stats` prints, for each verdict-cache snapshot: size, entry
 //! count, bytes per entry, and the per-verdict-class histogram. A file of a
-//! removed cache form is refused by name.
+//! removed form is refused by name: the other verdict-cache forms of
+//! earlier builds (JSON cache journal, binary cache journal `LVBJ`, binary
+//! snapshot `LVCS`) and the files of their multi-process shard sweeps
+//! (shard report, claim and cross-run profile journals, shard manifests).
 //!
-//! Worker mode is selected by the presence of `--shard i/N` (plus
-//! `--manifest` and `--out`, which the coordinator passes automatically)
-//! and is not meant to be invoked by hand.
+//! The flags of deleted layers (`REMOVED_LAYER_FLAGS`: cross-run
+//! profiles, stage schedules, tuned budgets, CNF preprocessing, incremental
+//! sessions, and the multi-process shard sweeps with their journals, worker
+//! mode and liveness supervision) are usage errors naming the layer, and so
+//! is the `compact` subcommand of the shard report journals.
+//!
+//! Exit status: `0` on success, `1` on a runtime failure (I/O, solver,
+//! protocol), `2` on a malformed command line. Every failure is a typed
+//! error printed to stderr — never a panic.
 
 use llm_vectorizer_repro::agents::LlmConfig;
 use llm_vectorizer_repro::cir::ast::Function;
-use llm_vectorizer_repro::core::shard::{
-    removed_layer_message, run_worker_from_args, ShardError, ShardReportFile,
-};
 use llm_vectorizer_repro::core::{
-    cache_file_stats, generate_then_verify_pass_at_k, overlapped_pass_at_k, CacheBounds,
-    EngineConfig, EngineReuse, Equivalence, FsyncPolicy, GenerationRequest, GenerationSpec, Job,
-    PipelineConfig, ServiceClient, ShardPolicy, SweepConfig, VerdictCache, VerificationEngine,
-    VerificationService, WorkerSpec,
+    cache_file_stats, generate_then_verify_pass_at_k, overlapped_pass_at_k, EngineConfig,
+    EngineReuse, Equivalence, GenerationRequest, Job, PipelineConfig, ServiceClient, VerdictCache,
+    VerificationEngine, VerificationService,
 };
 use llm_vectorizer_repro::interp::ChecksumConfig;
 use llm_vectorizer_repro::tv::{SolverBudget, TvConfig};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Every way an `lv-sweep` invocation can fail, split by whose fault it
 /// is: a malformed command line exits `2`, a runtime failure exits `1`.
@@ -126,7 +92,7 @@ use std::time::Duration;
 #[derive(Debug, PartialEq, Eq)]
 enum CliError {
     /// The command line is malformed (unknown flag, missing value,
-    /// unparsable number, empty selection).
+    /// unparsable number, unknown kernel).
     Usage(String),
     /// The command line was fine but the work failed (I/O, protocol,
     /// unreadable file, sweep error).
@@ -158,6 +124,88 @@ fn runtime(message: impl Into<String>) -> CliError {
 
 const DEFAULT_SERVICE_ADDR: &str = "127.0.0.1:7411";
 
+/// What every cascade or budget layer's removal left: one stage order and
+/// fixed budgets.
+const ONE_CASCADE: &str = "every job runs the cascade in its one order under fixed budgets";
+
+/// What the solver layers' removal left.
+const MEMO_ONLY: &str = "the blast memo is on unless --no-reuse";
+
+/// What the multi-process shard sweeps' removal left: one process.
+const IN_PROCESS: &str = "`lv-sweep run` verifies every job in this process on the engine's \
+     worker pool";
+
+/// What the shard sweeps' on-disk outputs gave way to: one snapshot.
+const ONE_SNAPSHOT: &str = "`lv-sweep run --cache FILE` keeps a sweep's verdicts in one JSON \
+     snapshot, written when the sweep ends";
+
+/// Flags of earlier builds whose layers were deleted: the flag, the layer
+/// it switched, and what runs in its place. Every subcommand refuses them
+/// by name ([`removed_layer_message`]).
+const REMOVED_LAYER_FLAGS: [(&str, &str, &str); 22] = [
+    ("--profile", "cross-run telemetry profiles", ONE_CASCADE),
+    ("--schedule", "per-category stage schedules", ONE_CASCADE),
+    ("--budget", "profile-tuned solver budgets", ONE_CASCADE),
+    ("--reuse", "incremental per-scalar sessions", MEMO_ONLY),
+    ("--simplify", "CNF preprocessing", MEMO_ONLY),
+    ("--shards", "multi-process shard sweeps", IN_PROCESS),
+    ("--policy", "shard partitioning policies", IN_PROCESS),
+    ("--timeout-secs", "shard worker supervision", IN_PROCESS),
+    ("--shard", "shard worker mode", IN_PROCESS),
+    ("--manifest", "shard worker mode", IN_PROCESS),
+    ("--out", "shard worker mode", IN_PROCESS),
+    ("--fail-after", "shard worker fault injection", IN_PROCESS),
+    ("--steal", "live-shard work stealing", IN_PROCESS),
+    ("--heartbeat-ms", "shard liveness heartbeats", IN_PROCESS),
+    (
+        "--stall-timeout-secs",
+        "shard stall supervision",
+        IN_PROCESS,
+    ),
+    (
+        "--delay-ms",
+        "the delayed-shard fault injection of work stealing",
+        IN_PROCESS,
+    ),
+    (
+        "--workdir",
+        "the shard coordinator's work directory",
+        ONE_SNAPSHOT,
+    ),
+    ("--fsync", "shard report journals", ONE_SNAPSHOT),
+    ("--flush-every", "shard report journals", ONE_SNAPSHOT),
+    ("--flush", "rewrite flushing of shard outputs", ONE_SNAPSHOT),
+    ("--cache-format", "binary cache journals", ONE_SNAPSHOT),
+    (
+        "--max-cache-entries",
+        "bounded merged shard caches",
+        ONE_SNAPSHOT,
+    ),
+];
+
+/// The usage message for a flag of a deleted layer, naming the layer and
+/// what runs in its place, when `flag` is one of [`REMOVED_LAYER_FLAGS`].
+fn removed_layer_message(flag: &str) -> Option<String> {
+    let (_, layer, instead) = REMOVED_LAYER_FLAGS.iter().find(|(f, ..)| *f == flag)?;
+    Some(format!(
+        "{} was removed with its layer ({}); {}",
+        flag, layer, instead
+    ))
+}
+
+/// The usage error for an argument `command` does not take: a flag of a
+/// deleted layer by name, anything else as unknown.
+fn unknown_argument(command: &str, arg: &str) -> CliError {
+    usage(
+        removed_layer_message(arg)
+            .unwrap_or_else(|| format!("{}: unknown argument `{}`", command, arg)),
+    )
+}
+
+/// The usage message for the `compact` subcommand of earlier builds.
+const REMOVED_COMPACT: &str = "compact was removed with its layer (shard report journals); \
+     verdict caches are only ever written as the JSON snapshot, which needs no compaction";
+
 /// The engine reuse for a `--no-reuse` setting: the blast memo unless
 /// switched off.
 fn resolve_reuse(memo: bool) -> EngineReuse {
@@ -174,92 +222,30 @@ fn reuse_tag(reuse: EngineReuse) -> &'static str {
     }
 }
 
-/// The usage error for a flag whose solver layer was deleted.
-fn removed_layer_flag(flag: &str) -> CliError {
-    let layer = match flag {
-        "--reuse" => "incremental per-scalar sessions",
-        _ => "CNF preprocessing",
-    };
-    usage(format!(
-        "{} was removed with its solver layer ({}); the blast memo is on unless --no-reuse",
-        flag, layer
-    ))
-}
-
-/// Parses `lv-sweep compact FILE...`: every argument is a file; flags are
-/// usage errors (`--format` of earlier builds, which could write the
-/// removed binary snapshot, by name).
-fn parse_compact(args: &[String]) -> Result<Vec<PathBuf>, CliError> {
-    if let Some(flag) = args.iter().find(|arg| arg.starts_with("--")) {
-        return Err(usage(if flag == "--format" {
-            "--format was removed: verdict caches compact to the JSON snapshot".to_string()
-        } else {
-            format!("compact takes no option `{}`", flag)
-        }));
+/// Parses a `--kernels` value, the one kernel selection of `run` and
+/// `submit`: comma-separated TSVC kernel names. A name that is no TSVC
+/// kernel is a usage error naming it, never silently dropped.
+fn parse_kernels(value: &str) -> Result<Vec<String>, CliError> {
+    let names: Vec<String> = value
+        .split(',')
+        .map(|s| s.trim().to_string())
+        .filter(|s| !s.is_empty())
+        .collect();
+    let unknown: Vec<&str> = names
+        .iter()
+        .map(String::as_str)
+        .filter(|name| llm_vectorizer_repro::tsvc::kernel(name).is_none())
+        .collect();
+    if !unknown.is_empty() {
+        return Err(usage(format!(
+            "--kernels: no TSVC kernel named {}",
+            unknown.join(", ")
+        )));
     }
-    if args.is_empty() {
-        return Err(usage("compact needs at least one journal file"));
+    if names.is_empty() {
+        return Err(usage("--kernels needs at least one kernel name"));
     }
-    Ok(args.iter().map(PathBuf::from).collect())
-}
-
-/// `lv-sweep compact FILE...`: rewrites each file into its canonical
-/// compact form, dispatching on the journal kind header.
-fn compact_files(args: &[String]) -> Result<(), CliError> {
-    for path in parse_compact(args)? {
-        let path = path.as_path();
-        let bytes = std::fs::read(path)
-            .map_err(|e| runtime(format!("cannot read {}: {}", path.display(), e)))?;
-        let before = bytes.len();
-        let result: Result<&str, String> = if bytes.starts_with(b"{\"journal\":\"shard-report\"") {
-            ShardReportFile::load(path)
-                .map_err(|e| e.to_string())
-                .and_then(|report| {
-                    report
-                        .rewrite(path, FsyncPolicy::OnCompact)
-                        .map(|()| "shard report -> compacted journal")
-                        .map_err(|e| e.to_string())
-                })
-        } else if bytes.starts_with(b"{\"journal\":\"cross-run-profile\"") {
-            Err("a cross-run profile journal, a layer this build removed: \
-                 nothing reads it, so there is nothing to compact"
-                .to_string())
-        } else if bytes.starts_with(b"{\"journal\":\"shard-claims\"") {
-            Err(
-                "a shard claim journal of live-shard work stealing, a layer this \
-                 build removed: nothing reads it, so there is nothing to compact"
-                    .to_string(),
-            )
-        } else if bytes.starts_with(b"{\"version\":") {
-            // Already the target JSON snapshot: compaction is a no-op, not
-            // an error, so `compact` is idempotent over a workdir.
-            Ok("already a snapshot (unchanged)")
-        } else {
-            // The cache reader's error names the removed cache forms (the
-            // JSON cache journal and both binary forms).
-            let reason = "not a recognized journal or snapshot file";
-            Err(match VerdictCache::open(path) {
-                Err(e) => format!("{}: {}", reason, e),
-                Ok(_) => reason.to_string(),
-            })
-        };
-        match result {
-            Ok(what) => {
-                let after = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-                println!(
-                    "compacted {}: {} ({} -> {} bytes)",
-                    path.display(),
-                    what,
-                    before,
-                    after
-                );
-            }
-            Err(e) => {
-                return Err(runtime(format!("cannot compact {}: {}", path.display(), e)));
-            }
-        }
-    }
-    Ok(())
+    Ok(names)
 }
 
 /// `lv-sweep cache stats FILE...`: per-file cache statistics.
@@ -283,33 +269,10 @@ fn cache_stats(paths: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// The TSVC Table 3 job list, optionally restricted to named kernels.
-fn tsvc_jobs(kernels: &Option<Vec<String>>) -> Result<Vec<Job>, CliError> {
-    let jobs: Vec<Job> = llm_vectorizer_repro::tsvc::KERNELS
-        .iter()
-        .filter(|kernel| {
-            kernels
-                .as_ref()
-                .is_none_or(|names| names.iter().any(|n| n == kernel.name))
-        })
-        .filter_map(|kernel| {
-            let scalar = kernel.function();
-            let candidate = llm_vectorizer_repro::agents::vectorize_correct(&scalar).ok()?;
-            Some(Job::new(kernel.name, scalar, candidate))
-        })
-        .collect();
-    if jobs.is_empty() {
-        return Err(usage("no verification jobs (unknown --kernels selection?)"));
-    }
-    Ok(jobs)
-}
-
-/// The TSVC scalar kernel list (label + function) for candidate
-/// generation, optionally restricted to named kernels. Unlike
-/// [`tsvc_jobs`] this places no demand on the rule-based vectorizer — the
-/// candidates come from the generator.
-fn tsvc_scalars(kernels: &Option<Vec<String>>) -> Result<Vec<(String, Function)>, CliError> {
-    let scalars: Vec<(String, Function)> = llm_vectorizer_repro::tsvc::KERNELS
+/// The TSVC scalar kernel list (label + function), optionally restricted
+/// to named kernels, in suite order.
+fn tsvc_scalars(kernels: &Option<Vec<String>>) -> Vec<(String, Function)> {
+    llm_vectorizer_repro::tsvc::KERNELS
         .iter()
         .filter(|kernel| {
             kernels
@@ -317,11 +280,30 @@ fn tsvc_scalars(kernels: &Option<Vec<String>>) -> Result<Vec<(String, Function)>
                 .is_none_or(|names| names.iter().any(|n| n == kernel.name))
         })
         .map(|kernel| (kernel.name.to_string(), kernel.function()))
-        .collect();
-    if scalars.is_empty() {
-        return Err(usage("no kernels selected (unknown --kernels selection?)"));
+        .collect()
+}
+
+/// The TSVC Table 3 job list: the rule-based candidate of each selected
+/// kernel. Without `--kernels` that is every kernel the rule-based
+/// vectorizer supports; a named kernel it does not support is a usage
+/// error naming it, never silently dropped.
+fn tsvc_jobs(kernels: &Option<Vec<String>>) -> Result<Vec<Job>, CliError> {
+    let mut jobs = Vec::new();
+    let mut unsupported = Vec::new();
+    for (name, scalar) in tsvc_scalars(kernels) {
+        match llm_vectorizer_repro::agents::vectorize_correct(&scalar) {
+            Ok(candidate) => jobs.push(Job::new(name, scalar, candidate)),
+            Err(_) => unsupported.push(name),
+        }
     }
-    Ok(scalars)
+    if kernels.is_some() && !unsupported.is_empty() {
+        return Err(usage(format!(
+            "--kernels: the rule-based vectorizer has no candidate for {} \
+             (`run --generate K` verifies generated candidates of any kernel)",
+            unsupported.join(", ")
+        )));
+    }
+    Ok(jobs)
 }
 
 /// The pass@k sample points for a budget of `k`: 1, 2, 4, … and `k`.
@@ -365,10 +347,37 @@ fn build_pipeline(quick: bool) -> PipelineConfig {
     }
 }
 
-/// `lv-sweep run` arguments: the one-process overlapped pipeline.
+/// The verdict cache of `run` and `serve`: the snapshot at `--cache FILE`
+/// (a missing file is an empty cache), or an in-memory cache.
+fn open_cache(path: Option<&Path>) -> Result<Arc<VerdictCache>, CliError> {
+    Ok(Arc::new(match path {
+        Some(path) => VerdictCache::open(path)
+            .map_err(|e| runtime(format!("cannot open cache {}: {}", path.display(), e)))?,
+        None => VerdictCache::in_memory(),
+    }))
+}
+
+/// Writes a file-backed cache's snapshot; a no-op in memory.
+fn persist_cache(cache: &VerdictCache) -> Result<(), CliError> {
+    cache
+        .persist()
+        .map_err(|e| runtime(format!("cannot persist {}: {}", describe_cache(cache), e)))
+}
+
+/// `cache FILE (N entries)`, or `cache in memory (N entries)`, for
+/// summary lines.
+fn describe_cache(cache: &VerdictCache) -> String {
+    let place = cache
+        .path()
+        .map_or_else(|| "in memory".to_string(), |p| p.display().to_string());
+    format!("cache {} ({} entries)", place, cache.len())
+}
+
+/// `lv-sweep run` arguments: one in-process sweep, over the rule-based
+/// TSVC jobs or, with `--generate K`, over generated candidates.
 #[derive(Debug, PartialEq, Eq)]
 struct RunArgs {
-    generate: usize,
+    generate: Option<usize>,
     gen_seed: u64,
     gen_threads: usize,
     kernels: Option<Vec<String>>,
@@ -376,11 +385,12 @@ struct RunArgs {
     quick: bool,
     overlap: bool,
     memo: bool,
+    cache: Option<PathBuf>,
 }
 
 fn parse_run(args: &[String]) -> Result<RunArgs, CliError> {
     let mut opts = RunArgs {
-        generate: 0,
+        generate: None,
         gen_seed: 0xC0FFEE,
         gen_threads: 0,
         kernels: None,
@@ -388,7 +398,10 @@ fn parse_run(args: &[String]) -> Result<RunArgs, CliError> {
         quick: false,
         overlap: true,
         memo: true,
+        cache: None,
     };
+    // The first flag seen that only means something with `--generate`.
+    let mut generation_flag = None;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         let mut value = |what: &str| {
@@ -398,45 +411,47 @@ fn parse_run(args: &[String]) -> Result<RunArgs, CliError> {
         };
         match arg.as_str() {
             "--generate" => {
-                opts.generate = value("--generate")?
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&k| k >= 1)
-                    .ok_or_else(|| usage("--generate expects a positive integer"))?
+                opts.generate = Some(
+                    value("--generate")?
+                        .parse::<usize>()
+                        .ok()
+                        .filter(|&k| k >= 1)
+                        .ok_or_else(|| usage("--generate expects a positive integer"))?,
+                )
             }
             "--gen-seed" => {
+                generation_flag.get_or_insert("--gen-seed");
                 opts.gen_seed = value("--gen-seed")?
                     .parse()
                     .map_err(|_| usage("--gen-seed expects an integer"))?
             }
             "--gen-threads" => {
+                generation_flag.get_or_insert("--gen-threads");
                 opts.gen_threads = value("--gen-threads")?
                     .parse()
                     .map_err(|_| usage("--gen-threads expects an integer"))?
             }
-            "--kernels" => {
-                opts.kernels = Some(
-                    value("--kernels")?
-                        .split(',')
-                        .map(|s| s.trim().to_string())
-                        .filter(|s| !s.is_empty())
-                        .collect(),
-                )
-            }
+            "--kernels" => opts.kernels = Some(parse_kernels(&value("--kernels")?)?),
             "--threads" => {
                 opts.threads = value("--threads")?
                     .parse()
                     .map_err(|_| usage("--threads expects an integer"))?
             }
             "--quick" => opts.quick = true,
-            "--no-overlap" => opts.overlap = false,
+            "--no-overlap" => {
+                generation_flag.get_or_insert("--no-overlap");
+                opts.overlap = false
+            }
             "--no-reuse" => opts.memo = false,
-            "--reuse" | "--simplify" => return Err(removed_layer_flag(arg)),
-            other => return Err(usage(format!("run: unknown argument `{}`", other))),
+            "--cache" => opts.cache = Some(value("--cache")?.into()),
+            other => return Err(unknown_argument("run", other)),
         }
     }
-    if opts.generate == 0 {
-        return Err(usage("run needs --generate K (completions per kernel)"));
+    if let (None, Some(flag)) = (opts.generate, generation_flag) {
+        return Err(usage(format!(
+            "{} needs --generate K (completions per kernel)",
+            flag
+        )));
     }
     Ok(opts)
 }
@@ -446,25 +461,92 @@ fn parse_run(args: &[String]) -> Result<RunArgs, CliError> {
 /// verification.
 const RUN_QUEUE_CAPACITY: usize = 32;
 
-/// `lv-sweep run`: generate K candidates per kernel and verify them,
-/// overlapped (or, with `--no-overlap`, generate-then-verify — same seeds,
-/// bit-identical verdicts).
+/// `lv-sweep run`: verify the selected jobs in this process, then persist
+/// the cache.
 fn cmd_run(args: &[String]) -> Result<(), CliError> {
     let opts = parse_run(args)?;
-    let kernels = tsvc_scalars(&opts.kernels)?;
+    let cache = open_cache(opts.cache.as_deref())?;
+    let reuse = resolve_reuse(opts.memo);
     let engine = VerificationEngine::new(
         EngineConfig::full(build_pipeline(opts.quick))
             .with_threads(opts.threads)
-            .with_reuse(resolve_reuse(opts.memo)),
+            .with_reuse(reuse)
+            .with_cache(cache.clone()),
     );
+    match opts.generate {
+        Some(k) => run_generated(&engine, &opts, k, &cache)?,
+        None => run_jobs(&engine, &opts, reuse, &cache)?,
+    }
+    Ok(())
+}
+
+/// `run` without `--generate`: one rule-based candidate per selected TSVC
+/// kernel, one verdict line per job in job order, then the summary.
+fn run_jobs(
+    engine: &VerificationEngine,
+    opts: &RunArgs,
+    reuse: EngineReuse,
+    cache: &VerdictCache,
+) -> Result<(), CliError> {
+    let jobs = tsvc_jobs(&opts.kernels)?;
+    println!(
+        "sweeping {} jobs in process (reuse {})",
+        jobs.len(),
+        reuse_tag(reuse)
+    );
+    let report = engine.run_batch(&jobs);
+    persist_cache(cache)?;
+    for job in &report.jobs {
+        println!(
+            "{}: {:?} @ {}{}",
+            job.label,
+            job.verdict,
+            job.stage.label(),
+            if job.detail.is_empty() {
+                String::new()
+            } else {
+                format!(" ({})", job.detail)
+            }
+        );
+    }
+    println!(
+        "{} equivalent, {} not equivalent, {} inconclusive; {} answered from the cache; {}; \
+         wall {:?}",
+        report.count(Equivalence::Equivalent),
+        report.count(Equivalence::NotEquivalent),
+        report.count(Equivalence::Inconclusive),
+        report.cache_hits,
+        describe_cache(cache),
+        report.wall
+    );
+    let totals = report.reuse_totals();
+    if !totals.is_zero() {
+        println!(
+            "reuse: {} blast-cache hits / {} misses",
+            totals.blast_hits, totals.blast_misses
+        );
+    }
+    Ok(())
+}
+
+/// `run --generate K`: generate K candidates per kernel and verify them,
+/// overlapped (or, with `--no-overlap`, generate-then-verify — same seeds,
+/// bit-identical verdicts), then print the pass@k curve.
+fn run_generated(
+    engine: &VerificationEngine,
+    opts: &RunArgs,
+    k: usize,
+    cache: &VerdictCache,
+) -> Result<(), CliError> {
+    let kernels = tsvc_scalars(&opts.kernels);
     let llm_config = LlmConfig {
         seed: opts.gen_seed,
         ..LlmConfig::default()
     };
-    let ks = passk_points(opts.generate);
+    let ks = passk_points(k);
     println!(
         "generating {} candidate(s) x {} kernel(s) (seed {:#x}, {} generator thread(s)), {}",
-        opts.generate,
+        k,
         kernels.len(),
         opts.gen_seed,
         opts.gen_threads,
@@ -476,34 +558,29 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
     );
     let run = if opts.overlap {
         overlapped_pass_at_k(
-            &engine,
+            engine,
             &kernels,
             &llm_config,
-            opts.generate,
+            k,
             &ks,
             opts.gen_threads,
             RUN_QUEUE_CAPACITY,
         )
     } else {
-        generate_then_verify_pass_at_k(
-            &engine,
-            &kernels,
-            &llm_config,
-            opts.generate,
-            &ks,
-            opts.gen_threads,
-        )
+        generate_then_verify_pass_at_k(engine, &kernels, &llm_config, k, &ks, opts.gen_threads)
     };
+    persist_cache(cache)?;
     for ((name, _), plausible) in kernels.iter().zip(&run.plausible_per_kernel) {
-        println!("{}: {}/{} plausible", name, plausible, opts.generate);
+        println!("{}: {}/{} plausible", name, plausible, k);
     }
     for (k, pass) in &run.curve {
         println!("pass@{}: {:.3}", k, pass);
     }
     println!(
-        "{} job(s) verified on {} worker thread(s); wall {:?}",
+        "{} job(s) verified on {} worker thread(s); {}; wall {:?}",
         run.report.jobs.len(),
         run.report.threads,
+        describe_cache(cache),
         run.report.wall
     );
     Ok(())
@@ -544,8 +621,7 @@ fn parse_serve(args: &[String]) -> Result<ServeArgs, CliError> {
             }
             "--quick" => opts.quick = true,
             "--no-reuse" => opts.memo = false,
-            "--reuse" | "--simplify" => return Err(removed_layer_flag(arg)),
-            other => return Err(usage(format!("serve: unknown argument `{}`", other))),
+            other => return Err(unknown_argument("serve", other)),
         }
     }
     Ok(opts)
@@ -555,13 +631,7 @@ fn parse_serve(args: &[String]) -> Result<ServeArgs, CliError> {
 /// shut down.
 fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     let opts = parse_serve(args)?;
-    let cache = match &opts.cache {
-        Some(path) => Arc::new(
-            VerdictCache::open(path)
-                .map_err(|e| runtime(format!("cannot open cache {}: {}", path.display(), e)))?,
-        ),
-        None => Arc::new(VerdictCache::in_memory()),
-    };
+    let cache = open_cache(opts.cache.as_deref())?;
     let config = EngineConfig::full(build_pipeline(opts.quick))
         .with_threads(opts.threads)
         .with_reuse(resolve_reuse(opts.memo));
@@ -575,11 +645,7 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     service
         .serve_forever()
         .map_err(|e| runtime(format!("serve failed: {}", e)))?;
-    if let Some(path) = &opts.cache {
-        cache
-            .persist()
-            .map_err(|e| runtime(format!("cannot persist cache {}: {}", path.display(), e)))?;
-    }
+    persist_cache(&cache)?;
     let status = service.status();
     println!(
         "shutdown: {} connection(s), {} job(s) received, {} completed, {} dedupe hit(s), \
@@ -621,15 +687,7 @@ fn parse_submit(args: &[String]) -> Result<SubmitArgs, CliError> {
         };
         match arg.as_str() {
             "--addr" => opts.addr = value("--addr")?,
-            "--kernels" => {
-                opts.kernels = Some(
-                    value("--kernels")?
-                        .split(',')
-                        .map(|s| s.trim().to_string())
-                        .filter(|s| !s.is_empty())
-                        .collect(),
-                )
-            }
+            "--kernels" => opts.kernels = Some(parse_kernels(&value("--kernels")?)?),
             "--generate" => {
                 opts.generate = Some(
                     value("--generate")?
@@ -645,7 +703,7 @@ fn parse_submit(args: &[String]) -> Result<SubmitArgs, CliError> {
                     .map_err(|_| usage("--gen-seed expects an integer"))?
             }
             "--shutdown" => opts.shutdown = true,
-            other => return Err(usage(format!("submit: unknown argument `{}`", other))),
+            other => return Err(unknown_argument("submit", other)),
         }
     }
     Ok(opts)
@@ -667,7 +725,7 @@ fn cmd_submit(args: &[String]) -> Result<(), CliError> {
         // Server-side generation: K slots per kernel, generated and
         // verified overlapped on the daemon.
         Some(k) => {
-            let requests: Vec<GenerationRequest> = tsvc_scalars(&opts.kernels)?
+            let requests: Vec<GenerationRequest> = tsvc_scalars(&opts.kernels)
                 .into_iter()
                 .map(|(label, scalar)| GenerationRequest {
                     label,
@@ -733,7 +791,7 @@ fn parse_status(args: &[String]) -> Result<String, CliError> {
                     .cloned()
                     .ok_or_else(|| usage("--addr needs a value"))?
             }
-            other => return Err(usage(format!("status: unknown argument `{}`", other))),
+            other => return Err(unknown_argument("status", other)),
         }
     }
     Ok(addr)
@@ -762,266 +820,20 @@ fn cmd_status(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Coordinator-mode arguments (the default subcommand).
-#[derive(Debug, PartialEq, Eq)]
-struct CoordinatorArgs {
-    shards: usize,
-    policy: ShardPolicy,
-    workdir: PathBuf,
-    kernels: Option<Vec<String>>,
-    threads: usize,
-    quick: bool,
-    max_entries: Option<usize>,
-    timeout: Duration,
-    fsync: FsyncPolicy,
-    flush_every: usize,
-    memo: bool,
-    generate: Option<usize>,
-    gen_seed: u64,
-}
-
-fn parse_coordinator(args: &[String]) -> Result<CoordinatorArgs, CliError> {
-    let mut opts = CoordinatorArgs {
-        shards: 2,
-        policy: ShardPolicy::HashMod,
-        workdir: std::env::temp_dir().join(format!("lv-sweep-{}", std::process::id())),
-        kernels: None,
-        threads: 0,
-        quick: false,
-        max_entries: None,
-        timeout: Duration::from_secs(600),
-        fsync: FsyncPolicy::default(),
-        flush_every: 1,
-        memo: true,
-        generate: None,
-        gen_seed: 0xC0FFEE,
-    };
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        let mut value = |what: &str| {
-            iter.next()
-                .cloned()
-                .ok_or_else(|| usage(format!("{} needs a value", what)))
-        };
-        match arg.as_str() {
-            "--shards" => {
-                opts.shards = value("--shards")?
-                    .parse()
-                    .map_err(|_| usage("--shards expects an integer"))?
-            }
-            "--policy" => {
-                opts.policy = match value("--policy")?.as_str() {
-                    "hash" | "hash-mod" => ShardPolicy::HashMod,
-                    "range" | "contiguous" => ShardPolicy::Contiguous,
-                    other => return Err(usage(format!("unknown policy `{}`", other))),
-                }
-            }
-            "--workdir" => opts.workdir = value("--workdir")?.into(),
-            "--kernels" => {
-                opts.kernels = Some(
-                    value("--kernels")?
-                        .split(',')
-                        .map(|s| s.trim().to_string())
-                        .filter(|s| !s.is_empty())
-                        .collect(),
-                )
-            }
-            "--threads" => {
-                opts.threads = value("--threads")?
-                    .parse()
-                    .map_err(|_| usage("--threads expects an integer"))?
-            }
-            "--quick" => opts.quick = true,
-            "--max-cache-entries" => {
-                opts.max_entries = Some(
-                    value("--max-cache-entries")?
-                        .parse()
-                        .map_err(|_| usage("--max-cache-entries expects an integer"))?,
-                )
-            }
-            "--timeout-secs" => {
-                opts.timeout = Duration::from_secs(
-                    value("--timeout-secs")?
-                        .parse()
-                        .map_err(|_| usage("--timeout-secs expects an integer"))?,
-                )
-            }
-            "--fsync" => opts.fsync = FsyncPolicy::from_tag(&value("--fsync")?).map_err(usage)?,
-            "--flush-every" => {
-                opts.flush_every = value("--flush-every")?
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| usage("--flush-every expects a positive integer"))?
-            }
-            "--flush" | "--cache-format" => {
-                return Err(usage(format!(
-                    "{} was removed: shard outputs are always JSON journals",
-                    arg
-                )))
-            }
-            "--no-reuse" => opts.memo = false,
-            "--reuse" | "--simplify" => return Err(removed_layer_flag(arg)),
-            "--generate" => {
-                opts.generate = Some(
-                    value("--generate")?
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|&k| k >= 1)
-                        .ok_or_else(|| usage("--generate expects a positive integer"))?,
-                )
-            }
-            "--gen-seed" => {
-                opts.gen_seed = value("--gen-seed")?
-                    .parse()
-                    .map_err(|_| usage("--gen-seed expects an integer"))?
-            }
-            other => {
-                return Err(usage(removed_layer_message(other).unwrap_or_else(|| {
-                    format!("unknown argument `{}` (see the module docs)", other)
-                })))
-            }
-        }
-    }
-    Ok(opts)
-}
-
-/// Coordinator mode: run the sharded sweep and print the merged table.
-fn cmd_coordinator(args: &[String]) -> Result<(), CliError> {
-    let opts = parse_coordinator(args)?;
-    let pipeline = build_pipeline(opts.quick);
-
-    let reuse = resolve_reuse(opts.memo);
-    let config = EngineConfig::full(pipeline)
-        .with_threads(opts.threads)
-        .with_reuse(reuse);
-
-    let worker = WorkerSpec::current_exe()
-        .map_err(|e| runtime(format!("cannot locate own executable: {}", e)))?;
-    let sweep = SweepConfig {
-        shards: opts.shards,
-        policy: opts.policy,
-        workdir: opts.workdir.clone(),
-        timeout: opts.timeout,
-        worker,
-        bounds: CacheBounds {
-            max_entries: opts.max_entries,
-        },
-        fsync: opts.fsync,
-        flush_every: opts.flush_every,
-        fail_shard_after: None,
-    };
-
-    let describe = |count: usize, what: &str| {
-        println!(
-            "sweeping {} {} over {} shard process(es) ({}, fsync {}, reuse {}), workdir {}",
-            count,
-            what,
-            opts.shards,
-            opts.policy.tag(),
-            opts.fsync.tag(),
-            reuse_tag(reuse),
-            opts.workdir.display()
-        );
-    };
-    let swept = match opts.generate {
-        // Generation sweep: the manifest ships the spec, every shard
-        // generates (and verifies, overlapped) its own share.
-        Some(k) => {
-            let spec = GenerationSpec {
-                kernels: tsvc_scalars(&opts.kernels)?,
-                k,
-                seed: opts.gen_seed,
-            };
-            describe(spec.job_count(), "generated job(s)");
-            llm_vectorizer_repro::core::run_generated_sweep(spec, &config, &sweep)
-        }
-        None => {
-            let jobs = tsvc_jobs(&opts.kernels)?;
-            describe(jobs.len(), "jobs");
-            llm_vectorizer_repro::core::run_sharded_sweep(&jobs, &config, &sweep)
-        }
-    }
-    .map_err(|e| runtime(e.to_string()))?;
-
-    for outcome in &swept.shards {
-        println!(
-            "shard {}: {:?}, {}/{} job(s) reported",
-            outcome.shard, outcome.status, outcome.reported, outcome.planned
-        );
-    }
-    if !swept.recovered.is_empty() {
-        println!("recovered {} job(s) in-process", swept.recovered.len());
-    }
-    for job in &swept.report.jobs {
-        println!(
-            "{}: {:?} @ {}{}",
-            job.label,
-            job.verdict,
-            job.stage.label(),
-            if job.detail.is_empty() {
-                String::new()
-            } else {
-                format!(" ({})", job.detail)
-            }
-        );
-    }
-    println!(
-        "merged: {} equivalent, {} not equivalent, {} inconclusive; cache {} ({} entries, {} evicted); wall {:?}",
-        swept.report.count(Equivalence::Equivalent),
-        swept.report.count(Equivalence::NotEquivalent),
-        swept.report.count(Equivalence::Inconclusive),
-        swept.cache_file.display(),
-        swept.cache.len(),
-        swept.evicted,
-        swept.report.wall
-    );
-    let totals = swept.report.reuse_totals();
-    if !totals.is_zero() {
-        println!(
-            "reuse: {} blast-cache hits / {} misses",
-            totals.blast_hits, totals.blast_misses
-        );
-    }
-    Ok(())
-}
-
 fn run(args: &[String]) -> Result<(), CliError> {
     match args.first().map(String::as_str) {
-        Some("compact") => return compact_files(&args[1..]),
-        Some("cache") => {
-            return match args.get(1).map(String::as_str) {
-                Some("stats") => cache_stats(&args[2..]),
-                _ => Err(usage("usage: lv-sweep cache stats FILE...")),
-            }
-        }
-        Some("run") => return cmd_run(&args[1..]),
-        Some("serve") => return cmd_serve(&args[1..]),
-        Some("submit") => return cmd_submit(&args[1..]),
-        Some("status") => return cmd_status(&args[1..]),
-        _ => {}
+        Some("cache") => match args.get(1).map(String::as_str) {
+            Some("stats") => cache_stats(&args[2..]),
+            _ => Err(usage("usage: lv-sweep cache stats FILE...")),
+        },
+        Some("compact") => Err(usage(REMOVED_COMPACT)),
+        Some("run") => cmd_run(&args[1..]),
+        Some("serve") => cmd_serve(&args[1..]),
+        Some("submit") => cmd_submit(&args[1..]),
+        Some("status") => cmd_status(&args[1..]),
+        // Bare `lv-sweep [flags]` is `run`.
+        _ => cmd_run(args),
     }
-
-    // Worker mode: the coordinator spawned us with `--shard i/N`.
-    if let Some(result) = run_worker_from_args(args) {
-        return match result {
-            Ok(output) => {
-                println!(
-                    "shard {} finished {} job(s); report {}",
-                    output.shard,
-                    output.finished,
-                    output.report_file.display()
-                );
-                Ok(())
-            }
-            Err(ShardError::BadInvocation(e)) => {
-                Err(usage(format!("bad worker invocation: {}", e)))
-            }
-            Err(e) => Err(runtime(e.to_string())),
-        };
-    }
-
-    cmd_coordinator(args)
 }
 
 fn main() -> ExitCode {
@@ -1035,7 +847,6 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use llm_vectorizer_repro::core::shard::REMOVED_LAYER_FLAGS;
 
     fn strings(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
@@ -1125,25 +936,34 @@ mod tests {
             "--quick",
         ]))
         .unwrap();
-        assert_eq!(parsed.generate, 8);
+        assert_eq!(parsed.generate, Some(8));
         assert_eq!(parsed.gen_seed, 7);
         assert_eq!(parsed.gen_threads, 2);
         assert_eq!(parsed.kernels, Some(vec!["s000".into()]));
         assert_eq!(parsed.threads, 4);
         assert!(parsed.quick);
         assert!(parsed.overlap, "overlap is the default");
+        assert_eq!(parsed.cache, None);
         assert!(
             !parse_run(&strings(&["--generate", "1", "--no-overlap"]))
                 .unwrap()
                 .overlap
         );
 
+        // Without `--generate`, `run` sweeps the rule-based TSVC jobs.
+        let jobs = parse_run(&strings(&["--cache", "/tmp/c.json", "--quick"])).unwrap();
+        assert_eq!(jobs.generate, None);
+        assert_eq!(jobs.cache.as_deref(), Some(Path::new("/tmp/c.json")));
+        assert_eq!(parse_run(&[]).unwrap().generate, None);
+
         for bad in [
-            strings(&[]),
             strings(&["--generate", "0"]),
             strings(&["--generate"]),
             strings(&["--generate", "some"]),
             strings(&["--gen-threads", "2"]),
+            strings(&["--gen-seed", "7"]),
+            strings(&["--no-overlap"]),
+            strings(&["--cache"]),
             strings(&["--generate", "4", "--gen-seed", "latte"]),
             strings(&["--generate", "4", "--overlap"]),
             strings(&["--generate", "4", "--reuse"]),
@@ -1158,6 +978,53 @@ mod tests {
     }
 
     #[test]
+    fn kernel_selection_refuses_unknown_names() {
+        assert_eq!(
+            parse_kernels("s000, s112,,vsumr").unwrap(),
+            vec!["s000".to_string(), "s112".into(), "vsumr".into()]
+        );
+        // One unknown name among known ones is refused, not dropped, and
+        // the message names every unknown name.
+        for (value, unknown) in [
+            ("s000,s0000", vec!["s0000"]),
+            ("nope", vec!["nope"]),
+            ("s112,x1,vsumr,x2", vec!["x1", "x2"]),
+        ] {
+            match parse_kernels(value) {
+                Err(CliError::Usage(message)) => {
+                    for name in unknown {
+                        assert!(message.contains(name), "{}", message);
+                    }
+                    assert!(!message.contains("s112"), "{}", message);
+                    assert!(!message.contains("vsumr"), "{}", message);
+                }
+                other => panic!("{:?} must be refused, got {:?}", value, other),
+            }
+        }
+        assert!(matches!(parse_kernels(" , "), Err(CliError::Usage(_))));
+        // A TSVC kernel the rule-based vectorizer has no candidate for is
+        // refused by name where the sweep needs that candidate.
+        match tsvc_jobs(&Some(vec!["s000".into(), "s1161".into()])) {
+            Err(CliError::Usage(message)) => {
+                assert!(message.contains("no candidate for s1161"), "{}", message)
+            }
+            other => panic!("s1161 must be refused, got {:?}", other.map(|j| j.len())),
+        }
+        assert_eq!(tsvc_scalars(&Some(vec!["s1161".into()])).len(), 1);
+        assert_eq!(tsvc_jobs(&None).unwrap().len(), 37);
+        // `run` and `submit` share the selection.
+        for parsed in [
+            parse_run(&strings(&["--kernels", "s000,s0000"])).err(),
+            parse_submit(&strings(&["--kernels", "s000,s0000"])).err(),
+        ] {
+            match parsed {
+                Some(CliError::Usage(message)) => assert!(message.contains("s0000"), "{}", message),
+                other => panic!("an unknown kernel must be refused, got {:?}", other),
+            }
+        }
+    }
+
+    #[test]
     fn reuse_flags_resolve_layers() {
         // No flag: the blast memo — clause-identical, fingerprint-neutral.
         let default = resolve_reuse(true);
@@ -1166,8 +1033,9 @@ mod tests {
         assert_eq!(resolve_reuse(false), EngineReuse::default());
         assert_eq!(reuse_tag(resolve_reuse(false)), "off");
 
-        // All three subcommands take `--no-reuse`.
-        assert!(!parse_coordinator(&strings(&["--no-reuse"])).unwrap().memo);
+        // `run` (with and without `--generate`) and `serve` take
+        // `--no-reuse`.
+        assert!(!parse_run(&strings(&["--no-reuse"])).unwrap().memo);
         assert!(
             !parse_run(&strings(&["--generate", "2", "--no-reuse"]))
                 .unwrap()
@@ -1182,7 +1050,7 @@ mod tests {
             ("--simplify", "CNF preprocessing"),
         ] {
             for parsed in [
-                parse_coordinator(&strings(&[flag])).err(),
+                parse_run(&strings(&[flag])).err(),
                 parse_run(&strings(&["--generate", "2", flag])).err(),
                 parse_serve(&strings(&[flag])).err(),
             ] {
@@ -1222,53 +1090,53 @@ mod tests {
         ));
     }
 
+    /// `compact` rewrote shard report journals; it is refused whatever
+    /// follows it, naming the removed layer.
     #[test]
     fn compact_args_parse_and_reject() {
-        assert_eq!(
-            parse_compact(&strings(&["a.json", "b.journal"])).unwrap(),
-            vec![PathBuf::from("a.json"), PathBuf::from("b.journal")]
-        );
-        for bad in [
-            strings(&[]),
-            strings(&["--format", "binary", "a.json"]),
-            strings(&["--format", "json", "a.json"]),
-            strings(&["a.json", "--format"]),
-            strings(&["--fsync", "a.json"]),
+        for args in [
+            strings(&["compact"]),
+            strings(&["compact", "a.json", "b.journal"]),
+            strings(&["compact", "--format", "binary", "a.json"]),
         ] {
-            assert!(
-                matches!(parse_compact(&bad), Err(CliError::Usage(_))),
-                "compact should reject {:?}",
-                bad
-            );
+            match run(&args) {
+                Err(CliError::Usage(message)) => {
+                    assert!(message.contains("compact was removed"), "{}", message);
+                    assert!(message.contains("shard report journals"), "{}", message);
+                }
+                other => panic!("{:?} must be refused, got {:?}", args, other),
+            }
         }
     }
 
+    /// The former coordinator command line: bare flags parse as `run`, and
+    /// its shard flags are refused by name.
     #[test]
     fn coordinator_args_parse_and_reject() {
-        let parsed =
-            parse_coordinator(&strings(&["--shards", "3", "--timeout-secs", "30"])).unwrap();
-        assert_eq!(parsed.shards, 3);
-        assert_eq!(parsed.timeout, Duration::from_secs(30));
+        let parsed = parse_run(&strings(&["--kernels", "s000,s112", "--threads", "3"])).unwrap();
+        assert_eq!(parsed.generate, None);
+        assert_eq!(parsed.threads, 3);
         assert!(parsed.memo, "memo-on default");
 
         // Every malformed spelling is a typed usage error, never a panic.
         for bad in [
-            strings(&["--shards", "few"]),
+            strings(&["--shards", "2"]),
             strings(&["--shards"]),
-            strings(&["--policy", "round-robin"]),
-            strings(&["--flush-every", "0"]),
+            strings(&["--policy", "range"]),
+            strings(&["--workdir", "/tmp/sw"]),
+            strings(&["--flush-every", "3"]),
             strings(&["--flush", "rewrite"]),
-            strings(&["--flush", "journal"]),
             strings(&["--cache-format", "binary"]),
-            strings(&["--cache-format", "json"]),
-            strings(&["--timeout-secs", "-1"]),
+            strings(&["--timeout-secs", "30"]),
+            strings(&["--fsync", "record"]),
+            strings(&["--max-cache-entries", "10"]),
+            strings(&["--shard", "0/2", "--manifest", "m.json", "--out", "."]),
             strings(&["--serve"]),
-            strings(&["--reuse"]),
-            strings(&["--simplify"]),
+            strings(&["--threads", "many"]),
         ] {
             assert!(
-                matches!(parse_coordinator(&bad), Err(CliError::Usage(_))),
-                "coordinator should reject {:?}",
+                matches!(parse_run(&bad), Err(CliError::Usage(_))),
+                "run should reject {:?}",
                 bad
             );
         }
@@ -1278,29 +1146,39 @@ mod tests {
     fn removed_tuning_flags_are_refused_by_name() {
         for (flag, layer, _) in REMOVED_LAYER_FLAGS {
             for args in [strings(&[flag]), strings(&[flag, "profile"])] {
-                match parse_coordinator(&args) {
-                    Err(CliError::Usage(message)) => {
-                        assert!(message.contains(flag), "{}", message);
-                        assert!(message.contains(layer), "{}", message);
+                for parsed in [
+                    parse_run(&args).err(),
+                    parse_serve(&args).err(),
+                    parse_submit(&args).err(),
+                    parse_status(&args).err(),
+                ] {
+                    match parsed {
+                        Some(CliError::Usage(message)) => {
+                            assert!(message.contains(flag), "{}", message);
+                            assert!(message.contains(layer), "{}", message);
+                        }
+                        other => panic!("{} must be refused, got {:?}", flag, other),
                     }
-                    other => panic!("{} must be refused, got {:?}", flag, other),
                 }
             }
         }
     }
 
+    /// The journals of removed layers, which `compact` used to refuse, are
+    /// refused by `cache stats` with their names and left as they were.
     #[test]
-    fn compact_refuses_a_cross_run_profile_journal() {
+    fn cache_stats_refuses_removed_journals_by_name() {
         for (kind, named) in [
             ("cross-run-profile", "cross-run profile"),
             ("shard-claims", "shard claim journal"),
+            ("shard-report", "shard report journal"),
             ("verdict-cache", "JSON cache journal"),
         ] {
             let path =
                 std::env::temp_dir().join(format!("lv-sweep-{}-{}.json", kind, std::process::id()));
             let journal = format!("{{\"journal\":\"{}\",\"version\":1}} 00000000\n", kind);
             std::fs::write(&path, &journal).unwrap();
-            let result = compact_files(&[path.display().to_string()]);
+            let result = cache_stats(&[path.display().to_string()]);
             match result {
                 Err(CliError::Runtime(message)) => {
                     assert!(message.contains(named), "{}", message);

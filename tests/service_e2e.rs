@@ -102,7 +102,7 @@ fn loopback_service_matches_engine_dedupes_warm_and_survives_killed_clients() {
         // Hello is tag 0x01 + u32 version; frame it by hand.
         let version = llm_vectorizer_repro::core::service::WIRE_VERSION.to_le_bytes();
         let payload = [0x01u8, version[0], version[1], version[2], version[3]];
-        let crc = llm_vectorizer_repro::core::journal::crc32(&payload);
+        let crc = llm_vectorizer_repro::core::service::wire::crc32(&payload);
         stream
             .write_all(&(payload.len() as u32).to_le_bytes())
             .expect("len");
