@@ -1,26 +1,23 @@
-//! Batch candidate generation feeding the verification engine, in two
-//! deterministic modes.
+//! Batch candidate generation feeding the verification engine.
 //!
-//! Historically generation had to stay sequential: the synthetic LLM is a
-//! stateful seeded sampler, so reproducibility meant one model instance
-//! walking the kernels in order while only verification parallelized. That
-//! rationale is superseded. Generation now has **two modes**, both
-//! deterministic, chosen by [`GenerationMode`]:
+//! Two deterministic samplers cover the crate's callers:
 //!
-//! * [`GenerationMode::Sequential`] — the legacy shared-sampler path:
-//!   one [`SyntheticLlm`] walks every `(kernel, completion)` cell in order
-//!   and each cell consumes the next stretch of the *shared* RNG stream.
-//!   Output is byte-identical to every earlier release, which is what the
-//!   existing cache and service CI pins (`examples/cache_sweep.rs`,
-//!   `service_sweep.rs`) and the `batch_matches_sequential_sampling` test
-//!   pin.
-//! * [`GenerationMode::Seeded`] — the per-cell seeded path: each
-//!   `(kernel i, completion j)` cell samples from a **fresh** model seeded
-//!   with [`derive_cell_seed`]`(base, i, j)`, so cells are independent and
-//!   any number of generator threads producing cells in any order yields
-//!   the same completion set. This is what lets generation overlap with
-//!   verification (the engine's streaming `JobSource` intake) and what the
-//!   pipeline property tests pin at generator thread counts 1/2/8.
+//! * [`sample_completion_batch`] (and [`fsm_candidate_batch`]) — one shared
+//!   [`SyntheticLlm`] walks every `(kernel, completion)` cell in order, and
+//!   each cell consumes the next stretch of the *shared* RNG stream. This
+//!   is the experiment drivers' path (Table 2, Figure 5, Table 3, the FSM
+//!   evaluation), byte-identical to every earlier release and pinned by
+//!   `batch_matches_sequential_sampling`.
+//! * [`sample_completion_cell`] (and [`sample_completion_batch_seeded`],
+//!   which samples every cell of a batch with it) — each `(kernel i,
+//!   completion j)` cell samples from a **fresh** model seeded with
+//!   [`derive_cell_seed`]`(base, i, j)`, so cells are independent and any
+//!   number of generator threads producing cells in any order yields the
+//!   same completion set. Every generated sweep samples this way: `lv-sweep
+//!   run --generate` streams the cells into the engine while verification
+//!   runs, and `lv-sweep submit --generate` sends the same cells to a
+//!   daemon. `seeded_batch_matches_cell_by_cell_sampling` and the pipeline
+//!   property tests (generator thread counts 1/2/8) pin it.
 //!
 //! # The seed-derivation scheme
 //!
@@ -32,29 +29,15 @@
 //! always get distinct seeds** — pinned, along with golden values that hold
 //! on every platform, by `tests/pipeline_overlap.rs`.
 //!
-//! The two modes produce *different* completion sets for the same base
-//! seed (a shared RNG stream cannot be split per-cell without changing the
-//! draws); callers choose per workload. New overlapped surfaces
-//! (`lv-sweep run --generate`, service generation submits) use `Seeded`; the pre-existing experiment drivers stay `Sequential`.
+//! The two samplers produce *different* completion sets for the same base
+//! seed: a shared RNG stream cannot be split per cell without changing the
+//! draws.
 
 use crate::fsm::{run_fsm_with_llm, FsmConfig, FsmResult};
 use crate::llm::{Completion, LlmConfig, SyntheticLlm, VectorizePrompt};
 use lv_cir::ast::Function;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-/// How a completion batch draws its random numbers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum GenerationMode {
-    /// The legacy path: one shared stateful sampler walks the cells in
-    /// order. Byte-identical to all earlier releases; inherently serial.
-    #[default]
-    Sequential,
-    /// The overlap-ready path: every `(kernel, completion)` cell gets its
-    /// own model seeded by [`derive_cell_seed`], so cells can be produced
-    /// on any number of threads in any order with identical output.
-    Seeded,
-}
 
 /// The SplitMix64 finalizer: a bijective avalanche mix on `u64` (same
 /// constants as the `rand` shim's seed expansion).
@@ -127,8 +110,8 @@ impl CompletionBatch {
 }
 
 /// Samples `k` feedback-free completions for every kernel from a single
-/// model instance, preserving the sequential sampling order — the
-/// [`GenerationMode::Sequential`] path, byte-identical to earlier releases.
+/// model instance, preserving the sequential sampling order — the shared
+/// sampler path, byte-identical to earlier releases.
 pub fn sample_completion_batch(
     scalars: &[Function],
     llm_config: &LlmConfig,
@@ -146,8 +129,8 @@ pub fn sample_completion_batch(
 }
 
 /// Samples `k` feedback-free completions for every kernel with per-cell
-/// derived seeds on `threads` generator threads — the
-/// [`GenerationMode::Seeded`] path.
+/// derived seeds on `threads` generator threads — the seeded path, one
+/// [`sample_completion_cell`] per cell.
 ///
 /// The output is a pure function of `(scalars, llm_config.seed, k)`:
 /// identical at every thread count (pinned at 1/2/8 by the pipeline
@@ -200,23 +183,6 @@ pub fn sample_completion_batch_seeded(
         .map(|_| (0..k).map(|_| flat.next().unwrap()).collect())
         .collect();
     CompletionBatch { completions }
-}
-
-/// Samples a completion batch in the requested [`GenerationMode`].
-///
-/// `threads` only applies to [`GenerationMode::Seeded`]; the sequential
-/// mode is inherently single-threaded.
-pub fn sample_completion_batch_with(
-    scalars: &[Function],
-    llm_config: &LlmConfig,
-    k: usize,
-    mode: GenerationMode,
-    threads: usize,
-) -> CompletionBatch {
-    match mode {
-        GenerationMode::Sequential => sample_completion_batch(scalars, llm_config, k),
-        GenerationMode::Seeded => sample_completion_batch_seeded(scalars, llm_config, k, threads),
-    }
 }
 
 /// Runs the repair FSM once per kernel through a shared model instance,
@@ -326,23 +292,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    #[test]
-    fn mode_dispatch_selects_the_right_path() {
-        let config = LlmConfig::default();
-        let sequential =
-            sample_completion_batch_with(&scalars(), &config, 2, GenerationMode::Sequential, 4);
-        let legacy = sample_completion_batch(&scalars(), &config, 2);
-        for (a, b) in sequential.jobs().zip(legacy.jobs()) {
-            assert_eq!(a.2.candidate, b.2.candidate);
-        }
-        let seeded =
-            sample_completion_batch_with(&scalars(), &config, 2, GenerationMode::Seeded, 4);
-        let reference = sample_completion_batch_seeded(&scalars(), &config, 2, 1);
-        for (a, b) in seeded.jobs().zip(reference.jobs()) {
-            assert_eq!(a.2.candidate, b.2.candidate);
         }
     }
 

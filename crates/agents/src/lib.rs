@@ -14,12 +14,12 @@
 //! * [`fsm`] — the user-proxy / vectorizer-assistant / compiler-tester
 //!   finite-state machine with its checksum feedback loop ([`run_fsm`]);
 //! * [`batch`] — deterministic batch candidate generation feeding the
-//!   `lv_core` verification engine, in two modes: the legacy sequential
-//!   shared-sampler path ([`sample_completion_batch`],
-//!   [`fsm_candidate_batch`]) and the per-cell seeded path
-//!   ([`sample_completion_batch_seeded`], [`derive_cell_seed`]) whose cells
-//!   can be generated on any number of threads in any order — the
-//!   generation half of the overlapped generation→verification pipeline.
+//!   `lv_core` verification engine: the experiment drivers' shared-sampler
+//!   path ([`sample_completion_batch`], [`fsm_candidate_batch`]), and the
+//!   per-cell seeded path ([`sample_completion_cell`],
+//!   [`sample_completion_batch_seeded`], [`derive_cell_seed`]) whose cells
+//!   can be generated on any number of threads in any order — how every
+//!   generated sweep samples, in process or for a daemon.
 //!
 //! # Examples
 //!
@@ -44,7 +44,7 @@ pub mod vectorizer;
 
 pub use batch::{
     derive_cell_seed, fsm_candidate_batch, sample_completion_batch, sample_completion_batch_seeded,
-    sample_completion_batch_with, sample_completion_cell, CompletionBatch, GenerationMode,
+    sample_completion_cell, CompletionBatch,
 };
 pub use fsm::{run_fsm, run_fsm_with_llm, AgentRole, FsmConfig, FsmResult, FsmState, Message};
 pub use llm::{Completion, LlmConfig, SyntheticLlm, VectorizePrompt};

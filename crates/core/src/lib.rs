@@ -46,8 +46,8 @@
 //!   overlapped generation→verification drivers ([`overlapped_pass_at_k`]
 //!   streaming per-cell seeded completions into the engine's bounded
 //!   [`job_channel`] intake, [`generate_then_verify_pass_at_k`] as the
-//!   unoverlapped reference — verdicts bit-identical by construction,
-//!   CI-pinned);
+//!   unoverlapped reference over the [`seeded_jobs`] list — verdicts
+//!   bit-identical by construction, CI-pinned);
 //! * [`experiments`] — drivers regenerating Table 2 ([`table2`]), Figure 5
 //!   ([`figure5`]), Table 3 ([`table3`]), Figure 1(c) ([`figure1`]),
 //!   Figure 6 ([`figure6`]) and the Section 4.4 FSM evaluation
@@ -132,9 +132,7 @@ pub use observer::{
 };
 pub use passk::{
     generate_then_verify_pass_at_k, overlapped_pass_at_k, overlapped_pass_at_k_observed, pass_at_k,
-    pass_at_k_curve, PassKRun,
+    pass_at_k_curve, seeded_jobs, PassKRun,
 };
 pub use pipeline::{check_equivalence, Equivalence, EquivalenceReport, PipelineConfig, Stage};
-pub use service::{
-    GenerationRequest, ServiceClient, ServiceError, ServiceStatus, VerificationService,
-};
+pub use service::{ServiceClient, ServiceError, ServiceStatus, VerificationService};

@@ -165,22 +165,22 @@ pub fn overlapped_pass_at_k_observed(
     finish_run(report, kernels.len(), k, ks)
 }
 
-/// The unoverlapped reference: seeded generation of the full candidate
-/// list first, then one [`VerificationEngine::run_batch`] — same jobs,
-/// same labels, same verdicts as [`overlapped_pass_at_k`], but generation
-/// is a serial prefix on the wall clock. This is the baseline arm of the
-/// pipeline identity pins.
-pub fn generate_then_verify_pass_at_k(
-    engine: &VerificationEngine,
+/// The seeded job list of `k` completions per kernel: cell `(kernel i,
+/// completion j)` is job `i * k + j`, labeled `name#j`, its candidate
+/// sampled with the [`lv_agents::derive_cell_seed`]`(llm_config.seed, i,
+/// j)`-seeded model on `gen_threads` generator threads (0 = one per
+/// available CPU). The list is the same at any thread count, and it is the
+/// job list [`overlapped_pass_at_k`] streams, so submitting it to a daemon
+/// (`lv-sweep submit --generate`) verifies the cells `lv-sweep run
+/// --generate` verifies.
+pub fn seeded_jobs(
     kernels: &[(String, Function)],
     llm_config: &LlmConfig,
     k: usize,
-    ks: &[usize],
     gen_threads: usize,
-) -> PassKRun {
+) -> Vec<Job> {
     let scalars: Vec<Function> = kernels.iter().map(|(_, f)| f.clone()).collect();
-    let batch = sample_completion_batch_seeded(&scalars, llm_config, k, gen_threads);
-    let jobs: Vec<Job> = batch
+    sample_completion_batch_seeded(&scalars, llm_config, k, gen_threads)
         .into_jobs()
         .map(|(i, j, completion)| {
             Job::new(
@@ -189,7 +189,23 @@ pub fn generate_then_verify_pass_at_k(
                 completion.candidate,
             )
         })
-        .collect();
+        .collect()
+}
+
+/// The unoverlapped reference: the full [`seeded_jobs`] list first, then
+/// one [`VerificationEngine::run_batch`] — same jobs, same labels, same
+/// verdicts as [`overlapped_pass_at_k`], but generation is a serial prefix
+/// on the wall clock. This is the baseline arm of the pipeline identity
+/// pins.
+pub fn generate_then_verify_pass_at_k(
+    engine: &VerificationEngine,
+    kernels: &[(String, Function)],
+    llm_config: &LlmConfig,
+    k: usize,
+    ks: &[usize],
+    gen_threads: usize,
+) -> PassKRun {
+    let jobs = seeded_jobs(kernels, llm_config, k, gen_threads);
     let report = engine.run_batch(&jobs);
     finish_run(report, kernels.len(), k, ks)
 }

@@ -5,29 +5,13 @@
 
 use crate::engine::Job;
 use crate::service::wire::{
-    check_magic, encode_submit, encode_submit_generate, read_message, write_frame, write_message,
-    Message, ServiceStatus, VerdictFrame, WIRE_MAGIC, WIRE_VERSION, WRITE_BUFFER_BYTES,
+    check_magic, encode_submit, read_message, write_frame, write_message, Message, ServiceStatus,
+    VerdictFrame, WIRE_MAGIC, WIRE_VERSION, WRITE_BUFFER_BYTES,
 };
 use crate::service::ServiceError;
-use lv_cir::ast::Function;
 use lv_cir::print_function_into;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-
-/// One server-side generation request: the daemon samples `k` completions
-/// for `scalar` with per-cell seeds derived from `seed` and verifies them
-/// overlapped, streaming back `k` verdicts labeled `label#0` … `label#k-1`.
-#[derive(Debug, Clone)]
-pub struct GenerationRequest {
-    /// Label prefix for the generated jobs.
-    pub label: String,
-    /// The scalar kernel to generate candidates for.
-    pub scalar: Function,
-    /// Completions to sample.
-    pub k: u32,
-    /// Base RNG seed the per-cell seeds derive from.
-    pub seed: u64,
-}
 
 /// A connection to a [`VerificationService`](crate::VerificationService).
 ///
@@ -137,49 +121,7 @@ impl ServiceClient {
             );
             write_frame(&mut self.writer, &self.payload)?;
         }
-        self.run_and_collect(jobs.len(), |index| &jobs[index].label)
-    }
-
-    /// Submits generation requests and blocks until every generated
-    /// candidate's verdict arrived, in slot order (request order, `k`
-    /// slots per request labeled `label#j`). Generation and verification
-    /// overlap on the daemon; the frames are buffered and the stream is
-    /// cross-checked like [`submit`](Self::submit).
-    pub fn submit_generation(
-        &mut self,
-        requests: &[GenerationRequest],
-    ) -> Result<Vec<VerdictFrame>, ServiceError> {
-        let mut expected = Vec::new();
-        for request in requests {
-            self.scalar_text.clear();
-            print_function_into(&request.scalar, &mut self.scalar_text);
-            self.payload.clear();
-            encode_submit_generate(
-                &mut self.payload,
-                &request.label,
-                &self.scalar_text,
-                request.k,
-                request.seed,
-            );
-            write_frame(&mut self.writer, &self.payload)?;
-            for j in 0..request.k {
-                expected.push(format!("{}#{}", request.label, j));
-            }
-        }
-        self.run_and_collect(expected.len(), |index| &expected[index])
-    }
-
-    /// Sends [`Message::Run`] over `count` slots, flushing every buffered
-    /// frame of the batch with it, and collects the streamed verdicts,
-    /// strictly cross-checked frame by frame against `label(index)`, the
-    /// label slot `index` was submitted under: an out-of-range index, a
-    /// duplicate slot, a label that does not match the slot's, a short
-    /// batch, or a mid-batch close each fail with a typed error.
-    fn run_and_collect<'a>(
-        &mut self,
-        count: usize,
-        label: impl Fn(usize) -> &'a str,
-    ) -> Result<Vec<VerdictFrame>, ServiceError> {
+        let count = jobs.len();
         write_message(
             &mut self.writer,
             &Message::Run {
@@ -199,8 +141,8 @@ impl ServiceClient {
                             index, count
                         )));
                     }
-                    let label = label(index);
-                    if frame.label != label {
+                    let label = &jobs[index].label;
+                    if frame.label != *label {
                         return Err(ServiceError::Protocol(format!(
                             "verdict {} labeled '{}' but job {} is '{}'",
                             index, frame.label, index, label

@@ -10,7 +10,6 @@ use crate::service::wire::{
     WIRE_MAGIC, WIRE_VERSION, WRITE_BUFFER_BYTES,
 };
 use crate::service::ServiceError;
-use lv_agents::{sample_completion_cell, LlmConfig};
 use lv_cir::ast::Function;
 use lv_cir::{parse_function, ParseError};
 use std::collections::HashMap;
@@ -38,8 +37,6 @@ pub struct VerificationService {
     completed: AtomicU64,
     dedupe_hits: AtomicU64,
     stages: AtomicU64,
-    generation_queued: AtomicU64,
-    generated: AtomicU64,
     memo: Mutex<KeyMemo>,
     /// Sources parsed for submissions, memo misses and cache misses alike.
     parsed: AtomicU64,
@@ -58,9 +55,9 @@ fn send(out: &Out, message: &Message) -> std::io::Result<()> {
     locked.flush()
 }
 
-/// How many generated-but-unverified candidates a connection's streaming
-/// run may hold in flight before generation blocks (backpressure).
-const GENERATION_QUEUE_CAPACITY: usize = 32;
+/// How many admitted-but-unverified jobs a connection's streaming run may
+/// hold in flight before the walk over its batch blocks (backpressure).
+const ENGINE_QUEUE_CAPACITY: usize = 32;
 
 /// The most source bytes the [`KeyMemo`] holds; an insert that would pass
 /// it clears the memo first.
@@ -101,19 +98,6 @@ impl KeyMemo {
     }
 }
 
-/// One unit of pending work on a connection: a submitted job under its
-/// cache key, or a generation request still to be expanded into `k` seeded
-/// jobs.
-enum Pending {
-    Job(CacheKey, Submitted),
-    Generate {
-        label: String,
-        scalar: Function,
-        k: u32,
-        seed: u64,
-    },
-}
-
 /// A submitted job's functions.
 enum Submitted {
     /// Parsed on submission, because the key memo missed.
@@ -124,16 +108,6 @@ enum Submitted {
         scalar: String,
         candidate: String,
     },
-}
-
-impl Pending {
-    /// Verdict slots this entry occupies in its batch.
-    fn slots(&self) -> usize {
-        match self {
-            Pending::Job(..) => 1,
-            Pending::Generate { k, .. } => *k as usize,
-        }
-    }
 }
 
 impl Submitted {
@@ -179,8 +153,6 @@ impl VerificationService {
             completed: AtomicU64::new(0),
             dedupe_hits: AtomicU64::new(0),
             stages: AtomicU64::new(0),
-            generation_queued: AtomicU64::new(0),
-            generated: AtomicU64::new(0),
             memo: Mutex::new(KeyMemo::default()),
             parsed: AtomicU64::new(0),
             engine_runs: AtomicU64::new(0),
@@ -207,8 +179,6 @@ impl VerificationService {
             completed: self.completed.load(Ordering::Relaxed),
             dedupe_hits: self.dedupe_hits.load(Ordering::Relaxed),
             stages: self.stages.load(Ordering::Relaxed),
-            generation_queued: self.generation_queued.load(Ordering::Relaxed),
-            generated: self.generated.load(Ordering::Relaxed),
         }
     }
 
@@ -301,7 +271,8 @@ impl VerificationService {
             },
         )?;
 
-        let mut pending: Vec<Pending> = Vec::new();
+        // Submitted jobs under their cache keys, in slot order.
+        let mut pending: Vec<(CacheKey, Submitted)> = Vec::new();
         loop {
             let message = match read_message(&mut reader)? {
                 None => return Ok(false),
@@ -314,7 +285,7 @@ impl VerificationService {
                     candidate,
                 } => {
                     let entry = match self.memo_key(&scalar, &candidate) {
-                        Some(key) => Pending::Job(
+                        Some(key) => (
                             key,
                             Submitted::Text {
                                 label,
@@ -342,43 +313,18 @@ impl VerificationService {
                             let mut memo = self.memo();
                             memo.insert(scalar, key.scalar);
                             memo.insert(candidate, key.candidate);
-                            Pending::Job(key, Submitted::Parsed(job))
+                            (key, Submitted::Parsed(job))
                         }
                     };
                     pending.push(entry);
                     self.received.fetch_add(1, Ordering::Relaxed);
                 }
-                Message::SubmitGenerate {
-                    label,
-                    scalar,
-                    k,
-                    seed,
-                } => {
-                    let scalar = match self.parse(&scalar) {
-                        Ok(f) => f,
-                        Err(e) => {
-                            let detail =
-                                format!("generation '{}': unparsable scalar: {}", label, e);
-                            self.send_error(&writer, &detail)?;
-                            return Err(ServiceError::Protocol(detail));
-                        }
-                    };
-                    self.received.fetch_add(u64::from(k), Ordering::Relaxed);
-                    self.generation_queued
-                        .fetch_add(u64::from(k), Ordering::Relaxed);
-                    pending.push(Pending::Generate {
-                        label,
-                        scalar,
-                        k,
-                        seed,
-                    });
-                }
                 Message::Run { count } => {
-                    let slots: usize = pending.iter().map(Pending::slots).sum();
-                    if count as usize != slots {
+                    if count as usize != pending.len() {
                         let detail = format!(
                             "run count mismatch: client says {}, server holds {}",
-                            count, slots
+                            count,
+                            pending.len()
                         );
                         self.send_error(&writer, &detail)?;
                         return Err(ServiceError::Protocol(detail));
@@ -442,21 +388,24 @@ impl VerificationService {
         }
     }
 
-    /// Runs a batch of pending entries *overlapped*. The connection thread
-    /// walks the entries in slot order: it dedupes submitted jobs through
-    /// the cache by their keys, parsing one only when the cache misses,
-    /// and expands generation requests into per-cell-seeded jobs as it
-    /// goes. The engine's streaming intake verifies the admitted jobs on
-    /// one scoped thread, started at the first job admitted, so a batch
-    /// the cache answers whole spawns no thread and builds no worker. The
-    /// batch closes with [`Message::Done`] over all slots.
+    /// Runs a batch of pending jobs *overlapped*. The connection thread
+    /// walks the jobs in slot order and dedupes each through the cache by
+    /// its key, parsing one only when the cache misses. The engine's
+    /// streaming intake verifies the admitted jobs on one scoped thread,
+    /// started at the first job admitted, so a batch the cache answers
+    /// whole spawns no thread and builds no worker. The batch closes with
+    /// [`Message::Done`] over all slots.
     ///
     /// Dedupe answers are queued in the connection's write buffer, and the
     /// buffer is flushed before each job is pushed to the engine (no known
     /// answer waits behind a verification), after the walk, after each
     /// engine verdict, and with `Done`.
-    fn run_pending(&self, entries: Vec<Pending>, out: &Out) -> Result<(), ServiceError> {
-        let total_slots: usize = entries.iter().map(Pending::slots).sum();
+    fn run_pending(
+        &self,
+        entries: Vec<(CacheKey, Submitted)>,
+        out: &Out,
+    ) -> Result<(), ServiceError> {
+        let total_slots = entries.len();
         let write_failure: Mutex<Option<std::io::Error>> = Mutex::new(None);
         // Failures are recorded, not fatal, so the batch still drains
         // deterministically.
@@ -476,24 +425,6 @@ impl VerificationService {
             ))
         };
 
-        // Dedupe check: answered from the cache → queued at once, never
-        // admitted to the engine.
-        let try_dedupe = |slot: usize, key: &CacheKey, label: &str| -> bool {
-            if let Some(verdict) = self.cache.get(key) {
-                self.dedupe_hits.fetch_add(1, Ordering::Relaxed);
-                self.completed.fetch_add(1, Ordering::Relaxed);
-                queue_verdict(VerdictFrame {
-                    index: slot as u32,
-                    label: label.to_string(),
-                    cache_hit: true,
-                    verdict,
-                });
-                true
-            } else {
-                false
-            }
-        };
-
         let counting = CountingObserver::new();
         let streaming = CallbackObserver::new(|slot: usize, report: &crate::JobReport| {
             queue_verdict(VerdictFrame {
@@ -511,60 +442,32 @@ impl VerificationService {
         });
         let tee = TeeObserver(&counting, &streaming);
 
-        let (producer, source) = job_channel(GENERATION_QUEUE_CAPACITY);
+        let (producer, source) = job_channel(ENGINE_QUEUE_CAPACITY);
         let batch = std::thread::scope(|scope| {
             // The walk owns the only producer, so the stream closes when the
             // walk ends, also by a panic.
             let producer = producer;
             let mut engine = None;
-            let mut admit = |slot: usize, job: Job| {
+            for (slot, (key, submitted)) in entries.into_iter().enumerate() {
+                // Dedupe check: answered from the cache → queued at once,
+                // never admitted to the engine.
+                if let Some(verdict) = self.cache.get(&key) {
+                    self.dedupe_hits.fetch_add(1, Ordering::Relaxed);
+                    self.completed.fetch_add(1, Ordering::Relaxed);
+                    queue_verdict(VerdictFrame {
+                        index: slot as u32,
+                        label: submitted.label().to_string(),
+                        cache_hit: true,
+                        verdict,
+                    });
+                    continue;
+                }
                 flush();
                 engine.get_or_insert_with(|| {
                     self.engine_runs.fetch_add(1, Ordering::Relaxed);
                     scope.spawn(|| self.engine.run_stream_observed(&source, &tee))
                 });
-                producer.push(slot, job);
-            };
-            let mut slot = 0usize;
-            for (ordinal, entry) in entries.into_iter().enumerate() {
-                match entry {
-                    Pending::Job(key, submitted) => {
-                        if !try_dedupe(slot, &key, submitted.label()) {
-                            admit(slot, self.job_of(submitted));
-                        }
-                        slot += 1;
-                    }
-                    Pending::Generate {
-                        label,
-                        scalar,
-                        k,
-                        seed,
-                    } => {
-                        let config = LlmConfig {
-                            seed,
-                            ..LlmConfig::default()
-                        };
-                        for j in 0..k as usize {
-                            // The entry's ordinal is the "kernel index" of
-                            // the seed-derivation cell, so two generation
-                            // requests with the same base seed still sample
-                            // distinct cells.
-                            let completion = sample_completion_cell(&scalar, &config, ordinal, j);
-                            self.generation_queued.fetch_sub(1, Ordering::Relaxed);
-                            self.generated.fetch_add(1, Ordering::Relaxed);
-                            let job = Job::new(
-                                format!("{}#{}", label, j),
-                                scalar.clone(),
-                                completion.candidate,
-                            );
-                            let key = job_cache_key(&job, self.fingerprint);
-                            if !try_dedupe(slot, &key, &job.label) {
-                                admit(slot, job);
-                            }
-                            slot += 1;
-                        }
-                    }
-                }
+                producer.push(slot, self.job_of(submitted));
             }
             flush();
             drop(producer);
@@ -928,32 +831,37 @@ mod tests {
 
     #[test]
     fn a_version_2_hello_gets_the_typed_version_mismatch() {
+        assert_eq!(WIRE_VERSION, 4);
         let service = VerificationService::bind(
             "127.0.0.1:0",
             EngineConfig::full(PipelineConfig::default()).with_threads(1),
             Arc::new(VerdictCache::in_memory()),
         )
         .unwrap();
-        // A client of the previous protocol, whose status reports still
-        // carried the preprocessing counters.
-        let mut client = TcpStream::connect(service.local_addr()).unwrap();
-        client.write_all(&WIRE_MAGIC).unwrap();
-        write_message(&mut client, &Message::Hello { version: 2 }).unwrap();
-        let (stream, _) = service.listener.accept().unwrap();
-        match service.handle_connection(stream) {
-            Err(ServiceError::Wire(WireError::VersionMismatch { theirs, ours })) => {
-                assert_eq!((theirs, ours), (2, WIRE_VERSION));
-                assert_eq!(WIRE_VERSION, 3);
+        // Clients of the earlier protocols: version 2 status reports still
+        // carried the preprocessing counters, and version 3 still had the
+        // server-side generation request and its two counters.
+        for version in [2, 3] {
+            let mut client = TcpStream::connect(service.local_addr()).unwrap();
+            client.write_all(&WIRE_MAGIC).unwrap();
+            write_message(&mut client, &Message::Hello { version }).unwrap();
+            let (stream, _) = service.listener.accept().unwrap();
+            match service.handle_connection(stream) {
+                Err(ServiceError::Wire(WireError::VersionMismatch { theirs, ours })) => {
+                    assert_eq!((theirs, ours), (version, WIRE_VERSION));
+                }
+                other => panic!("expected a version mismatch, got {:?}", other),
             }
-            other => panic!("expected a version mismatch, got {:?}", other),
-        }
-        // The client is told why, in an error frame instead of a hello.
-        let mut reader = BufReader::new(client);
-        match read_message(&mut reader).unwrap() {
-            Some(Message::Error { detail }) => {
-                assert!(detail.contains("peer speaks 2"), "{}", detail)
+            // The client is told why, in an error frame instead of a hello.
+            let mut reader = BufReader::new(client);
+            match read_message(&mut reader).unwrap() {
+                Some(Message::Error { detail }) => assert!(
+                    detail.contains(&format!("peer speaks {}", version)),
+                    "{}",
+                    detail
+                ),
+                other => panic!("expected an error frame, got {:?}", other),
             }
-            other => panic!("expected an error frame, got {:?}", other),
         }
     }
 }

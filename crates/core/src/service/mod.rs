@@ -68,18 +68,6 @@
 //! can still hit the cache. It holds at most a constant 4 MiB of source
 //! text and is cleared wholesale when an insert would pass that.
 //!
-//! # Server-side generation
-//!
-//! A connection can also submit a [`GenerationRequest`] (`SubmitGenerate`:
-//! a scalar kernel, a completion count `k`, and a base seed) instead of
-//! finished candidates. The daemon expands it into `k` per-cell seeded
-//! completions ([`lv_agents::derive_cell_seed`]) on a generator thread that
-//! streams each job into the engine's bounded job channel as it is
-//! produced — generation overlaps verification, and the verdicts are
-//! bit-identical to submitting the precomputed candidate list. Queued and
-//! completed generation counts surface in [`ServiceStatus`]
-//! (`lv-sweep status` prints them as `gen queued` / `generated`).
-//!
 //! # Fault containment
 //!
 //! Connections are isolated: a client that sends garbage, speaks the wrong
@@ -92,7 +80,7 @@ pub mod client;
 pub mod daemon;
 pub mod wire;
 
-pub use client::{GenerationRequest, ServiceClient};
+pub use client::ServiceClient;
 pub use daemon::VerificationService;
 pub use wire::{
     Message, ServiceStatus, VerdictFrame, WireError, MAX_FRAME_BYTES, WIRE_MAGIC, WIRE_VERSION,

@@ -31,8 +31,9 @@ pub const WIRE_MAGIC: [u8; 4] = *b"LVSV";
 /// The wire-protocol version, exchanged in [`Message::Hello`] /
 /// [`Message::ServerHello`]; both sides reject a mismatch. Version 2 added
 /// CNF-preprocessing counters to [`Message::StatusReport`]; version 3
-/// removed them again with the preprocessing layer.
-pub const WIRE_VERSION: u32 = 3;
+/// removed them again with the preprocessing layer; version 4 removed the
+/// server-side generation request (tag `0x06`) and its two status counters.
+pub const WIRE_VERSION: u32 = 4;
 
 /// Capacity of each side's buffered socket writer. Frames queue in it until
 /// an explicit flush (the client's `Run`, the daemon's flush points; see the
@@ -140,13 +141,6 @@ pub struct ServiceStatus {
     pub dedupe_hits: u64,
     /// Cascade stage executions across all admitted jobs.
     pub stages: u64,
-    /// Generation-queue depth: completions accepted via
-    /// [`Message::SubmitGenerate`] but not yet sampled. Nonzero while a
-    /// generation batch is in flight — the observable sign that generation
-    /// and verification are overlapping.
-    pub generation_queued: u64,
-    /// Completions sampled by the daemon's seeded generator since start.
-    pub generated: u64,
 }
 
 /// One streamed verdict: the submission index and label it answers, whether
@@ -187,26 +181,10 @@ pub enum Message {
         /// The candidate function, printed.
         candidate: String,
     },
-    /// One generation request: the daemon samples `k` seeded completions
-    /// for the scalar kernel (per-cell seeds derived from `seed`, see
-    /// [`lv_agents::derive_cell_seed`]) and verifies them, overlapped —
-    /// candidates stream into the engine as they are sampled. Occupies `k`
-    /// verdict slots labeled `label#0` … `label#k-1` in the current batch.
-    SubmitGenerate {
-        /// Label prefix for the generated jobs.
-        label: String,
-        /// The scalar function, printed.
-        scalar: String,
-        /// Completions to sample for this kernel.
-        k: u32,
-        /// Base RNG seed the per-cell seeds derive from.
-        seed: u64,
-    },
     /// Runs the pending submissions; `count` is the client's view of how
-    /// many verdict slots it submitted (one per [`Message::Submit`], `k`
-    /// per [`Message::SubmitGenerate`]), cross-checked server-side.
+    /// many [`Message::Submit`]s it sent, cross-checked server-side.
     Run {
-        /// Expected pending verdict-slot count.
+        /// Expected pending job count.
         count: u32,
     },
     /// Requests a [`Message::StatusReport`].
@@ -248,7 +226,8 @@ const TAG_SUBMIT: u8 = 0x02;
 const TAG_RUN: u8 = 0x03;
 const TAG_STATUS: u8 = 0x04;
 const TAG_SHUTDOWN: u8 = 0x05;
-const TAG_SUBMIT_GENERATE: u8 = 0x06;
+// 0x06 stays unassigned: peers of versions 1–3 framed their server-side
+// generation requests under it.
 const TAG_SERVER_HELLO: u8 = 0x81;
 const TAG_VERDICT: u8 = 0x82;
 const TAG_DONE: u8 = 0x83;
@@ -269,12 +248,6 @@ impl Message {
                 scalar,
                 candidate,
             } => encode_submit(buf, label, scalar, candidate),
-            Message::SubmitGenerate {
-                label,
-                scalar,
-                k,
-                seed,
-            } => encode_submit_generate(buf, label, scalar, *k, *seed),
             Message::Run { count } => {
                 bin::put_u8(buf, TAG_RUN);
                 bin::put_u32(buf, *count);
@@ -307,8 +280,6 @@ impl Message {
                 bin::put_u64(buf, status.completed);
                 bin::put_u64(buf, status.dedupe_hits);
                 bin::put_u64(buf, status.stages);
-                bin::put_u64(buf, status.generation_queued);
-                bin::put_u64(buf, status.generated);
             }
             Message::Error { detail } => {
                 bin::put_u8(buf, TAG_ERROR);
@@ -332,12 +303,6 @@ impl Message {
                 label: r.str().map_err(field)?.to_string(),
                 scalar: r.str().map_err(field)?.to_string(),
                 candidate: r.str().map_err(field)?.to_string(),
-            },
-            TAG_SUBMIT_GENERATE => Message::SubmitGenerate {
-                label: r.str().map_err(field)?.to_string(),
-                scalar: r.str().map_err(field)?.to_string(),
-                k: r.u32().map_err(field)?,
-                seed: r.u64().map_err(field)?,
             },
             TAG_RUN => Message::Run {
                 count: r.u32().map_err(field)?,
@@ -378,8 +343,6 @@ impl Message {
                 completed: r.u64().map_err(field)?,
                 dedupe_hits: r.u64().map_err(field)?,
                 stages: r.u64().map_err(field)?,
-                generation_queued: r.u64().map_err(field)?,
-                generated: r.u64().map_err(field)?,
             }),
             TAG_ERROR => Message::Error {
                 detail: r.str().map_err(field)?.to_string(),
@@ -402,22 +365,6 @@ pub(crate) fn encode_submit(buf: &mut Vec<u8>, label: &str, scalar: &str, candid
     bin::put_str(buf, label);
     bin::put_str(buf, scalar);
     bin::put_str(buf, candidate);
-}
-
-/// Appends the payload of a [`Message::SubmitGenerate`] from borrowed text
-/// (see [`encode_submit`]).
-pub(crate) fn encode_submit_generate(
-    buf: &mut Vec<u8>,
-    label: &str,
-    scalar: &str,
-    k: u32,
-    seed: u64,
-) {
-    bin::put_u8(buf, TAG_SUBMIT_GENERATE);
-    bin::put_str(buf, label);
-    bin::put_str(buf, scalar);
-    bin::put_u32(buf, k);
-    bin::put_u64(buf, seed);
 }
 
 /// CRC-32 (IEEE 802.3, the `cksum`/zlib polynomial) lookup tables for

@@ -8,6 +8,7 @@ use lv_core::service::wire::{
 };
 use lv_core::service::ServiceError;
 use lv_core::{CachedVerdict, Equivalence, Stage};
+use serde::bin;
 
 /// One message of every wire variant, with representative payloads.
 fn sample_messages() -> Vec<Message> {
@@ -17,12 +18,6 @@ fn sample_messages() -> Vec<Message> {
             label: "s000".to_string(),
             scalar: "void s000(float * a, float * b) { }".to_string(),
             candidate: "void s000(float * a, float * b) { }".to_string(),
-        },
-        Message::SubmitGenerate {
-            label: "s453".to_string(),
-            scalar: "void s453(float * a, float * b) { }".to_string(),
-            k: 8,
-            seed: 0xC0FFEE,
         },
         Message::Run { count: 3 },
         Message::Status,
@@ -49,8 +44,6 @@ fn sample_messages() -> Vec<Message> {
             completed: 19,
             dedupe_hits: 7,
             stages: 41,
-            generation_queued: 5,
-            generated: 12,
         }),
         Message::Error {
             detail: "job 's1': unparsable scalar".to_string(),
@@ -171,6 +164,23 @@ fn typed_errors_name_the_failure() {
     // The wrong magic is typed too.
     assert!(check_magic(b"LVSV").is_ok());
     assert_eq!(check_magic(b"LVSX"), Err(WireError::BadMagic(*b"LVSX")));
+}
+
+/// Tag `0x06` framed the server-side generation request of wire versions
+/// 1–3 (label, scalar, completion count, seed). A well-framed payload in
+/// that layout now decodes to a typed unknown tag, never to a message.
+#[test]
+fn the_retired_generation_tag_is_an_unknown_tag() {
+    let mut payload = Vec::new();
+    bin::put_u8(&mut payload, 0x06);
+    bin::put_str(&mut payload, "s453");
+    bin::put_str(&mut payload, "void s453(float * a, float * b) { }");
+    bin::put_u32(&mut payload, 8);
+    bin::put_u64(&mut payload, 0xC0FFEE);
+    assert_eq!(
+        decode_message_frame(&frame(&payload)),
+        Err(WireError::UnknownTag(0x06))
+    );
 }
 
 #[test]

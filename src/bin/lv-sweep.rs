@@ -4,7 +4,7 @@
 //! lv-sweep [run] [--kernels s000,s112,...] [--threads T] [--quick]
 //!          [--cache FILE] [--no-reuse]
 //! lv-sweep run --generate K [--gen-seed S] [--gen-threads T]
-//!          [--kernels s000,...] [--threads T] [--quick] [--no-overlap]
+//!          [--kernels s000,...] [--threads T] [--quick]
 //!          [--cache FILE] [--no-reuse]
 //! lv-sweep serve [--addr HOST:PORT] [--cache FILE] [--threads T] [--quick]
 //!          [--no-reuse]
@@ -28,9 +28,10 @@
 //! (per-cell seeds derived from `--gen-seed`, so any thread count yields
 //! the same candidate set) and stream them through the engine's bounded
 //! job intake while verification is already running. Verdicts are
-//! bit-identical to the unoverlapped same-seed run (`--no-overlap`
-//! generates the full batch first, then verifies — the comparison arm).
-//! The pass@k curve of Section 4.1.2 is printed for k = 1, 2, 4, … K.
+//! bit-identical to generating the full batch first and then verifying it
+//! (`generate_then_verify_pass_at_k`, the reference of the pipeline
+//! tests). The pass@k curve of Section 4.1.2 is printed for k = 1, 2, 4,
+//! … K.
 //!
 //! `--cache FILE` (on `run` and `serve`) opens the verdict-cache snapshot
 //! at `FILE` (a missing file is an empty cache), attaches it to the engine
@@ -50,10 +51,11 @@
 //! the shared verdict cache (`--cache` persists it across restarts) before
 //! anything runs. `submit` builds the TSVC job list client-side, streams it
 //! to a daemon, and prints the verdict table (`--shutdown` stops the daemon
-//! afterwards); `--generate K` asks the daemon to generate instead: each
-//! selected kernel occupies `K` verdict slots labeled `name#j`, and
-//! generation overlaps verification on the daemon. `status` prints a
-//! daemon's live counters. See `lv_core::service` for the protocol.
+//! afterwards); with `--generate K` the job list is instead `K` generated
+//! candidates per selected kernel, labeled `name#j` and sampled on the
+//! client from the same per-cell seeds `run --generate K --gen-seed S`
+//! uses (`seeded_jobs`). `status` prints a daemon's live counters. See
+//! `lv_core::service` for the protocol.
 //!
 //! `cache stats` prints, for each verdict-cache snapshot: size, entry
 //! count, bytes per entry, and the per-verdict-class histogram. A file of a
@@ -64,9 +66,10 @@
 //!
 //! The flags of deleted layers (`REMOVED_LAYER_FLAGS`: cross-run
 //! profiles, stage schedules, tuned budgets, CNF preprocessing, incremental
-//! sessions, and the multi-process shard sweeps with their journals, worker
-//! mode and liveness supervision) are usage errors naming the layer, and so
-//! is the `compact` subcommand of the shard report journals.
+//! sessions, the multi-process shard sweeps with their journals, worker
+//! mode and liveness supervision, and the unoverlapped comparison arm of
+//! `run --generate`) are usage errors naming the layer, and so is the
+//! `compact` subcommand of the shard report journals.
 //!
 //! Exit status: `0` on success, `1` on a runtime failure (I/O, solver,
 //! protocol), `2` on a malformed command line. Every failure is a typed
@@ -75,9 +78,8 @@
 use llm_vectorizer_repro::agents::LlmConfig;
 use llm_vectorizer_repro::cir::ast::Function;
 use llm_vectorizer_repro::core::{
-    cache_file_stats, generate_then_verify_pass_at_k, overlapped_pass_at_k, EngineConfig,
-    EngineReuse, Equivalence, GenerationRequest, Job, PipelineConfig, ServiceClient, VerdictCache,
-    VerificationEngine, VerificationService,
+    cache_file_stats, overlapped_pass_at_k, seeded_jobs, EngineConfig, EngineReuse, Equivalence,
+    Job, PipelineConfig, ServiceClient, VerdictCache, VerificationEngine, VerificationService,
 };
 use llm_vectorizer_repro::interp::ChecksumConfig;
 use llm_vectorizer_repro::tv::{SolverBudget, TvConfig};
@@ -142,7 +144,7 @@ const ONE_SNAPSHOT: &str = "`lv-sweep run --cache FILE` keeps a sweep's verdicts
 /// Flags of earlier builds whose layers were deleted: the flag, the layer
 /// it switched, and what runs in its place. Every subcommand refuses them
 /// by name ([`removed_layer_message`]).
-const REMOVED_LAYER_FLAGS: [(&str, &str, &str); 22] = [
+const REMOVED_LAYER_FLAGS: [(&str, &str, &str); 23] = [
     ("--profile", "cross-run telemetry profiles", ONE_CASCADE),
     ("--schedule", "per-category stage schedules", ONE_CASCADE),
     ("--budget", "profile-tuned solver budgets", ONE_CASCADE),
@@ -180,6 +182,12 @@ const REMOVED_LAYER_FLAGS: [(&str, &str, &str); 22] = [
         "--max-cache-entries",
         "bounded merged shard caches",
         ONE_SNAPSHOT,
+    ),
+    (
+        "--no-overlap",
+        "the generate-then-verify comparison arm",
+        "`run --generate K` always overlaps generation with verification, with the same \
+         verdicts",
     ),
 ];
 
@@ -383,7 +391,6 @@ struct RunArgs {
     kernels: Option<Vec<String>>,
     threads: usize,
     quick: bool,
-    overlap: bool,
     memo: bool,
     cache: Option<PathBuf>,
 }
@@ -396,7 +403,6 @@ fn parse_run(args: &[String]) -> Result<RunArgs, CliError> {
         kernels: None,
         threads: 0,
         quick: false,
-        overlap: true,
         memo: true,
         cache: None,
     };
@@ -438,10 +444,6 @@ fn parse_run(args: &[String]) -> Result<RunArgs, CliError> {
                     .map_err(|_| usage("--threads expects an integer"))?
             }
             "--quick" => opts.quick = true,
-            "--no-overlap" => {
-                generation_flag.get_or_insert("--no-overlap");
-                opts.overlap = false
-            }
             "--no-reuse" => opts.memo = false,
             "--cache" => opts.cache = Some(value("--cache")?.into()),
             other => return Err(unknown_argument("run", other)),
@@ -530,8 +532,7 @@ fn run_jobs(
 }
 
 /// `run --generate K`: generate K candidates per kernel and verify them,
-/// overlapped (or, with `--no-overlap`, generate-then-verify — same seeds,
-/// bit-identical verdicts), then print the pass@k curve.
+/// overlapped, then print the pass@k curve.
 fn run_generated(
     engine: &VerificationEngine,
     opts: &RunArgs,
@@ -545,30 +546,22 @@ fn run_generated(
     };
     let ks = passk_points(k);
     println!(
-        "generating {} candidate(s) x {} kernel(s) (seed {:#x}, {} generator thread(s)), {}",
+        "generating {} candidate(s) x {} kernel(s) (seed {:#x}, {} generator thread(s)), \
+         overlapped with verification",
         k,
         kernels.len(),
         opts.gen_seed,
-        opts.gen_threads,
-        if opts.overlap {
-            "overlapped with verification"
-        } else {
-            "then verifying"
-        }
+        opts.gen_threads
     );
-    let run = if opts.overlap {
-        overlapped_pass_at_k(
-            engine,
-            &kernels,
-            &llm_config,
-            k,
-            &ks,
-            opts.gen_threads,
-            RUN_QUEUE_CAPACITY,
-        )
-    } else {
-        generate_then_verify_pass_at_k(engine, &kernels, &llm_config, k, &ks, opts.gen_threads)
-    };
+    let run = overlapped_pass_at_k(
+        engine,
+        &kernels,
+        &llm_config,
+        k,
+        &ks,
+        opts.gen_threads,
+        RUN_QUEUE_CAPACITY,
+    );
     persist_cache(cache)?;
     for ((name, _), plausible) in kernels.iter().zip(&run.plausible_per_kernel) {
         println!("{}: {}/{} plausible", name, plausible, k);
@@ -649,13 +642,8 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     let status = service.status();
     println!(
         "shutdown: {} connection(s), {} job(s) received, {} completed, {} dedupe hit(s), \
-         {} stage run(s), {} generated",
-        status.connections,
-        status.received,
-        status.completed,
-        status.dedupe_hits,
-        status.stages,
-        status.generated
+         {} stage run(s)",
+        status.connections, status.received, status.completed, status.dedupe_hits, status.stages
     );
     Ok(())
 }
@@ -710,8 +698,8 @@ fn parse_submit(args: &[String]) -> Result<SubmitArgs, CliError> {
 }
 
 /// `lv-sweep submit`: send the TSVC job list — or, with `--generate K`,
-/// server-side generation requests — to a daemon and print the streamed
-/// verdicts.
+/// the seeded generated jobs `run --generate K` verifies — to a daemon and
+/// print the streamed verdicts.
 fn cmd_submit(args: &[String]) -> Result<(), CliError> {
     let opts = parse_submit(args)?;
     let mut client = ServiceClient::connect(opts.addr.as_str())
@@ -721,30 +709,21 @@ fn cmd_submit(args: &[String]) -> Result<(), CliError> {
         opts.addr,
         client.fingerprint()
     );
-    let verdicts = match opts.generate {
-        // Server-side generation: K slots per kernel, generated and
-        // verified overlapped on the daemon.
+    let jobs = match opts.generate {
+        // K seeded candidates per kernel, sampled here on every CPU: the
+        // job list is the same at any generator thread count.
         Some(k) => {
-            let requests: Vec<GenerationRequest> = tsvc_scalars(&opts.kernels)
-                .into_iter()
-                .map(|(label, scalar)| GenerationRequest {
-                    label,
-                    scalar,
-                    k: k as u32,
-                    seed: opts.gen_seed,
-                })
-                .collect();
-            client
-                .submit_generation(&requests)
-                .map_err(|e| runtime(format!("submit failed: {}", e)))?
+            let llm_config = LlmConfig {
+                seed: opts.gen_seed,
+                ..LlmConfig::default()
+            };
+            seeded_jobs(&tsvc_scalars(&opts.kernels), &llm_config, k, 0)
         }
-        None => {
-            let jobs = tsvc_jobs(&opts.kernels)?;
-            client
-                .submit(&jobs)
-                .map_err(|e| runtime(format!("submit failed: {}", e)))?
-        }
+        None => tsvc_jobs(&opts.kernels)?,
     };
+    let verdicts = client
+        .submit(&jobs)
+        .map_err(|e| runtime(format!("submit failed: {}", e)))?;
     let mut counts = [0usize; 3];
     let mut dedupe = 0usize;
     for frame in &verdicts {
@@ -815,8 +794,6 @@ fn cmd_status(args: &[String]) -> Result<(), CliError> {
     println!("  completed:    {}", status.completed);
     println!("  dedupe hits:  {}", status.dedupe_hits);
     println!("  stage runs:   {}", status.stages);
-    println!("  gen queued:   {}", status.generation_queued);
-    println!("  generated:    {}", status.generated);
     Ok(())
 }
 
@@ -942,13 +919,7 @@ mod tests {
         assert_eq!(parsed.kernels, Some(vec!["s000".into()]));
         assert_eq!(parsed.threads, 4);
         assert!(parsed.quick);
-        assert!(parsed.overlap, "overlap is the default");
         assert_eq!(parsed.cache, None);
-        assert!(
-            !parse_run(&strings(&["--generate", "1", "--no-overlap"]))
-                .unwrap()
-                .overlap
-        );
 
         // Without `--generate`, `run` sweeps the rule-based TSVC jobs.
         let jobs = parse_run(&strings(&["--cache", "/tmp/c.json", "--quick"])).unwrap();
@@ -962,7 +933,6 @@ mod tests {
             strings(&["--generate", "some"]),
             strings(&["--gen-threads", "2"]),
             strings(&["--gen-seed", "7"]),
-            strings(&["--no-overlap"]),
             strings(&["--cache"]),
             strings(&["--generate", "4", "--gen-seed", "latte"]),
             strings(&["--generate", "4", "--overlap"]),

@@ -145,6 +145,23 @@ fn removed_shard_flags_and_compact_exit_2_naming_the_layer() {
     }
 }
 
+/// `run --generate` always overlaps generation with verification; the
+/// flag that selected the unoverlapped comparison arm is refused by name.
+#[test]
+fn the_removed_comparison_arm_exits_2_naming_it() {
+    let output = lv_sweep(&["run", "--generate", "1", "--no-overlap"]);
+    let message = stderr(&output);
+    assert_eq!(output.status.code(), Some(2), "{}", message);
+    assert!(
+        message.contains(
+            "--no-overlap was removed with its layer (the generate-then-verify comparison arm)"
+        ),
+        "{}",
+        message
+    );
+    assert!(stdout(&output).is_empty(), "{}", stdout(&output));
+}
+
 #[test]
 fn shard_files_given_to_cache_stats_exit_1_naming_the_form() {
     let dir = temp_dir("forms");

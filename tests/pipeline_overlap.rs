@@ -81,8 +81,8 @@ fn assert_same_run(reference: &PassKRun, candidate: &PassKRun, what: &str) {
 }
 
 /// `derive_cell_seed` must reproduce these exact values on every platform —
-/// the seeds (and therefore every generated candidate, and every daemon
-/// generation request) are part of the cross-process contract.
+/// the seeds (and therefore every generated candidate, in process or
+/// submitted to a daemon) are part of the cross-process contract.
 #[test]
 fn cell_seed_golden_values_are_platform_stable() {
     for (base, i, j, expected) in [

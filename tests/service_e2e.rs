@@ -5,18 +5,19 @@
 //! by a torn frame — never take the daemon down. A submission carrying one
 //! job several times runs its cascade once, a client's batch is exactly its
 //! framed `Submit`s and `Run`, and a client refuses a verdict stream that
-//! does not answer its batch slot for slot.
+//! does not answer its batch slot for slot. The seeded generated jobs that
+//! `lv-sweep submit --generate` sends get the verdicts the in-process
+//! generated run (`run --generate`) reports for the same cells.
 
+use llm_vectorizer_repro::agents::LlmConfig;
 use llm_vectorizer_repro::cir::print_function;
 use llm_vectorizer_repro::core::service::wire::{
     check_magic, encode_message, read_message, write_message, Message,
 };
-use llm_vectorizer_repro::core::service::{
-    GenerationRequest, ServiceError, VerdictFrame, WIRE_MAGIC, WIRE_VERSION,
-};
+use llm_vectorizer_repro::core::service::{ServiceError, VerdictFrame, WIRE_MAGIC, WIRE_VERSION};
 use llm_vectorizer_repro::core::{
-    CachedVerdict, EngineConfig, Equivalence, Job, PipelineConfig, ServiceClient, Stage,
-    VerdictCache, VerificationEngine, VerificationService,
+    generate_then_verify_pass_at_k, seeded_jobs, CachedVerdict, EngineConfig, Equivalence, Job,
+    PipelineConfig, ServiceClient, Stage, VerdictCache, VerificationEngine, VerificationService,
 };
 use llm_vectorizer_repro::interp::ChecksumConfig;
 use std::io::{Read, Write};
@@ -360,21 +361,78 @@ fn a_client_refuses_a_verdict_stream_that_does_not_answer_its_batch() {
         }
         peer.join().expect("scripted peer");
     }
+}
 
-    // Generated slots are checked against their `label#j` names.
-    let (addr, peer) = scripted_peer(vec![verdict(0, "g#0"), verdict(1, "g#0")]);
-    let mut client = ServiceClient::connect(addr).expect("connect");
-    let request = GenerationRequest {
-        label: "g".into(),
-        scalar: jobs[0].scalar.clone(),
-        k: 2,
-        seed: 1,
+/// `lv-sweep submit --generate 4` sends the [`seeded_jobs`] list: each
+/// slot's label, verdict, stage and checksum class equal the in-process
+/// generate-then-verify run's over the same cells, and an immediate
+/// resubmission is answered whole from the dedupe cache.
+#[test]
+fn submitted_seeded_jobs_match_the_in_process_generated_run() {
+    let kernels: Vec<_> = ["s000", "s112", "vsumr"]
+        .iter()
+        .map(|name| {
+            let scalar = llm_vectorizer_repro::tsvc::kernel(name).unwrap().function();
+            (name.to_string(), scalar)
+        })
+        .collect();
+    let llm_config = LlmConfig {
+        seed: 42,
+        ..LlmConfig::default()
     };
-    match client.submit_generation(&[request]) {
-        Err(ServiceError::Protocol(detail)) => {
-            assert_eq!(detail, "verdict 1 labeled 'g#0' but job 1 is 'g#1'")
-        }
-        other => panic!("expected a mislabeled slot, got {:?}", other),
+    let k = 4;
+    let reference = generate_then_verify_pass_at_k(
+        &VerificationEngine::new(quick_config()),
+        &kernels,
+        &llm_config,
+        k,
+        &[k],
+        1,
+    );
+
+    let service = VerificationService::bind(
+        "127.0.0.1:0",
+        quick_config(),
+        Arc::new(VerdictCache::in_memory()),
+    )
+    .expect("bind");
+    let addr = service.local_addr();
+    let daemon = std::thread::spawn(move || service.serve_forever().expect("serve"));
+    let mut client = ServiceClient::connect(addr).expect("connect");
+    let jobs = seeded_jobs(&kernels, &llm_config, k, 0);
+    let cold = client.submit(&jobs).expect("cold submit");
+    assert_eq!(cold.len(), kernels.len() * k);
+    assert_eq!(cold.len(), reference.report.jobs.len());
+    for (frame, report) in cold.iter().zip(&reference.report.jobs) {
+        assert_eq!(frame.label, report.label);
+        assert_eq!(
+            (
+                frame.verdict.verdict,
+                frame.verdict.stage,
+                frame.verdict.checksum
+            ),
+            (report.verdict, report.stage, report.checksum),
+            "{}",
+            report.label
+        );
     }
-    peer.join().expect("scripted peer");
+    let labels: Vec<&str> = cold.iter().map(|frame| frame.label.as_str()).collect();
+    assert_eq!(labels[..k], ["s000#0", "s000#1", "s000#2", "s000#3"]);
+    let stages = client.status().expect("status").stages;
+    assert!(stages > 0, "cold cells run stages");
+
+    let warm = client.submit(&jobs).expect("warm submit");
+    assert!(warm.iter().all(|frame| frame.cache_hit), "all dedupe hits");
+    for (cold_frame, warm_frame) in cold.iter().zip(&warm) {
+        assert_eq!(cold_frame.label, warm_frame.label);
+        assert_eq!(cold_frame.verdict, warm_frame.verdict);
+    }
+    assert_eq!(
+        client.status().expect("status").stages,
+        stages,
+        "the resubmission ran no stage"
+    );
+
+    client.shutdown().expect("shutdown");
+    daemon.join().expect("daemon thread");
 }
