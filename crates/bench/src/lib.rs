@@ -10,7 +10,8 @@
 
 #![warn(missing_docs)]
 
-use lv_core::{ExperimentConfig, Job};
+use lv_agents::{derive_cell_seed, sample_completion_cell, LlmConfig};
+use lv_core::{ExperimentConfig, Job, PipelineConfig};
 use lv_interp::ChecksumConfig;
 use lv_tv::{SolverBudget, TvConfig};
 
@@ -59,6 +60,76 @@ pub fn sweep_tv_config() -> TvConfig {
         alive2_chunks: 1,
         ..TvConfig::default()
     }
+}
+
+/// A pipeline for tests and examples that sweep many jobs: one checksum
+/// trial at `n` = 40, solver budgets of 1,000/10,000/4,000 conflicts and
+/// 200,000/1,000,000/500,000 clauses for Alive2/C-unroll/splitting, and a
+/// one-chunk Alive2 window. It still reaches every cascade stage.
+pub fn small_budget_pipeline() -> PipelineConfig {
+    PipelineConfig {
+        checksum: ChecksumConfig {
+            trials: 1,
+            n: 40,
+            ..ChecksumConfig::default()
+        },
+        tv: TvConfig {
+            alive2_budget: SolverBudget {
+                max_conflicts: 1_000,
+                max_clauses: 200_000,
+            },
+            cunroll_budget: SolverBudget {
+                max_conflicts: 10_000,
+                max_clauses: 1_000_000,
+            },
+            spatial_budget: SolverBudget {
+                max_conflicts: 4_000,
+                max_clauses: 500_000,
+            },
+            alive2_chunks: 1,
+            ..TvConfig::default()
+        },
+    }
+}
+
+/// The streamed pass@k benchmark's jobs: its ten kernels in TSVC order, 16
+/// seeded completions each, over four rounds. Round 0 samples with the
+/// synthetic model's default seed and round `r` with
+/// `derive_cell_seed(seed, 0xFFFF_FFFF, r)`. Labels are `name#round.j`.
+pub fn passk_jobs() -> Vec<Job> {
+    const PASSK_KERNELS: &[&str] = &[
+        "s000", "s112", "s212", "s221", "s314", "s3113", "s278", "vsumr", "s3111", "s453",
+    ];
+    const K: usize = 16;
+    const ROUNDS: usize = 4;
+    let seed = LlmConfig::default().seed;
+    let kernels: Vec<(&str, lv_cir::ast::Function)> = lv_tsvc::KERNELS
+        .iter()
+        .filter(|kernel| PASSK_KERNELS.contains(&kernel.name))
+        .map(|kernel| (kernel.name, kernel.function()))
+        .collect();
+    assert_eq!(kernels.len(), PASSK_KERNELS.len());
+    let mut jobs = Vec::new();
+    for round in 0..ROUNDS {
+        let llm = LlmConfig {
+            seed: match round {
+                0 => seed,
+                _ => derive_cell_seed(seed, 0xFFFF_FFFF, round),
+            },
+            ..LlmConfig::default()
+        };
+        for (i, (name, scalar)) in kernels.iter().enumerate() {
+            for j in 0..K {
+                let completion = sample_completion_cell(scalar, &llm, i, j);
+                jobs.push(Job::new(
+                    format!("{name}#{round}.{j}"),
+                    scalar.clone(),
+                    completion.candidate,
+                ));
+            }
+        }
+    }
+    jobs
 }
 
 /// One verification job per TSVC kernel the rule-based vectorizer supports:

@@ -74,7 +74,7 @@ pub use stage::{ChecksumStage, StrategyOutcome, SymbolicStage, VerificationStrat
 use crate::cache::{CacheKey, CachedVerdict, VerdictCache};
 use crate::funnel::FunnelReport;
 use crate::observer::{BatchObserver, NoopObserver};
-use crate::pipeline::{Equivalence, EquivalenceReport, PipelineConfig, Stage};
+use crate::pipeline::{Equivalence, PipelineConfig, Stage};
 use lv_cir::ast::Function;
 use lv_cir::hash::{structural_hash, Fnv64};
 use lv_interp::ChecksumClass;
@@ -329,17 +329,6 @@ pub struct JobReport {
     /// worker session's counters around the job). All zero when reuse is
     /// off or the job was a cache hit.
     pub reuse: ReuseCounters,
-}
-
-impl JobReport {
-    /// Collapses the report into the pipeline's three-field form.
-    pub fn equivalence_report(&self) -> EquivalenceReport {
-        EquivalenceReport {
-            verdict: self.verdict,
-            stage: self.stage,
-            detail: self.detail.clone(),
-        }
-    }
 }
 
 /// The result of a batch run.

@@ -134,5 +134,5 @@ pub use passk::{
     generate_then_verify_pass_at_k, overlapped_pass_at_k, overlapped_pass_at_k_observed, pass_at_k,
     pass_at_k_curve, seeded_jobs, PassKRun,
 };
-pub use pipeline::{check_equivalence, Equivalence, EquivalenceReport, PipelineConfig, Stage};
+pub use pipeline::{check_equivalence, Equivalence, PipelineConfig, Stage};
 pub use service::{ServiceClient, ServiceError, ServiceStatus, VerificationService};

@@ -6,6 +6,7 @@
 //! unrolling, then C-level unrolling, then spatial splitting, stopping at the
 //! first conclusive verdict.
 
+use crate::engine::{EngineConfig, JobReport, VerificationEngine};
 use lv_cir::ast::Function;
 use lv_interp::ChecksumConfig;
 use lv_tv::TvConfig;
@@ -47,17 +48,6 @@ pub enum Equivalence {
     Inconclusive,
 }
 
-/// The full result of checking one candidate against its scalar kernel.
-#[derive(Debug, Clone)]
-pub struct EquivalenceReport {
-    /// The verdict.
-    pub verdict: Equivalence,
-    /// The stage that produced it.
-    pub stage: Stage,
-    /// Details: counterexample, mismatch, or inconclusive reason.
-    pub detail: String,
-}
-
 /// Configuration of the pipeline.
 #[derive(Debug, Clone, Default)]
 pub struct PipelineConfig {
@@ -70,16 +60,14 @@ pub struct PipelineConfig {
 /// Algorithm 1: checksum testing followed by the three symbolic strategies.
 ///
 /// This is a thin wrapper over a single-job run of the
-/// [`crate::engine::VerificationEngine`], so the one-shot path and the
-/// parallel batch path exercise exactly the same cascade code.
+/// [`VerificationEngine`], so the one-shot path and the parallel batch path
+/// exercise exactly the same cascade code, and report in the same form.
 pub fn check_equivalence(
     scalar: &Function,
     candidate: &Function,
     config: &PipelineConfig,
-) -> EquivalenceReport {
-    crate::engine::VerificationEngine::new(crate::engine::EngineConfig::full(config.clone()))
-        .check_one(scalar, candidate)
-        .equivalence_report()
+) -> JobReport {
+    VerificationEngine::new(EngineConfig::full(config.clone())).check_one(scalar, candidate)
 }
 
 #[cfg(test)]

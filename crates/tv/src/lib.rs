@@ -12,10 +12,9 @@
 //!   tracking and per-array memory regions; a candidate reads the scalar
 //!   kernel's inputs by parameter position ([`sym_exec_bound`]);
 //! * [`cunroll`] — the C-level unrolling preprocessing step (Section 3.2);
-//! * [`verify`] — the three verification strategies of Algorithm 1
-//!   ([`check_with_alive2_unroll`], [`check_with_c_unroll`],
-//!   [`check_with_spatial_splitting`]) and the combined
-//!   [`check_equivalence_symbolic`] driver;
+//! * [`verify`] — the three verification strategies of Algorithm 1, each
+//!   a [`SymbolicStrategy`] run through a [`TvSession`] by
+//!   [`SymbolicStrategy::run`];
 //! * [`counterexample`] — refutation by evaluation before bit-blasting, and
 //!   the concrete replay of every counterexample
 //!   ([`replay_counterexample`]).
@@ -24,7 +23,7 @@
 //!
 //! ```
 //! use lv_cir::parse_function;
-//! use lv_tv::{check_with_c_unroll, TvConfig, TvVerdict};
+//! use lv_tv::{SymbolicStrategy, TvConfig, TvSession, TvVerdict};
 //!
 //! let scalar = parse_function(
 //!     "void s000(int n, int *a, int *b) { for (int i = 0; i < n; i++) { a[i] = b[i] + 1; } }",
@@ -40,7 +39,12 @@
 //!      }",
 //! )?;
 //! assert_eq!(
-//!     check_with_c_unroll(&scalar, &candidate, &TvConfig::default()),
+//!     SymbolicStrategy::CUnroll.run(
+//!         &scalar,
+//!         &candidate,
+//!         &TvConfig::default(),
+//!         &mut TvSession::new()
+//!     ),
 //!     TvVerdict::Equivalent
 //! );
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -59,9 +63,4 @@ pub use counterexample::{replay_counterexample, ReplayFrame, MODEL_DIVERGENCE};
 pub use cunroll::{c_unroll, CUnrollError};
 pub use lv_smt::{SolverBudget, SEARCH_REVISION};
 pub use symexec::{sym_exec, sym_exec_bound, SymExecConfig, SymExecError, SymOutcome};
-pub use verify::{
-    alignment_assumption, check_equivalence_symbolic, check_with_alive2_unroll,
-    check_with_alive2_unroll_in, check_with_c_unroll, check_with_c_unroll_in,
-    check_with_spatial_splitting, check_with_spatial_splitting_in, unroll_factor_of,
-    SymbolicStrategy, TvConfig, TvReuse, TvSession, TvSessionStats, TvStage, TvVerdict,
-};
+pub use verify::{SymbolicStrategy, TvConfig, TvReuse, TvSession, TvSessionStats, TvVerdict};

@@ -1,17 +1,21 @@
-//! The three symbolic verification strategies of Algorithm 1.
+//! The three symbolic verification strategies of Algorithm 1, each run
+//! through [`SymbolicStrategy::run`]:
 //!
-//! * [`check_with_alive2_unroll`] — the "out-of-the-box" configuration:
-//!   both programs are unrolled by the verifier itself over a two-chunk
-//!   window and compared under a tight solver budget (this is the strategy
-//!   that most often returns `Inconclusive` on large kernels, as in the
-//!   paper);
-//! * [`check_with_c_unroll`] — the scalar program is first rewritten by the
-//!   source-level unroller of [`crate::cunroll`], which removes the
+//! * [`SymbolicStrategy::Alive2Unroll`] — the "out-of-the-box"
+//!   configuration: both programs are unrolled by the verifier itself over
+//!   a two-chunk window and compared under a tight solver budget (this is
+//!   the strategy that most often returns `Inconclusive` on large kernels,
+//!   as in the paper);
+//! * [`SymbolicStrategy::CUnroll`] — the scalar program is first rewritten
+//!   by the source-level unroller of [`crate::cunroll`], which removes the
 //!   per-iteration termination checks and shrinks the verification
 //!   condition;
-//! * [`check_with_spatial_splitting`] — for kernels with no loop-carried
-//!   dependences, one query per lane compares a single output index at a
-//!   time.
+//! * [`SymbolicStrategy::SpatialSplitting`] — for kernels with no
+//!   loop-carried dependences, one query per lane compares a single output
+//!   index at a time.
+//!
+//! The cascade that runs them in order, after the checksum test, is the
+//! batch engine's in `lv_core`.
 //!
 //! All three check *refinement*: on every input on which the scalar program
 //! is UB-free, the candidate must also be UB-free and produce identical
@@ -82,10 +86,10 @@ pub struct TvReuse {
 /// recycled across queries, plus cumulative effort statistics.
 ///
 /// The parallel batch engine gives each worker thread one session for its
-/// whole lifetime; the `check_with_*_in` strategy entry points run every
-/// query through it. Because [`Solver::recycle`] restores the solver to its
-/// just-constructed state, a session produces bit-identical verdicts to
-/// constructing a fresh solver per query — it only avoids the reallocation.
+/// whole lifetime; [`SymbolicStrategy::run`] runs every query through it.
+/// Because [`Solver::recycle`] restores the solver to its just-constructed
+/// state, a session produces bit-identical verdicts to constructing a fresh
+/// solver per query — it only avoids the reallocation.
 #[derive(Debug, Default)]
 pub struct TvSession {
     solver: Solver,
@@ -224,27 +228,22 @@ impl TvConfig {
     }
 }
 
-/// Which strategy produced the final verdict of [`check_equivalence_symbolic`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TvStage {
-    /// Default Alive2-style unrolling.
-    Alive2Unroll,
-    /// C-level unrolling.
-    CUnroll,
-    /// Spatial case splitting.
-    SpatialSplitting,
-}
-
 /// The three symbolic strategies of Algorithm 1 as first-class values, so a
 /// verification cascade can be configured, reordered, and dispatched
 /// generically by the batch engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SymbolicStrategy {
-    /// Default Alive2-style unrolling (Algorithm 1 line 6).
+    /// Default Alive2-style unrolling (Algorithm 1 line 6): the verifier
+    /// unrolls both loops itself over a window of [`TvConfig::alive2_chunks`]
+    /// vector iterations.
     Alive2Unroll,
-    /// C-level unrolling (line 9).
+    /// C-level unrolling (line 9): the scalar kernel is rewritten by
+    /// [`c_unroll`] before symbolic execution, and only a single vector
+    /// chunk is modelled, producing a much smaller query.
     CUnroll,
-    /// Spatial case splitting (line 12).
+    /// Spatial case splitting (line 12): only applicable when the
+    /// conservative syntactic check finds no loop-carried dependence; the
+    /// equivalence of the whole array is decomposed into one query per lane.
     SpatialSplitting,
 }
 
@@ -256,16 +255,14 @@ impl SymbolicStrategy {
         SymbolicStrategy::SpatialSplitting,
     ];
 
-    /// Display label matching Table 3.
-    pub fn label(self) -> &'static str {
-        match self {
-            SymbolicStrategy::Alive2Unroll => "Alive2",
-            SymbolicStrategy::CUnroll => "C-Unroll",
-            SymbolicStrategy::SpatialSplitting => "Splitting",
-        }
-    }
-
-    /// Runs this strategy through a reusable session.
+    /// Runs this strategy on `scalar` and the candidate `vector`, every
+    /// query through `session`.
+    ///
+    /// The loops are aligned once; an alignment failure, a kernel the
+    /// strategy cannot rewrite or split, and a loop whose trip count cannot
+    /// be fixed to the divisibility assumption are `Inconclusive`, in that
+    /// order. The query frame is then built once and every query of the
+    /// call (one, or one per lane for spatial splitting) is run in it.
     pub fn run(
         self,
         scalar: &Function,
@@ -273,180 +270,52 @@ impl SymbolicStrategy {
         config: &TvConfig,
         session: &mut TvSession,
     ) -> TvVerdict {
-        match self {
+        self.run_queries(scalar, vector, config, session)
+            .unwrap_or_else(|reason| TvVerdict::Inconclusive { reason })
+    }
+
+    /// [`SymbolicStrategy::run`], with the reason no query could be built
+    /// as the error.
+    fn run_queries(
+        self,
+        scalar: &Function,
+        vector: &Function,
+        config: &TvConfig,
+        session: &mut TvSession,
+    ) -> Result<TvVerdict, String> {
+        let alignment = align(scalar, vector).map_err(|e| e.to_string())?;
+        let m = alignment.unroll_factor.unsigned_abs() as usize;
+        Ok(match self {
             SymbolicStrategy::Alive2Unroll => {
-                check_with_alive2_unroll_in(scalar, vector, config, session)
+                let chunks = config.alive2_chunks.max(1);
+                let frame = QueryFrame::new(scalar, scalar, vector, &alignment, chunks, config)?;
+                refinement_check(&frame, &config.alive2_budget, None, session)
             }
-            SymbolicStrategy::CUnroll => check_with_c_unroll_in(scalar, vector, config, session),
+            SymbolicStrategy::CUnroll => {
+                let unrolled = c_unroll(scalar, m).map_err(|e| e.to_string())?;
+                let frame = QueryFrame::new(scalar, &unrolled, vector, &alignment, 1, config)?;
+                refinement_check(&frame, &config.cunroll_budget, None, session)
+            }
             SymbolicStrategy::SpatialSplitting => {
-                check_with_spatial_splitting_in(scalar, vector, config, session)
-            }
-        }
-    }
-}
-
-/// Runs the three strategies in the order of Algorithm 1 (lines 6–13) and
-/// returns the first conclusive verdict together with the stage that
-/// produced it. If every stage is inconclusive, the last verdict (and
-/// [`TvStage::SpatialSplitting`]) is returned.
-pub fn check_equivalence_symbolic(
-    scalar: &Function,
-    vector: &Function,
-    config: &TvConfig,
-) -> (TvVerdict, TvStage) {
-    let mut session = TvSession::new();
-    for strategy in SymbolicStrategy::ALL {
-        let verdict = strategy.run(scalar, vector, config, &mut session);
-        let stage = match strategy {
-            SymbolicStrategy::Alive2Unroll => TvStage::Alive2Unroll,
-            SymbolicStrategy::CUnroll => TvStage::CUnroll,
-            SymbolicStrategy::SpatialSplitting => TvStage::SpatialSplitting,
-        };
-        if !verdict.is_inconclusive() || strategy == SymbolicStrategy::SpatialSplitting {
-            return (verdict, stage);
-        }
-    }
-    unreachable!("the spatial-splitting arm always returns")
-}
-
-/// The Alive2-style strategy: the verifier unrolls both loops itself over a
-/// window of [`TvConfig::alive2_chunks`] vector iterations.
-pub fn check_with_alive2_unroll(
-    scalar: &Function,
-    vector: &Function,
-    config: &TvConfig,
-) -> TvVerdict {
-    check_with_alive2_unroll_in(scalar, vector, config, &mut TvSession::new())
-}
-
-/// [`check_with_alive2_unroll`] through a caller-provided session.
-pub fn check_with_alive2_unroll_in(
-    scalar: &Function,
-    vector: &Function,
-    config: &TvConfig,
-    session: &mut TvSession,
-) -> TvVerdict {
-    let alignment = match align(scalar, vector) {
-        Ok(a) => a,
-        Err(e) => {
-            return TvVerdict::Inconclusive {
-                reason: e.to_string(),
-            }
-        }
-    };
-    let chunks = config.alive2_chunks.max(1);
-    refinement_check(
-        scalar,
-        scalar,
-        vector,
-        &alignment,
-        chunks,
-        config,
-        &config.alive2_budget,
-        None,
-        session,
-    )
-}
-
-/// The C-level-unrolling strategy: the scalar kernel is rewritten by
-/// [`c_unroll`] before symbolic execution, and only a single vector chunk is
-/// modelled, producing a much smaller query.
-pub fn check_with_c_unroll(scalar: &Function, vector: &Function, config: &TvConfig) -> TvVerdict {
-    check_with_c_unroll_in(scalar, vector, config, &mut TvSession::new())
-}
-
-/// [`check_with_c_unroll`] through a caller-provided session.
-pub fn check_with_c_unroll_in(
-    scalar: &Function,
-    vector: &Function,
-    config: &TvConfig,
-    session: &mut TvSession,
-) -> TvVerdict {
-    let alignment = match align(scalar, vector) {
-        Ok(a) => a,
-        Err(e) => {
-            return TvVerdict::Inconclusive {
-                reason: e.to_string(),
-            }
-        }
-    };
-    let unrolled = match c_unroll(scalar, alignment.unroll_factor.unsigned_abs() as usize) {
-        Ok(f) => f,
-        Err(e) => {
-            return TvVerdict::Inconclusive {
-                reason: e.to_string(),
-            }
-        }
-    };
-    refinement_check(
-        scalar,
-        &unrolled,
-        vector,
-        &alignment,
-        1,
-        config,
-        &config.cunroll_budget,
-        None,
-        session,
-    )
-}
-
-/// The spatial-splitting strategy: only applicable when the conservative
-/// syntactic check finds no loop-carried dependence; the equivalence of the
-/// whole array is decomposed into one query per lane.
-pub fn check_with_spatial_splitting(
-    scalar: &Function,
-    vector: &Function,
-    config: &TvConfig,
-) -> TvVerdict {
-    check_with_spatial_splitting_in(scalar, vector, config, &mut TvSession::new())
-}
-
-/// [`check_with_spatial_splitting`] through a caller-provided session.
-pub fn check_with_spatial_splitting_in(
-    scalar: &Function,
-    vector: &Function,
-    config: &TvConfig,
-    session: &mut TvSession,
-) -> TvVerdict {
-    let alignment = match align(scalar, vector) {
-        Ok(a) => a,
-        Err(e) => {
-            return TvVerdict::Inconclusive {
-                reason: e.to_string(),
-            }
-        }
-    };
-    if let Err(reason) = spatial_eligible(scalar, vector) {
-        return TvVerdict::Inconclusive { reason };
-    }
-    let m = alignment.unroll_factor.unsigned_abs() as usize;
-    let mut last_unknown: Option<String> = None;
-    for lane in 0..m {
-        let verdict = refinement_check(
-            scalar,
-            scalar,
-            vector,
-            &alignment,
-            1,
-            config,
-            &config.spatial_budget,
-            Some(lane),
-            session,
-        );
-        match verdict {
-            TvVerdict::Equivalent => {}
-            TvVerdict::NotEquivalent { counterexample } => {
-                return TvVerdict::NotEquivalent {
-                    counterexample: format!("lane {}: {}", lane, counterexample),
+                spatial_eligible(scalar, vector)?;
+                let frame = QueryFrame::new(scalar, scalar, vector, &alignment, 1, config)?;
+                let mut last_unknown: Option<String> = None;
+                for lane in 0..m {
+                    match refinement_check(&frame, &config.spatial_budget, Some(lane), session) {
+                        TvVerdict::Equivalent => {}
+                        TvVerdict::NotEquivalent { counterexample } => {
+                            return Ok(TvVerdict::NotEquivalent {
+                                counterexample: format!("lane {}: {}", lane, counterexample),
+                            })
+                        }
+                        TvVerdict::Inconclusive { reason } => last_unknown = Some(reason),
+                    }
                 }
+                last_unknown.map_or(TvVerdict::Equivalent, |reason| TvVerdict::Inconclusive {
+                    reason,
+                })
             }
-            TvVerdict::Inconclusive { reason } => last_unknown = Some(reason),
-        }
-    }
-    match last_unknown {
-        None => TvVerdict::Equivalent,
-        Some(reason) => TvVerdict::Inconclusive { reason },
+        })
     }
 }
 
@@ -486,75 +355,106 @@ fn spatial_eligible(scalar: &Function, vector: &Function) -> Result<(), String> 
     Ok(())
 }
 
-/// Builds and discharges one refinement query.
-///
-/// `source` is the scalar kernel as it is symbolically executed: `scalar`
-/// itself, or its C-unrolled form. `chunks` is the number of vector
-/// iterations modelled; `compare_lane` restricts the comparison to a single
-/// output index (spatial splitting).
+/// What every query of one strategy call shares: the two programs as they
+/// are executed, the trip count fixed by the divisibility assumption, the
+/// symbolic-execution bindings and the written arrays compared.
+struct QueryFrame<'a> {
+    /// The scalar kernel, on which counterexamples are replayed.
+    scalar: &'a Function,
+    /// The scalar kernel as it is symbolically executed: `scalar` itself,
+    /// or its C-unrolled form.
+    source: &'a Function,
+    /// The candidate.
+    vector: &'a Function,
+    /// The scalar loop's constant start index.
+    start: usize,
+    /// The bound parameter value giving the modelled trip count.
+    n: i32,
+    /// Bindings and array length of both symbolic executions.
+    sym: SymExecConfig,
+    /// Positions of the array parameters either program writes.
+    written: Vec<usize>,
+}
+
+impl<'a> QueryFrame<'a> {
+    /// The frame modelling `chunks` vector iterations, or why the loop's
+    /// trip count cannot be fixed: a start that is not a constant literal,
+    /// or a bound no parameter value makes give `m * chunks` iterations.
+    fn new(
+        scalar: &'a Function,
+        source: &'a Function,
+        vector: &'a Function,
+        alignment: &Alignment,
+        chunks: usize,
+        config: &TvConfig,
+    ) -> Result<QueryFrame<'a>, String> {
+        let m = alignment.unroll_factor.unsigned_abs() as usize;
+        let step = alignment.scalar_step.unsigned_abs() as usize;
+        let Some(start) = alignment.scalar_loop.start.as_int_lit() else {
+            return Err("the scalar loop start is not a constant literal".to_string());
+        };
+        let start = start.max(0) as usize;
+        // The loop must cover exactly `m * chunks` scalar iterations, which
+        // realizes the paper's `(end1 - start1) % m == 0` assumption. The
+        // bound parameter value achieving that trip count is found
+        // numerically from the (possibly complex) bound expression, e.g.
+        // `n - 1` for s212.
+        let trip = m * chunks;
+        let Some(n) = find_bound_binding(alignment, trip) else {
+            return Err(format!(
+                "could not find a bound value giving {} scalar iterations for the divisibility assumption",
+                trip
+            ));
+        };
+        // Every scalar parameter (the bound) takes `n`; the candidate reads
+        // the scalar's inputs by position.
+        let sym = SymExecConfig {
+            scalar_bindings: source
+                .scalar_params()
+                .into_iter()
+                .map(|name| (name.to_string(), n))
+                .collect(),
+            array_len: start + trip * step + config.array_slack,
+            max_iterations: config.max_iterations,
+            input_prefix: String::new(),
+        };
+        Ok(QueryFrame {
+            scalar,
+            source,
+            vector,
+            start,
+            n,
+            sym,
+            written: written_arrays(source, vector),
+        })
+    }
+}
+
+/// Builds and discharges one refinement query in `frame` under `budget`.
+/// `lane` restricts the comparison to a single output index (spatial
+/// splitting).
 ///
 /// The verification condition is decided on one path (see the module
 /// docs): a constant needs no search, an assignment under which it
 /// evaluates to false is a counterexample without bit-blasting, and only a
 /// condition no assignment falsifies goes to the SAT search. Every
-/// counterexample, from evaluation or from SAT, is replayed on `scalar` and
-/// the candidate ([`replay_counterexample`]), and the verdict is what the
-/// replay shows.
-#[allow(clippy::too_many_arguments)]
+/// counterexample, from evaluation or from SAT, is replayed on the scalar
+/// kernel and the candidate ([`replay_counterexample`]), and the verdict is
+/// what the replay shows.
 fn refinement_check(
-    scalar: &Function,
-    source: &Function,
-    vector: &Function,
-    alignment: &Alignment,
-    chunks: usize,
-    config: &TvConfig,
+    frame: &QueryFrame,
     budget: &SolverBudget,
-    compare_lane: Option<usize>,
+    lane: Option<usize>,
     session: &mut TvSession,
 ) -> TvVerdict {
-    let m = alignment.unroll_factor.unsigned_abs() as usize;
-    let step = alignment.scalar_step.unsigned_abs() as usize;
-    let Some(start) = alignment.scalar_loop.start.as_int_lit() else {
-        return TvVerdict::Inconclusive {
-            reason: "the scalar loop start is not a constant literal".to_string(),
-        };
-    };
-    let start = start.max(0) as usize;
-    // The loop must cover exactly `m * chunks` scalar iterations, which
-    // realizes the paper's `(end1 - start1) % m == 0` assumption. The bound
-    // parameter value achieving that trip count is found numerically from
-    // the (possibly complex) bound expression, e.g. `n - 1` for s212.
-    let trip = m * chunks;
-    let Some(n_value) = find_bound_binding(alignment, trip) else {
-        return TvVerdict::Inconclusive {
-            reason: format!(
-                "could not find a bound value giving {} scalar iterations for the divisibility assumption",
-                trip
-            ),
-        };
-    };
-    let array_len = start + trip * step + config.array_slack;
-    let frame = ReplayFrame {
-        n: n_value,
-        array_len,
-        cell: compare_lane.map(|lane| start + lane),
-    };
-
-    // Every scalar parameter (the bound) takes `n_value`; the candidate
-    // reads the scalar's inputs by position.
-    let sym_config = SymExecConfig {
-        scalar_bindings: source
-            .scalar_params()
-            .into_iter()
-            .map(|name| (name.to_string(), n_value))
-            .collect(),
-        array_len,
-        max_iterations: config.max_iterations,
-        input_prefix: String::new(),
+    let replay_frame = ReplayFrame {
+        n: frame.n,
+        array_len: frame.sym.array_len,
+        cell: lane.map(|lane| frame.start + lane),
     };
     let solver = session.query_solver();
-    let outcome_scalar = sym_exec(&mut solver.ctx, source, &sym_config);
-    let outcome_vector = sym_exec_bound(&mut solver.ctx, vector, source, &sym_config);
+    let outcome_scalar = sym_exec(&mut solver.ctx, frame.source, &frame.sym);
+    let outcome_vector = sym_exec_bound(&mut solver.ctx, frame.vector, frame.source, &frame.sym);
     let (src, tgt) = match (outcome_scalar, outcome_vector) {
         (Ok(s), Ok(t)) => (s, t),
         (Err(e), _) | (_, Err(e)) => {
@@ -567,15 +467,14 @@ fn refinement_check(
     // Refinement: whenever the source is UB-free, the target must be UB-free
     // and the observable outputs must agree.
     let mut agree = solver.ctx.bool_const(true);
-    let written = written_arrays(source, vector);
     for (k, src_cells) in src.arrays.iter().enumerate() {
-        if !written.contains(&k) {
+        if !frame.written.contains(&k) {
             continue;
         }
         // `sym_exec_bound` accepted the candidate, so it takes the scalar's
         // parameter types: every array has a counterpart at its position.
         let tgt_cells = &tgt.arrays[k];
-        let indices: Vec<usize> = match frame.cell {
+        let indices: Vec<usize> = match replay_frame.cell {
             Some(cell) => vec![cell],
             None => (0..src_cells.len().min(tgt_cells.len())).collect(),
         };
@@ -592,8 +491,9 @@ fn refinement_check(
     let no_src_ub = solver.ctx.not(src.ub);
 
     let vc = solver.ctx.implies(no_src_ub, post);
-    let replay =
-        |value_of: &dyn Fn(&str) -> u64| replay_counterexample(scalar, vector, &frame, value_of);
+    let replay = |value_of: &dyn Fn(&str) -> u64| {
+        replay_counterexample(frame.scalar, frame.vector, &replay_frame, value_of)
+    };
     let seed = query_seed(&solver.ctx, vc);
     let verdict = match solver.ctx.as_bool_const(vc) {
         Some(true) => TvVerdict::Equivalent,
@@ -699,18 +599,6 @@ fn eval_bound_expr(expr: &Expr, n: i64) -> Option<i64> {
     }
 }
 
-/// Helper used by callers that need the unroll factor without running a
-/// verification (e.g. reports): the vector width implied by the candidate.
-pub fn unroll_factor_of(scalar: &Function, vector: &Function) -> Option<i64> {
-    align(scalar, vector).ok().map(|a| a.unroll_factor)
-}
-
-/// Convenience wrapper returning the verification condition's divisibility
-/// assumption for reports.
-pub fn alignment_assumption(scalar: &Function, vector: &Function) -> Option<String> {
-    align(scalar, vector).ok().map(|a| a.assumption())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -741,21 +629,36 @@ mod tests {
         }
     }
 
+    /// Runs `strategy` on a fresh session.
+    fn run(strategy: SymbolicStrategy, scalar: &str, vector: &str, config: &TvConfig) -> TvVerdict {
+        strategy.run(&f(scalar), &f(vector), config, &mut TvSession::new())
+    }
+
     #[test]
     fn correct_s000_verifies_with_c_unroll() {
-        let verdict = check_with_c_unroll(&f(S000), &f(S000_VEC), &quick_config());
+        let verdict = run(SymbolicStrategy::CUnroll, S000, S000_VEC, &quick_config());
         assert_eq!(verdict, TvVerdict::Equivalent);
     }
 
     #[test]
     fn correct_s000_verifies_with_alive2_unroll() {
-        let verdict = check_with_alive2_unroll(&f(S000), &f(S000_VEC), &quick_config());
+        let verdict = run(
+            SymbolicStrategy::Alive2Unroll,
+            S000,
+            S000_VEC,
+            &quick_config(),
+        );
         assert_eq!(verdict, TvVerdict::Equivalent);
     }
 
     #[test]
     fn wrong_constant_is_refuted() {
-        let verdict = check_with_c_unroll(&f(S000), &f(S000_VEC_WRONG), &quick_config());
+        let verdict = run(
+            SymbolicStrategy::CUnroll,
+            S000,
+            S000_VEC_WRONG,
+            &quick_config(),
+        );
         assert!(
             matches!(verdict, TvVerdict::NotEquivalent { .. }),
             "{:?}",
@@ -779,8 +682,18 @@ mod tests {
             assert_eq!(produced.parse::<i32>().unwrap(), expected.wrapping_add(1));
         };
         for verdict in [
-            check_with_alive2_unroll(&f(S000), &f(S000_VEC_WRONG), &quick_config()),
-            check_with_c_unroll(&f(S000), &f(S000_VEC_WRONG), &quick_config()),
+            run(
+                SymbolicStrategy::Alive2Unroll,
+                S000,
+                S000_VEC_WRONG,
+                &quick_config(),
+            ),
+            run(
+                SymbolicStrategy::CUnroll,
+                S000,
+                S000_VEC_WRONG,
+                &quick_config(),
+            ),
         ] {
             let TvVerdict::NotEquivalent { counterexample } = verdict else {
                 panic!("{:?}", verdict);
@@ -789,7 +702,12 @@ mod tests {
             off_by_one(&counterexample, &format!("{}: expected ", cell));
             assert!(cell.starts_with("a["), "{}", counterexample);
         }
-        let verdict = check_with_spatial_splitting(&f(S000), &f(S000_VEC_WRONG), &quick_config());
+        let verdict = run(
+            SymbolicStrategy::SpatialSplitting,
+            S000,
+            S000_VEC_WRONG,
+            &quick_config(),
+        );
         let TvVerdict::NotEquivalent { counterexample } = verdict else {
             panic!("{:?}", verdict);
         };
@@ -798,7 +716,7 @@ mod tests {
 
     #[test]
     fn s212_correct_vectorization_verifies() {
-        let verdict = check_with_c_unroll(&f(S212), &f(S212_VEC), &quick_config());
+        let verdict = run(SymbolicStrategy::CUnroll, S212, S212_VEC, &quick_config());
         assert_eq!(
             verdict,
             TvVerdict::Equivalent,
@@ -808,7 +726,12 @@ mod tests {
 
     #[test]
     fn s212_dependence_violation_is_refuted() {
-        let verdict = check_with_c_unroll(&f(S212), &f(S212_VEC_WRONG), &quick_config());
+        let verdict = run(
+            SymbolicStrategy::CUnroll,
+            S212,
+            S212_VEC_WRONG,
+            &quick_config(),
+        );
         assert!(
             matches!(verdict, TvVerdict::NotEquivalent { .. }),
             "{:?}",
@@ -818,13 +741,23 @@ mod tests {
 
     #[test]
     fn spatial_splitting_verifies_simple_kernel() {
-        let verdict = check_with_spatial_splitting(&f(S000), &f(S000_VEC), &quick_config());
+        let verdict = run(
+            SymbolicStrategy::SpatialSplitting,
+            S000,
+            S000_VEC,
+            &quick_config(),
+        );
         assert_eq!(verdict, TvVerdict::Equivalent);
     }
 
     #[test]
     fn spatial_splitting_rejects_dependent_kernel() {
-        let verdict = check_with_spatial_splitting(&f(S212), &f(S212_VEC), &quick_config());
+        let verdict = run(
+            SymbolicStrategy::SpatialSplitting,
+            S212,
+            S212_VEC,
+            &quick_config(),
+        );
         assert!(verdict.is_inconclusive(), "{:?}", verdict);
     }
 
@@ -834,7 +767,12 @@ mod tests {
         // the verification fixes the trip count to a multiple of 8, so this
         // must verify (the checksum harness is the one that catches it).
         let no_epilogue = "void s000(int n, int *a, int *b) { int i; for (i = 0; i + 8 <= n; i += 8) { __m256i x = _mm256_loadu_si256((__m256i *)&b[i]); _mm256_storeu_si256((__m256i *)&a[i], _mm256_add_epi32(x, _mm256_set1_epi32(1))); } }";
-        let verdict = check_with_c_unroll(&f(S000), &f(no_epilogue), &quick_config());
+        let verdict = run(
+            SymbolicStrategy::CUnroll,
+            S000,
+            no_epilogue,
+            &quick_config(),
+        );
         assert_eq!(verdict, TvVerdict::Equivalent);
     }
 
@@ -842,7 +780,12 @@ mod tests {
     fn unvectorizable_shape_is_inconclusive() {
         // A candidate with no loop at all cannot be aligned.
         let no_loop = "void s000(int n, int *a, int *b) { a[0] = b[0] + 1; }";
-        let verdict = check_with_alive2_unroll(&f(S000), &f(no_loop), &TvConfig::default());
+        let verdict = run(
+            SymbolicStrategy::Alive2Unroll,
+            S000,
+            no_loop,
+            &TvConfig::default(),
+        );
         assert!(verdict.is_inconclusive());
     }
 
@@ -853,13 +796,9 @@ mod tests {
         // agreement.
         let dropped =
             "void s000(int n, int *a) { for (int i = 0; i < n; i++) { a[i] = a[i] + 1; } }";
-        for verdict in [
-            check_with_alive2_unroll(&f(S000), &f(dropped), &quick_config()),
-            check_with_c_unroll(&f(S000), &f(dropped), &quick_config()),
-            check_with_spatial_splitting(&f(S000), &f(dropped), &quick_config()),
-        ] {
+        for strategy in SymbolicStrategy::ALL {
             assert_eq!(
-                verdict,
+                run(strategy, S000, dropped, &quick_config()),
                 TvVerdict::Inconclusive {
                     reason: "symbolic execution failed: `s000` takes 2 parameters but is bound \
                              to the 3 inputs of `s000`"
@@ -871,9 +810,14 @@ mod tests {
 
     #[test]
     fn full_pipeline_reports_stage() {
-        let (verdict, stage) = check_equivalence_symbolic(&f(S000), &f(S000_VEC), &quick_config());
+        // The first strategy of the cascade already concludes.
+        let verdict = run(
+            SymbolicStrategy::Alive2Unroll,
+            S000,
+            S000_VEC,
+            &quick_config(),
+        );
         assert_eq!(verdict, TvVerdict::Equivalent);
-        assert_eq!(stage, TvStage::Alive2Unroll);
     }
 
     /// A correct candidate whose terms no rewrite makes identical to the
@@ -891,18 +835,22 @@ mod tests {
             alive2_chunks: 1,
             ..TvConfig::default()
         };
-        let (verdict, stage) =
-            check_equivalence_symbolic(&f(S000), &f(S000_VEC_SUBTRACTS), &config);
-        assert_eq!(verdict, TvVerdict::Equivalent);
-        assert_eq!(stage, TvStage::CUnroll);
+        let alive2 = run(
+            SymbolicStrategy::Alive2Unroll,
+            S000,
+            S000_VEC_SUBTRACTS,
+            &config,
+        );
+        assert!(alive2.is_inconclusive(), "{:?}", alive2);
+        let cunroll = run(SymbolicStrategy::CUnroll, S000, S000_VEC_SUBTRACTS, &config);
+        assert_eq!(cunroll, TvVerdict::Equivalent);
     }
 
     #[test]
     fn helpers_expose_alignment_facts() {
-        assert_eq!(unroll_factor_of(&f(S000), &f(S000_VEC)), Some(8));
-        assert!(alignment_assumption(&f(S000), &f(S000_VEC))
-            .unwrap()
-            .contains("% 8 == 0"));
+        let alignment = align(&f(S000), &f(S000_VEC)).unwrap();
+        assert_eq!(alignment.unroll_factor, 8);
+        assert!(alignment.assumption().contains("% 8 == 0"));
     }
 
     #[test]
@@ -921,8 +869,9 @@ mod tests {
             S000_VEC_WRONG,
             S000_VEC_SUBTRACTS,
         ] {
-            let with_memo = check_with_c_unroll_in(&f(S000), &f(vector), &config, &mut memoized);
-            let plain = check_with_c_unroll(&f(S000), &f(vector), &config);
+            let with_memo =
+                SymbolicStrategy::CUnroll.run(&f(S000), &f(vector), &config, &mut memoized);
+            let plain = run(SymbolicStrategy::CUnroll, S000, vector, &config);
             assert_eq!(with_memo, plain);
         }
         assert!(memoized.reuse_stats().blast_hits > 0);
@@ -934,14 +883,12 @@ mod tests {
         // blend takes b's low byte: not a copy of `a`.
         let copy = "void s(int n, int *a, int *b) { for (int i = 0; i < n; i++) { a[i] = a[i]; } }";
         let blend = "void s(int n, int *a, int *b) { int i; for (i = 0; i + 8 <= n; i += 8) { __m256i av = _mm256_loadu_si256((__m256i *)&a[i]); __m256i bv = _mm256_loadu_si256((__m256i *)&b[i]); _mm256_storeu_si256((__m256i *)&a[i], _mm256_blendv_epi8(av, bv, _mm256_set1_epi32(128))); } }";
-        let (verdict, stage) = check_equivalence_symbolic(&f(copy), &f(blend), &quick_config());
+        let verdict = run(SymbolicStrategy::Alive2Unroll, copy, blend, &quick_config());
         assert!(
             matches!(verdict, TvVerdict::NotEquivalent { .. }),
-            "{:?} @ {:?}",
-            verdict,
-            stage
+            "{:?}",
+            verdict
         );
-        assert_eq!(stage, TvStage::Alive2Unroll);
     }
 
     #[test]
@@ -949,9 +896,13 @@ mod tests {
         let masked =
             "void s(int n, int *a, int *b) { for (int i = 0; i < n; i++) { a[i] = b[i] & 255; } }";
         let blend = "void s(int n, int *a, int *b) { int i; for (i = 0; i + 8 <= n; i += 8) { __m256i bv = _mm256_loadu_si256((__m256i *)&b[i]); _mm256_storeu_si256((__m256i *)&a[i], _mm256_blendv_epi8(_mm256_set1_epi32(0), bv, _mm256_set1_epi32(128))); } }";
-        let (verdict, stage) = check_equivalence_symbolic(&f(masked), &f(blend), &quick_config());
-        assert_eq!(verdict, TvVerdict::Equivalent, "@ {:?}", stage);
-        assert_eq!(stage, TvStage::Alive2Unroll);
+        let verdict = run(
+            SymbolicStrategy::Alive2Unroll,
+            masked,
+            blend,
+            &quick_config(),
+        );
+        assert_eq!(verdict, TvVerdict::Equivalent);
     }
 
     /// The union `written_arrays` used to take: every top-level loop body

@@ -13,42 +13,12 @@ use llm_vectorizer_repro::agents::LlmConfig;
 use llm_vectorizer_repro::cir::ast::Function;
 use llm_vectorizer_repro::core::{
     generate_then_verify_pass_at_k, overlapped_pass_at_k, BatchReport, EngineConfig,
-    PipelineConfig, VerificationEngine,
+    VerificationEngine,
 };
-use llm_vectorizer_repro::interp::ChecksumConfig;
-use llm_vectorizer_repro::tv::{SolverBudget, TvConfig};
-use lv_bench::REPRESENTATIVE_KERNELS;
+use lv_bench::{small_budget_pipeline, REPRESENTATIVE_KERNELS};
 
 const GEN_SEED: u64 = 0xC0FFEE;
 const K: usize = 4;
-
-/// Reduced solver budgets so the sweep stays CI-friendly; the identity
-/// contract holds for any budget.
-fn sweep_config() -> EngineConfig {
-    EngineConfig::full(PipelineConfig {
-        checksum: ChecksumConfig {
-            trials: 1,
-            n: 40,
-            ..ChecksumConfig::default()
-        },
-        tv: TvConfig {
-            alive2_budget: SolverBudget {
-                max_conflicts: 1_000,
-                max_clauses: 200_000,
-            },
-            cunroll_budget: SolverBudget {
-                max_conflicts: 10_000,
-                max_clauses: 1_000_000,
-            },
-            spatial_budget: SolverBudget {
-                max_conflicts: 4_000,
-                max_clauses: 500_000,
-            },
-            alive2_chunks: 1,
-            ..TvConfig::default()
-        },
-    })
-}
 
 fn spec_kernels() -> Vec<(String, Function)> {
     REPRESENTATIVE_KERNELS
@@ -82,7 +52,9 @@ fn assert_verdicts_match(reference: &BatchReport, candidate: &BatchReport, what:
 }
 
 fn main() {
-    let config = sweep_config();
+    // Reduced solver budgets keep the sweep CI-friendly; the identity
+    // contract holds for any budget.
+    let config = EngineConfig::full(small_budget_pipeline());
     let kernels = spec_kernels();
     let llm_config = LlmConfig {
         seed: GEN_SEED,

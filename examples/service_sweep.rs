@@ -23,42 +23,13 @@
 use llm_vectorizer_repro::agents::{fsm_candidate_batch, FsmConfig, LlmConfig, SyntheticLlm};
 use llm_vectorizer_repro::core::service::VerdictFrame;
 use llm_vectorizer_repro::core::{
-    BatchReport, EngineConfig, Job, PipelineConfig, ServiceClient, VerdictCache,
-    VerificationEngine, VerificationService,
+    BatchReport, EngineConfig, Job, ServiceClient, VerdictCache, VerificationEngine,
+    VerificationService,
 };
 use llm_vectorizer_repro::interp::ChecksumConfig;
 use llm_vectorizer_repro::tsvc::KERNELS;
-use llm_vectorizer_repro::tv::{SolverBudget, TvConfig};
-use lv_bench::bitwise_select_jobs;
+use lv_bench::{bitwise_select_jobs, small_budget_pipeline};
 use std::sync::Arc;
-
-/// Reduced solver budgets so the full-suite runs stay CI-friendly; the
-/// bit-identity contracts hold for any budget.
-fn service_config() -> EngineConfig {
-    EngineConfig::full(PipelineConfig {
-        checksum: ChecksumConfig {
-            trials: 1,
-            n: 40,
-            ..ChecksumConfig::default()
-        },
-        tv: TvConfig {
-            alive2_budget: SolverBudget {
-                max_conflicts: 1_000,
-                max_clauses: 200_000,
-            },
-            cunroll_budget: SolverBudget {
-                max_conflicts: 10_000,
-                max_clauses: 1_000_000,
-            },
-            spatial_budget: SolverBudget {
-                max_conflicts: 4_000,
-                max_clauses: 500_000,
-            },
-            alive2_chunks: 1,
-            ..TvConfig::default()
-        },
-    })
-}
 
 /// The Table 3 workload: the FSM's best candidate per TSVC kernel.
 fn table3_jobs(checksum: &ChecksumConfig) -> Vec<Job> {
@@ -108,7 +79,9 @@ fn assert_frames_match(frames: &[VerdictFrame], baseline: &BatchReport, what: &s
 }
 
 fn main() {
-    let config = service_config();
+    // Reduced solver budgets keep the full-suite runs CI-friendly; the
+    // bit-identity contracts hold for any budget.
+    let config = EngineConfig::full(small_budget_pipeline());
     let mut jobs = table3_jobs(&config.pipeline.checksum);
     jobs.extend(bitwise_select_jobs());
     assert!(

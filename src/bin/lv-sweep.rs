@@ -666,6 +666,7 @@ fn parse_submit(args: &[String]) -> Result<SubmitArgs, CliError> {
         gen_seed: 0xC0FFEE,
         shutdown: false,
     };
+    let mut gen_seed_given = false;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         let mut value = |what: &str| {
@@ -686,6 +687,7 @@ fn parse_submit(args: &[String]) -> Result<SubmitArgs, CliError> {
                 )
             }
             "--gen-seed" => {
+                gen_seed_given = true;
                 opts.gen_seed = value("--gen-seed")?
                     .parse()
                     .map_err(|_| usage("--gen-seed expects an integer"))?
@@ -693,6 +695,11 @@ fn parse_submit(args: &[String]) -> Result<SubmitArgs, CliError> {
             "--shutdown" => opts.shutdown = true,
             other => return Err(unknown_argument("submit", other)),
         }
+    }
+    if gen_seed_given && opts.generate.is_none() {
+        return Err(usage(
+            "--gen-seed needs --generate K (completions per kernel)",
+        ));
     }
     Ok(opts)
 }
@@ -888,6 +895,7 @@ mod tests {
             strings(&["--generate", "0"]),
             strings(&["--generate", "many"]),
             strings(&["--gen-seed", "coffee"]),
+            strings(&["--gen-seed", "7"]),
         ] {
             assert!(
                 matches!(parse_submit(&bad), Err(CliError::Usage(_))),

@@ -8,10 +8,9 @@
 //! behaviour in the candidate. A counterexample the run does not confirm is
 //! `Inconclusive` with a "model divergence" reason.
 //!
-//! The job set is the streamed pass@k benchmark's: its ten kernels, sixteen
-//! seeded completions each, over four round seeds.
+//! The job set is the streamed pass@k benchmark's (`lv_bench::passk_jobs`):
+//! its ten kernels, sixteen seeded completions each, over four round seeds.
 
-use llm_vectorizer_repro::agents::{derive_cell_seed, sample_completion_cell, LlmConfig};
 use llm_vectorizer_repro::cir::ast::Function;
 use llm_vectorizer_repro::cir::parse_function;
 use llm_vectorizer_repro::core::{
@@ -19,25 +18,11 @@ use llm_vectorizer_repro::core::{
     VerificationEngine,
 };
 use llm_vectorizer_repro::interp::{checksum_test, ChecksumConfig, ChecksumOutcome};
-use llm_vectorizer_repro::tsvc::KERNELS;
 use llm_vectorizer_repro::tv::{
-    check_equivalence_symbolic, check_with_alive2_unroll_in, replay_counterexample, ReplayFrame,
-    SolverBudget, SymbolicStrategy, TvConfig, TvSession, TvVerdict, MODEL_DIVERGENCE,
+    replay_counterexample, ReplayFrame, SymbolicStrategy, TvConfig, TvSession, TvVerdict,
+    MODEL_DIVERGENCE,
 };
-
-/// The pass@k benchmark's kernels.
-const PASSK_KERNELS: &[&str] = &[
-    "s000", "s112", "s212", "s221", "s314", "s3113", "s278", "vsumr", "s3111", "s453",
-];
-
-/// Completions per kernel and round.
-const K: usize = 16;
-
-/// Rounds, each with its own seed.
-const ROUNDS: usize = 4;
-
-/// The benchmark's base seed (the synthetic model's default).
-const SEED: u64 = 0xC0FFEE;
+use lv_bench::{passk_jobs, small_budget_pipeline};
 
 const S000: &str =
     "void s000(int n, int *a, int *b) { for (int i = 0; i < n; i++) { a[i] = b[i] + 1; } }";
@@ -68,64 +53,20 @@ fn f(src: &str) -> Function {
     parse_function(src).unwrap()
 }
 
-/// The benchmark's pipeline: one checksum trial at `n` = 40 and reduced
-/// solver budgets.
-fn pipeline() -> PipelineConfig {
-    PipelineConfig {
-        checksum: ChecksumConfig {
-            trials: 1,
-            n: 40,
-            ..ChecksumConfig::default()
-        },
-        tv: TvConfig {
-            alive2_budget: SolverBudget {
-                max_conflicts: 1_000,
-                max_clauses: 200_000,
-            },
-            cunroll_budget: SolverBudget {
-                max_conflicts: 10_000,
-                max_clauses: 1_000_000,
-            },
-            spatial_budget: SolverBudget {
-                max_conflicts: 4_000,
-                max_clauses: 500_000,
-            },
-            alive2_chunks: 1,
-            ..TvConfig::default()
-        },
-    }
-}
-
-/// Every round's jobs: the kernels in TSVC order, `K` completions each,
-/// sampled as the benchmark samples them.
-fn passk_jobs() -> Vec<Job> {
-    let kernels: Vec<(&str, Function)> = KERNELS
-        .iter()
-        .filter(|kernel| PASSK_KERNELS.contains(&kernel.name))
-        .map(|kernel| (kernel.name, kernel.function()))
-        .collect();
-    assert_eq!(kernels.len(), PASSK_KERNELS.len());
-    let mut jobs = Vec::new();
-    for round in 0..ROUNDS {
-        let llm = LlmConfig {
-            seed: match round {
-                0 => SEED,
-                _ => derive_cell_seed(SEED, 0xFFFF_FFFF, round),
-            },
-            ..LlmConfig::default()
-        };
-        for (i, (name, scalar)) in kernels.iter().enumerate() {
-            for j in 0..K {
-                let completion = sample_completion_cell(scalar, &llm, i, j);
-                jobs.push(Job::new(
-                    format!("{name}#{round}.{j}"),
-                    scalar.clone(),
-                    completion.candidate,
-                ));
-            }
+/// The first conclusive verdict of the symbolic strategies in Algorithm 1
+/// order, or the last strategy's verdict when none concludes.
+fn first_conclusive(scalar: &Function, candidate: &Function, config: &TvConfig) -> TvVerdict {
+    let mut session = TvSession::new();
+    let mut verdict = TvVerdict::Inconclusive {
+        reason: String::new(),
+    };
+    for strategy in SymbolicStrategy::ALL {
+        verdict = strategy.run(scalar, candidate, config, &mut session);
+        if !verdict.is_inconclusive() {
+            break;
         }
     }
-    jobs
+    verdict
 }
 
 /// Whether `detail` is rendered from a concrete run: the first differing
@@ -164,7 +105,7 @@ fn is_replay_detail(detail: &str) -> bool {
 /// refutes only with a counterexample that replays.
 #[test]
 fn every_passk_refutation_replays() {
-    let config = pipeline();
+    let config = small_budget_pipeline();
     let mut session = TvSession::new();
     let mut refuted = [0usize; 3];
     for job in passk_jobs() {
@@ -200,7 +141,7 @@ fn every_passk_refutation_replays() {
 
 fn engine_run(jobs: &[Job], threads: usize) -> BatchReport {
     VerificationEngine::new(
-        EngineConfig::full(pipeline())
+        EngineConfig::full(small_budget_pipeline())
             .with_threads(threads)
             .with_reuse(EngineReuse { memo: true }),
     )
@@ -259,7 +200,7 @@ fn passk_details_are_replayed_and_deterministic() {
 #[test]
 fn a_magic_input_bug_is_found_by_sat_and_replays() {
     let (scalar, magic) = (f(S000), f(S000_MAGIC));
-    for config in [ChecksumConfig::default(), pipeline().checksum] {
+    for config in [ChecksumConfig::default(), small_budget_pipeline().checksum] {
         let report = checksum_test(&scalar, &magic, &config);
         assert_eq!(report.outcome, ChecksumOutcome::Plausible);
     }
@@ -268,7 +209,7 @@ fn a_magic_input_bug_is_found_by_sat_and_replays() {
         ..TvConfig::default()
     };
     let mut session = TvSession::new();
-    let verdict = check_with_alive2_unroll_in(&scalar, &magic, &config, &mut session);
+    let verdict = SymbolicStrategy::Alive2Unroll.run(&scalar, &magic, &config, &mut session);
     // Only a condition no assignment falsifies is bit-blasted.
     assert!(session.stats.clauses > 0, "{:?}", session.stats);
     let TvVerdict::NotEquivalent { counterexample } = verdict else {
@@ -330,7 +271,7 @@ fn a_wrong_model_is_a_model_divergence() {
 #[test]
 fn a_candidate_defined_where_the_scalar_overflows_is_equivalent() {
     let (scalar, candidate) = (f(DIVIDE), f(DIVIDE_GUARDED));
-    let config = pipeline().tv;
+    let config = small_budget_pipeline().tv;
     let mut session = TvSession::new();
     for strategy in SymbolicStrategy::ALL {
         let verdict = strategy.run(&scalar, &candidate, &config, &mut session);
@@ -347,8 +288,10 @@ fn a_candidate_defined_where_the_scalar_overflows_is_equivalent() {
             TvVerdict::NotEquivalent { .. } => panic!("{:?}: {:?}", strategy, verdict),
         }
     }
-    let (verdict, _) = check_equivalence_symbolic(&scalar, &candidate, &config);
-    assert_eq!(verdict, TvVerdict::Equivalent);
+    assert_eq!(
+        first_conclusive(&scalar, &candidate, &config),
+        TvVerdict::Equivalent
+    );
 }
 
 /// (e) A candidate that adds undefined behaviour the scalar does not have
@@ -356,14 +299,14 @@ fn a_candidate_defined_where_the_scalar_overflows_is_equivalent() {
 /// behaviour.
 #[test]
 fn a_candidate_adding_overflow_or_a_wild_shift_is_not_equivalent() {
-    let config = pipeline().tv;
+    let config = small_budget_pipeline().tv;
     for (candidate, ub) in [
         (COPY_DIVIDING, "INT_MIN division overflow"),
         (COPY_SHIFTING, "shift amount out of range"),
     ] {
-        let (verdict, stage) = check_equivalence_symbolic(&f(COPY), &f(candidate), &config);
+        let verdict = first_conclusive(&f(COPY), &f(candidate), &config);
         let TvVerdict::NotEquivalent { counterexample } = verdict else {
-            panic!("{}: {:?} at {:?}", candidate, verdict, stage);
+            panic!("{}: {:?}", candidate, verdict);
         };
         assert!(is_replay_detail(&counterexample), "{}", counterexample);
         assert!(counterexample.contains(ub), "{}", counterexample);

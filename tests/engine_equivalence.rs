@@ -9,34 +9,14 @@ use llm_vectorizer_repro::cir::ast::Function;
 use llm_vectorizer_repro::cir::parse_function;
 use llm_vectorizer_repro::core::{
     check_equivalence, job_channel, BatchObserver, BatchReport, ChecksumStage, EngineConfig,
-    EngineReuse, Equivalence, Job, JobReport, PipelineConfig, Stage, StrategyOutcome,
-    SymbolicStage, VerdictCache, VerificationEngine, VerificationStrategy, WorkerState,
+    EngineReuse, Equivalence, Job, JobReport, Stage, StrategyOutcome, SymbolicStage, VerdictCache,
+    VerificationEngine, VerificationStrategy, WorkerState,
 };
-use llm_vectorizer_repro::interp::ChecksumConfig;
 use llm_vectorizer_repro::tsvc::KERNELS;
 use llm_vectorizer_repro::tv::{SymbolicStrategy, TvReuse, TvSession};
-use lv_bench::{bitwise_select_jobs, sweep_tv_config, REPRESENTATIVE_KERNELS};
+use lv_bench::{bitwise_select_jobs, small_budget_pipeline, REPRESENTATIVE_KERNELS};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-
-/// A pipeline configuration fast enough for a full-suite sweep in a test,
-/// while still reaching every cascade stage. Starts from the bench sweep
-/// configuration and cuts the budgets further (the equivalence claims hold
-/// for any budget; debug-mode SAT is what makes tests slow).
-fn sweep_pipeline() -> PipelineConfig {
-    let mut tv = sweep_tv_config();
-    tv.alive2_budget.max_conflicts = 1_000;
-    tv.cunroll_budget.max_conflicts = 10_000;
-    tv.spatial_budget.max_conflicts = 4_000;
-    PipelineConfig {
-        checksum: ChecksumConfig {
-            trials: 1,
-            n: 40,
-            ..ChecksumConfig::default()
-        },
-        tv,
-    }
-}
 
 /// One candidate per TSVC kernel from the synthetic LLM — a realistic mix of
 /// correct, refutable, and non-compiling candidates across the whole suite.
@@ -59,7 +39,7 @@ fn suite_jobs() -> Vec<Job> {
 
 #[test]
 fn parallel_engine_matches_sequential_check_equivalence_across_the_suite() {
-    let pipeline = sweep_pipeline();
+    let pipeline = small_budget_pipeline();
     let jobs = suite_jobs();
     assert!(jobs.len() >= 60, "expected the whole embedded TSVC suite");
 
@@ -94,9 +74,9 @@ fn thread_count_does_not_change_batch_reports() {
         .collect();
     assert!(jobs.len() >= 8);
 
-    let one = VerificationEngine::new(EngineConfig::full(sweep_pipeline()).with_threads(1))
+    let one = VerificationEngine::new(EngineConfig::full(small_budget_pipeline()).with_threads(1))
         .run_batch(&jobs);
-    let many = VerificationEngine::new(EngineConfig::full(sweep_pipeline()).with_threads(8))
+    let many = VerificationEngine::new(EngineConfig::full(small_budget_pipeline()).with_threads(8))
         .run_batch(&jobs);
     assert_eq!(one.threads, 1);
     assert!(many.threads > 1);
@@ -122,7 +102,7 @@ fn checksum_refutation_short_circuits_before_any_symbolic_strategy() {
         "void s000(int n, int *a, int *b) { for (int i = 0; i < n; i++) { a[i] = b[i] + 2; } }",
     )
     .unwrap();
-    let engine = VerificationEngine::new(EngineConfig::full(sweep_pipeline()));
+    let engine = VerificationEngine::new(EngineConfig::full(small_budget_pipeline()));
     let report = engine.check_one(&scalar, &wrong);
 
     assert_eq!(report.verdict, Equivalence::NotEquivalent);
@@ -222,7 +202,7 @@ fn assert_same_verdicts(got: &BatchReport, want: &BatchReport, what: &str) {
 
 #[test]
 fn warm_sessions_report_what_fresh_sessions_report() {
-    let pipeline = sweep_pipeline();
+    let pipeline = small_budget_pipeline();
     let jobs = budget_stopped_jobs();
     let memo = EngineReuse { memo: true };
     // The shipped configuration: one warm session per worker, recycled
@@ -303,7 +283,7 @@ fn duplicated_jobs(copies: usize) -> (Vec<Job>, usize) {
 
 fn cached_engine(threads: usize) -> VerificationEngine {
     VerificationEngine::new(
-        EngineConfig::full(sweep_pipeline())
+        EngineConfig::full(small_budget_pipeline())
             .with_threads(threads)
             .with_cache(Arc::new(VerdictCache::in_memory())),
     )
@@ -434,8 +414,9 @@ fn concurrent_batches_on_one_engine_each_get_every_report() {
 #[test]
 fn an_engine_without_a_cache_runs_every_duplicate() {
     let (jobs, _) = duplicated_jobs(4);
-    let batch = VerificationEngine::new(EngineConfig::full(sweep_pipeline()).with_threads(8))
-        .run_batch(&jobs);
+    let batch =
+        VerificationEngine::new(EngineConfig::full(small_budget_pipeline()).with_threads(8))
+            .run_batch(&jobs);
     assert_eq!((batch.cache_hits, batch.cache_misses), (0, 0));
     for report in &batch.jobs {
         assert!(!report.cache_hit, "{}", report.label);

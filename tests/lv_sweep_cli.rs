@@ -162,6 +162,32 @@ fn the_removed_comparison_arm_exits_2_naming_it() {
     assert!(stdout(&output).is_empty(), "{}", stdout(&output));
 }
 
+/// A seed only means something for generated jobs: `submit` refuses it
+/// without `--generate`, as `run` does, before connecting to any daemon.
+#[test]
+fn a_generation_seed_without_generate_exits_2() {
+    for args in [
+        &["run", "--gen-seed", "7"][..],
+        &["submit", "--gen-seed", "7", "--addr", "127.0.0.1:9"],
+    ] {
+        let output = lv_sweep(args);
+        let message = stderr(&output);
+        assert_eq!(output.status.code(), Some(2), "{:?}: {}", args, message);
+        assert!(
+            message.contains("--gen-seed needs --generate K (completions per kernel)"),
+            "{:?}: {}",
+            args,
+            message
+        );
+        assert!(
+            stdout(&output).is_empty(),
+            "{:?}: {}",
+            args,
+            stdout(&output)
+        );
+    }
+}
+
 #[test]
 fn shard_files_given_to_cache_stats_exit_1_naming_the_form() {
     let dir = temp_dir("forms");

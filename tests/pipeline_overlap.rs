@@ -13,30 +13,12 @@ use llm_vectorizer_repro::cir::ast::Function;
 use llm_vectorizer_repro::cir::print_function;
 use llm_vectorizer_repro::core::{
     generate_then_verify_pass_at_k, job_channel, overlapped_pass_at_k, BatchReport, EngineConfig,
-    Job, PassKRun, PipelineConfig, VerificationEngine,
+    Job, PassKRun, VerificationEngine,
 };
-use llm_vectorizer_repro::interp::ChecksumConfig;
 use llm_vectorizer_repro::tsvc::kernel;
-use lv_bench::sweep_tv_config;
+use lv_bench::small_budget_pipeline;
 use proptest::prelude::*;
 use std::time::Duration;
-
-/// A pipeline fast enough to sweep `kernels × k` cells at several thread
-/// counts in a debug-build test, while still reaching symbolic stages.
-fn quick_pipeline() -> PipelineConfig {
-    let mut tv = sweep_tv_config();
-    tv.alive2_budget.max_conflicts = 1_000;
-    tv.cunroll_budget.max_conflicts = 10_000;
-    tv.spatial_budget.max_conflicts = 4_000;
-    PipelineConfig {
-        checksum: ChecksumConfig {
-            trials: 1,
-            n: 40,
-            ..ChecksumConfig::default()
-        },
-        tv,
-    }
-}
 
 /// A small kernel slice with a mix of verdict outcomes under the synthetic
 /// LLM: straight-line, reduction, and control-flow categories.
@@ -154,8 +136,9 @@ fn delayed_producer_stream_matches_precomputed_batch_at_worker_counts_1_2_8() {
         .collect();
 
     for workers in [1, 2, 8] {
-        let engine =
-            VerificationEngine::new(EngineConfig::full(quick_pipeline()).with_threads(workers));
+        let engine = VerificationEngine::new(
+            EngineConfig::full(small_budget_pipeline()).with_threads(workers),
+        );
         let reference = engine.run_batch(&jobs);
         let (producer, source) = job_channel(2);
         let streamed = std::thread::scope(|scope| {
@@ -191,7 +174,7 @@ fn overlapped_pipeline_matches_generate_then_verify_at_thread_counts_1_2_8() {
     let ks = [1, 2, 4];
 
     let reference_engine =
-        VerificationEngine::new(EngineConfig::full(quick_pipeline()).with_threads(1));
+        VerificationEngine::new(EngineConfig::full(small_budget_pipeline()).with_threads(1));
     let reference = generate_then_verify_pass_at_k(&reference_engine, &kernels, &config, k, &ks, 1);
     assert!(
         reference.plausible_per_kernel.iter().any(|&c| c > 0),
@@ -199,8 +182,9 @@ fn overlapped_pipeline_matches_generate_then_verify_at_thread_counts_1_2_8() {
     );
 
     for workers in [1, 2, 8] {
-        let engine =
-            VerificationEngine::new(EngineConfig::full(quick_pipeline()).with_threads(workers));
+        let engine = VerificationEngine::new(
+            EngineConfig::full(small_budget_pipeline()).with_threads(workers),
+        );
         for gen_threads in [1, 2, 8] {
             let overlapped =
                 overlapped_pass_at_k(&engine, &kernels, &config, k, &ks, gen_threads, 2);
