@@ -8,16 +8,17 @@
 //!   is the experiment drivers' path (Table 2, Figure 5, Table 3, the FSM
 //!   evaluation), byte-identical to every earlier release and pinned by
 //!   `batch_matches_sequential_sampling`.
-//! * [`sample_completion_cell`] (and [`sample_completion_batch_seeded`],
-//!   which samples every cell of a batch with it) — each `(kernel i,
+//! * [`sample_completion_cell`] — the one seeded path: each `(kernel i,
 //!   completion j)` cell samples from a **fresh** model seeded with
 //!   [`derive_cell_seed`]`(base, i, j)`, so cells are independent and any
 //!   number of generator threads producing cells in any order yields the
-//!   same completion set. Every generated sweep samples this way: `lv-sweep
-//!   run --generate` streams the cells into the engine while verification
-//!   runs, and `lv-sweep submit --generate` sends the same cells to a
-//!   daemon. `seeded_batch_matches_cell_by_cell_sampling` and the pipeline
-//!   property tests (generator thread counts 1/2/8) pin it.
+//!   same completion set. Every generated sweep samples this way, one cell
+//!   at a time on `lv_core`'s pools: `lv-sweep run --generate` streams the
+//!   cells into the engine while verification runs, and `lv-sweep submit
+//!   --generate` sends the same cells (`lv_core::seeded_jobs`) to a daemon.
+//!   `seeded_batch_is_thread_count_invariant`, `lv_core`'s `seeded_jobs`
+//!   tests and the pipeline property tests (generator thread counts 1/2/8)
+//!   pin it.
 //!
 //! # The seed-derivation scheme
 //!
@@ -36,8 +37,6 @@
 use crate::fsm::{run_fsm_with_llm, FsmConfig, FsmResult};
 use crate::llm::{Completion, LlmConfig, SyntheticLlm, VectorizePrompt};
 use lv_cir::ast::Function;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// The SplitMix64 finalizer: a bijective avalanche mix on `u64` (same
 /// constants as the `rand` shim's seed expansion).
@@ -63,9 +62,9 @@ pub fn derive_cell_seed(base_seed: u64, kernel: usize, completion: usize) -> u64
 /// Samples the single `(kernel, completion)` cell of a seeded batch: a
 /// fresh model seeded with [`derive_cell_seed`] answers one prompt.
 ///
-/// This is the unit of work generator threads parallelize over; calling it
-/// for every cell in any order reproduces
-/// [`sample_completion_batch_seeded`] exactly.
+/// This is the unit of work generator threads parallelize over: a cell's
+/// completion depends only on `(llm_config, kernel, completion)`, so cells
+/// sampled in any order, on any number of threads, form the same set.
 pub fn sample_completion_cell(
     scalar: &Function,
     llm_config: &LlmConfig,
@@ -96,17 +95,6 @@ impl CompletionBatch {
             .enumerate()
             .flat_map(|(i, row)| row.iter().enumerate().map(move |(j, c)| (i, j, c)))
     }
-
-    /// Flattens the batch into owned `(kernel index, completion index,
-    /// completion)` jobs in generation order, consuming the batch — the
-    /// queue-feeding path, which hands each candidate to the engine without
-    /// cloning it.
-    pub fn into_jobs(self) -> impl Iterator<Item = (usize, usize, Completion)> {
-        self.completions
-            .into_iter()
-            .enumerate()
-            .flat_map(|(i, row)| row.into_iter().enumerate().map(move |(j, c)| (i, j, c)))
-    }
 }
 
 /// Samples `k` feedback-free completions for every kernel from a single
@@ -124,63 +112,6 @@ pub fn sample_completion_batch(
             let prompt = VectorizePrompt::new(scalar.clone());
             (0..k).map(|_| llm.complete(&prompt)).collect()
         })
-        .collect();
-    CompletionBatch { completions }
-}
-
-/// Samples `k` feedback-free completions for every kernel with per-cell
-/// derived seeds on `threads` generator threads — the seeded path, one
-/// [`sample_completion_cell`] per cell.
-///
-/// The output is a pure function of `(scalars, llm_config.seed, k)`:
-/// identical at every thread count (pinned at 1/2/8 by the pipeline
-/// property tests), because each cell's draws come from its own
-/// [`derive_cell_seed`]ed model and threads only race over *which worker*
-/// computes a cell, never over what the cell contains. `threads == 0` uses
-/// one worker per available CPU.
-pub fn sample_completion_batch_seeded(
-    scalars: &[Function],
-    llm_config: &LlmConfig,
-    k: usize,
-    threads: usize,
-) -> CompletionBatch {
-    let cells = scalars.len().saturating_mul(k);
-    let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let threads = (if threads == 0 { hw } else { threads }).clamp(1, cells.max(1));
-    if threads <= 1 || cells == 0 {
-        let completions = scalars
-            .iter()
-            .enumerate()
-            .map(|(i, scalar)| {
-                (0..k)
-                    .map(|j| sample_completion_cell(scalar, llm_config, i, j))
-                    .collect()
-            })
-            .collect();
-        return CompletionBatch { completions };
-    }
-    let slots: Vec<Mutex<Option<Completion>>> = (0..cells).map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let cell = cursor.fetch_add(1, Ordering::Relaxed);
-                if cell >= cells {
-                    break;
-                }
-                let (i, j) = (cell / k, cell % k);
-                let completion = sample_completion_cell(&scalars[i], llm_config, i, j);
-                *slots[cell].lock().unwrap() = Some(completion);
-            });
-        }
-    });
-    let mut flat = slots.into_iter().map(|slot| {
-        slot.into_inner()
-            .unwrap()
-            .expect("every cell index was claimed by a generator")
-    });
-    let completions = (0..scalars.len())
-        .map(|_| (0..k).map(|_| flat.next().unwrap()).collect())
         .collect();
     CompletionBatch { completions }
 }
@@ -241,28 +172,59 @@ mod tests {
         assert_eq!(order, vec![(0, 0), (0, 1), (1, 0), (1, 1)]);
     }
 
-    #[test]
-    fn into_jobs_matches_borrowing_jobs() {
-        let batch = sample_completion_batch(&scalars(), &LlmConfig::default(), 2);
-        let borrowed: Vec<(usize, usize, Function)> = batch
-            .jobs()
-            .map(|(i, j, c)| (i, j, c.candidate.clone()))
-            .collect();
-        let owned: Vec<(usize, usize, Function)> = batch
-            .into_jobs()
-            .map(|(i, j, c)| (i, j, c.candidate))
-            .collect();
-        assert_eq!(borrowed, owned);
+    /// Every cell of a `k`-wide seeded batch, sampled in generation order
+    /// on `threads` scoped threads (thread `t` takes cells `t, t+threads, …`).
+    fn seeded_cells(config: &LlmConfig, k: usize, threads: usize) -> Vec<Function> {
+        let scalars = scalars();
+        let cells = scalars.len() * k;
+        let mut out: Vec<Option<Function>> = vec![None; cells];
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|t| {
+                    let scalars = &scalars;
+                    scope.spawn(move || {
+                        (t..cells)
+                            .step_by(threads)
+                            .map(|cell| {
+                                let (i, j) = (cell / k, cell % k);
+                                let c = sample_completion_cell(&scalars[i], config, i, j);
+                                (cell, c.candidate)
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            for handle in handles {
+                for (cell, candidate) in handle.join().unwrap() {
+                    out[cell] = Some(candidate);
+                }
+            }
+        });
+        out.into_iter().map(Option::unwrap).collect()
     }
 
     #[test]
     fn seeded_batch_matches_cell_by_cell_sampling() {
         let config = LlmConfig::default();
-        let batch = sample_completion_batch_seeded(&scalars(), &config, 3, 1);
-        for (i, scalar) in scalars().iter().enumerate() {
-            for j in 0..3 {
+        let batch = seeded_cells(&config, 3, 1);
+        // Each cell is a fresh model seeded with its derived seed, so sampling
+        // the cells backwards reproduces the batch cell for cell.
+        for (i, scalar) in scalars().iter().enumerate().rev() {
+            for j in (0..3).rev() {
+                let mut llm = SyntheticLlm::new(LlmConfig {
+                    seed: derive_cell_seed(config.seed, i, j),
+                    ..config.clone()
+                });
+                let fresh = llm.complete(&VectorizePrompt::new(scalar.clone()));
                 assert_eq!(
-                    batch.completions[i][j].candidate,
+                    batch[i * 3 + j],
+                    fresh.candidate,
+                    "kernel {} completion {}",
+                    i,
+                    j
+                );
+                assert_eq!(
+                    batch[i * 3 + j],
                     sample_completion_cell(scalar, &config, i, j).candidate,
                     "kernel {} completion {}",
                     i,
@@ -275,22 +237,18 @@ mod tests {
     #[test]
     fn seeded_batch_is_thread_count_invariant() {
         let config = LlmConfig::default();
-        let reference = sample_completion_batch_seeded(&scalars(), &config, 4, 1);
+        let reference = seeded_cells(&config, 4, 1);
         for threads in [2, 3, 8] {
-            let parallel = sample_completion_batch_seeded(&scalars(), &config, 4, threads);
-            for (i, (a, b)) in reference
-                .completions
-                .iter()
-                .zip(&parallel.completions)
-                .enumerate()
-            {
-                for (j, (x, y)) in a.iter().zip(b).enumerate() {
-                    assert_eq!(
-                        x.candidate, y.candidate,
-                        "kernel {} completion {} differs at {} threads",
-                        i, j, threads
-                    );
-                }
+            let parallel = seeded_cells(&config, 4, threads);
+            for (cell, (x, y)) in reference.iter().zip(&parallel).enumerate() {
+                assert_eq!(
+                    x,
+                    y,
+                    "kernel {} completion {} differs at {} threads",
+                    cell / 4,
+                    cell % 4,
+                    threads
+                );
             }
         }
     }

@@ -16,10 +16,10 @@
 //! * [`batch`] — deterministic batch candidate generation feeding the
 //!   `lv_core` verification engine: the experiment drivers' shared-sampler
 //!   path ([`sample_completion_batch`], [`fsm_candidate_batch`]), and the
-//!   per-cell seeded path ([`sample_completion_cell`],
-//!   [`sample_completion_batch_seeded`], [`derive_cell_seed`]) whose cells
-//!   can be generated on any number of threads in any order — how every
-//!   generated sweep samples, in process or for a daemon.
+//!   one per-cell seeded path ([`sample_completion_cell`] with
+//!   [`derive_cell_seed`]), whose cells can be generated on any number of
+//!   threads in any order — how every generated sweep samples, in process
+//!   or for a daemon.
 //!
 //! # Examples
 //!
@@ -43,8 +43,8 @@ pub mod llm;
 pub mod vectorizer;
 
 pub use batch::{
-    derive_cell_seed, fsm_candidate_batch, sample_completion_batch, sample_completion_batch_seeded,
-    sample_completion_cell, CompletionBatch,
+    derive_cell_seed, fsm_candidate_batch, sample_completion_batch, sample_completion_cell,
+    CompletionBatch,
 };
 pub use fsm::{run_fsm, run_fsm_with_llm, AgentRole, FsmConfig, FsmResult, FsmState, Message};
 pub use llm::{Completion, LlmConfig, SyntheticLlm, VectorizePrompt};

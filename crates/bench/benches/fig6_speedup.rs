@@ -3,11 +3,11 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lv_bench::{quick_config, REPRESENTATIVE_KERNELS};
-use lv_core::{figure6, table3};
+use lv_core::{figure6, table3, NoopObserver};
 
 fn bench(c: &mut Criterion) {
     let config = quick_config(REPRESENTATIVE_KERNELS);
-    let table = table3(&config);
+    let table = table3(&config, &NoopObserver);
     let fig = figure6(&config, &table.verdicts);
     println!(
         "\n=== Figure 6: speedups of verified candidates ===\n{}",

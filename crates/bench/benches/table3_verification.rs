@@ -3,16 +3,18 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lv_bench::{quick_config, REPRESENTATIVE_KERNELS};
-use lv_core::table3;
+use lv_core::{table3, NoopObserver};
 
 fn bench(c: &mut Criterion) {
-    let table = table3(&quick_config(REPRESENTATIVE_KERNELS));
+    let table = table3(&quick_config(REPRESENTATIVE_KERNELS), &NoopObserver);
     println!(
         "\n=== Table 3: verification funnel (representative subset) ===\n{}",
         table.render()
     );
     let tiny = quick_config(&["s000", "s212", "s2711"]);
-    c.bench_function("table3_verification_funnel", |b| b.iter(|| table3(&tiny)));
+    c.bench_function("table3_verification_funnel", |b| {
+        b.iter(|| table3(&tiny, &NoopObserver))
+    });
 }
 
 criterion_group! {

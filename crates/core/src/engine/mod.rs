@@ -1117,7 +1117,29 @@ mod tests {
 
     #[test]
     fn observer_sees_every_job_and_stage() {
-        use crate::observer::CountingObserver;
+        /// Counts each event; `finished` per job index.
+        #[derive(Default)]
+        struct Counter {
+            started: AtomicUsize,
+            stages: AtomicUsize,
+            finished: Mutex<Vec<usize>>,
+            cache_hits: AtomicUsize,
+        }
+        impl BatchObserver for Counter {
+            fn job_started(&self, _index: usize, _job: &Job) {
+                self.started.fetch_add(1, Ordering::Relaxed);
+            }
+            fn stage_finished(&self, _index: usize, _job: &Job, _trace: &StageTrace) {
+                self.stages.fetch_add(1, Ordering::Relaxed);
+            }
+            fn job_finished(&self, index: usize, report: &JobReport) {
+                self.finished.lock().unwrap().push(index);
+                if report.cache_hit {
+                    self.cache_hits.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+        }
+
         let scalar = parse_function(S000).unwrap();
         let good = vectorize_correct(&scalar).unwrap();
         let wrong = parse_function(S000_WRONG).unwrap();
@@ -1126,16 +1148,18 @@ mod tests {
             Job::new("wrong", scalar.clone(), wrong),
         ];
         let engine = VerificationEngine::new(EngineConfig::full(quick_pipeline()).with_threads(2));
-        let counter = CountingObserver::new();
+        let counter = Counter::default();
         let batch = engine.run_batch_observed(&jobs, &counter);
-        assert_eq!(counter.finished_count(), 2);
+        let mut finished = counter.finished.into_inner().unwrap();
+        finished.sort_unstable();
+        assert_eq!(finished, [0, 1], "each job finishes once");
         assert_eq!(counter.started.load(Ordering::Relaxed), 2);
         assert_eq!(
-            counter.stage_count(),
+            counter.stages.load(Ordering::Relaxed),
             batch.stage_runs(),
             "one callback per executed stage"
         );
-        assert_eq!(counter.cache_hit_count(), 0);
+        assert_eq!(counter.cache_hits.load(Ordering::Relaxed), 0);
     }
 
     /// A candidate that is semantically equal to [`S000`] but adds 1 by

@@ -8,24 +8,21 @@
 //! [`VerificationEngine`]: candidates are generated sequentially (the
 //! synthetic LLM is a seeded, stateful sampler), collected into
 //! `(kernel × candidate)` jobs, and fanned out over the engine's worker
-//! pool. Verdicts are bit-identical for any [`ExperimentConfig::threads`]
+//! pool. Each driver reads its counts and classes from the returned
+//! [`BatchReport`](crate::BatchReport), whose reports are in job order, so
+//! verdicts are bit-identical for any [`ExperimentConfig::threads`]
 //! setting; the thread count only changes wall-clock time.
 //!
-//! Every driver also has a `*_with` variant taking a [`BatchObserver`]: the
-//! driver forwards its engine events (and, for Figure 6, one synthesized
-//! job-finished event per computed row) to the observer as workers finish,
-//! so a [`StreamObserver`](crate::StreamObserver) renders the table
-//! incrementally while the sweep is still running. The drivers themselves
-//! accumulate their rows through the same callbacks instead of
-//! post-processing the finished [`BatchReport`](crate::BatchReport), so the
-//! streamed view and the returned table can never disagree. A cache
+//! [`table3`] also takes a [`BatchObserver`] and forwards its engine events
+//! to it as workers finish, so a [`StreamObserver`](crate::StreamObserver)
+//! prints each kernel's verdict while the funnel is still running. A cache
 //! configured on [`ExperimentConfig`] is honored by every engine run of
 //! every experiment.
 
 use crate::cache::VerdictCache;
-use crate::engine::{parallel_map, EngineConfig, Job, JobReport, VerificationEngine};
+use crate::engine::{parallel_map, EngineConfig, Job, VerificationEngine};
 use crate::funnel::FunnelReport;
-use crate::observer::{BatchObserver, NoopObserver, TeeObserver};
+use crate::observer::BatchObserver;
 use crate::passk::pass_at_k_curve;
 use crate::pipeline::{Equivalence, PipelineConfig, Stage};
 use lv_agents::{fsm_candidate_batch, sample_completion_batch, FsmConfig, LlmConfig, SyntheticLlm};
@@ -34,8 +31,7 @@ use lv_cir::ast::Function;
 use lv_interp::{ChecksumClass, ChecksumConfig};
 use lv_tsvc::{Category, Kernel, KERNELS, PAPER_SUITE_SIZE};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::sync::Arc;
 
 /// Common experiment configuration.
 #[derive(Debug, Clone)]
@@ -120,52 +116,22 @@ impl ExperimentConfig {
     }
 }
 
-/// Accumulates per-job checksum classifications through observer callbacks,
-/// so Table 2 / Figure 5 / Section 4.4 build their counts as jobs finish.
-struct ClassAccumulator<'a> {
-    /// Job index -> `(kernel index, completion index)`.
-    slots: &'a [(usize, usize)],
-    /// `outcomes[kernel][completion]` classification code
-    /// (0 = plausible, 1 = not equivalent, 2 = cannot compile).
-    outcomes: Mutex<Vec<Vec<u8>>>,
-}
-
-impl<'a> ClassAccumulator<'a> {
-    fn new(slots: &'a [(usize, usize)], kernels: usize) -> ClassAccumulator<'a> {
-        let mut sizes = vec![0usize; kernels];
-        for &(i, j) in slots {
-            sizes[i] = sizes[i].max(j + 1);
-        }
-        ClassAccumulator {
-            slots,
-            outcomes: Mutex::new(sizes.into_iter().map(|n| vec![1u8; n]).collect()),
-        }
-    }
-
-    fn into_outcomes(self) -> Vec<Vec<u8>> {
-        self.outcomes.into_inner().unwrap()
-    }
-}
-
-impl BatchObserver for ClassAccumulator<'_> {
-    fn job_finished(&self, index: usize, report: &JobReport) {
-        let (i, j) = self.slots[index];
-        self.outcomes.lock().unwrap()[i][j] = match report.checksum {
-            Some(ChecksumClass::Plausible) => 0,
-            Some(ChecksumClass::CannotCompile) => 2,
-            _ => 1,
-        };
-    }
-}
-
-/// Flattens a completion batch into engine jobs labeled `kernel#index`, in
-/// generation order (shared by Table 2, Figure 5, and the FSM evaluation).
-fn completion_jobs(
-    batch: &lv_agents::CompletionBatch,
+/// Samples `k` feedback-free completions per kernel and classifies each
+/// through the checksum-only cascade (Table 2, Figure 5, the Section 4.4
+/// evaluation): `classes[kernel][completion]` is the cell's checksum class.
+/// The cells run as jobs labeled `kernel#completion` in
+/// [`CompletionBatch::jobs`](lv_agents::CompletionBatch::jobs) order, so
+/// report `idx` of the batch is cell `idx` of that walk.
+fn checksum_classes(
+    config: &ExperimentConfig,
     kernels: &[&'static Kernel],
     scalars: &[Function],
-) -> Vec<Job> {
-    batch
+    k: usize,
+) -> Vec<Vec<Option<ChecksumClass>>> {
+    // Generation is sequential (the sampler is stateful); classification
+    // fans out over the engine's worker pool.
+    let batch = sample_completion_batch(scalars, &config.llm_config(), k);
+    let jobs: Vec<Job> = batch
         .jobs()
         .map(|(i, j, completion)| {
             Job::new(
@@ -174,7 +140,13 @@ fn completion_jobs(
                 completion.candidate.clone(),
             )
         })
-        .collect()
+        .collect();
+    let report = config.checksum_engine().run_batch(&jobs);
+    let mut classes = vec![Vec::new(); kernels.len()];
+    for ((i, _, _), job) in batch.jobs().zip(&report.jobs) {
+        classes[i].push(job.checksum);
+    }
+    classes
 }
 
 /// Scales a count from the embedded suite to the paper's 149-test population.
@@ -237,30 +209,10 @@ impl Table2 {
 /// completions without feedback and classify the best outcome within the
 /// first `k` completions for each requested `k`.
 pub fn table2(config: &ExperimentConfig, k_values: &[usize]) -> Table2 {
-    table2_with(config, k_values, &NoopObserver)
-}
-
-/// [`table2`], streaming per-job engine events to `observer`.
-pub fn table2_with(
-    config: &ExperimentConfig,
-    k_values: &[usize],
-    observer: &dyn BatchObserver,
-) -> Table2 {
     let kernels = config.kernels();
     let max_k = k_values.iter().copied().max().unwrap_or(1);
     let scalars: Vec<Function> = kernels.iter().map(|k| k.function()).collect();
-    // Candidate generation is sequential (the sampler is stateful);
-    // classification fans out over the engine's checksum-only cascade, and
-    // the per-kernel outcomes accumulate as jobs finish.
-    let batch = sample_completion_batch(&scalars, &config.llm_config(), max_k);
-    let jobs = completion_jobs(&batch, &kernels, &scalars);
-    let slots: Vec<(usize, usize)> = batch.jobs().map(|(i, j, _)| (i, j)).collect();
-    let accumulator = ClassAccumulator::new(&slots, kernels.len());
-    config
-        .checksum_engine()
-        .run_batch_observed(&jobs, &TeeObserver(&accumulator, observer));
-    // outcome per kernel per completion index: 0 = plausible, 1 = not equiv, 2 = cannot compile
-    let outcomes = accumulator.into_outcomes();
+    let classes = checksum_classes(config, &kernels, &scalars, max_k);
     let columns = k_values
         .iter()
         .map(|&k| {
@@ -270,11 +222,14 @@ pub fn table2_with(
                 not_equivalent: 0,
                 cannot_compile: 0,
             };
-            for row in &outcomes {
+            for row in &classes {
                 let window = &row[..k.min(row.len())];
-                if window.contains(&0) {
+                if window.contains(&Some(ChecksumClass::Plausible)) {
                     col.plausible += 1;
-                } else if window.iter().all(|&o| o == 2) {
+                } else if window
+                    .iter()
+                    .all(|&class| class == Some(ChecksumClass::CannotCompile))
+                {
                     col.cannot_compile += 1;
                 } else {
                     col.not_equivalent += 1;
@@ -313,29 +268,15 @@ impl Figure5 {
 
 /// Runs the pass@k experiment with `n_samples` completions per kernel.
 pub fn figure5(config: &ExperimentConfig, n_samples: usize, ks: &[usize]) -> Figure5 {
-    figure5_with(config, n_samples, ks, &NoopObserver)
-}
-
-/// [`figure5`], streaming per-job engine events to `observer`.
-pub fn figure5_with(
-    config: &ExperimentConfig,
-    n_samples: usize,
-    ks: &[usize],
-    observer: &dyn BatchObserver,
-) -> Figure5 {
     let kernels = config.kernels();
     let scalars: Vec<Function> = kernels.iter().map(|k| k.function()).collect();
-    let batch = sample_completion_batch(&scalars, &config.llm_config(), n_samples);
-    let jobs = completion_jobs(&batch, &kernels, &scalars);
-    let slots: Vec<(usize, usize)> = batch.jobs().map(|(i, j, _)| (i, j)).collect();
-    let accumulator = ClassAccumulator::new(&slots, kernels.len());
-    config
-        .checksum_engine()
-        .run_batch_observed(&jobs, &TeeObserver(&accumulator, observer));
-    let per_kernel_correct: Vec<usize> = accumulator
-        .into_outcomes()
+    let per_kernel_correct: Vec<usize> = checksum_classes(config, &kernels, &scalars, n_samples)
         .iter()
-        .map(|row| row.iter().filter(|&&o| o == 0).count())
+        .map(|row| {
+            row.iter()
+                .filter(|&&class| class == Some(ChecksumClass::Plausible))
+                .count()
+        })
         .collect();
     Figure5 {
         points: pass_at_k_curve(&per_kernel_correct, n_samples, ks),
@@ -406,37 +347,11 @@ impl Table3 {
     }
 }
 
-/// Accumulates Table 3's per-kernel verdicts through observer callbacks.
-struct Table3Accumulator<'a> {
-    /// Job index -> kernel index.
-    job_indices: &'a [usize],
-    jobs: &'a [Job],
-    kernels: &'a [&'static Kernel],
-    verdicts: Mutex<Vec<KernelVerdict>>,
-}
-
-impl BatchObserver for Table3Accumulator<'_> {
-    fn job_finished(&self, index: usize, report: &JobReport) {
-        let i = self.job_indices[index];
-        self.verdicts.lock().unwrap()[i] = KernelVerdict {
-            name: self.kernels[i].name,
-            category: self.kernels[i].category,
-            verdict: report.verdict,
-            stage: report.stage,
-            candidate: Some(self.jobs[index].candidate.clone()),
-        };
-    }
-}
-
 /// Runs the full verification funnel: the FSM produces (at most) one
 /// plausible candidate per kernel, which is then pushed through Algorithm 1's
-/// symbolic stages.
-pub fn table3(config: &ExperimentConfig) -> Table3 {
-    table3_with(config, &NoopObserver)
-}
-
-/// [`table3`], streaming per-job engine events to `observer`.
-pub fn table3_with(config: &ExperimentConfig, observer: &dyn BatchObserver) -> Table3 {
+/// symbolic stages. The engine's events stream to `observer` as workers
+/// finish (`&NoopObserver` to ignore them).
+pub fn table3(config: &ExperimentConfig, observer: &dyn BatchObserver) -> Table3 {
     let kernels = config.kernels();
     let scalars: Vec<Function> = kernels.iter().map(|k| k.function()).collect();
     let mut llm = config.llm();
@@ -448,7 +363,8 @@ pub fn table3_with(config: &ExperimentConfig, observer: &dyn BatchObserver) -> T
 
     // The FSM's feedback loop is sequential; the symbolic funnel over the
     // plausible candidates is where the wall-clock goes, and that part runs
-    // as one engine batch.
+    // as one engine batch. A kernel without a plausible candidate is
+    // refuted at the checksum stage.
     let fsm_results = fsm_candidate_batch(&scalars, &fsm_config, &mut llm);
     let mut job_indices: Vec<usize> = Vec::new();
     let mut jobs: Vec<Job> = Vec::new();
@@ -458,28 +374,23 @@ pub fn table3_with(config: &ExperimentConfig, observer: &dyn BatchObserver) -> T
             jobs.push(Job::new(kernels[i].name, scalars[i].clone(), candidate));
         }
     }
-
-    let accumulator = Table3Accumulator {
-        job_indices: &job_indices,
-        jobs: &jobs,
-        kernels: &kernels,
-        verdicts: Mutex::new(
-            kernels
-                .iter()
-                .map(|kernel| KernelVerdict {
-                    name: kernel.name,
-                    category: kernel.category,
-                    verdict: Equivalence::NotEquivalent,
-                    stage: Stage::Checksum,
-                    candidate: None,
-                })
-                .collect(),
-        ),
-    };
-    let batch = config
-        .engine()
-        .run_batch_observed(&jobs, &TeeObserver(&accumulator, observer));
-    let verdicts = accumulator.verdicts.into_inner().unwrap();
+    let batch = config.engine().run_batch_observed(&jobs, observer);
+    let mut verdicts: Vec<KernelVerdict> = kernels
+        .iter()
+        .map(|kernel| KernelVerdict {
+            name: kernel.name,
+            category: kernel.category,
+            verdict: Equivalence::NotEquivalent,
+            stage: Stage::Checksum,
+            candidate: None,
+        })
+        .collect();
+    for ((i, job), report) in job_indices.into_iter().zip(jobs).zip(&batch.jobs) {
+        let verdict = &mut verdicts[i];
+        verdict.verdict = report.verdict;
+        verdict.stage = report.stage;
+        verdict.candidate = Some(job.candidate);
+    }
     let funnel = batch.funnel();
 
     // Funnel accounting in the paper's style.
@@ -598,22 +509,6 @@ impl SpeedupFigure {
 /// `verdicts` normally comes from [`table3`]; only kernels with an
 /// `Equivalent` verdict and a candidate are plotted (57 of 149 in the paper).
 pub fn figure6(config: &ExperimentConfig, verdicts: &[KernelVerdict]) -> SpeedupFigure {
-    figure6_with(config, verdicts, &NoopObserver)
-}
-
-/// [`figure6`], streaming one row per kernel to `observer` as the cost model
-/// finishes it.
-///
-/// Figure 6 runs no verification of its own (its inputs are already
-/// verified), so each completed row is reported as a synthesized
-/// [`BatchObserver::job_finished`] event: the verdict and stage are the
-/// kernel's Table 3 result, `detail` carries the rendered speedups, and
-/// there are no traces.
-pub fn figure6_with(
-    config: &ExperimentConfig,
-    verdicts: &[KernelVerdict],
-    observer: &dyn BatchObserver,
-) -> SpeedupFigure {
     let costs = CostTable::default();
     let verified: Vec<&KernelVerdict> = verdicts
         .iter()
@@ -623,11 +518,9 @@ pub fn figure6_with(
                 && lv_tsvc::kernel(v.name).is_some()
         })
         .collect();
-    let indexed: Vec<(usize, &KernelVerdict)> = verified.into_iter().enumerate().collect();
     // Cost-model evaluations are independent per kernel: reuse the engine's
     // work-queue pattern to compute the rows in parallel.
-    let rows = parallel_map(config.threads, &indexed, |&(index, v)| {
-        let row_start = Instant::now();
+    let rows = parallel_map(config.threads, &verified, |v| {
         let candidate = v.candidate.as_ref().expect("filtered above");
         let scalar = lv_tsvc::kernel(v.name).expect("filtered above").function();
         let mut speedup = HashMap::new();
@@ -643,31 +536,11 @@ pub fn figure6_with(
                 ),
             );
         }
-        let row = SpeedupRow {
+        SpeedupRow {
             name: v.name,
             category: v.category,
             speedup,
-        };
-        observer.job_finished(
-            index,
-            &JobReport {
-                label: v.name.to_string(),
-                verdict: v.verdict,
-                stage: v.stage,
-                detail: format!(
-                    "vs GCC {:.2}, vs Clang {:.2}, vs ICC {:.2}",
-                    row.speedup[&Compiler::Gcc],
-                    row.speedup[&Compiler::Clang],
-                    row.speedup[&Compiler::Icc],
-                ),
-                checksum: None,
-                traces: Vec::new(),
-                wall: row_start.elapsed(),
-                cache_hit: false,
-                reuse: Default::default(),
-            },
-        );
-        row
+        }
     });
     SpeedupFigure { rows }
 }
@@ -679,18 +552,12 @@ pub fn figure6_with(
 /// (possible under severely reduced solver budgets) yields an empty figure
 /// rather than a panic.
 pub fn figure1(config: &ExperimentConfig) -> SpeedupFigure {
-    figure1_with(config, &NoopObserver)
-}
-
-/// [`figure1`], streaming the verification of the single s212 job (and its
-/// stage-by-stage progress) to `observer`.
-pub fn figure1_with(config: &ExperimentConfig, observer: &dyn BatchObserver) -> SpeedupFigure {
     let kernel = lv_tsvc::kernel("s212").expect("s212 is part of the suite");
     let scalar = kernel.function();
     let candidate =
         lv_agents::vectorize_correct(&scalar).expect("s212 is a supported kernel shape");
     let jobs = [Job::new("s212", scalar.clone(), candidate.clone())];
-    let batch = config.engine().run_batch_observed(&jobs, observer);
+    let batch = config.engine().run_batch(&jobs);
     let report = &batch.jobs[0];
     if report.verdict != Equivalence::Equivalent {
         return SpeedupFigure { rows: Vec::new() };
@@ -758,33 +625,14 @@ impl FsmEvaluation {
 
 /// Runs the FSM evaluation.
 pub fn fsm_evaluation(config: &ExperimentConfig) -> FsmEvaluation {
-    fsm_evaluation_with(config, &NoopObserver)
-}
-
-/// [`fsm_evaluation`], streaming the plain-sampling classification jobs to
-/// `observer` (the FSM feedback loop itself is sequential per kernel and
-/// produces no engine events).
-pub fn fsm_evaluation_with(
-    config: &ExperimentConfig,
-    observer: &dyn BatchObserver,
-) -> FsmEvaluation {
     let kernels = config.kernels();
     let scalars: Vec<Function> = kernels.iter().map(|k| k.function()).collect();
 
-    // Plain single-shot sampling, classified by the engine's checksum stage;
-    // the plausible count accumulates as jobs finish.
-    let batch = sample_completion_batch(&scalars, &config.llm_config(), 1);
-    let jobs = completion_jobs(&batch, &kernels, &scalars);
-    let slots: Vec<(usize, usize)> = batch.jobs().map(|(i, j, _)| (i, j)).collect();
-    let accumulator = ClassAccumulator::new(&slots, kernels.len());
-    config
-        .checksum_engine()
-        .run_batch_observed(&jobs, &TeeObserver(&accumulator, observer));
-    let plain = accumulator
-        .into_outcomes()
+    // Plain single-shot sampling, classified by the engine's checksum stage.
+    let plain = checksum_classes(config, &kernels, &scalars, 1)
         .iter()
         .flatten()
-        .filter(|&&o| o == 0)
+        .filter(|&&class| class == Some(ChecksumClass::Plausible))
         .count();
 
     // The FSM's checksum feedback loop is inherently sequential per kernel.
@@ -823,6 +671,7 @@ pub fn fsm_evaluation_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observer::NoopObserver;
 
     fn small_config(names: &[&str]) -> ExperimentConfig {
         ExperimentConfig {
@@ -862,7 +711,7 @@ mod tests {
     #[test]
     fn table3_funnel_adds_up() {
         let config = small_config(&["s000", "s112", "s212", "vsumr", "s278"]);
-        let table = table3(&config);
+        let table = table3(&config, &NoopObserver);
         let all = table.rows.last().unwrap();
         assert_eq!(all.total, 5);
         assert_eq!(all.equivalent + all.not_equivalent + all.inconclusive, 5);

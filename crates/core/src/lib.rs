@@ -21,7 +21,8 @@
 //!   stage-finished / job-finished callbacks fired from the worker pool as
 //!   a batch progresses, so sweeps render incrementally
 //!   ([`StreamObserver`]) instead of waiting on the full [`BatchReport`].
-//!   Every experiment driver has a `*_with` variant taking an observer;
+//!   Observers only stream: every count and class of a run is read from the
+//!   [`BatchReport`] the engine returns;
 //! * [`cache`] — the content-addressed [`VerdictCache`]: an in-memory +
 //!   JSON-file verdict store keyed by
 //!   `(scalar hash, candidate hash, config hash)` using
@@ -52,9 +53,10 @@
 //!   ([`figure5`]), Table 3 ([`table3`]), Figure 1(c) ([`figure1`]),
 //!   Figure 6 ([`figure6`]) and the Section 4.4 FSM evaluation
 //!   ([`fsm_evaluation`]); all of them generate candidates sequentially
-//!   (the synthetic LLM is a seeded, stateful sampler) and verify through
-//!   the engine's work queue, streaming per-job results through the
-//!   observer they are given.
+//!   (the synthetic LLM is a seeded, stateful sampler), verify through the
+//!   engine's work queue and read their rows from the returned
+//!   [`BatchReport`] in job order. [`table3`] also streams its engine
+//!   events to the observer it is given.
 //!
 //! # One-shot example
 //!
@@ -121,15 +123,12 @@ pub use engine::{
     COUNTEREXAMPLE_REVISION, REFERENCE_TABLE_CAPACITY, UB_REVISION,
 };
 pub use experiments::{
-    figure1, figure1_with, figure5, figure5_with, figure6, figure6_with, fsm_evaluation,
-    fsm_evaluation_with, scale_to_paper, table2, table2_with, table3, table3_with,
-    ExperimentConfig, Figure5, FsmEvaluation, KernelVerdict, SpeedupFigure, SpeedupRow, Table2,
-    Table2Column, Table3, Table3Row,
+    figure1, figure5, figure6, fsm_evaluation, scale_to_paper, table2, table3, ExperimentConfig,
+    Figure5, FsmEvaluation, KernelVerdict, SpeedupFigure, SpeedupRow, Table2, Table2Column, Table3,
+    Table3Row,
 };
 pub use funnel::{FunnelReport, StageFunnel, HISTOGRAM_BUCKETS};
-pub use observer::{
-    BatchObserver, CallbackObserver, CountingObserver, NoopObserver, StreamObserver, TeeObserver,
-};
+pub use observer::{BatchObserver, CallbackObserver, NoopObserver, StreamObserver};
 pub use passk::{
     generate_then_verify_pass_at_k, overlapped_pass_at_k, overlapped_pass_at_k_observed, pass_at_k,
     pass_at_k_curve, seeded_jobs, PassKRun,

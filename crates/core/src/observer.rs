@@ -5,9 +5,12 @@
 //! *as the worker pool makes progress*: when a job is claimed, after each
 //! cascade stage, and when a job's verdict is final. This is what lets a
 //! long sweep render its table incrementally instead of sitting silent until
-//! the whole [`BatchReport`](crate::BatchReport) is assembled — every
-//! experiment driver in [`crate::experiments`] has a `*_with` variant that
-//! forwards its engine events to a caller-supplied observer.
+//! the whole [`BatchReport`](crate::BatchReport) is assembled
+//! ([`crate::table3`] and the verification service's streamed verdicts).
+//!
+//! Observers only stream. A run's counts and classes — stage runs, cache
+//! hits, verdicts per job — are read from the `BatchReport` the run
+//! returns, whose reports are in job order.
 //!
 //! Callbacks are invoked from worker threads (hence `Send + Sync + &self`)
 //! and in *completion* order, which is nondeterministic under `threads > 1`;
@@ -47,59 +50,6 @@ pub trait BatchObserver: Send + Sync {
 pub struct NoopObserver;
 
 impl BatchObserver for NoopObserver {}
-
-/// Counts events and cache hits; useful for tests and for asserting that a
-/// warmed cache runs zero stages.
-#[derive(Debug, Default)]
-pub struct CountingObserver {
-    /// Jobs started (cache hits are started too).
-    pub started: AtomicUsize,
-    /// Stage executions observed across all jobs.
-    pub stages: AtomicUsize,
-    /// Jobs finished.
-    pub finished: AtomicUsize,
-    /// Jobs answered from the verdict cache.
-    pub cache_hits: AtomicUsize,
-}
-
-impl CountingObserver {
-    /// A fresh counter.
-    pub fn new() -> CountingObserver {
-        CountingObserver::default()
-    }
-
-    /// Stage executions observed so far.
-    pub fn stage_count(&self) -> usize {
-        self.stages.load(Ordering::Relaxed)
-    }
-
-    /// Jobs answered from the verdict cache so far.
-    pub fn cache_hit_count(&self) -> usize {
-        self.cache_hits.load(Ordering::Relaxed)
-    }
-
-    /// Jobs finished so far.
-    pub fn finished_count(&self) -> usize {
-        self.finished.load(Ordering::Relaxed)
-    }
-}
-
-impl BatchObserver for CountingObserver {
-    fn job_started(&self, _index: usize, _job: &Job) {
-        self.started.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn stage_finished(&self, _index: usize, _job: &Job, _trace: &StageTrace) {
-        self.stages.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn job_finished(&self, _index: usize, report: &JobReport) {
-        self.finished.fetch_add(1, Ordering::Relaxed);
-        if report.cache_hit {
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-}
 
 /// Renders one line per finished job to a writer, in completion order — the
 /// incremental view of a sweep's table.
@@ -181,28 +131,6 @@ impl<F: Fn(usize, &JobReport) + Send + Sync> BatchObserver for CallbackObserver<
 impl<F: Fn(usize, &JobReport) + Send + Sync> std::fmt::Debug for CallbackObserver<F> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str("CallbackObserver")
-    }
-}
-
-/// Forwards every event to two observers — how the experiment drivers
-/// combine their internal accumulators with the caller's observer.
-#[derive(Debug, Clone, Copy)]
-pub struct TeeObserver<'a>(pub &'a dyn BatchObserver, pub &'a dyn BatchObserver);
-
-impl BatchObserver for TeeObserver<'_> {
-    fn job_started(&self, index: usize, job: &Job) {
-        self.0.job_started(index, job);
-        self.1.job_started(index, job);
-    }
-
-    fn stage_finished(&self, index: usize, job: &Job, trace: &StageTrace) {
-        self.0.stage_finished(index, job, trace);
-        self.1.stage_finished(index, job, trace);
-    }
-
-    fn job_finished(&self, index: usize, report: &JobReport) {
-        self.0.job_finished(index, report);
-        self.1.job_finished(index, report);
     }
 }
 

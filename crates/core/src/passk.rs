@@ -13,9 +13,9 @@
 //! come from its own derived seed and the engine reassembles reports in
 //! job-index order.
 
-use crate::engine::{job_channel, BatchReport, Job, VerificationEngine};
+use crate::engine::{job_channel, parallel_map, BatchReport, Job, VerificationEngine};
 use crate::observer::{BatchObserver, NoopObserver};
-use lv_agents::{sample_completion_batch_seeded, sample_completion_cell, LlmConfig};
+use lv_agents::{sample_completion_cell, LlmConfig};
 use lv_cir::ast::Function;
 use lv_interp::ChecksumClass;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -167,29 +167,29 @@ pub fn overlapped_pass_at_k_observed(
 
 /// The seeded job list of `k` completions per kernel: cell `(kernel i,
 /// completion j)` is job `i * k + j`, labeled `name#j`, its candidate
-/// sampled with the [`lv_agents::derive_cell_seed`]`(llm_config.seed, i,
-/// j)`-seeded model on `gen_threads` generator threads (0 = one per
-/// available CPU). The list is the same at any thread count, and it is the
-/// job list [`overlapped_pass_at_k`] streams, so submitting it to a daemon
-/// (`lv-sweep submit --generate`) verifies the cells `lv-sweep run
-/// --generate` verifies.
+/// [`sample_completion_cell`]`(scalar, llm_config, i, j)`. The cells are
+/// sampled by [`parallel_map`] on `gen_threads` threads (0 = one per
+/// available CPU), which returns them in cell order, so the list is the
+/// same at any thread count. It is the job list [`overlapped_pass_at_k`]
+/// streams, so submitting it to a daemon (`lv-sweep submit --generate`)
+/// verifies the cells `lv-sweep run --generate` verifies.
 pub fn seeded_jobs(
     kernels: &[(String, Function)],
     llm_config: &LlmConfig,
     k: usize,
     gen_threads: usize,
 ) -> Vec<Job> {
-    let scalars: Vec<Function> = kernels.iter().map(|(_, f)| f.clone()).collect();
-    sample_completion_batch_seeded(&scalars, llm_config, k, gen_threads)
-        .into_jobs()
-        .map(|(i, j, completion)| {
-            Job::new(
-                format!("{}#{}", kernels[i].0, j),
-                kernels[i].1.clone(),
-                completion.candidate,
-            )
-        })
-        .collect()
+    let cells: Vec<usize> = (0..kernels.len().saturating_mul(k)).collect();
+    parallel_map(gen_threads, &cells, |&cell| {
+        let (i, j) = (cell / k, cell % k);
+        let (name, scalar) = &kernels[i];
+        let completion = sample_completion_cell(scalar, llm_config, i, j);
+        Job::new(
+            format!("{}#{}", name, j),
+            scalar.clone(),
+            completion.candidate,
+        )
+    })
 }
 
 /// The unoverlapped reference: the full [`seeded_jobs`] list first, then
@@ -299,6 +299,32 @@ mod tests {
                 assert_eq!(a.detail, b.detail);
             }
         }
+    }
+
+    #[test]
+    fn seeded_jobs_match_cell_by_cell_sampling_at_any_thread_count() {
+        let kernels = passk_kernels();
+        let config = LlmConfig::default();
+        let k = 4;
+        for threads in [1, 2, 3, 8] {
+            let jobs = seeded_jobs(&kernels, &config, k, threads);
+            assert_eq!(jobs.len(), kernels.len() * k);
+            for (cell, job) in jobs.iter().enumerate() {
+                let (i, j) = (cell / k, cell % k);
+                let (name, scalar) = &kernels[i];
+                assert_eq!(job.label, format!("{}#{}", name, j));
+                assert_eq!(&job.scalar, scalar);
+                assert_eq!(
+                    job.candidate,
+                    sample_completion_cell(scalar, &config, i, j).candidate,
+                    "cell ({}, {}) differs at {} threads",
+                    i,
+                    j,
+                    threads
+                );
+            }
+        }
+        assert!(seeded_jobs(&kernels, &config, 0, 2).is_empty());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use crate::cache::{CacheKey, CachedVerdict, VerdictCache};
 use crate::engine::{job_cache_key, job_channel, EngineConfig, Job, VerificationEngine};
-use crate::observer::{CallbackObserver, CountingObserver, TeeObserver};
+use crate::observer::CallbackObserver;
 use crate::service::wire::{
     check_magic, read_message, write_message, Message, ServiceStatus, VerdictFrame, WireError,
     WIRE_MAGIC, WIRE_VERSION, WRITE_BUFFER_BYTES,
@@ -425,7 +425,6 @@ impl VerificationService {
             ))
         };
 
-        let counting = CountingObserver::new();
         let streaming = CallbackObserver::new(|slot: usize, report: &crate::JobReport| {
             queue_verdict(VerdictFrame {
                 index: slot as u32,
@@ -440,7 +439,6 @@ impl VerificationService {
             });
             flush();
         });
-        let tee = TeeObserver(&counting, &streaming);
 
         let (producer, source) = job_channel(ENGINE_QUEUE_CAPACITY);
         let batch = std::thread::scope(|scope| {
@@ -465,7 +463,7 @@ impl VerificationService {
                 flush();
                 engine.get_or_insert_with(|| {
                     self.engine_runs.fetch_add(1, Ordering::Relaxed);
-                    scope.spawn(|| self.engine.run_stream_observed(&source, &tee))
+                    scope.spawn(|| self.engine.run_stream_observed(&source, &streaming))
                 });
                 producer.push(slot, self.job_of(submitted));
             }
@@ -479,7 +477,7 @@ impl VerificationService {
 
         if let Some(batch) = batch {
             self.stages
-                .fetch_add(counting.stage_count() as u64, Ordering::Relaxed);
+                .fetch_add(batch.stage_runs() as u64, Ordering::Relaxed);
             // In-batch duplicates of an admitted job take the verdict of
             // the copy that ran — from the cache entry it stored, or as
             // in-flight followers while it was still running — and count
@@ -535,20 +533,22 @@ mod tests {
         EngineConfig::full(PipelineConfig::default()).with_threads(1)
     }
 
-    /// Runs `f` against a daemon serving on loopback, then shuts it down.
+    /// Runs `f` against a daemon serving on loopback, then shuts it down,
+    /// also when `f` panics (the scope would otherwise wait on the server
+    /// forever), and re-raises the panic.
     fn with_daemon<T>(f: impl FnOnce(&VerificationService) -> T) -> T {
         let service =
             VerificationService::bind("127.0.0.1:0", config(), Arc::new(VerdictCache::in_memory()))
                 .unwrap();
         std::thread::scope(|scope| {
             let server = scope.spawn(|| service.serve_forever().unwrap());
-            let out = f(&service);
+            let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&service)));
             ServiceClient::connect(service.local_addr())
                 .unwrap()
                 .shutdown()
                 .unwrap();
             server.join().unwrap();
-            out
+            out.unwrap_or_else(|panic| std::panic::resume_unwind(panic))
         })
     }
 
@@ -678,6 +678,49 @@ mod tests {
             assert_eq!(verdicts(&warm), verdicts(&cold));
             assert_eq!(parsed(service), 6, "a warm resubmission parses nothing");
             assert_eq!(service.status().stages, stages);
+        });
+    }
+
+    #[test]
+    fn the_stage_count_is_the_stage_runs_of_the_distinct_jobs() {
+        // Slots 2, 3, 5, 6 and 7 repeat slots 0, 1 and 4.
+        let doubled = [
+            BATCH[0], BATCH[1], BATCH[0], BATCH[1], BATCH[2], BATCH[0], BATCH[1], BATCH[2],
+        ];
+        let jobs: Vec<Job> = doubled
+            .iter()
+            .enumerate()
+            .map(|(i, (scalar, candidate))| {
+                Job::new(
+                    format!("job{}", i),
+                    parse_function(scalar).unwrap(),
+                    parse_function(candidate).unwrap(),
+                )
+            })
+            .collect();
+        let cached =
+            VerificationEngine::new(config().with_cache(Arc::new(VerdictCache::in_memory())))
+                .run_batch(&jobs);
+        assert_eq!(cached.cache_misses, BATCH.len());
+        let distinct: Vec<Job> = [0, 1, 4].iter().map(|&i| jobs[i].clone()).collect();
+        assert_eq!(
+            cached.stage_runs(),
+            VerificationEngine::new(config())
+                .run_batch(&distinct)
+                .stage_runs(),
+            "duplicates run no stage"
+        );
+        with_daemon(|service| {
+            let cold = RawClient::connect(service).submit(&doubled);
+            for (slot, first) in [(2, 0), (3, 1), (5, 0), (6, 1), (7, 4)] {
+                assert_eq!(cold[slot].verdict, cold[first].verdict);
+            }
+            let stages = service.status().stages;
+            assert_eq!(stages, cached.stage_runs() as u64);
+
+            let warm = RawClient::connect(service).submit(&doubled);
+            assert!(warm.iter().all(|frame| frame.cache_hit));
+            assert_eq!(service.status().stages, stages, "a warm batch adds 0");
         });
     }
 

@@ -105,11 +105,6 @@ impl Model {
         })
     }
 
-    /// The value of a boolean variable.
-    pub fn bool_value(&self, name: &str) -> Option<bool> {
-        self.bools.get(name).copied()
-    }
-
     /// All bitvector assignments, sorted by name (useful for counterexample
     /// reports).
     pub fn assignments(&self) -> Vec<(String, i64)> {
@@ -150,11 +145,6 @@ impl CheckResult {
     /// Returns `true` for `Unsat`.
     pub fn is_unsat(&self) -> bool {
         matches!(self, CheckResult::Unsat)
-    }
-
-    /// Returns `true` for `Sat`.
-    pub fn is_sat(&self) -> bool {
-        matches!(self, CheckResult::Sat(_))
     }
 }
 

@@ -773,15 +773,6 @@ impl Context {
         self.intern(Op::And, &ordered(a, b), Sort::Bool)
     }
 
-    /// Conjunction of many terms.
-    pub fn and_many(&mut self, terms: &[TermId]) -> TermId {
-        let mut acc = self.bool_const(true);
-        for &t in terms {
-            acc = self.and(acc, t);
-        }
-        acc
-    }
-
     /// Boolean disjunction.
     pub fn or(&mut self, a: TermId, b: TermId) -> TermId {
         match (self.as_bool_const(a), self.as_bool_const(b)) {

@@ -156,11 +156,6 @@ pub enum TvVerdict {
 }
 
 impl TvVerdict {
-    /// Returns `true` for [`TvVerdict::Equivalent`].
-    pub fn is_equivalent(&self) -> bool {
-        matches!(self, TvVerdict::Equivalent)
-    }
-
     /// Returns `true` for [`TvVerdict::Inconclusive`].
     pub fn is_inconclusive(&self) -> bool {
         matches!(self, TvVerdict::Inconclusive { .. })

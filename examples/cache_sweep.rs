@@ -14,7 +14,7 @@
 //! Exits non-zero (panics) on any violation.
 
 use llm_vectorizer_repro::core::{
-    table3_with, CountingObserver, ExperimentConfig, Job, Table3, VerdictCache,
+    table3, ExperimentConfig, Job, NoopObserver, Table3, VerdictCache,
 };
 use llm_vectorizer_repro::interp::ChecksumConfig;
 use std::path::Path;
@@ -38,12 +38,11 @@ fn config(cache: Arc<VerdictCache>) -> ExperimentConfig {
     }
 }
 
-fn sweep(cache_file: &Path) -> (Table3, CountingObserver) {
+fn sweep(cache_file: &Path) -> Table3 {
     let cache = Arc::new(VerdictCache::open(cache_file).expect("cache file must load"));
-    let counter = CountingObserver::new();
-    let table = table3_with(&config(cache.clone()), &counter);
+    let table = table3(&config(cache.clone()), &NoopObserver);
     cache.persist().expect("cache file must persist");
-    (table, counter)
+    table
 }
 
 /// Every engine job of a Table 3 run, each twice in adjacent slots.
@@ -67,30 +66,25 @@ fn main() {
     let _ = std::fs::remove_file(&path);
 
     println!("== cold run (empty cache at {}) ==", path.display());
-    let (cold, cold_counter) = sweep(&path);
+    let cold = sweep(&path);
     println!("{}", cold.render());
     let jobs = cold.batch.jobs.len();
     assert!(jobs >= 4, "expected a non-trivial sweep, got {} jobs", jobs);
     assert_eq!(cold.batch.cache_hits, 0, "cold run must miss everywhere");
     assert_eq!(cold.batch.cache_misses, jobs);
-    assert!(cold_counter.stage_count() > 0);
+    assert!(cold.batch.stage_runs() > 0);
 
     println!("== warm run (cache reloaded from disk) ==");
-    let (warm, warm_counter) = sweep(&path);
+    let warm = sweep(&path);
     assert_eq!(
         warm.batch.cache_hits, jobs,
         "warm run must be answered entirely from the cache"
     );
     assert_eq!(warm.batch.cache_misses, 0);
     assert_eq!(
-        warm_counter.stage_count(),
-        0,
-        "a warm cache must execute zero checksum/SMT stages"
-    );
-    assert_eq!(
         warm.batch.stage_runs(),
         0,
-        "no stage traces may exist on a fully cached run"
+        "a warm cache must execute zero checksum/SMT stages"
     );
     assert_eq!(warm.batch.total_conflicts(), 0);
 
@@ -110,8 +104,7 @@ fn main() {
         ..config(Arc::new(VerdictCache::in_memory()))
     }
     .engine();
-    let doubled_counter = CountingObserver::new();
-    let batch = engine.run_batch_observed(&doubled, &doubled_counter);
+    let batch = engine.run_batch(&doubled);
     assert_eq!(batch.threads, 4);
     assert_eq!(
         batch.cache_misses, jobs,
@@ -122,11 +115,10 @@ fn main() {
         "each second copy takes the first copy's verdict"
     );
     assert_eq!(
-        doubled_counter.stage_count(),
-        cold_counter.stage_count(),
+        batch.stage_runs(),
+        cold.batch.stage_runs(),
         "the doubled run must execute the cold run's stages, no more"
     );
-    assert_eq!(batch.stage_runs(), cold.batch.stage_runs());
     for (pair, want) in batch.jobs.chunks(2).zip(&cold.batch.jobs) {
         for got in pair {
             assert_eq!(got.label, want.label);

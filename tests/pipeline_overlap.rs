@@ -6,14 +6,12 @@
 //! `BatchReport` bit-identical to running the precomputed job list, at any
 //! worker count.
 
-use llm_vectorizer_repro::agents::{
-    derive_cell_seed, sample_completion_batch_seeded, Completion, LlmConfig,
-};
+use llm_vectorizer_repro::agents::{derive_cell_seed, LlmConfig};
 use llm_vectorizer_repro::cir::ast::Function;
 use llm_vectorizer_repro::cir::print_function;
 use llm_vectorizer_repro::core::{
-    generate_then_verify_pass_at_k, job_channel, overlapped_pass_at_k, BatchReport, EngineConfig,
-    Job, PassKRun, VerificationEngine,
+    generate_then_verify_pass_at_k, job_channel, overlapped_pass_at_k, seeded_jobs, BatchReport,
+    EngineConfig, PassKRun, VerificationEngine,
 };
 use llm_vectorizer_repro::tsvc::kernel;
 use lv_bench::small_budget_pipeline;
@@ -87,23 +85,18 @@ fn cell_seed_golden_values_are_platform_stable() {
 }
 
 /// Seeded generation is a pure function of the seed: one, two, and eight
-/// generator threads produce the identical completion grid.
+/// generator threads produce the identical job list.
 #[test]
 fn seeded_generation_is_identical_at_gen_thread_counts_1_2_8() {
-    let scalars: Vec<Function> = pipeline_kernels().into_iter().map(|(_, f)| f).collect();
+    let kernels = pipeline_kernels();
     let config = LlmConfig {
         seed: 0xC0FFEE,
         ..LlmConfig::default()
     };
-    let texts = |threads: usize| -> Vec<Vec<String>> {
-        sample_completion_batch_seeded(&scalars, &config, 5, threads)
-            .completions
+    let texts = |threads: usize| -> Vec<String> {
+        seeded_jobs(&kernels, &config, 5, threads)
             .iter()
-            .map(|row| {
-                row.iter()
-                    .map(|c: &Completion| format!("{}\n{}", print_function(&c.candidate), c.notes))
-                    .collect()
-            })
+            .map(|job| format!("{}\n{}", job.label, print_function(&job.candidate)))
             .collect()
     };
     let reference = texts(1);
@@ -122,18 +115,7 @@ fn delayed_producer_stream_matches_precomputed_batch_at_worker_counts_1_2_8() {
         seed: 7,
         ..LlmConfig::default()
     };
-    let k = 3;
-    let scalars: Vec<Function> = kernels.iter().map(|(_, f)| f.clone()).collect();
-    let jobs: Vec<Job> = sample_completion_batch_seeded(&scalars, &config, k, 1)
-        .into_jobs()
-        .map(|(i, j, completion)| {
-            Job::new(
-                format!("{}#{}", kernels[i].0, j),
-                kernels[i].1.clone(),
-                completion.candidate,
-            )
-        })
-        .collect();
+    let jobs = seeded_jobs(&kernels, &config, 3, 1);
 
     for workers in [1, 2, 8] {
         let engine = VerificationEngine::new(
