@@ -15,9 +15,9 @@
 //!   ([`lv_tv::TvSession`]) for its whole lifetime, and results are
 //!   returned in job order regardless of scheduling.
 //!
-//! Every job runs [`EngineConfig::cascade`] in its configured order —
-//! Algorithm 1's checksum → Alive2 → C-unroll → splitting by default —
-//! under the fixed per-stage budgets of [`EngineConfig::pipeline`].
+//! Every job runs Algorithm 1's cascade ([`EngineConfig::full`]) or its
+//! checksum stage alone ([`EngineConfig::checksum_only`]) under the fixed
+//! per-stage budgets of [`EngineConfig::pipeline`].
 //!
 //! Both the checksum harness and the symbolic stages bind a candidate's
 //! parameters to the scalar's by position, as a C call does; a candidate
@@ -132,9 +132,9 @@ impl ReuseCounters {
 pub struct EngineConfig {
     /// Worker threads; `0` means one per available CPU.
     pub threads: usize,
-    /// The stages to run, in order. Defaults to Algorithm 1's full
-    /// cascade.
-    pub cascade: Vec<Stage>,
+    /// The stages to run, in order: Algorithm 1's full cascade, or the
+    /// checksum stage alone.
+    cascade: Vec<Stage>,
     /// Stage configurations (checksum harness + symbolic budgets).
     pub pipeline: PipelineConfig,
     /// Verdict cache consulted per job before any stage runs. `None`
@@ -144,8 +144,9 @@ pub struct EngineConfig {
     pub reuse: EngineReuse,
 }
 
-impl Default for EngineConfig {
-    fn default() -> Self {
+impl EngineConfig {
+    /// The full Algorithm 1 cascade with the given stage configurations.
+    pub fn full(pipeline: PipelineConfig) -> EngineConfig {
         EngineConfig {
             threads: 0,
             cascade: vec![
@@ -154,19 +155,9 @@ impl Default for EngineConfig {
                 Stage::CUnroll,
                 Stage::Splitting,
             ],
-            pipeline: PipelineConfig::default(),
+            pipeline,
             cache: None,
             reuse: EngineReuse::default(),
-        }
-    }
-}
-
-impl EngineConfig {
-    /// The full Algorithm 1 cascade with the given stage configurations.
-    pub fn full(pipeline: PipelineConfig) -> EngineConfig {
-        EngineConfig {
-            pipeline,
-            ..EngineConfig::default()
         }
     }
 
@@ -174,11 +165,10 @@ impl EngineConfig {
     pub fn checksum_only(checksum: lv_interp::ChecksumConfig) -> EngineConfig {
         EngineConfig {
             cascade: vec![Stage::Checksum],
-            pipeline: PipelineConfig {
+            ..EngineConfig::full(PipelineConfig {
                 checksum,
                 ..PipelineConfig::default()
-            },
-            ..EngineConfig::default()
+            })
         }
     }
 

@@ -33,6 +33,9 @@ use lv_tsvc::{Category, Kernel, KERNELS, PAPER_SUITE_SIZE};
 use std::collections::HashMap;
 use std::sync::Arc;
 
+/// Problem size of the performance simulations (Figures 1 and 6).
+const PERFORMANCE_N: u64 = 32_000;
+
 /// Common experiment configuration.
 #[derive(Debug, Clone)]
 pub struct ExperimentConfig {
@@ -46,8 +49,6 @@ pub struct ExperimentConfig {
     pub checksum: ChecksumConfig,
     /// Pipeline (verification) configuration.
     pub pipeline: PipelineConfig,
-    /// Problem size used for the performance simulations.
-    pub performance_n: u64,
     /// Verification-engine worker threads (`0` = one per CPU). Any value
     /// yields identical tables/figures; it only affects wall-clock time.
     pub threads: usize,
@@ -64,7 +65,6 @@ impl Default for ExperimentConfig {
             temperature: 1.0,
             checksum: ChecksumConfig::default(),
             pipeline: PipelineConfig::default(),
-            performance_n: 32_000,
             threads: 0,
             cache: None,
         }
@@ -531,7 +531,7 @@ pub fn figure6(config: &ExperimentConfig, verdicts: &[KernelVerdict]) -> Speedup
                     &CompilerProfile::of(compiler),
                     &scalar,
                     candidate,
-                    config.performance_n,
+                    PERFORMANCE_N,
                     &costs,
                 ),
             );
@@ -571,7 +571,7 @@ pub fn figure1(config: &ExperimentConfig) -> SpeedupFigure {
                 &CompilerProfile::of(compiler),
                 &scalar,
                 &candidate,
-                config.performance_n,
+                PERFORMANCE_N,
                 &costs,
             ),
         );

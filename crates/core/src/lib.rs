@@ -8,15 +8,16 @@
 //!   unrolling, C-level unrolling, and spatial splitting as
 //!   [`VerificationStrategy`] trait objects) and [`engine::pool`] (the
 //!   atomic work-queue worker pool fanning `(kernel × candidate)` [`Job`]s
-//!   out). Every job runs one cascade order — Algorithm 1's, unless
-//!   [`EngineConfig::cascade`] says otherwise — under fixed per-stage
-//!   budgets. Each worker owns one reusable SMT session, and every job
-//!   records structured telemetry ([`StageTrace`]: stage reached, SAT
-//!   conflicts, CNF clauses, wall time). Verdicts are bit-identical for any
-//!   thread count — parallelism is purely a wall-clock win. [`EngineReuse`]
-//!   layers blasted-CNF memoization on top; its replays are
-//!   clause-identical, so reports and the cache fingerprint are unchanged,
-//!   and per-job activity is counted in [`ReuseCounters`];
+//!   out). Every job runs Algorithm 1's cascade ([`EngineConfig::full`])
+//!   or its checksum stage alone ([`EngineConfig::checksum_only`]) under
+//!   fixed per-stage budgets. Each worker owns one reusable SMT session,
+//!   and every job records structured telemetry ([`StageTrace`]: stage
+//!   reached, SAT conflicts, CNF clauses, wall time). Verdicts are
+//!   bit-identical for any thread count — parallelism is purely a
+//!   wall-clock win. [`EngineReuse`] layers blasted-CNF memoization on
+//!   top; its replays are clause-identical, so reports and the cache
+//!   fingerprint are unchanged, and per-job activity is counted in
+//!   [`ReuseCounters`];
 //! * [`observer`] — the [`BatchObserver`] trait: job-started /
 //!   stage-finished / job-finished callbacks fired from the worker pool as
 //!   a batch progresses, so sweeps render incrementally

@@ -52,26 +52,25 @@ pub struct NoopObserver;
 impl BatchObserver for NoopObserver {}
 
 /// Renders one line per finished job to a writer, in completion order — the
-/// incremental view of a sweep's table.
+/// incremental view of a sweep's table. The prefix counts finished jobs; it
+/// has no total, because a driver such as [`crate::table3`] only knows its
+/// job count once its candidates are generated.
 ///
 /// ```text
-/// [ 3/62] s112: Equivalent @ C-Unroll (102ms)
-/// [ 4/62] s000: Equivalent @ Alive2 (cached)
+/// [ 3] s112: Equivalent @ C-Unroll (102ms)
+/// [ 4] s000: Equivalent @ Alive2 (cached)
 /// ```
 #[derive(Debug)]
 pub struct StreamObserver<W: Write + Send> {
     out: Mutex<W>,
-    total: usize,
     done: AtomicUsize,
 }
 
 impl<W: Write + Send> StreamObserver<W> {
-    /// Streams to `out`; `total` is the expected job count (used only for
-    /// the `[done/total]` prefix).
-    pub fn new(out: W, total: usize) -> StreamObserver<W> {
+    /// Streams to `out`.
+    pub fn new(out: W) -> StreamObserver<W> {
         StreamObserver {
             out: Mutex::new(out),
-            total,
             done: AtomicUsize::new(0),
         }
     }
@@ -95,9 +94,8 @@ impl<W: Write + Send> BatchObserver for StreamObserver<W> {
         // best-effort.
         let _ = writeln!(
             out,
-            "[{:>2}/{}] {}: {:?} @ {} {}",
+            "[{:>2}] {}: {:?} @ {} {}",
             done,
-            self.total,
             report.label,
             report.verdict,
             report.stage.label(),

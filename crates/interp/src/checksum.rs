@@ -33,32 +33,29 @@ use lv_cir::ast::{Function, Type};
 use lv_cir::typecheck::check_types;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Configuration for the checksum harness.
 #[derive(Debug, Clone)]
 pub struct ChecksumConfig {
-    /// The loop upper bound supplied for every scalar `int` parameter
-    /// (unless overridden). Deliberately *not* a multiple of the vector
-    /// width so that missing scalar epilogues are caught.
+    /// The loop upper bound supplied for every scalar `int` parameter.
+    /// Deliberately *not* a multiple of the vector width so that missing
+    /// scalar epilogues are caught.
     pub n: i32,
     /// Number of random trials with different array contents.
     pub trials: u32,
     /// RNG seed, so experiments are reproducible.
     pub seed: u64,
-    /// Extra elements allocated past `n` in every array. The slack is
-    /// initialized identically for both runs and compared afterwards, so a
-    /// candidate that overruns the logical length is caught either by the
-    /// comparison or by the out-of-bounds detector.
-    pub slack: usize,
-    /// Range of random initial values, inclusive of the endpoints.
-    pub value_range: (i32, i32),
-    /// Per-parameter overrides for scalar arguments.
-    pub scalar_overrides: HashMap<String, i32>,
-    /// Execution limits.
-    pub exec: ExecConfig,
 }
+
+/// Extra elements allocated past `n` in every array. The slack is
+/// initialized identically for both runs and compared afterwards, so a
+/// candidate that overruns the logical length is caught either by the
+/// comparison or by the out-of-bounds detector.
+const SLACK: usize = 8;
+
+/// Range of random initial values, inclusive of the endpoints.
+const VALUE_RANGE: (i32, i32) = (-100, 100);
 
 impl Default for ChecksumConfig {
     fn default() -> Self {
@@ -66,34 +63,24 @@ impl Default for ChecksumConfig {
             n: 100,
             trials: 3,
             seed: 0x5eed,
-            slack: 8,
-            value_range: (-100, 100),
-            scalar_overrides: HashMap::new(),
-            exec: ExecConfig::default(),
         }
     }
 }
 
 impl ChecksumConfig {
-    /// A stable 64-bit fingerprint of every field that can influence an
-    /// outcome, folded into the engine-configuration hash that keys the
-    /// persistent verdict cache. Overrides are hashed in sorted order so the
-    /// fingerprint is independent of `HashMap` iteration order.
+    /// A stable 64-bit fingerprint of everything that can influence an
+    /// outcome — the configured fields, the slack, the value range and the
+    /// interpreter's step limit — folded into the engine-configuration hash
+    /// that keys the persistent verdict cache.
     pub fn fingerprint(&self) -> u64 {
         let mut fnv = lv_cir::Fnv64::new();
         fnv.write_i64(i64::from(self.n));
         fnv.write_u64(u64::from(self.trials));
         fnv.write_u64(self.seed);
-        fnv.write_u64(self.slack as u64);
-        fnv.write_i64(i64::from(self.value_range.0));
-        fnv.write_i64(i64::from(self.value_range.1));
-        let mut overrides: Vec<(&String, &i32)> = self.scalar_overrides.iter().collect();
-        overrides.sort();
-        for (name, value) in overrides {
-            fnv.write_str(name);
-            fnv.write_i64(i64::from(*value));
-        }
-        fnv.write_u64(self.exec.max_steps);
+        fnv.write_u64(SLACK as u64);
+        fnv.write_i64(i64::from(VALUE_RANGE.0));
+        fnv.write_i64(i64::from(VALUE_RANGE.1));
+        fnv.write_u64(ExecConfig::default().max_steps);
         fnv.finish()
     }
 }
@@ -226,7 +213,6 @@ pub struct ScalarReference {
     failure: Option<String>,
     /// The configured number of trials.
     planned: u32,
-    exec: ExecConfig,
     /// Array positions in comparison order: sorted by the scalar's parameter
     /// names, the order that decides which mismatch a report names first.
     compare_order: Vec<usize>,
@@ -251,7 +237,7 @@ impl ScalarReference {
         let mut failure = None;
         for _ in 0..config.trials {
             let inputs = random_bindings(scalar, config, &mut rng);
-            match run_function(scalar, &inputs, &config.exec) {
+            match run_function(scalar, &inputs, &ExecConfig::default()) {
                 Ok(result) => trials.push(ReferenceTrial {
                     checksum: checksum_of(&result.arrays),
                     outputs: result.arrays,
@@ -271,7 +257,6 @@ impl ScalarReference {
             trials,
             failure,
             planned: config.trials,
-            exec: config.exec.clone(),
             compare_order,
         }
     }
@@ -297,10 +282,11 @@ impl ScalarReference {
             };
         }
 
+        let exec = ExecConfig::default();
         let mut scalar_checksum = None;
         let mut vector_checksum = None;
         for (trial, reference) in (0u32..).zip(&self.trials) {
-            let result = match run_function(candidate, &reference.inputs, &self.exec) {
+            let result = match run_function(candidate, &reference.inputs, &exec) {
                 Ok(r) => r,
                 Err(err) => {
                     let reason = match &err {
@@ -390,11 +376,11 @@ impl ScalarReference {
 }
 
 /// Draws one trial's arguments for the scalar's parameters, in order:
-/// every `int` parameter gets its override or `n`, every array `n + slack`
-/// random values.
+/// every `int` parameter gets `n`, every array `n` + [`SLACK`] random
+/// values in [`VALUE_RANGE`].
 fn random_bindings(scalar: &Function, config: &ChecksumConfig, rng: &mut StdRng) -> ArgBindings {
-    let len = config.n as usize + config.slack;
-    let (lo, hi) = config.value_range;
+    let len = config.n as usize + SLACK;
+    let (lo, hi) = VALUE_RANGE;
     let args = scalar
         .params
         .iter()
@@ -402,13 +388,7 @@ fn random_bindings(scalar: &Function, config: &ChecksumConfig, rng: &mut StdRng)
             Type::Ptr(_) => Arg::Array((0..len).map(|_| rng.gen_range(lo..=hi)).collect()),
             // A parameter of another type makes the run fail; it still
             // takes its position.
-            _ => Arg::Int(
-                config
-                    .scalar_overrides
-                    .get(&param.name)
-                    .copied()
-                    .unwrap_or(config.n),
-            ),
+            _ => Arg::Int(config.n),
         })
         .collect();
     ArgBindings { args }
@@ -555,15 +535,20 @@ mod tests {
         ));
     }
 
+    /// The fingerprint keys every cached checksum verdict, so it must not
+    /// move: these are the default harness and the end-to-end benchmark's
+    /// independent oracle configuration.
     #[test]
-    fn scalar_overrides_are_applied() {
-        let scalar = parse_function(
-            "void f(int n, int m, int *a) { for (int i = 0; i < n; i++) { a[i] = m; } }",
-        )
-        .unwrap();
-        let mut config = cfg();
-        config.scalar_overrides.insert("m".into(), 7);
-        let report = checksum_test(&scalar, &scalar, &config);
-        assert!(report.outcome.is_plausible());
+    fn fingerprints_are_pinned() {
+        assert_eq!(
+            ChecksumConfig::default().fingerprint(),
+            0xc08e_200b_4cfc_aecf
+        );
+        let oracle = ChecksumConfig {
+            n: 96,
+            trials: 4,
+            seed: 0x0bad_5eed,
+        };
+        assert_eq!(oracle.fingerprint(), 0xe680_0efd_d427_1420);
     }
 }

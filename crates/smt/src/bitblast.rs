@@ -286,11 +286,6 @@ impl<'a> BitBlaster<'a> {
         &self.var_bits
     }
 
-    /// The literal of each free boolean variable encountered so far.
-    pub fn var_bools(&self) -> &HashMap<String, Lit> {
-        &self.var_bools
-    }
-
     /// Asserts a boolean term.
     pub fn assert(&mut self, term: TermId) -> Result<(), BlastError> {
         let lit = self.blast(term)?.try_bool()?;

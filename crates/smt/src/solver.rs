@@ -54,15 +54,6 @@ impl Default for SolverBudget {
 }
 
 impl SolverBudget {
-    /// A small budget useful in tests and for the "out-of-the-box Alive2"
-    /// configuration that times out on hard queries.
-    pub fn tight() -> SolverBudget {
-        SolverBudget {
-            max_conflicts: 20_000,
-            max_clauses: 400_000,
-        }
-    }
-
     /// A stable 64-bit fingerprint of the budget, folded into the engine
     /// configuration hash that keys the persistent verdict cache (a changed
     /// budget can change `Inconclusive` outcomes, so it must invalidate
@@ -83,12 +74,12 @@ impl SolverBudget {
     }
 }
 
-/// A model: concrete values for the free variables of a satisfiable query.
+/// A model: concrete values for the free bitvector variables of a
+/// satisfiable query.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Model {
     values: HashMap<String, u64>,
     widths: HashMap<String, u32>,
-    bools: HashMap<String, bool>,
 }
 
 impl Model {
@@ -266,7 +257,6 @@ impl Solver {
             }
         }
         let var_bits = blaster.var_bits().clone();
-        let var_bools = blaster.var_bools().clone();
 
         self.last_stats = CheckStats {
             cnf_vars: sat.num_vars(),
@@ -294,9 +284,7 @@ impl Solver {
                 "solver exhausted its budget of {} conflicts",
                 budget.max_conflicts
             )),
-            SatResult::Sat => {
-                CheckResult::Sat(Box::new(extract_model(&sat, &var_bits, &var_bools)))
-            }
+            SatResult::Sat => CheckResult::Sat(Box::new(extract_model(&sat, &var_bits))),
         }
     }
 
@@ -317,13 +305,9 @@ impl Solver {
     }
 }
 
-/// Reads the satisfying assignment for every bound variable out of a `Sat`
-/// solver.
-fn extract_model(
-    sat: &SatSolver,
-    var_bits: &HashMap<String, Vec<Lit>>,
-    var_bools: &HashMap<String, Lit>,
-) -> Model {
+/// Reads the satisfying assignment for every bound bitvector variable out
+/// of a `Sat` solver.
+fn extract_model(sat: &SatSolver, var_bits: &HashMap<String, Vec<Lit>>) -> Model {
     let mut model = Model::default();
     for (name, bits) in var_bits {
         let mut value: u64 = 0;
@@ -334,11 +318,6 @@ fn extract_model(
         }
         model.values.insert(name.clone(), value);
         model.widths.insert(name.clone(), bits.len() as u32);
-    }
-    for (name, lit) in var_bools {
-        model
-            .bools
-            .insert(name.clone(), sat.model_value(lit.var()) ^ lit.is_neg());
     }
     model
 }

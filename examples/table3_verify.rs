@@ -1,8 +1,9 @@
 //! Reproduces Table 3: the equivalence-checking funnel over the embedded
 //! TSVC suite, followed by Figure 6's speedups for the verified kernels.
 //!
-//! Table 3's verdicts stream through a `StreamObserver` — one line per
-//! kernel as its verdict lands — before the paper-shaped table and the
+//! Table 3's verdicts stream through a `StreamObserver` — one
+//! `[n] kernel: Verdict @ stage` line per kernel as its verdict lands, `n`
+//! counting finished jobs — before the paper-shaped table and the
 //! telemetry funnel are printed. Figure 6 runs no verification of its own,
 //! so its rows are printed once the cost model has computed them all.
 
@@ -10,7 +11,7 @@ use llm_vectorizer_repro::core::{figure6, table3, ExperimentConfig, StreamObserv
 
 fn main() {
     let config = ExperimentConfig::default();
-    let observer = StreamObserver::new(std::io::stdout(), config.kernels().len());
+    let observer = StreamObserver::new(std::io::stdout());
     println!("=== streaming verdicts ===");
     let table = table3(&config, &observer);
     println!("=== Table 3: verification funnel ===");

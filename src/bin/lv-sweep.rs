@@ -1,13 +1,10 @@
 //! `lv-sweep` — the TSVC verification sweep CLI.
 //!
 //! ```text
-//! lv-sweep [run] [--kernels s000,s112,...] [--threads T] [--quick]
-//!          [--cache FILE] [--no-reuse]
+//! lv-sweep [run] [--kernels s000,s112,...] [--threads T] [--cache FILE]
 //! lv-sweep run --generate K [--gen-seed S] [--gen-threads T]
-//!          [--kernels s000,...] [--threads T] [--quick]
-//!          [--cache FILE] [--no-reuse]
-//! lv-sweep serve [--addr HOST:PORT] [--cache FILE] [--threads T] [--quick]
-//!          [--no-reuse]
+//!          [--kernels s000,...] [--threads T] [--cache FILE]
+//! lv-sweep serve [--addr HOST:PORT] [--cache FILE] [--threads T]
 //! lv-sweep submit [--addr HOST:PORT] [--kernels s000,...]
 //!          [--generate K] [--gen-seed S] [--shutdown]
 //! lv-sweep status [--addr HOST:PORT]
@@ -40,10 +37,11 @@
 //! and leaves `FILE` byte-identical. Without `--cache` the verdicts are
 //! cached in memory only.
 //!
-//! Every job runs Algorithm 1's cascade in its one order under fixed
-//! per-stage budgets, with the blasted-CNF memo on: its replays are
-//! clause-identical, so it changes no verdict, fingerprint, or cache byte.
-//! `--no-reuse` (on `run` and `serve`) switches the memo off.
+//! Every sweep and every daemon runs one engine configuration
+//! (`engine_config`): Algorithm 1's cascade in its one order under the
+//! default per-stage budgets ([`PipelineConfig::default`]), with the
+//! blasted-CNF memo on. The memo's replays are clause-identical, so it
+//! changes no verdict, fingerprint, or cache byte.
 //!
 //! `serve` runs the long-lived verification daemon
 //! ([`VerificationService`]): a loopback-first TCP listener speaking the
@@ -65,9 +63,10 @@
 //! (shard report, claim and cross-run profile journals, shard manifests).
 //!
 //! The flags of deleted layers (`REMOVED_LAYER_FLAGS`: cross-run
-//! profiles, stage schedules, tuned budgets, CNF preprocessing, incremental
-//! sessions, the multi-process shard sweeps with their journals, worker
-//! mode and liveness supervision, and the unoverlapped comparison arm of
+//! profiles, stage schedules, tuned budgets, reduced smoke-run budgets,
+//! CNF preprocessing, incremental sessions, the memo-off engine, the
+//! multi-process shard sweeps with their journals, worker mode and
+//! liveness supervision, and the unoverlapped comparison arm of
 //! `run --generate`) are usage errors naming the layer, and so is the
 //! `compact` subcommand of the shard report journals.
 //!
@@ -81,8 +80,6 @@ use llm_vectorizer_repro::core::{
     cache_file_stats, overlapped_pass_at_k, seeded_jobs, EngineConfig, EngineReuse, Equivalence,
     Job, PipelineConfig, ServiceClient, VerdictCache, VerificationEngine, VerificationService,
 };
-use llm_vectorizer_repro::interp::ChecksumConfig;
-use llm_vectorizer_repro::tv::{SolverBudget, TvConfig};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -131,7 +128,8 @@ const DEFAULT_SERVICE_ADDR: &str = "127.0.0.1:7411";
 const ONE_CASCADE: &str = "every job runs the cascade in its one order under fixed budgets";
 
 /// What the solver layers' removal left.
-const MEMO_ONLY: &str = "the blast memo is on unless --no-reuse";
+const MEMO_ONLY: &str = "every job runs with the blast memo on, whose replays are \
+     clause-identical";
 
 /// What the multi-process shard sweeps' removal left: one process.
 const IN_PROCESS: &str = "`lv-sweep run` verifies every job in this process on the engine's \
@@ -144,12 +142,14 @@ const ONE_SNAPSHOT: &str = "`lv-sweep run --cache FILE` keeps a sweep's verdicts
 /// Flags of earlier builds whose layers were deleted: the flag, the layer
 /// it switched, and what runs in its place. Every subcommand refuses them
 /// by name ([`removed_layer_message`]).
-const REMOVED_LAYER_FLAGS: [(&str, &str, &str); 23] = [
+const REMOVED_LAYER_FLAGS: [(&str, &str, &str); 25] = [
     ("--profile", "cross-run telemetry profiles", ONE_CASCADE),
     ("--schedule", "per-category stage schedules", ONE_CASCADE),
     ("--budget", "profile-tuned solver budgets", ONE_CASCADE),
+    ("--quick", "reduced smoke-run budgets", ONE_CASCADE),
     ("--reuse", "incremental per-scalar sessions", MEMO_ONLY),
     ("--simplify", "CNF preprocessing", MEMO_ONLY),
+    ("--no-reuse", "the memo-off engine", MEMO_ONLY),
     ("--shards", "multi-process shard sweeps", IN_PROCESS),
     ("--policy", "shard partitioning policies", IN_PROCESS),
     ("--timeout-secs", "shard worker supervision", IN_PROCESS),
@@ -213,22 +213,6 @@ fn unknown_argument(command: &str, arg: &str) -> CliError {
 /// The usage message for the `compact` subcommand of earlier builds.
 const REMOVED_COMPACT: &str = "compact was removed with its layer (shard report journals); \
      verdict caches are only ever written as the JSON snapshot, which needs no compaction";
-
-/// The engine reuse for a `--no-reuse` setting: the blast memo unless
-/// switched off.
-fn resolve_reuse(memo: bool) -> EngineReuse {
-    EngineReuse { memo }
-}
-
-/// One-word description of a resolved reuse configuration, for sweep
-/// banners.
-fn reuse_tag(reuse: EngineReuse) -> &'static str {
-    if reuse.memo {
-        "memo"
-    } else {
-        "off"
-    }
-}
 
 /// Parses a `--kernels` value, the one kernel selection of `run` and
 /// `submit`: comma-separated TSVC kernel names. A name that is no TSVC
@@ -323,36 +307,12 @@ fn passk_points(k: usize) -> Vec<usize> {
     ks
 }
 
-/// The `--quick` pipeline: tiny checksum trials and tight solver budgets,
-/// for smoke runs and CI.
-fn build_pipeline(quick: bool) -> PipelineConfig {
-    if quick {
-        PipelineConfig {
-            checksum: ChecksumConfig {
-                trials: 1,
-                n: 40,
-                ..ChecksumConfig::default()
-            },
-            tv: TvConfig {
-                alive2_budget: SolverBudget {
-                    max_conflicts: 5_000,
-                    max_clauses: 200_000,
-                },
-                cunroll_budget: SolverBudget {
-                    max_conflicts: 50_000,
-                    max_clauses: 1_000_000,
-                },
-                spatial_budget: SolverBudget {
-                    max_conflicts: 20_000,
-                    max_clauses: 500_000,
-                },
-                alive2_chunks: 1,
-                ..TvConfig::default()
-            },
-        }
-    } else {
-        PipelineConfig::default()
-    }
+/// The engine configuration of every sweep and every daemon: the full
+/// cascade under the default budgets, the blast memo on, `threads` workers.
+fn engine_config(threads: usize) -> EngineConfig {
+    EngineConfig::full(PipelineConfig::default())
+        .with_threads(threads)
+        .with_reuse(EngineReuse { memo: true })
 }
 
 /// The verdict cache of `run` and `serve`: the snapshot at `--cache FILE`
@@ -390,8 +350,6 @@ struct RunArgs {
     gen_threads: usize,
     kernels: Option<Vec<String>>,
     threads: usize,
-    quick: bool,
-    memo: bool,
     cache: Option<PathBuf>,
 }
 
@@ -402,8 +360,6 @@ fn parse_run(args: &[String]) -> Result<RunArgs, CliError> {
         gen_threads: 0,
         kernels: None,
         threads: 0,
-        quick: false,
-        memo: true,
         cache: None,
     };
     // The first flag seen that only means something with `--generate`.
@@ -443,8 +399,6 @@ fn parse_run(args: &[String]) -> Result<RunArgs, CliError> {
                     .parse()
                     .map_err(|_| usage("--threads expects an integer"))?
             }
-            "--quick" => opts.quick = true,
-            "--no-reuse" => opts.memo = false,
             "--cache" => opts.cache = Some(value("--cache")?.into()),
             other => return Err(unknown_argument("run", other)),
         }
@@ -468,16 +422,10 @@ const RUN_QUEUE_CAPACITY: usize = 32;
 fn cmd_run(args: &[String]) -> Result<(), CliError> {
     let opts = parse_run(args)?;
     let cache = open_cache(opts.cache.as_deref())?;
-    let reuse = resolve_reuse(opts.memo);
-    let engine = VerificationEngine::new(
-        EngineConfig::full(build_pipeline(opts.quick))
-            .with_threads(opts.threads)
-            .with_reuse(reuse)
-            .with_cache(cache.clone()),
-    );
+    let engine = VerificationEngine::new(engine_config(opts.threads).with_cache(cache.clone()));
     match opts.generate {
         Some(k) => run_generated(&engine, &opts, k, &cache)?,
-        None => run_jobs(&engine, &opts, reuse, &cache)?,
+        None => run_jobs(&engine, &opts, &cache)?,
     }
     Ok(())
 }
@@ -487,15 +435,10 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
 fn run_jobs(
     engine: &VerificationEngine,
     opts: &RunArgs,
-    reuse: EngineReuse,
     cache: &VerdictCache,
 ) -> Result<(), CliError> {
     let jobs = tsvc_jobs(&opts.kernels)?;
-    println!(
-        "sweeping {} jobs in process (reuse {})",
-        jobs.len(),
-        reuse_tag(reuse)
-    );
+    println!("sweeping {} jobs in process", jobs.len());
     let report = engine.run_batch(&jobs);
     persist_cache(cache)?;
     for job in &report.jobs {
@@ -585,8 +528,6 @@ struct ServeArgs {
     addr: String,
     cache: Option<PathBuf>,
     threads: usize,
-    quick: bool,
-    memo: bool,
 }
 
 fn parse_serve(args: &[String]) -> Result<ServeArgs, CliError> {
@@ -594,8 +535,6 @@ fn parse_serve(args: &[String]) -> Result<ServeArgs, CliError> {
         addr: DEFAULT_SERVICE_ADDR.to_string(),
         cache: None,
         threads: 0,
-        quick: false,
-        memo: true,
     };
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
@@ -612,8 +551,6 @@ fn parse_serve(args: &[String]) -> Result<ServeArgs, CliError> {
                     .parse()
                     .map_err(|_| usage("--threads expects an integer"))?
             }
-            "--quick" => opts.quick = true,
-            "--no-reuse" => opts.memo = false,
             other => return Err(unknown_argument("serve", other)),
         }
     }
@@ -625,9 +562,7 @@ fn parse_serve(args: &[String]) -> Result<ServeArgs, CliError> {
 fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     let opts = parse_serve(args)?;
     let cache = open_cache(opts.cache.as_deref())?;
-    let config = EngineConfig::full(build_pipeline(opts.quick))
-        .with_threads(opts.threads)
-        .with_reuse(resolve_reuse(opts.memo));
+    let config = engine_config(opts.threads);
     let service = VerificationService::bind(opts.addr.as_str(), config, cache.clone())
         .map_err(|e| runtime(format!("cannot serve on {}: {}", opts.addr, e)))?;
     println!(
@@ -845,13 +780,11 @@ mod tests {
             "/tmp/c.json",
             "--threads",
             "4",
-            "--quick",
         ]))
         .unwrap();
         assert_eq!(parsed.addr, "127.0.0.1:9000");
         assert_eq!(parsed.cache.as_deref(), Some(Path::new("/tmp/c.json")));
         assert_eq!(parsed.threads, 4);
-        assert!(parsed.quick);
         assert_eq!(parse_serve(&[]).unwrap().addr, DEFAULT_SERVICE_ADDR);
 
         for bad in [
@@ -918,7 +851,6 @@ mod tests {
             "s000",
             "--threads",
             "4",
-            "--quick",
         ]))
         .unwrap();
         assert_eq!(parsed.generate, Some(8));
@@ -926,11 +858,10 @@ mod tests {
         assert_eq!(parsed.gen_threads, 2);
         assert_eq!(parsed.kernels, Some(vec!["s000".into()]));
         assert_eq!(parsed.threads, 4);
-        assert!(parsed.quick);
         assert_eq!(parsed.cache, None);
 
         // Without `--generate`, `run` sweeps the rule-based TSVC jobs.
-        let jobs = parse_run(&strings(&["--cache", "/tmp/c.json", "--quick"])).unwrap();
+        let jobs = parse_run(&strings(&["--cache", "/tmp/c.json"])).unwrap();
         assert_eq!(jobs.generate, None);
         assert_eq!(jobs.cache.as_deref(), Some(Path::new("/tmp/c.json")));
         assert_eq!(parse_run(&[]).unwrap().generate, None);
@@ -1003,30 +934,25 @@ mod tests {
     }
 
     #[test]
-    fn reuse_flags_resolve_layers() {
-        // No flag: the blast memo — clause-identical, fingerprint-neutral.
-        let default = resolve_reuse(true);
-        assert_eq!(default, EngineReuse { memo: true });
-        assert_eq!(reuse_tag(default), "memo");
-        assert_eq!(resolve_reuse(false), EngineReuse::default());
-        assert_eq!(reuse_tag(resolve_reuse(false)), "off");
-
-        // `run` (with and without `--generate`) and `serve` take
-        // `--no-reuse`.
-        assert!(!parse_run(&strings(&["--no-reuse"])).unwrap().memo);
-        assert!(
-            !parse_run(&strings(&["--generate", "2", "--no-reuse"]))
-                .unwrap()
-                .memo
+    fn reuse_and_budget_flags_are_refused_naming_what_runs() {
+        // Every sweep and daemon runs the default pipeline with the blast
+        // memo on, which leaves the fingerprint of the plain full cascade.
+        let config = engine_config(3);
+        assert_eq!(config.reuse, EngineReuse { memo: true });
+        assert_eq!(config.threads, 3);
+        assert_eq!(
+            config.semantic_fingerprint(),
+            EngineConfig::full(PipelineConfig::default()).semantic_fingerprint()
         );
-        assert!(!parse_serve(&strings(&["--no-reuse"])).unwrap().memo);
-        assert!(parse_serve(&[]).unwrap().memo);
 
-        // The flags of the deleted layers are usage errors naming the layer.
-        for (flag, layer) in [
-            ("--reuse", "incremental per-scalar sessions"),
-            ("--simplify", "CNF preprocessing"),
-        ] {
+        // `run` (with and without `--generate`) and `serve` refuse every
+        // flag that chose budgets, stages or solver reuse, naming the layer
+        // and what runs instead.
+        let engine_flags = REMOVED_LAYER_FLAGS
+            .iter()
+            .filter(|(_, _, instead)| [ONE_CASCADE, MEMO_ONLY].contains(instead));
+        assert_eq!(engine_flags.clone().count(), 7);
+        for &(flag, layer, instead) in engine_flags {
             for parsed in [
                 parse_run(&strings(&[flag])).err(),
                 parse_run(&strings(&["--generate", "2", flag])).err(),
@@ -1036,6 +962,7 @@ mod tests {
                     Some(CliError::Usage(message)) => {
                         assert!(message.contains(flag), "{}", message);
                         assert!(message.contains(layer), "{}", message);
+                        assert!(message.contains(instead), "{}", message);
                     }
                     other => panic!("{} must be refused, got {:?}", flag, other),
                 }
@@ -1094,7 +1021,6 @@ mod tests {
         let parsed = parse_run(&strings(&["--kernels", "s000,s112", "--threads", "3"])).unwrap();
         assert_eq!(parsed.generate, None);
         assert_eq!(parsed.threads, 3);
-        assert!(parsed.memo, "memo-on default");
 
         // Every malformed spelling is a typed usage error, never a panic.
         for bad in [

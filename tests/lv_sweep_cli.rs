@@ -162,6 +162,50 @@ fn the_removed_comparison_arm_exits_2_naming_it() {
     assert!(stdout(&output).is_empty(), "{}", stdout(&output));
 }
 
+/// Every sweep and daemon runs the default budgets with the blast memo on;
+/// the flags that chose smoke-run budgets or switched the memo off are
+/// refused by name, with what runs instead, before anything is verified
+/// or bound.
+#[test]
+fn the_removed_budget_and_memo_flags_exit_2_naming_what_runs() {
+    for (flag, layer, instead) in [
+        (
+            "--quick",
+            "reduced smoke-run budgets",
+            "every job runs the cascade in its one order under fixed budgets",
+        ),
+        (
+            "--no-reuse",
+            "the memo-off engine",
+            "every job runs with the blast memo on",
+        ),
+    ] {
+        for args in [
+            &[flag][..],
+            &["run", flag],
+            &["run", "--generate", "1", flag],
+            &["serve", "--addr", "127.0.0.1:0", flag],
+        ] {
+            let output = lv_sweep(args);
+            let message = stderr(&output);
+            assert_eq!(output.status.code(), Some(2), "{:?}: {}", args, message);
+            assert!(
+                message.contains(&format!("{} was removed with its layer ({})", flag, layer)),
+                "{:?}: {}",
+                args,
+                message
+            );
+            assert!(message.contains(instead), "{:?}: {}", args, message);
+            assert!(
+                stdout(&output).is_empty(),
+                "{:?}: {}",
+                args,
+                stdout(&output)
+            );
+        }
+    }
+}
+
 /// A seed only means something for generated jobs: `submit` refuses it
 /// without `--generate`, as `run` does, before connecting to any daemon.
 #[test]
